@@ -14,7 +14,6 @@ measured quantity landed outside its acceptance band.
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -333,7 +332,7 @@ HANDLERS = {
 }
 
 
-def run(config_path, subcommand, *, out_dir=None, jobs=None, seedless=False, filtered=False):
+def run(config_path, subcommand, *, out_dir=None, jobs=1, seedless=False, filtered=False):
     """Execute one subcommand against a config file; returns the exit code."""
     if subcommand not in HANDLERS:
         print(
@@ -348,8 +347,6 @@ def run(config_path, subcommand, *, out_dir=None, jobs=None, seedless=False, fil
             assert_seedless()
         out = Path(out_dir) if out_dir else Path("results") / subcommand
         out.mkdir(parents=True, exist_ok=True)
-        if jobs is None:
-            jobs = os.cpu_count() or 1
         return HANDLERS[subcommand](resolved, out, jobs, filtered)
     except NonFinite as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -368,7 +365,12 @@ def build_parser():
     common.add_argument("--config", metavar="PATH", help="JSON run configuration")
     common.add_argument("--out", metavar="DIR", help="output directory (default results/<subcommand>)")
     common.add_argument(
-        "--jobs", metavar="N", type=int, help="parallel sweep runs (default: available cores)"
+        "--jobs",
+        metavar="N",
+        type=int,
+        default=1,
+        help="worker threads for sweep points and grid evaluations (default: 1; "
+        "the work holds the interpreter lock, so more threads do not run faster)",
     )
     common.add_argument(
         "--seedless",
@@ -406,7 +408,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
     return run(

@@ -5,12 +5,14 @@ The integrator advances the slow/fast pair
     d/dt Theta = a_t * g(Theta, Lambda, xi_t)
     d/dt Lambda = b_t * h(Theta, Lambda, xi_t)
 
-A second-order filter, when attached, observes Lambda: its output Lambda^F
-and rate dLambda^F ride along as two extra states per fast coordinate in
-the same RK4 step, but neither field reads them, so Theta and Lambda are
-the same with or without the filter.  Probing phases are never
-integrated: they are recomputed from t at every stage, so trajectories are
-reproducible bit for bit.
+One RK4 kernel advances a single stacked state vector: [Theta; Lambda]
+for coupled runs and Lambda alone for frozen-fast runs.  A second-order
+filter, when attached, observes Lambda: its output Lambda^F and rate
+dLambda^F extend the stack to [Theta; Lambda; Lambda^F; dLambda^F] and
+ride along in the same RK4 step, but neither field reads them, so Theta
+and Lambda are the same with or without the filter.  Probing phases are
+never integrated: they are recomputed from t at every stage, so
+trajectories are reproducible bit for bit.
 """
 
 import math
@@ -21,8 +23,9 @@ import numpy as np
 from .errors import ConfigError, NonFinite
 from .probing import clock_phases, identity_map
 
-#: steps per precomputed probe/gain block inside the integrator
-_CHUNK = 1 << 14
+#: steps per precomputed probe/gain block inside the integrator; a block
+#: holds a Python object per stage, so it is kept short to bound memory
+_CHUNK = 1 << 10
 
 MODES = ("mixed", "constant", "vanishing")
 
@@ -246,11 +249,44 @@ def _resolve_step(basis, beta, horizon, step):
     return horizon / n_steps, n_steps
 
 
-def _sample_count(n_steps, stride):
-    n = n_steps // stride + 1
-    if n_steps % stride:
-        n += 1
-    return n
+def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
+    """Advance the stacked state x by n_steps RK4 steps of size h.
+
+    rhs(x, xi, a, b) returns dx/dt as one array shaped like x, given the
+    probe vector xi and the slow and fast gains (a, b) at the stage time;
+    gains(ts) returns both gains at the stage times ts as two lists.
+    Returns the sample times (every sample_stride steps plus the final
+    time) and the (n, D) buffer of states there.  Raises NonFinite at the
+    end of the first step that leaves x non-finite.
+    """
+    steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
+    samples = np.empty((steps.shape[0], x.shape[0]))
+    pmap, basis = system.probing, system.basis
+    cursor = 0
+    sixth = h / 6.0
+    half = h * 0.5
+    for chunk in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - chunk)
+        # stage times for steps chunk..chunk+m-1: half-grid from chunk*h
+        ts = (chunk + 0.5 * np.arange(2 * m + 1)) * h
+        xis = list(pmap(np.exp(2j * math.pi * clock_phases(basis, ts))).T)
+        a_all, b_all = gains(ts)
+        for i in range(m):
+            gi = chunk + i
+            if gi % sample_stride == 0:
+                samples[cursor] = x
+                cursor += 1
+            j = 2 * i
+            xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]
+            k1 = rhs(x, xis[j], a_all[j], b_all[j])
+            k2 = rhs(x + half * k1, xim, am, bm)
+            k3 = rhs(x + half * k2, xim, am, bm)
+            k4 = rhs(x + h * k3, xis[j + 2], a_all[j + 2], b_all[j + 2])
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(x).all():
+                raise NonFinite((gi + 1) * h)
+    samples[cursor] = x
+    return steps * h, samples
 
 
 def integrate(
@@ -266,17 +302,19 @@ def integrate(
 ):
     """Integrate the coupled pair with RK4 on a uniform grid.
 
-    x0 is the pair (theta0, lambda0).  With filt (a SecondOrderFilter) the
-    state is extended by (Lambda^F, dLambda^F), initialized to (lambda0, 0)
-    unless filter_init overrides them.  The filter only observes Lambda:
-    the slow field reads the raw Lambda, so theta and lam are identical to
-    an unfiltered run.  Samples are stored every sample_stride steps plus
-    the final time.  Raises NonFinite with the offending time on blow-up.
+    x0 is the pair (theta0, lambda0); the RK4 kernel advances the stacked
+    state [theta; lambda].  With filt (a SecondOrderFilter) the stack is
+    extended by (Lambda^F, dLambda^F), initialized to (lambda0, 0) unless
+    filter_init overrides them.  The filter only observes Lambda: the slow
+    field reads the raw Lambda, so theta and lam are identical to an
+    unfiltered run.  Samples are stored every sample_stride steps plus the
+    final time; the Trajectory fields are column views of one sample
+    buffer.  Raises NonFinite with the offending time on blow-up.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
-    theta = np.atleast_1d(np.asarray(x0[0], dtype=float)).copy()
-    lam = np.atleast_1d(np.asarray(x0[1], dtype=float)).copy()
+    theta = np.atleast_1d(np.asarray(x0[0], dtype=float))
+    lam = np.atleast_1d(np.asarray(x0[1], dtype=float))
     if theta.shape != (system.dim_slow,) or lam.shape != (system.dim_fast,):
         raise ConfigError(
             f"x0 shapes {theta.shape}/{lam.shape} do not match system "
@@ -284,110 +322,52 @@ def integrate(
         )
     h, n_steps = _resolve_step(system.basis, schedule.beta, horizon, step)
 
-    use_filter = filt is not None
-    if use_filter:
+    blocks = [theta, lam]
+    if filt is not None:
         if filter_init is None:
-            lam_f = lam.copy()
-            vel_f = np.zeros_like(lam)
+            blocks += [lam, np.zeros_like(lam)]
         else:
-            lam_f = np.atleast_1d(np.asarray(filter_init[0], dtype=float)).copy()
-            vel_f = np.atleast_1d(np.asarray(filter_init[1], dtype=float)).copy()
+            lam_f = np.atleast_1d(np.asarray(filter_init[0], dtype=float))
+            vel_f = np.atleast_1d(np.asarray(filter_init[1], dtype=float))
             if lam_f.shape != lam.shape or vel_f.shape != lam.shape:
                 raise ConfigError("filter_init shapes must match lambda0")
+            blocks += [lam_f, vel_f]
         gamma2 = filt.gamma**2
         two_zg = 2.0 * filt.zeta * filt.gamma
-    else:
-        lam_f = vel_f = None
 
     g_cb, h_cb, gp_cb = system.g, system.h, system.g_probe
-    pmap = system.probing
-    basis = system.basis
+    ds, df = system.dim_slow, system.dim_fast
+    dx = ds + df
 
-    n_samp = _sample_count(n_steps, sample_stride)
-    t_samp = np.zeros(n_samp)
-    theta_samp = np.zeros((n_samp, theta.shape[0]))
-    lam_samp = np.zeros((n_samp, lam.shape[0]))
-    lamf_samp = np.zeros((n_samp, lam.shape[0])) if use_filter else None
-    velf_samp = np.zeros((n_samp, lam.shape[0])) if use_filter else None
-    cursor = 0
-
-    def record(step_index):
-        nonlocal cursor
-        t_samp[cursor] = step_index * h
-        theta_samp[cursor] = theta
-        lam_samp[cursor] = lam
-        if use_filter:
-            lamf_samp[cursor] = lam_f
-            velf_samp[cursor] = vel_f
-        cursor += 1
-
-    def deriv(th, la, lf, vf, xi, a, b):
+    def rhs(x, xi, a, b):
+        th, la = x[:ds], x[ds:dx]
         gv = np.asarray(g_cb(th, la, xi), dtype=float)
         if gp_cb is not None:
             gv = gv + a * np.asarray(gp_cb(th, la, xi), dtype=float)
-        dth = a * gv
         dla = b * np.asarray(h_cb(th, la, xi), dtype=float)
-        if use_filter:
-            return dth, dla, vf, gamma2 * (la - lf) - two_zg * vf
-        return dth, dla, None, None
+        if filt is None:
+            return np.concatenate((a * gv, dla))
+        lf, vf = x[dx : dx + df], x[dx + df :]
+        return np.concatenate((a * gv, dla, vf, gamma2 * (la - lf) - two_zg * vf))
 
-    sixth = h / 6.0
-    half = h * 0.5
-    for chunk in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - chunk)
-        # stage times for steps chunk..chunk+m-1: half-grid from chunk*h
-        ts = (chunk + 0.5 * np.arange(2 * m + 1)) * h
-        xi_all = pmap(np.exp(2j * math.pi * clock_phases(basis, ts)))
-        a_all = schedule.slow_gain_array(ts)
-        b_all = schedule.fast_gain_array(ts)
-        for i in range(m):
-            gi = chunk + i
-            if gi % sample_stride == 0:
-                record(gi)
-            j = 2 * i
-            xi0, xim, xi1 = xi_all[:, j], xi_all[:, j + 1], xi_all[:, j + 2]
-            a0, am, a1 = a_all[j], a_all[j + 1], a_all[j + 2]
-            b0, bm, b1 = b_all[j], b_all[j + 1], b_all[j + 2]
+    def gains(ts):
+        return (
+            schedule.slow_gain_array(ts).tolist(),
+            schedule.fast_gain_array(ts).tolist(),
+        )
 
-            k1 = deriv(theta, lam, lam_f, vel_f, xi0, a0, b0)
-            if use_filter:
-                k2 = deriv(
-                    theta + half * k1[0], lam + half * k1[1],
-                    lam_f + half * k1[2], vel_f + half * k1[3], xim, am, bm,
-                )
-                k3 = deriv(
-                    theta + half * k2[0], lam + half * k2[1],
-                    lam_f + half * k2[2], vel_f + half * k2[3], xim, am, bm,
-                )
-                k4 = deriv(
-                    theta + h * k3[0], lam + h * k3[1],
-                    lam_f + h * k3[2], vel_f + h * k3[3], xi1, a1, b1,
-                )
-                lam_f = lam_f + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-                vel_f = vel_f + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3])
-            else:
-                k2 = deriv(theta + half * k1[0], lam + half * k1[1], None, None, xim, am, bm)
-                k3 = deriv(theta + half * k2[0], lam + half * k2[1], None, None, xim, am, bm)
-                k4 = deriv(theta + h * k3[0], lam + h * k3[1], None, None, xi1, a1, b1)
-            theta = theta + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            lam = lam + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            ok = np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))
-            if ok and use_filter:
-                ok = np.all(np.isfinite(lam_f)) and np.all(np.isfinite(vel_f))
-            if not ok:
-                raise NonFinite((gi + 1) * h)
-    record(n_steps)
-
-    t_samp = t_samp[:cursor]
+    t, samples = _rk4(
+        rhs, np.concatenate(blocks), h, n_steps, sample_stride, system, gains
+    )
     return Trajectory(
-        t=t_samp,
-        theta=theta_samp[:cursor],
-        lam=lam_samp[:cursor],
-        a=schedule.slow_gain_array(t_samp),
-        beta=schedule.fast_gain_array(t_samp),
-        phases=clock_phases(basis, t_samp),
-        lam_filtered=lamf_samp[:cursor] if use_filter else None,
-        dlam_filtered=velf_samp[:cursor] if use_filter else None,
+        t=t,
+        theta=samples[:, :ds],
+        lam=samples[:, ds:dx],
+        a=schedule.slow_gain_array(t),
+        beta=schedule.fast_gain_array(t),
+        phases=clock_phases(system.basis, t),
+        lam_filtered=samples[:, dx : dx + df] if filt is not None else None,
+        dlam_filtered=samples[:, dx + df :] if filt is not None else None,
     )
 
 
@@ -398,59 +378,34 @@ def integrate_frozen_fast(
 
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
-    Returns a Trajectory whose theta block repeats the frozen value and
-    whose slow-gain column is zero.
+    The RK4 kernel advances Lambda alone.  Returns a Trajectory whose theta
+    block repeats the frozen value and whose slow-gain column is zero.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    lam = np.atleast_1d(np.asarray(lambda0, dtype=float)).copy()
+    lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
     if theta.shape != (system.dim_slow,) or lam.shape != (system.dim_fast,):
         raise ConfigError("frozen state shapes do not match system dimensions")
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-
     h_cb = system.h
-    pmap = system.probing
-    basis = system.basis
 
-    n_samp = _sample_count(n_steps, sample_stride)
-    t_samp = np.zeros(n_samp)
-    lam_samp = np.zeros((n_samp, lam.shape[0]))
-    cursor = 0
+    def rhs(x, xi, a, b):
+        return b * np.asarray(h_cb(theta, x, xi), dtype=float)
 
-    sixth = h / 6.0
-    half = h * 0.5
-    for chunk in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - chunk)
-        ts = (chunk + 0.5 * np.arange(2 * m + 1)) * h
-        xi_all = pmap(np.exp(2j * math.pi * clock_phases(basis, ts)))
-        for i in range(m):
-            gi = chunk + i
-            if gi % sample_stride == 0:
-                t_samp[cursor] = gi * h
-                lam_samp[cursor] = lam
-                cursor += 1
-            j = 2 * i
-            xi0, xim, xi1 = xi_all[:, j], xi_all[:, j + 1], xi_all[:, j + 2]
-            k1 = beta * np.asarray(h_cb(theta, lam, xi0), dtype=float)
-            k2 = beta * np.asarray(h_cb(theta, lam + half * k1, xim), dtype=float)
-            k3 = beta * np.asarray(h_cb(theta, lam + half * k2, xim), dtype=float)
-            k4 = beta * np.asarray(h_cb(theta, lam + h * k3, xi1), dtype=float)
-            lam = lam + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.all(np.isfinite(lam)):
-                raise NonFinite((gi + 1) * h)
-    t_samp[cursor] = n_steps * h
-    lam_samp[cursor] = lam
-    cursor += 1
+    def gains(ts):
+        fixed = [beta] * len(ts)
+        return fixed, fixed
 
-    t_samp = t_samp[:cursor]
+    t, lam_samp = _rk4(rhs, lam, h, n_steps, sample_stride, system, gains)
+    n = t.shape[0]
     return Trajectory(
-        t=t_samp,
-        theta=np.tile(theta, (cursor, 1)),
-        lam=lam_samp[:cursor],
-        a=np.zeros(cursor),
-        beta=np.full(cursor, float(beta)),
-        phases=clock_phases(basis, t_samp),
+        t=t,
+        theta=np.tile(theta, (n, 1)),
+        lam=lam_samp,
+        a=np.zeros(n),
+        beta=np.full(n, float(beta)),
+        phases=clock_phases(system.basis, t),
     )

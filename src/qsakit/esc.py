@@ -43,6 +43,10 @@ logger = logging.getLogger(__name__)
 
 GAIN_KINDS = ("objective_scaled", "prior_scaled", "constant")
 
+#: seconds one external objective evaluation may take before the run is
+#: stopped; a stuck command would otherwise hang the run forever
+OBJECTIVE_TIMEOUT_S = 60.0
+
 #: agreement tolerance for the probe-moment averages (fixed, not tunable:
 #: the moments are constants of the basis/filter pair)
 MOMENT_TOL = 1e-6
@@ -130,7 +134,9 @@ class ProcessObjective:
     Protocol: the point is written to the command's standard input as one
     line of space-separated decimals; the command prints one decimal on
     standard output and exits.  Every evaluation is counted and the count
-    is logged, since external evaluations are presumed expensive.
+    is logged, since external evaluations are presumed expensive.  An
+    evaluation that takes longer than OBJECTIVE_TIMEOUT_S is killed and
+    raises ConfigError.
     """
 
     def __init__(self, command):
@@ -146,8 +152,18 @@ class ProcessObjective:
         line = " ".join(format(v, ".17g") for v in theta) + "\n"
         try:
             proc = subprocess.run(
-                self.argv, input=line, capture_output=True, text=True, check=True
+                self.argv,
+                input=line,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=OBJECTIVE_TIMEOUT_S,
             )
+        except subprocess.TimeoutExpired as exc:
+            raise ConfigError(
+                f"objective command {shlex.join(self.argv)!r} did not answer "
+                f"within {OBJECTIVE_TIMEOUT_S:g} s"
+            ) from exc
         except (OSError, subprocess.CalledProcessError) as exc:
             detail = getattr(exc, "stderr", "") or str(exc)
             raise ConfigError(f"objective command failed: {detail.strip()}") from exc

@@ -17,7 +17,7 @@ from .errors import ConfigError, Inconclusive, NonFinite
 from .fourier import fd_step
 from .probing import clock_phases
 
-#: steps per precomputed probe block, mirroring the integrator
+#: steps per precomputed probe block
 _CHUNK = 1 << 14
 
 

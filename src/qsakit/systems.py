@@ -35,14 +35,18 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     b1, b2 = (float(v) for v in b)
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
+    # Python floats cost less per call than numpy scalars; the operation
+    # order fixes every rounding (tests/test_kernel_reference.py), keep it
     def g(theta, lam, xi):
-        return np.atleast_1d(
-            alpha * theta[0] + alpha * lam[0] + s1 * xi[0] * (theta[0] + 1.0) + b1
+        th = float(theta[0])
+        return np.array(
+            [alpha * th + alpha * float(lam[0]) + s1 * float(xi[0]) * (th + 1.0) + b1]
         )
 
     def h(theta, lam, xi):
-        return np.atleast_1d(
-            -2.0 * theta[0] - lam[0] + s2 * xi[1] * (lam[0] + 1.0) + b2
+        la = float(lam[0])
+        return np.array(
+            [-2.0 * float(theta[0]) - la + s2 * float(xi[1]) * (la + 1.0) + b2]
         )
 
     n, p = 2, 2
@@ -115,10 +119,10 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     basis = make_frequency_basis([(2, 1)])
 
     def g(theta, lam, xi):
-        return np.atleast_1d(xi[0])
+        return np.array([float(xi[0])])
 
     def h(theta, lam, xi):
-        return np.atleast_1d(-lam[0])
+        return np.array([-float(lam[0])])
 
     n, p = 2, 2
     tone = PolyCoeff(n, p, {(0, 0): np.array([0.5, 0.0])})

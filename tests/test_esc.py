@@ -10,10 +10,12 @@ contraction of the regularized loop.
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from qsakit import esc as esc_module
 from qsakit.dynamics import GainSchedule, integrate, integrate_frozen_fast
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite, NonHurwitz
 from qsakit.esc import (
@@ -150,6 +152,15 @@ class TestProcessObjective:
     def test_empty_command(self):
         with pytest.raises(ConfigError):
             ProcessObjective("")
+
+    def test_stuck_command_times_out(self, monkeypatch):
+        monkeypatch.setattr(esc_module, "OBJECTIVE_TIMEOUT_S", 0.5)
+        obj = ProcessObjective([sys.executable, "-c", "import time; time.sleep(30)"])
+        start = time.monotonic()
+        with pytest.raises(ConfigError, match=r"time\.sleep\(30\).*within 0\.5 s"):
+            obj(np.array([1.0]))
+        assert time.monotonic() - start < 10.0
+        assert obj.evaluations == 0
 
     def test_wired_through_config(self):
         config = EscConfig(
