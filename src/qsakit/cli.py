@@ -92,6 +92,16 @@ def _prepare(resolved, subcommand, out):
     return system, x0
 
 
+def _require_mixed_gains(resolved, subcommand):
+    """Reject gains.mode values that a sweep over beta_list would not run."""
+    mode = resolved["gains"]["mode"]
+    if mode != "mixed":
+        raise ConfigError(
+            f"{subcommand} sweeps only the mixed gain schedule; "
+            f"gains.mode must be 'mixed', got {mode!r}"
+        )
+
+
 def _dump_json(record, path):
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -115,6 +125,7 @@ def _cmd_simulate(resolved, out, jobs, filtered):
 
 
 def _cmd_sweep_fast(resolved, out, jobs, filtered):
+    _require_mixed_gains(resolved, "sweep-fast")
     system, x0 = _prepare(resolved, "sweep-fast", out)
     exp = resolved["experiment"]
     use_filter = filtered or resolved["filter"]["enabled"]
@@ -190,6 +201,7 @@ def _cmd_check_slow(resolved, out, jobs, filtered):
 
 
 def _cmd_bias(resolved, out, jobs, filtered):
+    _require_mixed_gains(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
     outcome = bias_sweep(

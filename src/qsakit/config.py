@@ -1,9 +1,9 @@
 """Run configuration: one JSON document in, validated objects out.
 
-A config has six sections (probing, gains, system, filter, esc,
-experiment), each optional.  resolve() merges user values over the
-defaults and materializes every computed default, so the echoed
-config.resolved.json states exactly what ran with nothing implicit.
+A config has five sections (gains, system, filter, esc, experiment),
+each optional.  resolve() merges user values over the defaults and
+materializes every computed default, so the echoed config.resolved.json
+states exactly what ran with nothing implicit.
 Builders reconstruct library objects from the resolved data; every
 rejection is a ConfigError naming the violated constraint.
 """
@@ -17,14 +17,9 @@ from .dynamics import GainSchedule
 from .errors import ConfigError
 from .esc import EscConfig, ProcessObjective, named_objective
 from .filters import SecondOrderFilter, washout_filter
-from .probing import make_frequency_basis
 from .systems import SYSTEMS, named_system
 
 DEFAULTS = {
-    "probing": {
-        "pairs": [[2, 1], [3, 1], [5, 2], [7, 2]],
-        "phases": None,  # resolved to zeros, one per pair
-    },
     "gains": {"rho": 0.7, "beta": 0.1, "mode": "mixed", "alpha0": 1.0},
     "system": {"name": "linear-3.1", "params": {}},
     "filter": {"enabled": False, "zeta": 0.7, "eta": 1.0},
@@ -105,10 +100,6 @@ def resolve(raw):
                 )
             resolved[section][key] = copy.deepcopy(value)
 
-    probing = resolved["probing"]
-    if probing["phases"] is None:
-        probing["phases"] = [0.0] * len(probing["pairs"])
-    build_basis(resolved)
     build_schedule(resolved)
 
     filt = resolved["filter"]
@@ -158,12 +149,6 @@ def resolve(raw):
     if not exp["theta_grid"]:
         raise ConfigError("experiment.theta_grid must be non-empty")
     return resolved
-
-
-def build_basis(resolved):
-    probing = resolved["probing"]
-    pairs = [tuple(int(v) for v in pair) for pair in probing["pairs"]]
-    return make_frequency_basis(pairs, probing["phases"])
 
 
 def build_schedule(resolved, beta=None):

@@ -37,10 +37,6 @@ class NotZeroMean(QsaError):
     """A field that must have zero mean carries a nonzero constant mode."""
 
 
-class MissingJacobian(QsaError):
-    """A coefficient has neither an analytic nor a synthesized Jacobian."""
-
-
 class InsufficientSamples(QsaError):
     """Too few samples to form the requested finite-difference stencils."""
 

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .meanflow import fast_equilibrium, find_root_g0
 from .poisson import (
-    MAX_FD_STEP,
     GainField,
     directional_derivative,
     pmeanflow_terms,
@@ -420,9 +419,10 @@ def _write_sweep_artifacts(out_dir, points, outcome, band, runs):
 # 3-point stencils the residuals inherit the O(step^2) truncation, which
 # is what the order check doubles the step to see.
 
-# 3-point centered stencils, 2nd-order accurate.  Deliberately lower order
-# than the 5-point forms used by the residual in the poisson module: the
-# order check needs the truncation error to dominate roundoff at step 1e-3.
+# 3-point centered stencils, 2nd-order accurate.  Deliberately low order:
+# the order check needs the truncation error to dominate roundoff at step
+# 1e-3, the largest step the fd route accepts.
+MAX_FD_STEP = 1e-3
 
 
 def _d1_3pt(series, dt):

@@ -5,428 +5,14 @@ A field is a finite sum
     u(x, z) = sum_k c_k(x) * z^k,    z_i = exp(2*pi*j*(omega_i t + phi_i)),
 
 over integer frequency vectors k, with x the joint state (theta; lambda).
-Real fields satisfy c_{-k} = conj(c_k).  Coefficient functions come in three
-flavors:
-
-* PolyCoeff -- multivariate polynomial, exact under differentiation and
-  products;
-* ExprCoeff -- expression trees over a small grammar (variables theta_i,
-  lambda_i, arithmetic, sin/cos/exp/pow), differentiated symbolically;
-* FnCoeff -- opaque callable, differentiated by central finite differences.
-
-Mixed arithmetic promotes upward (poly -> expr -> callable) so exactness is
-kept whenever the inputs allow it.
+Real fields satisfy c_{-k} = conj(c_k).  Every coefficient c_k is a
+multivariate polynomial in x with complex vector values (PolyCoeff), so
+sums, products and state derivatives stay exact and closed in one kind.
 """
 
-import json
 import math
 
 import numpy as np
-
-from .errors import MissingJacobian
-
-# Central-difference step for synthesized Jacobians, per coordinate.
-FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
-
-
-def fd_step(xj):
-    return FD_STEP_SCALE * max(1.0, abs(xj))
-
-
-# ---------------------------------------------------------------------------
-# expression trees
-#
-# Real-valued scalar expressions; complex coefficients store one tree per
-# real/imaginary component.  Variables are flat indices into x = (theta;
-# lambda); the names theta_i / lambda_i are resolved only at parse/emit time.
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_ATOM = 3
-
-
-class Expr:
-    __slots__ = ()
-
-
-class Const(Expr):
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = float(v)
-
-
-class Var(Expr):
-    __slots__ = ("j",)
-
-    def __init__(self, j):
-        self.j = j
-
-
-class Add(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Sub(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Mul(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Div(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-class Sin(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-class Cos(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-class Exp(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-class Pow(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Log(Expr):
-    # Produced only by differentiating pow with a non-constant exponent;
-    # not part of the input grammar.
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-def _is_const(e, v=None):
-    return isinstance(e, Const) and (v is None or e.v == v)
-
-
-def e_add(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.v + b.v)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Add(a, b)
-
-
-def e_sub(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.v - b.v)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return e_neg(b)
-    return Sub(a, b)
-
-
-def e_mul(a, b):
-    if _is_const(a) and _is_const(b):
-        return Const(a.v * b.v)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Mul(a, b)
-
-
-def e_div(a, b):
-    if _is_const(a, 0.0):
-        return Const(0.0)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b) and b.v != 0.0:
-        return Const(a.v / b.v)
-    return Div(a, b)
-
-
-def e_neg(a):
-    if _is_const(a):
-        return Const(-a.v)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
-
-
-def e_pow(a, b):
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(math.pow(a.v, b.v))
-    return Pow(a, b)
-
-
-def e_eval(e, x):
-    if isinstance(e, Const):
-        return e.v
-    if isinstance(e, Var):
-        return float(x[e.j])
-    if isinstance(e, Add):
-        return e_eval(e.a, x) + e_eval(e.b, x)
-    if isinstance(e, Sub):
-        return e_eval(e.a, x) - e_eval(e.b, x)
-    if isinstance(e, Mul):
-        return e_eval(e.a, x) * e_eval(e.b, x)
-    if isinstance(e, Div):
-        return e_eval(e.a, x) / e_eval(e.b, x)
-    if isinstance(e, Neg):
-        return -e_eval(e.a, x)
-    if isinstance(e, Sin):
-        return math.sin(e_eval(e.a, x))
-    if isinstance(e, Cos):
-        return math.cos(e_eval(e.a, x))
-    if isinstance(e, Exp):
-        return math.exp(e_eval(e.a, x))
-    if isinstance(e, Pow):
-        return math.pow(e_eval(e.a, x), e_eval(e.b, x))
-    if isinstance(e, Log):
-        return math.log(e_eval(e.a, x))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def e_diff(e, j):
-    if isinstance(e, (Const,)):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.j == j else 0.0)
-    if isinstance(e, Add):
-        return e_add(e_diff(e.a, j), e_diff(e.b, j))
-    if isinstance(e, Sub):
-        return e_sub(e_diff(e.a, j), e_diff(e.b, j))
-    if isinstance(e, Mul):
-        return e_add(e_mul(e_diff(e.a, j), e.b), e_mul(e.a, e_diff(e.b, j)))
-    if isinstance(e, Div):
-        num = e_sub(e_mul(e_diff(e.a, j), e.b), e_mul(e.a, e_diff(e.b, j)))
-        return e_div(num, e_mul(e.b, e.b))
-    if isinstance(e, Neg):
-        return e_neg(e_diff(e.a, j))
-    if isinstance(e, Sin):
-        return e_mul(Cos(e.a), e_diff(e.a, j))
-    if isinstance(e, Cos):
-        return e_neg(e_mul(Sin(e.a), e_diff(e.a, j)))
-    if isinstance(e, Exp):
-        return e_mul(Exp(e.a), e_diff(e.a, j))
-    if isinstance(e, Pow):
-        db = e_diff(e.b, j)
-        da = e_diff(e.a, j)
-        if _is_const(db, 0.0):
-            shifted = e_pow(e.a, e_sub(e.b, Const(1.0)))
-            return e_mul(e.b, e_mul(shifted, da))
-        inner = e_add(e_mul(db, Log(e.a)), e_div(e_mul(e.b, da), e.a))
-        return e_mul(Pow(e.a, e.b), inner)
-    if isinstance(e, Log):
-        return e_div(e_diff(e.a, j), e.a)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def _var_name(j, dim_slow):
-    if j < dim_slow:
-        return f"theta_{j + 1}"
-    return f"lambda_{j - dim_slow + 1}"
-
-
-def e_emit(e, dim_slow):
-    """Render an expression back into the serialization grammar."""
-
-    def render(node, ctx_prec):
-        if isinstance(node, Const):
-            s = repr(node.v)
-            return s
-        if isinstance(node, Var):
-            return _var_name(node.j, dim_slow)
-        if isinstance(node, Neg):
-            return "-" + render(node.a, _PREC_ATOM)
-        if isinstance(node, (Add, Sub)):
-            op = " + " if isinstance(node, Add) else " - "
-            left = render(node.a, _PREC_ADD)
-            right = render(node.b, _PREC_ADD + 1)
-            s = left + op + right
-            return f"({s})" if ctx_prec > _PREC_ADD else s
-        if isinstance(node, (Mul, Div)):
-            op = "*" if isinstance(node, Mul) else "/"
-            left = render(node.a, _PREC_MUL)
-            right = render(node.b, _PREC_MUL + 1)
-            s = left + op + right
-            return f"({s})" if ctx_prec > _PREC_MUL else s
-        if isinstance(node, Sin):
-            return f"sin({render(node.a, _PREC_ADD)})"
-        if isinstance(node, Cos):
-            return f"cos({render(node.a, _PREC_ADD)})"
-        if isinstance(node, Exp):
-            return f"exp({render(node.a, _PREC_ADD)})"
-        if isinstance(node, Pow):
-            return f"pow({render(node.a, _PREC_ADD)}, {render(node.b, _PREC_ADD)})"
-        if isinstance(node, Log):
-            raise ValueError("expression contains a node outside the serialization grammar")
-        raise TypeError(f"unknown expression node {type(node).__name__}")
-
-    return render(e, _PREC_ADD)
-
-
-# ---------------------------------------------------------------------------
-# expression parsing
-
-_FUNCS = ("sin", "cos", "exp", "pow")
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/(),":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        raise ValueError(f"unexpected character {ch!r} in expression")
-    tokens.append(("end", ""))
-    return tokens
-
-
-def parse_expression(text, dim_slow, dim_fast):
-    """Parse one real-valued expression into a tree.
-
-    Variables theta_1..theta_{dim_slow} and lambda_1..lambda_{dim_fast} map
-    to flat indices into x = (theta; lambda).
-    """
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def take(kind=None):
-        tok = tokens[pos[0]]
-        if kind is not None and tok[0] != kind:
-            raise ValueError(f"expected {kind!r}, found {tok[1]!r}")
-        pos[0] += 1
-        return tok
-
-    def parse_sum():
-        node = parse_term()
-        while peek()[0] in ("+", "-"):
-            op = take()[0]
-            rhs = parse_term()
-            node = e_add(node, rhs) if op == "+" else e_sub(node, rhs)
-        return node
-
-    def parse_term():
-        node = parse_unary()
-        while peek()[0] in ("*", "/"):
-            op = take()[0]
-            rhs = parse_unary()
-            node = e_mul(node, rhs) if op == "*" else e_div(node, rhs)
-        return node
-
-    def parse_unary():
-        if peek()[0] == "-":
-            take()
-            return e_neg(parse_unary())
-        if peek()[0] == "+":
-            take()
-            return parse_unary()
-        return parse_primary()
-
-    def parse_primary():
-        kind, text_ = peek()
-        if kind == "num":
-            take()
-            return Const(float(text_))
-        if kind == "(":
-            take()
-            node = parse_sum()
-            take(")")
-            return node
-        if kind == "name":
-            take()
-            if text_ in _FUNCS:
-                take("(")
-                first = parse_sum()
-                if text_ == "pow":
-                    take(",")
-                    second = parse_sum()
-                    take(")")
-                    return e_pow(first, second)
-                take(")")
-                return {"sin": Sin, "cos": Cos, "exp": Exp}[text_](first)
-            for prefix, base, dim in (("theta_", 0, dim_slow), ("lambda_", dim_slow, dim_fast)):
-                if text_.startswith(prefix):
-                    idx = text_[len(prefix):]
-                    if not idx.isdigit() or not 1 <= int(idx) <= dim:
-                        raise ValueError(f"variable {text_!r} out of range")
-                    return Var(base + int(idx) - 1)
-            raise ValueError(f"unknown name {text_!r}")
-        raise ValueError(f"unexpected token {text_!r}")
-
-    node = parse_sum()
-    take("end")
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +31,6 @@ class PolyCoeff:
     """Polynomial coefficient: map {exponent tuple: complex vector (p,)}."""
 
     __slots__ = ("n", "p", "terms")
-    kind = "poly"
 
     def __init__(self, n, p, terms):
         self.n = n
@@ -494,8 +79,6 @@ class PolyCoeff:
         return jac
 
     def add(self, other):
-        if not isinstance(other, PolyCoeff):
-            return promote(self, rank(other)).add(other)
         out = dict(self.terms)
         for alpha, vec in other.terms.items():
             prev = out.get(alpha)
@@ -512,8 +95,6 @@ class PolyCoeff:
 
     def mul_component(self, other, j):
         """Pointwise product self(x) * other(x)[j]."""
-        if not isinstance(other, PolyCoeff):
-            return promote(self, rank(other)).mul_component(other, j)
         out = {}
         for a1, v1 in self.terms.items():
             for a2, v2 in other.terms.items():
@@ -532,186 +113,6 @@ class PolyCoeff:
         if not self.terms:
             return 0.0
         return float(sum(np.abs(v).sum() for v in self.terms.values()))
-
-    def is_constant(self):
-        return all(all(a == 0 for a in alpha) for alpha in self.terms)
-
-
-class ExprCoeff:
-    """Expression-tree coefficient: one (re, im) tree pair per component."""
-
-    __slots__ = ("n", "p", "parts")
-    kind = "expr"
-
-    def __init__(self, n, parts):
-        self.n = n
-        self.parts = tuple((re, im) for re, im in parts)
-        self.p = len(self.parts)
-
-    def value(self, x):
-        out = np.empty(self.p, dtype=complex)
-        for i, (re, im) in enumerate(self.parts):
-            out[i] = complex(e_eval(re, x), e_eval(im, x))
-        return out
-
-    def diff(self, j):
-        return ExprCoeff(self.n, [(e_diff(re, j), e_diff(im, j)) for re, im in self.parts])
-
-    def jacobian(self, x):
-        jac = np.empty((self.p, self.n), dtype=complex)
-        for j in range(self.n):
-            jac[:, j] = self.diff(j).value(x)
-        return jac
-
-    def add(self, other):
-        if rank(other) > rank(self):
-            return promote(self, rank(other)).add(other)
-        other = promote(other, rank(self))
-        return ExprCoeff(
-            self.n,
-            [
-                (e_add(a[0], b[0]), e_add(a[1], b[1]))
-                for a, b in zip(self.parts, other.parts)
-            ],
-        )
-
-    def scale(self, z):
-        z = complex(z)
-        out = []
-        for re, im in self.parts:
-            out.append(
-                (
-                    e_sub(e_mul(Const(z.real), re), e_mul(Const(z.imag), im)),
-                    e_add(e_mul(Const(z.real), im), e_mul(Const(z.imag), re)),
-                )
-            )
-        return ExprCoeff(self.n, out)
-
-    def conj(self):
-        return ExprCoeff(self.n, [(re, e_neg(im)) for re, im in self.parts])
-
-    def mul_component(self, other, j):
-        if rank(other) > rank(self):
-            return promote(self, rank(other)).mul_component(other, j)
-        other = promote(other, rank(self))
-        oc_re, oc_im = other.parts[j]
-        out = []
-        for re, im in self.parts:
-            out.append(
-                (
-                    e_sub(e_mul(re, oc_re), e_mul(im, oc_im)),
-                    e_add(e_mul(re, oc_im), e_mul(im, oc_re)),
-                )
-            )
-        return ExprCoeff(self.n, out)
-
-    def restrict(self, lo, hi):
-        return ExprCoeff(self.n, self.parts[lo:hi])
-
-    def bound(self):
-        total = 0.0
-        for re, im in self.parts:
-            if not (isinstance(re, Const) and isinstance(im, Const)):
-                return None
-            total += abs(complex(re.v, im.v))
-        return total
-
-    def is_constant(self):
-        return self.bound() is not None
-
-
-class FnCoeff:
-    """Opaque callable coefficient; derivatives by central differences."""
-
-    __slots__ = ("n", "p", "fn", "jac", "allow_fd")
-    kind = "fn"
-
-    def __init__(self, n, p, fn, jac=None, allow_fd=True):
-        self.n = n
-        self.p = p
-        self.fn = fn
-        self.jac = jac
-        self.allow_fd = allow_fd
-
-    def value(self, x):
-        return np.asarray(self.fn(x), dtype=complex).reshape(self.p)
-
-    def jacobian(self, x):
-        if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=complex).reshape(self.p, self.n)
-        if not self.allow_fd:
-            raise MissingJacobian("coefficient has no Jacobian and finite differences are disabled")
-        x = np.asarray(x, dtype=float)
-        jac = np.empty((self.p, self.n), dtype=complex)
-        for j in range(self.n):
-            h = fd_step(x[j])
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (self.value(xp) - self.value(xm)) / (2.0 * h)
-        return jac
-
-    def diff(self, j):
-        if self.jac is None and not self.allow_fd:
-            raise MissingJacobian("coefficient has no Jacobian and finite differences are disabled")
-        return FnCoeff(self.n, self.p, lambda x, j=j: self.jacobian(np.asarray(x, dtype=float))[:, j])
-
-    def add(self, other):
-        other = promote(other, 2)
-        return FnCoeff(self.n, self.p, lambda x: self.value(x) + other.value(x))
-
-    def scale(self, z):
-        return FnCoeff(self.n, self.p, lambda x: z * self.value(x))
-
-    def conj(self):
-        return FnCoeff(self.n, self.p, lambda x: np.conj(self.value(x)))
-
-    def mul_component(self, other, j):
-        other = promote(other, 2)
-        return FnCoeff(self.n, self.p, lambda x: self.value(x) * other.value(x)[j])
-
-    def restrict(self, lo, hi):
-        return FnCoeff(self.n, hi - lo, lambda x: self.value(x)[lo:hi])
-
-    def bound(self):
-        return None
-
-    def is_constant(self):
-        return False
-
-
-_RANKS = {"poly": 0, "expr": 1, "fn": 2}
-
-
-def rank(coeff):
-    return _RANKS[coeff.kind]
-
-
-def poly_to_expr(poly):
-    parts = []
-    for i in range(poly.p):
-        re_acc, im_acc = Const(0.0), Const(0.0)
-        for alpha, vec in poly.terms.items():
-            mono = Const(1.0)
-            for j, a in enumerate(alpha):
-                for _ in range(a):
-                    mono = e_mul(mono, Var(j))
-            c = vec[i]
-            if c.real != 0.0:
-                re_acc = e_add(re_acc, e_mul(Const(c.real), mono))
-            if c.imag != 0.0:
-                im_acc = e_add(im_acc, e_mul(Const(c.imag), mono))
-        parts.append((re_acc, im_acc))
-    return ExprCoeff(poly.n, parts)
-
-
-def promote(coeff, target_rank):
-    r = rank(coeff)
-    if r >= target_rank:
-        return coeff
-    if target_rank == 1:
-        return poly_to_expr(coeff)
-    return FnCoeff(coeff.n, coeff.p, coeff.value, jac=coeff.jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +142,7 @@ class FourierField:
                 raise ValueError(f"frequency vector {k} has length != {num_freqs}")
             if coeff.n != n or coeff.p != dim_out:
                 raise ValueError("coefficient dimensions do not match the field")
-            b = coeff.bound()
-            if b is not None and b < PRUNE_TOL:
+            if coeff.bound() < PRUNE_TOL:
                 continue
             clean[k] = coeff
         self.terms = clean
@@ -769,11 +169,6 @@ class FourierField:
     def eval(self, x, z):
         """Real field value; the imaginary part cancels for real fields."""
         return self.eval_complex(x, z).real
-
-    def eval_at(self, x, basis, t):
-        from .probing import clock_state
-
-        return self.eval(x, clock_state(basis, t).phi)
 
     def mean_value(self, x):
         """The k = 0 coefficient at x (zero vector if absent)."""
@@ -847,68 +242,3 @@ class FourierField:
             or self.num_freqs != other.num_freqs
         ):
             raise ValueError("field dimensions do not match")
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        """Serialize to a JSON string.
-
-        Constant coefficients are written as plain numbers (bit-exact round
-        trip); everything else as grammar expressions.  Callable coefficients
-        are not serializable.
-        """
-        doc = {
-            "dim_slow": self.dim_slow,
-            "dim_fast": self.dim_fast,
-            "dim_out": self.dim_out,
-            "num_freqs": self.num_freqs,
-            "terms": [],
-        }
-        for k in sorted(self.terms):
-            coeff = self.terms[k]
-            if isinstance(coeff, FnCoeff):
-                raise ValueError("callable coefficients cannot be serialized")
-            expr = poly_to_expr(coeff) if isinstance(coeff, PolyCoeff) else coeff
-            re_out, im_out = [], []
-            for re, im in expr.parts:
-                re_out.append(re.v if isinstance(re, Const) else e_emit(re, self.dim_slow))
-                im_out.append(im.v if isinstance(im, Const) else e_emit(im, self.dim_slow))
-            doc["terms"].append({"k": list(k), "re": re_out, "im": im_out})
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        dim_slow = int(doc["dim_slow"])
-        dim_fast = int(doc["dim_fast"])
-        dim_out = int(doc["dim_out"])
-        num_freqs = int(doc["num_freqs"])
-        n = dim_slow + dim_fast
-        terms = {}
-        for entry in doc["terms"]:
-            k = tuple(int(v) for v in entry["k"])
-            re_parts = entry["re"] if isinstance(entry["re"], list) else [entry["re"]]
-            im_parts = entry["im"] if isinstance(entry["im"], list) else [entry["im"]]
-            if len(re_parts) != dim_out or len(im_parts) != dim_out:
-                raise ValueError(f"term {k}: component count != dim_out")
-            if all(isinstance(v, (int, float)) for v in re_parts + im_parts):
-                vec = np.array(
-                    [complex(float(r), float(i)) for r, i in zip(re_parts, im_parts)]
-                )
-                terms[k] = PolyCoeff.constant(n, vec)
-            else:
-                parts = []
-                for r, i in zip(re_parts, im_parts):
-                    re_ast = (
-                        Const(float(r))
-                        if isinstance(r, (int, float))
-                        else parse_expression(r, dim_slow, dim_fast)
-                    )
-                    im_ast = (
-                        Const(float(i))
-                        if isinstance(i, (int, float))
-                        else parse_expression(i, dim_slow, dim_fast)
-                    )
-                    parts.append((re_ast, im_ast))
-                terms[k] = ExprCoeff(n, parts)
-        return cls(dim_slow, dim_fast, dim_out, num_freqs, terms)

@@ -14,11 +14,17 @@ import numpy as np
 
 from .dynamics import _resolve_step
 from .errors import ConfigError, Inconclusive, NonFinite
-from .fourier import fd_step
 from .probing import clock_phases
 
 #: steps per precomputed probe block
 _CHUNK = 1 << 14
+
+# Central-difference step for synthesized Jacobians, per coordinate.
+FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
+
+
+def fd_step(xj):
+    return FD_STEP_SCALE * max(1.0, abs(xj))
 
 
 @dataclass

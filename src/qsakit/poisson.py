@@ -12,9 +12,10 @@ the fast dynamics is assembled:
     dLambda/dt = beta * [h_bar(X_t) - beta*upsilon_ff_bar(X_t) + W_t],
     W_t = beta^2 W0_t + beta * (d/dt) W1_t + (d^2/dt^2) W2_t,
 
-an identity that holds pointwise and is checked here to roundoff.  The d/dt
-acting on W1 treats the explicit gain factor a_t as frozen; the gain's own
-variation is already carried by the r_t a_t term inside W0.  Mean (k = 0)
+an identity that holds pointwise; experiments.pmf_identity_suite checks it
+to roundoff along a run.  The d/dt acting on W1 treats the explicit gain
+factor a_t as frozen; the gain's own variation is already carried by the
+r_t a_t term inside W0.  Mean (k = 0)
 content of W1 is folded into W0 through its exact time-derivative expansion
 so that W1 and W2 are zero-mean by construction.
 """
@@ -24,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientSamples, NotZeroMean, ZeroDivisor
+from .errors import NotZeroMean, ZeroDivisor
 from .fourier import FourierField, _zero_exp
-from .probing import clock_phases, inner_frequency, rational_dependence
+from .probing import inner_frequency, rational_dependence
 
 
 def mean_part(u):
@@ -347,113 +348,3 @@ class PMeanFlowTerms:
 def pmeanflow_terms(system, gains):
     """Construct every term of the perturbative fast-dynamics representation."""
     return PMeanFlowTerms(system, gains)
-
-
-# 5-point centered stencils, 4th-order accurate; the 2nd-order-accurate
-# 3-point forms cannot reach the required residual floor at step 1e-3.
-_D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-MAX_FD_STEP = 1e-3
-
-
-def _series_derivatives(series, dt):
-    """(first, second) time derivatives of a sampled series, interior only."""
-    n = series.shape[0]
-    first = np.zeros((n - 4,) + series.shape[1:])
-    second = np.zeros_like(first)
-    for offset, (c1, c2) in enumerate(zip(_D1_STENCIL, _D2_STENCIL)):
-        window = series[offset : offset + n - 4]
-        first += c1 * window
-        second += c2 * window
-    return first / dt, second / dt**2
-
-
-def pmeanflow_residual(terms, trajectory, derivative="analytic"):
-    """Worst relative defect of the perturbative identity along a trajectory.
-
-    Compares the exact fast right-hand side beta*h(X_t, xi_t) with the
-    assembled representation.  derivative="analytic" forms the noise-term
-    time derivatives in the frequency domain (exact); "fd" differentiates
-    the sampled series with centered stencils, which requires a uniform
-    step of at most 1e-3 and at least five interior samples.
-    """
-    system = terms.system
-    gains = terms.gains
-    basis = terms.basis
-    beta = gains.beta
-    t = np.asarray(trajectory.t, dtype=float)
-    theta = np.asarray(trajectory.theta, dtype=float)
-    lam = np.asarray(trajectory.lam, dtype=float)
-    if theta.ndim == 1:
-        theta = theta[:, None]
-    if lam.ndim == 1:
-        lam = lam[:, None]
-    n = t.shape[0]
-    d = terms.h_field.dim_out
-
-    phases = clock_phases(basis, t)  # (K, n)
-    zmat = np.exp(2j * math.pi * phases)
-    ximat = np.asarray([system.probing(zmat[:, i]) for i in range(n)])
-
-    def exact_rhs(i):
-        return beta * np.atleast_1d(
-            np.asarray(system.h(theta[i], lam[i], ximat[i]), dtype=float)
-        )
-
-    def state(i):
-        return np.concatenate([theta[i], lam[i]])
-
-    if derivative == "analytic":
-        idx = range(n)
-        num = np.zeros(n)
-        den = np.zeros(n)
-        for i in idx:
-            x, z = state(i), zmat[:, i]
-            rhs = exact_rhs(i)
-            num[i] = np.max(np.abs(rhs - terms.fast_rhs_model(x, z, t[i])))
-            den[i] = np.max(np.abs(rhs))
-        return float(num.max() / den.max())
-
-    if derivative != "fd":
-        raise ValueError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
-
-    if n < 9:
-        raise InsufficientSamples("need at least 5 interior samples for the stencils")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise InsufficientSamples("finite-difference derivatives need a uniform time grid")
-    if dt > MAX_FD_STEP * (1.0 + 1e-9):
-        raise InsufficientSamples(
-            f"time step {dt:.3e} too large for finite-difference derivatives"
-        )
-
-    w1_series = np.zeros((n, d))
-    w2_series = np.zeros((n, d))
-    ar = [gains.gains_at(float(ti)) for ti in t]
-    for i in range(n):
-        x, z = state(i), zmat[:, i]
-        a, r = ar[i]
-        w1_series[i] = terms.W1.eval_or_zero(x, z, a, r, d)
-        w2_series[i] = terms.W2.eval_or_zero(x, z, a, r, d)
-    dw1, _ = _series_derivatives(w1_series, dt)
-    _, ddw2 = _series_derivatives(w2_series, dt)
-
-    gain_var = terms.W1.gain_derivative_part(gains.rho)
-    num = np.zeros(n - 4)
-    den = np.zeros(n - 4)
-    for j in range(n - 4):
-        i = j + 2
-        x, z = state(i), zmat[:, i]
-        a, r = ar[i]
-        rhs = exact_rhs(i)
-        noise = (
-            beta**2 * terms.W0.eval_or_zero(x, z, a, r, d)
-            + beta * (dw1[j] - gain_var.eval_or_zero(x, z, a, r, d))
-            + ddw2[j]
-        )
-        model = beta * (terms.h_bar(x) - beta * terms.upsilon_ff_bar(x) + noise)
-        num[j] = np.max(np.abs(rhs - model))
-        den[j] = np.max(np.abs(rhs))
-    return float(num.max() / den.max())

@@ -116,11 +116,6 @@ class ProbingMap:
             return np.asarray(self.g_state(phi), dtype=float)
         return np.asarray(self.g0(phi.real), dtype=float)
 
-    def from_cosines(self, cosines: np.ndarray) -> np.ndarray:
-        if self.g_state is not None:
-            raise ValueError("state-based probing map has no cosine form")
-        return np.asarray(self.g0(cosines), dtype=float)
-
 
 def identity_map(k: int) -> ProbingMap:
     """Probe equal to the cosine coordinates themselves."""

@@ -8,9 +8,13 @@ a sweep are byte-identical regardless of the jobs degree.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsakit.cli import (
     EXIT_BAND,
@@ -21,7 +25,7 @@ from qsakit.cli import (
     main,
     run,
 )
-from qsakit.config import DEFAULTS, resolve
+from qsakit.config import DEFAULTS, dump_resolved, resolve
 from qsakit.errors import ConfigError
 
 
@@ -37,7 +41,6 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_resolve_fills_all_defaults():
     resolved = resolve({})
-    assert resolved["probing"]["phases"] == [0.0, 0.0, 0.0, 0.0]
     assert resolved["gains"] == {
         "rho": 0.7,
         "beta": 0.1,
@@ -76,8 +79,62 @@ def test_resolve_names_violated_constraints():
         resolve({"experiment": {"derivative": "spectral"}})
     with pytest.raises(ConfigError, match="grid_kind"):
         resolve({"experiment": {"grid_kind": "gradient"}})
-    with pytest.raises(ConfigError, match="same frequency"):
+    with pytest.raises(ConfigError, match="unknown config section"):
         resolve({"probing": {"pairs": [[2, 1], [4, 2]]}})
+
+
+positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+valid_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "gains": st.fixed_dictionaries(
+            {},
+            optional={
+                "rho": st.floats(0.51, 0.99),
+                "beta": positive,
+                "mode": st.sampled_from(["mixed", "constant", "vanishing"]),
+                "alpha0": positive,
+            },
+        ),
+        "filter": st.fixed_dictionaries(
+            {},
+            optional={
+                "enabled": st.booleans(),
+                "zeta": st.floats(0.01, 0.99),
+                "eta": positive,
+            },
+        ),
+        "experiment": st.fixed_dictionaries(
+            {},
+            optional={
+                "horizon": positive,
+                "sample_stride": st.integers(1, 50),
+                "beta_list": st.lists(positive, min_size=1, max_size=4),
+                "horizon_scale": positive,
+                "horizon_cap": positive,
+                "tol": positive,
+                "theta_grid": st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+                "grid_kind": st.sampled_from(["lambda", "g0"]),
+                "derivative": st.sampled_from(["analytic", "fd"]),
+                "fd_step": st.floats(1e-4, 1e-3),
+                "pmf_horizon": st.none() | positive,
+            },
+        ),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_configs)
+def test_resolved_config_round_trips(raw):
+    # What config.resolved.json holds must resolve back to the same config.
+    resolved = resolve(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.resolved.json"
+        dump_resolved(resolved, path)
+        text = path.read_text()
+    assert resolve(json.loads(text)) == resolved
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +247,14 @@ def test_sweep_fast_band_failure_exits_4(tmp_path, capsys):
     assert "outside the [1.7, 2.3] band" in capsys.readouterr().err
 
 
+def test_sweep_fast_rejects_non_mixed_gains(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"gains": {"mode": "constant"}})
+    out = tmp_path / "o"
+    assert run(cfg, "sweep-fast", out_dir=out) == EXIT_CONFIG
+    assert "gains.mode must be 'mixed', got 'constant'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_check_slow_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -214,6 +279,14 @@ def test_bias_subcommand_symmetric(tmp_path):
     assert run(cfg, "bias", out_dir=out) == EXIT_OK
     record = json.loads((out / "fit.json").read_text())
     assert record["outcome"] == "symmetric-no-bias"
+
+
+def test_bias_rejects_non_mixed_gains(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"gains": {"mode": "vanishing"}})
+    out = tmp_path / "o"
+    assert run(cfg, "bias", out_dir=out) == EXIT_CONFIG
+    assert "gains.mode must be 'mixed', got 'vanishing'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_pmf_subcommand(tmp_path):

@@ -16,19 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qsakit.errors import (
-    InsufficientSamples,
-    MissingJacobian,
-    NotZeroMean,
-    ZeroDivisor,
-)
-from qsakit.fourier import ExprCoeff, FnCoeff, FourierField, PolyCoeff, parse_expression, Const
+from qsakit.errors import NotZeroMean, ZeroDivisor
+from qsakit.fourier import FourierField, PolyCoeff
 from qsakit.poisson import (
     GainField,
     GainPoly,
     directional_derivative,
     mean_part,
-    pmeanflow_residual,
     pmeanflow_terms,
     solve_poisson,
     upsilon_blocks,
@@ -304,13 +298,6 @@ class TestDirectionalDerivative:
                 want += (u.eval_complex(xp, z) - u.eval_complex(xm, z)) / (2 * step) * vv[j]
             assert np.max(np.abs(got - want)) < 1e-8
 
-    def test_missing_jacobian_propagates(self):
-        c = FnCoeff(2, 1, lambda x: np.array([x[0]]), allow_fd=False)
-        u = FourierField(1, 1, 1, 1, {(1,): c, (-1,): c})
-        v = FourierField(1, 1, 1, 1, {(0,): PolyCoeff.constant(2, [1.0])})
-        with pytest.raises(MissingJacobian):
-            directional_derivative(u, v, "slow")
-
     def test_bad_slot_rejected(self):
         u = cosine_field(0, 1)
         with pytest.raises(ValueError):
@@ -461,33 +448,6 @@ class TestPMeanFlow:
                 + gains.beta * dh.eval(x, z)[0]
             )
             assert lhs == pytest.approx(rhs, abs=5e-8)
-
-    def test_residual_analytic_route(self):
-        sys = stub_system()
-        gains = StubGains(rho=0.7, beta=0.3)
-        pmf = pmeanflow_terms(sys, gains)
-        traj = rk4_path(sys, gains, theta0=0.8, lam0=-0.5, T=2.0, dt=0.01)
-        res = pmeanflow_residual(pmf, traj, derivative="analytic")
-        assert res < 1e-10
-
-    def test_residual_fd_route(self):
-        sys = stub_system()
-        gains = StubGains(rho=0.7, beta=0.3)
-        pmf = pmeanflow_terms(sys, gains)
-        traj = rk4_path(sys, gains, theta0=0.8, lam0=-0.5, T=0.25, dt=1e-3)
-        res = pmeanflow_residual(pmf, traj, derivative="fd")
-        assert res < 1e-6
-
-    def test_residual_insufficient_samples(self):
-        sys = stub_system()
-        gains = StubGains()
-        pmf = pmeanflow_terms(sys, gains)
-        short = rk4_path(sys, gains, 0.5, 0.5, T=7e-3, dt=1e-3)
-        with pytest.raises(InsufficientSamples):
-            pmeanflow_residual(pmf, short, derivative="fd")
-        coarse = rk4_path(sys, gains, 0.5, 0.5, T=0.1, dt=0.01)
-        with pytest.raises(InsufficientSamples):
-            pmeanflow_residual(pmf, coarse, derivative="fd")
 
     def test_dependent_basis_raises_during_construction(self):
         basis = make_frequency_basis([(2, 1), (4, 1)])
