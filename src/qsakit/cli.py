@@ -93,11 +93,11 @@ def _prepare(resolved, subcommand, out):
 
 
 def _require_mixed_gains(resolved, subcommand):
-    """Reject gains.mode values that a sweep over beta_list would not run."""
+    """Reject gains.mode values that the subcommand would silently ignore."""
     mode = resolved["gains"]["mode"]
     if mode != "mixed":
         raise ConfigError(
-            f"{subcommand} sweeps only the mixed gain schedule; "
+            f"{subcommand} runs only the mixed gain schedule; "
             f"gains.mode must be 'mixed', got {mode!r}"
         )
 
@@ -263,6 +263,7 @@ def _cmd_pmf(resolved, out, jobs, filtered):
 
 
 def _cmd_lyapunov(resolved, out, jobs, filtered):
+    _require_mixed_gains(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
@@ -276,6 +277,7 @@ def _cmd_lyapunov(resolved, out, jobs, filtered):
 
 
 def _cmd_meanflow_grid(resolved, out, jobs, filtered):
+    _require_mixed_gains(resolved, "meanflow-grid")
     system, _ = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]
     estimates = stationary_grid(

@@ -8,6 +8,13 @@ over integer frequency vectors k, with x the joint state (theta; lambda).
 Real fields satisfy c_{-k} = conj(c_k).  Every coefficient c_k is a
 multivariate polynomial in x with complex vector values (PolyCoeff), so
 sums, products and state derivatives stay exact and closed in one kind.
+
+Evaluation takes an optional leading sample axis: states x of shape (n,)
+or (N, n) and clocks z of shape (K,) or (N, K) give values of shape (p,)
+or (N, p).  Powers of the state and clock coordinates are built by
+repeated multiplication, cached per exponent within one call, and every
+sample goes through the same array arithmetic, so a batched call equals
+the stack of its single-sample calls bit for bit.
 """
 
 import math
@@ -25,6 +32,57 @@ def _zero_exp(n):
     if n not in _ZERO_EXP_CACHE:
         _ZERO_EXP_CACHE[n] = (0,) * n
     return _ZERO_EXP_CACHE[n]
+
+
+class _Powers:
+    """Integer powers and monomials of the columns of an (N, m) array.
+
+    Powers are products of repeated multiplication (negative ones of the
+    reciprocal), never ``**``: numpy's power picks its kernel by exponent
+    (square, reciprocal, a vector pow), each up to an ulp off the plain
+    product, so one fixed order of multiplications keeps every caller's
+    arithmetic the same.
+    """
+
+    __slots__ = ("cols", "pows", "monos")
+
+    def __init__(self, base):
+        self.cols = [np.ascontiguousarray(base[:, j]) for j in range(base.shape[1])]
+        self.pows = {}
+        self.monos = {}
+
+    def power(self, j, k):
+        if k == 1:
+            return self.cols[j]
+        got = self.pows.get((j, k))
+        if got is None:
+            if k == -1:
+                got = 1.0 / self.cols[j]
+            else:
+                unit = 1 if k > 0 else -1
+                got = self.power(j, k - unit) * self.power(j, unit)
+            self.pows[(j, k)] = got
+        return got
+
+    def monomial(self, exps):
+        """prod_j base_j ** exps_j over the samples; None for all-zero exps."""
+        if exps in self.monos:
+            return self.monos[exps]
+        mono = None
+        for j, k in enumerate(exps):
+            if k:
+                pk = self.power(j, k)
+                mono = pk if mono is None else mono * pk
+        self.monos[exps] = mono
+        return mono
+
+
+def _samples(arr, width):
+    """(N, width) view of a single sample (width,) or a batch (N, width)."""
+    arr = np.asarray(arr)
+    if arr.ndim == 1:
+        return arr.reshape(1, width), True
+    return arr, False
 
 
 class PolyCoeff:
@@ -52,13 +110,16 @@ class PolyCoeff:
         return cls(n, p, {})
 
     def value(self, x):
-        out = np.zeros(self.p, dtype=complex)
+        """c(x) for x of shape (n,) or (N, n); returns (p,) or (N, p)."""
+        xs, single = _samples(x, self.n)
+        out = self._value(_Powers(xs), xs.shape[0])
+        return out[0] if single else out
+
+    def _value(self, xpow, count):
+        out = np.zeros((count, self.p), dtype=complex)
         for alpha, vec in self.terms.items():
-            mono = 1.0
-            for j, a in enumerate(alpha):
-                if a:
-                    mono *= x[j] ** a
-            out += vec * mono
+            mono = xpow.monomial(alpha)
+            out += vec if mono is None else vec * mono[:, None]
         return out
 
     def diff(self, j):
@@ -71,12 +132,6 @@ class PolyCoeff:
             prev = out.get(shifted)
             out[shifted] = a * vec if prev is None else prev + a * vec
         return PolyCoeff(self.n, self.p, out)
-
-    def jacobian(self, x):
-        jac = np.zeros((self.p, self.n), dtype=complex)
-        for j in range(self.n):
-            jac[:, j] = self.diff(j).value(x)
-        return jac
 
     def add(self, other):
         out = dict(self.terms)
@@ -151,30 +206,35 @@ class FourierField:
     def n_state(self):
         return self.dim_slow + self.dim_fast
 
-    @classmethod
-    def zero(cls, dim_slow, dim_fast, dim_out, num_freqs):
-        return cls(dim_slow, dim_fast, dim_out, num_freqs, {})
-
     def eval_complex(self, x, z):
-        """Sum of c_k(x) * z^k; z is the complex clock vector."""
-        out = np.zeros(self.dim_out, dtype=complex)
+        """Sum of c_k(x) * z^k; z is the complex clock vector.
+
+        x is (n,) or (N, n) and z is (K,) or (N, K); the result is
+        (dim_out,) when both are single samples and (N, dim_out) otherwise.
+        """
+        xs, x_single = _samples(x, self.n_state)
+        zs, z_single = _samples(z, self.num_freqs)
+        count = max(xs.shape[0], zs.shape[0])
+        xpow, zpow = _Powers(xs), _Powers(zs)
+        out = np.zeros((count, self.dim_out), dtype=complex)
         for k, coeff in self.terms.items():
-            zk = 1.0 + 0.0j
-            for i, ki in enumerate(k):
-                if ki:
-                    zk *= z[i] ** ki
-            out += coeff.value(x) * zk
-        return out
+            value = coeff._value(xpow, xs.shape[0])
+            zk = zpow.monomial(k)
+            out += value if zk is None else value * zk[:, None]
+        return out[0] if x_single and z_single else out
 
     def eval(self, x, z):
-        """Real field value; the imaginary part cancels for real fields."""
+        """Real field value, (dim_out,) or (N, dim_out) as in eval_complex.
+
+        The imaginary part cancels for real fields.
+        """
         return self.eval_complex(x, z).real
 
     def mean_value(self, x):
-        """The k = 0 coefficient at x (zero vector if absent)."""
+        """The k = 0 coefficient at x of shape (n,) or (N, n), real part."""
         coeff = self.terms.get(_zero_exp(self.num_freqs))
         if coeff is None:
-            return np.zeros(self.dim_out)
+            return np.zeros(np.shape(x)[:-1] + (self.dim_out,))
         return coeff.value(x).real
 
     def add(self, other):
@@ -222,17 +282,6 @@ class FourierField:
                 continue
             out[k] = coeff.scale(2j * math.pi * dot)
         return FourierField(self.dim_slow, self.dim_fast, self.dim_out, self.num_freqs, out)
-
-    def reality_defect(self, x):
-        """max_k |c_{-k}(x) - conj(c_k(x))|; inf if some -k is missing."""
-        worst = 0.0
-        for k, coeff in self.terms.items():
-            neg = self.terms.get(tuple(-v for v in k))
-            if neg is None:
-                return math.inf
-            defect = np.max(np.abs(neg.value(x) - np.conj(coeff.value(x))))
-            worst = max(worst, float(defect))
-        return worst
 
     def _check_compatible(self, other):
         if (

@@ -135,6 +135,14 @@ def upsilon_blocks(f, basis):
 # Constant gains are the special case r = 0, where every derivative vanishes.
 
 
+def _powers(base, top):
+    """[base, base^2, ..., base^top] by repeated multiplication."""
+    out = [base]
+    for _ in range(top - 1):
+        out.append(out[-1] * base)
+    return out
+
+
 class GainPoly:
     """Polynomial in the gain pair (a_t, r_t) with real coefficients."""
 
@@ -154,9 +162,17 @@ class GainPoly:
         return cls({(pa, pr): c})
 
     def value(self, a, r):
+        """c(a, r) for gains of shape () or (N,), powers by repeated multiplication."""
+        a_pows = _powers(a, max(pa for pa, _ in self.terms) if self.terms else 0)
+        r_pows = _powers(r, max(pr for _, pr in self.terms) if self.terms else 0)
         total = 0.0
         for (pa, pr), c in self.terms.items():
-            total += c * a**pa * r**pr
+            term = c
+            if pa:
+                term = term * a_pows[pa - 1]
+            if pr:
+                term = term * r_pows[pr - 1]
+            total += term
         return total
 
     def scale(self, c):
@@ -199,9 +215,15 @@ class GainField:
         return cls([(gain if gain is not None else GainPoly.one(), field)])
 
     def eval(self, x, z, a, r):
+        """Sum of c(a, r) F(x, z) over the entries.
+
+        x, z follow FourierField.eval ((n,)/(N, n) and (K,)/(N, K)) and the
+        gains a, r are scalars or (N,); the result is (p,) or (N, p).
+        """
         out = None
         for gain, field in self.entries:
-            term = field.eval(x, z) * gain.value(a, r)
+            weight = np.asarray(gain.value(a, r))
+            term = field.eval(x, z) * (weight[:, None] if weight.ndim else weight)
             out = term if out is None else out + term
         if out is None:
             raise ValueError("cannot evaluate an empty gain field without dimensions")
@@ -209,7 +231,7 @@ class GainField:
 
     def eval_or_zero(self, x, z, a, r, dim):
         if not self.entries:
-            return np.zeros(dim)
+            return np.zeros(np.shape(x)[:-1] + (dim,))
         return self.eval(x, z, a, r)
 
     def add(self, other):
@@ -248,11 +270,6 @@ class GainField:
             mean_entries.append((gain, mean_part(field)))
             zm_entries.append((gain, zero_mean_part(field)))
         return GainField(mean_entries), GainField(zm_entries)
-
-    def has_zero_mode(self):
-        return any(
-            _zero_exp(field.num_freqs) in field.terms for _, field in self.entries
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +344,10 @@ class PMeanFlowTerms:
         self._ddW2 = w2.ddt(g, h, basis, rho, beta).ddt(g, h, basis, rho, beta)
 
     def noise_value(self, x, z, t):
-        """The assembled disturbance at state x, clock z, time t."""
+        """The assembled disturbance at state x, clock z, time t.
+
+        Shapes as in fast_rhs_model.
+        """
         a, r = self.gains.gains_at(t)
         beta = self.gains.beta
         d = self.h_field.dim_out
@@ -338,7 +358,11 @@ class PMeanFlowTerms:
         )
 
     def fast_rhs_model(self, x, z, t):
-        """beta * [h_bar - beta*upsilon_ff_bar + W] at (x, z, t)."""
+        """beta * [h_bar - beta*upsilon_ff_bar + W] at (x, z, t).
+
+        Takes one sample (x (n,), z (K,), scalar t) and returns (dim_fast,),
+        or N samples (x (N, n), z (N, K), t (N,)) and returns (N, dim_fast).
+        """
         beta = self.gains.beta
         return beta * (
             self.h_bar(x) - beta * self.upsilon_ff_bar(x) + self.noise_value(x, z, t)

@@ -289,6 +289,18 @@ def test_bias_rejects_non_mixed_gains(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, mode, artifact",
+    [("lyapunov", "constant", "lyapunov.csv"), ("meanflow-grid", "vanishing", "grid.csv")],
+)
+def test_beta_only_subcommands_reject_non_mixed_gains(tmp_path, capsys, subcommand, mode, artifact):
+    cfg = write_config(tmp_path, {"gains": {"mode": mode}})
+    out = tmp_path / "o"
+    assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
+    assert f"gains.mode must be 'mixed', got '{mode}'" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
 def test_pmf_subcommand(tmp_path):
     out = tmp_path / "a"
     assert run(None, "pmf", out_dir=out) == EXIT_OK

@@ -1,9 +1,9 @@
 """Coefficient algebra and field evaluation tests.
 
-Polynomial derivatives are checked against a central finite-difference
-oracle, coefficient sums and products against pointwise arithmetic on
-their values, and field evaluations against closed-form trig expressions
-computed in-test.
+Coefficient sums and products are checked against pointwise arithmetic on
+their values, field evaluations against closed-form trig expressions
+computed in-test, and batched evaluation over a sample axis against the
+stack of single-sample calls, bit for bit.
 """
 
 import math
@@ -15,13 +15,6 @@ from hypothesis import strategies as st
 
 from qsakit.fourier import FourierField, PolyCoeff
 from qsakit.probing import clock_state, make_frequency_basis
-
-
-def fd_oracle(f, x, j, h=1e-6):
-    xp, xm = x.copy(), x.copy()
-    xp[j] += h
-    xm[j] -= h
-    return (f(xp) - f(xm)) / (2 * h)
 
 
 class TestPolyCoeff:
@@ -42,14 +35,6 @@ class TestPolyCoeff:
         assert prod.terms[(1,)][0] == 3.0
         assert prod.terms[(2,)][0] == 6.0
 
-    def test_jacobian_matches_fd(self):
-        c = PolyCoeff(2, 2, {(2, 1): [1.0, -0.5], (0, 0): [0.0, 1.0]})
-        x = np.array([0.7, -0.2])
-        jac = c.jacobian(x)
-        for j in range(2):
-            num = fd_oracle(lambda y: c.value(y), x, j)
-            assert np.allclose(jac[:, j], num, rtol=1e-7, atol=1e-9)
-
     def test_scale_conj(self):
         c = PolyCoeff(1, 1, {(1,): [2.0 + 1.0j]})
         x = np.array([0.5])
@@ -58,11 +43,11 @@ class TestPolyCoeff:
 
 
 @st.composite
-def small_polys(draw):
+def small_polys(draw, max_exp=2):
     n_terms = draw(st.integers(1, 3))
     terms = {}
     for _ in range(n_terms):
-        alpha = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        alpha = (draw(st.integers(0, max_exp)), draw(st.integers(0, max_exp)))
         c = complex(
             draw(st.floats(-2, 2, allow_nan=False)), draw(st.floats(-2, 2, allow_nan=False))
         )
@@ -112,13 +97,6 @@ class TestFourierField:
             want = -2 * math.pi * omega * math.sin(2 * math.pi * ((omega * t) % 1.0))
             assert dfield.eval(x, z)[0] == pytest.approx(want, abs=1e-12)
 
-    def test_reality_defect(self):
-        good = cosine_field()
-        x = np.array([0.3, 0.4])
-        assert good.reality_defect(x) < 1e-15
-        bad = FourierField(1, 1, 1, 1, {(1,): PolyCoeff.constant(2, [0.5 + 0.1j])})
-        assert bad.reality_defect(x) == math.inf
-
     def test_mean_value(self):
         c0 = PolyCoeff(2, 1, {(1, 0): [2.0]})
         field = FourierField(1, 1, 1, 1, {(0,): c0})
@@ -144,3 +122,88 @@ class TestFourierField:
         c = PolyCoeff.constant(2, [1e-16])
         field = FourierField(1, 1, 1, 1, {(1,): c, (-1,): c.conj()})
         assert field.terms == {}
+
+
+# -- batched evaluation over a sample axis ----------------------------------
+
+coords = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def random_fields(draw):
+    """A 1+1 state, 2-frequency field: exponents up to 4, clock indices in [-3, 3]."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        terms[k] = draw(small_polys(max_exp=4))
+    return FourierField(1, 1, 1, 2, terms)
+
+
+@st.composite
+def samples(draw):
+    """(x (N, 2), z (N, 2)) with unit-modulus clocks."""
+    count = draw(st.integers(1, 6))
+    x = np.array([[draw(coords), draw(coords)] for _ in range(count)])
+    phase = np.array([[draw(st.floats(0, 1)), draw(st.floats(0, 1))] for _ in range(count)])
+    return x, np.exp(2j * np.pi * phase)
+
+
+def repeated_product(bases, exps):
+    """prod_j bases_j ** exps_j by repeated multiplication, coordinate order."""
+    out = None
+    for v, k in zip(bases, exps):
+        if k:
+            step = v if k > 0 else 1.0 / v
+            p = step
+            for _ in range(abs(k) - 1):
+                p = p * step
+            out = p if out is None else out * p
+    return np.ones(1) if out is None else out
+
+
+class TestSampleAxis:
+    @settings(max_examples=80, deadline=None)
+    @given(small_polys(max_exp=4), samples())
+    def test_poly_value_batch_equals_stack(self, c, xz):
+        x, _ = xz
+        assert np.array_equal(c.value(x), np.stack([c.value(xi) for xi in x]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_fields(), samples())
+    def test_field_eval_batch_equals_stack(self, f, xz):
+        x, z = xz
+        for method in (f.eval_complex, f.eval):
+            batch = method(x, z)
+            assert batch.shape == (len(x), 1)
+            assert np.array_equal(batch, np.stack([method(xi, zi) for xi, zi in zip(x, z)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_polys(max_exp=4), random_fields(), samples())
+    def test_mean_value_batch_equals_stack(self, c, f, xz):
+        x, _ = xz
+        with_mean = f.add(FourierField(1, 1, 1, 2, {(0, 0): c}))
+        for field in (f, with_mean):
+            batch = field.mean_value(x)
+            assert batch.shape == (len(x), 1)
+            assert np.array_equal(batch, np.stack([field.mean_value(xi) for xi in x]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(-4, 4), st.integers(-4, 4), samples())
+    def test_powers_are_repeated_products(self, a0, a1, k0, k1, xz):
+        # x^a and z^k are products of repeated multiplication (z^-k of 1/z),
+        # not ``**``, whose array fast paths differ from a product by an ulp.
+        x, z = xz
+        mono = PolyCoeff(2, 1, {(a0, a1): [1.0]}).value(x)[:, 0]
+        unit = PolyCoeff.constant(2, [1.0])
+        clock = FourierField(1, 1, 1, 2, {(k0, k1): unit}).eval_complex(x, z)[:, 0]
+        for i in range(len(x)):
+            want_x = repeated_product([float(v) for v in x[i]], (a0, a1))
+            want_z = repeated_product([z[i, j : j + 1] for j in range(2)], (k0, k1))
+            assert mono[i] == want_x
+            assert clock[i] == want_z[0]
+
+    def test_shared_clock_broadcasts_over_states(self):
+        f = cosine_field()
+        x = np.array([[0.1, 0.2], [0.3, -0.4]])
+        z = np.exp(2j * np.pi * np.array([0.37]))
+        assert np.array_equal(f.eval(x, z), np.stack([f.eval(xi, z) for xi in x]))

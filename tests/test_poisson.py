@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qsakit.errors import NotZeroMean, ZeroDivisor
-from qsakit.fourier import FourierField, PolyCoeff
+from qsakit.fourier import FourierField, PolyCoeff, _zero_exp
 from qsakit.poisson import (
     GainField,
     GainPoly,
@@ -29,6 +29,7 @@ from qsakit.poisson import (
     zero_mean_part,
 )
 from qsakit.probing import clock_phases, clock_state, default_basis, identity_map, make_frequency_basis
+from test_fourier import random_fields, samples
 
 ALPHA = 2.0
 S1 = S2 = 1.0
@@ -164,7 +165,7 @@ class TestSolvePoisson:
 
     def test_empty_stays_empty(self):
         basis = default_basis(2)
-        out = solve_poisson(FourierField.zero(1, 1, 1, 2), basis)
+        out = solve_poisson(FourierField(1, 1, 1, 2, {}), basis)
         assert out.terms == {}
 
     def test_not_zero_mean_rejected(self):
@@ -394,6 +395,54 @@ class TestGainPoly:
         assert poly.ddt(0.7).value(0.5, 0.0) == 0.0
 
 
+class TestGainFieldSampleAxis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.dictionaries(
+                    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                    st.floats(-3, 3, allow_nan=False),
+                    min_size=1,
+                    max_size=3,
+                ),
+                random_fields(),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        samples(),
+        st.floats(0.0, 50.0),
+    )
+    def test_eval_batch_equals_stack(self, entries, xz, t0):
+        gf = GainField([(GainPoly(terms), field) for terms, field in entries])
+        x, z = xz
+        ts = t0 + 0.37 * np.arange(len(x))
+        a, r = (1.0 + ts) ** -0.7, 0.7 / (1.0 + ts)
+        batch = gf.eval_or_zero(x, z, a, r, 1)
+        single = [gf.eval_or_zero(x[i], z[i], float(a[i]), float(r[i]), 1) for i in range(len(x))]
+        assert batch.shape == (len(x), 1)
+        assert np.array_equal(batch, np.stack(single))
+
+    def test_empty_field_keeps_sample_axis(self):
+        x = np.zeros((3, 2))
+        z = np.ones((3, 2), dtype=complex)
+        assert GainField([]).eval_or_zero(x, z, np.ones(3), np.zeros(3), 2).shape == (3, 2)
+        assert GainField([]).eval_or_zero(x[0], z[0], 1.0, 0.0, 2).shape == (2,)
+
+    def test_fast_rhs_model_broadcasts(self):
+        sys = stub_system()
+        pmf = pmeanflow_terms(sys, StubGains())
+        ts = np.linspace(0.0, 3.0, 7)
+        x = np.stack([0.4 * np.cos(ts), -0.3 + 0.1 * ts], axis=1)
+        z = np.stack([clock_state(sys.basis, float(t)).phi for t in ts])
+        batch = pmf.fast_rhs_model(x, z, ts)
+        single = np.stack([pmf.fast_rhs_model(x[i], z[i], float(ts[i])) for i in range(7)])
+        assert batch.shape == (7, 1)
+        # the per-sample gains come from scalar pow, the batch from array pow
+        assert np.allclose(batch, single, rtol=1e-14, atol=1e-15)
+
+
 class TestPMeanFlow:
     def test_probe_free_fast_dynamics_gives_empty_terms(self):
         terms = {
@@ -414,8 +463,8 @@ class TestPMeanFlow:
 
     def test_w1_w2_zero_mean_structurally(self):
         pmf = pmeanflow_terms(stub_system(), StubGains())
-        assert not pmf.W1.has_zero_mode()
-        assert not pmf.W2.has_zero_mode()
+        for _, f in pmf.W1.entries + pmf.W2.entries:
+            assert _zero_exp(f.num_freqs) not in f.terms
         assert pmf.W1.entries  # nonempty: the model has probe-dependent h
 
     def test_step0_identity_along_path(self):
