@@ -102,6 +102,16 @@ def _require_mixed_gains(resolved, subcommand):
         )
 
 
+def _require_default_rho(resolved, subcommand):
+    """Reject a gains.rho that a frozen-slow subcommand would silently ignore."""
+    rho, default = resolved["gains"]["rho"], cfg.DEFAULTS["gains"]["rho"]
+    if rho != default:
+        raise ConfigError(
+            f"{subcommand} holds the slow state fixed and never reads gains.rho; "
+            f"gains.rho must keep its default {default}, got {rho}"
+        )
+
+
 def _dump_json(record, path):
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -202,6 +212,7 @@ def _cmd_check_slow(resolved, out, jobs, filtered):
 
 def _cmd_bias(resolved, out, jobs, filtered):
     _require_mixed_gains(resolved, "bias")
+    _require_default_rho(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
     outcome = bias_sweep(
@@ -264,6 +275,7 @@ def _cmd_pmf(resolved, out, jobs, filtered):
 
 def _cmd_lyapunov(resolved, out, jobs, filtered):
     _require_mixed_gains(resolved, "lyapunov")
+    _require_default_rho(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
@@ -278,6 +290,7 @@ def _cmd_lyapunov(resolved, out, jobs, filtered):
 
 def _cmd_meanflow_grid(resolved, out, jobs, filtered):
     _require_mixed_gains(resolved, "meanflow-grid")
+    _require_default_rho(resolved, "meanflow-grid")
     system, _ = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]
     estimates = stationary_grid(
@@ -300,13 +313,24 @@ def _cmd_meanflow_grid(resolved, out, jobs, filtered):
 def _cmd_esc(resolved, out, jobs, filtered):
     system, x0 = _prepare(resolved, "esc", out)
     exp = resolved["experiment"]
-    traj = integrate(
-        system,
-        cfg.build_schedule(resolved),
-        x0,
-        exp["horizon"],
-        sample_stride=exp["sample_stride"],
-    )
+    try:
+        traj = integrate(
+            system,
+            cfg.build_schedule(resolved),
+            x0,
+            exp["horizon"],
+            sample_stride=exp["sample_stride"],
+        )
+    except NonFinite as exc:
+        if resolved["esc"]["gain_kind"] != "constant":
+            raise
+        raise NonFinite(
+            exc.time,
+            f"seeker from theta0 = {x0[0].tolist()}, lambda0 = {x0[1].tolist()} "
+            "with esc.gain_kind 'constant': far from the optimum the measurement "
+            "f/eps grows with the objective and drives the escape; "
+            "esc.gain_kind 'objective_scaled' or 'prior_scaled' scales eps with it",
+        ) from exc
     traj.to_csv(out / "trajectory.csv")
     final = traj.theta[-1]
     optimum = cfg.esc_optimum(resolved)

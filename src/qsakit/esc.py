@@ -21,6 +21,12 @@ The fast state of the assembled system is the washout state driven by the
 normalized measurement.  Filtered probe channels carry no state: the probes
 are single tones, so their filtered copies are computed in closed form from
 the clock phasors via the transfer function at each probe frequency.
+
+The assembled system evaluates the objective once per distinct stage point:
+the slow and fast fields of one RK4 stage share a measurement, and a stage
+point that repeats (the frozen-fast midpoint and step boundary) reuses the
+last one.  Objectives, external commands included, must therefore be
+deterministic functions of the point.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ GAIN_KINDS = ("objective_scaled", "prior_scaled", "constant")
 #: seconds one external objective evaluation may take before the run is
 #: stopped; a stuck command would otherwise hang the run forever
 OBJECTIVE_TIMEOUT_S = 60.0
+
+#: external objective evaluations one ProcessObjective may make; a run
+#: that needs more is stopped rather than left to spawn processes unbounded
+OBJECTIVE_MAX_EVALUATIONS = 1_000_000
 
 #: agreement tolerance for the probe-moment averages (fixed, not tunable:
 #: the moments are constants of the basis/filter pair)
@@ -76,7 +86,7 @@ def quadratic_objective(center=0.0, weights=1.0) -> Objective:
     if np.any(w <= 0):
         raise ConfigError("quadratic weights must be positive")
     return Objective(
-        fn=lambda th: 0.5 * float(np.sum(w * (th - c) ** 2)),
+        fn=lambda th: 0.5 * float((w * (th - c) ** 2).sum()),
         grad=lambda th: w * (th - c),
         name="quadratic",
     )
@@ -136,7 +146,8 @@ class ProcessObjective:
     standard output and exits.  Every evaluation is counted and the count
     is logged, since external evaluations are presumed expensive.  An
     evaluation that takes longer than OBJECTIVE_TIMEOUT_S is killed and
-    raises ConfigError.
+    raises ConfigError, and so does a call that would take the count past
+    OBJECTIVE_MAX_EVALUATIONS.
     """
 
     def __init__(self, command):
@@ -148,6 +159,11 @@ class ProcessObjective:
         self.name = "process"
 
     def __call__(self, theta):
+        if self.evaluations >= OBJECTIVE_MAX_EVALUATIONS:
+            raise ConfigError(
+                f"objective command {shlex.join(self.argv)!r} reached the limit "
+                f"of {OBJECTIVE_MAX_EVALUATIONS} evaluations"
+            )
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         line = " ".join(format(v, ".17g") for v in theta) + "\n"
         try:
@@ -186,7 +202,9 @@ class EscConfig:
     is eps(theta): the base epsilon, scaled per gain_kind.  theta_ctr and
     sigma_p parametrize the prior-scaled gain and the sigma regularization
     pull; the washout filter strips the DC component of the normalized
-    measurement.  The fast gain of an assembled system is pinned to 1.
+    measurement.  The fast gain is not part of this config: an assembled
+    system runs at the fast gain of the schedule it is integrated with
+    (qsakit esc uses gains.beta).
     """
 
     objective: Callable
@@ -272,21 +290,26 @@ def probing_gain(config, theta) -> float:
     The state-dependent forms grow with the distance scale, which keeps
     the normalized measurement Lipschitz for fast-growing objectives.
     """
+    if config.gain_kind == "constant":
+        return config.epsilon
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if config.gain_kind == "objective_scaled":
         return config.epsilon * math.sqrt(1.0 + _objective_value(config, theta))
-    if config.gain_kind == "prior_scaled":
-        dev = theta - config.theta_ctr
-        return config.epsilon * math.sqrt(1.0 + float(dev @ dev) / config.sigma_p**2)
-    return config.epsilon
+    dev = theta - config.theta_ctr  # prior_scaled
+    return config.epsilon * math.sqrt(1.0 + float(dev @ dev) / config.sigma_p**2)
+
+
+def _measure(config, theta, xi) -> float:
+    """f(theta + eps(theta) xi) / eps(theta) for float arrays theta and xi."""
+    eps = probing_gain(config, theta)
+    return _objective_value(config, theta + eps * xi) / eps
 
 
 def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eps = probing_gain(config, theta)
-    return _objective_value(config, theta + eps * xi) / eps
+    return _measure(config, theta, xi)
 
 
 def objective_gradient(config) -> Callable[[np.ndarray], np.ndarray]:
@@ -392,8 +415,10 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     dominant eigenvalue).  Slow field: -sigma (theta - ctr) plus the probe
     correlation term; the correlation term is integrated with an extra
     factor a_t by default (g_probe mechanism), or folded into the plain
-    slow field when config.single_at is set.  Run assembled systems with
-    fast gain 1.
+    slow field when config.single_at is set.  The washout state runs at
+    the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
+    reference runs use 1).  The objective is measured once per distinct
+    (theta, xi) stage point, so it must be deterministic.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -407,9 +432,24 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
+    # One-entry memo of the measurement, keyed by the exact bits of theta
+    # and the raw probe: g (or g_probe) and h of one RK4 stage measure at
+    # the same point, and so do the repeated stage points of a frozen-fast
+    # run.  The entry is replaced whole and read once, so callers on other
+    # threads can cause a miss but never a mismatched value.
+    memo = (None, 0.0)
+
     def observe(theta, xi_raw):
-        eps = probing_gain(config, theta)
-        return _objective_value(config, theta + eps * xi_raw) / eps
+        nonlocal memo
+        theta = np.asarray(theta, dtype=float)
+        xi_raw = np.asarray(xi_raw, dtype=float)
+        key = (theta.tobytes(), xi_raw.tobytes())
+        last = memo
+        if last[0] == key:
+            return last[1]
+        value = _measure(config, theta, xi_raw)
+        memo = (key, value)
+        return value
 
     def h_cb(theta, lam, xi):
         return F @ lam + G * observe(theta, xi[:d])

@@ -186,6 +186,19 @@ def test_finite_escape_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_constant_gain_seeker_escape_names_the_start(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, {"experiment": {"horizon": 2.0, "theta0": [-0.5]}}
+    )
+    assert run(cfg, "esc", out_dir=tmp_path / "o") == EXIT_NONFINITE
+    err = capsys.readouterr().err
+    assert "non-finite at t = 0.321429" in err
+    assert "theta0 = [-0.5], lambda0 = [0.0]" in err
+    assert "gain_kind 'constant'" in err
+    assert "'objective_scaled' or 'prior_scaled'" in err
+
+
 def test_seedless_assertion():
     assert_seedless()  # the package links no RNG source
 
@@ -298,6 +311,18 @@ def test_beta_only_subcommands_reject_non_mixed_gains(tmp_path, capsys, subcomma
     out = tmp_path / "o"
     assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
     assert f"gains.mode must be 'mixed', got '{mode}'" in capsys.readouterr().err
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, artifact",
+    [("bias", "sweep.csv"), ("lyapunov", "lyapunov.csv"), ("meanflow-grid", "grid.csv")],
+)
+def test_beta_only_subcommands_reject_non_default_rho(tmp_path, capsys, subcommand, artifact):
+    cfg = write_config(tmp_path, {"gains": {"rho": 0.95}})
+    out = tmp_path / "o"
+    assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
+    assert "gains.rho must keep its default 0.7, got 0.95" in capsys.readouterr().err
     assert not (out / artifact).exists()
 
 

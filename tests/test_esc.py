@@ -162,6 +162,15 @@ class TestProcessObjective:
         assert time.monotonic() - start < 10.0
         assert obj.evaluations == 0
 
+    def test_evaluation_limit(self, monkeypatch):
+        monkeypatch.setattr(esc_module, "OBJECTIVE_MAX_EVALUATIONS", 2)
+        obj = ProcessObjective(sum_of_squares_cmd())
+        assert obj(np.array([1.0])) == pytest.approx(1.0)
+        assert obj(np.array([2.0])) == pytest.approx(4.0)
+        with pytest.raises(ConfigError, match=r"sys\.stdin.*limit of 2 evaluations"):
+            obj(np.array([3.0]))
+        assert obj.evaluations == 2
+
     def test_wired_through_config(self):
         config = EscConfig(
             objective=ProcessObjective(sum_of_squares_cmd()), epsilon=0.1, dim=2

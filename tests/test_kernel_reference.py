@@ -6,14 +6,22 @@ block, numpy-scalar gains.  It is kept verbatim, together with the
 numpy-scalar callbacks of the built-in linear-3.1 and decoupled-test
 systems, so that the kernel and the Python-float callbacks are held to
 bit-identical trajectories, not merely close ones.
+
+The extremum seeker's callbacks are kept the same way, as they stood before
+the measurement was memoized: one objective evaluation per callback, no
+memo.  A memo that returned a stale value would show up as a trajectory
+that differs from the reference.
 """
 
 import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qsakit.dynamics import _CHUNK as KERNEL_CHUNK
 from qsakit.dynamics import (
     GainSchedule,
     Trajectory,
@@ -23,7 +31,15 @@ from qsakit.dynamics import (
     integrate_frozen_fast,
 )
 from qsakit.errors import ConfigError, NonFinite
+from qsakit.esc import (
+    EscConfig,
+    Objective,
+    _objective_value,
+    build_esc_system,
+    quadratic_objective,
+)
 from qsakit.filters import SecondOrderFilter
+from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
@@ -276,6 +292,58 @@ def reference_decoupled():
     return _with_callbacks(make_decoupled_system(), g, h)
 
 
+# -- reference: the unmemoized extremum-seeker callbacks, verbatim -----------
+
+
+def reference_probing_gain(config, theta):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if config.gain_kind == "objective_scaled":
+        return config.epsilon * math.sqrt(1.0 + _objective_value(config, theta))
+    if config.gain_kind == "prior_scaled":
+        dev = theta - config.theta_ctr
+        return config.epsilon * math.sqrt(1.0 + float(dev @ dev) / config.sigma_p**2)
+    return config.epsilon
+
+
+def reference_quadratic(center=0.0, weights=1.0):
+    c = np.asarray(center, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    return Objective(fn=lambda th: 0.5 * float(np.sum(w * (th - c) ** 2)))
+
+
+def reference_esc(config):
+    F, G, H, J = config.washout.F, config.washout.G, config.washout.H, config.washout.J
+    d = config.dim
+    sigma = config.sigma
+    ctr = config.theta_ctr
+
+    def observe(theta, xi_raw):
+        eps = reference_probing_gain(config, theta)
+        return _objective_value(config, theta + eps * xi_raw) / eps
+
+    def h_cb(theta, lam, xi):
+        return F @ lam + G * observe(theta, xi[:d])
+
+    def probe_term(theta, lam, xi):
+        filtered = float(H @ lam) + J * observe(theta, xi[:d])
+        return -xi[d:] * filtered
+
+    if config.single_at:
+        def g_cb(theta, lam, xi):
+            return -sigma * (theta - ctr) + probe_term(theta, lam, xi)
+
+        g_probe = None
+    else:
+        def g_cb(theta, lam, xi):
+            return -sigma * (theta - ctr)
+
+        g_probe = probe_term
+
+    ref = _with_callbacks(build_esc_system(config), g_cb, h_cb)
+    ref.g_probe = g_probe
+    return ref
+
+
 def _with_callbacks(system, g, h):
     ref = copy.copy(system)
     ref.g, ref.h = g, h
@@ -401,3 +469,136 @@ def test_frozen_fast_blow_up_time():
     with pytest.raises(NonFinite) as want:
         reference_integrate_frozen_fast(*args)
     assert got.value.time == want.value.time
+
+
+# -- extremum seeker: memoized measurement against the unmemoized one --------
+
+#: (quadratic objective parameters, EscConfig keywords) per probing gain
+ESC_CASES = {
+    "constant": (dict(center=1.0), dict(dim=1)),
+    "objective_scaled": (dict(center=1.0), dict(dim=1, gain_kind="objective_scaled")),
+    "prior_scaled": (
+        dict(center=[1.0, -0.5], weights=[1.0, 4.0]),
+        dict(dim=2, gain_kind="prior_scaled", sigma_p=0.1, theta_ctr=[0.9, -0.4], sigma=0.2),
+    ),
+}
+
+
+def esc_pair(case="constant", single_at=True):
+    """(seeker under test, reference seeker with the unmemoized callbacks)."""
+    quad, kw = ESC_CASES[case]
+    kw = dict(kw, epsilon=0.1, single_at=single_at)
+    system = build_esc_system(EscConfig(objective=quadratic_objective(**quad), **kw))
+    ref = reference_esc(EscConfig(objective=reference_quadratic(**quad), **kw))
+    return system, ref
+
+
+def _esc_x0(system):
+    return (np.linspace(0.4, 0.1, system.dim_slow), np.array([0.1]))
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+@pytest.mark.parametrize("case", sorted(ESC_CASES))
+def test_esc_coupled_against_unmemoized_callbacks(case, single_at):
+    system, ref = esc_pair(case, single_at)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = _esc_x0(system)
+    assert_same(
+        integrate(system, sched, x0, 40.0),
+        reference_integrate(ref, sched, x0, 40.0),
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("case", sorted(ESC_CASES))
+def test_esc_frozen_fast_across_a_chunk_boundary(case, stride):
+    system, ref = esc_pair(case)
+    _, n_steps = _resolve_step(system.basis, 1.0, 50.0, None)
+    assert n_steps > KERNEL_CHUNK
+    args = (np.linspace(0.7, 0.2, system.dim_slow), np.array([0.2]), 1.0, 50.0)
+    assert_same(
+        integrate_frozen_fast(system, *args, sample_stride=stride),
+        reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
+    )
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_mean_field_g0_against_unmemoized_callbacks(single_at):
+    system, ref = esc_pair(single_at=single_at)
+    kw = dict(burn_in=5.0, window=20.0)
+    got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
+    want = mean_field_g0(ref, np.array([0.6]), 1.0, tol=1.0, **kw)
+    assert np.array_equal(got.value, want.value)
+    assert got.osc_amplitude == want.osc_amplitude
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_objective_calls_per_step(single_at):
+    calls = []
+
+    def fn(th):
+        calls.append(1)
+        return 0.5 * float((th[0] - 1.0) ** 2)
+
+    system = build_esc_system(
+        EscConfig(objective=Objective(fn), epsilon=0.1, dim=1, single_at=single_at)
+    )
+    coupled = integrate(
+        system, GainSchedule(rho=0.7, beta=1.0), (np.array([0.3]), np.zeros(1)), 10.0
+    )
+    assert len(calls) == 4 * (coupled.n_samples - 1)
+    calls.clear()
+    frozen = integrate_frozen_fast(system, np.array([0.7]), np.zeros(1), 1.0, 50.0)
+    assert frozen.n_samples - 1 > KERNEL_CHUNK
+    assert len(calls) == 2 * (frozen.n_samples - 1) + 1
+
+
+def test_esc_memo_sees_theta_changed_in_place():
+    system, ref = esc_pair()
+    theta, lam, xi = np.array([0.5]), np.array([0.2]), np.array([0.3, 0.6])
+    first = system.h(theta, lam, xi)
+    assert np.array_equal(first, ref.h(theta, lam, xi))
+    theta[0] = 1.5
+    second = system.h(theta, lam, xi)
+    assert np.array_equal(second, ref.h(theta, lam, xi))
+    assert not np.array_equal(first, second)
+
+
+def test_esc_callbacks_take_lists_and_integer_arrays():
+    system, ref = esc_pair()
+    lam, xi = np.array([0.2]), np.array([0.3, 0.6])
+    want_h = ref.h(np.array([2.0]), lam, xi)
+    want_g = ref.g(np.array([2.0]), lam, xi)
+    for theta in ([2], [2.0], np.array([2]), np.array([2.0])):
+        assert np.array_equal(system.h(theta, lam, xi), want_h)
+        assert np.array_equal(system.g(theta, lam, xi), want_g)
+
+
+def test_esc_memo_shared_between_threads():
+    # the grid pools run one seeker on several threads; each thread must
+    # read its own measurement however the memo entry is overwritten
+    system, ref = esc_pair()
+    lam = np.array([0.2])
+    points = [(np.array([0.1 * k]), np.array([0.3, 0.6 - 0.05 * k])) for k in range(8)]
+    want = [ref.h(theta, lam, xi) for theta, xi in points]
+    wrong = []
+
+    def worker(offset):
+        for i in range(4000):
+            k = (offset + i // 2) % len(points)  # each point twice: hits and misses
+            theta, xi = points[k]
+            if not np.array_equal(system.h(theta, lam, xi), want[k]):
+                wrong.append(k)
+
+    threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
