@@ -13,6 +13,20 @@ ride along in the same RK4 step, but neither field reads them, so Theta
 and Lambda are the same with or without the filter.  Probing phases are
 never integrated: they are recomputed from t at every stage, so
 trajectories are reproducible bit for bit.
+
+Between stages the kernel holds the stacked state and the four stage
+derivatives as lists of Python floats.  Each stage builds one float64
+array, and the callbacks g, h and g_probe receive ndarray views of it;
+each callback's output is read back as a list of floats of its block's
+length (a scalar fills a 1-element block, any other length mismatch is
+a ConfigError).  Binary64 +, - and * on Python floats round exactly as
+numpy's elementwise float64 operations do, and the kernel performs them
+in the order the array expressions would, so the trajectories are bit
+for bit those of the same step written on arrays.  This pays off for
+small stacks only: on a system whose callbacks are single numpy
+expressions, per-element stage arithmetic beat array arithmetic up to
+about 12 states and lost from about 16 on (D = 32: about 30 -> 40 us per
+step, measured on a 2-vCPU host).  Every built-in system has D <= 5.
 """
 
 import math
@@ -249,20 +263,41 @@ def _resolve_step(basis, beta, horizon, step):
     return horizon / n_steps, n_steps
 
 
+def _floats(value, size, name):
+    """A callback's block as a list of size Python floats.
+
+    A scalar stands for a 1-element block; any other length mismatch
+    raises ConfigError naming the callback.
+    """
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        out = out.ravel()
+    out = out.tolist()
+    if len(out) != size:
+        raise ConfigError(f"{name} returned {len(out)} value(s), expected {size}")
+    return out
+
+
 def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
-    rhs(x, xi, a, b) returns dx/dt as one array shaped like x, given the
-    probe vector xi and the slow and fast gains (a, b) at the stage time;
-    gains(ts) returns both gains at the stage times ts as two lists.
-    Returns the sample times (every sample_stride steps plus the final
-    time) and the (n, D) buffer of states there.  Raises NonFinite at the
-    end of the first step that leaves x non-finite.
+    x is a list of Python floats, and so is every stage state: rhs(x, xi,
+    a, b) receives one as a list and returns dx/dt as a list of the same
+    length, given the probe vector xi and the slow and fast gains (a, b)
+    at the stage time; gains(ts) returns both gains at the stage times ts
+    as two lists of Python floats.  The stage and update arithmetic runs per element in
+    numpy's elementwise operation order (x + half*k, x + h*k, then
+    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds exactly as float64
+    arrays would.  Returns the sample times (every sample_stride steps
+    plus the final time) and the (n, D) buffer of states there.  Raises
+    NonFinite at the end of the first step that leaves x non-finite.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
-    samples = np.empty((steps.shape[0], x.shape[0]))
+    samples = np.empty((steps.shape[0], len(x)))
     pmap, basis = system.probing, system.basis
+    isfinite = math.isfinite
     cursor = 0
+    h = float(h)  # a numpy scalar step would make every stage product a numpy op
     sixth = h / 6.0
     half = h * 0.5
     for chunk in range(0, n_steps, _CHUNK):
@@ -279,11 +314,16 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
             j = 2 * i
             xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]
             k1 = rhs(x, xis[j], a_all[j], b_all[j])
-            k2 = rhs(x + half * k1, xim, am, bm)
-            k3 = rhs(x + half * k2, xim, am, bm)
-            k4 = rhs(x + h * k3, xis[j + 2], a_all[j + 2], b_all[j + 2])
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not np.isfinite(x).all():
+            k2 = rhs([v + half * k for v, k in zip(x, k1)], xim, am, bm)
+            k3 = rhs([v + half * k for v, k in zip(x, k2)], xim, am, bm)
+            k4 = rhs(
+                [v + h * k for v, k in zip(x, k3)], xis[j + 2], a_all[j + 2], b_all[j + 2]
+            )
+            x = [
+                v + sixth * (p + 2.0 * (q + r) + u)
+                for v, p, q, r, u in zip(x, k1, k2, k3, k4)
+            ]
+            if not all(map(isfinite, x)):
                 raise NonFinite((gi + 1) * h)
     samples[cursor] = x
     return steps * h, samples
@@ -340,15 +380,24 @@ def integrate(
     dx = ds + df
 
     def rhs(x, xi, a, b):
-        th, la = x[:ds], x[ds:dx]
-        gv = np.asarray(g_cb(th, la, xi), dtype=float)
+        stage = np.array(x)
+        th, la = stage[:ds], stage[ds:dx]
+        gv = _floats(g_cb(th, la, xi), ds, "g")
         if gp_cb is not None:
-            gv = gv + a * np.asarray(gp_cb(th, la, xi), dtype=float)
-        dla = b * np.asarray(h_cb(th, la, xi), dtype=float)
+            gp = _floats(gp_cb(th, la, xi), ds, "g_probe")
+            out = [a * (v + a * p) for v, p in zip(gv, gp)]
+        else:
+            out = [a * v for v in gv]
+        out += [b * v for v in _floats(h_cb(th, la, xi), df, "h")]
         if filt is None:
-            return np.concatenate((a * gv, dla))
-        lf, vf = x[dx : dx + df], x[dx + df :]
-        return np.concatenate((a * gv, dla, vf, gamma2 * (la - lf) - two_zg * vf))
+            return out
+        vf = x[dx + df :]
+        out += vf
+        out += [
+            gamma2 * (l - f) - two_zg * v
+            for l, f, v in zip(x[ds:dx], x[dx : dx + df], vf)
+        ]
+        return out
 
     def gains(ts):
         return (
@@ -357,7 +406,7 @@ def integrate(
         )
 
     t, samples = _rk4(
-        rhs, np.concatenate(blocks), h, n_steps, sample_stride, system, gains
+        rhs, np.concatenate(blocks).tolist(), h, n_steps, sample_stride, system, gains
     )
     return Trajectory(
         t=t,
@@ -390,16 +439,16 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    h_cb = system.h
+    h_cb, df = system.h, system.dim_fast
 
     def rhs(x, xi, a, b):
-        return b * np.asarray(h_cb(theta, x, xi), dtype=float)
+        return [b * v for v in _floats(h_cb(theta, np.array(x), xi), df, "h")]
 
     def gains(ts):
-        fixed = [beta] * len(ts)
+        fixed = [float(beta)] * len(ts)
         return fixed, fixed
 
-    t, lam_samp = _rk4(rhs, lam, h, n_steps, sample_stride, system, gains)
+    t, lam_samp = _rk4(rhs, lam.tolist(), h, n_steps, sample_stride, system, gains)
     n = t.shape[0]
     return Trajectory(
         t=t,

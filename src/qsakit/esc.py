@@ -25,8 +25,10 @@ the clock phasors via the transfer function at each probe frequency.
 The assembled system evaluates the objective once per distinct stage point:
 the slow and fast fields of one RK4 stage share a measurement, and a stage
 point that repeats (the frozen-fast midpoint and step boundary) reuses the
-last one.  Objectives, external commands included, must therefore be
-deterministic functions of the point.
+last one.  The objective-scaled probe amplitude eps(theta) is likewise
+evaluated once per distinct theta, so a frozen-fast run computes it once.
+Objectives, external commands included, must therefore be deterministic
+functions of the point.
 """
 
 from __future__ import annotations
@@ -299,9 +301,8 @@ def probing_gain(config, theta) -> float:
     return config.epsilon * math.sqrt(1.0 + float(dev @ dev) / config.sigma_p**2)
 
 
-def _measure(config, theta, xi) -> float:
-    """f(theta + eps(theta) xi) / eps(theta) for float arrays theta and xi."""
-    eps = probing_gain(config, theta)
+def _measure(config, theta, xi, eps) -> float:
+    """f(theta + eps xi) / eps for float arrays theta and xi, eps = eps(theta)."""
     return _objective_value(config, theta + eps * xi) / eps
 
 
@@ -309,7 +310,7 @@ def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _measure(config, theta, xi)
+    return _measure(config, theta, xi, probing_gain(config, theta))
 
 
 def objective_gradient(config) -> Callable[[np.ndarray], np.ndarray]:
@@ -418,7 +419,8 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
     reference runs use 1).  The objective is measured once per distinct
-    (theta, xi) stage point, so it must be deterministic.
+    (theta, xi) stage point, and eps(theta) computed once per distinct
+    theta, so the objective must be deterministic.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -432,22 +434,32 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
-    # One-entry memo of the measurement, keyed by the exact bits of theta
-    # and the raw probe: g (or g_probe) and h of one RK4 stage measure at
-    # the same point, and so do the repeated stage points of a frozen-fast
-    # run.  The entry is replaced whole and read once, so callers on other
-    # threads can cause a miss but never a mismatched value.
+    # One-entry memos of the measurement, keyed by the exact bits of theta
+    # and the raw probe, and of eps(theta), keyed by theta alone: g (or
+    # g_probe) and h of one RK4 stage measure at the same point, and so do
+    # the repeated stage points of a frozen-fast run, whose pinned theta
+    # also keeps eps(theta) for the whole run.  Each entry is replaced
+    # whole and read once, so callers on other threads can cause a miss
+    # but never a mismatched value.
     memo = (None, 0.0)
+    eps_memo = (None, 0.0)
 
     def observe(theta, xi_raw):
-        nonlocal memo
+        nonlocal memo, eps_memo
         theta = np.asarray(theta, dtype=float)
         xi_raw = np.asarray(xi_raw, dtype=float)
-        key = (theta.tobytes(), xi_raw.tobytes())
+        theta_key = theta.tobytes()
+        key = (theta_key, xi_raw.tobytes())
         last = memo
         if last[0] == key:
             return last[1]
-        value = _measure(config, theta, xi_raw)
+        last = eps_memo
+        if last[0] == theta_key:
+            eps = last[1]
+        else:
+            eps = probing_gain(config, theta)
+            eps_memo = (theta_key, eps)
+        value = _measure(config, theta, xi_raw, eps)
         memo = (key, value)
         return value
 

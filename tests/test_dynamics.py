@@ -467,6 +467,64 @@ class TestFrozenFast:
             integrate_frozen_fast(sys_, np.zeros(1), np.zeros(1), -1.0, 5.0)
 
 
+class TestCallbackLengths:
+    """Each callback's output must fill its block of the stacked state."""
+
+    def _run(self, kernel, dims, g=None, h=None, g_probe=None):
+        ds, df = dims
+        zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
+        sys_ = TwoTimescaleSystem(
+            ds, df, g or zeros(ds), h or zeros(df), one_pair_basis(), g_probe=g_probe
+        )
+        theta, lam = np.full(ds, 0.1), np.full(df, 0.2)
+        if kernel == "coupled":
+            sched = GainSchedule(rho=0.7, beta=0.5)
+            return integrate(sys_, sched, (theta, lam), 1.0)
+        return integrate_frozen_fast(sys_, theta, lam, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "dims, kw, name, want, got",
+        [
+            ((2, 1), dict(g=lambda t, l, x: np.ones(1)), "g", 2, 1),
+            ((1, 1), dict(g=lambda t, l, x: np.ones(2)), "g", 1, 2),
+            ((1, 1), dict(g_probe=lambda t, l, x: np.ones(3)), "g_probe", 1, 3),
+            ((1, 1), dict(h=lambda t, l, x: np.ones(2)), "h", 1, 2),
+            ((1, 2), dict(h=lambda t, l, x: np.ones(1)), "h", 2, 1),
+        ],
+        ids=["g-short", "g-long", "g_probe", "h-long", "h-short"],
+    )
+    def test_wrong_length_coupled(self, dims, kw, name, want, got):
+        with pytest.raises(ConfigError, match=rf"^{name} returned {got} value\(s\), expected {want}$"):
+            self._run("coupled", dims, **kw)
+
+    @pytest.mark.parametrize(
+        "dims, want, got",
+        [((1, 1), 1, 2), ((1, 2), 2, 1), ((2, 3), 3, 0)],
+        ids=["long", "short", "empty"],
+    )
+    def test_wrong_length_frozen_fast(self, dims, want, got):
+        h = lambda t, l, x: np.ones(got)  # noqa: E731
+        with pytest.raises(ConfigError, match=rf"^h returned {got} value\(s\), expected {want}$"):
+            self._run("frozen", dims, h=h)
+
+    @pytest.mark.parametrize("kernel", ["coupled", "frozen"])
+    def test_scalar_fills_a_one_element_block(self, kernel):
+        def as_array(t, l, x):
+            return np.atleast_1d(0.3 - l[0] + x[0] * t[0])
+
+        def as_float(t, l, x):
+            return float(0.3 - l[0] + x[0] * t[0])
+
+        def as_numpy_scalar(t, l, x):
+            return 0.3 - l[0] + x[0] * t[0]
+
+        want = self._run(kernel, (1, 1), g=as_array, h=as_array)
+        for cb in (as_float, as_numpy_scalar):
+            got = self._run(kernel, (1, 1), g=cb, h=cb)
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.lam, want.lam)
+
+
 class TestTrajectoryCsv:
     def test_header_and_roundtrip(self):
         sys_ = linear_system()

@@ -37,6 +37,7 @@ from qsakit.esc import (
     _objective_value,
     build_esc_system,
     quadratic_objective,
+    quartic_objective,
 )
 from qsakit.filters import SecondOrderFilter
 from qsakit.meanflow import mean_field_g0
@@ -471,6 +472,42 @@ def test_frozen_fast_blow_up_time():
     assert got.value.time == want.value.time
 
 
+def _nan_past(limit):
+    """A field of 1.0 that turns NaN once its input passes limit."""
+    return lambda v: np.atleast_1d(np.nan if v[0] > limit else 1.0)
+
+
+def test_nan_blow_up_time():
+    # NaN rather than an overflow to inf: theta grows with integral(a) and
+    # the slow field goes NaN at theta = 2.5, well inside the horizon
+    field = _nan_past(2.5)
+    system = TwoTimescaleSystem(
+        1, 1, lambda t, l, x: field(t), lambda t, l, x: np.zeros(1), make_frequency_basis([(2, 1)])
+    )
+    sched = GainSchedule(rho=0.7, beta=0.1)
+    x0 = (np.zeros(1), np.zeros(1))
+    with pytest.raises(NonFinite) as got:
+        integrate(system, sched, x0, 10.0)
+    with pytest.raises(NonFinite) as want:
+        reference_integrate(system, sched, x0, 10.0)
+    assert got.value.time == want.value.time
+    assert 0.0 < got.value.time < 10.0
+
+
+def test_frozen_fast_nan_blow_up_time():
+    field = _nan_past(1.5)
+    system = TwoTimescaleSystem(
+        1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: field(l), make_frequency_basis([(2, 1)])
+    )
+    args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
+    with pytest.raises(NonFinite) as got:
+        integrate_frozen_fast(*args)
+    with pytest.raises(NonFinite) as want:
+        reference_integrate_frozen_fast(*args)
+    assert got.value.time == want.value.time
+    assert 0.0 < got.value.time < 5.0
+
+
 # -- extremum seeker: memoized measurement against the unmemoized one --------
 
 #: (quadratic objective parameters, EscConfig keywords) per probing gain
@@ -552,6 +589,54 @@ def test_esc_objective_calls_per_step(single_at):
     assert frozen.n_samples - 1 > KERNEL_CHUNK
     assert len(calls) == 2 * (frozen.n_samples - 1) + 1
 
+    # objective_scaled measures f(theta) for eps(theta) once per distinct
+    # theta as well: every stage of a coupled run, once in a frozen-fast run
+    system = build_esc_system(
+        EscConfig(
+            objective=Objective(fn), epsilon=0.1, dim=1, single_at=single_at,
+            gain_kind="objective_scaled",
+        )
+    )
+    calls.clear()
+    coupled = integrate(
+        system, GainSchedule(rho=0.7, beta=1.0), (np.array([0.3]), np.zeros(1)), 10.0
+    )
+    assert len(calls) == 8 * (coupled.n_samples - 1)
+    calls.clear()
+    frozen = integrate_frozen_fast(system, np.array([0.7]), np.zeros(1), 1.0, 10.0)
+    assert frozen.n_samples - 1 == 278
+    assert len(calls) == 558
+
+
+def quartic_pair(single_at):
+    """The largest built-in stack: a 4-d quartic seeker, D = 4 + 1."""
+    kw = dict(dim=4, gain_kind="objective_scaled", epsilon=0.1, single_at=single_at)
+    system = build_esc_system(EscConfig(objective=quartic_objective(), **kw))
+    ref = reference_esc(EscConfig(objective=quartic_objective(), **kw))
+    assert system.dim_slow + system.dim_fast == 5
+    return system, ref
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_quartic_dim_4_coupled(single_at):
+    system, ref = quartic_pair(single_at)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = _esc_x0(system)
+    assert_same(
+        integrate(system, sched, x0, 20.0),
+        reference_integrate(ref, sched, x0, 20.0),
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_esc_quartic_dim_4_frozen_fast(stride):
+    system, ref = quartic_pair(False)
+    args = (np.linspace(0.7, -0.2, 4), np.array([0.2]), 1.0, 20.0)
+    assert_same(
+        integrate_frozen_fast(system, *args, sample_stride=stride),
+        reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
+    )
+
 
 def test_esc_memo_sees_theta_changed_in_place():
     system, ref = esc_pair()
@@ -586,6 +671,36 @@ def test_esc_memo_shared_between_threads():
     def worker(offset):
         for i in range(4000):
             k = (offset + i // 2) % len(points)  # each point twice: hits and misses
+            theta, xi = points[k]
+            if not np.array_equal(system.h(theta, lam, xi), want[k]):
+                wrong.append(k)
+
+    threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_esc_eps_memo_shared_between_threads():
+    # objective_scaled: points share theta across probes, so threads
+    # interleave eps(theta) hits with measurement misses
+    system, ref = esc_pair("objective_scaled")
+    lam = np.array([0.2])
+    points = [(np.array([0.3 * (k // 4)]), np.array([0.3, 0.6 - 0.05 * k])) for k in range(8)]
+    want = [ref.h(theta, lam, xi) for theta, xi in points]
+    wrong = []
+
+    def worker(offset):
+        for i in range(4000):
+            k = (offset + i) % len(points)
             theta, xi = points[k]
             if not np.array_equal(system.h(theta, lam, xi), want[k]):
                 wrong.append(k)
