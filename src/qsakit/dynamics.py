@@ -5,14 +5,18 @@ The integrator advances the slow/fast pair
     d/dt Theta = a_t * g(Theta, Lambda, xi_t)
     d/dt Lambda = b_t * h(Theta, Lambda, xi_t)
 
-One RK4 kernel advances a single stacked state vector: [Theta; Lambda]
-for coupled runs and Lambda alone for frozen-fast runs.  A second-order
-filter, when attached, observes Lambda: its output Lambda^F and rate
-dLambda^F extend the stack to [Theta; Lambda; Lambda^F; dLambda^F] and
-ride along in the same RK4 step, but neither field reads them, so Theta
-and Lambda are the same with or without the filter.  Probing phases are
-never integrated: they are recomputed from t at every stage, so
-trajectories are reproducible bit for bit.
+One RK4 kernel, _rk4, is the package's only RK4 loop.  It advances a
+single stacked state vector, of which there are three kinds: coupled
+runs stack [Theta; Lambda], frozen-fast runs advance Lambda alone, and
+the sensitivity runs of qsakit.lyapunov stack [Lambda; vec S], with S
+row-major, in segments that each start at a given step index.  A
+second-order filter, when attached to a coupled run, observes Lambda:
+its output Lambda^F and rate dLambda^F extend the stack to [Theta;
+Lambda; Lambda^F; dLambda^F] and ride along in the same RK4 step, but
+neither field reads them, so Theta and Lambda are the same with or
+without the filter.  Probing phases are never integrated: they are
+recomputed from t at every stage, so trajectories are reproducible bit
+for bit.
 
 Between stages the kernel holds the stacked state and the four stage
 derivatives as lists of Python floats.  Each stage builds one float64
@@ -278,19 +282,40 @@ def _floats(value, size, name):
     return out
 
 
-def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
+def _pinned_gains(beta):
+    """_rk4's gains callback for a frozen slow state: b = beta at every
+    stage (a is passed the same value and left unread)."""
+
+    def gains(ts):
+        fixed = [float(beta)] * len(ts)
+        return fixed, fixed
+
+    return gains
+
+
+def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0):
     """Advance the stacked state x by n_steps RK4 steps of size h.
+
+    The stack is [theta; lambda] (with the filter's states appended) for
+    integrate, lambda for integrate_frozen_fast, and [lambda; vec S] for
+    qsakit.lyapunov.  x is the state at step index start, an integer:
+    stage times are (start + i + 0.5*k)*h for step i and k in {0, 1, 2},
+    and the sample times and the NonFinite time count from it too.  The
+    multiplier of h is an exact half-integer, so a run split into
+    segments at any step indices sees the same stage times, bit for bit,
+    as the run made in one call.
 
     x is a list of Python floats, and so is every stage state: rhs(x, xi,
     a, b) receives one as a list and returns dx/dt as a list of the same
     length, given the probe vector xi and the slow and fast gains (a, b)
     at the stage time; gains(ts) returns both gains at the stage times ts
-    as two lists of Python floats.  The stage and update arithmetic runs per element in
-    numpy's elementwise operation order (x + half*k, x + h*k, then
-    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds exactly as float64
-    arrays would.  Returns the sample times (every sample_stride steps
-    plus the final time) and the (n, D) buffer of states there.  Raises
-    NonFinite at the end of the first step that leaves x non-finite.
+    as two lists of Python floats.  The stage and update arithmetic runs
+    per element in numpy's elementwise operation order (x + half*k,
+    x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds exactly
+    as float64 arrays would.  Returns the sample times (every
+    sample_stride steps from start, plus the final time) and the (n, D)
+    buffer of states there.  Raises NonFinite at the end of the first
+    step that leaves x non-finite.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
@@ -302,8 +327,8 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
     half = h * 0.5
     for chunk in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - chunk)
-        # stage times for steps chunk..chunk+m-1: half-grid from chunk*h
-        ts = (chunk + 0.5 * np.arange(2 * m + 1)) * h
+        # stage times for steps chunk..chunk+m-1: half-grid from (start+chunk)*h
+        ts = (start + chunk + 0.5 * np.arange(2 * m + 1)) * h
         xis = list(pmap(np.exp(2j * math.pi * clock_phases(basis, ts))).T)
         a_all, b_all = gains(ts)
         for i in range(m):
@@ -324,9 +349,9 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains):
                 for v, p, q, r, u in zip(x, k1, k2, k3, k4)
             ]
             if not all(map(isfinite, x)):
-                raise NonFinite((gi + 1) * h)
+                raise NonFinite((start + gi + 1) * h)
     samples[cursor] = x
-    return steps * h, samples
+    return (start + steps) * h, samples
 
 
 def integrate(
@@ -444,11 +469,9 @@ def integrate_frozen_fast(
     def rhs(x, xi, a, b):
         return [b * v for v in _floats(h_cb(theta, np.array(x), xi), df, "h")]
 
-    def gains(ts):
-        fixed = [float(beta)] * len(ts)
-        return fixed, fixed
-
-    t, lam_samp = _rk4(rhs, lam.tolist(), h, n_steps, sample_stride, system, gains)
+    t, lam_samp = _rk4(
+        rhs, lam.tolist(), h, n_steps, sample_stride, system, _pinned_gains(beta)
+    )
     n = t.shape[0]
     return Trajectory(
         t=t,

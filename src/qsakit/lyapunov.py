@@ -4,6 +4,12 @@ The sensitivity process S solves dS/dt = beta * d_lambda h(theta, Lambda_t,
 xi_t) S from S0 = I alongside the frozen-fast trajectory itself.  The top
 exponent is the growth rate of ||S||, accumulated in log space with unit-
 time rescaling so the matrix never overflows on long horizons.
+
+S rides the shared RK4 kernel (dynamics._rk4) in the stack [Lambda; vec S],
+row-major.  The kernel runs in segments that end at every multiple of the
+rescale interval and at the half-horizon step; between segments S is
+divided by its Frobenius norm, whose log is accumulated, and the half-
+horizon magnitude is recorded.
 """
 
 import math
@@ -12,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _resolve_step
+from .dynamics import _floats, _pinned_gains, _resolve_step, _rk4
 from .errors import ConfigError, Inconclusive, NonFinite
-from .probing import clock_phases
-
-#: steps per precomputed probe block
-_CHUNK = 1 << 14
 
 # Central-difference step for synthesized Jacobians, per coordinate.
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -25,25 +27,6 @@ FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
 
 def fd_step(xj):
     return FD_STEP_SCALE * max(1.0, abs(xj))
-
-
-@dataclass
-class SensitivityState:
-    """Sensitivity matrix with its extracted log magnitude."""
-
-    S: np.ndarray
-    log_norm_accum: float
-    t: float
-
-    def rescale(self):
-        nrm = float(np.linalg.norm(self.S))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise NonFinite(self.t, "sensitivity norm degenerate")
-        self.S /= nrm
-        self.log_norm_accum += math.log(nrm)
-
-    def log_magnitude(self):
-        return self.log_norm_accum + math.log(float(np.linalg.norm(self.S)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +70,9 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     rather than returning a number the horizon cannot support.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    lam = np.atleast_1d(np.asarray(lambda0, dtype=float)).copy()
+    lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
+    if theta.shape != (system.dim_slow,):
+        raise ConfigError("theta shape does not match the slow dimension")
     if lam.shape != (system.dim_fast,):
         raise ConfigError("lambda0 shape does not match the fast dimension")
     if beta <= 0:
@@ -96,50 +81,42 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
 
     h_cb = system.h
     jac_of = _jacobian_evaluator(system)
-    pmap = system.probing
-    basis = system.basis
     d = system.dim_fast
 
-    state = SensitivityState(S=np.eye(d), log_norm_accum=0.0, t=0.0)
+    def rhs(x, xi, a, b):
+        stage = np.array(x)
+        la = stage[:d]
+        out = [b * v for v in _floats(h_cb(theta, la, xi), d, "h")]
+        ds = jac_of(theta, la, xi) @ stage[d:].reshape(d, d)
+        out += [b * v for v in ds.ravel().tolist()]
+        return out
+
+    def s_norm(x):
+        return float(np.linalg.norm(np.array(x[d:])))
+
     rescale_every = max(1, round(1.0 / h))
     n_half = max(1, n_steps // 2)
-    log_half = None
-    t_half = None
+    ends = sorted({*range(rescale_every, n_steps, rescale_every), n_half, n_steps})
+    gains = _pinned_gains(beta)
+    x = lam.tolist() + np.eye(d).ravel().tolist()
+    log_accum = 0.0
+    begin = 0
+    for end in ends:
+        m = end - begin
+        _, samples = _rk4(rhs, x, h, m, m, system, gains, start=begin)
+        x = samples[-1].tolist()
+        if end % rescale_every == 0:
+            nrm = s_norm(x)
+            if not math.isfinite(nrm) or nrm == 0.0:
+                raise NonFinite(end * h, "sensitivity norm degenerate")
+            x[d:] = [v / nrm for v in x[d:]]
+            log_accum += math.log(nrm)
+        if end == n_half:
+            log_half = log_accum + math.log(s_norm(x))
+            t_half = end * h
+        begin = end
 
-    def deriv(la, s_mat, xi):
-        dla = beta * np.asarray(h_cb(theta, la, xi), dtype=float)
-        ds = beta * (jac_of(theta, la, xi) @ s_mat)
-        return dla, ds
-
-    sixth = h / 6.0
-    half = h * 0.5
-    s_mat = state.S
-    for chunk in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - chunk)
-        ts = (chunk + 0.5 * np.arange(2 * m + 1)) * h
-        xi_all = pmap(np.exp(2j * math.pi * clock_phases(basis, ts)))
-        for i in range(m):
-            j = 2 * i
-            xi0, xim, xi1 = xi_all[:, j], xi_all[:, j + 1], xi_all[:, j + 2]
-            k1 = deriv(lam, s_mat, xi0)
-            k2 = deriv(lam + half * k1[0], s_mat + half * k1[1], xim)
-            k3 = deriv(lam + half * k2[0], s_mat + half * k2[1], xim)
-            k4 = deriv(lam + h * k3[0], s_mat + h * k3[1], xi1)
-            lam = lam + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            s_mat = s_mat + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            gi = chunk + i + 1
-            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(s_mat))):
-                raise NonFinite(gi * h)
-            state.S = s_mat
-            state.t = gi * h
-            if gi % rescale_every == 0:
-                state.rescale()
-                s_mat = state.S
-            if gi == n_half:
-                log_half = state.log_magnitude()
-                t_half = gi * h
-
-    total = state.log_magnitude()
+    total = log_accum + math.log(s_norm(x))
     exponent = total / horizon
     tail = (total - log_half) / (horizon - t_half)
     first = log_half / t_half

@@ -2,19 +2,16 @@
 
 Everything here reduces to time averages along frozen-fast trajectories:
 the fast equilibrium map lambda*(theta) (up to O(beta) ripple), the
-effective slow field gbar0(theta), its root theta^beta, and the RK4
-solution of the noiseless slow mean flow d/dt v = gbar(v, lambda*(v)).
+effective slow field gbar0(theta) and its root theta^beta.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import integrate_frozen_fast
-from .errors import ConfigError, NonConvergent, NonFinite, SingularJacobian
-from .probing import ergodic_average
+from .errors import ConfigError, NonConvergent, SingularJacobian
 
 MAX_NEWTON_ITERATIONS = 100
 MIN_NEWTON_STEP = 2.0**-10
@@ -149,101 +146,6 @@ def find_root_g0(
         f"no root of the averaged slow field after {MAX_NEWTON_ITERATIONS} "
         f"iterations (residual {fnorm:.3e})"
     )
-
-
-@dataclass(frozen=True)
-class MeanFlowPath:
-    """RK4 samples of the noiseless slow mean flow."""
-
-    t: np.ndarray
-    theta: np.ndarray
-
-
-def _gbar_evaluator(system, lam_of):
-    """Probe-average of g at a frozen state, by the cheapest exact route."""
-    if system.g_mean is not None:
-        return lambda th: np.atleast_1d(
-            np.asarray(system.g_mean(th, lam_of(th)), dtype=float)
-        )
-    if system.fourier is not None:
-
-        def from_field(th):
-            x = np.concatenate([th, lam_of(th)])
-            return system.fourier.mean_value(x)[: system.dim_slow]
-
-        return from_field
-
-    def from_time_average(th):
-        lam = lam_of(th)
-
-        def u(_, xi):
-            if xi.ndim == 1:
-                return system.analysis_g(th, lam, xi)
-            cols = [system.analysis_g(th, lam, xi[:, i]) for i in range(xi.shape[1])]
-            return np.stack(cols, axis=-1)
-
-        return ergodic_average(
-            u, np.zeros(1), system.basis, system.probing, tol=1e-6
-        ).value
-
-    return from_time_average
-
-
-def mean_flow_solve(
-    system,
-    theta0,
-    horizon,
-    *,
-    step=0.02,
-    beta=None,
-    tol=1e-3,
-    burn_in=None,
-    window=None,
-):
-    """Integrate d/dt v = gbar(v, lambda*(v)) with RK4.
-
-    lambda* comes from the system's closed form when available; otherwise
-    each stage runs a frozen-fast average, which needs beta and is orders
-    of magnitude slower (a warning flags that path).
-    """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if system.lambda_star is not None:
-        lam_of = lambda th: np.atleast_1d(np.asarray(system.lambda_star(th), dtype=float))
-    else:
-        if beta is None:
-            raise ConfigError(
-                "system has no closed-form lambda*: pass beta to enable the "
-                "per-stage frozen-fast path"
-            )
-        warnings.warn(
-            "mean_flow_solve: no closed-form lambda*; every RK4 stage runs a "
-            "frozen-fast average",
-            stacklevel=2,
-        )
-        lam_of = lambda th: fast_equilibrium(
-            system, th, beta, tol, burn_in=burn_in, window=window
-        ).value
-    gbar = _gbar_evaluator(system, lam_of)
-
-    n_steps = max(1, int(np.ceil(horizon / step - 1e-12)))
-    h = horizon / n_steps
-    ts = np.zeros(n_steps + 1)
-    vals = np.zeros((n_steps + 1, theta0.shape[0]))
-    vals[0] = theta0
-    th = theta0.copy()
-    for i in range(n_steps):
-        k1 = gbar(th)
-        k2 = gbar(th + 0.5 * h * k1)
-        k3 = gbar(th + 0.5 * h * k2)
-        k4 = gbar(th + h * k3)
-        th = th + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(th)):
-            raise NonFinite((i + 1) * h)
-        ts[i + 1] = (i + 1) * h
-        vals[i + 1] = th
-    return MeanFlowPath(t=ts, theta=vals)
 
 
 def stationary_grid(system, thetas, beta, tol=1e-3, *, kind="lambda", jobs=1, **kwargs):

@@ -12,12 +12,12 @@ from qsakit.dynamics import TwoTimescaleSystem
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.lyapunov import (
     ExponentEstimate,
-    SensitivityState,
     exponent_grid,
     lyapunov_exponent,
     write_exponent_csv,
 )
 from qsakit.probing import make_frequency_basis
+from qsakit.systems import make_linear_system
 
 
 def scalar_decay_system():
@@ -58,20 +58,6 @@ def linear_model_system():
         make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]),
         dh_dlambda=lambda t, l, x: np.array([[-1.0 + x[1]]]),
     )
-
-
-class TestSensitivityState:
-    def test_rescale_accumulates_log(self):
-        st = SensitivityState(S=3.0 * np.eye(2), log_norm_accum=0.0, t=1.0)
-        st.rescale()
-        assert np.linalg.norm(st.S) == pytest.approx(1.0, abs=1e-14)
-        assert st.log_norm_accum == pytest.approx(np.log(3.0 * np.sqrt(2.0)))
-
-    def test_log_magnitude_invariant_under_rescale(self):
-        st = SensitivityState(S=np.diag([2.0, 0.5]), log_norm_accum=0.7, t=0.0)
-        before = st.log_magnitude()
-        st.rescale()
-        assert st.log_magnitude() == pytest.approx(before, abs=1e-14)
 
 
 class TestKnownSpectra:
@@ -159,6 +145,16 @@ class TestFailureModes:
                 est_sys, np.zeros(1), 1.0, np.full(1, 1e300), 400.0, step=0.03
             )
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_degenerate_norm(self):
+        # S grows about 1e6-fold per step yet stays finite; at the first
+        # unit-time rescale ||S||^2 overflows, so the norm is infinite
+        with pytest.raises(NonFinite, match="sensitivity norm degenerate") as info:
+            lyapunov_exponent(
+                matrix_system([[2000.0]]), np.zeros(1), 1.0, np.full(1, 1e-300), 10.0
+            )
+        assert info.value.time == pytest.approx(1.00719, abs=1e-5)
+
     def test_beta_validation(self):
         with pytest.raises(ConfigError):
             lyapunov_exponent(scalar_decay_system(), np.zeros(1), 0.0, np.ones(1), 10.0)
@@ -166,6 +162,12 @@ class TestFailureModes:
     def test_lambda0_shape(self):
         with pytest.raises(ConfigError):
             lyapunov_exponent(scalar_decay_system(), np.zeros(1), 1.0, np.ones(2), 10.0)
+
+    def test_theta_shape(self):
+        with pytest.raises(ConfigError, match="theta shape"):
+            lyapunov_exponent(
+                make_linear_system(), np.array([0.3, 99.0]), 0.1, np.zeros(1), 10.0
+            )
 
 
 class TestGridAndCsv:

@@ -2,8 +2,8 @@
 
 Oracles: closed-form equilibria of linear fast dynamics (lambda* = 2theta
 or -2theta), exact probe averages of trig polynomials (zero for pure
-tones), scalar linear mean-flow solutions, and a long-horizon coupled
-trajectory tail as an independent estimate of the root theta^beta.
+tones), and a long-horizon coupled trajectory tail as an independent
+estimate of the root theta^beta.
 """
 
 import io
@@ -16,16 +16,12 @@ from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, integrate
 from qsakit.errors import (
     ConfigError,
     NonConvergent,
-    NonFinite,
     SingularJacobian,
 )
-from qsakit.fourier import FourierField, PolyCoeff
 from qsakit.meanflow import (
-    MeanFlowPath,
     fast_equilibrium,
     find_root_g0,
     mean_field_g0,
-    mean_flow_solve,
     stationary_grid,
     write_grid_csv,
 )
@@ -204,105 +200,6 @@ class TestFindRoot:
         )
         with pytest.raises((NonConvergent, SingularJacobian)):
             find_root_g0(sys_, np.zeros(1), 0.5, burn_in=1.0, window=2.0)
-
-
-class TestMeanFlowSolve:
-    def test_linear_closed_form_fourier_route(self):
-        sys_ = linear_system(
-            fourier=_linear_field(), lambda_star=lambda th: -2.0 * th
-        )
-        path = mean_flow_solve(sys_, np.array([1.0]), 3.0, step=0.01)
-        expected = np.exp(-2.0 * path.t)
-        assert np.max(np.abs(path.theta[:, 0] - expected)) < 1e-6
-
-    def test_linear_closed_form_gmean_route(self):
-        sys_ = linear_system(
-            g_mean=lambda th, lam: 2.0 * (th + lam),
-            lambda_star=lambda th: -2.0 * th,
-        )
-        path = mean_flow_solve(sys_, np.array([1.0]), 3.0, step=0.01)
-        expected = np.exp(-2.0 * path.t)
-        assert np.max(np.abs(path.theta[:, 0] - expected)) < 1e-6
-
-    def test_zero_mean_field_constant(self):
-        sys_ = linear_system(
-            g_mean=lambda th, lam: np.zeros(1), lambda_star=lambda th: -2.0 * th
-        )
-        path = mean_flow_solve(sys_, np.array([0.7]), 2.0)
-        assert np.all(path.theta == 0.7)
-
-    def test_expensive_path_warns_and_matches(self):
-        c = 0.4
-
-        def g(theta, lam, xi):
-            return np.atleast_1d(-(theta[0] - c))
-
-        def h(theta, lam, xi):
-            return np.atleast_1d(2.0 * theta[0] - lam[0])
-
-        sys_ = TwoTimescaleSystem(1, 1, g, h, make_frequency_basis([(2, 1)]))
-        with pytest.warns(UserWarning, match="frozen-fast"):
-            path = mean_flow_solve(
-                sys_,
-                np.array([1.0]),
-                1.0,
-                step=0.1,
-                beta=1.0,
-                tol=0.01,
-                burn_in=5.0,
-                window=10.0,
-            )
-        expected = c + (1.0 - c) * np.exp(-path.t)
-        assert np.max(np.abs(path.theta[:, 0] - expected)) < 1e-5
-
-    def test_requires_beta_without_closed_form(self):
-        sys_ = linear_system()
-        with pytest.raises(ConfigError):
-            mean_flow_solve(sys_, np.array([1.0]), 1.0)
-
-    @pytest.mark.filterwarnings("ignore:overflow")
-    def test_finite_escape(self):
-        sys_ = linear_system(
-            g_mean=lambda th, lam: th**2, lambda_star=lambda th: -2.0 * th
-        )
-        with pytest.raises(NonFinite):
-            mean_flow_solve(sys_, np.array([3.0]), 5.0, step=0.05)
-
-    def test_returns_path_type(self):
-        sys_ = linear_system(
-            g_mean=lambda th, lam: np.zeros(1), lambda_star=lambda th: -2.0 * th
-        )
-        path = mean_flow_solve(sys_, np.array([0.0]), 1.0)
-        assert isinstance(path, MeanFlowPath)
-        assert path.t[0] == 0.0 and path.t[-1] == pytest.approx(1.0)
-
-
-def _linear_field(alpha=2.0, s1=1.0, s2=1.0):
-    n, p, K = 2, 2, 2
-    mean = PolyCoeff(
-        n,
-        p,
-        {(1, 0): np.array([alpha, -2.0]), (0, 1): np.array([alpha, -1.0])},
-    )
-    xi1 = PolyCoeff(
-        n, p, {(0, 0): np.array([s1 / 2, 0.0]), (1, 0): np.array([s1 / 2, 0.0])}
-    )
-    xi2 = PolyCoeff(
-        n, p, {(0, 0): np.array([0.0, s2 / 2]), (0, 1): np.array([0.0, s2 / 2])}
-    )
-    return FourierField(
-        1,
-        1,
-        p,
-        K,
-        {
-            (0, 0): mean,
-            (1, 0): xi1,
-            (-1, 0): xi1.conj(),
-            (0, 1): xi2,
-            (0, -1): xi2.conj(),
-        },
-    )
 
 
 class TestGrid:
