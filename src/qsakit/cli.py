@@ -92,16 +92,6 @@ def _prepare(resolved, subcommand, out):
     return system, x0
 
 
-def _require_mixed_gains(resolved, subcommand):
-    """Reject gains.mode values that the subcommand would silently ignore."""
-    mode = resolved["gains"]["mode"]
-    if mode != "mixed":
-        raise ConfigError(
-            f"{subcommand} runs only the mixed gain schedule; "
-            f"gains.mode must be 'mixed', got {mode!r}"
-        )
-
-
 def _require_default_rho(resolved, subcommand):
     """Reject a gains.rho that a frozen-slow subcommand would silently ignore."""
     rho, default = resolved["gains"]["rho"], cfg.DEFAULTS["gains"]["rho"]
@@ -135,7 +125,6 @@ def _cmd_simulate(resolved, out, jobs, filtered):
 
 
 def _cmd_sweep_fast(resolved, out, jobs, filtered):
-    _require_mixed_gains(resolved, "sweep-fast")
     system, x0 = _prepare(resolved, "sweep-fast", out)
     exp = resolved["experiment"]
     use_filter = filtered or resolved["filter"]["enabled"]
@@ -211,7 +200,6 @@ def _cmd_check_slow(resolved, out, jobs, filtered):
 
 
 def _cmd_bias(resolved, out, jobs, filtered):
-    _require_mixed_gains(resolved, "bias")
     _require_default_rho(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
@@ -274,7 +262,6 @@ def _cmd_pmf(resolved, out, jobs, filtered):
 
 
 def _cmd_lyapunov(resolved, out, jobs, filtered):
-    _require_mixed_gains(resolved, "lyapunov")
     _require_default_rho(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
@@ -289,7 +276,6 @@ def _cmd_lyapunov(resolved, out, jobs, filtered):
 
 
 def _cmd_meanflow_grid(resolved, out, jobs, filtered):
-    _require_mixed_gains(resolved, "meanflow-grid")
     _require_default_rho(resolved, "meanflow-grid")
     system, _ = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]

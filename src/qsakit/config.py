@@ -10,6 +10,7 @@ rejection is a ConfigError naming the violated constraint.
 
 import copy
 import json
+import numbers
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .filters import SecondOrderFilter, washout_filter
 from .systems import SYSTEMS, named_system
 
 DEFAULTS = {
-    "gains": {"rho": 0.7, "beta": 0.1, "mode": "mixed", "alpha0": 1.0},
+    "gains": {"rho": 0.7, "beta": 0.1},
     "system": {"name": "linear-3.1", "params": {}},
     "filter": {"enabled": False, "zeta": 0.7, "eta": 1.0},
     "esc": {
@@ -54,6 +55,15 @@ DEFAULTS = {
         "fd_step": 1e-3,
         "pmf_horizon": None,  # null defers to the suite's per-mode default
     },
+}
+
+#: real-valued keys that the run compares to a bound; resolve() rejects a
+#: value of another type before any comparison could raise TypeError
+BOUNDED_NUMBERS = {
+    "gains": ("rho", "beta"),
+    "filter": ("zeta", "eta"),
+    "esc": ("epsilon", "sigma", "sigma_p", "omega_h", "tolerance"),
+    "experiment": ("horizon", "horizon_scale", "horizon_cap", "tol"),
 }
 
 
@@ -100,6 +110,11 @@ def resolve(raw):
                 )
             resolved[section][key] = copy.deepcopy(value)
 
+    for section, keys in BOUNDED_NUMBERS.items():
+        for key in keys:
+            value = resolved[section][key]
+            if not _is_real(value):
+                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     build_schedule(resolved)
 
     filt = resolved["filter"]
@@ -119,24 +134,24 @@ def resolve(raw):
         raise ConfigError("system.params must be an object of keyword parameters")
 
     exp = resolved["experiment"]
-    if not exp["horizon"] > 0:
-        raise ConfigError(f"experiment.horizon must be positive, got {exp['horizon']}")
+    for key in ("horizon", "horizon_scale", "horizon_cap", "tol"):
+        if not exp[key] > 0:
+            raise ConfigError(f"experiment.{key} must be positive, got {exp[key]}")
     stride = exp["sample_stride"]
-    if not (isinstance(stride, int) and stride >= 1):
+    if isinstance(stride, bool) or not (isinstance(stride, int) and stride >= 1):
         raise ConfigError(
             f"experiment.sample_stride must be a positive integer, got {stride!r}"
         )
     betas = exp["beta_list"]
-    if not betas or any(not b > 0 for b in betas):
+    if not (
+        isinstance(betas, list)
+        and betas
+        and all(_is_real(b) and b > 0 for b in betas)
+    ):
         raise ConfigError(
             f"experiment.beta_list must be a non-empty list of positive gains, "
             f"got {betas!r}"
         )
-    if not exp["tol"] > 0:
-        raise ConfigError(f"experiment.tol must be positive, got {exp['tol']}")
-    for key in ("horizon_scale", "horizon_cap"):
-        if not exp[key] > 0:
-            raise ConfigError(f"experiment.{key} must be positive, got {exp[key]}")
     if exp["derivative"] not in ("analytic", "fd"):
         raise ConfigError(
             f"experiment.derivative must be 'analytic' or 'fd', "
@@ -151,13 +166,16 @@ def resolve(raw):
     return resolved
 
 
+def _is_real(value):
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def build_schedule(resolved, beta=None):
     gains = resolved["gains"]
     return GainSchedule(
         rho=gains["rho"],
         beta=gains["beta"] if beta is None else beta,
-        mode=gains["mode"],
-        alpha0=gains["alpha0"],
     )
 
 

@@ -45,63 +45,35 @@ from .probing import clock_phases, identity_map
 #: holds a Python object per stage, so it is kept short to bound memory
 _CHUNK = 1 << 10
 
-MODES = ("mixed", "constant", "vanishing")
-
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Time profiles of the slow gain a_t and the fast gain b_t.
+    """The mixed gain schedule of two-timescale QSA.
 
-    mixed (the supported regime): a_t = (1+t)^-rho with rho in (1/2, 1)
-    and constant fast gain b_t = beta.  The companion rate r_t = rho/(1+t)
-    satisfies da/dt = -r_t a_t exactly.  constant pins a_t = alpha0 (r = 0);
-    vanishing additionally decays the fast gain, b_t = beta (1+t)^(-rho/2).
-    Both alternatives are reachable for exploration but carry no tuning
-    guidance here.
+    The slow gain vanishes, a_t = (1+t)^-rho with rho in (1/2, 1), and the
+    fast gain is the constant b_t = beta > 0.  The companion rate
+    r_t = rho/(1+t) satisfies da/dt = -r_t a_t exactly.
     """
 
     rho: float
     beta: float
-    mode: str = "mixed"
-    alpha0: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.5 < self.rho < 1.0:
             raise ConfigError(f"rho must lie in (1/2, 1), got {self.rho}")
         if self.beta <= 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.mode == "constant" and self.alpha0 <= 0:
-            raise ConfigError(f"alpha0 must be positive, got {self.alpha0}")
 
     def gains_at(self, t):
         """(a_t, r_t) with da/dt = -r_t a_t."""
-        if self.mode == "constant":
-            return self.alpha0, 0.0
         u = 1.0 + t
         return u**-self.rho, self.rho / u
 
-    def fast_gain_at(self, t):
-        if self.mode == "vanishing":
-            return self.beta * (1.0 + t) ** (-0.5 * self.rho)
-        return self.beta
-
     def slow_gain_array(self, ts):
-        if self.mode == "constant":
-            return np.full(len(ts), self.alpha0)
         return (1.0 + ts) ** -self.rho
 
     def fast_gain_array(self, ts):
-        if self.mode == "vanishing":
-            return self.beta * (1.0 + ts) ** (-0.5 * self.rho)
         return np.full(len(ts), self.beta)
-
-
-def gains_at(schedule, t):
-    """Instantaneous gain triple (a_t, r_t, b_t) of a schedule."""
-    a, r = schedule.gains_at(t)
-    return a, r, schedule.fast_gain_at(t)
 
 
 def _lattice(count, dim, lo=-1.0, hi=1.0):

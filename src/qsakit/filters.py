@@ -111,18 +111,3 @@ class SecondOrderFilter:
     def transfer(self, s):
         g = self.gamma
         return g**2 / (complex(s) ** 2 + 2 * self.zeta * g * s + g**2)
-
-    def derivatives(self, lam_filtered, dlam_filtered, lam):
-        g = self.gamma
-        acc = g**2 * (lam - lam_filtered) - 2.0 * self.zeta * g * dlam_filtered
-        return dlam_filtered, acc
-
-
-def bode_table(filt, omegas):
-    """Rows (omega, |M(j omega)|, arg M(j omega)) for CSV export."""
-    rows = np.zeros((len(omegas), 3))
-    for i, w in enumerate(omegas):
-        s = 1j * w
-        m = transfer(filt, s) if isinstance(filt, StateSpaceFilter) else filt.transfer(s)
-        rows[i] = (w, abs(m), np.angle(m))
-    return rows

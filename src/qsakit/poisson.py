@@ -131,8 +131,6 @@ def upsilon_blocks(f, basis):
 # dr/dt = -r^2/rho, so polynomials in (a, r) are closed under d/dt:
 #
 #     d/dt a^p r^q = -(p + q/rho) a^p r^{q+1}.
-#
-# Constant gains are the special case r = 0, where every derivative vanishes.
 
 
 def _powers(base, top):

@@ -21,6 +21,7 @@ from qsakit.cli import (
     EXIT_CONFIG,
     EXIT_NONFINITE,
     EXIT_OK,
+    HANDLERS,
     assert_seedless,
     main,
     run,
@@ -41,12 +42,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_resolve_fills_all_defaults():
     resolved = resolve({})
-    assert resolved["gains"] == {
-        "rho": 0.7,
-        "beta": 0.1,
-        "mode": "mixed",
-        "alpha0": 1.0,
-    }
+    assert resolved["gains"] == {"rho": 0.7, "beta": 0.1}
     assert resolved["system"]["name"] == "linear-3.1"
     assert resolved["filter"]["enabled"] is False
     # Mutating a resolved config must not leak into the defaults.
@@ -81,6 +77,21 @@ def test_resolve_names_violated_constraints():
         resolve({"experiment": {"grid_kind": "gradient"}})
     with pytest.raises(ConfigError, match="unknown config section"):
         resolve({"probing": {"pairs": [[2, 1], [4, 2]]}})
+    # Values of the wrong type are named, never a TypeError from a comparison.
+    for raw, name in [
+        ({"gains": {"rho": "0.7"}}, "gains.rho"),
+        ({"gains": {"beta": None}}, "gains.beta"),
+        ({"gains": {"beta": True}}, "gains.beta"),
+        ({"filter": {"zeta": "0.5"}}, "filter.zeta"),
+        ({"esc": {"epsilon": "0.1"}}, "esc.epsilon"),
+        ({"experiment": {"horizon": "5"}}, "experiment.horizon"),
+        ({"experiment": {"tol": None}}, "experiment.tol"),
+        ({"experiment": {"beta_list": ["0.1"]}}, "experiment.beta_list"),
+        ({"experiment": {"beta_list": 0.1}}, "experiment.beta_list"),
+        ({"experiment": {"sample_stride": True}}, "experiment.sample_stride"),
+    ]:
+        with pytest.raises(ConfigError, match=name):
+            resolve(raw)
 
 
 positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
@@ -93,8 +104,6 @@ valid_configs = st.fixed_dictionaries(
             optional={
                 "rho": st.floats(0.51, 0.99),
                 "beta": positive,
-                "mode": st.sampled_from(["mixed", "constant", "vanishing"]),
-                "alpha0": positive,
             },
         ),
         "filter": st.fixed_dictionaries(
@@ -158,6 +167,11 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert run(cfg, "simulate", out_dir=tmp_path / "o") == EXIT_CONFIG
     assert "rho must lie in (1/2, 1)" in capsys.readouterr().err
     assert run(cfg, "nonsense", out_dir=tmp_path / "o") == EXIT_CONFIG
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"gains": {"beta": "0.1"}})
+    assert run(cfg, "simulate", out_dir=tmp_path / "o") == EXIT_CONFIG
+    assert "gains.beta must be a number, got '0.1'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_x0_shape_mismatch_exits_2(tmp_path, capsys):
@@ -260,14 +274,6 @@ def test_sweep_fast_band_failure_exits_4(tmp_path, capsys):
     assert "outside the [1.7, 2.3] band" in capsys.readouterr().err
 
 
-def test_sweep_fast_rejects_non_mixed_gains(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"gains": {"mode": "constant"}})
-    out = tmp_path / "o"
-    assert run(cfg, "sweep-fast", out_dir=out) == EXIT_CONFIG
-    assert "gains.mode must be 'mixed', got 'constant'" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-
-
 def test_check_slow_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -294,24 +300,16 @@ def test_bias_subcommand_symmetric(tmp_path):
     assert record["outcome"] == "symmetric-no-bias"
 
 
-def test_bias_rejects_non_mixed_gains(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"gains": {"mode": "vanishing"}})
-    out = tmp_path / "o"
-    assert run(cfg, "bias", out_dir=out) == EXIT_CONFIG
-    assert "gains.mode must be 'mixed', got 'vanishing'" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "subcommand, mode, artifact",
-    [("lyapunov", "constant", "lyapunov.csv"), ("meanflow-grid", "vanishing", "grid.csv")],
-)
-def test_beta_only_subcommands_reject_non_mixed_gains(tmp_path, capsys, subcommand, mode, artifact):
-    cfg = write_config(tmp_path, {"gains": {"mode": mode}})
+@pytest.mark.parametrize("subcommand", sorted(HANDLERS))
+@pytest.mark.parametrize("gains", [{"mode": "mixed"}, {"alpha0": 1.0}], ids=["mode", "alpha0"])
+def test_removed_gain_keys_rejected(tmp_path, capsys, subcommand, gains):
+    # Only the mixed schedule exists: configs that still spell gains.mode
+    # or gains.alpha0 fail before any output is written.
+    cfg = write_config(tmp_path, {"gains": gains})
     out = tmp_path / "o"
     assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
-    assert f"gains.mode must be 'mixed', got '{mode}'" in capsys.readouterr().err
-    assert not (out / artifact).exists()
+    assert "unknown key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from qsakit.errors import ConfigError, SingularF, SingularResolvent
 from qsakit.filters import (
     SecondOrderFilter,
     StateSpaceFilter,
-    bode_table,
     gamma0,
     passivity_metric,
     transfer,
@@ -129,14 +128,6 @@ class TestSecondOrder:
         for s in [0.0, 0.1j, 1.0, 1j * g, 3.0 + 2.0j]:
             assert abs(filt.transfer(s) - transfer(ss, s)) < 1e-12
 
-    def test_derivatives_consistent_with_ode(self):
-        filt = SecondOrderFilter(beta=1.0, zeta=0.7, eta=0.5)
-        g = filt.gamma
-        lam_f, v, lam = 0.3, -0.2, 1.1
-        dlf, dv = filt.derivatives(lam_f, v, lam)
-        assert dlf == v
-        assert dv == pytest.approx(g**2 * (lam - lam_f) - 2 * filt.zeta * g * v)
-
     def test_probe_attenuation_bound(self):
         # beyond ten natural frequencies the gain rolls off at least as
         # (gamma/omega)^2 up to the stated damping factor
@@ -145,21 +136,3 @@ class TestSecondOrder:
         for w in np.geomspace(10 * g, 1e4 * g, 40):
             bound = (g / w) ** 2 * (1 + 2 * filt.zeta)
             assert abs(filt.transfer(1j * w)) <= bound
-
-
-class TestBode:
-    def test_rows_match_transfer(self):
-        filt = SecondOrderFilter(beta=0.5)
-        omegas = np.geomspace(1e-2, 1e2, 7)
-        rows = bode_table(filt, omegas)
-        assert rows.shape == (7, 3)
-        for w, mag, ph in rows:
-            m = filt.transfer(1j * w)
-            assert mag == pytest.approx(abs(m))
-            assert ph == pytest.approx(np.angle(m))
-
-    def test_washout_magnitude_increases(self):
-        rows = bode_table(washout_filter(1.0), np.geomspace(1e-3, 1e3, 13))
-        mags = rows[:, 1]
-        assert np.all(np.diff(mags) > 0)
-        assert mags[0] < 1e-2 and abs(mags[-1] - 1) < 1e-5

@@ -378,10 +378,10 @@ def test_linear_plain_across_a_chunk_boundary():
     )
 
 
-def test_linear_with_offsets_and_constant_gain():
+def test_linear_with_offsets():
     params = dict(alpha=1.5, s=(0.7, 1.3), b=(0.2, -0.4))
     system, ref_system = make_linear_system(**params), reference_linear(**params)
-    sched = GainSchedule(rho=0.7, beta=0.2, mode="constant", alpha0=0.5)
+    sched = GainSchedule(rho=0.7, beta=0.2)
     assert_same(
         integrate(system, sched, X0, 30.0),
         reference_integrate(ref_system, sched, X0, 30.0),
@@ -389,10 +389,9 @@ def test_linear_with_offsets_and_constant_gain():
 
 
 @pytest.mark.parametrize("filter_init", [None, (np.array([0.4]), np.array([-1.1]))])
-@pytest.mark.parametrize("mode", ["mixed", "vanishing"])
-def test_linear_filtered(filter_init, mode):
+def test_linear_filtered(filter_init):
     system, ref_system = make_linear_system(), reference_linear()
-    sched = GainSchedule(rho=0.7, beta=0.16, mode=mode)
+    sched = GainSchedule(rho=0.7, beta=0.16)
     filt = SecondOrderFilter(sched.beta)
     kw = dict(filt=filt, filter_init=filter_init)
     assert_same(
@@ -449,7 +448,7 @@ def test_blow_up_time():
     system = TwoTimescaleSystem(
         1, 1, lambda t, l, x: np.atleast_1d(t[0] ** 2), lambda t, l, x: np.zeros(1), basis
     )
-    sched = GainSchedule(rho=0.7, beta=0.1, mode="constant")
+    sched = GainSchedule(rho=0.7, beta=0.1)
     x0 = (np.array([2.0]), np.zeros(1))
     with pytest.raises(NonFinite) as got:
         integrate(system, sched, x0, 10.0)
