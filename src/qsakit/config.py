@@ -66,6 +66,18 @@ BOUNDED_NUMBERS = {
     "experiment": ("horizon", "horizon_scale", "horizon_cap", "tol"),
 }
 
+#: keys holding one point, null where the default is computed; resolve()
+#: rejects a non-numeric entry before numpy could fail on it mid-run
+POINTS = (
+    ("experiment", "theta0"),
+    ("experiment", "lambda0"),
+    ("esc", "theta_ctr"),
+)
+
+#: experiment keys where null defers to a heuristic and a number must be
+#: a positive time
+OPTIONAL_POSITIVE = ("pmf_horizon", "burn_in", "window")
+
 
 def load_config(path):
     """Parse the JSON document at path; None means an empty document."""
@@ -115,6 +127,21 @@ def resolve(raw):
             value = resolved[section][key]
             if not _is_real(value):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    for section, key in POINTS:
+        value = resolved[section][key]
+        if value is not None and not _is_point(value):
+            raise ConfigError(
+                f"{section}.{key} must be a number or a list of numbers, got {value!r}"
+            )
+    for key in OPTIONAL_POSITIVE:
+        value = resolved["experiment"][key]
+        if value is not None and not (_is_real(value) and value > 0):
+            raise ConfigError(
+                f"experiment.{key} must be null or a positive number, got {value!r}"
+            )
+    dim = resolved["esc"]["dim"]
+    if not _is_count(dim):
+        raise ConfigError(f"esc.dim must be a positive integer, got {dim!r}")
     build_schedule(resolved)
 
     filt = resolved["filter"]
@@ -138,7 +165,7 @@ def resolve(raw):
         if not exp[key] > 0:
             raise ConfigError(f"experiment.{key} must be positive, got {exp[key]}")
     stride = exp["sample_stride"]
-    if isinstance(stride, bool) or not (isinstance(stride, int) and stride >= 1):
+    if not _is_count(stride):
         raise ConfigError(
             f"experiment.sample_stride must be a positive integer, got {stride!r}"
         )
@@ -161,14 +188,28 @@ def resolve(raw):
         raise ConfigError(
             f"experiment.grid_kind must be 'lambda' or 'g0', got {exp['grid_kind']!r}"
         )
-    if not exp["theta_grid"]:
-        raise ConfigError("experiment.theta_grid must be non-empty")
+    grid = exp["theta_grid"]
+    if not (isinstance(grid, list) and grid and all(map(_is_point, grid))):
+        raise ConfigError(
+            "experiment.theta_grid must be a non-empty list of numbers or lists "
+            f"of numbers, got {grid!r}"
+        )
     return resolved
 
 
 def _is_real(value):
     """A JSON number: int or float, but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    """A positive JSON integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_point(value):
+    """A number, or a list of numbers: one point of the state space."""
+    return _is_real(value) or (isinstance(value, list) and all(map(_is_real, value)))
 
 
 def build_schedule(resolved, beta=None):

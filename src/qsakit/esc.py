@@ -29,6 +29,20 @@ last one.  The objective-scaled probe amplitude eps(theta) is likewise
 evaluated once per distinct theta, so a frozen-fast run computes it once.
 Objectives, external commands included, must therefore be deterministic
 functions of the point.
+
+The field callbacks compute on Python floats, since numpy's per-call cost
+dominates on arrays of one or two elements, and return lists.  Each float
+operation is the one numpy performs per element, in numpy's order, so
+every result rounds exactly as the array expression did: the probed point
+is t + eps*x per coordinate (handed to the objective as one float64
+array), the probe term -x_check * filtered, the slow term -sigma*(t - c).
+The washout products F lambda and H'lambda are floats only at order 1,
+where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
+turns a -0.0 product into +0.0.  At order >= 2 numpy computes them, since
+a sequential float sum does not follow its summation order (BLAS, FMA):
+on random order-2 inputs it differs from numpy's dot in about a quarter
+of cases and from its matvec in nearly half.  Every washout a config
+builds is order 1.
 """
 
 from __future__ import annotations
@@ -302,8 +316,13 @@ def probing_gain(config, theta) -> float:
 
 
 def _measure(config, theta, xi, eps) -> float:
-    """f(theta + eps xi) / eps for float arrays theta and xi, eps = eps(theta)."""
-    return _objective_value(config, theta + eps * xi) / eps
+    """f(theta + eps xi) / eps for float arrays theta and xi, eps = eps(theta).
+
+    The probed point is built on Python floats, t + eps*x per element as
+    numpy would, and reaches the objective as one float64 (d,) array.
+    """
+    point = np.array([t + eps * x for t, x in zip(theta.tolist(), xi.tolist())])
+    return _objective_value(config, point) / eps
 
 
 def normalized_observation(config, theta, xi) -> float:
@@ -421,6 +440,12 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     reference runs use 1).  The objective is measured once per distinct
     (theta, xi) stage point, and eps(theta) computed once per distinct
     theta, so the objective must be deterministic.
+
+    g, g_probe and, for a first-order washout, h return lists of Python
+    floats computed in numpy's operation order, so they round exactly as
+    the array expressions did (F lam and H'lam as 0.0 + m*l); h of a
+    washout of order >= 2 is numpy's F @ lam + G * measurement.  Inputs
+    may be lists or integer arrays.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -463,21 +488,46 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         memo = (key, value)
         return value
 
-    def h_cb(theta, lam, xi):
-        return F @ lam + G * observe(theta, xi[:d])
+    # F lam and H'lam: 0.0 + m*l on floats at order 1, numpy's own product
+    # at order >= 2 (module docstring)
+    if washout.order == 1:
+        f1, g1, h1 = F.item(), G.item(), H.item()
+
+        def h_cb(theta, lam, xi):
+            return [0.0 + f1 * float(lam[0]) + g1 * observe(theta, xi[:d])]
+
+        def state_output(lam):
+            return 0.0 + h1 * float(lam[0])
+    else:
+        def h_cb(theta, lam, xi):
+            return F @ lam + G * observe(theta, xi[:d])
+
+        def state_output(lam):
+            return float(H @ lam)
 
     def probe_term(theta, lam, xi):
-        filtered = float(H @ lam) + J * observe(theta, xi[:d])
-        return -xi[d:] * filtered
+        filtered = state_output(lam) + J * observe(theta, xi[:d])
+        return [-v * filtered for v in xi[d:].tolist()]
+
+    ctr_floats = ctr.tolist()
+    # negated before the conversion, as numpy negates it: an integer sigma
+    # of 0 gives +0.0, not -0.0
+    neg_sigma = float(-sigma)
+
+    def slow_term(theta):
+        theta = np.asarray(theta, dtype=float).tolist()
+        return [neg_sigma * (t - c) for t, c in zip(theta, ctr_floats)]
 
     if config.single_at:
         def g_cb(theta, lam, xi):
-            return -sigma * (theta - ctr) + probe_term(theta, lam, xi)
+            return [
+                s + p for s, p in zip(slow_term(theta), probe_term(theta, lam, xi))
+            ]
 
         g_probe = None
     else:
         def g_cb(theta, lam, xi):
-            return -sigma * (theta - ctr)
+            return slow_term(theta)
 
         g_probe = probe_term
 

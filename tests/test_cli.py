@@ -89,6 +89,24 @@ def test_resolve_names_violated_constraints():
         ({"experiment": {"beta_list": ["0.1"]}}, "experiment.beta_list"),
         ({"experiment": {"beta_list": 0.1}}, "experiment.beta_list"),
         ({"experiment": {"sample_stride": True}}, "experiment.sample_stride"),
+        ({"experiment": {"theta0": ["abc"]}}, "experiment.theta0"),
+        ({"experiment": {"theta0": "0.5"}}, "experiment.theta0"),
+        ({"experiment": {"lambda0": [0.1, False]}}, "experiment.lambda0"),
+        ({"experiment": {"lambda0": [[0.1]]}}, "experiment.lambda0"),
+        ({"experiment": {"theta_grid": ["a"]}}, "experiment.theta_grid"),
+        ({"experiment": {"theta_grid": [[0.1, None]]}}, "experiment.theta_grid"),
+        ({"experiment": {"theta_grid": 0.5}}, "experiment.theta_grid"),
+        ({"experiment": {"theta_grid": []}}, "experiment.theta_grid"),
+        ({"esc": {"theta_ctr": [True]}}, "esc.theta_ctr"),
+        ({"esc": {"dim": True}}, "esc.dim"),
+        ({"esc": {"dim": 1.0}}, "esc.dim"),
+        ({"esc": {"dim": 0}}, "esc.dim"),
+        ({"esc": {"dim": None}}, "esc.dim"),
+        ({"experiment": {"pmf_horizon": "5"}}, "experiment.pmf_horizon"),
+        ({"experiment": {"pmf_horizon": 0.0}}, "experiment.pmf_horizon"),
+        ({"experiment": {"burn_in": -1.0}}, "experiment.burn_in"),
+        ({"experiment": {"burn_in": True}}, "experiment.burn_in"),
+        ({"experiment": {"window": [400.0]}}, "experiment.window"),
     ]:
         with pytest.raises(ConfigError, match=name):
             resolve(raw)
@@ -171,6 +189,15 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"gains": {"beta": "0.1"}})
     assert run(cfg, "simulate", out_dir=tmp_path / "o") == EXIT_CONFIG
     assert "gains.beta must be a number, got '0.1'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_boolean_esc_dim_exits_2_before_output(tmp_path, capsys):
+    # resolve used to pass a boolean dim, which then failed inside the
+    # seeker with a TypeError and exit 1 after the output directory existed
+    cfg = write_config(tmp_path, {"esc": {"dim": True}})
+    assert run(cfg, "esc", out_dir=tmp_path / "o") == EXIT_CONFIG
+    assert "esc.dim must be a positive integer, got True" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

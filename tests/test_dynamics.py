@@ -503,6 +503,33 @@ class TestCallbackLengths:
             assert np.array_equal(got.theta, want.theta)
             assert np.array_equal(got.lam, want.lam)
 
+    @pytest.mark.parametrize("kernel", ["coupled", "frozen"])
+    def test_lists_fill_a_block(self, kernel):
+        # lists of Python floats skip the array round trip; lists holding
+        # other numbers take it and must give the same run
+        def as_array(t, l, x):
+            return np.array([0.3 - l[1] + x[0] * t[0], -0.5 * l[0]])
+
+        def as_floats(t, l, x):
+            return as_array(t, l, x).tolist()
+
+        def as_mixed(t, l, x):
+            return [np.float64(v) for v in as_floats(t, l, x)]
+
+        def ints_in_h(t, l, x):
+            return [1, -2]
+
+        want = self._run(kernel, (1, 2), h=as_array)
+        for cb in (as_floats, as_mixed):
+            got = self._run(kernel, (1, 2), h=cb)
+            assert np.array_equal(got.lam, want.lam)
+        assert np.array_equal(
+            self._run(kernel, (1, 2), h=ints_in_h).lam,
+            self._run(kernel, (1, 2), h=lambda t, l, x: np.array([1.0, -2.0])).lam,
+        )
+        with pytest.raises(ConfigError, match=r"^h returned 1 value\(s\), expected 2$"):
+            self._run(kernel, (1, 2), h=lambda t, l, x: [0.5])
+
 
 class TestTrajectoryCsv:
     def test_header_and_roundtrip(self):

@@ -440,6 +440,42 @@ class TestBuildSystem:
         val = system.g_mean(np.array([2.0]), np.zeros(1))
         assert val[0] == pytest.approx(-d1_moments[0][0, 0], abs=1e-6)
 
+    @pytest.mark.parametrize("gain_kind", ["constant", "objective_scaled"])
+    def test_objective_receives_float64_points(self, gain_kind):
+        # a plain callable sees the point exactly as the seeker builds it
+        seen = set()
+
+        def fn(th):
+            seen.add((type(th), th.dtype, th.shape))
+            return 0.5 * float(th @ th)
+
+        config = EscConfig(objective=fn, epsilon=0.1, dim=2, gain_kind=gain_kind)
+        system = build_esc_system(config)
+        integrate(
+            system, GainSchedule(rho=0.7, beta=1.0), (np.array([0.3, -0.2]), np.zeros(1)), 2.0
+        )
+        integrate_frozen_fast(system, np.array([0.3, -0.2]), np.zeros(1), 1.0, 2.0)
+        system.h([1, 2], np.zeros(1), np.array([1, 0, 0, 0]))
+        assert seen == {(np.ndarray, np.dtype(np.float64), (2,))}
+
+    def test_negative_objective_message(self):
+        config = EscConfig(
+            objective=Objective(lambda th: float(th[0])),
+            epsilon=0.1,
+            gain_kind="objective_scaled",
+        )
+        system = build_esc_system(config)
+        tail = "; the objective-scaled probing gain needs a nonnegative objective"
+        # eps(theta) = 0.1 sqrt(1.05) passes; the probed point 0.05 - eps does not
+        with pytest.raises(NegativeObjective) as err:
+            system.h(np.array([0.05]), np.zeros(1), np.array([-1.0, 0.0]))
+        assert str(err.value) == "objective value -0.0524695 at [-0.05247]" + tail
+        with pytest.raises(NegativeObjective) as err:
+            integrate(
+                system, GainSchedule(rho=0.7, beta=1.0), (np.array([-0.25]), np.zeros(1)), 1.0
+            )
+        assert str(err.value) == "objective value -0.25 at [-0.25]" + tail
+
     def test_theta_star_passthrough(self):
         system = build_esc_system(quad_config(), theta_star=[1.0])
         assert np.allclose(system.theta_star, [1.0])

@@ -39,7 +39,7 @@ from qsakit.esc import (
     quadratic_objective,
     quartic_objective,
 )
-from qsakit.filters import SecondOrderFilter
+from qsakit.filters import SecondOrderFilter, StateSpaceFilter
 from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
@@ -716,3 +716,105 @@ def test_esc_eps_memo_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- extremum seeker: the float callbacks at the edges of their rounding rule --
+
+#: a two-pole washout s^2 / (s^2 + 1.4 s + 1): F, G and H all have two
+#: nonzero entries, so h runs numpy's order-2 matvec and dot
+PLANAR_WASHOUT = StateSpaceFilter(
+    F=[[0.0, 1.0], [-1.0, -1.4]], G=[0.0, 1.0], H=[-1.0, -1.4], J=1.0
+)
+
+
+def planar_pair(single_at):
+    kw = dict(dim=1, epsilon=0.1, sigma=0.1, washout=PLANAR_WASHOUT, single_at=single_at)
+    system = build_esc_system(EscConfig(objective=quadratic_objective(center=1.0), **kw))
+    ref = reference_esc(EscConfig(objective=reference_quadratic(center=1.0), **kw))
+    assert system.dim_fast == 2
+    return system, ref
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_planar_washout_coupled(single_at):
+    system, ref = planar_pair(single_at)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = (np.array([0.3]), np.array([0.1, -0.2]))
+    assert_same(
+        integrate(system, sched, x0, 40.0),
+        reference_integrate(ref, sched, x0, 40.0),
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_esc_planar_washout_frozen_fast(stride):
+    system, ref = planar_pair(False)
+    args = (np.array([0.7]), np.array([0.2, -0.1]), 1.0, 50.0)
+    assert_same(
+        integrate_frozen_fast(system, *args, sample_stride=stride),
+        reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
+    )
+
+
+def zero_pair(single_at):
+    """A seeker whose washout state stays at exactly 0.0 for the whole run.
+
+    The flat objective evaluates to -0.0 (as -0.5 * 0.0 does), so every
+    measurement is -0.0 and F*lambda, H*lambda at lambda = 0.0 are -0.0
+    products.  Whether a field output is +0.0 or -0.0 then depends on
+    rounding the 1x1 matvec and dot as numpy does (0.0 + m*l); sigma pulls
+    theta toward the center so the slow state still moves.
+    """
+    kw = dict(dim=1, epsilon=0.1, sigma=0.5, theta_ctr=[0.2], single_at=single_at)
+    flat = Objective(lambda th: -0.0)
+    return build_esc_system(EscConfig(objective=flat, **kw)), reference_esc(
+        EscConfig(objective=flat, **kw)
+    )
+
+
+def _recorded(system, log):
+    """The system with g, h and g_probe wrapped to log the bits of each
+    output, so that a -0.0 where the reference has +0.0 shows."""
+    rec = copy.copy(system)
+    for name in ("g", "h", "g_probe"):
+        cb = getattr(system, name)
+        if cb is not None:
+            setattr(rec, name, _logged(cb, name, log))
+    return rec
+
+
+def _logged(cb, name, log):
+    def wrapped(theta, lam, xi):
+        out = cb(theta, lam, xi)
+        log.append((name, np.asarray(out, dtype=float).tobytes()))
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_fast_state_at_signed_zero_coupled(single_at):
+    system, ref = zero_pair(single_at)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = (np.array([0.4]), np.array([0.0]))
+    got_log, want_log = [], []
+    got = integrate(_recorded(system, got_log), sched, x0, 20.0)
+    want = reference_integrate(_recorded(ref, want_log), sched, x0, 20.0)
+    assert_same(got, want)
+    assert got.lam.tobytes() == want.lam.tobytes()
+    assert not got.lam.any() and got.theta[-1, 0] < 0.3
+    assert len(got_log) == len(want_log) > 0
+    assert got_log == want_log
+
+
+def test_esc_fast_state_at_signed_zero_frozen_fast():
+    system, ref = zero_pair(True)
+    args = (np.array([0.4]), np.array([0.0]), 1.0, 20.0)
+    got_log, want_log = [], []
+    got = integrate_frozen_fast(_recorded(system, got_log), *args)
+    want = reference_integrate_frozen_fast(_recorded(ref, want_log), *args)
+    assert_same(got, want)
+    assert got.lam.tobytes() == want.lam.tobytes()
+    assert not got.lam.any()
+    assert len(got_log) == len(want_log) > 0
+    assert got_log == want_log
