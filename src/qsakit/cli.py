@@ -393,8 +393,10 @@ def build_parser():
         metavar="N",
         type=int,
         default=1,
-        help="worker threads for sweep points and grid evaluations (default: 1; "
-        "the work holds the interpreter lock, so more threads do not run faster)",
+        help="worker threads for the sweep points and grid evaluations of "
+        "sweep-fast, bias, lyapunov and meanflow-grid (default: 1; the other "
+        "subcommands reject N > 1; the work holds the interpreter lock, so more "
+        "threads do not run faster)",
     )
     common.add_argument(
         "--seedless",
@@ -430,10 +432,17 @@ def build_parser():
     return parser
 
 
+#: subcommands that run a single computation and never read --jobs
+SINGLE_JOB = ("simulate", "check-slow", "pmf", "esc")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.jobs > 1 and args.subcommand in SINGLE_JOB:
+        print(f"error: --jobs has no effect on {args.subcommand}", file=sys.stderr)
         return EXIT_CONFIG
     return run(
         args.config,

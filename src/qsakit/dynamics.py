@@ -16,7 +16,9 @@ Lambda; Lambda^F; dLambda^F] and ride along in the same RK4 step, but
 neither field reads them, so Theta and Lambda are the same with or
 without the filter.  Probing phases are never integrated: they are
 recomputed from t at every stage, so trajectories are reproducible bit
-for bit.
+for bit.  A frozen-fast run can also record a field along the way: the
+kernel's record hook sees each sample's state and probe vector, which is
+how qsakit.meanflow averages the slow field in the same pass.
 
 Between stages the kernel holds the stacked state and the four stage
 derivatives as lists of Python floats.  Each stage builds one float64
@@ -142,7 +144,7 @@ class TwoTimescaleSystem:
 
     def analysis_g(self, theta, lam, xi):
         """Slow field with unit-weight probing feedback, used for averaging."""
-        val = np.atleast_1d(np.asarray(self.g(theta, lam, xi), dtype=float))
+        val = np.array(self.g(theta, lam, xi), dtype=float, ndmin=1)
         if self.g_probe is not None:
             val = val + np.asarray(self.g_probe(theta, lam, xi), dtype=float)
         return val
@@ -273,7 +275,7 @@ def _pinned_gains(beta):
     return gains
 
 
-def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0):
+def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
     The stack is [theta; lambda] (with the filter's states appended) for
@@ -296,6 +298,15 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0):
     sample_stride steps from start, plus the final time) and the (n, D)
     buffer of states there.  Raises NonFinite at the end of the first
     step that leaves x non-finite.
+
+    record, when given, is called as record(x, xi) once per sample, in
+    sample order, with the sample's state (x is its row of the returned
+    buffer, to be read, not written) and the probe vector at its time:
+    the stage xi of index 2i, whose time is the sample time bit for bit.
+    It fires at every sampled step before that step is taken, and once
+    more at the final sample, so a caller can fill a preallocated buffer
+    with a field evaluated along the run instead of rebuilding the probe
+    from the samples afterwards.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
@@ -313,10 +324,12 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0):
         a_all, b_all = gains(ts)
         for i in range(m):
             gi = chunk + i
+            j = 2 * i
             if gi % sample_stride == 0:
                 samples[cursor] = x
+                if record is not None:
+                    record(samples[cursor], xis[j])
                 cursor += 1
-            j = 2 * i
             xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]
             k1 = rhs(x, xis[j], a_all[j], b_all[j])
             k2 = rhs([v + half * k for v, k in zip(x, k1)], xim, am, bm)
@@ -331,6 +344,8 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0):
             if not all(map(isfinite, x)):
                 raise NonFinite((start + gi + 1) * h)
     samples[cursor] = x
+    if record is not None:
+        record(samples[cursor], xis[2 * m])
     return (start + steps) * h, samples
 
 
@@ -426,7 +441,7 @@ def integrate(
 
 
 def integrate_frozen_fast(
-    system, theta, lambda0, beta, horizon, *, step=None, sample_stride=1
+    system, theta, lambda0, beta, horizon, *, step=None, sample_stride=1, _record=None
 ):
     """Integrate the fast variable alone with the slow one pinned:
 
@@ -434,6 +449,8 @@ def integrate_frozen_fast(
 
     The RK4 kernel advances Lambda alone.  Returns a Trajectory whose theta
     block repeats the frozen value and whose slow-gain column is zero.
+    _record is the kernel's record(x, xi) hook (see _rk4), for
+    qsakit.meanflow, which averages the slow field along the run.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -450,7 +467,8 @@ def integrate_frozen_fast(
         return [b * v for v in _floats(h_cb(theta, np.array(x), xi), df, "h")]
 
     t, lam_samp = _rk4(
-        rhs, lam.tolist(), h, n_steps, sample_stride, system, _pinned_gains(beta)
+        rhs, lam.tolist(), h, n_steps, sample_stride, system, _pinned_gains(beta),
+        record=_record,
     )
     n = t.shape[0]
     return Trajectory(

@@ -27,8 +27,11 @@ the slow and fast fields of one RK4 stage share a measurement, and a stage
 point that repeats (the frozen-fast midpoint and step boundary) reuses the
 last one.  The objective-scaled probe amplitude eps(theta) is likewise
 evaluated once per distinct theta, so a frozen-fast run computes it once.
-Objectives, external commands included, must therefore be deterministic
-functions of the point.
+The averaged read-out reuses the run's measurements: qsakit.meanflow
+records the slow field at each sample inside the frozen-fast run, where
+the neighbouring stage has just measured at the same point.  Objectives,
+external commands included, must therefore be deterministic functions of
+the point.
 
 The field callbacks compute on Python floats, since numpy's per-call cost
 dominates on arrays of one or two elements, and return lists.  Each float

@@ -2,7 +2,10 @@
 
 Everything here reduces to time averages along frozen-fast trajectories:
 the fast equilibrium map lambda*(theta) (up to O(beta) ripple), the
-effective slow field gbar0(theta) and its root theta^beta.
+effective slow field gbar0(theta) and its root theta^beta.  Each average
+takes one pass over its run: the fast equilibrium averages the sampled
+Lambda, and gbar0 averages the slow field that the RK4 kernel's record
+hook evaluates at each post-burn-in sample during the run.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate_frozen_fast
+from .dynamics import _resolve_step, integrate_frozen_fast
 from .errors import ConfigError, NonConvergent, SingularJacobian
 
 MAX_NEWTON_ITERATIONS = 100
@@ -27,24 +30,51 @@ class StationaryEstimate:
     horizon: float
 
 
-def _windowed_run(system, theta, beta, burn_in, window, lambda0):
+def _windowed_run(system, theta, beta, burn_in, window, lambda0, field=None):
     """Frozen-fast trajectory spanning a burn-in plus two averaging windows.
 
     Defaults: 20 fast time constants of burn-in, windows of 100 periods of
     the slowest probe tone.  Two windows are integrated so convergence can
-    be judged by comparing their averages.
+    be judged by comparing their averages.  Returns (traj, m1, m2, series)
+    with the sample masks m1, m2 of the two windows.  Given field, a
+    callable (theta, lam, xi) -> (dim_slow,) values, series holds its
+    values at the samples of both windows, the first post-burn-in sample
+    onwards, recorded during the run into a preallocated buffer; without
+    field, series is None.
     """
+    if beta <= 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
     if burn_in is None:
         burn_in = 20.0 / beta
     if window is None:
         window = 100.0 / system.basis.min_omega
     if lambda0 is None:
         lambda0 = np.zeros(system.dim_fast)
-    traj = integrate_frozen_fast(system, theta, lambda0, beta, burn_in + 2.0 * window)
+    horizon = burn_in + 2.0 * window
     mid = burn_in + window
-    m1 = (traj.t >= burn_in) & (traj.t < mid)
-    m2 = traj.t >= mid
-    return traj, m1, m2
+    record = series = None
+    if field is not None:
+        # the run's sample times, as the kernel computes them (stride 1)
+        h, n_steps = _resolve_step(system.basis, beta, horizon, None)
+        m1, m2 = _windows(np.arange(n_steps + 1) * h, burn_in, mid)
+        kept = int(np.count_nonzero(m1 | m2))
+        series = np.empty((kept, system.dim_slow))
+        row = kept - (n_steps + 1)  # negative through the burn-in samples
+
+        def record(lam, xi):
+            nonlocal row
+            if row >= 0:
+                series[row] = field(theta, lam, xi)
+            row += 1
+
+    traj = integrate_frozen_fast(system, theta, lambda0, beta, horizon, _record=record)
+    m1, m2 = _windows(traj.t, burn_in, mid)
+    return traj, m1, m2, series
+
+
+def _windows(t, burn_in, mid):
+    """Masks of the samples in the first and the second averaging window."""
+    return (t >= burn_in) & (t < mid), t >= mid
 
 
 def _two_window_estimate(series, m1, m2, tol, horizon, what):
@@ -70,7 +100,7 @@ def fast_equilibrium(
     equilibrium.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    traj, m1, m2 = _windowed_run(system, theta, beta, burn_in, window, lambda0)
+    traj, m1, m2, _ = _windowed_run(system, theta, beta, burn_in, window, lambda0)
     return _two_window_estimate(
         traj.lam, m1, m2, tol, float(traj.t[-1]), "fast equilibrium"
     )
@@ -82,16 +112,18 @@ def mean_field_g0(
     """Stationary average of the slow field along the frozen-fast run.
 
     This realizes the integral of g against the joint invariant measure of
-    (Lambda^theta, xi) by time averaging after burn-in.
+    (Lambda^theta, xi) by time averaging after burn-in.  It takes one
+    pass: system.analysis_g is recorded inside the run, from the first
+    post-burn-in sample onwards, with each sample's state and probe
+    vector, so the probe is never rebuilt from the samples.  On the
+    extremum seeker each recorded value reuses the measurement the
+    neighbouring RK4 stage made at the same point.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    traj, m1, m2 = _windowed_run(system, theta, beta, burn_in, window, lambda0)
+    traj, m1, m2, series = _windowed_run(
+        system, theta, beta, burn_in, window, lambda0, field=system.analysis_g
+    )
     keep = m1 | m2
-    idx = np.nonzero(keep)[0]
-    xi = system.probing(np.exp(2j * np.pi * traj.phases[:, idx]))
-    series = np.zeros((idx.shape[0], system.dim_slow))
-    for row, i in enumerate(idx):
-        series[row] = system.analysis_g(theta, traj.lam[i], xi[:, row])
     return _two_window_estimate(
         series, m1[keep], m2[keep], tol, float(traj.t[-1]), "averaged slow field"
     )

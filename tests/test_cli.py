@@ -240,6 +240,21 @@ def test_constant_gain_seeker_escape_names_the_start(tmp_path, capsys):
     assert "'objective_scaled' or 'prior_scaled'" in err
 
 
+@pytest.mark.parametrize("subcommand", ["check-slow", "esc", "pmf", "simulate"])
+def test_jobs_rejected_where_unread(tmp_path, capsys, subcommand):
+    out = tmp_path / "o"
+    assert main([subcommand, "--out", str(out), "--jobs", "8"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --jobs has no effect on {subcommand}\n"
+    assert not out.exists()
+
+
+def test_jobs_one_accepted_where_unread(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": {"horizon": 2.0}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    assert (out / "trajectory.csv").exists()
+
+
 def test_seedless_assertion():
     assert_seedless()  # the package links no RNG source
 

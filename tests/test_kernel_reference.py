@@ -26,9 +26,12 @@ from qsakit.dynamics import (
     GainSchedule,
     Trajectory,
     TwoTimescaleSystem,
+    _pinned_gains,
     _resolve_step,
+    _rk4,
     integrate,
     integrate_frozen_fast,
+    step_bound,
 )
 from qsakit.errors import ConfigError, NonFinite
 from qsakit.esc import (
@@ -40,7 +43,7 @@ from qsakit.esc import (
     quartic_objective,
 )
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
-from qsakit.meanflow import mean_field_g0
+from qsakit.meanflow import mean_field_g0, stationary_grid
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
@@ -818,3 +821,117 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
     assert not got.lam.any()
     assert len(got_log) == len(want_log) > 0
     assert got_log == want_log
+
+
+# -- the kernel's record hook -------------------------------------------------
+
+
+def _frozen_rhs(system, theta):
+    def rhs(x, xi, a, b):
+        lam = np.array(x)
+        return [b * v for v in np.asarray(system.h(theta, lam, xi), dtype=float).tolist()]
+
+    return rhs
+
+
+def _hooked_run(system, theta, lam0, beta, n_steps, stride, start):
+    """A frozen-fast _rk4 run whose record hook fills a preallocated buffer
+    with analysis_g; returns (t, samples, rows, calls)."""
+    h = step_bound(system.basis, beta)
+    n_samples = len(range(0, n_steps, stride)) + 1
+    rows = np.empty((n_samples, system.dim_slow))
+    calls = []
+
+    def record(x, xi):
+        rows[len(calls)] = system.analysis_g(theta, x, xi)
+        calls.append(list(x))
+
+    t, samples = _rk4(
+        _frozen_rhs(system, theta), list(lam0), h, n_steps, stride, system,
+        _pinned_gains(beta), start=start, record=record,
+    )
+    return t, samples, rows, calls
+
+
+HOOK_SYSTEMS = {
+    "linear-3.1": (make_linear_system, [0.3], [-0.2], 1.0),
+    "esc-probe-feedback": (lambda: make_esc_quadratic(single_at=False), [0.7], [0.2], 1.0),
+}
+
+
+@pytest.mark.parametrize("start", [0, 5000])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name", sorted(HOOK_SYSTEMS))
+def test_record_hook_sees_the_samples(name, stride, start):
+    make, theta, lam0, beta = HOOK_SYSTEMS[name]
+    system = make()
+    theta = np.array(theta)
+    n_steps = KERNEL_CHUNK + 477  # crosses a chunk boundary, 1501 % 3 != 0
+    t, samples, rows, calls = _hooked_run(system, theta, lam0, beta, n_steps, stride, start)
+    assert len(calls) == t.shape[0] == samples.shape[0]
+    # the hook saw each stored state, the final one included
+    assert np.array_equal(np.array(calls), samples)
+    assert t[-1] == (start + n_steps) * step_bound(system.basis, beta)
+    xi = system.probing(np.exp(2j * math.pi * clock_phases(system.basis, t)))
+    for k in range(t.shape[0]):
+        want = system.analysis_g(theta, samples[k], xi[:, k])
+        assert rows[k].tobytes() == want.tobytes(), k
+
+
+def test_record_hook_leaves_the_run_unchanged():
+    system = make_esc_quadratic()
+    args = (system, np.array([0.7]), np.array([0.2]), 1.0, 50.0)
+    seen = []
+    hooked = integrate_frozen_fast(*args, _record=lambda x, xi: seen.append(x))
+    assert_same(hooked, integrate_frozen_fast(*args))
+    assert len(seen) == hooked.n_samples
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_record_hook_blow_up_time():
+    basis = make_frequency_basis([(2, 1)])
+    system = TwoTimescaleSystem(
+        1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.atleast_1d(1.0 + l[0] ** 2), basis
+    )
+    args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
+    seen = []
+    with pytest.raises(NonFinite) as got:
+        integrate_frozen_fast(*args, _record=lambda x, xi: seen.append(x))
+    with pytest.raises(NonFinite) as want:
+        integrate_frozen_fast(*args)
+    assert got.value.time == want.value.time
+    assert seen and all(map(math.isfinite, seen[-1]))
+
+
+def test_esc_g0_grid_threads_match_one_thread():
+    # the grid's threads share the seeker's measurement memo while each
+    # records the slow field; a miss may cost a call but never a value
+    system, _ = esc_pair(single_at=False)
+    thetas = [[0.4], [0.8], [1.1], [1.5]]
+    kw = dict(kind="g0", burn_in=5.0, window=20.0)
+    one = stationary_grid(system, thetas, 1.0, 1.0, jobs=1, **kw)
+    two = stationary_grid(system, thetas, 1.0, 1.0, jobs=2, **kw)
+    for a, b in zip(one, two):
+        assert a.value.tobytes() == b.value.tobytes()
+        assert a.osc_amplitude == b.osc_amplitude
+        assert a.horizon == b.horizon
+
+
+def test_cubic_seeker_g0_objective_calls():
+    # the averaged slow field reuses the run's measurements: one g0 call
+    # costs exactly the frozen-fast run's 2 * n_steps + 1 objective calls
+    # (the two-pass averager measured again at each of the 22,182 kept
+    # samples, 67,655 calls in all)
+    calls = []
+
+    def cubic(th):
+        calls.append(1)
+        x = th[0] - 1.0
+        return 0.5 * x**2 + x**3
+
+    system = build_esc_system(
+        EscConfig(objective=Objective(cubic), epsilon=0.1, dim=1, single_at=True)
+    )
+    mean_field_g0(system, np.array([1.2]), 1.0, burn_in=20.0, window=400.0)
+    _, n_steps = _resolve_step(system.basis, 1.0, 820.0, None)
+    assert len(calls) == 2 * n_steps + 1 == 45_473

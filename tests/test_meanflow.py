@@ -134,6 +134,14 @@ class TestMeanFieldG0:
         frozen_value = -2.0  # alpha*(theta + lambda*) with the probe averaged out
         assert abs(est.value[0] - frozen_value) <= est.osc_amplitude
 
+    @pytest.mark.parametrize("kw", [{}, dict(burn_in=5.0, window=10.0)])
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_nonpositive_beta_is_a_config_error(self, beta, kw):
+        # beta = 0 with the default burn-in used to divide by zero
+        for op in (fast_equilibrium, mean_field_g0):
+            with pytest.raises(ConfigError, match="beta must be positive"):
+                op(linear_system(), np.ones(1), beta, **kw)
+
 
 class TestFindRoot:
     def test_state_independent_field(self):
