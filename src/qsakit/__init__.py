@@ -13,7 +13,7 @@ from .dynamics import GainSchedule, Trajectory, TwoTimescaleSystem, integrate
 from .errors import ConfigError, NonConvergent, NonFinite, QsaError, ZeroDivisor
 from .esc import EscConfig, Objective, build_esc_system
 from .filters import SecondOrderFilter
-from .lyapunov import exponent_grid, lyapunov_exponent
+from .lyapunov import lyapunov_exponent
 from .meanflow import find_root_g0, mean_field_g0, stationary_grid
 from .poisson import pmeanflow_terms, solve_poisson, zero_mean_part
 from .probing import default_basis, make_frequency_basis, rational_dependence
@@ -35,7 +35,6 @@ __all__ = [
     "ZeroDivisor",
     "build_esc_system",
     "default_basis",
-    "exponent_grid",
     "find_root_g0",
     "integrate",
     "lyapunov_exponent",

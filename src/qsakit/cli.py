@@ -34,7 +34,7 @@ from .experiments import (
     pmf_identity_suite,
     slow_error_check,
 )
-from .lyapunov import exponent_grid, write_exponent_csv
+from .lyapunov import lyapunov_exponent, write_exponent_csv
 from .meanflow import find_root_g0, stationary_grid, write_grid_csv
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ def _dump_json(record, path):
         fh.write("\n")
 
 
-def _cmd_simulate(resolved, out, jobs, filtered):
+def _cmd_simulate(resolved, out, filtered):
     system, x0 = _prepare(resolved, "simulate", out)
     exp = resolved["experiment"]
     traj = integrate(
@@ -124,7 +124,7 @@ def _cmd_simulate(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_sweep_fast(resolved, out, jobs, filtered):
+def _cmd_sweep_fast(resolved, out, filtered):
     system, x0 = _prepare(resolved, "sweep-fast", out)
     exp = resolved["experiment"]
     use_filter = filtered or resolved["filter"]["enabled"]
@@ -136,7 +136,6 @@ def _cmd_sweep_fast(resolved, out, jobs, filtered):
         rho=resolved["gains"]["rho"],
         x0=x0,
         sample_stride=exp["sample_stride"],
-        jobs=jobs,
         out_dir=out,
     )
     band = FILTERED_SLOPE_BAND if use_filter else UNFILTERED_SLOPE_BAND
@@ -163,7 +162,7 @@ def _cmd_sweep_fast(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_check_slow(resolved, out, jobs, filtered):
+def _cmd_check_slow(resolved, out, filtered):
     system, x0 = _prepare(resolved, "check-slow", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
@@ -199,7 +198,7 @@ def _cmd_check_slow(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_bias(resolved, out, jobs, filtered):
+def _cmd_bias(resolved, out, filtered):
     _require_default_rho(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
@@ -209,7 +208,6 @@ def _cmd_bias(resolved, out, jobs, filtered):
         tol=exp["tol"],
         burn_in=exp["burn_in"],
         window=exp["window"],
-        jobs=jobs,
         out_dir=out,
     )
     if isinstance(outcome, RateFit):
@@ -219,7 +217,7 @@ def _cmd_bias(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_pmf(resolved, out, jobs, filtered):
+def _cmd_pmf(resolved, out, filtered):
     system, x0 = _prepare(resolved, "pmf", out)
     exp = resolved["experiment"]
     report = pmf_identity_suite(
@@ -261,13 +259,15 @@ def _cmd_pmf(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_lyapunov(resolved, out, jobs, filtered):
+def _cmd_lyapunov(resolved, out, filtered):
     _require_default_rho(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
     thetas = cfg.theta_grid_points(resolved, system.dim_slow)
-    estimates = exponent_grid(system, thetas, beta, x0[1], exp["horizon"], jobs=jobs)
+    estimates = [
+        lyapunov_exponent(system, th, beta, x0[1], exp["horizon"]) for th in thetas
+    ]
     write_exponent_csv(
         out / "lyapunov.csv", thetas, [beta] * len(thetas), estimates
     )
@@ -275,7 +275,7 @@ def _cmd_lyapunov(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_meanflow_grid(resolved, out, jobs, filtered):
+def _cmd_meanflow_grid(resolved, out, filtered):
     _require_default_rho(resolved, "meanflow-grid")
     system, _ = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]
@@ -285,7 +285,6 @@ def _cmd_meanflow_grid(resolved, out, jobs, filtered):
         resolved["gains"]["beta"],
         exp["tol"],
         kind=exp["grid_kind"],
-        jobs=jobs,
         burn_in=exp["burn_in"],
         window=exp["window"],
     )
@@ -296,7 +295,7 @@ def _cmd_meanflow_grid(resolved, out, jobs, filtered):
     return EXIT_OK
 
 
-def _cmd_esc(resolved, out, jobs, filtered):
+def _cmd_esc(resolved, out, filtered):
     system, x0 = _prepare(resolved, "esc", out)
     exp = resolved["experiment"]
     try:
@@ -356,7 +355,7 @@ HANDLERS = {
 }
 
 
-def run(config_path, subcommand, *, out_dir=None, jobs=1, seedless=False, filtered=False):
+def run(config_path, subcommand, *, out_dir=None, seedless=False, filtered=False):
     """Execute one subcommand against a config file; returns the exit code."""
     if subcommand not in HANDLERS:
         print(
@@ -371,7 +370,7 @@ def run(config_path, subcommand, *, out_dir=None, jobs=1, seedless=False, filter
             assert_seedless()
         out = Path(out_dir) if out_dir else Path("results") / subcommand
         out.mkdir(parents=True, exist_ok=True)
-        return HANDLERS[subcommand](resolved, out, jobs, filtered)
+        return HANDLERS[subcommand](resolved, out, filtered)
     except NonFinite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
@@ -393,10 +392,7 @@ def build_parser():
         metavar="N",
         type=int,
         default=1,
-        help="worker threads for the sweep points and grid evaluations of "
-        "sweep-fast, bias, lyapunov and meanflow-grid (default: 1; the other "
-        "subcommands reject N > 1; the work holds the interpreter lock, so more "
-        "threads do not run faster)",
+        help="must be 1: every run is single-threaded",
     )
     common.add_argument(
         "--seedless",
@@ -432,23 +428,15 @@ def build_parser():
     return parser
 
 
-#: subcommands that run a single computation and never read --jobs
-SINGLE_JOB = ("simulate", "check-slow", "pmf", "esc")
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.jobs > 1 and args.subcommand in SINGLE_JOB:
-        print(f"error: --jobs has no effect on {args.subcommand}", file=sys.stderr)
+    if args.jobs != 1:
+        print("error: --jobs must be 1: every run is single-threaded", file=sys.stderr)
         return EXIT_CONFIG
     return run(
         args.config,
         args.subcommand,
         out_dir=args.out,
-        jobs=args.jobs,
         seedless=args.seedless,
         filtered=getattr(args, "filtered", False),
     )

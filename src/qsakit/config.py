@@ -225,13 +225,12 @@ def build_system(resolved):
     return named_system(section["name"], **section["params"])
 
 
-def build_filter(resolved, beta=None, *, forced=False):
+def build_filter(resolved, *, forced=False):
     """SecondOrderFilter per the filter section, or None when disabled."""
     filt = resolved["filter"]
     if not (filt["enabled"] or forced):
         return None
-    if beta is None:
-        beta = resolved["gains"]["beta"]
+    beta = resolved["gains"]["beta"]
     return SecondOrderFilter(beta, zeta=filt["zeta"], eta=filt["eta"])
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,15 +161,6 @@ class HorizonPolicy:
         return min(self.scale / beta, self.cap)
 
 
-def _run_jobs(op, items, jobs):
-    # Threads, to mirror the grid runner; order of the results list always
-    # matches the input order.
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(op, items))
-    return [op(item) for item in items]
-
-
 def _checked_betas(beta_list):
     betas = [float(b) for b in beta_list]
     if not betas:
@@ -189,7 +179,6 @@ def fast_error_sweep(
     rho=0.7,
     x0=None,
     sample_stride=1,
-    jobs=1,
     out_dir=None,
 ):
     """Trailing-window fast error against the equilibrium target, per beta.
@@ -252,7 +241,7 @@ def fast_error_sweep(
         err = float(np.max(np.linalg.norm(tail - ref[None, :], axis=1)))
         return err, (traj if keep_runs else None)
 
-    results = _run_jobs(run_one, betas, jobs)
+    results = [run_one(beta) for beta in betas]
     errors = [err for err, _ in results]
     points = tuple(zip(betas, errors))
     if all(err < ERROR_FLOOR for err in errors):
@@ -319,7 +308,6 @@ def bias_sweep(
     burn_in=None,
     window=None,
     theta_init=None,
-    jobs=1,
     out_dir=None,
 ):
     """Bias ||theta^beta - theta*|| of the averaged root, per beta.
@@ -346,7 +334,7 @@ def bias_sweep(
             raise NonConvergent(f"bias run at beta = {beta:g}: {exc}") from exc
         return float(np.linalg.norm(theta_beta - theta_star))
 
-    biases = _run_jobs(run_one, betas, jobs)
+    biases = [run_one(beta) for beta in betas]
     points = tuple(zip(betas, biases))
     if all(b < resolution for b in biases):
         outcome = SymmetricNoBias(points=points, threshold=resolution)

@@ -13,7 +13,6 @@ horizon magnitude is recorded.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,19 +126,6 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             f"increase the horizon"
         )
     return ExponentEstimate(exponent=exponent, tail_exponent=tail, horizon=horizon)
-
-
-def exponent_grid(system, thetas, beta, lambda0, horizon, *, jobs=1, step=None):
-    """lyapunov_exponent over a grid of slow states, optionally threaded."""
-    thetas = [np.atleast_1d(np.asarray(th, dtype=float)) for th in thetas]
-
-    def one(th):
-        return lyapunov_exponent(system, th, beta, lambda0, horizon, step=step)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, thetas))
-    return [one(th) for th in thetas]
 
 
 def write_exponent_csv(path, thetas, betas, estimates):

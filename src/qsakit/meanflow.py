@@ -8,7 +8,6 @@ Lambda, and gbar0 averages the slow field that the RK4 kernel's record
 hook evaluates at each post-burn-in sample during the run.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +179,8 @@ def find_root_g0(
     )
 
 
-def stationary_grid(system, thetas, beta, tol=1e-3, *, kind="lambda", jobs=1, **kwargs):
-    """fast_equilibrium or mean_field_g0 over a grid of slow states.
-
-    Points are independent, so jobs > 1 evaluates them in a thread pool;
-    results keep grid order either way.
-    """
+def stationary_grid(system, thetas, beta, tol=1e-3, *, kind="lambda", **kwargs):
+    """fast_equilibrium or mean_field_g0 over a grid of slow states, in grid order."""
     if kind == "lambda":
         op = fast_equilibrium
     elif kind == "g0":
@@ -193,9 +188,6 @@ def stationary_grid(system, thetas, beta, tol=1e-3, *, kind="lambda", jobs=1, **
     else:
         raise ConfigError(f"kind must be 'lambda' or 'g0', got {kind!r}")
     thetas = [np.atleast_1d(np.asarray(th, dtype=float)) for th in thetas]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda th: op(system, th, beta, tol, **kwargs), thetas))
     return [op(system, th, beta, tol, **kwargs) for th in thetas]
 
 

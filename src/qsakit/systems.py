@@ -35,19 +35,15 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     b1, b2 = (float(v) for v in b)
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
-    # Python floats cost less per call than numpy scalars; the operation
-    # order fixes every rounding (tests/test_kernel_reference.py), keep it
+    # Lists of Python floats take the fast path of dynamics._floats; the
+    # operation order fixes every rounding (tests/test_kernel_reference.py)
     def g(theta, lam, xi):
         th = float(theta[0])
-        return np.array(
-            [alpha * th + alpha * float(lam[0]) + s1 * float(xi[0]) * (th + 1.0) + b1]
-        )
+        return [alpha * th + alpha * float(lam[0]) + s1 * float(xi[0]) * (th + 1.0) + b1]
 
     def h(theta, lam, xi):
         la = float(lam[0])
-        return np.array(
-            [-2.0 * float(theta[0]) - la + s2 * float(xi[1]) * (la + 1.0) + b2]
-        )
+        return [-2.0 * float(theta[0]) - la + s2 * float(xi[1]) * (la + 1.0) + b2]
 
     n, p = 2, 2
     mean = PolyCoeff(

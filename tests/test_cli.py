@@ -4,7 +4,7 @@ Oracles: validation messages name the violated constraint; the linear
 benchmark's closed forms (lambda*(theta) = -2 theta, frozen-fast decay
 rate -beta, trailing ripple beta / (2 pi ln 3)) anchor the subcommand
 outputs; exit codes follow the documented 0/2/3/4 contract; reruns of
-a sweep are byte-identical regardless of the jobs degree.
+a sweep are byte-identical, with or without --jobs 1.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsakit
 from qsakit.cli import (
     EXIT_BAND,
     EXIT_CONFIG,
@@ -240,12 +241,15 @@ def test_constant_gain_seeker_escape_names_the_start(tmp_path, capsys):
     assert "'objective_scaled' or 'prior_scaled'" in err
 
 
-@pytest.mark.parametrize("subcommand", ["check-slow", "esc", "pmf", "simulate"])
+@pytest.mark.parametrize("subcommand", sorted(HANDLERS))
 def test_jobs_rejected_where_unread(tmp_path, capsys, subcommand):
-    out = tmp_path / "o"
-    assert main([subcommand, "--out", str(out), "--jobs", "8"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"error: --jobs has no effect on {subcommand}\n"
-    assert not out.exists()
+    for jobs in ("0", "2"):
+        out = tmp_path / f"o{jobs}"
+        assert main([subcommand, "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --jobs must be 1: every run is single-threaded\n"
+        )
+        assert not out.exists()
 
 
 def test_jobs_one_accepted_where_unread(tmp_path):
@@ -259,6 +263,19 @@ def test_seedless_assertion():
     assert_seedless()  # the package links no RNG source
 
 
+def test_package_starts_no_threads():
+    # every run is single-threaded by construction
+    package_dir = Path(qsakit.__file__).resolve().parent
+    markers = ("concurrent.futures", "ThreadPoolExecutor", "import threading")
+    hits = [
+        f"{source.name}: {marker}"
+        for source in sorted(package_dir.glob("*.py"))
+        for marker in markers
+        if marker in source.read_text()
+    ]
+    assert hits == []
+
+
 # ---------------------------------------------------------------------------
 # subcommands against closed-form anchors
 
@@ -268,8 +285,8 @@ def test_sweep_fast_band_and_jobs_determinism(tmp_path):
         tmp_path,
         {"experiment": {"beta_list": [0.08, 0.16, 0.32], "horizon_cap": 2500.0}},
     )
-    out1, out2 = tmp_path / "j3", tmp_path / "j1"
-    assert main(["sweep-fast", "--config", cfg, "--out", str(out1), "--jobs", "3"]) == EXIT_OK
+    out1, out2 = tmp_path / "plain", tmp_path / "j1"
+    assert main(["sweep-fast", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["sweep-fast", "--config", cfg, "--out", str(out2), "--jobs", "1"]) == EXIT_OK
     for name in ("sweep.csv", "fit.json", "run-beta-0.16.csv", "config.resolved.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -43,7 +43,7 @@ from qsakit.esc import (
     quartic_objective,
 )
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
-from qsakit.meanflow import mean_field_g0, stationary_grid
+from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
@@ -662,7 +662,7 @@ def test_esc_callbacks_take_lists_and_integer_arrays():
 
 
 def test_esc_memo_shared_between_threads():
-    # the grid pools run one seeker on several threads; each thread must
+    # a caller may share one seeker across threads; each thread must
     # read its own measurement however the memo entry is overwritten
     system, ref = esc_pair()
     lam = np.array([0.2])
@@ -901,20 +901,6 @@ def test_record_hook_blow_up_time():
         integrate_frozen_fast(*args)
     assert got.value.time == want.value.time
     assert seen and all(map(math.isfinite, seen[-1]))
-
-
-def test_esc_g0_grid_threads_match_one_thread():
-    # the grid's threads share the seeker's measurement memo while each
-    # records the slow field; a miss may cost a call but never a value
-    system, _ = esc_pair(single_at=False)
-    thetas = [[0.4], [0.8], [1.1], [1.5]]
-    kw = dict(kind="g0", burn_in=5.0, window=20.0)
-    one = stationary_grid(system, thetas, 1.0, 1.0, jobs=1, **kw)
-    two = stationary_grid(system, thetas, 1.0, 1.0, jobs=2, **kw)
-    for a, b in zip(one, two):
-        assert a.value.tobytes() == b.value.tobytes()
-        assert a.osc_amplitude == b.osc_amplitude
-        assert a.horizon == b.horizon
 
 
 def test_cubic_seeker_g0_objective_calls():

@@ -10,12 +10,7 @@ import pytest
 
 from qsakit.dynamics import TwoTimescaleSystem
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
-from qsakit.lyapunov import (
-    ExponentEstimate,
-    exponent_grid,
-    lyapunov_exponent,
-    write_exponent_csv,
-)
+from qsakit.lyapunov import ExponentEstimate, lyapunov_exponent, write_exponent_csv
 from qsakit.probing import make_frequency_basis
 from qsakit.systems import make_linear_system
 
@@ -171,17 +166,6 @@ class TestFailureModes:
 
 
 class TestGridAndCsv:
-    def test_grid_jobs_match_serial(self):
-        sys_ = linear_model_system()
-        thetas = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
-        kw = dict(lambda0=np.zeros(1), horizon=120.0)
-        serial = exponent_grid(sys_, thetas, 0.5, kw["lambda0"], kw["horizon"])
-        threaded = exponent_grid(
-            sys_, thetas, 0.5, kw["lambda0"], kw["horizon"], jobs=3
-        )
-        for a, b in zip(serial, threaded):
-            assert a.exponent == b.exponent
-
     def test_csv_layout(self, tmp_path):
         ests = [
             ExponentEstimate(exponent=-1.0, tail_exponent=-1.01, horizon=100.0),

@@ -220,16 +220,6 @@ class TestGrid:
         for th, est in zip(thetas, ests):
             assert est.value[0] == pytest.approx(-2.0 * th[0], abs=0.01)
 
-    def test_jobs_preserve_order_and_values(self):
-        sys_ = linear_system()
-        thetas = [np.array([0.0]), np.array([0.5]), np.array([1.0])]
-        kw = dict(kind="lambda", burn_in=20.0, window=40.0)
-        serial = stationary_grid(sys_, thetas, 0.2, 0.05, **kw)
-        threaded = stationary_grid(sys_, thetas, 0.2, 0.05, jobs=3, **kw)
-        for a, b in zip(serial, threaded):
-            assert a.value[0] == b.value[0]
-            assert a.osc_amplitude == b.osc_amplitude
-
     def test_kind_validation(self):
         with pytest.raises(ConfigError):
             stationary_grid(linear_system(), [np.zeros(1)], 0.1, kind="mu")
