@@ -108,7 +108,7 @@ def _dump_json(record, path):
         fh.write("\n")
 
 
-def _cmd_simulate(resolved, out, filtered):
+def _cmd_simulate(resolved, out):
     system, x0 = _prepare(resolved, "simulate", out)
     exp = resolved["experiment"]
     traj = integrate(
@@ -116,7 +116,7 @@ def _cmd_simulate(resolved, out, filtered):
         cfg.build_schedule(resolved),
         x0,
         exp["horizon"],
-        filt=cfg.build_filter(resolved, forced=filtered),
+        filt=cfg.build_filter(resolved),
         sample_stride=exp["sample_stride"],
     )
     traj.to_csv(out / "trajectory.csv")
@@ -124,10 +124,10 @@ def _cmd_simulate(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_sweep_fast(resolved, out, filtered):
+def _cmd_sweep_fast(resolved, out):
     system, x0 = _prepare(resolved, "sweep-fast", out)
     exp = resolved["experiment"]
-    use_filter = filtered or resolved["filter"]["enabled"]
+    use_filter = resolved["filter"]["enabled"]
     outcome = fast_error_sweep(
         system,
         exp["beta_list"],
@@ -162,7 +162,7 @@ def _cmd_sweep_fast(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_check_slow(resolved, out, filtered):
+def _cmd_check_slow(resolved, out):
     system, x0 = _prepare(resolved, "check-slow", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
@@ -198,7 +198,7 @@ def _cmd_check_slow(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_bias(resolved, out, filtered):
+def _cmd_bias(resolved, out):
     _require_default_rho(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
@@ -217,7 +217,7 @@ def _cmd_bias(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_pmf(resolved, out, filtered):
+def _cmd_pmf(resolved, out):
     system, x0 = _prepare(resolved, "pmf", out)
     exp = resolved["experiment"]
     report = pmf_identity_suite(
@@ -259,7 +259,7 @@ def _cmd_pmf(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_lyapunov(resolved, out, filtered):
+def _cmd_lyapunov(resolved, out):
     _require_default_rho(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
@@ -275,27 +275,27 @@ def _cmd_lyapunov(resolved, out, filtered):
     return EXIT_OK
 
 
-def _cmd_meanflow_grid(resolved, out, filtered):
+def _cmd_meanflow_grid(resolved, out):
     _require_default_rho(resolved, "meanflow-grid")
-    system, _ = _prepare(resolved, "meanflow-grid", out)
+    system, x0 = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]
+    thetas = cfg.theta_grid_points(resolved, system.dim_slow)
     estimates = stationary_grid(
         system,
-        cfg.theta_grid_points(resolved, system.dim_slow),
+        thetas,
         resolved["gains"]["beta"],
         exp["tol"],
         kind=exp["grid_kind"],
         burn_in=exp["burn_in"],
         window=exp["window"],
+        lambda0=x0[1],
     )
-    write_grid_csv(
-        out / "grid.csv", cfg.theta_grid_points(resolved, system.dim_slow), estimates
-    )
+    write_grid_csv(out / "grid.csv", thetas, estimates)
     print(f"meanflow-grid: {len(estimates)} point(s), kind {exp['grid_kind']}")
     return EXIT_OK
 
 
-def _cmd_esc(resolved, out, filtered):
+def _cmd_esc(resolved, out):
     system, x0 = _prepare(resolved, "esc", out)
     exp = resolved["experiment"]
     try:
@@ -368,9 +368,12 @@ def run(config_path, subcommand, *, out_dir=None, seedless=False, filtered=False
         resolved = cfg.resolve(cfg.load_config(config_path))
         if seedless:
             assert_seedless()
+        if filtered:
+            # the echoed config records the flag, so a rerun from it repeats the run
+            resolved["filter"]["enabled"] = True
         out = Path(out_dir) if out_dir else Path("results") / subcommand
         out.mkdir(parents=True, exist_ok=True)
-        return HANDLERS[subcommand](resolved, out, filtered)
+        return HANDLERS[subcommand](resolved, out)
     except NonFinite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE

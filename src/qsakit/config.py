@@ -212,12 +212,9 @@ def _is_point(value):
     return _is_real(value) or (isinstance(value, list) and all(map(_is_real, value)))
 
 
-def build_schedule(resolved, beta=None):
+def build_schedule(resolved):
     gains = resolved["gains"]
-    return GainSchedule(
-        rho=gains["rho"],
-        beta=gains["beta"] if beta is None else beta,
-    )
+    return GainSchedule(rho=gains["rho"], beta=gains["beta"])
 
 
 def build_system(resolved):
@@ -225,10 +222,10 @@ def build_system(resolved):
     return named_system(section["name"], **section["params"])
 
 
-def build_filter(resolved, *, forced=False):
+def build_filter(resolved):
     """SecondOrderFilter per the filter section, or None when disabled."""
     filt = resolved["filter"]
-    if not (filt["enabled"] or forced):
+    if not filt["enabled"]:
         return None
     beta = resolved["gains"]["beta"]
     return SecondOrderFilter(beta, zeta=filt["zeta"], eta=filt["eta"])

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .probing import clock_phases, identity_map
+from .probing import clock_phases, identity_map, probe_signal
 
 #: steps per precomputed probe/gain block inside the integrator; a block
 #: holds a Python object per stage, so it is kept short to bound memory
@@ -97,7 +97,6 @@ class TwoTimescaleSystem:
 
     Optional structural extras: g_probe adds a_t-weighted probing feedback
     to the slow field (the slow rate becomes a_t * (g + a_t * g_probe));
-    g_mean is a closed-form probe-average of g at a frozen state;
     dh_dlambda is an analytic fast Jacobian for sensitivity runs;
     lambda_star / theta_star record known equilibrium maps for diagnostics.
     """
@@ -113,7 +112,6 @@ class TwoTimescaleSystem:
         *,
         fourier=None,
         g_probe=None,
-        g_mean=None,
         dh_dlambda=None,
         lambda_star=None,
         theta_star=None,
@@ -129,7 +127,6 @@ class TwoTimescaleSystem:
         self.probing = probing if probing is not None else identity_map(basis.size)
         self.fourier = fourier
         self.g_probe = g_probe
-        self.g_mean = g_mean
         self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
         self.theta_star = theta_star
@@ -152,19 +149,16 @@ class TwoTimescaleSystem:
     def _check_fourier_agreement(self, count=24, tol=1e-10):
         pts = _lattice(count, self.dim_slow + self.dim_fast)
         ts = 0.37 * np.arange(count) + 0.11
-        worst = 0.0
-        for x, t in zip(pts, ts):
-            phi = clock_phases(self.basis, float(t))
-            z = np.exp(2j * math.pi * phi)
-            xi = self.probing(z)
-            theta, lam = x[: self.dim_slow], x[self.dim_slow :]
-            direct = np.concatenate(
-                [
-                    np.atleast_1d(np.asarray(self.g(theta, lam, xi), dtype=float)),
-                    np.atleast_1d(np.asarray(self.h(theta, lam, xi), dtype=float)),
-                ]
+        clocks = np.exp(2j * math.pi * clock_phases(self.basis, ts)).T
+        ds = self.dim_slow
+        direct = [
+            np.concatenate(
+                [np.atleast_1d(np.asarray(cb(x[:ds], x[ds:], xi), dtype=float))
+                 for cb in (self.g, self.h)]
             )
-            worst = max(worst, float(np.max(np.abs(self.fourier.eval(x, z) - direct))))
+            for x, xi in zip(pts, probe_signal(self.probing, self.basis, ts).T)
+        ]
+        worst = float(np.max(np.abs(self.fourier.eval(pts, clocks) - direct)))
         if worst > tol:
             raise ConfigError(
                 f"fourier form disagrees with callbacks (max defect {worst:.3e})"
@@ -320,7 +314,7 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
         m = min(_CHUNK, n_steps - chunk)
         # stage times for steps chunk..chunk+m-1: half-grid from (start+chunk)*h
         ts = (start + chunk + 0.5 * np.arange(2 * m + 1)) * h
-        xis = list(pmap(np.exp(2j * math.pi * clock_phases(basis, ts))).T)
+        xis = list(probe_signal(pmap, basis, ts).T)
         a_all, b_all = gains(ts)
         for i in range(m):
             gi = chunk + i

@@ -536,18 +536,6 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
 
     # solved once; the sign convention makes lambda_star = -F^{-1} G * mean input
     neg_finv_g = -np.linalg.solve(F, G)
-    grad_cb = objective_gradient(config)
-    moments = {}
-
-    def curvature():
-        if "sigma" not in moments:
-            moments["sigma"], moments["m0"] = esc_constants(config)
-        return moments["sigma"]
-
-    def g_mean(theta, lam):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return -(sigma * (theta - ctr) + curvature() @ grad_cb(theta))
-
     def lambda_star(theta):
         # leading-order probe average of the fast state: the DC response
         # to objective/eps; exact only up to O(eps) Taylor terms
@@ -564,7 +552,6 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         basis=config.probing,
         probing=extended_probe_map(config),
         g_probe=g_probe,
-        g_mean=g_mean,
         dh_dlambda=lambda theta, lam, xi: F,
         lambda_star=lambda_star,
         theta_star=theta_star,

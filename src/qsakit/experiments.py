@@ -39,6 +39,7 @@ from .poisson import (
     solve_poisson,
     zero_mean_part,
 )
+from .probing import probe_signal
 
 __all__ = [
     "RateFit",
@@ -502,8 +503,7 @@ def pmf_identity_suite(
 
     n = traj.n_samples
     t = traj.t
-    zmat = np.exp(2j * np.pi * traj.phases)
-    clocks = zmat.T
+    clocks = np.exp(2j * np.pi * traj.phases).T
     states = np.concatenate([traj.theta, traj.lam], axis=1)
     a_t, r_t = (np.broadcast_to(v, t.shape) for v in schedule.gains_at(t))
     a_col = a_t[:, None]
@@ -545,15 +545,12 @@ def pmf_identity_suite(
 
     # step2: second derivative of the double lift, with the gain-variation
     # term r a [D^g hh] made explicit.
-    hh = terms.h_hat_hat
-    dg_hh = directional_derivative(hh, g, "slow")
-    dh_hh = directional_derivative(hh, h, "fast")
+    dg_hh, dh_hh = terms.dg_hh, terms.dh_hh
     lhs2 = ddt_series(terms.h_hat, d_fast)
     if derivative == "analytic":
-        ddhh = GainField.wrap(hh).ddt(g, h, basis, rho, beta).ddt(g, h, basis, rho, beta)
-        d2_hh = gainfield_series(ddhh, d_fast)[interior]
+        d2_hh = gainfield_series(terms._ddW2, d_fast)[interior]
     else:
-        d2_hh = _d2_3pt(field_series(hh), dt)
+        d2_hh = _d2_3pt(field_series(terms.h_hat_hat), dt)
     ra_col = (a_t * r_t)[interior, None]
     rhs2 = (
         -d2_hh
@@ -566,24 +563,22 @@ def pmf_identity_suite(
     # plus a transported lift.  The corruption offset enters only here.
     ff = terms.upsilon.ff
     uff_hat = terms.upsilon_ff_hat
-    dg_uff = directional_derivative(uff_hat, g, "slow")
-    dh_uff = directional_derivative(uff_hat, h, "fast")
     ups_bar = terms.upsilon_ff_bar(states)
     lhs3 = field_series(ff)[interior]
     rhs3 = (
         ups_bar[interior]
         + offset
         - ddt_series(uff_hat, d_fast)
-        + a_col[interior] * field_series(dg_uff)[interior]
-        + beta * field_series(dh_uff)[interior]
+        + a_col[interior] * field_series(terms.dg_uff)[interior]
+        + beta * field_series(terms.dh_uff)[interior]
     )
 
     # assembled: exact fast right-hand side against the model form.
+    xis = probe_signal(system.probing, basis, t).T
     exact = np.zeros((n, d_fast))
     for i in range(n):
-        xi = system.probing(zmat[:, i])
         exact[i] = beta * np.atleast_1d(
-            np.asarray(system.h(traj.theta[i], traj.lam[i], xi), dtype=float)
+            np.asarray(system.h(traj.theta[i], traj.lam[i], xis[i]), dtype=float)
         )
     lhs4 = exact[interior]
     if derivative == "analytic":

@@ -280,6 +280,11 @@ class PMeanFlowTerms:
     W0, W1, W2 are gain-weighted fields; W1 and W2 are zero-mean by
     construction.  upsilon_ff_bar is the clock average of the fast-fast
     coupling block, identically zero under a rationally independent basis.
+    The pieces they are built from stay readable for the identity suite:
+    the lifts h_hat_hat (the double lift of h) and upsilon_ff_hat, their
+    derivatives along the slow (dg_) and fast (dh_) fields dg_hh, dh_hh,
+    dg_uff, dh_uff, and _ddW2, the second time derivative of W2 along
+    the flow.
     """
 
     def __init__(self, system, gains):
@@ -330,11 +335,14 @@ class PMeanFlowTerms:
         self.W2 = w2
         self.g_field = g
         self.h_field = h
-        self.g_hat = solve_poisson(zero_mean_part(g), basis)
         self.h_hat = h_hat
         self.h_hat_hat = h_hat_hat
         self.upsilon = blocks
         self.upsilon_ff_hat = ups_ff_hat
+        self.dg_hh = dg_hh
+        self.dh_hh = dh_hh
+        self.dg_uff = dg_uff
+        self.dh_uff = dh_uff
         self.upsilon_ff_bar: Callable = lambda x: blocks.ff.mean_value(x)
         self.h_bar: Callable = lambda x: h.mean_value(x)
         # Assembled analytic derivatives; frozen gain factor on W1.

@@ -32,7 +32,7 @@ __all__ = [
     "identity_map",
     "rational_dependence",
     "clock_phases",
-    "probe_at",
+    "probe_signal",
     "ergodic_average",
     "ErgodicAverage",
     "DEFAULT_PAIRS",
@@ -45,8 +45,6 @@ DEFAULT_PAIRS: tuple[tuple[int, int], ...] = ((2, 1), (3, 1), (5, 2), (7, 2))
 
 # Cap on |k_i| so the exact integer products stay cheap.
 MAX_DEPENDENCE_ORDER = 64
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -91,35 +89,24 @@ class ClockState:
 class ProbingMap:
     """Map from clock state to the probe vector in R^m.
 
-    The standard form applies ``g0`` to the cosine coordinates of the
-    clock.  ``g0`` must accept a (K,) vector and, for the vectorized
-    quadrature paths, a (K, N) array (applied along the last axis).
-    ``g_state``, when given, replaces the cosine route entirely and maps
-    the complex clock vector itself to R^m; it exists for probes that need
-    phase-shifted components, which are not functions of the cosines alone.
+    ``g_state`` maps the complex clock vector to R^m: a (K,) vector to
+    (m,), and a (K, N) block of N clock states to (m, N), so it must act
+    along the leading axis.  Probes that are functions of the cosine
+    coordinates read ``z.real``; phase-shifted or filtered probes read
+    the phasors themselves.
     """
 
-    def __init__(
-        self,
-        m: int,
-        g0: Callable[[np.ndarray], np.ndarray] | None = None,
-        g_state: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        if g0 is None and g_state is None:
-            raise ValueError("ProbingMap needs g0 or g_state")
+    def __init__(self, m: int, g_state: Callable[[np.ndarray], np.ndarray]):
         self.m = int(m)
-        self.g0 = g0
         self.g_state = g_state
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        if self.g_state is not None:
-            return np.asarray(self.g_state(phi), dtype=float)
-        return np.asarray(self.g0(phi.real), dtype=float)
+        return np.asarray(self.g_state(phi), dtype=float)
 
 
 def identity_map(k: int) -> ProbingMap:
-    """Probe equal to the cosine coordinates themselves."""
-    return ProbingMap(m=k, g0=lambda c: c)
+    """Probe equal to the cosine coordinates of the clock."""
+    return ProbingMap(m=k, g_state=lambda z: z.real)
 
 
 def make_frequency_basis(
@@ -231,20 +218,12 @@ def clock_state(basis: FrequencyBasis, t: float) -> ClockState:
     return ClockState(t=float(t), phi=np.exp(2j * math.pi * ph))
 
 
-def probe_at(pmap: ProbingMap, basis: FrequencyBasis, t: float) -> tuple[ClockState, np.ndarray]:
-    """Clock state and probe vector at time t (pure function of t)."""
-    state = clock_state(basis, t)
-    return state, pmap(state.phi)
-
-
 def probe_signal(
-    pmap: ProbingMap, basis: FrequencyBasis, t: np.ndarray
+    pmap: ProbingMap, basis: FrequencyBasis, t: float | np.ndarray
 ) -> np.ndarray:
-    """Vectorized probe values at times ``t`` (shape (m, N))."""
-    ph = clock_phases(basis, t)
-    if pmap.g_state is not None:
-        return np.asarray(pmap.g_state(np.exp(2j * math.pi * ph)), dtype=float)
-    return np.asarray(pmap.g0(np.cos(_TWO_PI * ph)), dtype=float)
+    """Probe values at times ``t``: shape (m, N) for (N,) times, (m,) for a
+    scalar.  This is the package's one path from clock to probe."""
+    return pmap(np.exp(2j * math.pi * clock_phases(basis, t)))
 
 
 class ErgodicAverage(NamedTuple):

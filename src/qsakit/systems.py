@@ -78,7 +78,6 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
         h,
         basis,
         fourier=field,
-        g_mean=lambda theta, lam: np.atleast_1d(alpha * (theta[0] + lam[0]) + b1),
         dh_dlambda=lambda theta, lam, xi: np.array([[-1.0 + s2 * xi[1]]]),
         lambda_star=lambda theta: np.atleast_1d(-2.0 * theta[0] + b2),
         theta_star=np.array([b2 + b1 / alpha]),
@@ -140,7 +139,6 @@ def make_decoupled_system() -> TwoTimescaleSystem:
         h,
         basis,
         fourier=field,
-        g_mean=lambda theta, lam: np.zeros(1),
         dh_dlambda=lambda theta, lam, xi: np.array([[-1.0]]),
         lambda_star=lambda theta: np.zeros(1),
         theta_star=np.zeros(1),

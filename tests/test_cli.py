@@ -29,6 +29,7 @@ from qsakit.cli import (
 )
 from qsakit.config import DEFAULTS, dump_resolved, resolve
 from qsakit.errors import ConfigError
+from qsakit.meanflow import stationary_grid, write_grid_csv
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -331,6 +332,44 @@ def test_sweep_fast_band_failure_exits_4(tmp_path, capsys):
     code = main(["sweep-fast", "--config", cfg, "--out", str(tmp_path / "o"), "--filtered"])
     assert code == EXIT_BAND
     assert "outside the [1.7, 2.3] band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, experiment",
+    [
+        ("simulate", {"horizon": 40.0}),
+        (
+            "sweep-fast",
+            {"beta_list": [0.08, 0.16, 0.32], "horizon_scale": 20.0, "horizon_cap": 2500.0},
+        ),
+    ],
+)
+def test_filtered_run_reproduces_from_echoed_config(tmp_path, subcommand, experiment):
+    cfg = write_config(tmp_path, {"experiment": experiment})
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = main([subcommand, "--config", cfg, "--out", str(first), "--filtered"])
+    echoed = first / "config.resolved.json"
+    assert json.loads(echoed.read_text())["filter"]["enabled"] is True
+    # the rerun takes the echoed config alone, without the flag
+    assert main([subcommand, "--config", str(echoed), "--out", str(second)]) == code
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    csv = "trajectory.csv" if subcommand == "simulate" else "run-beta-0.16.csv"
+    assert "lambdaF_1" in (second / csv).read_text().splitlines()[0]
+
+
+def test_meanflow_grid_starts_at_lambda0(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": {"theta_grid": [0.5], "lambda0": [25.0]}})
+    out = tmp_path / "o"
+    assert run(cfg, "meanflow-grid", out_dir=out) == EXIT_OK
+    system, thetas = qsakit.named_system("linear-3.1"), [np.array([0.5])]
+    expected, default = tmp_path / "expected.csv", tmp_path / "default.csv"
+    for path, lam0 in ((expected, [25.0]), (default, None)):
+        write_grid_csv(path, thetas, stationary_grid(system, thetas, 0.1, lambda0=lam0))
+    assert (out / "grid.csv").read_bytes() == expected.read_bytes()
+    assert expected.read_bytes() != default.read_bytes()
 
 
 def test_check_slow_subcommand(tmp_path):

@@ -382,6 +382,12 @@ class TestMeanflowApprox:
         out = esc_meanflow_approx(config, np.array([0.7]), [[2.0]], [[0.0]])
         assert out[0] == pytest.approx(2.0 * math.sin(0.7), abs=1e-7)
 
+    def test_uses_probe_covariance(self, d1_moments):
+        # the quadratic's gradient at theta = 2 is 1, so the field is -Sigma
+        sigma, m0 = d1_moments
+        out = esc_meanflow_approx(quad_config(), np.array([2.0]), sigma, m0)
+        assert out[0] == pytest.approx(-sigma[0, 0], abs=1e-6)
+
 
 class TestBuildSystem:
     def test_dimensions_and_affine_fast_field(self):
@@ -434,11 +440,6 @@ class TestBuildSystem:
         assert system.lambda_star(np.array([2.0])) == pytest.approx(5.0)
         est = fast_equilibrium(system, np.array([2.0]), 1.0, tol=1e-3, window=300.0)
         assert abs(est.value[0] - system.lambda_star(np.array([2.0]))[0]) < 0.05
-
-    def test_g_mean_uses_probe_covariance(self, d1_moments):
-        system = build_esc_system(quad_config())
-        val = system.g_mean(np.array([2.0]), np.zeros(1))
-        assert val[0] == pytest.approx(-d1_moments[0][0, 0], abs=1e-6)
 
     @pytest.mark.parametrize("gain_kind", ["constant", "objective_scaled"])
     def test_objective_receives_float64_points(self, gain_kind):

@@ -22,7 +22,7 @@ from qsakit.probing import (
     ergodic_average,
     identity_map,
     make_frequency_basis,
-    probe_at,
+    probe_signal,
     rational_dependence,
 )
 
@@ -138,7 +138,7 @@ class TestRationalDependence:
 class TestClockAndProbe:
     def test_probe_value_single_frequency(self):
         basis = make_frequency_basis([(2, 1)])
-        _, xi = probe_at(identity_map(1), basis, 1.0)
+        xi = probe_signal(identity_map(1), basis, 1.0)
         assert xi.shape == (1,)
         assert xi[0] == pytest.approx(math.cos(2 * math.pi * math.log(2)), abs=1e-15)
 
@@ -146,8 +146,8 @@ class TestClockAndProbe:
         basis = default_basis(4, phases=[0.1, 0.2, 0.3, 0.4])
         pmap = identity_map(4)
         for t in (0.0, 1.0, 1234.56789, 99999.25):
-            _, a = probe_at(pmap, basis, t)
-            _, b = probe_at(pmap, basis, t)
+            a = probe_signal(pmap, basis, t)
+            b = probe_signal(pmap, basis, t)
             assert a.tobytes() == b.tobytes()
 
     def test_clock_on_unit_circle(self):
@@ -169,8 +169,8 @@ class TestClockAndProbe:
         b0 = make_frequency_basis([(3, 2)], phases=[phase])
         b1 = make_frequency_basis([(3, 2)], phases=[phase + 1.0])
         pmap = identity_map(1)
-        _, x0 = probe_at(pmap, b0, t)
-        _, x1 = probe_at(pmap, b1, t)
+        x0 = probe_signal(pmap, b0, t)
+        x1 = probe_signal(pmap, b1, t)
         assert abs(x0[0] - x1[0]) < 1e-12
 
 
