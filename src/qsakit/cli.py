@@ -92,13 +92,26 @@ def _prepare(resolved, subcommand, out):
     return system, x0
 
 
-def _require_default_rho(resolved, subcommand):
-    """Reject a gains.rho that a frozen-slow subcommand would silently ignore."""
-    rho, default = resolved["gains"]["rho"], cfg.DEFAULTS["gains"]["rho"]
-    if rho != default:
+#: subcommands that hold the slow state fixed and never read gains.rho
+FROZEN_SLOW = ("bias", "lyapunov", "meanflow-grid")
+#: the only subcommands that read filter.enabled
+FILTER_READERS = ("simulate", "sweep-fast")
+
+
+def _reject_unread_keys(resolved, subcommand):
+    """Reject a gains.rho or filter.enabled that the subcommand would
+    silently ignore, so the echoed config never claims what did not run."""
+    if subcommand in FROZEN_SLOW:
+        rho, default = resolved["gains"]["rho"], cfg.DEFAULTS["gains"]["rho"]
+        if rho != default:
+            raise ConfigError(
+                f"{subcommand} holds the slow state fixed and never reads gains.rho; "
+                f"gains.rho must keep its default {default}, got {rho}"
+            )
+    if subcommand not in FILTER_READERS and resolved["filter"]["enabled"]:
         raise ConfigError(
-            f"{subcommand} holds the slow state fixed and never reads gains.rho; "
-            f"gains.rho must keep its default {default}, got {rho}"
+            f"{subcommand} runs no filter and never reads filter.enabled; "
+            "filter.enabled must be false"
         )
 
 
@@ -199,7 +212,6 @@ def _cmd_check_slow(resolved, out):
 
 
 def _cmd_bias(resolved, out):
-    _require_default_rho(resolved, "bias")
     system, _ = _prepare(resolved, "bias", out)
     exp = resolved["experiment"]
     outcome = bias_sweep(
@@ -260,7 +272,6 @@ def _cmd_pmf(resolved, out):
 
 
 def _cmd_lyapunov(resolved, out):
-    _require_default_rho(resolved, "lyapunov")
     system, x0 = _prepare(resolved, "lyapunov", out)
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
@@ -276,7 +287,6 @@ def _cmd_lyapunov(resolved, out):
 
 
 def _cmd_meanflow_grid(resolved, out):
-    _require_default_rho(resolved, "meanflow-grid")
     system, x0 = _prepare(resolved, "meanflow-grid", out)
     exp = resolved["experiment"]
     thetas = cfg.theta_grid_points(resolved, system.dim_slow)
@@ -371,6 +381,7 @@ def run(config_path, subcommand, *, out_dir=None, seedless=False, filtered=False
         if filtered:
             # the echoed config records the flag, so a rerun from it repeats the run
             resolved["filter"]["enabled"] = True
+        _reject_unread_keys(resolved, subcommand)
         out = Path(out_dir) if out_dir else Path("results") / subcommand
         out.mkdir(parents=True, exist_ok=True)
         return HANDLERS[subcommand](resolved, out)

@@ -97,8 +97,11 @@ class TwoTimescaleSystem:
 
     Optional structural extras: g_probe adds a_t-weighted probing feedback
     to the slow field (the slow rate becomes a_t * (g + a_t * g_probe));
-    dh_dlambda is an analytic fast Jacobian for sensitivity runs;
-    lambda_star / theta_star record known equilibrium maps for diagnostics.
+    dh_dlambda(theta, lam, xi) is an analytic fast Jacobian for sensitivity
+    runs, a (dim_fast, dim_fast) array, or when dim_fast is 1 also a
+    scalar or a 1-element sequence (any other shape is a ConfigError in
+    qsakit.lyapunov); lambda_star / theta_star record known equilibrium
+    maps for diagnostics.
     """
 
     def __init__(

@@ -420,6 +420,23 @@ def test_beta_only_subcommands_reject_non_default_rho(tmp_path, capsys, subcomma
     assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
     assert "gains.rho must keep its default 0.7, got 0.95" in capsys.readouterr().err
     assert not (out / artifact).exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["check-slow", "bias", "pmf", "lyapunov", "meanflow-grid", "esc"]
+)
+def test_filterless_subcommands_reject_filter_enabled(tmp_path, capsys, subcommand):
+    # only simulate and sweep-fast run a filter; elsewhere the key would be
+    # echoed as true in config.resolved.json without taking effect
+    cfg = write_config(tmp_path, {"filter": {"enabled": True}})
+    out = tmp_path / "o"
+    assert run(cfg, subcommand, out_dir=out) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {subcommand} runs no filter and never reads filter.enabled; "
+        "filter.enabled must be false\n"
+    )
+    assert not out.exists()
 
 
 def test_pmf_subcommand(tmp_path):

@@ -164,6 +164,30 @@ class TestFailureModes:
                 make_linear_system(), np.array([0.3, 99.0]), 0.1, np.zeros(1), 10.0
             )
 
+    @pytest.mark.parametrize(
+        "jacobian, d",
+        [
+            (np.zeros(2), 2),
+            (np.zeros(4), 2),
+            (np.zeros((1, 4)), 2),
+            (np.eye(2), 1),
+            (np.zeros(3), 1),
+        ],
+        ids=["d2-vector", "d2-flat", "d2-row", "d1-eye2", "d1-vector"],
+    )
+    def test_malformed_analytic_jacobian(self, jacobian, d):
+        F = -np.eye(d)
+        system = TwoTimescaleSystem(
+            1,
+            d,
+            lambda t, l, x: np.zeros(1),
+            lambda t, l, x: F @ l,
+            make_frequency_basis([(2, 1)]),
+            dh_dlambda=lambda t, l, x: jacobian,
+        )
+        with pytest.raises(ConfigError, match="dh_dlambda returned"):
+            lyapunov_exponent(system, np.zeros(1), 1.0, np.ones(d), 10.0)
+
 
 class TestGridAndCsv:
     def test_csv_layout(self, tmp_path):

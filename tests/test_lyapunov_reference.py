@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from qsakit import dynamics
 from qsakit.dynamics import TwoTimescaleSystem, _resolve_step
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.esc import EscConfig, build_esc_system, quadratic_objective
@@ -282,3 +283,37 @@ def test_inconclusive_message():
         dh_dlambda=lambda t, l, x: np.array([[2.0 - 2.0 * l[0]]]),
     )
     assert_same_failure(Inconclusive, system, np.zeros(1), 1.0, np.array([0.01]), 40.0)
+
+
+# -- the scalar (d = 1) stage on Python floats ---------------------------------
+
+
+def linear_model_variant(dh_dlambda):
+    base = linear_model_system()
+    return TwoTimescaleSystem(1, 1, base.g, base.h, base.basis, dh_dlambda=dh_dlambda)
+
+
+def test_linear_model_fd_jacobian():
+    # no dh_dlambda: the float stage reads the central-difference evaluator
+    assert_same(linear_model_variant(None), 1.0, 0.5, 0.3, 100.0)
+
+
+@pytest.mark.parametrize(
+    "jacobian",
+    [
+        lambda t, l, x: -1.0 + float(x[1]),
+        lambda t, l, x: [-1.0 + float(x[1])],
+        lambda t, l, x: np.array([-1.0 + x[1]]),
+    ],
+    ids=["float", "list", "vector"],
+)
+def test_linear_model_scalar_jacobian_forms(jacobian):
+    assert_same(linear_model_variant(jacobian), 1.0, 0.5, 0.0, 100.0)
+
+
+def test_esc_first_order_step_override_across_a_kernel_chunk():
+    system = esc_system()
+    assert system.dim_fast == 1
+    _, n_steps = _resolve_step(system.basis, 1.0, 60.0, 0.031)
+    assert n_steps > dynamics._CHUNK and n_steps % dynamics._CHUNK != 0
+    assert_same(system, 0.7, 1.0, 0.1, 60.0, step=0.031)
