@@ -22,8 +22,9 @@ how qsakit.meanflow averages the slow field in the same pass.
 
 Between stages the kernel holds the stacked state and the four stage
 derivatives as lists of Python floats.  Each stage builds one float64
-array, and the callbacks g, h and g_probe receive ndarray views of it;
-each callback's output is read back as a list of floats of its block's
+array, and the callbacks g, h and g_probe receive ndarray views of it
+and the stage's probe vector as a contiguous float64 row; each
+callback's output is read back as a list of floats of its block's
 length (a scalar fills a 1-element block, any other length mismatch is
 a ConfigError).  Binary64 +, - and * on Python floats round exactly as
 numpy's elementwise float64 operations do, and the kernel performs them
@@ -142,12 +143,24 @@ class TwoTimescaleSystem:
                 )
             self._check_fourier_agreement()
 
+    def analysis_floats(self, theta, lam, xi):
+        """Slow field with unit-weight probing feedback, used for averaging,
+        as a list of dim_slow Python floats: g + g_probe per element.
+
+        This is the one definition of the averaged slow field; each
+        callback's output is read as the integrator reads it (a length
+        mismatch is a ConfigError), and the sum rounds as the float64
+        array sum does.  qsakit.meanflow records it along frozen-fast runs.
+        """
+        val = _floats(self.g(theta, lam, xi), self.dim_slow, "g")
+        if self.g_probe is None:
+            return val
+        probe = _floats(self.g_probe(theta, lam, xi), self.dim_slow, "g_probe")
+        return [v + p for v, p in zip(val, probe)]
+
     def analysis_g(self, theta, lam, xi):
-        """Slow field with unit-weight probing feedback, used for averaging."""
-        val = np.array(self.g(theta, lam, xi), dtype=float, ndmin=1)
-        if self.g_probe is not None:
-            val = val + np.asarray(self.g_probe(theta, lam, xi), dtype=float)
-        return val
+        """analysis_floats as a float64 (dim_slow,) array."""
+        return np.array(self.analysis_floats(theta, lam, xi))
 
     def _check_fourier_agreement(self, count=24, tol=1e-10):
         pts = _lattice(count, self.dim_slow + self.dim_fast)
@@ -317,7 +330,8 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
         m = min(_CHUNK, n_steps - chunk)
         # stage times for steps chunk..chunk+m-1: half-grid from (start+chunk)*h
         ts = (start + chunk + 0.5 * np.arange(2 * m + 1)) * h
-        xis = list(probe_signal(pmap, basis, ts).T)
+        # one contiguous row per stage: callbacks key memos on its bytes
+        xis = list(np.ascontiguousarray(probe_signal(pmap, basis, ts).T))
         a_all, b_all = gains(ts)
         for i in range(m):
             gi = chunk + i

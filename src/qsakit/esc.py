@@ -33,12 +33,16 @@ the neighbouring stage has just measured at the same point.  Objectives,
 external commands included, must therefore be deterministic functions of
 the point.
 
-The field callbacks compute on Python floats, since numpy's per-call cost
-dominates on arrays of one or two elements, and return lists.  Each float
-operation is the one numpy performs per element, in numpy's order, so
-every result rounds exactly as the array expression did: the probed point
-is t + eps*x per coordinate (handed to the objective as one float64
-array), the probe term -x_check * filtered, the slow term -sigma*(t - c).
+The whole measurement chain, from stage to objective, computes on Python
+floats, since numpy's per-call cost dominates on arrays of one or two
+elements, and the field callbacks return lists.  Each float operation is
+the one numpy performs per element, in numpy's order, so every result
+rounds exactly as the array expression did: the probed point is
+t + eps*x per coordinate (handed to the objective as one float64 array),
+the probe term -x_check * filtered, the slow term -sigma*(t - c), and
+with a single a_t both in one pass, -sigma*(t - c) + -x_check*filtered.
+The built-in quadratic objective runs on floats up to 7 coordinates
+(quadratic_objective).  Float64 arrays are never converted again.
 The washout products F lambda and H'lambda are floats only at order 1,
 where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
 turns a -0.0 product into +0.0.  At order >= 2 numpy computes them, since
@@ -81,12 +85,23 @@ OBJECTIVE_MAX_EVALUATIONS = 1_000_000
 MOMENT_TOL = 1e-6
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _float64(x):
+    """x as a float64 ndarray: x itself when it is one already."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    return np.asarray(x, dtype=float)
+
+
 class Objective:
     """Callable objective with an optional analytic gradient attached.
 
-    The function receives a (d,) float array and must return a scalar;
-    the gradient, when present, is used for diagnostics only (the
-    algorithm itself never differentiates).
+    The function receives a (d,) float64 array and must return a scalar:
+    a 1-D float64 ndarray is handed over as it is, anything else is
+    converted first.  The gradient, when present, is used for diagnostics
+    only (the algorithm itself never differentiates).
     """
 
     def __init__(self, fn, grad=None, name=None):
@@ -95,17 +110,65 @@ class Objective:
         self.name = name
 
     def __call__(self, theta):
-        return float(self._fn(np.atleast_1d(np.asarray(theta, dtype=float))))
+        if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64 or theta.ndim != 1:
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return float(self._fn(theta))
+
+
+#: longest theta that quadratic_objective sums on Python floats; from 8
+#: elements on numpy's pairwise sum runs eight interleaved partial sums
+_SEQUENTIAL_SUM_MAX = 7
+
+
+def _quadratic_value(c, w):
+    """theta -> 0.5 * float((w * (theta - c) ** 2).sum()) for float64 arrays
+    c and w, rounded exactly as that numpy expression.
+
+    For a 1-D theta of n <= _SEQUENTIAL_SUM_MAX elements, with c and w each
+    0-d or of shape (n,), the value is computed on Python floats: d = t - c
+    and w*(d*d) per element, summed from +0.0 in index order, which is
+    what numpy's sum does below 8 elements (its accumulator starts at +0.0,
+    so -0.0 terms sum to +0.0), then halved.  d*d and not d**2: a Python
+    float power raises OverflowError where numpy returns inf.  Every other
+    shape, numpy's broadcasting included, takes the numpy expression.
+    """
+
+    def lane(a, n):
+        if a.ndim == 0:
+            return [a.item()] * n
+        return a.tolist() if a.shape == (n,) else None
+
+    terms = {}
+    for n in range(1, _SEQUENTIAL_SUM_MAX + 1):
+        cs, ws = lane(c, n), lane(w, n)
+        if cs is not None and ws is not None:
+            terms[(n,)] = list(zip(cs, ws))
+
+    def value(th):
+        pairs = terms.get(th.shape)
+        if pairs is None:
+            return 0.5 * float((w * (th - c) ** 2).sum())
+        acc = 0.0
+        for t, (ci, wi) in zip(th.tolist(), pairs):
+            d = t - ci
+            acc += wi * (d * d)
+        return 0.5 * acc
+
+    return value
 
 
 def quadratic_objective(center=0.0, weights=1.0) -> Objective:
-    """0.5 * sum_i w_i (theta_i - c_i)^2."""
+    """0.5 * sum_i w_i (theta_i - c_i)^2.
+
+    Evaluated on Python floats for up to 7 coordinates and as a numpy
+    expression beyond, with the same rounding either way (_quadratic_value).
+    """
     c = np.asarray(center, dtype=float)
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ConfigError("quadratic weights must be positive")
     return Objective(
-        fn=lambda th: 0.5 * float((w * (th - c) ** 2).sum()),
+        fn=_quadratic_value(c, w),
         grad=lambda th: w * (th - c),
         name="quadratic",
     )
@@ -444,11 +507,12 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     (theta, xi) stage point, and eps(theta) computed once per distinct
     theta, so the objective must be deterministic.
 
-    g, g_probe and, for a first-order washout, h return lists of Python
-    floats computed in numpy's operation order, so they round exactly as
-    the array expressions did (F lam and H'lam as 0.0 + m*l); h of a
-    washout of order >= 2 is numpy's F @ lam + G * measurement.  Inputs
-    may be lists or integer arrays.
+    g, g_probe and, for a first-order washout, h and dh_dlambda return
+    lists of Python floats computed in numpy's operation order, so they
+    round exactly as the array expressions did (F lam and H'lam as
+    0.0 + m*l); at order >= 2, h is numpy's F @ lam + G * measurement and
+    dh_dlambda the matrix F.  Inputs may be lists or integer arrays: they
+    are converted to float64 before the memo reads their bits.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -463,21 +527,28 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     ctr = config.theta_ctr
 
     # One-entry memos of the measurement, keyed by the exact bits of theta
-    # and the raw probe, and of eps(theta), keyed by theta alone: g (or
-    # g_probe) and h of one RK4 stage measure at the same point, and so do
-    # the repeated stage points of a frozen-fast run, whose pinned theta
-    # also keeps eps(theta) for the whole run.  Each entry is replaced
-    # whole and read once, so callers on other threads can cause a miss
-    # but never a mismatched value.
+    # and of the whole probe row [xi; xi_check], and of eps(theta), keyed
+    # by theta alone: g (or g_probe) and h of one RK4 stage measure at the
+    # same point, and so do the repeated stage points of a frozen-fast run,
+    # whose pinned theta also keeps eps(theta) for the whole run.  The keys
+    # are taken from float64 arrays, so an integer 1 and the float 5e-324,
+    # which share their bits, never share an entry.  Each entry is replaced
+    # whole and read once: the package runs single-threaded, and a caller
+    # that shares one seeker across its own threads can cause a miss but
+    # never read a mismatched value.
     memo = (None, 0.0)
     eps_memo = (None, 0.0)
 
-    def observe(theta, xi_raw):
+    def observe(theta, xi):
+        """The normalized measurement at (theta, xi[:d]), xi the whole
+        probe row; theta and xi are converted unless float64 arrays."""
         nonlocal memo, eps_memo
-        theta = np.asarray(theta, dtype=float)
-        xi_raw = np.asarray(xi_raw, dtype=float)
+        if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64:
+            theta = np.asarray(theta, dtype=float)
+        if type(xi) is not np.ndarray or xi.dtype is not _FLOAT64:
+            xi = np.asarray(xi, dtype=float)
         theta_key = theta.tobytes()
-        key = (theta_key, xi_raw.tobytes())
+        key = (theta_key, xi.tobytes())
         last = memo
         if last[0] == key:
             return last[1]
@@ -487,7 +558,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         else:
             eps = probing_gain(config, theta)
             eps_memo = (theta_key, eps)
-        value = _measure(config, theta, xi_raw, eps)
+        value = _measure(config, theta, xi[:d], eps)
         memo = (key, value)
         return value
 
@@ -497,19 +568,26 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         f1, g1, h1 = F.item(), G.item(), H.item()
 
         def h_cb(theta, lam, xi):
-            return [0.0 + f1 * float(lam[0]) + g1 * observe(theta, xi[:d])]
+            return [0.0 + f1 * float(lam[0]) + g1 * observe(theta, xi)]
 
         def state_output(lam):
             return 0.0 + h1 * float(lam[0])
+
+        def dh_dlambda(theta, lam, xi):
+            return [f1]
     else:
         def h_cb(theta, lam, xi):
-            return F @ lam + G * observe(theta, xi[:d])
+            return F @ lam + G * observe(theta, xi)
 
         def state_output(lam):
             return float(H @ lam)
 
+        def dh_dlambda(theta, lam, xi):
+            return F
+
     def probe_term(theta, lam, xi):
-        filtered = state_output(lam) + J * observe(theta, xi[:d])
+        theta, xi = _float64(theta), _float64(xi)
+        filtered = state_output(lam) + J * observe(theta, xi)
         return [-v * filtered for v in xi[d:].tolist()]
 
     ctr_floats = ctr.tolist()
@@ -517,20 +595,22 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     # of 0 gives +0.0, not -0.0
     neg_sigma = float(-sigma)
 
-    def slow_term(theta):
-        theta = np.asarray(theta, dtype=float).tolist()
-        return [neg_sigma * (t - c) for t, c in zip(theta, ctr_floats)]
-
     if config.single_at:
         def g_cb(theta, lam, xi):
+            theta, xi = _float64(theta), _float64(xi)
+            filtered = state_output(lam) + J * observe(theta, xi)
             return [
-                s + p for s, p in zip(slow_term(theta), probe_term(theta, lam, xi))
+                neg_sigma * (t - c) + -v * filtered
+                for t, c, v in zip(theta.tolist(), ctr_floats, xi[d:].tolist())
             ]
 
         g_probe = None
     else:
         def g_cb(theta, lam, xi):
-            return slow_term(theta)
+            return [
+                neg_sigma * (t - c)
+                for t, c in zip(_float64(theta).tolist(), ctr_floats)
+            ]
 
         g_probe = probe_term
 
@@ -552,7 +632,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         basis=config.probing,
         probing=extended_probe_map(config),
         g_probe=g_probe,
-        dh_dlambda=lambda theta, lam, xi: F,
+        dh_dlambda=dh_dlambda,
         lambda_star=lambda_star,
         theta_star=theta_star,
         name=config.name,

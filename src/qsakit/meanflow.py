@@ -112,15 +112,17 @@ def mean_field_g0(
 
     This realizes the integral of g against the joint invariant measure of
     (Lambda^theta, xi) by time averaging after burn-in.  It takes one
-    pass: system.analysis_g is recorded inside the run, from the first
-    post-burn-in sample onwards, with each sample's state and probe
-    vector, so the probe is never rebuilt from the samples.  On the
-    extremum seeker each recorded value reuses the measurement the
-    neighbouring RK4 stage made at the same point.
+    pass: system.analysis_floats, the slow field as a list of Python
+    floats, is recorded inside the run straight into a preallocated
+    float64 buffer, from the first post-burn-in sample onwards, with each
+    sample's state and probe vector, so the probe is never rebuilt from
+    the samples and no array is built per sample.  On the extremum
+    seeker each recorded value reuses the measurement the neighbouring
+    RK4 stage made at the same point.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     traj, m1, m2, series = _windowed_run(
-        system, theta, beta, burn_in, window, lambda0, field=system.analysis_g
+        system, theta, beta, burn_in, window, lambda0, field=system.analysis_floats
     )
     keep = m1 | m2
     return _two_window_estimate(

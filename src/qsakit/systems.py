@@ -35,8 +35,9 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     b1, b2 = (float(v) for v in b)
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
-    # Lists of Python floats take the fast path of dynamics._floats; the
-    # operation order fixes every rounding (tests/test_kernel_reference.py)
+    # g, h and dh_dlambda return lists of Python floats, which take the
+    # fast path of dynamics._floats; the operation order fixes every
+    # rounding (tests/test_kernel_reference.py, test_lyapunov_reference.py)
     def g(theta, lam, xi):
         th = float(theta[0])
         return [alpha * th + alpha * float(lam[0]) + s1 * float(xi[0]) * (th + 1.0) + b1]
@@ -78,7 +79,7 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
         h,
         basis,
         fourier=field,
-        dh_dlambda=lambda theta, lam, xi: np.array([[-1.0 + s2 * xi[1]]]),
+        dh_dlambda=lambda theta, lam, xi: [-1.0 + s2 * float(xi[1])],
         lambda_star=lambda theta: np.atleast_1d(-2.0 * theta[0] + b2),
         theta_star=np.array([b2 + b1 / alpha]),
         name="linear-3.1",
@@ -139,7 +140,7 @@ def make_decoupled_system() -> TwoTimescaleSystem:
         h,
         basis,
         fourier=field,
-        dh_dlambda=lambda theta, lam, xi: np.array([[-1.0]]),
+        dh_dlambda=lambda theta, lam, xi: [-1.0],
         lambda_star=lambda theta: np.zeros(1),
         theta_star=np.zeros(1),
         name="decoupled-test",

@@ -459,6 +459,50 @@ class TestBuildSystem:
         system.h([1, 2], np.zeros(1), np.array([1, 0, 0, 0]))
         assert seen == {(np.ndarray, np.dtype(np.float64), (2,))}
 
+    def test_memo_keys_on_float64_bits(self):
+        # the int64 array [1] has the bits of the float 5e-324, so only the
+        # float64 conversion keeps the two points apart in the memo
+        assert np.array([1]).tobytes() == np.array([5e-324]).tobytes()
+        calls = []
+
+        def fn(th):
+            calls.append(1)
+            return 0.5 * float(th @ th) + 1.0
+
+        for first, second in (
+            ((np.array([1]), np.array([0.0, 0.5])), (np.array([5e-324]), np.array([0.0, 0.5]))),
+            ((np.array([0.0]), np.array([1, 0])), (np.array([0.0]), np.array([5e-324, 0.0]))),
+        ):
+            system = build_esc_system(EscConfig(objective=Objective(fn), epsilon=0.1, dim=1))
+            calls.clear()
+            a = system.h(first[0], np.zeros(1), first[1])
+            b = system.h(second[0], np.zeros(1), second[1])
+            assert len(calls) == 2
+            assert a != b
+
+    @pytest.mark.parametrize("single_at", [True, False])
+    def test_lists_and_integer_arrays_match_float_arrays(self, single_at):
+        config = quad_config(sigma=0.5, single_at=single_at, gain_kind="objective_scaled")
+        forms = [
+            ([2.0], [1.0], [1.0, -1.0]),
+            ([2], [1], [1, -1]),
+            (np.array([2]), np.array([1]), np.array([1, -1])),
+        ]
+        want = None
+        for theta, lam, xi in [tuple(np.array(v, dtype=float) for v in forms[0])] + forms:
+            system = build_esc_system(config)  # fresh memos: every value computed
+            got = [
+                system.g(theta, lam, xi),
+                system.h(theta, lam, xi),
+                system.analysis_floats(theta, lam, xi),
+                normalized_observation(config, theta, xi[:1]),
+            ]
+            if system.g_probe is not None:
+                got.append(system.g_probe(theta, lam, xi))
+            if want is None:
+                want = got
+            assert got == want
+
     def test_negative_objective_message(self):
         config = EscConfig(
             objective=Objective(lambda th: float(th[0])),

@@ -84,7 +84,7 @@ class TestLinearPair:
             fd = (
                 system.h(theta, lam + 1e-6, xi)[0] - system.h(theta, lam - 1e-6, xi)[0]
             ) / 2e-6
-            assert system.dh_dlambda(theta, lam, xi)[0, 0] == pytest.approx(fd, abs=1e-8)
+            assert system.dh_dlambda(theta, lam, xi) == [pytest.approx(fd, abs=1e-8)]
 
     def test_noise_scales(self):
         system = make_linear_system(s=(0.0, 0.0))
