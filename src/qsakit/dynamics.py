@@ -5,37 +5,39 @@ The integrator advances the slow/fast pair
     d/dt Theta = a_t * g(Theta, Lambda, xi_t)
     d/dt Lambda = b_t * h(Theta, Lambda, xi_t)
 
-One RK4 kernel, _rk4, is the package's only RK4 loop.  It advances a
-single stacked state vector, of which there are three kinds: coupled
-runs stack [Theta; Lambda], frozen-fast runs advance Lambda alone, and
-the sensitivity runs of qsakit.lyapunov stack [Lambda; vec S], with S
-row-major, in segments that each start at a given step index.  A
-second-order filter, when attached to a coupled run, observes Lambda:
-its output Lambda^F and rate dLambda^F extend the stack to [Theta;
-Lambda; Lambda^F; dLambda^F] and ride along in the same RK4 step, but
-neither field reads them, so Theta and Lambda are the same with or
-without the filter.  Probing phases are never integrated: they are
-recomputed from t at every stage, so trajectories are reproducible bit
-for bit.  A frozen-fast run can also record a field along the way: the
-kernel's record hook sees each sample's state and probe vector, which is
-how qsakit.meanflow averages the slow field in the same pass.
+One RK4 kernel, _rk4, is the package's only RK4 loop.  It advances one
+stacked state: [Theta; Lambda] in coupled runs, Lambda alone in
+frozen-fast runs, and [Lambda; vec S] (S row-major) in the segmented
+sensitivity runs of qsakit.lyapunov.  A second-order filter attached to
+a coupled run observes Lambda: Lambda^F and dLambda^F extend the stack
+and ride along in the same step, but no field reads them, so Theta and
+Lambda are the same with or without it.  Probing phases are recomputed
+from t at every stage, never integrated, so runs are reproducible bit
+for bit.  The kernel's record hook sees each sample's state and probe
+vector, which is how qsakit.meanflow averages the slow field in one pass.
 
-Between stages the kernel holds the stacked state and the four stage
-derivatives as lists of Python floats.  Each stage builds one float64
-array, and the callbacks g, h and g_probe receive ndarray views of it
-and the stage's probe vector as a contiguous float64 row; each
-callback's output is read back as a list of floats of its block's
-length (a scalar fills a 1-element block, any other length mismatch is
-a ConfigError).  Binary64 +, - and * on Python floats round exactly as
-numpy's elementwise float64 operations do, and the kernel performs them
-in the order the array expressions would, so the trajectories are bit
-for bit those of the same step written on arrays.  This pays off for
-small stacks only: on a system whose callbacks are single numpy
-expressions, per-element stage arithmetic beat array arithmetic up to
-about 12 states and lost from about 16 on (D = 32: about 30 -> 40 us per
-step, measured on a 2-vCPU host).  Every built-in system has D <= 5.
+The kernel holds states, stage derivatives and probe vectors as lists
+of Python floats (one tolist() per block of steps; the block's last row
+is carried into the next, so stages at one time share one list).  Every
+run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
+(slow, fast) on such lists, the stage derivative at gains (a, b): slow =
+a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h; a
+gain of None skips its part (None in its place), as a frozen slow state
+(a) or the averaged slow field (b) needs.  The built-in systems write
+it directly; array callbacks g, h and
+g_probe are wrapped by one adapter, which hands them float64 arrays and
+reads each output back as a list of its block's length (a scalar fills
+a 1-element block, any other length is a ConfigError).  Binary64 +, -
+and * on Python floats round exactly as numpy's elementwise float64
+operations, performed here in the order of the array expressions, so
+trajectories are bit for bit those of the step written on arrays.  This
+pays off for small stacks only: on callbacks that are single numpy
+expressions, per-element arithmetic beat arrays up to about 12 states
+and lost from about 16 on (D = 32: about 30 -> 40 us per step, 2-vCPU
+host).  Every built-in system has D <= 5.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -47,6 +49,9 @@ from .probing import clock_phases, identity_map, probe_signal
 #: steps per precomputed probe/gain block inside the integrator; a block
 #: holds a Python object per stage, so it is kept short to bound memory
 _CHUNK = 1 << 10
+
+#: trajectory rows per formatted block of Trajectory.to_csv
+_CSV_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -90,19 +95,17 @@ def _lattice(count, dim, lo=-1.0, hi=1.0):
 class TwoTimescaleSystem:
     """Coupled slow/fast vector fields with their probing clock.
 
-    g and h are callbacks (theta, lam, xi) -> array.  When an exact Fourier
-    form of the stacked field [g; h] is supplied it is cross-checked against
-    the callbacks on a deterministic grid at construction; the frequency-
-    domain machinery then works from that form while integration always
-    uses the callbacks.
-
-    Optional structural extras: g_probe adds a_t-weighted probing feedback
-    to the slow field (the slow rate becomes a_t * (g + a_t * g_probe));
-    dh_dlambda(theta, lam, xi) is an analytic fast Jacobian for sensitivity
-    runs, a (dim_fast, dim_fast) array, or when dim_fast is 1 also a
-    scalar or a 1-element sequence (any other shape is a ConfigError in
-    qsakit.lyapunov); lambda_star / theta_star record known equilibrium
-    maps for diagnostics.
+    g and h are array callbacks (theta, lam, xi) -> array; g_probe adds
+    a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
+    Runs read the stage property; a built-in system also passes its stage
+    field on floats as stage, with g, h, g_probe of the same values.  An
+    exact Fourier form of [g; h] is cross-checked against the callbacks on
+    a deterministic grid at construction, and the frequency-domain
+    machinery works from it.  dh_dlambda(theta, lam, xi), called with the
+    stage's lists, is an analytic fast Jacobian for sensitivity runs: a
+    (dim_fast, dim_fast) array, or at dim_fast 1 also a scalar or a
+    1-element sequence (else a ConfigError in qsakit.lyapunov);
+    lambda_star / theta_star record known equilibrium maps.
     """
 
     def __init__(
@@ -116,6 +119,7 @@ class TwoTimescaleSystem:
         *,
         fourier=None,
         g_probe=None,
+        stage=None,
         dh_dlambda=None,
         lambda_star=None,
         theta_star=None,
@@ -131,6 +135,7 @@ class TwoTimescaleSystem:
         self.probing = probing if probing is not None else identity_map(basis.size)
         self.fourier = fourier
         self.g_probe = g_probe
+        self._fused = (g, h, g_probe, stage)
         self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
         self.theta_star = theta_star
@@ -143,24 +148,23 @@ class TwoTimescaleSystem:
                 )
             self._check_fourier_agreement()
 
+    @property
+    def stage(self):
+        """The stage field (module docstring): the one passed at
+        construction while g, h and g_probe are the ones passed with it,
+        else the adapter of the current callbacks (a test or a tracer may
+        reassign them to watch the calls).  Lists handed to it must not be
+        changed afterwards: the seeker keys its memo on them."""
+        g, h, g_probe, stage = self._fused
+        if stage is not None and self.g is g and self.h is h and self.g_probe is g_probe:
+            return stage
+        return _array_stage(self.g, self.h, self.g_probe, self.dim_slow, self.dim_fast)
+
     def analysis_floats(self, theta, lam, xi):
-        """Slow field with unit-weight probing feedback, used for averaging,
-        as a list of dim_slow Python floats: g + g_probe per element.
-
-        This is the one definition of the averaged slow field; each
-        callback's output is read as the integrator reads it (a length
-        mismatch is a ConfigError), and the sum rounds as the float64
-        array sum does.  qsakit.meanflow records it along frozen-fast runs.
-        """
-        val = _floats(self.g(theta, lam, xi), self.dim_slow, "g")
-        if self.g_probe is None:
-            return val
-        probe = _floats(self.g_probe(theta, lam, xi), self.dim_slow, "g_probe")
-        return [v + p for v, p in zip(val, probe)]
-
-    def analysis_g(self, theta, lam, xi):
-        """analysis_floats as a float64 (dim_slow,) array."""
-        return np.array(self.analysis_floats(theta, lam, xi))
+        """The averaged slow field g + g_probe at array-likes theta, lam, xi
+        as a list of floats: the stage field's slow part at a = 1.0, which
+        is exact."""
+        return self.stage(*_float_lists(theta, lam, xi), 1.0, None)[0]
 
     def _check_fourier_agreement(self, count=24, tol=1e-10):
         pts = _lattice(count, self.dim_slow + self.dim_fast)
@@ -204,27 +208,22 @@ class Trajectory:
         return self.t.shape[0]
 
     def to_csv(self, path):
-        """Write samples as CSV with 17 significant digits per value."""
-        cols = [self.t, self.a, self.beta]
+        """Write samples as CSV with 17 significant digits per value to a
+        file name or text stream: np.savetxt's bytes, formatted with one %
+        per block of _CSV_BLOCK rows, so one block of floats is held."""
+        blocks = {"theta": self.theta, "lambda": self.lam, "lambdaF": self.lam_filtered}
+        blocks = [(k, v) for k, v in blocks.items() if v is not None]
+        blocks.append(("phase", self.phases.T))
         names = ["t", "a_t", "beta"]
-        for i in range(self.theta.shape[1]):
-            cols.append(self.theta[:, i])
-            names.append(f"theta_{i + 1}")
-        for i in range(self.lam.shape[1]):
-            cols.append(self.lam[:, i])
-            names.append(f"lambda_{i + 1}")
-        if self.lam_filtered is not None:
-            for i in range(self.lam_filtered.shape[1]):
-                cols.append(self.lam_filtered[:, i])
-                names.append(f"lambdaF_{i + 1}")
-        for k in range(self.phases.shape[0]):
-            cols.append(self.phases[k])
-            names.append(f"phase_{k + 1}")
-        data = np.column_stack(cols)
-        np.savetxt(
-            path, data, fmt="%.17g", delimiter=",", comments="",
-            header=",".join(names),
-        )
+        names += [f"{k}_{i + 1}" for k, v in blocks for i in range(v.shape[1])]
+        data = np.column_stack([self.t, self.a, self.beta] + [v for _, v in blocks])
+        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+        with contextlib.ExitStack() as stack:
+            fh = path if hasattr(path, "write") else stack.enter_context(open(path, "w"))
+            fh.write(",".join(names) + "\n")
+            for lo in range(0, data.shape[0], _CSV_BLOCK):
+                block = data[lo : lo + _CSV_BLOCK]
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def step_bound(basis, beta):
@@ -252,13 +251,10 @@ def _resolve_step(basis, beta, horizon, step):
 
 
 def _floats(value, size, name):
-    """A callback's block as a list of size Python floats.
-
-    A scalar stands for a 1-element block; any other length mismatch
-    raises ConfigError naming the callback.  A list of size Python floats
-    is returned as it is: converting it through a float64 array would give
-    the same floats back, at about three times the cost of the check.
-    """
+    """A callback's block as a list of size Python floats; a scalar fills a
+    1-element block, any other length mismatch is a ConfigError naming the
+    callback.  A list of size floats is returned as it is (the array round
+    trip gives the same floats at about three times the cost)."""
     if type(value) is list and len(value) == size:
         for v in value:
             if type(v) is not float:
@@ -274,9 +270,51 @@ def _floats(value, size, name):
     return out
 
 
+def _float_lists(*arrays):
+    """Each array-like as a flat list of Python floats, via float64."""
+    return [np.asarray(v, dtype=float).ravel().tolist() for v in arrays]
+
+
+def _callbacks_of(stage):
+    """Array callbacks (g, h) of a stage field without probing feedback:
+    its parts at unit gains, as float64 arrays."""
+
+    def g(theta, lam, xi):
+        return np.array(stage(*_float_lists(theta, lam, xi), 1.0, None)[0])
+
+    def h(theta, lam, xi):
+        return np.array(stage(*_float_lists(theta, lam, xi), None, 1.0)[1])
+
+    return g, h
+
+
+def _array_stage(g, h, g_probe, dim_slow, dim_fast):
+    """The stage field of array callbacks: they receive views of one
+    float64 array of [theta; lam] and an array of xi, in the order g,
+    g_probe, h (each only when its gain is given), and _floats reads each
+    output."""
+
+    def stage(theta, lam, xi, a, b):
+        state = np.array(theta + lam)
+        th, la, xv = state[:dim_slow], state[dim_slow:], np.array(xi)
+        slow = fast = None
+        if a is not None:
+            gv = _floats(g(th, la, xv), dim_slow, "g")
+            if g_probe is None:
+                slow = [a * v for v in gv]
+            else:
+                gp = _floats(g_probe(th, la, xv), dim_slow, "g_probe")
+                slow = [a * (v + a * p) for v, p in zip(gv, gp)]
+        if b is not None:
+            fast = [b * v for v in _floats(h(th, la, xv), dim_fast, "h")]
+        return slow, fast
+
+    return stage
+
+
 def _pinned_gains(beta):
     """_rk4's gains callback for a frozen slow state: b = beta at every
-    stage (a is passed the same value and left unread)."""
+    stage (a, the same list, goes unread: frozen runs pass a = None)."""
 
     def gains(ts):
         fixed = [float(beta)] * len(ts)
@@ -288,35 +326,28 @@ def _pinned_gains(beta):
 def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
-    The stack is [theta; lambda] (with the filter's states appended) for
-    integrate, lambda for integrate_frozen_fast, and [lambda; vec S] for
-    qsakit.lyapunov.  x is the state at step index start, an integer:
-    stage times are (start + i + 0.5*k)*h for step i and k in {0, 1, 2},
-    and the sample times and the NonFinite time count from it too.  The
-    multiplier of h is an exact half-integer, so a run split into
-    segments at any step indices sees the same stage times, bit for bit,
-    as the run made in one call.
+    x is the stacked state (module docstring) at step index start, an
+    integer: stage times are (start + i + 0.5*k)*h for step i and k in
+    {0, 1, 2}, and the sample and NonFinite times count from it too.  The
+    multiplier of h is an exact half-integer, so a run split into segments
+    at any step indices sees the stage times of the run made in one call.
 
-    x is a list of Python floats, and so is every stage state: rhs(x, xi,
-    a, b) receives one as a list and returns dx/dt as a list of the same
-    length, given the probe vector xi and the slow and fast gains (a, b)
-    at the stage time; gains(ts) returns both gains at the stage times ts
-    as two lists of Python floats.  The stage and update arithmetic runs
-    per element in numpy's elementwise operation order (x + half*k,
-    x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds exactly
-    as float64 arrays would.  Returns the sample times (every
-    sample_stride steps from start, plus the final time) and the (n, D)
-    buffer of states there.  Raises NonFinite at the end of the first
-    step that leaves x non-finite.
+    x and every stage state are lists of Python floats: rhs(x, xi, a, b)
+    returns dx/dt as a list of the same length, given the probe vector xi
+    (a list) and the gains (a, b) at the stage time; gains(ts) returns
+    both gains at the stage times ts as two lists.  The arithmetic runs
+    per element in numpy's elementwise order (x + half*k, x + h*k, then
+    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as float64 arrays
+    would.  Returns the sample times (every sample_stride steps from
+    start, plus the final time) and the (n, D) buffer of states there.
+    Raises NonFinite at the end of the first step that leaves x
+    non-finite.
 
-    record, when given, is called as record(x, xi) once per sample, in
-    sample order, with the sample's state (x is its row of the returned
-    buffer, to be read, not written) and the probe vector at its time:
-    the stage xi of index 2i, whose time is the sample time bit for bit.
-    It fires at every sampled step before that step is taken, and once
-    more at the final sample, so a caller can fill a preallocated buffer
-    with a field evaluated along the run instead of rebuilding the probe
-    from the samples afterwards.
+    record(x, xi), when given, is called at each sample, in order and
+    before the sampled step (and once at the final sample), with the
+    state x (the kernel's list, to be read, not written) and the very
+    probe list the step's first stage receives, so a caller can fill a
+    buffer with a field along the run.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
@@ -326,12 +357,15 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
     h = float(h)  # a numpy scalar step would make every stage product a numpy op
     sixth = h / 6.0
     half = h * 0.5
+    xis = None
     for chunk in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - chunk)
         # stage times for steps chunk..chunk+m-1: half-grid from (start+chunk)*h
         ts = (start + chunk + 0.5 * np.arange(2 * m + 1)) * h
-        # one contiguous row per stage: callbacks key memos on its bytes
-        xis = list(np.ascontiguousarray(probe_signal(pmap, basis, ts).T))
+        carried = xis[-1] if xis is not None else None
+        xis = probe_signal(pmap, basis, ts).T.tolist()
+        if carried is not None:
+            xis[0] = carried  # the same time, so every stage there sees one list
         a_all, b_all = gains(ts)
         for i in range(m):
             gi = chunk + i
@@ -339,7 +373,7 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
             if gi % sample_stride == 0:
                 samples[cursor] = x
                 if record is not None:
-                    record(samples[cursor], xis[j])
+                    record(x, xis[j])
                 cursor += 1
             xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]
             k1 = rhs(x, xis[j], a_all[j], b_all[j])
@@ -356,7 +390,7 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
                 raise NonFinite((start + gi + 1) * h)
     samples[cursor] = x
     if record is not None:
-        record(samples[cursor], xis[2 * m])
+        record(x, xis[2 * m])
     return (start + steps) * h, samples
 
 
@@ -376,10 +410,9 @@ def integrate(
     x0 is the pair (theta0, lambda0); the RK4 kernel advances the stacked
     state [theta; lambda].  With filt (a SecondOrderFilter) the stack is
     extended by (Lambda^F, dLambda^F), initialized to (lambda0, 0) unless
-    filter_init overrides them.  The filter only observes Lambda: the slow
-    field reads the raw Lambda, so theta and lam are identical to an
-    unfiltered run.  Samples are stored every sample_stride steps plus the
-    final time; the Trajectory fields are column views of one sample
+    filter_init overrides them; the filter only observes Lambda, so theta
+    and lam are those of an unfiltered run.  Samples are stored every
+    sample_stride steps plus the final time, as column views of one
     buffer.  Raises NonFinite with the offending time on blow-up.
     """
     if sample_stride < 1:
@@ -406,20 +439,13 @@ def integrate(
         gamma2 = filt.gamma**2
         two_zg = 2.0 * filt.zeta * filt.gamma
 
-    g_cb, h_cb, gp_cb = system.g, system.h, system.g_probe
+    stage = system.stage
     ds, df = system.dim_slow, system.dim_fast
     dx = ds + df
 
     def rhs(x, xi, a, b):
-        stage = np.array(x)
-        th, la = stage[:ds], stage[ds:dx]
-        gv = _floats(g_cb(th, la, xi), ds, "g")
-        if gp_cb is not None:
-            gp = _floats(gp_cb(th, la, xi), ds, "g_probe")
-            out = [a * (v + a * p) for v, p in zip(gv, gp)]
-        else:
-            out = [a * v for v in gv]
-        out += [b * v for v in _floats(h_cb(th, la, xi), df, "h")]
+        slow, fast = stage(x[:ds], x[ds:dx], xi, a, b)
+        out = slow + fast
         if filt is None:
             return out
         vf = x[dx + df :]
@@ -431,10 +457,7 @@ def integrate(
         return out
 
     def gains(ts):
-        return (
-            schedule.slow_gain_array(ts).tolist(),
-            schedule.fast_gain_array(ts).tolist(),
-        )
+        return schedule.slow_gain_array(ts).tolist(), schedule.fast_gain_array(ts).tolist()
 
     t, samples = _rk4(
         rhs, np.concatenate(blocks).tolist(), h, n_steps, sample_stride, system, gains
@@ -458,10 +481,10 @@ def integrate_frozen_fast(
 
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
-    The RK4 kernel advances Lambda alone.  Returns a Trajectory whose theta
-    block repeats the frozen value and whose slow-gain column is zero.
-    _record is the kernel's record(x, xi) hook (see _rk4), for
-    qsakit.meanflow, which averages the slow field along the run.
+    The RK4 kernel advances Lambda alone on the stage field's fast part
+    (a = None).  Returns a Trajectory whose theta block repeats the frozen
+    value and whose slow-gain column is zero.  _record is the kernel's
+    record(x, xi) hook (see _rk4), for qsakit.meanflow.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -472,10 +495,10 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    h_cb, df = system.h, system.dim_fast
+    stage, th = system.stage, theta.tolist()
 
     def rhs(x, xi, a, b):
-        return [b * v for v in _floats(h_cb(theta, np.array(x), xi), df, "h")]
+        return stage(th, x, xi, None, b)[1]
 
     t, lam_samp = _rk4(
         rhs, lam.tolist(), h, n_steps, sample_stride, system, _pinned_gains(beta),

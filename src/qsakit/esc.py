@@ -22,27 +22,21 @@ normalized measurement.  Filtered probe channels carry no state: the probes
 are single tones, so their filtered copies are computed in closed form from
 the clock phasors via the transfer function at each probe frequency.
 
-The assembled system evaluates the objective once per distinct stage point:
-the slow and fast fields of one RK4 stage share a measurement, and a stage
-point that repeats (the frozen-fast midpoint and step boundary) reuses the
-last one.  The objective-scaled probe amplitude eps(theta) is likewise
-evaluated once per distinct theta, so a frozen-fast run computes it once.
-The averaged read-out reuses the run's measurements: qsakit.meanflow
-records the slow field at each sample inside the frozen-fast run, where
-the neighbouring stage has just measured at the same point.  Objectives,
-external commands included, must therefore be deterministic functions of
-the point.
+The objective is evaluated once per distinct stage point: the stage
+field computes the slow and fast parts of one RK4 stage from one
+measurement, and a repeated stage point (the frozen-fast midpoint and
+step boundary, and the sample qsakit.meanflow records) reuses the last
+one; eps(theta) is evaluated once per distinct theta.  Objectives,
+external commands included, must therefore be deterministic.
 
-The whole measurement chain, from stage to objective, computes on Python
-floats, since numpy's per-call cost dominates on arrays of one or two
-elements, and the field callbacks return lists.  Each float operation is
-the one numpy performs per element, in numpy's order, so every result
-rounds exactly as the array expression did: the probed point is
-t + eps*x per coordinate (handed to the objective as one float64 array),
-the probe term -x_check * filtered, the slow term -sigma*(t - c), and
-with a single a_t both in one pass, -sigma*(t - c) + -x_check*filtered.
-The built-in quadratic objective runs on floats up to 7 coordinates
-(quadratic_objective).  Float64 arrays are never converted again.
+The measurement chain, from stage to objective, computes on lists of
+Python floats, since numpy's per-call cost dominates on one or two
+elements.  Each float operation is the one numpy performs per element,
+in numpy's order, so every result rounds exactly as the array
+expression did: the probed point t + eps*x (handed to the objective as
+one float64 array), the probe term -x_check * filtered, the slow term
+-sigma*(t - c), and with a single a_t -sigma*(t - c) + -x_check*filtered.
+The built-in quadratic objective runs on floats up to 7 coordinates.
 The washout products F lambda and H'lambda are floats only at order 1,
 where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
 turns a -0.0 product into +0.0.  At order >= 2 numpy computes them, since
@@ -63,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TwoTimescaleSystem
+from .dynamics import TwoTimescaleSystem, _callbacks_of, _float_lists
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -86,13 +80,6 @@ MOMENT_TOL = 1e-6
 
 
 _FLOAT64 = np.dtype(float)
-
-
-def _float64(x):
-    """x as a float64 ndarray: x itself when it is one already."""
-    if type(x) is np.ndarray and x.dtype is _FLOAT64:
-        return x
-    return np.asarray(x, dtype=float)
 
 
 class Objective:
@@ -382,19 +369,29 @@ def probing_gain(config, theta) -> float:
 
 
 def _measure(config, theta, xi, eps) -> float:
-    """f(theta + eps xi) / eps for float arrays theta and xi, eps = eps(theta).
+    """f(theta + eps xi) / eps for float lists theta and xi, eps = eps(theta);
+    xi may run longer than theta, and only its first len(theta) entries
+    are read.
 
     The probed point is built on Python floats, t + eps*x per element as
     numpy would, and reaches the objective as one float64 (d,) array.
     """
-    point = np.array([t + eps * x for t, x in zip(theta.tolist(), xi.tolist())])
+    point = np.array([t + eps * x for t, x in zip(theta, xi)])
     return _objective_value(config, point) / eps
+
+
+def _same_bits(a, b):
+    """Whether the float list a holds the bits of b (a list or None):
+    equal floats differ in bits only as +0.0 and -0.0 (a NaN equals only
+    itself), so the signs of zeros are compared too."""
+    return a == b and (
+        0.0 not in a or all(math.copysign(1.0, u) == math.copysign(1.0, v) for u, v in zip(a, b))
+    )
 
 
 def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    theta, xi = _float_lists(theta, xi)
     return _measure(config, theta, xi, probing_gain(config, theta))
 
 
@@ -503,16 +500,9 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     factor a_t by default (g_probe mechanism), or folded into the plain
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
-    reference runs use 1).  The objective is measured once per distinct
-    (theta, xi) stage point, and eps(theta) computed once per distinct
-    theta, so the objective must be deterministic.
-
-    g, g_probe and, for a first-order washout, h and dh_dlambda return
-    lists of Python floats computed in numpy's operation order, so they
-    round exactly as the array expressions did (F lam and H'lam as
-    0.0 + m*l); at order >= 2, h is numpy's F @ lam + G * measurement and
-    dh_dlambda the matrix F.  Inputs may be lists or integer arrays: they
-    are converted to float64 before the memo reads their bits.
+    reference runs use 1).  The stage field is described in the module
+    docstring; the array callbacks g, g_probe and h convert any array-like
+    input to float64 lists first and return its values as float64 arrays.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -526,40 +516,33 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
-    # One-entry memos of the measurement, keyed by the exact bits of theta
-    # and of the whole probe row [xi; xi_check], and of eps(theta), keyed
-    # by theta alone: g (or g_probe) and h of one RK4 stage measure at the
-    # same point, and so do the repeated stage points of a frozen-fast run,
-    # whose pinned theta also keeps eps(theta) for the whole run.  The keys
-    # are taken from float64 arrays, so an integer 1 and the float 5e-324,
-    # which share their bits, never share an entry.  Each entry is replaced
-    # whole and read once: the package runs single-threaded, and a caller
-    # that shares one seeker across its own threads can cause a miss but
-    # never read a mismatched value.
-    memo = (None, 0.0)
+    # One-entry memos of the measurement, keyed by theta and the whole probe
+    # row, and of eps(theta): frozen-fast stage points repeat (k2 and k3,
+    # k4 and the next k1, which qsakit.meanflow's record also measures at)
+    # and keep one theta; coupled k2 and k3 share a probe row, not theta.
+    # A key matches the same list (the kernel hands one to every stage at
+    # one time) or one with its bits.  Entries are replaced whole and read
+    # once, so threads sharing a seeker can miss but never mismatch.
+    memo = (None, None, 0.0)
     eps_memo = (None, 0.0)
 
     def observe(theta, xi):
         """The normalized measurement at (theta, xi[:d]), xi the whole
-        probe row; theta and xi are converted unless float64 arrays."""
+        probe row, both lists of floats."""
         nonlocal memo, eps_memo
-        if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64:
-            theta = np.asarray(theta, dtype=float)
-        if type(xi) is not np.ndarray or xi.dtype is not _FLOAT64:
-            xi = np.asarray(xi, dtype=float)
-        theta_key = theta.tobytes()
-        key = (theta_key, xi.tobytes())
         last = memo
-        if last[0] == key:
-            return last[1]
+        if (xi is last[1] or _same_bits(xi, last[1])) and (
+            theta is last[0] or _same_bits(theta, last[0])
+        ):
+            return last[2]
         last = eps_memo
-        if last[0] == theta_key:
+        if theta is last[0] or _same_bits(theta, last[0]):
             eps = last[1]
         else:
             eps = probing_gain(config, theta)
-            eps_memo = (theta_key, eps)
-        value = _measure(config, theta, xi[:d], eps)
-        memo = (key, value)
+            eps_memo = (theta, eps)
+        value = _measure(config, theta, xi, eps)
+        memo = (theta, xi, value)
         return value
 
     # F lam and H'lam: 0.0 + m*l on floats at order 1, numpy's own product
@@ -567,52 +550,51 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     if washout.order == 1:
         f1, g1, h1 = F.item(), G.item(), H.item()
 
-        def h_cb(theta, lam, xi):
-            return [0.0 + f1 * float(lam[0]) + g1 * observe(theta, xi)]
+        def fast(lam, y, b):
+            return [b * (0.0 + f1 * lam[0] + g1 * y)]
 
         def state_output(lam):
-            return 0.0 + h1 * float(lam[0])
+            return 0.0 + h1 * lam[0]
 
         def dh_dlambda(theta, lam, xi):
             return [f1]
     else:
-        def h_cb(theta, lam, xi):
-            return F @ lam + G * observe(theta, xi)
+        def fast(lam, y, b):
+            return [b * v for v in (F @ np.array(lam) + G * y).tolist()]
 
         def state_output(lam):
-            return float(H @ lam)
+            return float(H @ np.array(lam))
 
         def dh_dlambda(theta, lam, xi):
             return F
-
-    def probe_term(theta, lam, xi):
-        theta, xi = _float64(theta), _float64(xi)
-        filtered = state_output(lam) + J * observe(theta, xi)
-        return [-v * filtered for v in xi[d:].tolist()]
 
     ctr_floats = ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
     neg_sigma = float(-sigma)
+    single_at = config.single_at
 
-    if config.single_at:
+    def stage(theta, lam, xi, a, b):
+        y = observe(theta, xi)
+        slow = None
+        if a is not None:
+            w = state_output(lam) + J * y
+            k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
+            pairs = zip(theta, ctr_floats, xi[d:])
+            slow = [a * (neg_sigma * (t - c) + k * (-v * w)) for t, c, v in pairs]
+        return slow, None if b is None else fast(lam, y, b)
+
+    g_cb, h_cb = _callbacks_of(stage)
+    g_probe = None
+    if not single_at:
         def g_cb(theta, lam, xi):
-            theta, xi = _float64(theta), _float64(xi)
-            filtered = state_output(lam) + J * observe(theta, xi)
-            return [
-                neg_sigma * (t - c) + -v * filtered
-                for t, c, v in zip(theta.tolist(), ctr_floats, xi[d:].tolist())
-            ]
+            (theta,) = _float_lists(theta)
+            return np.array([neg_sigma * (t - c) for t, c in zip(theta, ctr_floats)])
 
-        g_probe = None
-    else:
-        def g_cb(theta, lam, xi):
-            return [
-                neg_sigma * (t - c)
-                for t, c in zip(_float64(theta).tolist(), ctr_floats)
-            ]
-
-        g_probe = probe_term
+        def g_probe(theta, lam, xi):
+            theta, lam, xi = _float_lists(theta, lam, xi)
+            w = state_output(lam) + J * observe(theta, xi)
+            return np.array([-v * w for v in xi[d:]])
 
     # solved once; the sign convention makes lambda_star = -F^{-1} G * mean input
     neg_finv_g = -np.linalg.solve(F, G)
@@ -632,6 +614,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         basis=config.probing,
         probing=extended_probe_map(config),
         g_probe=g_probe,
+        stage=stage,
         dh_dlambda=dh_dlambda,
         lambda_star=lambda_star,
         theta_star=theta_star,

@@ -455,8 +455,8 @@ def pmf_identity_suite(
     Simulates the system (default gains rho=0.7, beta=0.1) and checks the
     three lift identities plus the assembled representation along the
     run.  Each lifted field is evaluated once over the whole sample axis
-    of the trajectory; only the exact fast right-hand side goes through
-    the scalar system.h callback sample by sample.
+    of the trajectory; only the exact fast right-hand side, the stage
+    field's fast part, is evaluated sample by sample.
     derivative="analytic" forms all time derivatives in the
     frequency domain and the residuals are exact to roundoff;
     derivative="fd" replaces every time derivative with sampled 3-point
@@ -574,12 +574,9 @@ def pmf_identity_suite(
     )
 
     # assembled: exact fast right-hand side against the model form.
-    xis = probe_signal(system.probing, basis, t).T
-    exact = np.zeros((n, d_fast))
-    for i in range(n):
-        exact[i] = beta * np.atleast_1d(
-            np.asarray(system.h(traj.theta[i], traj.lam[i], xis[i]), dtype=float)
-        )
+    stage, xis = system.stage, probe_signal(system.probing, basis, t).T.tolist()
+    rows = zip(traj.theta.tolist(), traj.lam.tolist(), xis)
+    exact = np.array([stage(th, la, xi, None, beta)[1] for th, la, xi in rows])
     lhs4 = exact[interior]
     if derivative == "analytic":
         rhs4 = terms.fast_rhs_model(states, clocks, t)

@@ -11,22 +11,19 @@ rescale interval and at the half-horizon step; between segments S is
 divided by its Frobenius norm, whose log is accumulated, and the half-
 horizon magnitude is recorded.
 
-The stage right-hand side takes one of two forms, chosen by the fast
-dimension d.  At d = 1 it runs on Python floats: h still receives a
-one-element Lambda array, but the Jacobian is read as one float and the
-sensitivity derivative is b * (0.0 + j * s), which is how numpy's 1x1
-matmul rounds (its accumulator starts at +0.0, so a -0.0 product comes
-out +0.0).  That is bit for bit the array form: one exponent on
-linear-3.1 (beta = 0.1, T = 400) took 0.40 s instead of 0.68 s (best of
-3 on a 2-vCPU x86 host).  At d >= 2 the product J @ S stays a numpy
-matmul: BLAS sums each row with fused multiply-adds in an order of its
-own choosing, which a sum of Python floats does not reproduce (thousands
-of mismatches per 20,000 random 2x2 cases), so only the array form gives
-the same exponents there.
+Each stage reads the fast part b*h of the system's stage field
+(qsakit.dynamics), with a = None.  At fast dimension d = 1 the sensitivity
+derivative is b * (0.0 + j * s) on Python floats, which is how numpy's
+1x1 matmul rounds (its accumulator starts at +0.0, so a -0.0 product
+comes out +0.0).  At d >= 2 the product J @ S stays a numpy matmul: BLAS
+sums each row with fused multiply-adds in an order of its own choosing,
+which a sum of Python floats does not reproduce (thousands of mismatches
+per 20,000 random 2x2 cases).
 
-An analytic dh_dlambda must return d*d values: at d = 1 a scalar, a
-1-element sequence or a 1x1 array, at d >= 2 a (d, d) array.  Anything
-else raises ConfigError naming dh_dlambda.
+An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
+and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
+1x1 array, at d >= 2 a (d, d) array, else ConfigError naming dh_dlambda.
+Without one, the Jacobian is a central difference of the stage field.
 """
 
 import math
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _floats, _pinned_gains, _resolve_step, _rk4
+from .dynamics import _float_lists, _floats, _pinned_gains, _resolve_step, _rk4
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -55,10 +52,10 @@ class ExponentEstimate:
 
 
 def _jacobian_evaluator(system):
-    """The fast Jacobian as a (d, d) array: system.dh_dlambda checked for
-    shape (a single value stands for the 1x1 Jacobian), or central
-    differences of system.h when no analytic form is given."""
-    h_cb = system.h
+    """The fast Jacobian as a (d, d) array at (theta, lam, xi), the stage's
+    lists or arrays: system.dh_dlambda checked for shape (a single value
+    stands for the 1x1 Jacobian), or central differences of the stage
+    field's fast part when no analytic form is given."""
     d = system.dim_fast
     if system.dh_dlambda is not None:
         jac_cb = system.dh_dlambda
@@ -75,16 +72,19 @@ def _jacobian_evaluator(system):
 
         return analytic
 
+    stage = system.stage
+
     def by_difference(theta, lam, xi):
+        theta, lam, xi = _float_lists(theta, lam, xi)
         jac = np.zeros((d, d))
         for j in range(d):
             delta = fd_step(lam[j])
-            up = lam.copy()
+            up = list(lam)
             up[j] += delta
-            dn = lam.copy()
+            dn = list(lam)
             dn[j] -= delta
-            hi = np.asarray(h_cb(theta, up, xi), dtype=float)
-            lo = np.asarray(h_cb(theta, dn, xi), dtype=float)
+            hi = np.array(stage(theta, up, xi, None, 1.0)[1])
+            lo = np.array(stage(theta, dn, xi, None, 1.0)[1])
             jac[:, j] = (hi - lo) / (2.0 * delta)
         return jac
 
@@ -108,27 +108,25 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
 
-    h_cb = system.h
+    stage, th = system.stage, theta.tolist()
     d = system.dim_fast
     if d == 1:
         jac_cb = system.dh_dlambda
-        if jac_cb is None:
-            jac_cb = _jacobian_evaluator(system)
+        jac_cb = _jacobian_evaluator(system) if jac_cb is None else jac_cb
 
         def rhs(x, xi, a, b):
-            la = np.array(x[:1])
-            (v,) = _floats(h_cb(theta, la, xi), 1, "h")
-            (j,) = _floats(jac_cb(theta, la, xi), 1, "dh_dlambda")
-            return [b * v, b * (0.0 + j * x[1])]
+            la = x[:1]
+            (v,) = stage(th, la, xi, None, b)[1]
+            (j,) = _floats(jac_cb(th, la, xi), 1, "dh_dlambda")
+            return [v, b * (0.0 + j * x[1])]
 
     else:
         jac_of = _jacobian_evaluator(system)
 
         def rhs(x, xi, a, b):
-            stage = np.array(x)
-            la = stage[:d]
-            out = [b * v for v in _floats(h_cb(theta, la, xi), d, "h")]
-            ds = jac_of(theta, la, xi) @ stage[d:].reshape(d, d)
+            la = x[:d]
+            out = stage(th, la, xi, None, b)[1]
+            ds = jac_of(th, la, xi) @ np.array(x[d:]).reshape(d, d)
             out += [b * v for v in ds.ravel().tolist()]
             return out
 

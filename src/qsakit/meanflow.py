@@ -29,17 +29,15 @@ class StationaryEstimate:
     horizon: float
 
 
-def _windowed_run(system, theta, beta, burn_in, window, lambda0, field=None):
+def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=False):
     """Frozen-fast trajectory spanning a burn-in plus two averaging windows.
 
     Defaults: 20 fast time constants of burn-in, windows of 100 periods of
     the slowest probe tone.  Two windows are integrated so convergence can
     be judged by comparing their averages.  Returns (traj, m1, m2, series)
-    with the sample masks m1, m2 of the two windows.  Given field, a
-    callable (theta, lam, xi) -> (dim_slow,) values, series holds its
-    values at the samples of both windows, the first post-burn-in sample
-    onwards, recorded during the run into a preallocated buffer; without
-    field, series is None.
+    with the sample masks m1, m2 of the two windows.  With slow_field,
+    series holds the stage field's slow part at a = 1.0 at the samples of
+    both windows (b = None), recorded during the run; else series is None.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -52,18 +50,19 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, field=None):
     horizon = burn_in + 2.0 * window
     mid = burn_in + window
     record = series = None
-    if field is not None:
+    if slow_field:
         # the run's sample times, as the kernel computes them (stride 1)
         h, n_steps = _resolve_step(system.basis, beta, horizon, None)
         m1, m2 = _windows(np.arange(n_steps + 1) * h, burn_in, mid)
         kept = int(np.count_nonzero(m1 | m2))
         series = np.empty((kept, system.dim_slow))
         row = kept - (n_steps + 1)  # negative through the burn-in samples
+        stage, th = system.stage, theta.tolist()
 
         def record(lam, xi):
             nonlocal row
             if row >= 0:
-                series[row] = field(theta, lam, xi)
+                series[row] = stage(th, lam, xi, 1.0, None)[0]
             row += 1
 
     traj = integrate_frozen_fast(system, theta, lambda0, beta, horizon, _record=record)
@@ -111,18 +110,16 @@ def mean_field_g0(
     """Stationary average of the slow field along the frozen-fast run.
 
     This realizes the integral of g against the joint invariant measure of
-    (Lambda^theta, xi) by time averaging after burn-in.  It takes one
-    pass: system.analysis_floats, the slow field as a list of Python
-    floats, is recorded inside the run straight into a preallocated
-    float64 buffer, from the first post-burn-in sample onwards, with each
-    sample's state and probe vector, so the probe is never rebuilt from
-    the samples and no array is built per sample.  On the extremum
-    seeker each recorded value reuses the measurement the neighbouring
-    RK4 stage made at the same point.
+    (Lambda^theta, xi) by time averaging after burn-in, in one pass: the
+    stage field's slow part at a = 1.0 (system.analysis_floats) is
+    recorded inside the run into a preallocated buffer at each
+    post-burn-in sample, from the kernel's state and probe lists.  On the
+    extremum seeker each value reuses the measurement of the step's first
+    stage.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     traj, m1, m2, series = _windowed_run(
-        system, theta, beta, burn_in, window, lambda0, field=system.analysis_floats
+        system, theta, beta, burn_in, window, lambda0, slow_field=True
     )
     keep = m1 | m2
     return _two_window_estimate(

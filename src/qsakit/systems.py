@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TwoTimescaleSystem
+from .dynamics import TwoTimescaleSystem, _callbacks_of
 from .errors import ConfigError
 from .esc import EscConfig, build_esc_system, quadratic_objective
 from .fourier import FourierField, PolyCoeff
@@ -35,16 +35,17 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     b1, b2 = (float(v) for v in b)
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
-    # g, h and dh_dlambda return lists of Python floats, which take the
-    # fast path of dynamics._floats; the operation order fixes every
-    # rounding (tests/test_kernel_reference.py, test_lyapunov_reference.py)
-    def g(theta, lam, xi):
-        th = float(theta[0])
-        return [alpha * th + alpha * float(lam[0]) + s1 * float(xi[0]) * (th + 1.0) + b1]
+    # the stage field and dh_dlambda on lists of Python floats; the
+    # operation order fixes every rounding (tests/test_kernel_reference.py,
+    # test_lyapunov_reference.py)
+    def stage(theta, lam, xi, a, b):
+        th, la = theta[0], lam[0]
+        return (
+            None if a is None else [a * (alpha * th + alpha * la + s1 * xi[0] * (th + 1.0) + b1)],
+            None if b is None else [b * (-2.0 * th - la + s2 * xi[1] * (la + 1.0) + b2)],
+        )
 
-    def h(theta, lam, xi):
-        la = float(lam[0])
-        return [-2.0 * float(theta[0]) - la + s2 * float(xi[1]) * (la + 1.0) + b2]
+    g, h = _callbacks_of(stage)
 
     n, p = 2, 2
     mean = PolyCoeff(
@@ -79,6 +80,7 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
         h,
         basis,
         fourier=field,
+        stage=stage,
         dh_dlambda=lambda theta, lam, xi: [-1.0 + s2 * float(xi[1])],
         lambda_star=lambda theta: np.atleast_1d(-2.0 * theta[0] + b2),
         theta_star=np.array([b2 + b1 / alpha]),
@@ -114,11 +116,10 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     """
     basis = make_frequency_basis([(2, 1)])
 
-    def g(theta, lam, xi):
-        return np.array([float(xi[0])])
+    def stage(theta, lam, xi, a, b):
+        return None if a is None else [a * xi[0]], None if b is None else [b * -lam[0]]
 
-    def h(theta, lam, xi):
-        return np.array([-float(lam[0])])
+    g, h = _callbacks_of(stage)
 
     n, p = 2, 2
     tone = PolyCoeff(n, p, {(0, 0): np.array([0.5, 0.0])})
@@ -140,6 +141,7 @@ def make_decoupled_system() -> TwoTimescaleSystem:
         h,
         basis,
         fourier=field,
+        stage=stage,
         dh_dlambda=lambda theta, lam, xi: [-1.0],
         lambda_star=lambda theta: np.zeros(1),
         theta_star=np.zeros(1),

@@ -25,6 +25,8 @@ from qsakit.dynamics import (
 from qsakit.errors import ConfigError, NonFinite
 from qsakit.filters import SecondOrderFilter
 from qsakit.fourier import FourierField, PolyCoeff
+from qsakit.lyapunov import lyapunov_exponent
+from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 
 
@@ -529,6 +531,93 @@ class TestCallbackLengths:
         )
         with pytest.raises(ConfigError, match=r"^h returned 1 value\(s\), expected 2$"):
             self._run(kernel, (1, 2), h=lambda t, l, x: [0.5])
+
+
+class TestArrayAdapter:
+    """Array callbacks reach the kernel through the one adapter of the
+    stage field: they see float64 arrays, and the runs are those of the
+    same system written as a stage field on Python floats."""
+
+    @staticmethod
+    def callbacks(seen=None):
+        def watched(name, fn):
+            def cb(theta, lam, xi):
+                if seen is not None:
+                    seen.add((name, *((type(v), v.dtype, v.shape) for v in (theta, lam, xi))))
+                return fn(theta, lam, xi)
+
+            return cb
+
+        g = watched("g", lambda t, l, x: np.array([0.3 - l[1] + x[0] * t[0]]))
+        g_probe = watched("g_probe", lambda t, l, x: np.array([0.5 * x[0] * l[0]]))
+        h = watched(
+            "h", lambda t, l, x: np.array([-l[0] + x[0] * t[0], -0.5 * l[1] + 0.2 * l[0]])
+        )
+        return g, h, g_probe
+
+    @staticmethod
+    def stage(theta, lam, xi, a, b):
+        (t0,), (l0, l1), x0 = theta, lam, xi[0]
+        slow = None if a is None else [a * ((0.3 - l1 + x0 * t0) + a * (0.5 * x0 * l0))]
+        return slow, None if b is None else [b * (-l0 + x0 * t0), b * (-0.5 * l1 + 0.2 * l0)]
+
+    def system(self, seen=None, fused=False):
+        g, h, g_probe = self.callbacks(seen)
+        stage = self.stage if fused else None
+        return TwoTimescaleSystem(1, 2, g, h, one_pair_basis(), g_probe=g_probe, stage=stage)
+
+    @staticmethod
+    def runs(sys_):
+        theta, lam = np.array([0.4]), np.array([0.2, -0.1])
+        sched = GainSchedule(rho=0.7, beta=0.5)
+        coupled = integrate(sys_, sched, (theta, lam), 5.0, filt=SecondOrderFilter(0.5))
+        frozen = integrate_frozen_fast(sys_, theta, lam, 0.5, 5.0)
+        g0 = mean_field_g0(sys_, theta, 0.5, tol=1.0, burn_in=2.0, window=4.0)
+        lyap = lyapunov_exponent(sys_, theta, 0.5, lam, 40.0)
+        return {
+            "coupled": [getattr(coupled, f).tobytes() for f in ("theta", "lam", "lam_filtered")],
+            "frozen": frozen.lam.tobytes(),
+            "g0": (g0.value.tobytes(), g0.osc_amplitude),
+            "lyapunov": (lyap.exponent, lyap.tail_exponent),
+        }
+
+    def test_callbacks_receive_float64_arrays(self):
+        seen = set()
+        self.runs(self.system(seen))
+        f8 = np.dtype(np.float64)
+        want = {
+            (name, (np.ndarray, f8, (1,)), (np.ndarray, f8, (2,)), (np.ndarray, f8, (1,)))
+            for name in ("g", "g_probe", "h")
+        }
+        assert seen == want
+
+    def test_same_runs_as_the_stage_field(self):
+        assert self.runs(self.system()) == self.runs(self.system(fused=True))
+        assert self.system(fused=True).analysis_floats([0.4], [0.2, -0.1], [0.3]) == (
+            self.system().analysis_floats([0.4], [0.2, -0.1], [0.3])
+        )
+
+    def test_reassigned_callback_replaces_the_stage_field(self):
+        sys_ = self.system(fused=True)
+        calls = []
+        h = sys_.h
+        sys_.h = lambda t, l, x: calls.append(1) or h(t, l, x)
+        run = integrate_frozen_fast(sys_, np.array([0.4]), np.array([0.2, -0.1]), 0.5, 1.0)
+        assert len(calls) == 4 * (run.n_samples - 1)
+
+    @pytest.mark.parametrize(
+        "kw, name, got",
+        [
+            (dict(g=lambda t, l, x: np.ones(2)), "g", 2),
+            (dict(g_probe=lambda t, l, x: np.ones(3)), "g_probe", 3),
+        ],
+    )
+    def test_wrong_length_in_the_averaged_slow_field(self, kw, name, got):
+        g, h, g_probe = self.callbacks()
+        cbs = dict(dict(g=g, g_probe=g_probe), **kw)
+        sys_ = TwoTimescaleSystem(1, 2, cbs["g"], h, one_pair_basis(), g_probe=cbs["g_probe"])
+        with pytest.raises(ConfigError, match=rf"^{name} returned {got} value\(s\), expected 1$"):
+            mean_field_g0(sys_, np.array([0.4]), 0.5, tol=1.0, burn_in=0.5, window=1.0)
 
 
 class TestTrajectoryCsv:

@@ -431,7 +431,7 @@ class TestBuildSystem:
         assert np.allclose(system.g(theta, lam, xi), [-0.2 * 1.7])
         single = build_esc_system(quad_config(sigma=0.2, single_at=True))
         assert np.allclose(
-            system.analysis_g(theta, lam, xi), single.g(theta, lam, xi)
+            np.array(system.analysis_floats(theta, lam, xi)), single.g(theta, lam, xi)
         )
 
     def test_lambda_star_leading_order(self):

@@ -836,14 +836,14 @@ def _frozen_rhs(system, theta):
 
 def _hooked_run(system, theta, lam0, beta, n_steps, stride, start):
     """A frozen-fast _rk4 run whose record hook fills a preallocated buffer
-    with analysis_g; returns (t, samples, rows, calls)."""
+    with analysis_floats; returns (t, samples, rows, calls)."""
     h = step_bound(system.basis, beta)
     n_samples = len(range(0, n_steps, stride)) + 1
     rows = np.empty((n_samples, system.dim_slow))
     calls = []
 
     def record(x, xi):
-        rows[len(calls)] = system.analysis_g(theta, x, xi)
+        rows[len(calls)] = np.array(system.analysis_floats(theta, x, xi))
         calls.append(list(x))
 
     t, samples = _rk4(
@@ -874,7 +874,7 @@ def test_record_hook_sees_the_samples(name, stride, start):
     assert t[-1] == (start + n_steps) * step_bound(system.basis, beta)
     xi = system.probing(np.exp(2j * math.pi * clock_phases(system.basis, t)))
     for k in range(t.shape[0]):
-        want = system.analysis_g(theta, samples[k], xi[:, k])
+        want = np.array(system.analysis_floats(theta, samples[k], xi[:, k]))
         assert rows[k].tobytes() == want.tobytes(), k
 
 

@@ -2,7 +2,7 @@
 
 The reference below is mean_field_g0 as it stood before the slow field was
 recorded inside the frozen-fast run: the run first, then the probe rebuilt
-from the sampled clock phases and system.analysis_g called once per kept
+from the sampled clock phases and system.analysis_floats called once per kept
 sample.  It is kept verbatim, so that the one-pass estimate is held to
 the same StationaryEstimate bit for bit (value bytes, ripple amplitude
 and horizon), not merely a close one, and to the same NonConvergent
@@ -70,7 +70,7 @@ def reference_mean_field_g0(
     xi = system.probing(np.exp(2j * np.pi * traj.phases[:, idx]))
     series = np.zeros((idx.shape[0], system.dim_slow))
     for row, i in enumerate(idx):
-        series[row] = system.analysis_g(theta, traj.lam[i], xi[:, row])
+        series[row] = np.array(system.analysis_floats(theta, traj.lam[i], xi[:, row]))
     return _two_window_estimate(
         series, m1[keep], m2[keep], tol, float(traj.t[-1]), "averaged slow field"
     )
