@@ -20,21 +20,20 @@ The kernel holds states, stage derivatives and probe vectors as lists
 of Python floats (one tolist() per block of steps; the block's last row
 is carried into the next, so stages at one time share one list).  Every
 run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
-(slow, fast) on such lists, the stage derivative at gains (a, b): slow =
-a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h; a
-gain of None skips its part (None in its place), as a frozen slow state
-(a) or the averaged slow field (b) needs.  The built-in systems write
-it directly; array callbacks g, h and
-g_probe are wrapped by one adapter, which hands them float64 arrays and
-reads each output back as a list of its block's length (a scalar fills
-a 1-element block, any other length is a ConfigError).  Binary64 +, -
-and * on Python floats round exactly as numpy's elementwise float64
-operations, performed here in the order of the array expressions, so
-trajectories are bit for bit those of the step written on arrays.  This
-pays off for small stacks only: on callbacks that are single numpy
-expressions, per-element arithmetic beat arrays up to about 12 states
-and lost from about 16 on (D = 32: about 30 -> 40 us per step, 2-vCPU
-host).  Every built-in system has D <= 5.
+(slow, fast), the stage derivative at gains (a, b) on such lists: slow =
+a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
+gain of None skips its part (None in its place): frozen runs pass a =
+None, the averaged slow field b = None.  The built-in systems write the
+field directly; array callbacks g, h and g_probe are wrapped by one
+adapter, which hands them float64 arrays and reads each output back as a
+list of its block's length (a scalar fills a 1-element block, any other
+length is a ConfigError).  Binary64 +, - and * on Python floats round
+exactly as numpy's elementwise float64 operations, performed here in the
+order of the array expressions, so trajectories are bit for bit those of
+the step written on arrays.  This pays off for small stacks only: on
+callbacks that are single numpy expressions, per-element arithmetic beat
+arrays up to about 12 states and lost from about 16 on (D = 32: about
+30 -> 40 us per step, 2-vCPU host).  Every built-in system has D <= 5.
 """
 
 import contextlib
@@ -51,7 +50,7 @@ from .probing import clock_phases, identity_map, probe_signal
 _CHUNK = 1 << 10
 
 #: trajectory rows per formatted block of Trajectory.to_csv
-_CSV_BLOCK = 1 << 12
+_CSV_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,10 @@ class TwoTimescaleSystem:
     a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
     Runs read the stage property; a built-in system also passes its stage
     field on floats as stage, with g, h, g_probe of the same values.  An
-    exact Fourier form of [g; h] is cross-checked against the callbacks on
-    a deterministic grid at construction, and the frequency-domain
-    machinery works from it.  dh_dlambda(theta, lam, xi), called with the
-    stage's lists, is an analytic fast Jacobian for sensitivity runs: a
-    (dim_fast, dim_fast) array, or at dim_fast 1 also a scalar or a
-    1-element sequence (else a ConfigError in qsakit.lyapunov);
-    lambda_star / theta_star record known equilibrium maps.
+    exact Fourier form of [g; h] is checked against the callbacks at
+    construction.  dh_dlambda(theta, lam, xi), called with the stage's
+    lists, is an analytic fast Jacobian for sensitivity runs (shapes: see
+    qsakit.lyapunov); lambda_star / theta_star record known equilibria.
     """
 
     def __init__(
@@ -150,11 +146,10 @@ class TwoTimescaleSystem:
 
     @property
     def stage(self):
-        """The stage field (module docstring): the one passed at
-        construction while g, h and g_probe are the ones passed with it,
-        else the adapter of the current callbacks (a test or a tracer may
-        reassign them to watch the calls).  Lists handed to it must not be
-        changed afterwards: the seeker keys its memo on them."""
+        """The stage field (module docstring): the one passed at construction
+        while g, h and g_probe are the ones passed with it, else the adapter
+        of the current callbacks, which a test or tracer may reassign.  Lists
+        handed to it must not be changed later: memos key on them."""
         g, h, g_probe, stage = self._fused
         if stage is not None and self.g is g and self.h is h and self.g_probe is g_probe:
             return stage
@@ -289,15 +284,12 @@ def _callbacks_of(stage):
 
 
 def _array_stage(g, h, g_probe, dim_slow, dim_fast):
-    """The stage field of array callbacks: they receive views of one
-    float64 array of [theta; lam] and an array of xi, in the order g,
-    g_probe, h (each only when its gain is given), and _floats reads each
-    output."""
+    """The stage field of array callbacks: they get float64 arrays, in the
+    order g, g_probe, h (each only when its gain is given), and _floats
+    reads each output."""
 
     def stage(theta, lam, xi, a, b):
-        state = np.array(theta + lam)
-        th, la, xv = state[:dim_slow], state[dim_slow:], np.array(xi)
-        slow = fast = None
+        th, la, xv, slow, fast = np.array(theta), np.array(lam), np.array(xi), None, None
         if a is not None:
             gv = _floats(g(th, la, xv), dim_slow, "g")
             if g_probe is None:

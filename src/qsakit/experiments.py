@@ -574,9 +574,11 @@ def pmf_identity_suite(
     )
 
     # assembled: exact fast right-hand side against the model form.
-    stage, xis = system.stage, probe_signal(system.probing, basis, t).T.tolist()
-    rows = zip(traj.theta.tolist(), traj.lam.tolist(), xis)
-    exact = np.array([stage(th, la, xi, None, beta)[1] for th, la, xi in rows])
+    stage, xis = system.stage, probe_signal(system.probing, basis, t).T
+    exact = np.zeros((n, d_fast))
+    for i in range(n):
+        th, la, xi = (v[i].tolist() for v in (traj.theta, traj.lam, xis))
+        exact[i] = stage(th, la, xi, None, beta)[1]
     lhs4 = exact[interior]
     if derivative == "analytic":
         rhs4 = terms.fast_rhs_model(states, clocks, t)
