@@ -125,10 +125,9 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
 
         def rhs(x, xi, a, b):
             la = x[:d]
-            out = stage(th, la, xi, None, b)[1]
+            fast = stage(th, la, xi, None, b)[1]
             ds = jac_of(th, la, xi) @ np.array(x[d:]).reshape(d, d)
-            out += [b * v for v in ds.ravel().tolist()]
-            return out
+            return fast + [b * v for v in ds.ravel().tolist()]
 
     def s_norm(x):
         return float(np.linalg.norm(np.array(x[d:])))
