@@ -23,17 +23,31 @@ run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
 (slow, fast), the stage derivative at gains (a, b) on such lists: slow =
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  The built-in systems write the
-field directly; array callbacks g, h and g_probe are wrapped by one
-adapter, which hands them float64 arrays and reads each output back as a
-list of its block's length (a scalar fills a 1-element block, any other
-length is a ConfigError).  Binary64 +, - and * on Python floats round
-exactly as numpy's elementwise float64 operations, performed here in the
-order of the array expressions, so trajectories are bit for bit those of
-the step written on arrays.  This pays off for small stacks only: on
-callbacks that are single numpy expressions, per-element arithmetic beat
-arrays up to about 12 states and lost from about 16 on (D = 32: about
-30 -> 40 us per step, 2-vCPU host).  Every built-in system has D <= 5.
+None, the averaged slow field b = None.  Each run checks the parts'
+lengths at its first stage (ConfigError naming stage and the part).  The
+built-in systems write the field directly; array callbacks g, h and
+g_probe are wrapped by one adapter, which hands them float64 arrays and
+reads each output back as a list of its block's length (a scalar fills a
+1-element block, any other length is a ConfigError).
+
+The steps of a block run in a loop generated as straight-line source
+once per state length D and compiled on first use, as dataclasses and
+namedtuple generate code: the state sits in locals x0 .. x{D-1}, each
+stage state is one list display, the update and the finiteness test
+are written out per component, so no comprehension frame is built in a
+step.  Binary64 +, - and * on Python floats round exactly as numpy's
+elementwise float64 operations, performed here in the order of the
+array expressions, so trajectories are bit for bit those of the step
+written on arrays.  This pays off for small stacks only.  Against an
+RK4 step on float64 arrays, on Python 3.11.7 (a 2-vCPU host, best of
+12), an rhs written on floats was faster up to D = 32 (12.7 against
+14.0 us per step) and slower from D = 48 on; an rhs that is one numpy
+expression, reached through np.array in and tolist() out, was faster up
+to D = 16 (12.5 against 13.8 us) and slower from D = 24 on (D = 32:
+19.9 against 14.0 us).  These figures hold for 3.11 only: Python 3.12
+inlines comprehensions (PEP 709), which makes the comprehension step this
+loop replaced cheaper there.  Every built-in system has D <= 5 in coupled
+and frozen runs.
 """
 
 import contextlib
@@ -51,6 +65,9 @@ _CHUNK = 1 << 10
 
 #: trajectory rows per formatted block of Trajectory.to_csv
 _CSV_BLOCK = 1 << 10
+
+#: _rk4's block loop per state length, generated on first use (_step_loop)
+_STEP_LOOPS = {}
 
 
 @dataclass(frozen=True)
@@ -270,6 +287,17 @@ def _float_lists(*arrays):
     return [np.asarray(v, dtype=float).ravel().tolist() for v in arrays]
 
 
+def _checked_parts(parts, slow, fast):
+    """The stage field's output (slow, fast), checked to hold slow and fast
+    values (None: a part that is not asked for, and not checked); any
+    other length is a ConfigError naming the part."""
+    for part, size, name in zip(parts, (slow, fast), ("slow", "fast")):
+        if size is not None and (part is None or len(part) != size):
+            got = "no" if part is None else len(part)
+            raise ConfigError(f"stage returned {got} {name} value(s), expected {size}")
+    return parts
+
+
 def _callbacks_of(stage):
     """Array callbacks (g, h) of a stage field without probing feedback:
     its parts at unit gains, as float64 arrays."""
@@ -315,6 +343,54 @@ def _pinned_gains(beta):
     return gains
 
 
+def _step_loop_source(size):
+    """Python source of the RK4 loop over one block of steps for stacked
+    states of length size, written out per component (see _rk4)."""
+    comps = range(size)
+
+    def targets(name):  # a trailing comma makes a tuple target at any size
+        return "".join(f"{name}{d}, " for d in comps)
+
+    def stage_state(c, k):
+        return "[" + ", ".join(f"x{d} + {c} * {k}{d}" for d in comps) + "]"
+
+    lines = [
+        "def rk4_block(rhs, x, xis, a_all, b_all, gi, m, stride, samples, cursor,",
+        "              record, start, h, half, sixth):",
+        f"    {targets('x')}= x",
+        "    for j in range(0, 2 * m, 2):",
+        "        if gi % stride == 0:",
+        "            samples[cursor] = x",
+        "            if record is not None:",
+        "                record(x, xis[j])",
+        "            cursor += 1",
+        "        xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]",
+        f"        {targets('k1_')}= rhs(x, xis[j], a_all[j], b_all[j])",
+        f"        {targets('k2_')}= rhs({stage_state('half', 'k1_')}, xim, am, bm)",
+        f"        {targets('k3_')}= rhs({stage_state('half', 'k2_')}, xim, am, bm)",
+        f"        {targets('k4_')}= rhs({stage_state('h', 'k3_')}, xis[j + 2], a_all[j + 2], b_all[j + 2])",
+        *(f"        x{d} = x{d} + sixth * (k1_{d} + 2.0 * (k2_{d} + k3_{d}) + k4_{d})" for d in comps),
+        "        gi += 1",
+        "        if not (" + " and ".join(f"isfinite(x{d})" for d in comps) + "):",
+        "            raise NonFinite((start + gi) * h)",
+        "        x = [" + ", ".join(f"x{d}" for d in comps) + "]",
+        "    return x, cursor",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _step_loop(size):
+    """The compiled block loop of _step_loop_source(size), built on first
+    use and kept in _STEP_LOOPS."""
+    loop = _STEP_LOOPS.get(size)
+    if loop is None:
+        namespace = {"isfinite": math.isfinite, "NonFinite": NonFinite}
+        code = compile(_step_loop_source(size), f"<qsakit.dynamics rk4 D={size}>", "exec")
+        exec(code, namespace)
+        loop = _STEP_LOOPS[size] = namespace["rk4_block"]
+    return loop
+
+
 def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
@@ -325,15 +401,18 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
     at any step indices sees the stage times of the run made in one call.
 
     x and every stage state are lists of Python floats: rhs(x, xi, a, b)
-    returns dx/dt as a list of the same length, given the probe vector xi
-    (a list) and the gains (a, b) at the stage time; gains(ts) returns
-    both gains at the stage times ts as two lists.  The arithmetic runs
-    per element in numpy's elementwise order (x + half*k, x + h*k, then
-    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as float64 arrays
-    would.  Returns the sample times (every sample_stride steps from
-    start, plus the final time) and the (n, D) buffer of states there.
-    Raises NonFinite at the end of the first step that leaves x
-    non-finite.
+    returns dx/dt as a sequence of the same length, given the probe vector
+    xi (a list) and the gains (a, b) at the stage time; gains(ts) returns
+    both gains at the stage times ts as two lists.  The steps of each
+    block of _CHUNK run in the loop generated for len(x) (_step_loop),
+    which holds the state in locals x0 .. x{D-1} and writes every
+    component's arithmetic out in numpy's elementwise order (x + half*k,
+    x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as
+    float64 arrays would.  An rhs output of another length is a
+    ValueError there.  Returns the sample times (every sample_stride
+    steps from start, plus the final time) and the (n, D) buffer of
+    states there.  Raises NonFinite at the end of the first step that
+    leaves x non-finite.
 
     record(x, xi), when given, is called at each sample, in order and
     before the sampled step (and once at the final sample), with the
@@ -343,8 +422,8 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
+    loop = _step_loop(len(x))
     pmap, basis = system.probing, system.basis
-    isfinite = math.isfinite
     cursor = 0
     h = float(h)  # a numpy scalar step would make every stage product a numpy op
     sixth = h / 6.0
@@ -359,27 +438,10 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
         if carried is not None:
             xis[0] = carried  # the same time, so every stage there sees one list
         a_all, b_all = gains(ts)
-        for i in range(m):
-            gi = chunk + i
-            j = 2 * i
-            if gi % sample_stride == 0:
-                samples[cursor] = x
-                if record is not None:
-                    record(x, xis[j])
-                cursor += 1
-            xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]
-            k1 = rhs(x, xis[j], a_all[j], b_all[j])
-            k2 = rhs([v + half * k for v, k in zip(x, k1)], xim, am, bm)
-            k3 = rhs([v + half * k for v, k in zip(x, k2)], xim, am, bm)
-            k4 = rhs(
-                [v + h * k for v, k in zip(x, k3)], xis[j + 2], a_all[j + 2], b_all[j + 2]
-            )
-            x = [
-                v + sixth * (p + 2.0 * (q + r) + u)
-                for v, p, q, r, u in zip(x, k1, k2, k3, k4)
-            ]
-            if not all(map(isfinite, x)):
-                raise NonFinite((start + gi + 1) * h)
+        x, cursor = loop(
+            rhs, x, xis, a_all, b_all, chunk, m, sample_stride, samples, cursor,
+            record, start, h, half, sixth,
+        )
     samples[cursor] = x
     if record is not None:
         record(x, xis[2 * m])
@@ -431,9 +493,14 @@ def integrate(
         gamma2 = filt.gamma**2
         two_zg = 2.0 * filt.zeta * filt.gamma
 
-    stage = system.stage
+    field = system.stage
     ds, df = system.dim_slow, system.dim_fast
     dx = ds + df
+
+    def stage(*args):
+        nonlocal stage
+        stage = field  # the run's first stage is checked, the rest call field
+        return _checked_parts(field(*args), ds, df)
 
     def rhs(x, xi, a, b):
         slow, fast = stage(x[:ds], x[ds:dx], xi, a, b)
@@ -487,7 +554,12 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    stage, th = system.stage, theta.tolist()
+    field, th, df = system.stage, theta.tolist(), system.dim_fast
+
+    def stage(*args):
+        nonlocal stage
+        stage = field  # the run's first stage is checked, the rest call field
+        return _checked_parts(field(*args), None, df)
 
     def rhs(x, xi, a, b):
         return stage(th, x, xi, None, b)[1]

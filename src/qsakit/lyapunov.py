@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _floats, _pinned_gains, _resolve_step, _rk4
+from .dynamics import (
+    _checked_parts,
+    _float_lists,
+    _floats,
+    _pinned_gains,
+    _resolve_step,
+    _rk4,
+)
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -108,8 +115,14 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
 
-    stage, th = system.stage, theta.tolist()
+    field, th = system.stage, theta.tolist()
     d = system.dim_fast
+
+    def stage(*args):
+        nonlocal stage
+        stage = field  # the run's first stage is checked, the rest call field
+        return _checked_parts(field(*args), None, d)
+
     if d == 1:
         jac_cb = system.dh_dlambda
         jac_cb = _jacobian_evaluator(system) if jac_cb is None else jac_cb

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _resolve_step, integrate_frozen_fast
+from .dynamics import _checked_parts, _resolve_step, integrate_frozen_fast
 from .errors import ConfigError, NonConvergent, SingularJacobian
 
 MAX_NEWTON_ITERATIONS = 100
@@ -57,7 +57,12 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
         kept = int(np.count_nonzero(m1 | m2))
         series = np.empty((kept, system.dim_slow))
         row = kept - (n_steps + 1)  # negative through the burn-in samples
-        stage, th = system.stage, theta.tolist()
+        field, th = system.stage, theta.tolist()
+
+        def stage(*args):
+            nonlocal stage
+            stage = field  # the first recorded sample is checked, the rest call field
+            return _checked_parts(field(*args), system.dim_slow, None)
 
         def record(lam, xi):
             nonlocal row

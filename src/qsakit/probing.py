@@ -74,9 +74,6 @@ class FrequencyBasis:
     def omega_array(self) -> np.ndarray:
         return np.asarray(self.omegas, dtype=float)
 
-    def phase_array(self) -> np.ndarray:
-        return np.asarray(self.phases, dtype=float)
-
 
 @dataclass(frozen=True)
 class ClockState:

@@ -533,6 +533,51 @@ class TestCallbackLengths:
             self._run(kernel, (1, 2), h=lambda t, l, x: [0.5])
 
 
+class TestStageLengths:
+    """A stage field's parts must fill their blocks: each run kind checks
+    them at its first stage (the averaged slow field at its first recorded
+    sample)."""
+
+    @staticmethod
+    def system(slow=1, fast=1):
+        def stage(theta, lam, xi, a, b):
+            return (
+                None if a is None else [a * (0.1 - theta[0])] * slow,
+                None if b is None else [b * (xi[0] - lam[0])] * fast,
+            )
+
+        zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
+        return TwoTimescaleSystem(1, 1, zeros(1), zeros(1), one_pair_basis(), stage=stage)
+
+    RUNS = {
+        "coupled": lambda s: integrate(s, GainSchedule(rho=0.7, beta=0.5), ([0.1], [0.2]), 1.0),
+        "frozen": lambda s: integrate_frozen_fast(s, [0.1], [0.2], 0.5, 1.0),
+        "lyapunov": lambda s: lyapunov_exponent(s, [0.1], 0.5, [0.2], 10.0),
+        "g0": lambda s: mean_field_g0(s, [0.1], 0.5, tol=1.0, burn_in=0.5, window=1.0),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, lengths, part, got",
+        [
+            # the padded slow part keeps the stacked length at D = 2
+            ("coupled", dict(slow=2, fast=0), "slow", 2),
+            ("coupled", dict(fast=0), "fast", 0),
+            ("coupled", dict(slow=0), "slow", 0),
+            ("frozen", dict(fast=2), "fast", 2),
+            ("frozen", dict(fast=0), "fast", 0),
+            ("lyapunov", dict(fast=2), "fast", 2),
+            ("g0", dict(slow=3), "slow", 3),
+        ],
+    )
+    def test_wrong_length_is_a_config_error(self, kind, lengths, part, got):
+        with pytest.raises(ConfigError, match=rf"^stage returned {got} {part} value\(s\), expected 1$"):
+            self.RUNS[kind](self.system(**lengths))
+
+    @pytest.mark.parametrize("kind", sorted(RUNS))
+    def test_right_lengths_run(self, kind):
+        self.RUNS[kind](self.system())
+
+
 class TestArrayAdapter:
     """Array callbacks reach the kernel through the one adapter of the
     stage field: they see float64 arrays, and the runs are those of the

@@ -180,7 +180,7 @@ def brute_average(basis, func, horizon, dt=0.005):
     total = 0.0
     chunk = 1 << 16
     omega = basis.omega_array()[:, None]
-    phase0 = basis.phase_array()[:, None]
+    phase0 = np.asarray(basis.phases, dtype=float)[:, None]
     for lo in range(0, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         t = np.arange(lo, hi) * dt
