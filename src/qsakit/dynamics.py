@@ -23,31 +23,30 @@ run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
 (slow, fast), the stage derivative at gains (a, b) on such lists: slow =
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  Each run checks the parts'
-lengths at its first stage (ConfigError naming stage and the part).  The
-built-in systems write the field directly; array callbacks g, h and
-g_probe are wrapped by one adapter, which hands them float64 arrays and
-reads each output back as a list of its block's length (a scalar fills a
-1-element block, any other length is a ConfigError).
+None, the averaged slow field b = None.  The built-in systems write the
+field directly; array callbacks g, h and g_probe are wrapped by one
+adapter, which hands them float64 arrays and reads each output back as a
+list of its block's length (a scalar fills a 1-element block, any other
+length is a ConfigError).
 
-The steps of a block run in a loop generated as straight-line source
-once per state length D and compiled on first use, as dataclasses and
-namedtuple generate code: the state sits in locals x0 .. x{D-1}, each
-stage state is one list display, the update and the finiteness test
-are written out per component, so no comprehension frame is built in a
-step.  Binary64 +, - and * on Python floats round exactly as numpy's
-elementwise float64 operations, performed here in the order of the
-array expressions, so trajectories are bit for bit those of the step
-written on arrays.  This pays off for small stacks only.  Against an
-RK4 step on float64 arrays, on Python 3.11.7 (a 2-vCPU host, best of
-12), an rhs written on floats was faster up to D = 32 (12.7 against
-14.0 us per step) and slower from D = 48 on; an rhs that is one numpy
-expression, reached through np.array in and tolist() out, was faster up
-to D = 16 (12.5 against 13.8 us) and slower from D = 24 on (D = 32:
-19.9 against 14.0 us).  These figures hold for 3.11 only: Python 3.12
-inlines comprehensions (PEP 709), which makes the comprehension step this
-loop replaced cheaper there.  Every built-in system has D <= 5 in coupled
-and frozen runs.
+The steps of a block run in a loop generated as straight-line source once
+per run shape (dim_slow, dim_fast, kind) and compiled on first use, as
+dataclasses and namedtuple generate code.  The kinds are coupled,
+filtered (the coupled pair with the filter states), frozen-fast and
+sensitivity (Lambda with vec S).  The loop holds the state in locals x0
+.. x{D-1}, calls the stage field itself with the stage's theta and Lambda
+as list displays, unpacks its parts into the stage derivative, and
+writes out per component the filter's derivative, the scalar sensitivity
+derivative, the update and the finiteness test, so a stage builds no
+stacked list and no comprehension frame.  A run's first step goes
+through a check of the parts' lengths (ConfigError naming stage and the
+part); later steps call the field as it is.  Binary64 +, - and * on
+Python floats round exactly as numpy's elementwise float64 operations,
+performed here in the order of the array expressions, so trajectories
+are bit for bit those of the step written on arrays.  This pays off for
+small stacks only, since the generated source grows with D while an
+array step's cost barely does; every built-in system has D <= 5 in
+coupled and frozen runs.
 """
 
 import contextlib
@@ -66,7 +65,7 @@ _CHUNK = 1 << 10
 #: trajectory rows per formatted block of Trajectory.to_csv
 _CSV_BLOCK = 1 << 10
 
-#: _rk4's block loop per state length, generated on first use (_step_loop)
+#: _rk4's block loop per run shape, generated on first use (_step_loop)
 _STEP_LOOPS = {}
 
 
@@ -343,76 +342,114 @@ def _pinned_gains(beta):
     return gains
 
 
-def _step_loop_source(size):
-    """Python source of the RK4 loop over one block of steps for stacked
-    states of length size, written out per component (see _rk4)."""
-    comps = range(size)
+def _step_loop_source(shape):
+    """Python source of the RK4 loop over one block of steps for one run
+    shape (dim_slow, dim_fast, kind), written out per component (see _rk4)."""
+    ds, df, kind = shape
+    frozen = kind in ("frozen-fast", "sensitivity")
+    size = {"coupled": ds + df, "filtered": ds + 3 * df, "frozen-fast": df,
+            "sensitivity": df + df * df}[kind]
+    lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
+    comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
 
-    def targets(name):  # a trailing comma makes a tuple target at any size
-        return "".join(f"{name}{d}, " for d in comps)
+    def seq(fmt, idx):
+        return "".join(fmt.format(d) + ", " for d in idx)  # a 1-tuple too
 
-    def stage_state(c, k):
-        return "[" + ", ".join(f"x{d} + {c} * {k}{d}" for d in comps) + "]"
+    def stage(k, state, xi, a, b):
+        """Lines setting k{k}_d from the stage state's component expressions."""
+        out = []
+        if kind == "filtered" and k > 1:  # components read twice get locals
+            out += [f"s{d} = {state[d]}" for d in comps]
+            state = [f"s{d}" for d in comps]
+        part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
+        vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
+        if frozen:
+            out.append(f"la = {vals(lam)}")
+            out.append(f"_, {part(lam)} = field(th, la, {xi}, None, {b})")
+        else:
+            theta = vals(range(ds))
+            out.append(f"{part(range(ds))}, {part(lam)} = field({theta}, {vals(lam)}, {xi}, {a}, {b})")
+        if kind == "filtered":
+            for d in lam:
+                f, v = d + df, d + 2 * df
+                out.append(f"k{k}_{f} = {state[v]}")
+                out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
+        elif kind == "sensitivity" and df == 1:
+            out.append(f"(jv,) = floats(jac(th, la, {xi}), 1, 'dh_dlambda')")
+            out.append(f"k{k}_1 = {b} * (0.0 + jv * ({state[1]}))")
+        elif kind == "sensitivity":
+            out.append(f"{part(rest)} = jac(th, la, {xi}, {b}, {vals(rest)})")
+        return ["        " + line for line in out]
 
+    def state(c, k):
+        return [f"x{d} + {c} * k{k}_{d}" for d in comps]
+
+    unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac"}
     lines = [
-        "def rk4_block(rhs, x, xis, a_all, b_all, gi, m, stride, samples, cursor,",
-        "              record, start, h, half, sixth):",
-        f"    {targets('x')}= x",
-        "    for j in range(0, 2 * m, 2):",
+        "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",
+        "              cursor, record, start, h, half, sixth):",
+        f"    {unpack.get(kind, '()')} = args",
+        f"    {seq('x{}', comps)}= x",
+        "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
+        f"            x = [{seq('x{}', comps)}]",
         "            samples[cursor] = x",
         "            if record is not None:",
         "                record(x, xis[j])",
         "            cursor += 1",
         "        xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]",
-        f"        {targets('k1_')}= rhs(x, xis[j], a_all[j], b_all[j])",
-        f"        {targets('k2_')}= rhs({stage_state('half', 'k1_')}, xim, am, bm)",
-        f"        {targets('k3_')}= rhs({stage_state('half', 'k2_')}, xim, am, bm)",
-        f"        {targets('k4_')}= rhs({stage_state('h', 'k3_')}, xis[j + 2], a_all[j + 2], b_all[j + 2])",
+        *stage(1, [f"x{d}" for d in comps], "xis[j]", "a_all[j]", "b_all[j]"),
+        *stage(2, state("half", 1), "xim", "am", "bm"),
+        *stage(3, state("half", 2), "xim", "am", "bm"),
+        *stage(4, state("h", 3), "xis[j + 2]", "a_all[j + 2]", "b_all[j + 2]"),
         *(f"        x{d} = x{d} + sixth * (k1_{d} + 2.0 * (k2_{d} + k3_{d}) + k4_{d})" for d in comps),
         "        gi += 1",
         "        if not (" + " and ".join(f"isfinite(x{d})" for d in comps) + "):",
         "            raise NonFinite((start + gi) * h)",
-        "        x = [" + ", ".join(f"x{d}" for d in comps) + "]",
-        "    return x, cursor",
+        f"    return [{seq('x{}', comps)}], cursor",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _step_loop(size):
-    """The compiled block loop of _step_loop_source(size), built on first
+def _step_loop(shape):
+    """The compiled block loop of _step_loop_source(shape), built on first
     use and kept in _STEP_LOOPS."""
-    loop = _STEP_LOOPS.get(size)
+    loop = _STEP_LOOPS.get(shape)
     if loop is None:
-        namespace = {"isfinite": math.isfinite, "NonFinite": NonFinite}
-        code = compile(_step_loop_source(size), f"<qsakit.dynamics rk4 D={size}>", "exec")
-        exec(code, namespace)
-        loop = _STEP_LOOPS[size] = namespace["rk4_block"]
+        namespace = {"isfinite": math.isfinite, "NonFinite": NonFinite, "floats": _floats}
+        name = "<qsakit.dynamics rk4 {} {}+{}>".format(shape[2], *shape[:2])
+        exec(compile(_step_loop_source(shape), name, "exec"), namespace)
+        loop = _STEP_LOOPS[shape] = namespace["rk4_block"]
     return loop
 
 
-def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
+def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
-    x is the stacked state (module docstring) at step index start, an
-    integer: stage times are (start + i + 0.5*k)*h for step i and k in
-    {0, 1, 2}, and the sample and NonFinite times count from it too.  The
-    multiplier of h is an exact half-integer, so a run split into segments
-    at any step indices sees the stage times of the run made in one call.
+    shape is the run's (dim_slow, dim_fast, kind) and x its stacked state
+    (module docstring) at step index start, an integer: stage times are
+    (start + i + 0.5*k)*h for step i and k in {0, 1, 2}, and the sample and
+    NonFinite times count from it too.  The multiplier of h is an exact
+    half-integer, so a run split into segments at any step indices sees
+    the stage times of the run made in one call.
 
-    x and every stage state are lists of Python floats: rhs(x, xi, a, b)
-    returns dx/dt as a sequence of the same length, given the probe vector
-    xi (a list) and the gains (a, b) at the stage time; gains(ts) returns
-    both gains at the stage times ts as two lists.  The steps of each
-    block of _CHUNK run in the loop generated for len(x) (_step_loop),
-    which holds the state in locals x0 .. x{D-1} and writes every
-    component's arithmetic out in numpy's elementwise order (x + half*k,
-    x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as
-    float64 arrays would.  An rhs output of another length is a
-    ValueError there.  Returns the sample times (every sample_stride
-    steps from start, plus the final time) and the (n, D) buffer of
-    states there.  Raises NonFinite at the end of the first step that
-    leaves x non-finite.
+    x and every stage state are lists of Python floats.  Each stage calls
+    field(theta, lam, xi, a, b), the stage field, with the probe vector xi
+    (a list) and the gains at the stage time; gains(ts) returns both gains
+    at the stage times ts as two lists.  args are the run's constants by
+    kind: (gamma2, two_zg) of the filter; the pinned theta list of a
+    frozen-fast run; the pinned theta and, at dim_fast 1, the fast
+    Jacobian (read through _floats), else a callback (theta, lam, xi, b, S)
+    returning b*(J @ S) as a list, of a sensitivity run; () when coupled.
+    The steps of each block of _CHUNK run in the loop generated for shape
+    (_step_loop), which writes every component's arithmetic out in numpy's
+    elementwise order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 +
+    k3) + k4)), so it rounds as float64 arrays would.  At start 0 the
+    first step runs alone with the field's parts checked (_checked_parts);
+    a part of another length later on is a ValueError from the unpacking.
+    Returns the sample times (every sample_stride steps from start, plus
+    the final time) and the (n, D) buffer of states there.  Raises
+    NonFinite at the end of the first step that leaves x non-finite.
 
     record(x, xi), when given, is called at each sample, in order and
     before the sampled step (and once at the final sample), with the
@@ -422,7 +459,12 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
-    loop = _step_loop(len(x))
+    loop = _step_loop(shape)
+    slow = shape[0] if shape[2] in ("coupled", "filtered") else None
+
+    def checked(*stage_args):  # the field of the run's first step (at start 0)
+        return _checked_parts(field(*stage_args), slow, shape[1])
+
     pmap, basis = system.probing, system.basis
     cursor = 0
     h = float(h)  # a numpy scalar step would make every stage product a numpy op
@@ -438,10 +480,12 @@ def _rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None)
         if carried is not None:
             xis[0] = carried  # the same time, so every stage there sees one list
         a_all, b_all = gains(ts)
-        x, cursor = loop(
-            rhs, x, xis, a_all, b_all, chunk, m, sample_stride, samples, cursor,
-            record, start, h, half, sixth,
-        )
+        first = int(start == chunk == 0)
+        if first:
+            x, cursor = loop(checked, args, x, xis, a_all, b_all, 0, 0, 2, sample_stride,
+                             samples, cursor, record, start, h, half, sixth)
+        x, cursor = loop(field, args, x, xis, a_all, b_all, chunk + first, 2 * first, 2 * m,
+                         sample_stride, samples, cursor, record, start, h, half, sixth)
     samples[cursor] = x
     if record is not None:
         record(x, xis[2 * m])
@@ -480,7 +524,8 @@ def integrate(
         )
     h, n_steps = _resolve_step(system.basis, schedule.beta, horizon, step)
 
-    blocks = [theta, lam]
+    ds, df = system.dim_slow, system.dim_fast
+    blocks, shape, args = [theta, lam], (ds, df, "coupled"), ()
     if filt is not None:
         if filter_init is None:
             blocks += [lam, np.zeros_like(lam)]
@@ -490,36 +535,15 @@ def integrate(
             if lam_f.shape != lam.shape or vel_f.shape != lam.shape:
                 raise ConfigError("filter_init shapes must match lambda0")
             blocks += [lam_f, vel_f]
-        gamma2 = filt.gamma**2
-        two_zg = 2.0 * filt.zeta * filt.gamma
-
-    field = system.stage
-    ds, df = system.dim_slow, system.dim_fast
+        shape, args = (ds, df, "filtered"), (filt.gamma**2, 2.0 * filt.zeta * filt.gamma)
     dx = ds + df
-
-    def stage(*args):
-        nonlocal stage
-        stage = field  # the run's first stage is checked, the rest call field
-        return _checked_parts(field(*args), ds, df)
-
-    def rhs(x, xi, a, b):
-        slow, fast = stage(x[:ds], x[ds:dx], xi, a, b)
-        out = slow + fast
-        if filt is None:
-            return out
-        vf = x[dx + df :]
-        out += vf
-        out += [
-            gamma2 * (l - f) - two_zg * v
-            for l, f, v in zip(x[ds:dx], x[dx : dx + df], vf)
-        ]
-        return out
 
     def gains(ts):
         return schedule.slow_gain_array(ts).tolist(), schedule.fast_gain_array(ts).tolist()
 
     t, samples = _rk4(
-        rhs, np.concatenate(blocks).tolist(), h, n_steps, sample_stride, system, gains
+        system.stage, shape, args, np.concatenate(blocks).tolist(), h, n_steps,
+        sample_stride, system, gains,
     )
     return Trajectory(
         t=t,
@@ -554,19 +578,10 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    field, th, df = system.stage, theta.tolist(), system.dim_fast
-
-    def stage(*args):
-        nonlocal stage
-        stage = field  # the run's first stage is checked, the rest call field
-        return _checked_parts(field(*args), None, df)
-
-    def rhs(x, xi, a, b):
-        return stage(th, x, xi, None, b)[1]
-
+    shape = (system.dim_slow, system.dim_fast, "frozen-fast")
     t, lam_samp = _rk4(
-        rhs, lam.tolist(), h, n_steps, sample_stride, system, _pinned_gains(beta),
-        record=_record,
+        system.stage, shape, (theta.tolist(),), lam.tolist(), h, n_steps, sample_stride,
+        system, _pinned_gains(beta), record=_record,
     )
     n = t.shape[0]
     return Trajectory(

@@ -257,9 +257,6 @@ class FourierField:
     def __add__(self, other):
         return self.add(other)
 
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
     def __neg__(self):
         return self.scale(-1.0)
 

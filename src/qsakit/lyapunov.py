@@ -6,19 +6,21 @@ exponent is the growth rate of ||S||, accumulated in log space with unit-
 time rescaling so the matrix never overflows on long horizons.
 
 S rides the shared RK4 kernel (dynamics._rk4) in the stack [Lambda; vec S],
-row-major.  The kernel runs in segments that end at every multiple of the
-rescale interval and at the half-horizon step; between segments S is
-divided by its Frobenius norm, whose log is accumulated, and the half-
-horizon magnitude is recorded.
+row-major, as a sensitivity run: its generated block loop calls the
+system's stage field for the fast part b*h (a = None) and forms the
+sensitivity derivative itself.  The kernel runs in segments that end at
+every multiple of the rescale interval and at the half-horizon step;
+between segments S is divided by its Frobenius norm, whose log is
+accumulated, and the half-horizon magnitude is recorded.  Only the first
+segment checks the field's parts (the kernel does at step 0).
 
-Each stage reads the fast part b*h of the system's stage field
-(qsakit.dynamics), with a = None.  At fast dimension d = 1 the sensitivity
-derivative is b * (0.0 + j * s) on Python floats, which is how numpy's
-1x1 matmul rounds (its accumulator starts at +0.0, so a -0.0 product
-comes out +0.0).  At d >= 2 the product J @ S stays a numpy matmul: BLAS
-sums each row with fused multiply-adds in an order of its own choosing,
-which a sum of Python floats does not reproduce (thousands of mismatches
-per 20,000 random 2x2 cases).
+At fast dimension d = 1 the loop writes the sensitivity derivative out
+as b * (0.0 + j * s) on Python floats, which is how numpy's 1x1 matmul
+rounds (its accumulator starts at +0.0, so a -0.0 product comes out
++0.0).  At d >= 2 it calls one helper that keeps J @ S a numpy matmul:
+BLAS sums each row with fused multiply-adds in an order of its own
+choosing, which a sum of Python floats does not reproduce (thousands of
+mismatches per 20,000 random 2x2 cases).
 
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
@@ -31,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _checked_parts,
-    _float_lists,
-    _floats,
-    _pinned_gains,
-    _resolve_step,
-    _rk4,
-)
+from .dynamics import _float_lists, _pinned_gains, _resolve_step, _rk4
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -115,32 +110,16 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
 
-    field, th = system.stage, theta.tolist()
     d = system.dim_fast
-
-    def stage(*args):
-        nonlocal stage
-        stage = field  # the run's first stage is checked, the rest call field
-        return _checked_parts(field(*args), None, d)
-
     if d == 1:
-        jac_cb = system.dh_dlambda
-        jac_cb = _jacobian_evaluator(system) if jac_cb is None else jac_cb
-
-        def rhs(x, xi, a, b):
-            la = x[:1]
-            (v,) = stage(th, la, xi, None, b)[1]
-            (j,) = _floats(jac_cb(th, la, xi), 1, "dh_dlambda")
-            return [v, b * (0.0 + j * x[1])]
-
+        jac = system.dh_dlambda
+        jac = _jacobian_evaluator(system) if jac is None else jac
     else:
         jac_of = _jacobian_evaluator(system)
 
-        def rhs(x, xi, a, b):
-            la = x[:d]
-            fast = stage(th, la, xi, None, b)[1]
-            ds = jac_of(th, la, xi) @ np.array(x[d:]).reshape(d, d)
-            return fast + [b * v for v in ds.ravel().tolist()]
+        def jac(th, la, xi, b, s):  # b * (J @ S), row-major, as a list
+            js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
+            return [b * v for v in js.ravel().tolist()]
 
     def s_norm(x):
         return float(np.linalg.norm(np.array(x[d:])))
@@ -149,12 +128,13 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     n_half = max(1, n_steps // 2)
     ends = sorted({*range(rescale_every, n_steps, rescale_every), n_half, n_steps})
     gains = _pinned_gains(beta)
+    field, shape, args = system.stage, (system.dim_slow, d, "sensitivity"), (theta.tolist(), jac)
     x = lam.tolist() + np.eye(d).ravel().tolist()
     log_accum = 0.0
     begin = 0
     for end in ends:
         m = end - begin
-        _, samples = _rk4(rhs, x, h, m, m, system, gains, start=begin)
+        _, samples = _rk4(field, shape, args, x, h, m, m, system, gains, start=begin)
         x = samples[-1].tolist()
         if end % rescale_every == 0:
             nrm = s_norm(x)

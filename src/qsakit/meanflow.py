@@ -57,17 +57,14 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
         kept = int(np.count_nonzero(m1 | m2))
         series = np.empty((kept, system.dim_slow))
         row = kept - (n_steps + 1)  # negative through the burn-in samples
-        field, th = system.stage, theta.tolist()
-
-        def stage(*args):
-            nonlocal stage
-            stage = field  # the first recorded sample is checked, the rest call field
-            return _checked_parts(field(*args), system.dim_slow, None)
+        field, th, ds = system.stage, theta.tolist(), system.dim_slow
 
         def record(lam, xi):
             nonlocal row
-            if row >= 0:
-                series[row] = stage(th, lam, xi, 1.0, None)[0]
+            if row > 0:
+                series[row] = field(th, lam, xi, 1.0, None)[0]
+            elif row == 0:  # the first recorded sample checks the part's length
+                series[0] = _checked_parts(field(th, lam, xi, 1.0, None), ds, None)[0]
             row += 1
 
     traj = integrate_frozen_fast(system, theta, lambda0, beta, horizon, _record=record)

@@ -847,8 +847,9 @@ def _hooked_run(system, theta, lam0, beta, n_steps, stride, start):
         calls.append(list(x))
 
     t, samples = _rk4(
-        _frozen_rhs(system, theta), list(lam0), h, n_steps, stride, system,
-        _pinned_gains(beta), start=start, record=record,
+        system.stage, (system.dim_slow, system.dim_fast, "frozen-fast"), (theta.tolist(),),
+        list(lam0), h, n_steps, stride, system, _pinned_gains(beta), start=start,
+        record=record,
     )
     return t, samples, rows, calls
 

@@ -1,12 +1,19 @@
-"""The generated RK4 step against the comprehension loop it replaced.
+"""The generated RK4 block loops against the kernel and closures they replaced.
 
 dynamics._rk4 runs each block of steps in straight-line code generated
-once per state length D.  The reference below is the kernel as it stood
-before, one list comprehension per stage state and one for the update,
-kept verbatim.  Both must give the same trajectories bit for bit at state
-lengths no built-in system reaches, through array callbacks (the adapter)
-and through a stage field on floats, and the same NonFinite time when
-only the last component blows up.
+once per run shape (dim_slow, dim_fast, kind), and that code calls the
+stage field itself.  The reference below is the kernel as it stood
+before: one list comprehension per stage state and one for the update
+(comprehension_rk4), driven by the rhs closure that integrate,
+integrate_frozen_fast or lyapunov_exponent built around the stage field
+(reference_rk4); the kernel and the closure bodies are kept verbatim.
+Both must give the same trajectories and exponents bit for bit, for
+coupled, filtered, frozen-fast and sensitivity runs at fast dimension 1,
+2 and 3 and at shapes no built-in system reaches, through array callbacks
+(the adapter) and through a stage field on floats, and the same
+NonFinite time when only the last component blows up.  On linear-3.1
+the field is called 4 times per step, and a part of the wrong length is
+a ConfigError at the first stage of every run kind.
 """
 
 import math
@@ -20,12 +27,16 @@ from qsakit.dynamics import (
     _CHUNK,
     GainSchedule,
     TwoTimescaleSystem,
+    _floats,
+    _resolve_step,
     integrate,
     integrate_frozen_fast,
 )
-from qsakit.errors import NonFinite
+from qsakit.errors import ConfigError, NonFinite
 from qsakit.filters import SecondOrderFilter
+from qsakit.lyapunov import _jacobian_evaluator, lyapunov_exponent
 from qsakit.probing import make_frequency_basis, probe_signal
+from qsakit.systems import make_linear_system
 
 
 def comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
@@ -75,12 +86,86 @@ def comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0,
     return (start + steps) * h, samples
 
 
+def coupled_rhs(stage, shape, args, system):
+    """integrate's rhs, verbatim; filt stands for the filter's presence."""
+    ds, df, kind = shape
+    dx = ds + df
+    filt = None if kind == "coupled" else kind
+    gamma2, two_zg = args if filt is not None else (None, None)
+
+    def rhs(x, xi, a, b):
+        slow, fast = stage(x[:ds], x[ds:dx], xi, a, b)
+        out = slow + fast
+        if filt is None:
+            return out
+        vf = x[dx + df :]
+        out += vf
+        out += [
+            gamma2 * (l - f) - two_zg * v
+            for l, f, v in zip(x[ds:dx], x[dx : dx + df], vf)
+        ]
+        return out
+
+    return rhs
+
+
+def frozen_rhs(stage, shape, args, system):
+    """integrate_frozen_fast's rhs, verbatim."""
+    (th,) = args
+
+    def rhs(x, xi, a, b):
+        return stage(th, x, xi, None, b)[1]
+
+    return rhs
+
+
+def sensitivity_rhs(stage, shape, args, system):
+    """lyapunov_exponent's rhs at d = 1 and at d >= 2, verbatim."""
+    d, th = shape[1], args[0]
+    if d == 1:
+        jac_cb = args[1]
+
+        def rhs(x, xi, a, b):
+            la = x[:1]
+            (v,) = stage(th, la, xi, None, b)[1]
+            (j,) = _floats(jac_cb(th, la, xi), 1, "dh_dlambda")
+            return [v, b * (0.0 + j * x[1])]
+
+    else:
+        jac_of = _jacobian_evaluator(system)
+
+        def rhs(x, xi, a, b):
+            la = x[:d]
+            fast = stage(th, la, xi, None, b)[1]
+            ds = jac_of(th, la, xi) @ np.array(x[d:]).reshape(d, d)
+            return fast + [b * v for v in ds.ravel().tolist()]
+
+    return rhs
+
+
+RHS = {
+    "coupled": coupled_rhs,
+    "filtered": coupled_rhs,
+    "frozen-fast": frozen_rhs,
+    "sensitivity": sensitivity_rhs,
+}
+
+
+def reference_rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains,
+                  start=0, record=None):
+    """_rk4 as it stood before: the run's rhs closure over the stage field,
+    stepped by comprehension_rk4."""
+    rhs = RHS[shape[2]](field, shape, args, system)
+    return comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start, record)
+
+
 def basis():
     return make_frequency_basis([(2, 1), (3, 1)], phases=[0.25, 0.5])
 
 
 def array_system(ds, df):
-    """A nonlinear pair on array callbacks, every component coupled."""
+    """A nonlinear pair on array callbacks, every component coupled; its
+    sensitivity runs take central differences of the adapter."""
     si, fi = np.arange(ds) % df, np.arange(df) % ds
 
     def g(theta, lam, xi):
@@ -96,9 +181,10 @@ def array_system(ds, df):
 
 
 def stage_system(ds, df, blow_up=False):
-    """The same pair as a stage field on floats; with blow_up the last fast
-    component follows dl/dt = b*(1 + l*l), which leaves the reals in finite
-    time while every other component stays bounded."""
+    """The same pair as a stage field on floats, with its analytic fast
+    Jacobian; with blow_up the last fast component follows dl/dt =
+    b*(1 + l*l), which leaves the reals in finite time while every other
+    component stays bounded."""
 
     def stage(theta, lam, xi, a, b):
         x0, x1 = xi
@@ -117,8 +203,13 @@ def stage_system(ds, df, blow_up=False):
                 fast[-1] = b * (1.0 + lam[-1] * lam[-1])
         return slow, fast
 
+    def dh_dlambda(theta, lam, xi):
+        return np.diag([-1.0 - 0.4 * v for v in lam])
+
     zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
-    return TwoTimescaleSystem(ds, df, zeros(ds), zeros(df), basis(), stage=stage)
+    return TwoTimescaleSystem(
+        ds, df, zeros(ds), zeros(df), basis(), stage=stage, dh_dlambda=dh_dlambda
+    )
 
 
 SYSTEMS = {"array callbacks": array_system, "stage field": stage_system}
@@ -130,8 +221,8 @@ COUPLED = {7: (3, 4, False), 17: (5, 4, True)}
 def both_kernels(monkeypatch, run):
     """run() under the generated kernel, then under the reference."""
     got = run()
-    monkeypatch.setattr(dynamics, "_rk4", comprehension_rk4)
-    monkeypatch.setattr(lyapunov, "_rk4", comprehension_rk4)
+    monkeypatch.setattr(dynamics, "_rk4", reference_rk4)
+    monkeypatch.setattr(lyapunov, "_rk4", reference_rk4)
     want = run()
     monkeypatch.undo()
     return got, want
@@ -174,6 +265,37 @@ def test_frozen_run_is_the_comprehension_run(monkeypatch, form, size):
     assert as_bytes(got) == as_bytes(want)
 
 
+#: each run kind on SYSTEMS[form](dim_slow, d), returning its output as
+#: bytes; beta and the filter's gamma are no powers of two, so a product
+#: regrouped in the generated code would round differently
+SCHED = GainSchedule(rho=0.7, beta=0.3)
+KIND_RUNS = {
+    "coupled": (3, lambda s, d: as_bytes(integrate(
+        s, SCHED, (np.linspace(-0.5, 0.5, 3), np.linspace(0.4, -0.3, d)), 30.0
+    ))),
+    "filtered": (3, lambda s, d: as_bytes(integrate(
+        s, SCHED, (np.linspace(-0.5, 0.5, 3), np.linspace(0.4, -0.3, d)), 30.0,
+        filt=SecondOrderFilter(0.3, zeta=0.6, eta=1.3),
+    ))),
+    "frozen-fast": (2, lambda s, d: as_bytes(
+        integrate_frozen_fast(s, [0.3, -0.2], np.linspace(-0.6, 0.6, d), 0.3, 30.0)
+    )),
+    "sensitivity": (2, lambda s, d: [v.hex() for v in vars(
+        lyapunov_exponent(s, [0.3, -0.2], 0.6, np.linspace(-0.2, 0.3, d), 30.0)
+    ).values()]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SYSTEMS))
+@pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_each_kind_is_the_reference_run(monkeypatch, form, kind, d):
+    ds, run = KIND_RUNS[kind]
+    system = SYSTEMS[form](ds, d)
+    got, want = both_kernels(monkeypatch, lambda: run(system, d))
+    assert got == want
+
+
 @pytest.mark.parametrize("size", [7, 17])
 def test_blow_up_in_the_last_component(monkeypatch, size):
     system = stage_system(2, size, blow_up=True)
@@ -189,19 +311,80 @@ def test_blow_up_in_the_last_component(monkeypatch, size):
     assert 0.7 < got < 1.0  # tan(2t) leaves the reals at t = pi/4
 
 
-def test_one_generated_loop_per_state_length(monkeypatch):
+def test_one_generated_loop_per_run_shape(monkeypatch):
     built = []
     source = dynamics._step_loop_source
-    monkeypatch.setattr(dynamics, "_step_loop_source", lambda n: built.append(n) or source(n))
+    monkeypatch.setattr(dynamics, "_step_loop_source", lambda s: built.append(s) or source(s))
     monkeypatch.setattr(dynamics, "_STEP_LOOPS", {})
     system = stage_system(2, 7)
     loops = []
     for _ in range(3):
         integrate_frozen_fast(system, [0.3, -0.2], np.zeros(7), 0.5, 2.0)
-        loops.append(dynamics._STEP_LOOPS[7])
-    integrate(system, GainSchedule(rho=0.7, beta=0.5), ([0.1, 0.2], np.zeros(7)), 2.0)
-    assert built == [7, 9]
-    assert loops[0] is loops[1] is loops[2] is dynamics._STEP_LOOPS[7]
+        loops.append(dynamics._STEP_LOOPS[2, 7, "frozen-fast"])
+    sched = GainSchedule(rho=0.7, beta=0.5)
+    for filt in (None, SecondOrderFilter(0.5), None):
+        integrate(system, sched, ([0.1, 0.2], np.zeros(7)), 2.0, filt=filt)
+    for _ in range(2):  # segment after segment, one loop
+        lyapunov_exponent(stage_system(2, 2), [0.3, -0.2], 0.5, [0.1, 0.2], 30.0)
+    assert built == [
+        (2, 7, "frozen-fast"), (2, 7, "coupled"), (2, 7, "filtered"), (2, 2, "sensitivity")
+    ]
+    assert loops[0] is loops[1] is loops[2] is dynamics._STEP_LOOPS[2, 7, "frozen-fast"]
     # straight-line: the loop makes no comprehension or other nested frame
     for loop in dynamics._STEP_LOOPS.values():
         assert not any(isinstance(c, types.CodeType) for c in loop.__code__.co_consts)
+
+
+# -- the stage field on linear-3.1: calls per step, first-stage length check --
+
+
+def counted_linear(calls, part=None):
+    """linear-3.1 whose stage field appends to calls at each call; with part
+    ("slow" or "fast") that part comes back one value too long."""
+    system = make_linear_system()
+    field = system.stage
+
+    def stage(theta, lam, xi, a, b):
+        calls.append(len(calls))
+        slow, fast = field(theta, lam, xi, a, b)
+        if part == "slow" and slow is not None:
+            slow = slow + slow
+        if part == "fast":
+            fast = fast + fast
+        return slow, fast
+
+    return TwoTimescaleSystem(
+        1, 1, system.g, system.h, system.basis, system.probing, stage=stage,
+        dh_dlambda=system.dh_dlambda,
+    )
+
+
+#: horizon 40 at beta 0.5: 1,758 steps on linear-3.1, more than one block
+LINEAR_RUNS = {
+    "coupled": lambda s: integrate(s, GainSchedule(rho=0.7, beta=0.5), ([0.8], [0.0]), 40.0),
+    "filtered": lambda s: integrate(
+        s, GainSchedule(rho=0.7, beta=0.5), ([0.8], [0.0]), 40.0, filt=SecondOrderFilter(0.5)
+    ),
+    "frozen-fast": lambda s: integrate_frozen_fast(s, [0.3], [0.0], 0.5, 40.0),
+    "sensitivity": lambda s: lyapunov_exponent(s, [0.3], 0.5, [0.0], 40.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINEAR_RUNS))
+def test_linear_stage_calls_per_step(kind):
+    calls = []
+    LINEAR_RUNS[kind](counted_linear(calls))
+    n_steps = _resolve_step(make_linear_system().basis, 0.5, 40.0, None)[1]
+    assert n_steps > _CHUNK
+    assert len(calls) == 4 * n_steps
+
+
+@pytest.mark.parametrize(
+    "kind, part",
+    [(kind, "fast") for kind in sorted(LINEAR_RUNS)] + [("coupled", "slow"), ("filtered", "slow")],
+)
+def test_linear_wrong_length_at_the_first_stage(kind, part):
+    calls = []
+    with pytest.raises(ConfigError, match=rf"^stage returned 2 {part} value\(s\), expected 1$"):
+        LINEAR_RUNS[kind](counted_linear(calls, part))
+    assert calls == [0]
