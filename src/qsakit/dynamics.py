@@ -24,10 +24,11 @@ run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
 None, the averaged slow field b = None.  The built-in systems write the
-field directly; array callbacks g, h and g_probe are wrapped by one
-adapter, which hands them float64 arrays and reads each output back as a
-list of its block's length (a scalar fills a 1-element block, any other
-length is a ConfigError).
+field directly; array callbacks g, h and g_probe are wrapped once, when
+the system is built, by one adapter, which hands them float64 arrays and
+reads each output back as a list of its block's length (a scalar fills a
+1-element block, any other length is a ConfigError).  A system's field
+is fixed at construction, so each system has one run path.
 
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind) and compiled on first use, as
@@ -50,6 +51,7 @@ coupled and frozen runs.
 """
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +64,7 @@ from .probing import clock_phases, identity_map, probe_signal
 #: holds a Python object per stage, so it is kept short to bound memory
 _CHUNK = 1 << 10
 
-#: trajectory rows per formatted block of Trajectory.to_csv
+#: rows per formatted block of write_csv
 _CSV_BLOCK = 1 << 10
 
 #: _rk4's block loop per run shape, generated on first use (_step_loop)
@@ -112,12 +114,16 @@ class TwoTimescaleSystem:
 
     g and h are array callbacks (theta, lam, xi) -> array; g_probe adds
     a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
-    Runs read the stage property; a built-in system also passes its stage
-    field on floats as stage, with g, h, g_probe of the same values.  An
-    exact Fourier form of [g; h] is checked against the callbacks at
-    construction.  dh_dlambda(theta, lam, xi), called with the stage's
-    lists, is an analytic fast Jacobian for sensitivity runs (shapes: see
-    qsakit.lyapunov); lambda_star / theta_star record known equilibria.
+    Every run reads the stage field self.stage (module docstring), bound
+    once here: the stage given, as a built-in system passes its field on
+    floats with g, h, g_probe of the same values, else the adapter of g, h
+    and g_probe.  Reassigning a callback after construction does not
+    change a run.  Lists handed to the stage field must not be changed
+    later: memos key on them.  An exact Fourier form of [g; h] is checked
+    against the callbacks at construction.  dh_dlambda(theta, lam, xi),
+    called with the stage's lists, is an analytic fast Jacobian for
+    sensitivity runs (shapes: see qsakit.lyapunov); lambda_star /
+    theta_star record known equilibria.
     """
 
     def __init__(
@@ -147,7 +153,9 @@ class TwoTimescaleSystem:
         self.probing = probing if probing is not None else identity_map(basis.size)
         self.fourier = fourier
         self.g_probe = g_probe
-        self._fused = (g, h, g_probe, stage)
+        if stage is None:
+            stage = _array_stage(g, h, g_probe, self.dim_slow, self.dim_fast)
+        self.stage = stage
         self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
         self.theta_star = theta_star
@@ -159,17 +167,6 @@ class TwoTimescaleSystem:
                     f"{self.dim_slow + self.dim_fast}, got {fourier.dim_out}"
                 )
             self._check_fourier_agreement()
-
-    @property
-    def stage(self):
-        """The stage field (module docstring): the one passed at construction
-        while g, h and g_probe are the ones passed with it, else the adapter
-        of the current callbacks, which a test or tracer may reassign.  Lists
-        handed to it must not be changed later: memos key on them."""
-        g, h, g_probe, stage = self._fused
-        if stage is not None and self.g is g and self.h is h and self.g_probe is g_probe:
-            return stage
-        return _array_stage(self.g, self.h, self.g_probe, self.dim_slow, self.dim_fast)
 
     def analysis_floats(self, theta, lam, xi):
         """The averaged slow field g + g_probe at array-likes theta, lam, xi
@@ -219,22 +216,29 @@ class Trajectory:
         return self.t.shape[0]
 
     def to_csv(self, path):
-        """Write samples as CSV with 17 significant digits per value to a
-        file name or text stream: np.savetxt's bytes, formatted with one %
-        per block of _CSV_BLOCK rows, so one block of floats is held."""
+        """Write samples as CSV (write_csv) to a file name or text stream."""
         blocks = {"theta": self.theta, "lambda": self.lam, "lambdaF": self.lam_filtered}
         blocks = [(k, v) for k, v in blocks.items() if v is not None]
         blocks.append(("phase", self.phases.T))
         names = ["t", "a_t", "beta"]
         names += [f"{k}_{i + 1}" for k, v in blocks for i in range(v.shape[1])]
         data = np.column_stack([self.t, self.a, self.beta] + [v for _, v in blocks])
-        row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-        with contextlib.ExitStack() as stack:
-            fh = path if hasattr(path, "write") else stack.enter_context(open(path, "w"))
-            fh.write(",".join(names) + "\n")
-            for lo in range(0, data.shape[0], _CSV_BLOCK):
-                block = data[lo : lo + _CSV_BLOCK]
-                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        write_csv(path, names, data)
+
+
+def write_csv(path, names, data):
+    """Write the header names and the rows of the 2-D float array data as
+    CSV with 17 significant digits per value to a file name or text stream:
+    np.savetxt's bytes (fmt "%.17g", header without comment prefix),
+    formatted with one % per block of _CSV_BLOCK rows, so one block of
+    Python floats is held at a time."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with contextlib.ExitStack() as stack:
+        fh = path if hasattr(path, "write") else stack.enter_context(open(path, "w"))
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, data.shape[0], _CSV_BLOCK):
+            block = data[lo : lo + _CSV_BLOCK]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def step_bound(basis, beta):
@@ -566,8 +570,9 @@ def integrate_frozen_fast(
 
     The RK4 kernel advances Lambda alone on the stage field's fast part
     (a = None).  Returns a Trajectory whose theta block repeats the frozen
-    value and whose slow-gain column is zero.  _record is the kernel's
-    record(x, xi) hook (see _rk4), for qsakit.meanflow.
+    value and whose slow-gain column is zero.  _record(theta, x, xi), for
+    qsakit.meanflow, is the kernel's record hook (see _rk4) with the run's
+    own pinned theta list first, the list every stage receives.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -578,10 +583,11 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    shape = (system.dim_slow, system.dim_fast, "frozen-fast")
+    shape, th = (system.dim_slow, system.dim_fast, "frozen-fast"), theta.tolist()
+    record = None if _record is None else functools.partial(_record, th)
     t, lam_samp = _rk4(
-        system.stage, shape, (theta.tolist(),), lam.tolist(), h, n_steps, sample_stride,
-        system, _pinned_gains(beta), record=_record,
+        system.stage, shape, (th,), lam.tolist(), h, n_steps, sample_stride,
+        system, _pinned_gains(beta), record=record,
     )
     n = t.shape[0]
     return Trajectory(

@@ -22,12 +22,14 @@ normalized measurement.  Filtered probe channels carry no state: the probes
 are single tones, so their filtered copies are computed in closed form from
 the clock phasors via the transfer function at each probe frequency.
 
-The objective is evaluated once per distinct stage point: the stage
-field computes the slow and fast parts of one RK4 stage from one
-measurement, and a repeated stage point (the frozen-fast midpoint and
-step boundary, and the sample qsakit.meanflow records) reuses the last
-one; eps(theta) is evaluated once per distinct theta.  Objectives,
-external commands included, must therefore be deterministic.
+The objective is evaluated once per stage point the kernel hands over:
+the stage field computes the slow and fast parts of one RK4 stage from
+one measurement, and a repeated stage point, which the kernel passes as
+the same theta and probe lists (the frozen-fast midpoint and step
+boundary, and the sample qsakit.meanflow records), reuses the last one;
+eps(theta) is evaluated once per theta list.  Lists built afresh, as the
+array callbacks build them, are measured anew.  Objectives, external
+commands included, must therefore be deterministic.
 
 The measurement chain, from stage to objective, computes on lists of
 Python floats, since numpy's per-call cost dominates on one or two
@@ -380,15 +382,6 @@ def _measure(config, theta, xi, eps) -> float:
     return _objective_value(config, point) / eps
 
 
-def _same_bits(a, b):
-    """Whether the float list a holds the bits of b (a list or None):
-    equal floats differ in bits only as +0.0 and -0.0 (a NaN equals only
-    itself), so the signs of zeros are compared too."""
-    return a == b and (
-        0.0 not in a or all(math.copysign(1.0, u) == math.copysign(1.0, v) for u, v in zip(a, b))
-    )
-
-
 def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
     theta, xi = _float_lists(theta, xi)
@@ -516,13 +509,15 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
-    # One-entry memos of the measurement, keyed by theta and the whole probe
-    # row, and of eps(theta): frozen-fast stage points repeat (k2 and k3,
-    # k4 and the next k1, which qsakit.meanflow's record also measures at)
-    # and keep one theta; coupled k2 and k3 share a probe row, not theta.
-    # A key matches the same list (the kernel hands one to every stage at
-    # one time) or one with its bits.  Entries are replaced whole and read
-    # once, so threads sharing a seeker can miss but never mismatch.
+    # One-entry memos of the measurement, keyed by the identity of theta and
+    # of the whole probe row, and of eps(theta), keyed by theta's identity:
+    # the kernel hands one probe list to every stage at one time and one
+    # pinned theta list to a frozen run (and to qsakit.meanflow's record),
+    # so frozen-fast stage points repeat as the same lists (k2 and k3, k4
+    # and the next k1, the recorded sample); coupled stages get fresh theta
+    # lists.  A key holds its lists alive, so an identity never recurs for
+    # another list.  Entries are replaced whole and read once, so threads
+    # sharing a seeker can miss but never mismatch.
     memo = (None, None, 0.0)
     eps_memo = (None, 0.0)
 
@@ -531,12 +526,10 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         probe row, both lists of floats."""
         nonlocal memo, eps_memo
         last = memo
-        if (xi is last[1] or _same_bits(xi, last[1])) and (
-            theta is last[0] or _same_bits(theta, last[0])
-        ):
+        if xi is last[1] and theta is last[0]:
             return last[2]
         last = eps_memo
-        if theta is last[0] or _same_bits(theta, last[0]):
+        if theta is last[0]:
             eps = last[1]
         else:
             eps = probing_gain(config, theta)

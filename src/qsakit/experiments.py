@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GainSchedule, integrate
+from .dynamics import GainSchedule, integrate, write_csv
 from .errors import (
     ConfigError,
     DegenerateFit,
@@ -349,15 +349,7 @@ def bias_sweep(
 def _write_sweep_artifacts(out_dir, points, outcome, band, runs):
     """sweep.csv, fit.json, and one trajectory CSV per kept run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = np.array(points, dtype=float).reshape(-1, 2)
-    np.savetxt(
-        out_dir / "sweep.csv",
-        data,
-        fmt="%.17g",
-        delimiter=",",
-        comments="",
-        header="x,y",
-    )
+    write_csv(out_dir / "sweep.csv", ["x", "y"], np.array(points, dtype=float).reshape(-1, 2))
     record = {"points": [[x, y] for x, y in points]}
     if isinstance(outcome, RateFit):
         record["outcome"] = "fit"

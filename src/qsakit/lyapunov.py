@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _pinned_gains, _resolve_step, _rk4
+from .dynamics import _float_lists, _pinned_gains, _resolve_step, _rk4, write_csv
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -173,6 +173,4 @@ def write_exponent_csv(path, thetas, betas, estimates):
         rows[i, d + 1] = est.exponent
         rows[i, d + 2] = est.tail_exponent
         rows[i, d + 3] = est.horizon
-    np.savetxt(
-        path, rows, fmt="%.17g", delimiter=",", comments="", header=",".join(names)
-    )
+    write_csv(path, names, rows)

@@ -5,14 +5,15 @@ the fast equilibrium map lambda*(theta) (up to O(beta) ripple), the
 effective slow field gbar0(theta) and its root theta^beta.  Each average
 takes one pass over its run: the fast equilibrium averages the sampled
 Lambda, and gbar0 averages the slow field that the RK4 kernel's record
-hook evaluates at each post-burn-in sample during the run.
+hook evaluates at each post-burn-in sample during the run, on the lists
+the run's stages receive (its pinned theta, the state and probe row).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _checked_parts, _resolve_step, integrate_frozen_fast
+from .dynamics import _checked_parts, _resolve_step, integrate_frozen_fast, write_csv
 from .errors import ConfigError, NonConvergent, SingularJacobian
 
 MAX_NEWTON_ITERATIONS = 100
@@ -37,7 +38,8 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
     be judged by comparing their averages.  Returns (traj, m1, m2, series)
     with the sample masks m1, m2 of the two windows.  With slow_field,
     series holds the stage field's slow part at a = 1.0 at the samples of
-    both windows (b = None), recorded during the run; else series is None.
+    both windows (b = None), recorded during the run from the run's own
+    theta list (integrate_frozen_fast's _record); else series is None.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -57,9 +59,9 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
         kept = int(np.count_nonzero(m1 | m2))
         series = np.empty((kept, system.dim_slow))
         row = kept - (n_steps + 1)  # negative through the burn-in samples
-        field, th, ds = system.stage, theta.tolist(), system.dim_slow
+        field, ds = system.stage, system.dim_slow
 
-        def record(lam, xi):
+        def record(th, lam, xi):
             nonlocal row
             if row > 0:
                 series[row] = field(th, lam, xi, 1.0, None)[0]
@@ -115,9 +117,9 @@ def mean_field_g0(
     (Lambda^theta, xi) by time averaging after burn-in, in one pass: the
     stage field's slow part at a = 1.0 (system.analysis_floats) is
     recorded inside the run into a preallocated buffer at each
-    post-burn-in sample, from the kernel's state and probe lists.  On the
-    extremum seeker each value reuses the measurement of the step's first
-    stage.
+    post-burn-in sample, from the kernel's theta, state and probe lists.
+    On the extremum seeker each value reuses the measurement of the step's
+    first stage, whose memo keys on those very lists.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     traj, m1, m2, series = _windowed_run(
@@ -206,6 +208,4 @@ def write_grid_csv(path, thetas, estimates):
         rows[i, d : d + p] = np.atleast_1d(est.value)
         rows[i, d + p] = est.osc_amplitude
         rows[i, d + p + 1] = est.horizon
-    np.savetxt(
-        path, rows, fmt="%.17g", delimiter=",", comments="", header=",".join(names)
-    )
+    write_csv(path, names, rows)

@@ -642,13 +642,14 @@ class TestArrayAdapter:
             self.system().analysis_floats([0.4], [0.2, -0.1], [0.3])
         )
 
-    def test_reassigned_callback_replaces_the_stage_field(self):
-        sys_ = self.system(fused=True)
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_reassigned_callback_leaves_the_runs_unchanged(self, fused):
+        sys_ = self.system(fused=fused)
+        want = self.runs(sys_)
         calls = []
-        h = sys_.h
-        sys_.h = lambda t, l, x: calls.append(1) or h(t, l, x)
-        run = integrate_frozen_fast(sys_, np.array([0.4]), np.array([0.2, -0.1]), 0.5, 1.0)
-        assert len(calls) == 4 * (run.n_samples - 1)
+        sys_.h = lambda t, l, x: calls.append(1) or np.zeros(2)
+        assert self.runs(sys_) == want
+        assert calls == []
 
     @pytest.mark.parametrize(
         "kw, name, got",

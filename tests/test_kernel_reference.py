@@ -13,7 +13,6 @@ memo.  A memo that returned a stale value would show up as a trajectory
 that differs from the reference.
 """
 
-import copy
 import math
 import sys
 import threading
@@ -343,15 +342,16 @@ def reference_esc(config):
 
         g_probe = probe_term
 
-    ref = _with_callbacks(build_esc_system(config), g_cb, h_cb)
-    ref.g_probe = g_probe
-    return ref
+    return _with_callbacks(build_esc_system(config), g_cb, h_cb, g_probe)
 
 
-def _with_callbacks(system, g, h):
-    ref = copy.copy(system)
-    ref.g, ref.h = g, h
-    return ref
+def _with_callbacks(system, g, h, g_probe=None):
+    """A new system like system that runs the callbacks g, h and g_probe
+    (through the array adapter), not system's own stage field."""
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, g, h, system.basis, system.probing,
+        g_probe=g_probe, dh_dlambda=system.dh_dlambda,
+    )
 
 
 def assert_same(traj, ref):
@@ -565,10 +565,13 @@ def test_esc_frozen_fast_across_a_chunk_boundary(case, stride):
 def test_esc_mean_field_g0_against_unmemoized_callbacks(single_at):
     system, ref = esc_pair(single_at=single_at)
     kw = dict(burn_in=5.0, window=20.0)
+    log = []
     got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
-    want = mean_field_g0(ref, np.array([0.6]), 1.0, tol=1.0, **kw)
+    want = mean_field_g0(_recorded(ref, log), np.array([0.6]), 1.0, tol=1.0, **kw)
     assert np.array_equal(got.value, want.value)
     assert got.osc_amplitude == want.osc_amplitude
+    # the reference ran its own callbacks, not the seeker's stage field
+    assert {name for name, _ in log} == {"g", "h"} | ({"g_probe"} if not single_at else set())
 
 
 @pytest.mark.parametrize("single_at", [True, False])
@@ -776,14 +779,11 @@ def zero_pair(single_at):
 
 
 def _recorded(system, log):
-    """The system with g, h and g_probe wrapped to log the bits of each
-    output, so that a -0.0 where the reference has +0.0 shows."""
-    rec = copy.copy(system)
-    for name in ("g", "h", "g_probe"):
-        cb = getattr(system, name)
-        if cb is not None:
-            setattr(rec, name, _logged(cb, name, log))
-    return rec
+    """A new system running system's g, h and g_probe wrapped to log the
+    bits of each output, so that a -0.0 where the reference has +0.0 shows."""
+    cbs = {name: getattr(system, name) for name in ("g", "h", "g_probe")}
+    logged = {name: cb and _logged(cb, name, log) for name, cb in cbs.items()}
+    return _with_callbacks(system, **logged)
 
 
 def _logged(cb, name, log):
@@ -824,14 +824,6 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
 
 
 # -- the kernel's record hook -------------------------------------------------
-
-
-def _frozen_rhs(system, theta):
-    def rhs(x, xi, a, b):
-        lam = np.array(x)
-        return [b * v for v in np.asarray(system.h(theta, lam, xi), dtype=float).tolist()]
-
-    return rhs
 
 
 def _hooked_run(system, theta, lam0, beta, n_steps, stride, start):
@@ -883,7 +875,7 @@ def test_record_hook_leaves_the_run_unchanged():
     system = make_esc_quadratic()
     args = (system, np.array([0.7]), np.array([0.2]), 1.0, 50.0)
     seen = []
-    hooked = integrate_frozen_fast(*args, _record=lambda x, xi: seen.append(x))
+    hooked = integrate_frozen_fast(*args, _record=lambda th, x, xi: seen.append(x))
     assert_same(hooked, integrate_frozen_fast(*args))
     assert len(seen) == hooked.n_samples
 
@@ -897,7 +889,7 @@ def test_record_hook_blow_up_time():
     args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
     seen = []
     with pytest.raises(NonFinite) as got:
-        integrate_frozen_fast(*args, _record=lambda x, xi: seen.append(x))
+        integrate_frozen_fast(*args, _record=lambda th, x, xi: seen.append(x))
     with pytest.raises(NonFinite) as want:
         integrate_frozen_fast(*args)
     assert got.value.time == want.value.time
