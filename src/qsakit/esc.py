@@ -24,28 +24,30 @@ the clock phasors via the transfer function at each probe frequency.
 
 The objective is evaluated once per stage point the kernel hands over:
 the stage field computes the slow and fast parts of one RK4 stage from
-one measurement, and a repeated stage point, which the kernel passes as
-the same theta and probe lists (the frozen-fast midpoint and step
-boundary, and the sample qsakit.meanflow records), reuses the last one;
-eps(theta) is evaluated once per theta list.  Lists built afresh, as the
-array callbacks build them, are measured anew.  Objectives, external
-commands included, must therefore be deterministic.
+one measurement f(theta + eps xi) / eps, and a repeated stage point,
+which the kernel passes as the same theta and probe lists (the
+frozen-fast midpoint and step boundary, and the sample qsakit.meanflow
+records), reuses the last one without a call.  eps is a constant under
+constant gain, else eps(theta) is evaluated once per theta list.  Lists
+built afresh, as the array callbacks build them, are measured anew.
+Objectives, external commands included, must therefore be deterministic.
 
-The measurement chain, from stage to objective, computes on lists of
-Python floats, since numpy's per-call cost dominates on one or two
-elements.  Each float operation is the one numpy performs per element,
-in numpy's order, so every result rounds exactly as the array
-expression did: the probed point t + eps*x (handed to the objective as
-one float64 array), the probe term -x_check * filtered, the slow term
--sigma*(t - c), and with a single a_t -sigma*(t - c) + -x_check*filtered.
-The built-in quadratic objective runs on floats up to 7 coordinates.
-The washout products F lambda and H'lambda are floats only at order 1,
-where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
-turns a -0.0 product into +0.0.  At order >= 2 numpy computes them, since
-a sequential float sum does not follow its summation order (BLAS, FMA):
-on random order-2 inputs it differs from numpy's dot in about a quarter
-of cases and from its matvec in nearly half.  Every washout a config
-builds is order 1.
+The measurement computes on lists of Python floats, since numpy's
+per-call cost dominates on one or two elements.  Each float operation is
+the one numpy performs per element, in numpy's order, so every result
+rounds exactly as the array expression did: the probed point t + eps*x,
+the probe term -x_check * filtered, the slow term -sigma*(t - c), and
+with a single a_t -sigma*(t - c) + -x_check*filtered.  The probed point
+reaches Objective.__call__ as that list, and the built-in quadratic sums
+it on floats up to 7 coordinates; any other objective function, and a
+callable that is not an Objective or defines its own __call__, receives
+one float64 array.  The washout products F lambda and H'lambda are floats
+only at order 1, where numpy's 1x1 matvec and one-element dot compute
+0.0 + m*l: the 0.0 turns a -0.0 product into +0.0.  At order >= 2 numpy
+computes them, since a sequential float sum does not follow its
+summation order (BLAS, FMA): on random order-2 inputs it differs from
+numpy's dot in about a quarter of cases and from its matvec in nearly
+half.  Every washout a config builds is order 1.
 """
 
 from __future__ import annotations
@@ -87,11 +89,14 @@ _FLOAT64 = np.dtype(float)
 class Objective:
     """Callable objective with an optional analytic gradient attached.
 
-    The function receives a (d,) float64 array and must return a scalar:
-    a 1-D float64 ndarray is handed over as it is, anything else is
-    converted first.  The gradient, when present, is used for diagnostics
-    only (the algorithm itself never differentiates).
+    Called with a (d,) point, an array-like or a list of real numbers (the
+    extremum seeker's probed points).  The function receives it as one
+    float64 array and must return a scalar; only the built-in quadratic's
+    takes a list as it is (_quadratic_value).  The gradient, when present,
+    is used for diagnostics only (the algorithm itself never differentiates).
     """
+
+    _takes_lists = False  # whether the function takes a list as it is
 
     def __init__(self, fn, grad=None, name=None):
         self._fn = fn
@@ -99,7 +104,11 @@ class Objective:
         self.name = name
 
     def __call__(self, theta):
-        if type(theta) is not np.ndarray or theta.dtype is not _FLOAT64 or theta.ndim != 1:
+        if type(theta) is list:
+            if self._takes_lists:
+                return self._fn(theta)
+            theta = np.array(theta, dtype=float)
+        elif type(theta) is not np.ndarray or theta.dtype is not _FLOAT64 or theta.ndim != 1:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return float(self._fn(theta))
 
@@ -111,10 +120,11 @@ _SEQUENTIAL_SUM_MAX = 7
 
 def _quadratic_value(c, w):
     """theta -> 0.5 * float((w * (theta - c) ** 2).sum()) for float64 arrays
-    c and w, rounded exactly as that numpy expression.
+    c and w and theta a list of real numbers or a float64 array, rounded
+    exactly as that numpy expression on theta as a float64 array.
 
-    For a 1-D theta of n <= _SEQUENTIAL_SUM_MAX elements, with c and w each
-    0-d or of shape (n,), the value is computed on Python floats: d = t - c
+    For n <= _SEQUENTIAL_SUM_MAX coordinates, with c and w each 0-d or of
+    shape (n,), the value is computed on Python floats: d = float(t) - c
     and w*(d*d) per element, summed from +0.0 in index order, which is
     what numpy's sum does below 8 elements (its accumulator starts at +0.0,
     so -0.0 terms sum to +0.0), then halved.  d*d and not d**2: a Python
@@ -131,15 +141,18 @@ def _quadratic_value(c, w):
     for n in range(1, _SEQUENTIAL_SUM_MAX + 1):
         cs, ws = lane(c, n), lane(w, n)
         if cs is not None and ws is not None:
-            terms[(n,)] = list(zip(cs, ws))
+            terms[n] = list(zip(cs, ws))
 
     def value(th):
-        pairs = terms.get(th.shape)
+        if type(th) is not list and th.ndim == 1 and th.shape[0] in terms:
+            th = th.tolist()
+        pairs = terms.get(len(th)) if type(th) is list else None
         if pairs is None:
+            th = np.asarray(th, dtype=float)
             return 0.5 * float((w * (th - c) ** 2).sum())
         acc = 0.0
-        for t, (ci, wi) in zip(th.tolist(), pairs):
-            d = t - ci
+        for t, (ci, wi) in zip(th, pairs):
+            d = float(t) - ci
             acc += wi * (d * d)
         return 0.5 * acc
 
@@ -156,11 +169,13 @@ def quadratic_objective(center=0.0, weights=1.0) -> Objective:
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ConfigError("quadratic weights must be positive")
-    return Objective(
+    objective = Objective(
         fn=_quadratic_value(c, w),
         grad=lambda th: w * (th - c),
         name="quadratic",
     )
+    objective._takes_lists = True
+    return objective
 
 
 def rosenbrock_objective(a=1.0, b=100.0) -> Objective:
@@ -342,14 +357,19 @@ class EscConfig:
             object.__setattr__(self, "washout", washout_filter(1.0))
 
 
+def _negative_objective(value, point):
+    """NegativeObjective for a negative objective value at a point."""
+    return NegativeObjective(
+        f"objective value {value:.6g} at {np.array2string(np.asarray(point), precision=6)}; "
+        "the objective-scaled probing gain needs a nonnegative objective"
+    )
+
+
 def _objective_value(config, point):
     """Objective at a point, guarding the sign assumption where it applies."""
     val = float(config.objective(point))
     if config.gain_kind == "objective_scaled" and val < 0:
-        raise NegativeObjective(
-            f"objective value {val:.6g} at {np.array2string(point, precision=6)}; "
-            "the objective-scaled probing gain needs a nonnegative objective"
-        )
+        raise _negative_objective(val, point)
     return val
 
 
@@ -370,22 +390,35 @@ def probing_gain(config, theta) -> float:
     return config.epsilon * math.sqrt(1.0 + float(dev @ dev) / config.sigma_p**2)
 
 
-def _measure(config, theta, xi, eps) -> float:
-    """f(theta + eps xi) / eps for float lists theta and xi, eps = eps(theta);
-    xi may run longer than theta, and only its first len(theta) entries
-    are read.
+def _measurement(config):
+    """The seeker's measurement (theta, xi) -> f(theta + eps xi) / eps for
+    lists of floats theta and xi, eps = eps(theta); xi may run longer than
+    theta, and only its first len(theta) entries are read (module
+    docstring)."""
+    objective = config.objective
+    takes_lists = type(objective).__call__ is Objective.__call__
+    constant = config.gain_kind == "constant"
+    guarded = config.gain_kind == "objective_scaled"
+    eps_memo = (None, config.epsilon)
 
-    The probed point is built on Python floats, t + eps*x per element as
-    numpy would, and reaches the objective as one float64 (d,) array.
-    """
-    point = np.array([t + eps * x for t, x in zip(theta, xi)])
-    return _objective_value(config, point) / eps
+    def measure(theta, xi):
+        nonlocal eps_memo
+        last = eps_memo
+        if not (constant or theta is last[0]):
+            last = eps_memo = (theta, probing_gain(config, theta))
+        eps = last[1]
+        point = [t + eps * x for t, x in zip(theta, xi)]
+        value = objective(point) if takes_lists else float(objective(np.array(point)))
+        if guarded and value < 0:
+            raise _negative_objective(value, point)
+        return value / eps
+
+    return measure
 
 
 def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
-    theta, xi = _float_lists(theta, xi)
-    return _measure(config, theta, xi, probing_gain(config, theta))
+    return _measurement(config)(*_float_lists(theta, xi))
 
 
 def objective_gradient(config) -> Callable[[np.ndarray], np.ndarray]:
@@ -493,8 +526,9 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     factor a_t by default (g_probe mechanism), or folded into the plain
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
-    reference runs use 1).  The stage field is described in the module
-    docstring; the array callbacks g, g_probe and h convert any array-like
+    reference runs use 1).  The stage field reads its measurement memo
+    itself and measures on a miss as normalized_observation does (module
+    docstring); the array callbacks g, g_probe and h convert any array-like
     input to float64 lists first and return its values as float64 arrays.
     """
     washout = config.washout
@@ -509,73 +543,47 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
-    # One-entry memos of the measurement, keyed by the identity of theta and
-    # of the whole probe row, and of eps(theta), keyed by theta's identity:
-    # the kernel hands one probe list to every stage at one time and one
-    # pinned theta list to a frozen run (and to qsakit.meanflow's record),
-    # so frozen-fast stage points repeat as the same lists (k2 and k3, k4
-    # and the next k1, the recorded sample); coupled stages get fresh theta
-    # lists.  A key holds its lists alive, so an identity never recurs for
-    # another list.  Entries are replaced whole and read once, so threads
-    # sharing a seeker can miss but never mismatch.
+    # One-entry memo of the measurement, keyed by the identity of theta and
+    # of the whole probe row: the kernel hands one probe list to every stage
+    # at one time and one pinned theta list to a frozen run (and to
+    # qsakit.meanflow's record), so frozen-fast stage points repeat as the
+    # same lists (k2 and k3, k4 and the next k1, the recorded sample);
+    # coupled stages get fresh theta lists.  A key holds its lists alive, so
+    # an identity never recurs for another list.  The entry is replaced
+    # whole and read once, so threads sharing a seeker can miss but never
+    # mismatch.
+    measure = _measurement(config)
     memo = (None, None, 0.0)
-    eps_memo = (None, 0.0)
-
-    def observe(theta, xi):
-        """The normalized measurement at (theta, xi[:d]), xi the whole
-        probe row, both lists of floats."""
-        nonlocal memo, eps_memo
-        last = memo
-        if xi is last[1] and theta is last[0]:
-            return last[2]
-        last = eps_memo
-        if theta is last[0]:
-            eps = last[1]
-        else:
-            eps = probing_gain(config, theta)
-            eps_memo = (theta, eps)
-        value = _measure(config, theta, xi, eps)
-        memo = (theta, xi, value)
-        return value
-
-    # F lam and H'lam: 0.0 + m*l on floats at order 1, numpy's own product
-    # at order >= 2 (module docstring)
-    if washout.order == 1:
-        f1, g1, h1 = F.item(), G.item(), H.item()
-
-        def fast(lam, y, b):
-            return [b * (0.0 + f1 * lam[0] + g1 * y)]
-
-        def state_output(lam):
-            return 0.0 + h1 * lam[0]
-
-        def dh_dlambda(theta, lam, xi):
-            return [f1]
-    else:
-        def fast(lam, y, b):
-            return [b * v for v in (F @ np.array(lam) + G * y).tolist()]
-
-        def state_output(lam):
-            return float(H @ np.array(lam))
-
-        def dh_dlambda(theta, lam, xi):
-            return F
-
     ctr_floats = ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
     neg_sigma = float(-sigma)
     single_at = config.single_at
+    # F lam and H'lam: 0.0 + m*l on floats at order 1, numpy's own product
+    # at order >= 2 (module docstring)
+    order1 = washout.order == 1
+    f1, g1, h1 = (F.item(), G.item(), H.item()) if order1 else (None, None, None)
 
     def stage(theta, lam, xi, a, b):
-        y = observe(theta, xi)
-        slow = None
+        nonlocal memo
+        last = memo
+        if xi is last[1] and theta is last[0]:
+            y = last[2]
+        else:
+            y = measure(theta, xi)
+            memo = (theta, xi, y)
+        slow = fast = None
         if a is not None:
-            w = state_output(lam) + J * y
+            w = (0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))) + J * y
             k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
             pairs = zip(theta, ctr_floats, xi[d:])
             slow = [a * (neg_sigma * (t - c) + k * (-v * w)) for t, c, v in pairs]
-        return slow, None if b is None else fast(lam, y, b)
+        if b is not None:
+            if order1:
+                fast = [b * (0.0 + f1 * lam[0] + g1 * y)]
+            else:
+                fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
+        return slow, fast
 
     g_cb, h_cb = _callbacks_of(stage)
     g_probe = None
@@ -586,8 +594,12 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
 
         def g_probe(theta, lam, xi):
             theta, lam, xi = _float_lists(theta, lam, xi)
-            w = state_output(lam) + J * observe(theta, xi)
+            out = 0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))
+            w = out + J * measure(theta, xi)
             return np.array([-v * w for v in xi[d:]])
+
+    def dh_dlambda(theta, lam, xi):
+        return [f1] if order1 else F
 
     # solved once; the sign convention makes lambda_star = -F^{-1} G * mean input
     neg_finv_g = -np.linalg.solve(F, G)

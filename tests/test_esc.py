@@ -9,6 +9,7 @@ contraction of the regularized loop.
 """
 
 import math
+import struct
 import sys
 import time
 
@@ -123,6 +124,58 @@ class TestObjectives:
             named_objective("cubic")
         with pytest.raises(ConfigError):
             named_objective("quadratic", slope=1.0)
+
+
+def _scalar_kinds(rng):
+    """Entries of one kind each: Python floats (signed zeros, infinities, a
+    subnormal), ints (one not a float64), bools and numpy scalars; the
+    np.float32 entries are not float64 values rounded to float32, so a
+    sum taken in float32 differs in its bits."""
+    x = float(rng.uniform(-3.0, 3.0))
+    return [
+        x, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310,
+        int(rng.integers(-5, 6)), 3**40, True, False,
+        np.float64(x), np.float32(x), np.float32(0.1),
+    ]
+
+
+class TestObjectiveLists:
+    """Objective.__call__ on a list of real numbers returns the bits it
+    returns on the equivalent float64 array."""
+
+    @staticmethod
+    def bits(x):
+        return struct.pack("d", x)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_quadratic(self, d):
+        # d <= 7 sums the list on floats, d >= 8 in numpy
+        rng = np.random.default_rng(400 + d)
+        for _ in range(300):
+            kinds = _scalar_kinds(rng)
+            point = [kinds[i] for i in rng.integers(0, len(kinds), d)]
+            c = rng.uniform(-2.0, 2.0, d) if rng.random() < 0.5 else 1.0 / 3.0
+            w = rng.uniform(0.1, 3.0, d) if rng.random() < 0.5 else 0.7
+            obj = quadratic_objective(center=c, weights=w)
+            want = obj(np.array(point, dtype=float))
+            assert self.bits(obj(point)) == self.bits(want), (point, c, w)
+
+    def test_other_objective(self):
+        seen = []
+
+        def fn(th):
+            seen.append((type(th), th.dtype, th.shape))
+            return float(np.sum((th / 3.0) ** 2))
+
+        obj = Objective(fn)
+        rng = np.random.default_rng(409)
+        for d in (1, 2, 5, 9):
+            for _ in range(50):
+                kinds = _scalar_kinds(rng)
+                point = [kinds[i] for i in rng.integers(0, len(kinds), d)]
+                want = obj(np.array(point, dtype=float))
+                assert self.bits(obj(point)) == self.bits(want), point
+        assert set(seen) == {(np.ndarray, np.dtype(np.float64), (d,)) for d in (1, 2, 5, 9)}
 
 
 class TestProcessObjective:

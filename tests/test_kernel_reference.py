@@ -10,7 +10,10 @@ bit-identical trajectories, not merely close ones.
 The extremum seeker's callbacks are kept the same way, as they stood before
 the measurement was memoized: one objective evaluation per callback, no
 memo.  A memo that returned a stale value would show up as a trajectory
-that differs from the reference.
+that differs from the reference.  Each form of objective is held to that
+reference: the built-in quadratic on both sides of its float/numpy split,
+a plain function, an Objective subclass with its own __call__ and an
+external command.
 """
 
 import math
@@ -36,6 +39,7 @@ from qsakit.errors import ConfigError, NonFinite
 from qsakit.esc import (
     EscConfig,
     Objective,
+    ProcessObjective,
     _objective_value,
     build_esc_system,
     quadratic_objective,
@@ -914,3 +918,104 @@ def test_cubic_seeker_g0_objective_calls():
     mean_field_g0(system, np.array([1.2]), 1.0, burn_in=20.0, window=400.0)
     _, n_steps = _resolve_step(system.basis, 1.0, 820.0, None)
     assert len(calls) == 2 * n_steps + 1 == 45_473
+
+
+# -- objective forms: each through the seeker against the reference ---------
+
+
+def _bowl(th):
+    """A quadratic bowl with a quartic term, on a float64 array."""
+    x = th - 0.5
+    return float(0.5 * (x @ x) + 0.25 * x[0] * x[0] * x[0] * x[0])
+
+
+class _ArrayOnly(Objective):
+    """An Objective subclass that takes its point itself and insists on one
+    1-D float64 ndarray."""
+
+    def __call__(self, theta):
+        assert type(theta) is np.ndarray, type(theta)
+        assert theta.dtype == np.float64 and theta.ndim == 1, (theta.dtype, theta.shape)
+        return _bowl(theta)
+
+
+#: eight tones with a new prime in each ratio, so rationally independent
+EIGHT_TONES = make_frequency_basis(
+    [(2, 1), (3, 2), (5, 3), (7, 5), (11, 7), (13, 11), (17, 13), (19, 17)]
+)
+CENTER_8 = np.linspace(0.5, 0.1, 8)
+WEIGHTS_8 = np.linspace(0.5, 2.25, 8)
+
+#: (seeker's objective, reference's objective, EscConfig keywords) per form
+OBJECTIVE_FORMS = {
+    "plain-function": (lambda: _bowl, lambda: _bowl, dict(dim=2)),
+    "array-only-subclass": (lambda: _ArrayOnly(None), lambda: _bowl, dict(dim=2)),
+    # from 8 coordinates on the quadratic takes the numpy expression
+    "quadratic-8": (
+        lambda: quadratic_objective(center=CENTER_8, weights=WEIGHTS_8),
+        lambda: reference_quadratic(center=CENTER_8, weights=WEIGHTS_8),
+        dict(dim=8, probing=EIGHT_TONES, sigma=0.2),
+    ),
+}
+
+
+def form_pair(form, single_at=True):
+    objective, reference, kw = OBJECTIVE_FORMS[form]
+    kw = dict(kw, epsilon=0.1, single_at=single_at)
+    system = build_esc_system(EscConfig(objective=objective(), **kw))
+    return system, reference_esc(EscConfig(objective=reference(), **kw))
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+@pytest.mark.parametrize("form", sorted(OBJECTIVE_FORMS))
+def test_esc_objective_forms_coupled(form, single_at):
+    system, ref = form_pair(form, single_at)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = _esc_x0(system)
+    assert_same(
+        integrate(system, sched, x0, 20.0),
+        reference_integrate(ref, sched, x0, 20.0),
+    )
+
+
+@pytest.mark.parametrize("form", sorted(OBJECTIVE_FORMS))
+def test_esc_objective_forms_frozen_fast(form):
+    system, ref = form_pair(form)
+    args = (np.linspace(0.7, 0.2, system.dim_slow), np.array([0.2]), 1.0, 20.0)
+    assert_same(
+        integrate_frozen_fast(system, *args, sample_stride=3),
+        reference_integrate_frozen_fast(ref, *args, sample_stride=3),
+    )
+
+
+def test_esc_process_objective():
+    # one process per evaluation, so a short run; printing the float's repr
+    # and reading '.17g' decimals round-trip exactly, so the bits match
+    command = [
+        sys.executable,
+        "-c",
+        "import sys; x = float(sys.stdin.read().split()[0]) - 1.0; print(0.5 * x * x)",
+    ]
+    calls = []
+
+    def half_square(th):
+        calls.append(1)
+        x = th[0] - 1.0
+        return 0.5 * x * x
+
+    kw = dict(dim=1, epsilon=0.1, single_at=True)
+    process = ProcessObjective(command)
+    system = build_esc_system(EscConfig(objective=process, **kw))
+    counted = build_esc_system(EscConfig(objective=Objective(half_square), **kw))
+    ref = reference_esc(EscConfig(objective=half_square, **kw))
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = (np.array([0.3]), np.array([0.1]))
+    frozen = (np.array([0.7]), np.array([0.2]), 1.0, 0.2)
+    assert_same(integrate(system, sched, x0, 0.2), reference_integrate(ref, sched, x0, 0.2))
+    assert_same(
+        integrate_frozen_fast(system, *frozen), reference_integrate_frozen_fast(ref, *frozen)
+    )
+    calls.clear()
+    integrate(counted, sched, x0, 0.2)
+    integrate_frozen_fast(counted, *frozen)
+    assert process.evaluations == len(calls) == 4 * 6 + 2 * 6 + 1
