@@ -389,7 +389,7 @@ def run(config_path, subcommand, *, out_dir=None, seedless=False, filtered=False
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
     except QsaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -30,11 +30,22 @@ reads each output back as a list of its block's length (a scalar fills a
 1-element block, any other length is a ConfigError).  A system's field
 is fixed at construction, so each system has one run path.
 
+A system may also carry a frozen form (FrozenForm), which the extremum
+seeker of qsakit.esc supplies for an order-1 washout: at a pinned theta
+its fast part is b*(0.0 + f1*lam + g1*y) with y = y(xi) a measurement of
+the probe row alone.  Frozen-fast and sensitivity runs of such a system
+use the form instead of the stage field: the loop measures each new probe
+row once, in step order (k2's row, then k4's row, whose value the next
+k1 reuses), and writes the affine step inline.  The stack then carries
+that measurement as its last entry, so the sampled rows hold it and
+qsakit.meanflow evaluates the slow field on them after the run.
+
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind) and compiled on first use, as
 dataclasses and namedtuple generate code.  The kinds are coupled,
 filtered (the coupled pair with the filter states), frozen-fast and
-sensitivity (Lambda with vec S).  The loop holds the state in locals x0
+sensitivity (Lambda with vec S), and frozen-affine and sensitivity-affine
+(the same two on a frozen form).  The loop holds the state in locals x0
 .. x{D-1}, calls the stage field itself with the stage's theta and Lambda
 as list displays, unpacks its parts into the stage derivative, and
 writes out per component the filter's derivative, the scalar sensitivity
@@ -54,6 +65,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,6 +113,30 @@ class GainSchedule:
         return np.full(len(ts), self.beta)
 
 
+class FrozenForm(NamedTuple):
+    """A system's fast part at a pinned theta, affine in Lambda (dim_fast 1).
+
+    At the pinned theta list th the fast part at gain b is b * (0.0 +
+    f1*lam + g1*y) with y = measurement(th, xi, eps) and eps = gain(th),
+    computed once per run.  measurement is called once per new probe row,
+    in step order, so a measurement that raises does so where the stage
+    field's would.  slow(theta, lam, y, xi) is the stage field's slow part
+    at a = 1.0 on a run's samples: theta a (dim_slow,) array, lam (n, 1),
+    y (n,) and the probe rows xi (n, m) as float64 arrays, giving
+    (n, dim_slow), each value rounded as the stage field rounds it.
+    """
+
+    measurement: Callable
+    gain: Callable
+    f1: float
+    g1: float
+    slow: Callable
+
+    def args(self, theta):
+        """The generated loop's constants at the pinned theta list."""
+        return self.measurement, theta, self.gain(theta), self.f1, self.g1
+
+
 def _lattice(count, dim, lo=-1.0, hi=1.0):
     """Deterministic quasi-uniform points in [lo, hi]^dim (no RNG)."""
     i = np.arange(1, count + 1)[:, None]
@@ -114,16 +150,19 @@ class TwoTimescaleSystem:
 
     g and h are array callbacks (theta, lam, xi) -> array; g_probe adds
     a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
-    Every run reads the stage field self.stage (module docstring), bound
-    once here: the stage given, as a built-in system passes its field on
-    floats with g, h, g_probe of the same values, else the adapter of g, h
-    and g_probe.  Reassigning a callback after construction does not
-    change a run.  Lists handed to the stage field must not be changed
-    later: memos key on them.  An exact Fourier form of [g; h] is checked
-    against the callbacks at construction.  dh_dlambda(theta, lam, xi),
-    called with the stage's lists, is an analytic fast Jacobian for
-    sensitivity runs (shapes: see qsakit.lyapunov); lambda_star /
-    theta_star record known equilibria.
+    Runs read the stage field self.stage (module docstring), bound once
+    here: the stage given, as a built-in system passes its field on floats
+    with g, h, g_probe of the same values, else the adapter of g, h and
+    g_probe.  Reassigning a callback after construction does not change a
+    run.  frozen, a FrozenForm of the same field, stands in for it in
+    sensitivity runs and in frozen-fast runs without a record hook, and
+    fixes their fast Jacobian (dh_dlambda is not read there).  The stage
+    field keeps no memo: a list handed to it may change once the call
+    returns.  An exact Fourier form of [g; h] is checked against the
+    callbacks at construction.  dh_dlambda(theta, lam, xi), called with
+    the stage's lists, is an analytic fast Jacobian for sensitivity runs
+    (shapes: see qsakit.lyapunov); lambda_star / theta_star record known
+    equilibria.
     """
 
     def __init__(
@@ -138,6 +177,7 @@ class TwoTimescaleSystem:
         fourier=None,
         g_probe=None,
         stage=None,
+        frozen=None,
         dh_dlambda=None,
         lambda_star=None,
         theta_star=None,
@@ -156,6 +196,7 @@ class TwoTimescaleSystem:
         if stage is None:
             stage = _array_stage(g, h, g_probe, self.dim_slow, self.dim_fast)
         self.stage = stage
+        self.frozen = frozen
         self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
         self.theta_star = theta_star
@@ -199,7 +240,9 @@ class Trajectory:
 
     phases holds the fractional clock phases (K, N), recomputed analytically
     from the sample times.  a and beta are the gain values at each sample.
-    lam_filtered / dlam_filtered are present only for filtered runs.
+    lam_filtered / dlam_filtered are present only for filtered runs, and
+    measured, the measurement y of a frozen form (FrozenForm) at each
+    sample, only for frozen-fast runs on one.
     """
 
     t: np.ndarray
@@ -210,6 +253,7 @@ class Trajectory:
     phases: np.ndarray
     lam_filtered: np.ndarray = None
     dlam_filtered: np.ndarray = None
+    measured: np.ndarray = None
 
     @property
     def n_samples(self):
@@ -350,11 +394,13 @@ def _step_loop_source(shape):
     """Python source of the RK4 loop over one block of steps for one run
     shape (dim_slow, dim_fast, kind), written out per component (see _rk4)."""
     ds, df, kind = shape
-    frozen = kind in ("frozen-fast", "sensitivity")
+    affine = kind in ("frozen-affine", "sensitivity-affine")
+    frozen = kind in ("frozen-fast", "sensitivity") or affine
     size = {"coupled": ds + df, "filtered": ds + 3 * df, "frozen-fast": df,
-            "sensitivity": df + df * df}[kind]
+            "sensitivity": df + df * df, "frozen-affine": 1, "sensitivity-affine": 2}[kind]
     lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
     comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
+    carry = "yk, " if affine else ""  # the measurement at the state's time
 
     def seq(fmt, idx):
         return "".join(fmt.format(d) + ", " for d in idx)  # a 1-tuple too
@@ -367,7 +413,14 @@ def _step_loop_source(shape):
             state = [f"s{d}" for d in comps]
         part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
         vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
-        if frozen:
+        if affine:  # a new probe row at k2 and k4, measured once each
+            y = "yk" if k in (1, 4) else "ym"
+            if k in (2, 4):
+                out.append(f"{y} = measure(th, {xi}, eps)")
+            out.append(f"k{k}_0 = {b} * (0.0 + f1 * ({state[0]}) + g1 * {y})")
+            if kind == "sensitivity-affine":
+                out.append(f"k{k}_1 = {b} * (0.0 + f1 * ({state[1]}))")
+        elif frozen:
             out.append(f"la = {vals(lam)}")
             out.append(f"_, {part(lam)} = field(th, la, {xi}, None, {b})")
         else:
@@ -388,15 +441,18 @@ def _step_loop_source(shape):
     def state(c, k):
         return [f"x{d} + {c} * k{k}_{d}" for d in comps]
 
-    unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac"}
+    unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac",
+              "frozen-affine": "measure, th, eps, f1, g1",
+              "sensitivity-affine": "measure, th, eps, f1, g1"}
     lines = [
         "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",
         "              cursor, record, start, h, half, sixth):",
         f"    {unpack.get(kind, '()')} = args",
-        f"    {seq('x{}', comps)}= x",
+        f"    {seq('x{}', comps)}{carry}= x",
+        *(["    if yk is None:", "        yk = measure(th, xis[j_lo], eps)"] if affine else []),
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
-        f"            x = [{seq('x{}', comps)}]",
+        f"            x = [{seq('x{}', comps)}{carry}]",
         "            samples[cursor] = x",
         "            if record is not None:",
         "                record(x, xis[j])",
@@ -410,7 +466,7 @@ def _step_loop_source(shape):
         "        gi += 1",
         "        if not (" + " and ".join(f"isfinite(x{d})" for d in comps) + "):",
         "            raise NonFinite((start + gi) * h)",
-        f"    return [{seq('x{}', comps)}], cursor",
+        f"    return [{seq('x{}', comps)}{carry}], cursor",
     ]
     return "\n".join(lines) + "\n"
 
@@ -444,7 +500,9 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=
     kind: (gamma2, two_zg) of the filter; the pinned theta list of a
     frozen-fast run; the pinned theta and, at dim_fast 1, the fast
     Jacobian (read through _floats), else a callback (theta, lam, xi, b, S)
-    returning b*(J @ S) as a list, of a sensitivity run; () when coupled.
+    returning b*(J @ S) as a list, of a sensitivity run; () when coupled;
+    FrozenForm.args of the affine kinds, whose loop calls no field: their
+    x ends in the measurement at its time, None to measure it first.
     The steps of each block of _CHUNK run in the loop generated for shape
     (_step_loop), which writes every component's arithmetic out in numpy's
     elementwise order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 +
@@ -568,11 +626,13 @@ def integrate_frozen_fast(
 
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
-    The RK4 kernel advances Lambda alone on the stage field's fast part
-    (a = None).  Returns a Trajectory whose theta block repeats the frozen
-    value and whose slow-gain column is zero.  _record(theta, x, xi), for
-    qsakit.meanflow, is the kernel's record hook (see _rk4) with the run's
-    own pinned theta list first, the list every stage receives.
+    The RK4 kernel advances Lambda alone on the system's frozen form
+    (FrozenForm; the Trajectory then holds its measurement) or else on the
+    stage field's fast part (a = None).  Returns a Trajectory whose theta
+    block repeats the frozen value and whose slow-gain column is zero.
+    _record(theta, x, xi), for qsakit.meanflow, is the kernel's record hook
+    (see _rk4) with the run's own pinned theta list first, the list every
+    stage receives; a run with a hook takes the stage field.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -583,18 +643,24 @@ def integrate_frozen_fast(
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
-    shape, th = (system.dim_slow, system.dim_fast, "frozen-fast"), theta.tolist()
+    ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
+    form = system.frozen if _record is None else None
+    if form is None:
+        shape, args, x = (ds, df, "frozen-fast"), (th,), lam.tolist()
+    else:
+        shape, args, x = (ds, df, "frozen-affine"), form.args(th), lam.tolist() + [None]
     record = None if _record is None else functools.partial(_record, th)
-    t, lam_samp = _rk4(
-        system.stage, shape, (th,), lam.tolist(), h, n_steps, sample_stride,
+    t, samples = _rk4(
+        system.stage, shape, args, x, h, n_steps, sample_stride,
         system, _pinned_gains(beta), record=record,
     )
     n = t.shape[0]
     return Trajectory(
         t=t,
         theta=np.tile(theta, (n, 1)),
-        lam=lam_samp,
+        lam=samples[:, :df],
         a=np.zeros(n),
         beta=np.full(n, float(beta)),
         phases=clock_phases(system.basis, t),
+        measured=None if form is None else samples[:, df],
     )

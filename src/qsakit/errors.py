@@ -25,7 +25,21 @@ class DuplicateFrequency(ConfigError):
 
 
 class NonConvergent(QsaError):
-    """An iterative procedure hit its cap before reaching its tolerance."""
+    """An iterative procedure hit its cap before reaching its tolerance.
+
+    Attributes
+    ----------
+    estimates : dict
+        The last estimates by name (empty when the procedure names none).
+        Each is also a note on the exception, so tracebacks and the CLI's
+        error report show it.
+    """
+
+    def __init__(self, message: str, estimates=None):
+        super().__init__(message)
+        self.estimates = dict(estimates or {})
+        for name, value in self.estimates.items():
+            self.add_note(f"{name}: {value}")
 
 
 class ZeroDivisor(QsaError):

@@ -24,13 +24,16 @@ the clock phasors via the transfer function at each probe frequency.
 
 The objective is evaluated once per stage point the kernel hands over:
 the stage field computes the slow and fast parts of one RK4 stage from
-one measurement f(theta + eps xi) / eps, and a repeated stage point,
-which the kernel passes as the same theta and probe lists (the
-frozen-fast midpoint and step boundary, and the sample qsakit.meanflow
-records), reuses the last one without a call.  eps is a constant under
-constant gain, else eps(theta) is evaluated once per theta list.  Lists
-built afresh, as the array callbacks build them, are measured anew.
-Objectives, external commands included, must therefore be deterministic.
+one measurement f(theta + eps xi) / eps, with eps = eps(theta) computed
+for the call.  At order 1 the seeker also hands the kernel its frozen
+form (qsakit.dynamics.FrozenForm): with theta pinned the measurement
+depends on the probe row alone and the washout step is affine in the
+state, so a frozen-fast or sensitivity run computes eps(theta) once and
+measures each new probe row once, in step order, and qsakit.meanflow
+evaluates the slow field on the run's sampled state, measurement and
+probe rows after the run, through the expression the stage field uses.
+Objectives, external commands included, must be deterministic: the two
+paths measure a probe row a different number of times.
 
 The measurement computes on lists of Python floats, since numpy's
 per-call cost dominates on one or two elements.  Each float operation is
@@ -52,6 +55,7 @@ half.  Every washout a config builds is order 1.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import shlex
@@ -61,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TwoTimescaleSystem, _callbacks_of, _float_lists
+from .dynamics import FrozenForm, TwoTimescaleSystem, _callbacks_of, _float_lists
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -391,22 +395,20 @@ def probing_gain(config, theta) -> float:
 
 
 def _measurement(config):
-    """The seeker's measurement (theta, xi) -> f(theta + eps xi) / eps for
-    lists of floats theta and xi, eps = eps(theta); xi may run longer than
-    theta, and only its first len(theta) entries are read (module
-    docstring)."""
+    """The seeker's measurement (theta, xi, eps=None) -> f(theta + eps xi)
+    / eps for lists of floats theta and xi; eps defaults to eps(theta),
+    and a run at a pinned theta passes the value it computed once.  xi may
+    run longer than theta, and only its first len(theta) entries are read
+    (module docstring)."""
     objective = config.objective
     takes_lists = type(objective).__call__ is Objective.__call__
     constant = config.gain_kind == "constant"
     guarded = config.gain_kind == "objective_scaled"
-    eps_memo = (None, config.epsilon)
+    epsilon = config.epsilon
 
-    def measure(theta, xi):
-        nonlocal eps_memo
-        last = eps_memo
-        if not (constant or theta is last[0]):
-            last = eps_memo = (theta, probing_gain(config, theta))
-        eps = last[1]
+    def measure(theta, xi, eps=None):
+        if eps is None:
+            eps = epsilon if constant else probing_gain(config, theta)
         point = [t + eps * x for t, x in zip(theta, xi)]
         value = objective(point) if takes_lists else float(objective(np.array(point)))
         if guarded and value < 0:
@@ -526,10 +528,11 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     factor a_t by default (g_probe mechanism), or folded into the plain
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
-    reference runs use 1).  The stage field reads its measurement memo
-    itself and measures on a miss as normalized_observation does (module
-    docstring); the array callbacks g, g_probe and h convert any array-like
-    input to float64 lists first and return its values as float64 arrays.
+    reference runs use 1).  The stage field measures once per call, as
+    normalized_observation does, and an order-1 washout adds the frozen
+    form of frozen-fast and sensitivity runs (module docstring); the array
+    callbacks g, g_probe and h convert any array-like input to float64
+    lists first and return its values as float64 arrays.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -543,17 +546,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     sigma = config.sigma
     ctr = config.theta_ctr
 
-    # One-entry memo of the measurement, keyed by the identity of theta and
-    # of the whole probe row: the kernel hands one probe list to every stage
-    # at one time and one pinned theta list to a frozen run (and to
-    # qsakit.meanflow's record), so frozen-fast stage points repeat as the
-    # same lists (k2 and k3, k4 and the next k1, the recorded sample);
-    # coupled stages get fresh theta lists.  A key holds its lists alive, so
-    # an identity never recurs for another list.  The entry is replaced
-    # whole and read once, so threads sharing a seeker can miss but never
-    # mismatch.
     measure = _measurement(config)
-    memo = (None, None, 0.0)
     ctr_floats = ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
@@ -564,26 +557,32 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     order1 = washout.order == 1
     f1, g1, h1 = (F.item(), G.item(), H.item()) if order1 else (None, None, None)
 
+    def slow_part(a, k, t, c, v, hl, y):
+        # per coordinate on floats, elementwise on arrays; hl is H'lam
+        return a * (neg_sigma * (t - c) + k * (-v * (hl + J * y)))
+
     def stage(theta, lam, xi, a, b):
-        nonlocal memo
-        last = memo
-        if xi is last[1] and theta is last[0]:
-            y = last[2]
-        else:
-            y = measure(theta, xi)
-            memo = (theta, xi, y)
+        y = measure(theta, xi)
         slow = fast = None
         if a is not None:
-            w = (0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))) + J * y
+            hl = 0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))
             k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
             pairs = zip(theta, ctr_floats, xi[d:])
-            slow = [a * (neg_sigma * (t - c) + k * (-v * w)) for t, c, v in pairs]
+            slow = [slow_part(a, k, t, c, v, hl, y) for t, c, v in pairs]
         if b is not None:
             if order1:
                 fast = [b * (0.0 + f1 * lam[0] + g1 * y)]
             else:
                 fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
         return slow, fast
+
+    frozen = None
+    if order1:
+        def slow_samples(theta, lam, y, xi):
+            return slow_part(1.0, 1.0, theta, ctr, xi[:, d:], 0.0 + h1 * lam, y[:, None])
+
+        gain = functools.partial(probing_gain, config)
+        frozen = FrozenForm(measure, gain, f1, g1, slow_samples)
 
     g_cb, h_cb = _callbacks_of(stage)
     g_probe = None
@@ -620,6 +619,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         probing=extended_probe_map(config),
         g_probe=g_probe,
         stage=stage,
+        frozen=frozen,
         dh_dlambda=dh_dlambda,
         lambda_star=lambda_star,
         theta_star=theta_star,

@@ -332,7 +332,7 @@ def bias_sweep(
                 system, init, beta, tol, avg_tol=avg_tol, burn_in=burn_in, window=window
             )
         except NonConvergent as exc:
-            raise NonConvergent(f"bias run at beta = {beta:g}: {exc}") from exc
+            raise NonConvergent(f"bias run at beta = {beta:g}: {exc}", exc.estimates) from exc
         return float(np.linalg.norm(theta_beta - theta_star))
 
     biases = [run_one(beta) for beta in betas]

@@ -22,6 +22,12 @@ BLAS sums each row with fused multiply-adds in an order of its own
 choosing, which a sum of Python floats does not reproduce (thousands of
 mismatches per 20,000 random 2x2 cases).
 
+A system with a frozen form (dynamics.FrozenForm: the extremum seeker
+at order 1) runs on it instead: the fast Jacobian is its constant f1,
+the loop writes both derivatives inline and carries the probe row's
+measurement as the stack's last entry, so a segment starts from the
+measurement the previous one ended with.
+
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
 1x1 array, at d >= 2 a (d, d) array, else ConfigError naming dh_dlambda.
@@ -111,9 +117,14 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
 
     d = system.dim_fast
-    if d == 1:
+    th, form = theta.tolist(), system.frozen
+    x = lam.tolist() + np.eye(d).ravel().tolist()
+    if form is not None:
+        kind, args = "sensitivity-affine", form.args(th)
+        x.append(None)  # the measurement, taken at the first stage
+    elif d == 1:
         jac = system.dh_dlambda
-        jac = _jacobian_evaluator(system) if jac is None else jac
+        kind, args = "sensitivity", (th, _jacobian_evaluator(system) if jac is None else jac)
     else:
         jac_of = _jacobian_evaluator(system)
 
@@ -121,15 +132,17 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
             return [b * v for v in js.ravel().tolist()]
 
+        kind, args = "sensitivity", (th, jac)
+    vec_s = slice(d, d + d * d)
+
     def s_norm(x):
-        return float(np.linalg.norm(np.array(x[d:])))
+        return float(np.linalg.norm(np.array(x[vec_s])))
 
     rescale_every = max(1, round(1.0 / h))
     n_half = max(1, n_steps // 2)
     ends = sorted({*range(rescale_every, n_steps, rescale_every), n_half, n_steps})
     gains = _pinned_gains(beta)
-    field, shape, args = system.stage, (system.dim_slow, d, "sensitivity"), (theta.tolist(), jac)
-    x = lam.tolist() + np.eye(d).ravel().tolist()
+    field, shape = system.stage, (system.dim_slow, d, kind)
     log_accum = 0.0
     begin = 0
     for end in ends:
@@ -140,7 +153,7 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             nrm = s_norm(x)
             if not math.isfinite(nrm) or nrm == 0.0:
                 raise NonFinite(end * h, "sensitivity norm degenerate")
-            x[d:] = [v / nrm for v in x[d:]]
+            x[vec_s] = [v / nrm for v in x[vec_s]]
             log_accum += math.log(nrm)
         if end == n_half:
             log_half = log_accum + math.log(s_norm(x))

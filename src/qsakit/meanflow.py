@@ -3,10 +3,15 @@
 Everything here reduces to time averages along frozen-fast trajectories:
 the fast equilibrium map lambda*(theta) (up to O(beta) ripple), the
 effective slow field gbar0(theta) and its root theta^beta.  Each average
-takes one pass over its run: the fast equilibrium averages the sampled
-Lambda, and gbar0 averages the slow field that the RK4 kernel's record
-hook evaluates at each post-burn-in sample during the run, on the lists
-the run's stages receive (its pinned theta, the state and probe row).
+takes one run: the fast equilibrium averages the sampled Lambda, and
+gbar0 averages the stage field's slow part at the post-burn-in samples.
+A system with a frozen form (the extremum seeker at order 1) samples its
+measurement with the state, and the form's slow part is evaluated on
+the sampled state, measurement and probe rows after the run, as whole
+arrays; any other system's slow part is evaluated during the run by the
+RK4 kernel's record hook, on the lists the run's stages receive (its
+pinned theta, the state and probe row).  Both round as the stage field
+does at each sample.
 """
 
 from dataclasses import dataclass
@@ -15,6 +20,7 @@ import numpy as np
 
 from .dynamics import _checked_parts, _resolve_step, integrate_frozen_fast, write_csv
 from .errors import ConfigError, NonConvergent, SingularJacobian
+from .probing import probe_signal
 
 MAX_NEWTON_ITERATIONS = 100
 MIN_NEWTON_STEP = 2.0**-10
@@ -38,8 +44,10 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
     be judged by comparing their averages.  Returns (traj, m1, m2, series)
     with the sample masks m1, m2 of the two windows.  With slow_field,
     series holds the stage field's slow part at a = 1.0 at the samples of
-    both windows (b = None), recorded during the run from the run's own
-    theta list (integrate_frozen_fast's _record); else series is None.
+    both windows (b = None): the frozen form's, from the run's sampled
+    measurement and the probe rows rebuilt at the sample times, or else
+    recorded during the run from the run's own theta list
+    (integrate_frozen_fast's _record); without slow_field, series is None.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -52,7 +60,8 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
     horizon = burn_in + 2.0 * window
     mid = burn_in + window
     record = series = None
-    if slow_field:
+    form = system.frozen if slow_field else None
+    if slow_field and form is None:
         # the run's sample times, as the kernel computes them (stride 1)
         h, n_steps = _resolve_step(system.basis, beta, horizon, None)
         m1, m2 = _windows(np.arange(n_steps + 1) * h, burn_in, mid)
@@ -71,6 +80,10 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
 
     traj = integrate_frozen_fast(system, theta, lambda0, beta, horizon, _record=record)
     m1, m2 = _windows(traj.t, burn_in, mid)
+    if form is not None:
+        keep = m1 | m2
+        xi = probe_signal(system.probing, system.basis, traj.t[keep]).T
+        series = form.slow(theta, traj.lam[keep], traj.measured[keep], xi)
     return traj, m1, m2, series
 
 
@@ -86,7 +99,8 @@ def _two_window_estimate(series, m1, m2, tol, horizon, what):
     drift = float(np.max(np.abs(avg2 - avg1)))
     if drift > tol:
         raise NonConvergent(
-            f"{what}: successive window averages differ by {drift:.3e} > {tol:.3e}"
+            f"{what}: successive window averages differ by {drift:.3e} > {tol:.3e}",
+            {"first window average": avg1.tolist(), "second window average": avg2.tolist()},
         )
     osc = float(np.max(np.abs(tail - avg2)))
     return StationaryEstimate(value=avg2, osc_amplitude=osc, horizon=horizon)
@@ -114,12 +128,16 @@ def mean_field_g0(
     """Stationary average of the slow field along the frozen-fast run.
 
     This realizes the integral of g against the joint invariant measure of
-    (Lambda^theta, xi) by time averaging after burn-in, in one pass: the
-    stage field's slow part at a = 1.0 (system.analysis_floats) is
-    recorded inside the run into a preallocated buffer at each
-    post-burn-in sample, from the kernel's theta, state and probe lists.
-    On the extremum seeker each value reuses the measurement of the step's
-    first stage, whose memo keys on those very lists.
+    (Lambda^theta, xi) by time averaging after burn-in, over one run: the
+    stage field's slow part at a = 1.0 (system.analysis_floats) at each
+    post-burn-in sample.  A system with a frozen form, the extremum seeker
+    at order 1, samples each step's first measurement with its state, and
+    the form evaluates the slow part on the kept samples after the run,
+    elementwise on arrays, with the probe rebuilt at the sample times (the
+    same rows the run's stages read); any other system's part is recorded
+    inside the run into a preallocated buffer, from the kernel's theta,
+    state and probe lists.  Either way each value has the bits the stage
+    field gives at that sample.  NonConvergent carries both window averages.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     traj, m1, m2, series = _windowed_run(
@@ -139,6 +157,8 @@ def find_root_g0(
     The Jacobian is a forward difference with step max(1e-4, 10*avg_tol),
     large enough to sit above the averaging noise floor.  Steps are halved
     until the field norm decreases (monotone acceptance), down to 2^-10.
+    NonConvergent carries the last theta and its averaged field, the
+    residual.
     """
     avg_tol = tol if avg_tol is None else avg_tol
     fd_step = max(1e-4, 10.0 * avg_tol)
@@ -178,7 +198,8 @@ def find_root_g0(
         theta, fval, fnorm = trial, trial_val, trial_norm
     raise NonConvergent(
         f"no root of the averaged slow field after {MAX_NEWTON_ITERATIONS} "
-        f"iterations (residual {fnorm:.3e})"
+        f"iterations (residual {fnorm:.3e} at theta {theta.tolist()})",
+        {"last theta": theta.tolist(), "residual": fval.tolist()},
     )
 
 

@@ -29,8 +29,10 @@ import numpy as np
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 
-#: name -> (subcommand, config, extra arguments)
+#: name -> (subcommand, config, extra arguments); check-slow on its default
+#: config exits 4 (the gain envelope is violated), and the exit code is digested
 CASES = {
+    "check-slow": ("check-slow", {}, []),
     "simulate": ("simulate", {"experiment": {"horizon": 40.0}}, []),
     "simulate-filtered": (
         "simulate",

@@ -390,6 +390,18 @@ def test_check_slow_subcommand(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_nonconvergent_reports_window_averages(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": {
+        "grid_kind": "lambda", "theta_grid": [0.3], "burn_in": 1.0, "window": 5.0, "tol": 1e-13,
+    }})
+    assert run(cfg, "meanflow-grid", out_dir=tmp_path / "o") == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("error: fast equilibrium: successive window averages differ")
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "  first window average", "  second window average"
+    ]
+
+
 def test_bias_subcommand_symmetric(tmp_path):
     cfg = write_config(tmp_path, {"experiment": {"beta_list": [0.16, 0.32]}})
     out = tmp_path / "o"

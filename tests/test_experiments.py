@@ -437,6 +437,7 @@ def test_bias_sweep_nonconvergent_names_beta():
     with pytest.raises(NonConvergent) as err:
         bias_sweep(quadrature_system(), [0.32], tol=1e-13, window=100.0)
     assert "beta = 0.32" in str(err.value)
+    assert list(err.value.estimates) == ["first window average", "second window average"]
 
 
 def test_bias_sweep_validation():

@@ -35,7 +35,7 @@ from qsakit.dynamics import (
     integrate_frozen_fast,
     step_bound,
 )
-from qsakit.errors import ConfigError, NonFinite
+from qsakit.errors import ConfigError, NegativeObjective, NonFinite
 from qsakit.esc import (
     EscConfig,
     Objective,
@@ -46,6 +46,7 @@ from qsakit.esc import (
     quartic_objective,
 )
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
+from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
@@ -514,7 +515,7 @@ def test_frozen_fast_nan_blow_up_time():
     assert 0.0 < got.value.time < 5.0
 
 
-# -- extremum seeker: memoized measurement against the unmemoized one --------
+# -- extremum seeker: the stage field against the unmemoized callbacks -------
 
 #: (quadratic objective parameters, EscConfig keywords) per probing gain
 ESC_CASES = {
@@ -1019,3 +1020,164 @@ def test_esc_process_objective():
     integrate(counted, sched, x0, 0.2)
     integrate_frozen_fast(counted, *frozen)
     assert process.evaluations == len(calls) == 4 * 6 + 2 * 6 + 1
+
+
+# -- frozen seeker runs: the frozen form against the stage field --------------
+#
+# An order-1 seeker runs its frozen-fast and sensitivity runs on its frozen
+# form, which measures each new probe row once, in step order.  The stage
+# field, run without the form, measures at every stage: eps(theta) and the
+# probe row each time.  So the form's objective calls are the stage
+# field's with the calls at theta itself dropped and each repeat of the
+# point just before collapsed, after one call at theta when eps depends on
+# it: the same points in the same order, and a run that fails does so at
+# the same point, with the same error.
+
+
+def _stage_field_only(system):
+    """system without its frozen form: every run calls its stage field."""
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, system.g, system.h, system.basis, system.probing,
+        g_probe=system.g_probe, stage=system.stage, dh_dlambda=system.dh_dlambda,
+    )
+
+
+def _logging_seeker(fn, points, **kw):
+    """An order-1 seeker on fn, logging the bits of every point it evaluates."""
+
+    def logged(th):
+        points.append(th.tobytes())
+        return fn(th)
+
+    kw = {"dim": 1, "epsilon": 0.1, "single_at": True, **kw}
+    return build_esc_system(EscConfig(objective=Objective(logged), **kw))
+
+
+def _form_calls(points, theta):
+    """The stage field's points as the frozen form makes them (see above)."""
+    at_theta = np.array(theta, dtype=float).tobytes()
+    out = []
+    for p in points:
+        if p != at_theta and (not out or out[-1] != p):
+            out.append(p)
+    return out
+
+
+def _run_both(fn, run, exc=None, **kw):
+    """run(system) on the seeker with and without its frozen form, as
+    (form points, stage-field points, form result, stage-field result);
+    with exc, each run must raise it and its result is the exception."""
+    logs, results = ([], []), []
+    for log, strip in zip(logs, (False, True)):
+        system = _logging_seeker(fn, log, **kw)
+        assert system.frozen is not None
+        system = _stage_field_only(system) if strip else system
+        if exc is None:
+            results.append(run(system))
+        else:
+            with pytest.raises(exc) as err:
+                run(system)
+            results.append(err.value)
+    return (*logs, *results)
+
+
+def _probe_band(lo, hi, inside):
+    """An objective near 1.0 that returns inside where lo < point < hi."""
+
+    def fn(th):
+        x = float(th[0])
+        return inside if lo < x < hi else 0.5 * (x - 1.0) ** 2
+
+    return fn
+
+
+FROZEN_THETA = [0.7]
+
+
+def test_frozen_form_blow_up_time():
+    # inf at the rows whose probed point falls in a narrow band mid-run
+    fn = _probe_band(0.7 - 0.0301, 0.7 - 0.03, math.inf)
+    got, want, got_err, want_err = _run_both(
+        fn, lambda s: integrate_frozen_fast(s, FROZEN_THETA, [0.2], 1.0, 40.0), NonFinite
+    )
+    assert got_err.time == want_err.time
+    assert 1.0 < got_err.time < 40.0
+    assert got == _form_calls(want, FROZEN_THETA)
+    # the step that met inf (at k2 or k4) still measured its k4 row
+    assert any(math.isinf(fn(np.frombuffer(p))) for p in got[-2:])
+
+
+def test_frozen_form_negative_objective_row():
+    fn = _probe_band(0.7 - 0.0301, 0.7 - 0.03, -1.0)
+    got, want, got_err, want_err = _run_both(
+        fn, lambda s: integrate_frozen_fast(s, FROZEN_THETA, [0.2], 1.0, 40.0),
+        NegativeObjective, gain_kind="objective_scaled",
+    )
+    assert str(got_err) == str(want_err)
+    # eps(theta) first, once, then each row once up to the negative one
+    theta_bits = np.array(FROZEN_THETA).tobytes()
+    assert got[0] == theta_bits and theta_bits not in got[1:]
+    assert got[1:] == _form_calls(want, FROZEN_THETA)
+    assert fn(np.frombuffer(got[-1])) < 0 and len(got) > 100
+
+
+@pytest.mark.parametrize("gain_kind", ["constant", "objective_scaled"])
+def test_frozen_form_lyapunov_exponent(gain_kind):
+    # segments of one unit: the form carries the boundary row's measurement
+    # into the next segment, the stage field measures it again
+    got, want, got_est, want_est = _run_both(
+        lambda th: 0.5 * (th[0] - 1.0) ** 2,
+        lambda s: lyapunov_exponent(s, FROZEN_THETA, 1.0, [0.1], 12.0),
+        gain_kind=gain_kind,
+    )
+    assert got_est == want_est
+    tail = got[1:] if gain_kind == "objective_scaled" else got
+    assert tail == _form_calls(want, FROZEN_THETA)
+
+
+def test_frozen_form_process_objective_failure():
+    # the external command reports inf near the probe's trough, about 40
+    # rows in: the run stops at the same step, after the same evaluations,
+    # as on the stage field with repeated points measured once
+    command = [
+        sys.executable,
+        "-c",
+        "import sys; x = float(sys.stdin.read().split()[0]); "
+        "print('inf' if x < 0.601 else 0.5 * (x - 1.0) ** 2)",
+    ]
+    fn = _probe_band(-math.inf, 0.601, math.inf)
+    process = ProcessObjective(command)
+    system = build_esc_system(EscConfig(objective=process, dim=1, epsilon=0.1, single_at=True))
+    run = lambda s: integrate_frozen_fast(s, FROZEN_THETA, [0.2], 1.0, 5.0)  # noqa: E731
+    with pytest.raises(NonFinite) as got:
+        run(system)
+    got_points, want_points, _, want = _run_both(fn, run, NonFinite)
+    assert got.value.time == want.time
+    assert 10 < process.evaluations == len(got_points) == len(
+        _form_calls(want_points, FROZEN_THETA)
+    ) < 60
+
+
+def test_cubic_seeker_g0_objective_sequence():
+    # the points of test_cubic_seeker_g0_objective_calls, in order: those of
+    # the stage-field run that records the slow field in the run
+    got, want, got_est, want_est = _run_both(
+        lambda th: 0.5 * (th[0] - 1.0) ** 2 + (th[0] - 1.0) ** 3,
+        lambda s: mean_field_g0(s, np.array([1.2]), 1.0, burn_in=20.0, window=400.0),
+    )
+    assert got == _form_calls(want, [1.2])
+    assert len(got) == 45_473
+    assert got_est.value.tobytes() == want_est.value.tobytes()
+    assert got_est.osc_amplitude == want_est.osc_amplitude
+
+
+def test_esc_planar_washout_mean_field_g0():
+    # an order-2 washout has no frozen form: its slow field is recorded
+    # in the run, bit for bit the array callbacks'
+    system, ref = planar_pair(False)
+    assert system.frozen is None
+    kw = dict(burn_in=5.0, window=20.0)
+    got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
+    want = mean_field_g0(ref, np.array([0.6]), 1.0, tol=1.0, **kw)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.osc_amplitude == want.osc_amplitude

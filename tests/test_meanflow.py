@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from qsakit import meanflow
 from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, integrate
 from qsakit.errors import (
     ConfigError,
@@ -26,6 +27,7 @@ from qsakit.meanflow import (
     write_grid_csv,
 )
 from qsakit.probing import make_frequency_basis
+from qsakit.systems import make_esc_quadratic
 
 
 def linear_basis():
@@ -208,6 +210,48 @@ class TestFindRoot:
         )
         with pytest.raises((NonConvergent, SingularJacobian)):
             find_root_g0(sys_, np.zeros(1), 0.5, burn_in=1.0, window=2.0)
+
+
+class TestNonConvergentEstimates:
+    """NonConvergent from the averaging layer carries its last estimates."""
+
+    def test_window_averages(self):
+        kw = dict(burn_in=1.0, window=5.0)
+        with pytest.raises(NonConvergent) as err:
+            fast_equilibrium(linear_system(), np.ones(1), 0.02, tol=1e-8, **kw)
+        est = err.value.estimates
+        assert list(est) == ["first window average", "second window average"]
+        want = fast_equilibrium(linear_system(), np.ones(1), 0.02, tol=1.0, **kw)
+        assert est["second window average"] == want.value.tolist()
+        drift = abs(est["second window average"][0] - est["first window average"][0])
+        assert f"differ by {drift:.3e} > 1.000e-08" in str(err.value)
+        assert err.value.__notes__ == [f"{k}: {v}" for k, v in est.items()]
+
+    def test_seeker_window_averages(self):
+        # the frozen form's after-run slow field, as the estimate reads it
+        kw = dict(burn_in=5.0, window=10.0)
+        with pytest.raises(NonConvergent) as err:
+            mean_field_g0(make_esc_quadratic(), [0.6], 1.0, tol=1e-13, **kw)
+        want = mean_field_g0(make_esc_quadratic(), [0.6], 1.0, tol=1.0, **kw)
+        assert err.value.estimates["second window average"] == want.value.tolist()
+
+    def test_root_names_last_theta_and_residual(self, monkeypatch):
+        def g(theta, lam, xi):
+            return np.atleast_1d(1.0 + 0.1 * math.tanh(theta[0]))
+
+        sys_ = TwoTimescaleSystem(
+            1, 1, g, lambda t, l, x: np.atleast_1d(-l[0]), make_frequency_basis([(2, 1)])
+        )
+        monkeypatch.setattr(meanflow, "MAX_NEWTON_ITERATIONS", 2)
+        kw = dict(burn_in=1.0, window=2.0)
+        with pytest.raises(NonConvergent) as err:
+            find_root_g0(sys_, np.zeros(1), 0.5, **kw)
+        est = err.value.estimates
+        assert list(est) == ["last theta", "residual"]
+        (theta,) = est["last theta"]
+        assert theta != 0.0
+        assert f"at theta [{theta!r}]" in str(err.value)
+        assert est["residual"] == mean_field_g0(sys_, [theta], 0.5, **kw).value.tolist()
 
 
 class TestGrid:
