@@ -18,47 +18,46 @@ vector, which is how qsakit.meanflow averages the slow field in one pass.
 
 The kernel holds states, stage derivatives and probe vectors as lists
 of Python floats (one tolist() per block of steps; the block's last row
-is carried into the next, so stages at one time share one list).  Every
-run reads the system's one stage field, stage(theta, lam, xi, a, b) ->
+is carried into the next, so stages at one time share one list).  A run
+reads the system's one stage field, stage(theta, lam, xi, a, b) ->
 (slow, fast), the stage derivative at gains (a, b) on such lists: slow =
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  The built-in systems write the
-field directly; array callbacks g, h and g_probe are wrapped once, when
-the system is built, by one adapter, which hands them float64 arrays and
-reads each output back as a list of its block's length (a scalar fills a
-1-element block, any other length is a ConfigError).  A system's field
-is fixed at construction, so each system has one run path.
+None, the averaged slow field b = None.  Array callbacks g, h and g_probe
+are wrapped once, when the system is built, by one adapter, which hands
+them float64 arrays and reads each output back as a list of its block's
+length (a scalar fills a 1-element block, any other length is a
+ConfigError).  A system's field is fixed at construction.
 
-A system may also carry a frozen form (FrozenForm), which the extremum
-seeker of qsakit.esc supplies for an order-1 washout: at a pinned theta
-its fast part is b*(0.0 + f1*lam + g1*y) with y = y(xi) a measurement of
-the probe row alone.  Frozen-fast and sensitivity runs of such a system
-use the form instead of the stage field: the loop measures each new probe
-row once, in step order (k2's row, then k4's row, whose value the next
-k1 reuses), and writes the affine step inline.  The stack then carries
-that measurement as its last entry, so the sampled rows hold it and
-qsakit.meanflow evaluates the slow field on them after the run.
+The built-in systems state their field once, as expression text
+(StageText) over the stage's theta, Lambda and probe row (locals th0..,
+la0.., xi0..) and their constants, which runs receive as values, not
+literals.  Their stage field and dh_dlambda are compiled from the text,
+and their runs write the text into the loop, with no call.  The
+extremum seeker of qsakit.esc at order 1 adds a frozen form (FrozenForm)
+for its frozen-fast and sensitivity runs: at a pinned theta its fast
+part is the text 0.0 + f1*la0 + g1*y, with y a measurement of the probe
+row alone, taken once per new probe row, in step order (k2's row, then
+k4's row, whose value the next k1 reuses), and carried as the stack's
+last entry, so qsakit.meanflow evaluates the slow field on the samples
+after the run.  Every other run calls the stage field.
 
 The steps of a block run in a loop generated as straight-line source once
-per run shape (dim_slow, dim_fast, kind) and compiled on first use, as
-dataclasses and namedtuple generate code.  The kinds are coupled,
+per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
+use, as dataclasses and namedtuple generate code.  The kinds are coupled,
 filtered (the coupled pair with the filter states), frozen-fast and
-sensitivity (Lambda with vec S), and frozen-affine and sensitivity-affine
-(the same two on a frozen form).  The loop holds the state in locals x0
-.. x{D-1}, calls the stage field itself with the stage's theta and Lambda
-as list displays, unpacks its parts into the stage derivative, and
-writes out per component the filter's derivative, the scalar sensitivity
+sensitivity (Lambda with vec S).  The loop holds the state in locals x0
+.. x{D-1}, calls the stage field with the stage's theta and Lambda as
+list displays and unpacks its parts (or writes the text out), and writes
+out per component the filter's derivative, the scalar sensitivity
 derivative, the update and the finiteness test, so a stage builds no
-stacked list and no comprehension frame.  A run's first step goes
-through a check of the parts' lengths (ConfigError naming stage and the
-part); later steps call the field as it is.  Binary64 +, - and * on
-Python floats round exactly as numpy's elementwise float64 operations,
-performed here in the order of the array expressions, so trajectories
-are bit for bit those of the step written on arrays.  This pays off for
-small stacks only, since the generated source grows with D while an
-array step's cost barely does; every built-in system has D <= 5 in
-coupled and frozen runs.
+stacked list and no comprehension frame.  A run's first step checks the
+parts' lengths (ConfigError naming stage and the part).  Binary64 +, -
+and * on Python floats round exactly as numpy's elementwise float64
+operations, performed here in the order of the array expressions, so
+trajectories are bit for bit those of the step written on arrays.  This
+pays off for small stacks only (the source grows with D); every
+built-in system has D <= 5 in coupled and frozen runs.
 """
 
 import contextlib
@@ -113,28 +112,72 @@ class GainSchedule:
         return np.full(len(ts), self.beta)
 
 
-class FrozenForm(NamedTuple):
-    """A system's fast part at a pinned theta, affine in Lambda (dim_fast 1).
-
-    At the pinned theta list th the fast part at gain b is b * (0.0 +
-    f1*lam + g1*y) with y = measurement(th, xi, eps) and eps = gain(th),
-    computed once per run.  measurement is called once per new probe row,
-    in step order, so a measurement that raises does so where the stage
-    field's would.  slow(theta, lam, y, xi) is the stage field's slow part
-    at a = 1.0 on a run's samples: theta a (dim_slow,) array, lam (n, 1),
-    y (n,) and the probe rows xi (n, m) as float64 arrays, giving
-    (n, dim_slow), each value rounded as the stage field rounds it.
+class StageText(NamedTuple):
+    """A stage field as expression text (dim_fast 1): the field is
+    a*(slow[i]) and b*(fast[i]), the sensitivity derivative b*(0.0 +
+    (jac)*s).  The text reads th0.., la0.., the locals that the statement
+    row binds from a probe row ({} in it) and the constants names, bound
+    to values per run; no name may be a local of the generated loop.  A
+    carry local of row rides as the stack's last entry, None until bound,
+    so row runs once per new probe row.  Without its values (None) the
+    text keys the generated loop.
     """
 
-    measurement: Callable
-    gain: Callable
-    f1: float
-    g1: float
+    slow: tuple
+    fast: tuple
+    jac: str
+    row: str
+    carry: str | None
+    names: tuple
+    values: tuple
+
+
+class FrozenForm(NamedTuple):
+    """A system's fast part at a pinned theta (qsakit.esc): text(th), a
+    StageText at the pinned theta list th carrying a measurement y of the
+    probe row, and slow(theta, lam, y, xi), the stage field's slow part at
+    a = 1.0 on a run's float64 samples, lam (n, 1), y (n,) and xi (n, m),
+    as (n, dim_slow), rounded as the stage field rounds it."""
+
+    text: Callable
     slow: Callable
 
-    def args(self, theta):
-        """The generated loop's constants at the pinned theta list."""
-        return self.measurement, theta, self.gain(theta), self.f1, self.g1
+
+def _on_text(text, shape, args, x):
+    """A run's (shape, args, x) on text, or as given when text is None:
+    the key ends the shape, the values end args (after the filter's
+    constants or the pinned theta), and a carried local, None, ends x."""
+    if text is None:
+        return shape, args, x
+    key = text._replace(values=None)
+    return shape + (key,), args + text.values, x + [None] * (text.carry is not None)
+
+
+#: source of text_field's compiled pair, for str.format with the text's parts
+_FIELD_SOURCE = """def bind({names}):
+    def stage(theta, lam, xi, a, b):
+        {th}= theta; {la}= lam; {row}
+        return None if a is None else [{slow}], None if b is None else [{fast}]
+    def dh_dlambda(theta, lam, xi):
+        {th}= theta; {la}= lam; {row}
+        return [{jac}]
+    return stage, dh_dlambda
+"""
+
+
+def text_field(text):
+    """The stage field and dh_dlambda(theta, lam, xi) -> [jac] written by
+    text, compiled with its values bound."""
+    source = _FIELD_SOURCE.format(
+        names=", ".join(text.names), row=text.row.format("xi"), jac=text.jac,
+        th="".join(f"th{d}, " for d in range(len(text.slow))),
+        la="".join(f"la{d}, " for d in range(len(text.fast))),
+        slow="".join(f"a * ({e}), " for e in text.slow),
+        fast="".join(f"b * ({e}), " for e in text.fast),
+    )
+    namespace = {}
+    exec(compile(source, "<qsakit.dynamics stage text>", "exec"), namespace)
+    return namespace["bind"](*text.values)
 
 
 def _lattice(count, dim, lo=-1.0, hi=1.0):
@@ -151,12 +194,12 @@ class TwoTimescaleSystem:
     g and h are array callbacks (theta, lam, xi) -> array; g_probe adds
     a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
     Runs read the stage field self.stage (module docstring), bound once
-    here: the stage given, as a built-in system passes its field on floats
-    with g, h, g_probe of the same values, else the adapter of g, h and
-    g_probe.  Reassigning a callback after construction does not change a
-    run.  frozen, a FrozenForm of the same field, stands in for it in
-    sensitivity runs and in frozen-fast runs without a record hook, and
-    fixes their fast Jacobian (dh_dlambda is not read there).  The stage
+    here: the stage given, else the adapter of g, h and g_probe.
+    Reassigning a callback after construction does not change a run.
+    Given text, a StageText, the stage field, dh_dlambda, g and h are
+    compiled from it (text_field, _callbacks_of) in place of those passed.
+    text, and frozen, a FrozenForm of the same field, stand in for the
+    stage field and dh_dlambda in runs (module docstring).  The stage
     field keeps no memo: a list handed to it may change once the call
     returns.  An exact Fourier form of [g; h] is checked against the
     callbacks at construction.  dh_dlambda(theta, lam, xi), called with
@@ -177,6 +220,7 @@ class TwoTimescaleSystem:
         fourier=None,
         g_probe=None,
         stage=None,
+        text=None,
         frozen=None,
         dh_dlambda=None,
         lambda_star=None,
@@ -187,6 +231,9 @@ class TwoTimescaleSystem:
             raise ConfigError("state dimensions must be positive")
         self.dim_slow = int(dim_slow)
         self.dim_fast = int(dim_fast)
+        if text is not None:
+            stage, dh_dlambda = text_field(text)
+            g, h = _callbacks_of(stage)
         self.g = g
         self.h = h
         self.basis = basis
@@ -196,6 +243,7 @@ class TwoTimescaleSystem:
         if stage is None:
             stage = _array_stage(g, h, g_probe, self.dim_slow, self.dim_fast)
         self.stage = stage
+        self.text = text
         self.frozen = frozen
         self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
@@ -312,14 +360,7 @@ def _resolve_step(basis, beta, horizon, step):
 def _floats(value, size, name):
     """A callback's block as a list of size Python floats; a scalar fills a
     1-element block, any other length mismatch is a ConfigError naming the
-    callback.  A list of size floats is returned as it is (the array round
-    trip gives the same floats at about three times the cost)."""
-    if type(value) is list and len(value) == size:
-        for v in value:
-            if type(v) is not float:
-                break
-        else:
-            return value
+    callback."""
     out = np.asarray(value, dtype=float)
     if out.ndim != 1:
         out = out.ravel()
@@ -392,15 +433,16 @@ def _pinned_gains(beta):
 
 def _step_loop_source(shape):
     """Python source of the RK4 loop over one block of steps for one run
-    shape (dim_slow, dim_fast, kind), written out per component (see _rk4)."""
-    ds, df, kind = shape
-    affine = kind in ("frozen-affine", "sensitivity-affine")
-    frozen = kind in ("frozen-fast", "sensitivity") or affine
+    shape (dim_slow, dim_fast, kind), or (dim_slow, dim_fast, kind, key)
+    on the StageText key, written out per component (see _rk4)."""
+    ds, df, kind = shape[:3]
+    text = shape[3] if len(shape) > 3 else None
+    frozen = kind in ("frozen-fast", "sensitivity")
     size = {"coupled": ds + df, "filtered": ds + 3 * df, "frozen-fast": df,
-            "sensitivity": df + df * df, "frozen-affine": 1, "sensitivity-affine": 2}[kind]
+            "sensitivity": df + df * df}[kind]
     lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
     comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
-    carry = "yk, " if affine else ""  # the measurement at the state's time
+    carry = "" if text is None or text.carry is None else f"{text.carry}, "
 
     def seq(fmt, idx):
         return "".join(fmt.format(d) + ", " for d in idx)  # a 1-tuple too
@@ -408,18 +450,24 @@ def _step_loop_source(shape):
     def stage(k, state, xi, a, b):
         """Lines setting k{k}_d from the stage state's component expressions."""
         out = []
-        if kind == "filtered" and k > 1:  # components read twice get locals
+        if kind == "filtered" and k > 1 and text is None:  # components read twice get locals
             out += [f"s{d} = {state[d]}" for d in comps]
             state = [f"s{d}" for d in comps]
         part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
         vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
-        if affine:  # a new probe row at k2 and k4, measured once each
-            y = "yk" if k in (1, 4) else "ym"
+        if text is not None:  # a new probe row at k2 and k4, read once each
             if k in (2, 4):
-                out.append(f"{y} = measure(th, {xi}, eps)")
-            out.append(f"k{k}_0 = {b} * (0.0 + f1 * ({state[0]}) + g1 * {y})")
-            if kind == "sensitivity-affine":
-                out.append(f"k{k}_1 = {b} * (0.0 + f1 * ({state[1]}))")
+                out.append(text.row.format(xi))
+            local = {d: f"la{i}" for i, d in enumerate(lam)}
+            if not frozen:
+                local.update({d: f"th{d}" for d in range(ds)})
+            if kind == "filtered" and k > 1:
+                local.update({d: f"fl{d}" for d in rest})
+            out += [f"{v} = {state[d]}" for d, v in sorted(local.items())]
+            state = [local.get(d, state[d]) for d in comps]
+            if not frozen:
+                out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(text.slow)]
+            out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, text.fast)]
         elif frozen:
             out.append(f"la = {vals(lam)}")
             out.append(f"_, {part(lam)} = field(th, la, {xi}, None, {b})")
@@ -431,6 +479,8 @@ def _step_loop_source(shape):
                 f, v = d + df, d + 2 * df
                 out.append(f"k{k}_{f} = {state[v]}")
                 out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
+        elif kind == "sensitivity" and text is not None:
+            out.append(f"k{k}_1 = {b} * (0.0 + ({text.jac}) * ({state[1]}))")
         elif kind == "sensitivity" and df == 1:
             out.append(f"(jv,) = floats(jac(th, la, {xi}), 1, 'dh_dlambda')")
             out.append(f"k{k}_1 = {b} * (0.0 + jv * ({state[1]}))")
@@ -441,15 +491,22 @@ def _step_loop_source(shape):
     def state(c, k):
         return [f"x{d} + {c} * k{k}_{d}" for d in comps]
 
-    unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac",
-              "frozen-affine": "measure, th, eps, f1, g1",
-              "sensitivity-affine": "measure, th, eps, f1, g1"}
+    if text is None:
+        unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac"}
+        head = [f"    {unpack.get(kind, '()')} = args", f"    {seq('x{}', comps)}= x"]
+    else:
+        unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
+        first_row = "    " + text.row.format("xis[j_lo]")
+        head = [
+            f"    {unpack.get(kind, '') + seq('{}', text.names) or '() '}= args",
+            *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
+            f"    {seq('x{}', comps)}{carry}= x",
+            *([f"    if {text.carry} is None:", "    " + first_row] if carry else [first_row]),
+        ]
     lines = [
         "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",
         "              cursor, record, start, h, half, sixth):",
-        f"    {unpack.get(kind, '()')} = args",
-        f"    {seq('x{}', comps)}{carry}= x",
-        *(["    if yk is None:", "        yk = measure(th, xis[j_lo], eps)"] if affine else []),
+        *head,
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
         f"            x = [{seq('x{}', comps)}{carry}]",
@@ -486,12 +543,12 @@ def _step_loop(shape):
 def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
-    shape is the run's (dim_slow, dim_fast, kind) and x its stacked state
-    (module docstring) at step index start, an integer: stage times are
-    (start + i + 0.5*k)*h for step i and k in {0, 1, 2}, and the sample and
-    NonFinite times count from it too.  The multiplier of h is an exact
-    half-integer, so a run split into segments at any step indices sees
-    the stage times of the run made in one call.
+    shape is the run's (dim_slow, dim_fast, kind[, text key]) and x its
+    stacked state (module docstring) at step index start, an integer:
+    stage times are (start + i + 0.5*k)*h for step i and k in {0, 1, 2},
+    and the sample and NonFinite times count from it too.  The multiplier
+    of h is an exact half-integer, so a run split into segments at any
+    step indices sees the stage times of the run made in one call.
 
     x and every stage state are lists of Python floats.  Each stage calls
     field(theta, lam, xi, a, b), the stage field, with the probe vector xi
@@ -500,10 +557,9 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=
     kind: (gamma2, two_zg) of the filter; the pinned theta list of a
     frozen-fast run; the pinned theta and, at dim_fast 1, the fast
     Jacobian (read through _floats), else a callback (theta, lam, xi, b, S)
-    returning b*(J @ S) as a list, of a sensitivity run; () when coupled;
-    FrozenForm.args of the affine kinds, whose loop calls no field: their
-    x ends in the measurement at its time, None to measure it first.
-    The steps of each block of _CHUNK run in the loop generated for shape
+    returning b*(J @ S) as a list, of a sensitivity run; () when coupled.
+    A run on text calls no field or Jacobian (_on_text sets it up).  The
+    steps of each block of _CHUNK run in the loop generated for shape
     (_step_loop), which writes every component's arithmetic out in numpy's
     elementwise order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 +
     k3) + k4)), so it rounds as float64 arrays would.  At start 0 the
@@ -598,15 +654,13 @@ def integrate(
                 raise ConfigError("filter_init shapes must match lambda0")
             blocks += [lam_f, vel_f]
         shape, args = (ds, df, "filtered"), (filt.gamma**2, 2.0 * filt.zeta * filt.gamma)
+    shape, args, x = _on_text(system.text, shape, args, np.concatenate(blocks).tolist())
     dx = ds + df
 
     def gains(ts):
         return schedule.slow_gain_array(ts).tolist(), schedule.fast_gain_array(ts).tolist()
 
-    t, samples = _rk4(
-        system.stage, shape, args, np.concatenate(blocks).tolist(), h, n_steps,
-        sample_stride, system, gains,
-    )
+    t, samples = _rk4(system.stage, shape, args, x, h, n_steps, sample_stride, system, gains)
     return Trajectory(
         t=t,
         theta=samples[:, :ds],
@@ -627,12 +681,13 @@ def integrate_frozen_fast(
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
     The RK4 kernel advances Lambda alone on the system's frozen form
-    (FrozenForm; the Trajectory then holds its measurement) or else on the
-    stage field's fast part (a = None).  Returns a Trajectory whose theta
-    block repeats the frozen value and whose slow-gain column is zero.
-    _record(theta, x, xi), for qsakit.meanflow, is the kernel's record hook
-    (see _rk4) with the run's own pinned theta list first, the list every
-    stage receives; a run with a hook takes the stage field.
+    (FrozenForm; the Trajectory then holds its measurement), else on its
+    text, else on the stage field's fast part (a = None).  Returns a
+    Trajectory whose theta block repeats the frozen value and whose
+    slow-gain column is zero.  _record(theta, x, xi), for qsakit.meanflow,
+    is the kernel's record hook (see _rk4) with the run's own pinned theta
+    list first, the list every stage receives; a run with a hook does not
+    take the frozen form.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -645,10 +700,8 @@ def integrate_frozen_fast(
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
     form = system.frozen if _record is None else None
-    if form is None:
-        shape, args, x = (ds, df, "frozen-fast"), (th,), lam.tolist()
-    else:
-        shape, args, x = (ds, df, "frozen-affine"), form.args(th), lam.tolist() + [None]
+    text = system.text if form is None else form.text(th)
+    shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), lam.tolist())
     record = None if _record is None else functools.partial(_record, th)
     t, samples = _rk4(
         system.stage, shape, args, x, h, n_steps, sample_stride,

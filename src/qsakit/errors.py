@@ -9,7 +9,21 @@ from __future__ import annotations
 
 
 class QsaError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Attributes
+    ----------
+    estimates : dict
+        The last estimates by name of a procedure that stopped without an
+        answer (empty when it names none).  Each is also a note on the
+        exception, so tracebacks and the CLI's error report show it.
+    """
+
+    def __init__(self, message: str = "", estimates=None):
+        super().__init__(message)
+        self.estimates = dict(estimates or {})
+        for name, value in self.estimates.items():
+            self.add_note(f"{name}: {value}")
 
 
 class ConfigError(QsaError):
@@ -25,21 +39,7 @@ class DuplicateFrequency(ConfigError):
 
 
 class NonConvergent(QsaError):
-    """An iterative procedure hit its cap before reaching its tolerance.
-
-    Attributes
-    ----------
-    estimates : dict
-        The last estimates by name (empty when the procedure names none).
-        Each is also a note on the exception, so tracebacks and the CLI's
-        error report show it.
-    """
-
-    def __init__(self, message: str, estimates=None):
-        super().__init__(message)
-        self.estimates = dict(estimates or {})
-        for name, value in self.estimates.items():
-            self.add_note(f"{name}: {value}")
+    """An iterative procedure hit its cap before reaching its tolerance."""
 
 
 class ZeroDivisor(QsaError):

@@ -28,10 +28,11 @@ one measurement f(theta + eps xi) / eps, with eps = eps(theta) computed
 for the call.  At order 1 the seeker also hands the kernel its frozen
 form (qsakit.dynamics.FrozenForm): with theta pinned the measurement
 depends on the probe row alone and the washout step is affine in the
-state, so a frozen-fast or sensitivity run computes eps(theta) once and
-measures each new probe row once, in step order, and qsakit.meanflow
-evaluates the slow field on the run's sampled state, measurement and
-probe rows after the run, through the expression the stage field uses.
+state, written as text over the state la0 and the measurement y.  A
+frozen-fast or sensitivity run computes eps(theta) once and measures
+each new probe row once, in step order, and qsakit.meanflow evaluates
+the slow field on the run's sampled state, measurement and probe rows
+after the run, through the expression the stage field uses.
 Objectives, external commands included, must be deterministic: the two
 paths measure a probe row a different number of times.
 
@@ -55,7 +56,6 @@ half.  Every washout a config builds is order 1.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import shlex
@@ -65,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import FrozenForm, TwoTimescaleSystem, _callbacks_of, _float_lists
+from .dynamics import FrozenForm, StageText, TwoTimescaleSystem, _callbacks_of, _float_lists
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -578,11 +578,16 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
 
     frozen = None
     if order1:
+        def frozen_text(theta):  # the fast part above at the pinned theta list
+            return StageText(
+                (), ("0.0 + f1 * la0 + g1 * y",), "f1", "y = measure(th, {}, eps)", "y",
+                ("measure", "eps", "f1", "g1"), (measure, probing_gain(config, theta), f1, g1),
+            )
+
         def slow_samples(theta, lam, y, xi):
             return slow_part(1.0, 1.0, theta, ctr, xi[:, d:], 0.0 + h1 * lam, y[:, None])
 
-        gain = functools.partial(probing_gain, config)
-        frozen = FrozenForm(measure, gain, f1, g1, slow_samples)
+        frozen = FrozenForm(frozen_text, slow_samples)
 
     g_cb, h_cb = _callbacks_of(stage)
     g_probe = None

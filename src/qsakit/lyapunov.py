@@ -22,11 +22,12 @@ BLAS sums each row with fused multiply-adds in an order of its own
 choosing, which a sum of Python floats does not reproduce (thousands of
 mismatches per 20,000 random 2x2 cases).
 
-A system with a frozen form (dynamics.FrozenForm: the extremum seeker
-at order 1) runs on it instead: the fast Jacobian is its constant f1,
-the loop writes both derivatives inline and carries the probe row's
-measurement as the stack's last entry, so a segment starts from the
-measurement the previous one ended with.
+A system with expression text (dynamics.StageText: the built-in systems,
+and the frozen form of the extremum seeker at order 1) runs on it: the
+loop writes the fast part and the Jacobian out, with no call.  The frozen
+form's Jacobian is its constant f1, and the stack carries the probe row's
+measurement as its last entry, so a segment starts from the measurement
+the previous one ended with.
 
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _pinned_gains, _resolve_step, _rk4, write_csv
+from .dynamics import _float_lists, _on_text, _pinned_gains, _resolve_step, _rk4, write_csv
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -103,8 +104,9 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     """Estimate the top exponent of the frozen-fast flow at a slow state.
 
     Returns the full-horizon estimate together with the trailing-half
-    estimate; a large gap between the two halves raises Inconclusive
-    rather than returning a number the horizon cannot support.
+    estimate; a large gap between the two halves raises Inconclusive,
+    carrying both halves' estimates by their time spans, rather than
+    returning a number the horizon cannot support.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -119,12 +121,13 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     d = system.dim_fast
     th, form = theta.tolist(), system.frozen
     x = lam.tolist() + np.eye(d).ravel().tolist()
-    if form is not None:
-        kind, args = "sensitivity-affine", form.args(th)
-        x.append(None)  # the measurement, taken at the first stage
+    shape = (system.dim_slow, d, "sensitivity")
+    text = system.text if form is None else form.text(th)
+    if text is not None:
+        shape, args, x = _on_text(text, shape, (th,), x)
     elif d == 1:
         jac = system.dh_dlambda
-        kind, args = "sensitivity", (th, _jacobian_evaluator(system) if jac is None else jac)
+        args = (th, _jacobian_evaluator(system) if jac is None else jac)
     else:
         jac_of = _jacobian_evaluator(system)
 
@@ -132,7 +135,7 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
             return [b * v for v in js.ravel().tolist()]
 
-        kind, args = "sensitivity", (th, jac)
+        args = (th, jac)
     vec_s = slice(d, d + d * d)
 
     def s_norm(x):
@@ -142,12 +145,11 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     n_half = max(1, n_steps // 2)
     ends = sorted({*range(rescale_every, n_steps, rescale_every), n_half, n_steps})
     gains = _pinned_gains(beta)
-    field, shape = system.stage, (system.dim_slow, d, kind)
     log_accum = 0.0
     begin = 0
     for end in ends:
         m = end - begin
-        _, samples = _rk4(field, shape, args, x, h, m, m, system, gains, start=begin)
+        _, samples = _rk4(system.stage, shape, args, x, h, m, m, system, gains, start=begin)
         x = samples[-1].tolist()
         if end % rescale_every == 0:
             nrm = s_norm(x)
@@ -168,7 +170,9 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     if gap > 0.1 * max(abs(first), abs(tail)) and gap > 1e-2:
         raise Inconclusive(
             f"half-horizon exponent estimates {first:.4e} and {tail:.4e} disagree; "
-            f"increase the horizon"
+            f"increase the horizon",
+            {f"exponent over [0, {t_half:g}]": first,
+             f"exponent over [{t_half:g}, {horizon:g}]": tail},
         )
     return ExponentEstimate(exponent=exponent, tail_exponent=tail, horizon=horizon)
 

@@ -268,7 +268,8 @@ def ergodic_average(
     Raises
     ------
     NonConvergent
-        If the horizon cap is passed without agreement.
+        If the horizon cap is passed without agreement, carrying the last
+        two estimates named by their horizons.
     """
     x = np.asarray(x, dtype=float)
 
@@ -287,14 +288,16 @@ def ergodic_average(
         return total / horizon
 
     horizon = float(t_start)
-    prev = estimate(horizon)
+    last = {horizon: estimate(horizon)}
     while True:
+        prev = last[horizon]
         horizon *= 2.0
         if horizon > t_cap:
             raise NonConvergent(
-                f"ergodic average did not settle within tol={tol:g} by horizon {t_cap:g}"
+                f"ergodic average did not settle within tol={tol:g} by horizon {t_cap:g}",
+                {f"estimate at horizon {t:.17g}": v.tolist() for t, v in last.items()},
             )
         cur = estimate(horizon)
         if float(np.max(np.abs(cur - prev))) < tol:
             return ErgodicAverage(value=cur, horizon=horizon)
-        prev = cur
+        last = {horizon / 2.0: prev, horizon: cur}

@@ -5,13 +5,17 @@ drift is stabilized only through the fast timescale, the reference
 extremum seeker on a scalar quadratic, and a decoupled integrator whose
 exact solution is a quadrature, used for integrator-order checks.  Runs
 and sweeps address them by name so no field expressions are needed.
+
+The linear pair and the decoupled integrator state their field once, as
+expression text (dynamics.StageText) that their runs write into the RK4
+loop; their stage field, dh_dlambda, g and h are compiled from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TwoTimescaleSystem, _callbacks_of
+from .dynamics import StageText, TwoTimescaleSystem
 from .errors import ConfigError
 from .esc import EscConfig, build_esc_system, quadratic_objective
 from .fourier import FourierField, PolyCoeff
@@ -35,17 +39,17 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     b1, b2 = (float(v) for v in b)
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
-    # the stage field and dh_dlambda on lists of Python floats; the
-    # operation order fixes every rounding (tests/test_kernel_reference.py,
+    # the operation order fixes every rounding (tests/test_kernel_reference.py,
     # test_lyapunov_reference.py)
-    def stage(theta, lam, xi, a, b):
-        th, la = theta[0], lam[0]
-        return (
-            None if a is None else [a * (alpha * th + alpha * la + s1 * xi[0] * (th + 1.0) + b1)],
-            None if b is None else [b * (-2.0 * th - la + s2 * xi[1] * (la + 1.0) + b2)],
-        )
-
-    g, h = _callbacks_of(stage)
+    text = StageText(
+        slow=("alpha * th0 + alpha * la0 + s1 * xi0 * (th0 + 1.0) + b1",),
+        fast=("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + b2",),
+        jac="-1.0 + s2 * xi1",
+        row="xi0, xi1 = {}",
+        carry=None,
+        names=("alpha", "s1", "s2", "b1", "b2"),
+        values=(alpha, s1, s2, b1, b2),
+    )
 
     n, p = 2, 2
     mean = PolyCoeff(
@@ -76,12 +80,11 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     return TwoTimescaleSystem(
         1,
         1,
-        g,
-        h,
+        None,
+        None,
         basis,
         fourier=field,
-        stage=stage,
-        dh_dlambda=lambda theta, lam, xi: [-1.0 + s2 * float(xi[1])],
+        text=text,
         lambda_star=lambda theta: np.atleast_1d(-2.0 * theta[0] + b2),
         theta_star=np.array([b2 + b1 / alpha]),
         name="linear-3.1",
@@ -116,10 +119,7 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     """
     basis = make_frequency_basis([(2, 1)])
 
-    def stage(theta, lam, xi, a, b):
-        return None if a is None else [a * xi[0]], None if b is None else [b * -lam[0]]
-
-    g, h = _callbacks_of(stage)
+    text = StageText(("xi0",), ("-la0",), "-1.0", "xi0, = {}", None, (), ())
 
     n, p = 2, 2
     tone = PolyCoeff(n, p, {(0, 0): np.array([0.5, 0.0])})
@@ -137,12 +137,11 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     return TwoTimescaleSystem(
         1,
         1,
-        g,
-        h,
+        None,
+        None,
         basis,
         fourier=field,
-        stage=stage,
-        dh_dlambda=lambda theta, lam, xi: [-1.0],
+        text=text,
         lambda_star=lambda theta: np.zeros(1),
         theta_star=np.zeros(1),
         name="decoupled-test",

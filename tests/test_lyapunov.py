@@ -128,8 +128,19 @@ class TestFailureModes:
             make_frequency_basis([(2, 1)]),
             dh_dlambda=lambda t, l, x: np.array([[2.0 - 2.0 * l[0]]]),
         )
-        with pytest.raises(Inconclusive):
+        with pytest.raises(Inconclusive) as err:
             lyapunov_exponent(sys_, np.zeros(1), 1.0, np.array([0.01]), 40.0)
+        # both halves' estimates, named by their spans, in the message too
+        first, tail = err.value.estimates.values()
+        assert list(err.value.estimates) == ["exponent over [0, 20]", "exponent over [20, 40]"]
+        assert str(err.value) == (
+            f"half-horizon exponent estimates {first:.4e} and {tail:.4e} disagree; "
+            "increase the horizon"
+        )
+        assert tail < first  # the growth phase lies in the first half
+        assert err.value.__notes__ == [
+            f"exponent over [0, 20]: {first}", f"exponent over [20, 40]: {tail}"
+        ]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_propagates(self):

@@ -234,3 +234,34 @@ class TestErgodicAverage:
                 tol=1e-15,
                 t_cap=256.0,
             )
+
+    def test_nonconvergent_carries_the_last_two_estimates(self):
+        # tol 1e-18 is below what the quadrature can reach; the cap is kept
+        # small so the test stays short (the default cap gives the same
+        # names at horizons 524288 and 1048576)
+        def u(x, xi):
+            return xi[0] ** 3 + 1e-3 * np.sin(xi[0])
+
+        args = (np.zeros(1), default_basis(1), identity_map(1))
+        with pytest.raises(NonConvergent) as err:
+            ergodic_average(u, *args, tol=1e-18, t_cap=4096.0)
+        assert str(err.value) == (
+            "ergodic average did not settle within tol=1e-18 by horizon 4096"
+        )
+        # an infinite tolerance returns the estimate at twice t_start
+        want = {
+            f"estimate at horizon {t}": ergodic_average(
+                u, *args, tol=math.inf, t_start=t / 2
+            ).value.tolist()
+            for t in (2048, 4096)
+        }
+        assert err.value.estimates == want
+        assert err.value.__notes__ == [f"{k}: {v}" for k, v in want.items()]
+
+    def test_nonconvergent_with_one_estimate(self):
+        with pytest.raises(NonConvergent) as err:
+            ergodic_average(
+                lambda x, xi: xi[0] ** 2, np.zeros(1), default_basis(1), identity_map(1),
+                tol=1e-15, t_cap=100.0,
+            )
+        assert list(err.value.estimates) == ["estimate at horizon 64"]
