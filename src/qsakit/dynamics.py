@@ -31,16 +31,20 @@ ConfigError).  A system's field is fixed at construction.
 
 The built-in systems state their field once, as expression text
 (StageText) over the stage's theta, Lambda and probe row (locals th0..,
-la0.., xi0..) and their constants, which runs receive as values, not
-literals.  Their stage field and dh_dlambda are compiled from the text,
-and their runs write the text into the loop, with no call.  The
-extremum seeker of qsakit.esc at order 1 adds a frozen form (FrozenForm)
-for its frozen-fast and sensitivity runs: at a pinned theta its fast
-part is the text 0.0 + f1*la0 + g1*y, with y a measurement of the probe
-row alone, taken once per new probe row, in step order (k2's row, then
-k4's row, whose value the next k1 reuses), and carried as the stack's
-last entry, so qsakit.meanflow evaluates the slow field on the samples
-after the run.  Every other run calls the stage field.
+la0.., xi0..), their constants, which runs receive as values, not
+literals, and the locals of a statement run at every stage.  Their stage
+field and dh_dlambda are compiled from the text, and their runs write
+the text into the loop, with no call.  The extremum seeker of qsakit.esc
+at order 1 states its measurement y = f(theta + eps xi)/eps as that
+statement: with a single a_t at a constant probing gain the text is its
+field, so its coupled runs measure at every stage inside the loop; every
+order-1 seeker has a frozen form (FrozenForm), the same text at a pinned
+theta, for its frozen-fast and sensitivity runs, where y depends on the
+probe row alone: it is measured once per new probe row, in step order
+(k2's row, then k4's row, whose value the next k1 reuses), and carried
+as the stack's last entry, so qsakit.meanflow evaluates the slow field
+on the samples after the run.  The runs of any other stage field (user
+fields, array callbacks, the seekers without text) call it.
 
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
@@ -115,29 +119,34 @@ class GainSchedule:
 class StageText(NamedTuple):
     """A stage field as expression text (dim_fast 1): the field is
     a*(slow[i]) and b*(fast[i]), the sensitivity derivative b*(0.0 +
-    (jac)*s).  The text reads th0.., la0.., the locals that the statement
-    row binds from a probe row ({} in it) and the constants names, bound
-    to values per run; no name may be a local of the generated loop.  A
-    carry local of row rides as the stack's last entry, None until bound,
-    so row runs once per new probe row.  Without its values (None) the
-    text keys the generated loop.
+    (jac)*s).  The text reads th0.., la0.., the row entries xi0.. of a
+    probe row, the constants names, bound to values per run, and the
+    locals that the statement per_stage ('' for none) binds; no name may
+    be a local of the generated loop.  per_stage runs at every stage once
+    the stage's state locals are bound; jac reads none of its locals.
+    With carry, a local of per_stage, per_stage reads no state but the
+    pinned theta of a frozen run: it then runs once per new probe row,
+    and carry rides as the stack's last entry, None until bound.  Without
+    its values (None) the text keys the generated loop.
     """
 
     slow: tuple
     fast: tuple
     jac: str
-    row: str
+    row: int
+    per_stage: str
     carry: str | None
     names: tuple
     values: tuple
 
 
 class FrozenForm(NamedTuple):
-    """A system's fast part at a pinned theta (qsakit.esc): text(th), a
-    StageText at the pinned theta list th carrying a measurement y of the
-    probe row, and slow(theta, lam, y, xi), the stage field's slow part at
-    a = 1.0 on a run's float64 samples, lam (n, 1), y (n,) and xi (n, m),
-    as (n, dim_slow), rounded as the stage field rounds it."""
+    """A system's field at a pinned theta (qsakit.esc): text(th), a
+    StageText at the pinned theta list th whose per-stage statement
+    measures the probe row alone, carrying the measurement y, and
+    slow(theta, lam, y, xi), the stage field's slow part at a = 1.0 on a
+    run's float64 samples, lam (n, 1), y (n,) and xi (n, m), as (n,
+    dim_slow), rounded as the stage field rounds it."""
 
     text: Callable
     slow: Callable
@@ -153,13 +162,32 @@ def _on_text(text, shape, args, x):
     return shape + (key,), args + text.values, x + [None] * (text.carry is not None)
 
 
+def _row_locals(text):
+    """The target list that binds a probe row to text's locals xi0..."""
+    return ", ".join(f"xi{i}" for i in range(text.row)) + "," * (text.row == 1)
+
+
+def _row_error(xi, size):
+    """ConfigError for a stage field's probe row of another length than size."""
+    return ConfigError(f"stage got a probe row of {len(xi)} value(s), expected {size}")
+
+
 #: source of text_field's compiled pair, for str.format with the text's parts
 _FIELD_SOURCE = """def bind({names}):
     def stage(theta, lam, xi, a, b):
-        {th}= theta; {la}= lam; {row}
+        {th}= theta; {la}= lam
+        try:
+            {row} = xi
+        except ValueError:
+            raise row_error(xi, {size}) from None
+        {per_stage}
         return None if a is None else [{slow}], None if b is None else [{fast}]
     def dh_dlambda(theta, lam, xi):
-        {th}= theta; {la}= lam; {row}
+        {th}= theta; {la}= lam
+        try:
+            {row} = xi
+        except ValueError:
+            raise row_error(xi, {size}) from None
         return [{jac}]
     return stage, dh_dlambda
 """
@@ -167,15 +195,17 @@ _FIELD_SOURCE = """def bind({names}):
 
 def text_field(text):
     """The stage field and dh_dlambda(theta, lam, xi) -> [jac] written by
-    text, compiled with its values bound."""
+    text, compiled with its values bound; a probe row of another length
+    than text.row is a ConfigError."""
     source = _FIELD_SOURCE.format(
-        names=", ".join(text.names), row=text.row.format("xi"), jac=text.jac,
+        names=", ".join(text.names), row=_row_locals(text), size=text.row,
+        per_stage=text.per_stage, jac=text.jac,
         th="".join(f"th{d}, " for d in range(len(text.slow))),
         la="".join(f"la{d}, " for d in range(len(text.fast))),
         slow="".join(f"a * ({e}), " for e in text.slow),
         fast="".join(f"b * ({e}), " for e in text.fast),
     )
-    namespace = {}
+    namespace = {"row_error": _row_error}
     exec(compile(source, "<qsakit.dynamics stage text>", "exec"), namespace)
     return namespace["bind"](*text.values)
 
@@ -457,7 +487,9 @@ def _step_loop_source(shape):
         vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
         if text is not None:  # a new probe row at k2 and k4, read once each
             if k in (2, 4):
-                out.append(text.row.format(xi))
+                out.append(f"{_row_locals(text)} = {xi}")
+                if carry:
+                    out.append(text.per_stage)
             local = {d: f"la{i}" for i, d in enumerate(lam)}
             if not frozen:
                 local.update({d: f"th{d}" for d in range(ds)})
@@ -465,6 +497,8 @@ def _step_loop_source(shape):
                 local.update({d: f"fl{d}" for d in rest})
             out += [f"{v} = {state[d]}" for d, v in sorted(local.items())]
             state = [local.get(d, state[d]) for d in comps]
+            if text.per_stage and not carry:
+                out.append(text.per_stage)
             if not frozen:
                 out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(text.slow)]
             out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, text.fast)]
@@ -496,12 +530,12 @@ def _step_loop_source(shape):
         head = [f"    {unpack.get(kind, '()')} = args", f"    {seq('x{}', comps)}= x"]
     else:
         unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
-        first_row = "    " + text.row.format("xis[j_lo]")
         head = [
             f"    {unpack.get(kind, '') + seq('{}', text.names) or '() '}= args",
             *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
             f"    {seq('x{}', comps)}{carry}= x",
-            *([f"    if {text.carry} is None:", "    " + first_row] if carry else [first_row]),
+            f"    {_row_locals(text)} = xis[j_lo]",
+            *([f"    if {text.carry} is None:", f"        {text.per_stage}"] if carry else []),
         ]
     lines = [
         "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",

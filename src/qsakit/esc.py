@@ -23,35 +23,49 @@ are single tones, so their filtered copies are computed in closed form from
 the clock phasors via the transfer function at each probe frequency.
 
 The objective is evaluated once per stage point the kernel hands over:
-the stage field computes the slow and fast parts of one RK4 stage from
-one measurement f(theta + eps xi) / eps, with eps = eps(theta) computed
-for the call.  At order 1 the seeker also hands the kernel its frozen
-form (qsakit.dynamics.FrozenForm): with theta pinned the measurement
-depends on the probe row alone and the washout step is affine in the
-state, written as text over the state la0 and the measurement y.  A
-frozen-fast or sensitivity run computes eps(theta) once and measures
-each new probe row once, in step order, and qsakit.meanflow evaluates
-the slow field on the run's sampled state, measurement and probe rows
-after the run, through the expression the stage field uses.
-Objectives, external commands included, must be deterministic: the two
-paths measure a probe row a different number of times.
+each RK4 stage's slow and fast parts come from one measurement
+f(theta + eps xi) / eps, with eps = eps(theta).  At order 1 the seeker
+states its field once, as expression text (qsakit.dynamics.StageText,
+built by _order1_text): the measurement as a statement run at every
+stage, the washout step 0.0 + f1*la0 + g1*y and its Jacobian f1, and,
+with a single a_t, the slow part.  At a constant probing gain with a
+single a_t (qsakit esc and esc-quadratic by default) that text is the
+seeker's field: its stage field, dh_dlambda, g and h are compiled from
+it and its coupled runs write it into the RK4 loop.  Every order-1
+seeker hands the kernel the same text at a pinned theta as its frozen
+form (qsakit.dynamics.FrozenForm): a frozen-fast or sensitivity run
+computes eps(theta) once and measures each new probe row once, in step
+order, and qsakit.meanflow evaluates the slow field on the run's sampled
+state, measurement and probe rows after the run, through the expression
+the stage field uses.  The coupled runs of a seeker with the doubled gain
+or a theta-dependent eps, and every run at order >= 2, call the stage
+field written out below.  Objectives, external commands included, must
+be deterministic: frozen runs measure a probe row fewer times than the
+stage field would.
 
-The measurement computes on lists of Python floats, since numpy's
-per-call cost dominates on one or two elements.  Each float operation is
-the one numpy performs per element, in numpy's order, so every result
-rounds exactly as the array expression did: the probed point t + eps*x,
-the probe term -x_check * filtered, the slow term -sigma*(t - c), and
-with a single a_t -sigma*(t - c) + -x_check*filtered.  The probed point
-reaches Objective.__call__ as that list, and the built-in quadratic sums
-it on floats up to 7 coordinates; any other objective function, and a
-callable that is not an Objective or defines its own __call__, receives
-one float64 array.  The washout products F lambda and H'lambda are floats
-only at order 1, where numpy's 1x1 matvec and one-element dot compute
-0.0 + m*l: the 0.0 turns a -0.0 product into +0.0.  At order >= 2 numpy
-computes them, since a sequential float sum does not follow its
-summation order (BLAS, FMA): on random order-2 inputs it differs from
-numpy's dot in about a quarter of cases and from its matvec in nearly
-half.  Every washout a config builds is order 1.
+The measurement computes on Python floats, since numpy's per-call cost
+dominates on one or two elements.  Each float operation is the one
+numpy performs per element, in numpy's order, so every result rounds
+exactly as the array expression did: the probed point t + eps*x, the
+probe term -x_check * filtered, the slow term -sigma*(t - c), and with a
+single a_t -sigma*(t - c) + -x_check*filtered.  Which objectives are
+written out rather than called is fixed from the objective's class when
+the seeker is built (_measurement_text): the built-in quadratic is
+written into the text, summed on floats up to 7 coordinates; any other
+Objective whose class keeps Objective.__call__ has its function called
+from the text on a fresh float64 array of the point; every other
+objective, and every objective under the objective-scaled sign guard,
+is called through _measurement, which hands Objective.__call__ the point
+as a list (the built-in quadratic sums it as it is) and any other
+callable one float64 array.
+
+The washout products F lambda and H'lambda are floats only at order 1,
+where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
+turns a -0.0 product into +0.0.  At order >= 2 numpy computes them,
+since a sequential float sum does not follow its summation order (BLAS,
+FMA): on random order-2 inputs it differs from numpy's dot in about a
+quarter of cases and from its matvec in nearly half.  Every washout a
+config builds is order 1.
 """
 
 from __future__ import annotations
@@ -65,7 +79,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import FrozenForm, StageText, TwoTimescaleSystem, _callbacks_of, _float_lists
+from .dynamics import (
+    FrozenForm,
+    StageText,
+    TwoTimescaleSystem,
+    _callbacks_of,
+    _float_lists,
+    _row_error,
+)
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -94,10 +115,16 @@ class Objective:
     """Callable objective with an optional analytic gradient attached.
 
     Called with a (d,) point, an array-like or a list of real numbers (the
-    extremum seeker's probed points).  The function receives it as one
-    float64 array and must return a scalar; only the built-in quadratic's
-    takes a list as it is (_quadratic_value).  The gradient, when present,
-    is used for diagnostics only (the algorithm itself never differentiates).
+    extremum seeker's probed points on its stage field).  The function
+    receives it as one float64 array and must return a scalar; only the
+    built-in quadratic's takes a list as it is (_quadratic_value).  An
+    extremum seeker on an Objective whose class keeps this __call__ does
+    not call it on its text: it writes the built-in quadratic out and
+    calls any other function directly, on a fresh float64 array of the
+    point, returning float(value) as this __call__ does
+    (_measurement_text); a subclass with its own __call__ is called.  The
+    gradient, when present, is used for diagnostics only (the algorithm
+    itself never differentiates).
     """
 
     _takes_lists = False  # whether the function takes a list as it is
@@ -122,19 +149,10 @@ class Objective:
 _SEQUENTIAL_SUM_MAX = 7
 
 
-def _quadratic_value(c, w):
-    """theta -> 0.5 * float((w * (theta - c) ** 2).sum()) for float64 arrays
-    c and w and theta a list of real numbers or a float64 array, rounded
-    exactly as that numpy expression on theta as a float64 array.
-
-    For n <= _SEQUENTIAL_SUM_MAX coordinates, with c and w each 0-d or of
-    shape (n,), the value is computed on Python floats: d = float(t) - c
-    and w*(d*d) per element, summed from +0.0 in index order, which is
-    what numpy's sum does below 8 elements (its accumulator starts at +0.0,
-    so -0.0 terms sum to +0.0), then halved.  d*d and not d**2: a Python
-    float power raises OverflowError where numpy returns inf.  Every other
-    shape, numpy's broadcasting included, takes the numpy expression.
-    """
+def _quadratic_terms(c, w):
+    """{n: [(c_i, w_i), ...]} for each n <= _SEQUENTIAL_SUM_MAX at which
+    float64 arrays c and w are each 0-d or of shape (n,), as floats: the
+    float form of _quadratic_value at n coordinates."""
 
     def lane(a, n):
         if a.ndim == 0:
@@ -146,6 +164,25 @@ def _quadratic_value(c, w):
         cs, ws = lane(c, n), lane(w, n)
         if cs is not None and ws is not None:
             terms[n] = list(zip(cs, ws))
+    return terms
+
+
+def _quadratic_value(c, w, terms=None):
+    """theta -> 0.5 * float((w * (theta - c) ** 2).sum()) for float64 arrays
+    c and w and theta a list of real numbers or a float64 array, rounded
+    exactly as that numpy expression on theta as a float64 array.
+
+    For n <= _SEQUENTIAL_SUM_MAX coordinates, with c and w each 0-d or of
+    shape (n,), the value is computed on Python floats (terms, by default
+    _quadratic_terms(c, w)): d = float(t) - c and w*(d*d) per element,
+    summed from +0.0 in index order, which is what numpy's sum does below
+    8 elements (its accumulator starts at +0.0, so -0.0 terms sum to
+    +0.0), then halved.  d*d and not d**2: a Python float power raises
+    OverflowError where numpy returns inf.  Every other shape, numpy's
+    broadcasting included, takes the numpy expression.
+    """
+    if terms is None:
+        terms = _quadratic_terms(c, w)
 
     def value(th):
         if type(th) is not list and th.ndim == 1 and th.shape[0] in terms:
@@ -163,6 +200,20 @@ def _quadratic_value(c, w):
     return value
 
 
+class _Quadratic(Objective):
+    """The built-in quadratic of quadratic_objective: its function takes a
+    list as it is, and terms (_quadratic_terms) holds its float form,
+    which the extremum seeker writes out as text (_measurement_text)."""
+
+    _takes_lists = True
+
+    def __init__(self, c, w):
+        self.terms = _quadratic_terms(c, w)
+        super().__init__(
+            fn=_quadratic_value(c, w, self.terms), grad=lambda th: w * (th - c), name="quadratic"
+        )
+
+
 def quadratic_objective(center=0.0, weights=1.0) -> Objective:
     """0.5 * sum_i w_i (theta_i - c_i)^2.
 
@@ -173,13 +224,7 @@ def quadratic_objective(center=0.0, weights=1.0) -> Objective:
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ConfigError("quadratic weights must be positive")
-    objective = Objective(
-        fn=_quadratic_value(c, w),
-        grad=lambda th: w * (th - c),
-        name="quadratic",
-    )
-    objective._takes_lists = True
-    return objective
+    return _Quadratic(c, w)
 
 
 def rosenbrock_objective(a=1.0, b=100.0) -> Objective:
@@ -418,6 +463,32 @@ def _measurement(config):
     return measure
 
 
+def _measurement_text(config):
+    """The seeker's measurement as a statement binding y = f(theta + eps
+    xi) / eps from the locals th0.., xi0.. and eps of its StageText, as
+    (statement, names, values), rounded as _measurement rounds it: the
+    built-in quadratic written out on floats (up to 7 coordinates, in
+    index order from 0.0, as _quadratic_value sums them); any other
+    Objective whose class keeps Objective.__call__ by a call of its
+    function on a fresh float64 array of the point, as that __call__
+    makes it; every other objective, and the objective-scaled guard, by a
+    call of _measurement's function.  The route is fixed here, from the
+    objective's class."""
+    d, objective = config.dim, config.objective
+    if config.gain_kind == "objective_scaled" or type(objective).__call__ is not Objective.__call__:
+        th, xi = ("".join(f"{v}{i}, " for i in range(d)) for v in ("th", "xi"))
+        return f"y = measure(({th}), ({xi}), eps)", ("measure",), (_measurement(config),)
+    pairs = objective.terms.get(d) if isinstance(objective, _Quadratic) else None
+    if pairs is None:
+        point = "".join(f"th{i} + eps * xi{i}, " for i in range(d))
+        statement = f"y = float(fn(array(({point}), float))) / eps"
+        return statement, ("fn", "array"), (objective._fn, np.array)
+    diffs = "".join(f"q{i} = th{i} + eps * xi{i} - qc{i}; " for i in range(d))
+    total = "".join(f" + qw{i} * (q{i} * q{i})" for i in range(d))
+    names = tuple(f"q{v}{i}" for i in range(d) for v in "cw")
+    return f"{diffs}y = 0.5 * (0.0{total}) / eps", names, tuple(v for pair in pairs for v in pair)
+
+
 def normalized_observation(config, theta, xi) -> float:
     """Measured objective at the probed point, scaled by 1/eps(theta)."""
     return _measurement(config)(*_float_lists(theta, xi))
@@ -518,6 +589,33 @@ def esc_meanflow_approx(config, theta, sigma_check, m0) -> np.ndarray:
     return -(config.sigma * (theta - config.theta_ctr) + sigma_check @ grad)
 
 
+def _order1_text(config, constants):
+    """The order-1 seeker's field as text: text(eps, carry) is its
+    StageText at the probing gain eps.  Its per-stage statement is the
+    measurement y (_measurement_text), carried as carry at a pinned theta;
+    the fast part is 0.0 + f1*la0 + g1*y and the Jacobian f1; the slow
+    part per coordinate, with a single a_t, -sigma*(th - c) +
+    -xi_check*(0.0 + h1*la0 + J*y), the stage field's with its factor
+    1.0 left out (1.0 * p is p, bit for bit), and none with the doubled
+    gain, which only a frozen run reads this text for.  constants are the
+    values of neg_sigma, c0.., h1, J, f1 and g1."""
+    d = config.dim
+    statement, names, values = _measurement_text(config)
+    slow = ()
+    if config.single_at:
+        hl = "0.0 + h1 * la0 + J * y"
+        slow = tuple(f"neg_sigma * (th{i} - c{i}) + -xi{d + i} * ({hl})" for i in range(d))
+    names = ("neg_sigma", *(f"c{i}" for i in range(d)), "h1", "J", "f1", "g1", *names, "eps")
+
+    def text(eps, carry):
+        return StageText(
+            slow, ("0.0 + f1 * la0 + g1 * y",), "f1", 2 * d, statement, carry, names,
+            (*constants, *values, eps),
+        )
+
+    return text
+
+
 def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     """Assemble the extremum seeker as a slow/fast system.
 
@@ -528,11 +626,15 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     factor a_t by default (g_probe mechanism), or folded into the plain
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
-    reference runs use 1).  The stage field measures once per call, as
-    normalized_observation does, and an order-1 washout adds the frozen
-    form of frozen-fast and sensitivity runs (module docstring); the array
-    callbacks g, g_probe and h convert any array-like input to float64
-    lists first and return its values as float64 arrays.
+    reference runs use 1).  An order-1 washout states its field as text
+    (_order1_text): its frozen form always, and with a single a_t at a
+    constant probing gain the system's text, from which its stage field,
+    dh_dlambda, g and h are compiled (module docstring).  Every other
+    seeker has the stage field below, which measures once per call, as
+    normalized_observation does, and checks the probe row's length 2*dim
+    (ConfigError); its array callbacks g, g_probe and h convert any
+    array-like input to float64 lists first and return its values as
+    float64 arrays.
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -562,6 +664,8 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         return a * (neg_sigma * (t - c) + k * (-v * (hl + J * y)))
 
     def stage(theta, lam, xi, a, b):
+        if len(xi) != 2 * d:
+            raise _row_error(xi, 2 * d)
         y = measure(theta, xi)
         slow = fast = None
         if a is not None:
@@ -576,18 +680,16 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
                 fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
         return slow, fast
 
-    frozen = None
+    text = frozen = None
     if order1:
-        def frozen_text(theta):  # the fast part above at the pinned theta list
-            return StageText(
-                (), ("0.0 + f1 * la0 + g1 * y",), "f1", "y = measure(th, {}, eps)", "y",
-                ("measure", "eps", "f1", "g1"), (measure, probing_gain(config, theta), f1, g1),
-            )
+        text_at = _order1_text(config, (neg_sigma, *ctr_floats, h1, J, f1, g1))
 
         def slow_samples(theta, lam, y, xi):
             return slow_part(1.0, 1.0, theta, ctr, xi[:, d:], 0.0 + h1 * lam, y[:, None])
 
-        frozen = FrozenForm(frozen_text, slow_samples)
+        frozen = FrozenForm(lambda theta: text_at(probing_gain(config, theta), "y"), slow_samples)
+        if single_at and config.gain_kind == "constant":
+            text = text_at(config.epsilon, None)
 
     g_cb, h_cb = _callbacks_of(stage)
     g_probe = None
@@ -615,6 +717,8 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
             _objective_value(config, theta) / probing_gain(config, theta)
         )
 
+    # given text, the system compiles its stage field, dh_dlambda, g and h
+    # from it in place of these
     return TwoTimescaleSystem(
         dim_slow=d,
         dim_fast=washout.order,
@@ -624,6 +728,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         probing=extended_probe_map(config),
         g_probe=g_probe,
         stage=stage,
+        text=text,
         frozen=frozen,
         dh_dlambda=dh_dlambda,
         lambda_star=lambda_star,

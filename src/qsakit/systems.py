@@ -8,7 +8,9 @@ and sweeps address them by name so no field expressions are needed.
 
 The linear pair and the decoupled integrator state their field once, as
 expression text (dynamics.StageText) that their runs write into the RK4
-loop; their stage field, dh_dlambda, g and h are compiled from it.
+loop; their stage field, dh_dlambda, g and h are compiled from it.  So
+does the reference seeker at its default single_at (qsakit.esc writes
+its text, the measurement included).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
         slow=("alpha * th0 + alpha * la0 + s1 * xi0 * (th0 + 1.0) + b1",),
         fast=("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + b2",),
         jac="-1.0 + s2 * xi1",
-        row="xi0, xi1 = {}",
+        row=2,
+        per_stage="",
         carry=None,
         names=("alpha", "s1", "s2", "b1", "b2"),
         values=(alpha, s1, s2, b1, b2),
@@ -119,7 +122,7 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     """
     basis = make_frequency_basis([(2, 1)])
 
-    text = StageText(("xi0",), ("-la0",), "-1.0", "xi0, = {}", None, (), ())
+    text = StageText(("xi0",), ("-la0",), "-1.0", 1, "", None, (), ())
 
     n, p = 2, 2
     tone = PolyCoeff(n, p, {(0, 0): np.array([0.5, 0.0])})

@@ -556,6 +556,26 @@ class TestBuildSystem:
                 want = got
             assert got == want
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("single_at", [True, False])
+    def test_short_probe_row(self, single_at, dim):
+        # a row of the raw probes alone left the slow part empty; the field
+        # compiled from the text (single_at) and the stage field written
+        # out (the doubled gain) both reject it, naming the length 2 * dim
+        config = EscConfig(quadratic_objective(center=1.0), 0.1, dim=dim, single_at=single_at)
+        system = build_esc_system(config)
+        assert (system.text is not None) == single_at
+        theta, xi = [1.2] * dim, [0.3] * dim
+        message = rf"probe row of {dim} value\(s\), expected {2 * dim}$"
+        with pytest.raises(ConfigError, match=message):
+            system.stage(theta, [0.1], xi, 1.0, 1.0)
+        slow, _ = system.stage(theta, [0.1], xi + [0.5] * dim, 1.0, 1.0)
+        assert len(slow) == dim
+        # the measurement alone reads the raw probes only
+        assert normalized_observation(config, theta, xi) == normalized_observation(
+            config, theta, xi + [0.5] * dim
+        )
+
     def test_negative_objective_message(self):
         config = EscConfig(
             objective=Objective(lambda th: float(th[0])),

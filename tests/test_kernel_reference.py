@@ -517,9 +517,23 @@ def test_frozen_fast_nan_blow_up_time():
 
 # -- extremum seeker: the stage field against the unmemoized callbacks -------
 
-#: (quadratic objective parameters, EscConfig keywords) per probing gain
+#: (quadratic objective parameters, EscConfig keywords) per probing gain;
+#: at a constant gain with a single a_t the seeker runs on its text, which
+#: writes the quadratic out on floats (the "text" cases: non-unit weights,
+#: a -0.0 centre, sigma and theta_ctr in 1 to 3 dimensions)
 ESC_CASES = {
     "constant": (dict(center=1.0), dict(dim=1)),
+    "text d=1": (
+        dict(center=-0.0, weights=2.5), dict(dim=1, sigma=0.3, theta_ctr=[0.25])
+    ),
+    "text d=2": (
+        dict(center=[0.6, -0.0], weights=[0.5, 3.0]),
+        dict(dim=2, sigma=0.2, theta_ctr=[-0.3, 0.4]),
+    ),
+    "text d=3": (
+        dict(center=[0.5, -0.0, 0.3], weights=[1.5, 0.25, 4.0]),
+        dict(dim=3, sigma=0.1, theta_ctr=[0.2, -0.1, 0.6]),
+    ),
     "objective_scaled": (dict(center=1.0), dict(dim=1, gain_kind="objective_scaled")),
     "prior_scaled": (
         dict(center=[1.0, -0.5], weights=[1.0, 4.0]),
@@ -564,6 +578,15 @@ def test_esc_frozen_fast_across_a_chunk_boundary(case, stride):
         integrate_frozen_fast(system, *args, sample_stride=stride),
         reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
     )
+
+
+@pytest.mark.parametrize("case", sorted(ESC_CASES))
+def test_esc_sensitivity_across_a_chunk_boundary(case):
+    system, ref = esc_pair(case)
+    _, n_steps = _resolve_step(system.basis, 1.0, 50.0, None)
+    assert n_steps > KERNEL_CHUNK
+    args = (np.linspace(0.7, 0.2, system.dim_slow), 1.0, np.array([0.2]), 50.0)
+    assert lyapunov_exponent(system, *args) == lyapunov_exponent(ref, *args)
 
 
 @pytest.mark.parametrize("single_at", [True, False])
@@ -813,6 +836,10 @@ def test_esc_fast_state_at_signed_zero_coupled(single_at):
     assert not got.lam.any() and got.theta[-1, 0] < 0.3
     assert len(got_log) == len(want_log) > 0
     assert got_log == want_log
+    # the run itself, on the text at single_at, has the same signed zeros
+    text_run = integrate(system, sched, x0, 20.0)
+    assert_same(text_run, want)
+    assert text_run.lam.tobytes() == want.lam.tobytes()
 
 
 def test_esc_fast_state_at_signed_zero_frozen_fast():
@@ -947,10 +974,17 @@ EIGHT_TONES = make_frequency_basis(
 CENTER_8 = np.linspace(0.5, 0.1, 8)
 WEIGHTS_8 = np.linspace(0.5, 2.25, 8)
 
+def _bowl_scalar(th):
+    """_bowl's bowl as a numpy scalar, not a float."""
+    x = th - 0.5
+    return 0.5 * (x @ x) + 0.25 * x[0] * x[0] * x[0] * x[0]
+
+
 #: (seeker's objective, reference's objective, EscConfig keywords) per form
 OBJECTIVE_FORMS = {
     "plain-function": (lambda: _bowl, lambda: _bowl, dict(dim=2)),
     "array-only-subclass": (lambda: _ArrayOnly(None), lambda: _bowl, dict(dim=2)),
+    "numpy-scalar": (lambda: Objective(_bowl_scalar), lambda: _bowl_scalar, dict(dim=2)),
     # from 8 coordinates on the quadratic takes the numpy expression
     "quadratic-8": (
         lambda: quadratic_objective(center=CENTER_8, weights=WEIGHTS_8),
@@ -1020,6 +1054,14 @@ def test_esc_process_objective():
     integrate(counted, sched, x0, 0.2)
     integrate_frozen_fast(counted, *frozen)
     assert process.evaluations == len(calls) == 4 * 6 + 2 * 6 + 1
+    # a coupled run on the text and on the stage field: one evaluation per
+    # stage either way
+    assert system.text is not None
+    _, n_steps = _resolve_step(system.basis, 1.0, 0.05, None)
+    for run_on in (system, _stage_field_only(system)):
+        before = process.evaluations
+        integrate(run_on, sched, x0, 0.05)
+        assert process.evaluations - before == 4 * n_steps == 8
 
 
 # -- frozen seeker runs: the frozen form against the stage field --------------
@@ -1156,6 +1198,88 @@ def test_frozen_form_process_objective_failure():
     assert 10 < process.evaluations == len(got_points) == len(
         _form_calls(want_points, FROZEN_THETA)
     ) < 60
+
+
+# -- coupled seeker runs: the text against the stage field ------------------
+#
+# At a constant gain with a single a_t an order-1 seeker's coupled run
+# writes its text into the loop, which measures at every stage, as the
+# stage field does: the same points in the same order, each a fresh
+# float64 array, and a run that fails does so at the same point.
+
+
+def _coupled(theta0):
+    return lambda s: integrate(s, GainSchedule(rho=0.7, beta=1.0), ([theta0], [0.1]), 10.0)
+
+
+def test_text_run_points_and_order():
+    held = []
+
+    def mutating(th):
+        held.append(th)
+        value = 0.5 * (th[0] - 1.0) ** 2
+        th[0] = 99.0  # must not reach a later point
+        return value
+
+    got, want, got_run, want_run = _run_both(mutating, _coupled(0.3))
+    assert got == want and len(got) == 4 * (got_run.n_samples - 1)
+    assert_same(got_run, want_run)
+    assert {(type(th), th.dtype, th.shape) for th in held} == {
+        (np.ndarray, np.dtype(np.float64), (1,))
+    }
+    assert len({id(th) for th in held}) == len(held)  # all alive, so all distinct
+    clean, _, clean_run, _ = _run_both(lambda th: 0.5 * (th[0] - 1.0) ** 2, _coupled(0.3))
+    assert got == clean
+    assert_same(got_run, clean_run)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_text_run_escape_time():
+    # the constant-gain seeker escapes from theta0 = -0.5 at beta = 1
+    fn = lambda th: 0.5 * (th[0] - 1.0) ** 2  # noqa: E731
+    got, want, got_err, want_err = _run_both(fn, _coupled(-0.5), NonFinite)
+    assert got == want
+    assert got_err.time == want_err.time and 0.0 < got_err.time < 0.4
+    # the built-in quadratic, written out on floats, escapes at that step too
+    system = make_esc_quadratic()
+    for run_on in (system, _stage_field_only(system)):
+        with pytest.raises(NonFinite) as err:
+            _coupled(-0.5)(run_on)
+        assert err.value.time == got_err.time
+
+
+def test_text_run_objective_raising_on_its_nth_call():
+    class Stop(Exception):
+        pass
+
+    logs = []
+    for strip in (False, True):
+        points = []
+
+        def fn(th, points=points):
+            if len(points) == 777:  # the point is logged before the call
+                raise Stop
+            return 0.5 * (th[0] - 1.0) ** 2
+
+        system = _logging_seeker(fn, points)
+        assert system.text is not None
+        with pytest.raises(Stop):
+            _coupled(0.3)(_stage_field_only(system) if strip else system)
+        logs.append(points)
+    assert logs[0] == logs[1] and len(logs[0]) == 777
+
+
+def test_text_run_negative_objective():
+    # a constant gain has no sign guard: negative values run on the text
+    # as on the stage field
+    got, want, got_run, want_run = _run_both(lambda th: float(th[0]) - 5.0, _coupled(0.3))
+    assert got == want
+    assert_same(got_run, want_run)
+    # the objective-scaled gain keeps its guard, on the stage field
+    system = _logging_seeker(lambda th: float(th[0]) - 0.2, [], gain_kind="objective_scaled")
+    assert system.text is None
+    with pytest.raises(NegativeObjective, match="^objective value -"):
+        _coupled(0.3)(system)
 
 
 def test_cubic_seeker_g0_objective_sequence():

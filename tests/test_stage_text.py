@@ -1,19 +1,24 @@
 """The expression-text path of the RK4 kernel against the stage-field call.
 
-linear-3.1 and decoupled-test state their field once, as a StageText;
+linear-3.1, decoupled-test and the order-1 extremum seeker with a single
+a_t at a constant probing gain state their field once, as a StageText;
 their callable stage and dh_dlambda are compiled from it, and their runs
-write the text into the generated loop.  Rebuilt with that compiled stage
-and dh_dlambda but no text, the same system takes the call path.  Both
-must give the same trajectories, exponents and NonFinite times bit for
-bit, for all four run kinds, across a block boundary and at parameters
-that a literal would not survive (-0.0, a subnormal).  The text is bound
-to its values at run time, so one loop serves every parameter value.
+write the text into the generated loop (the seeker's frozen runs through
+its frozen form, which carries the measurement).  Rebuilt with that
+compiled stage and dh_dlambda but no text, the same system takes the call
+path.  Both must give the same trajectories, exponents and NonFinite
+times bit for bit, for all four run kinds, across a block boundary and at
+parameters that a literal would not survive (-0.0, a subnormal).  The
+text is bound to its values at run time, so one loop serves every
+parameter value.  The seeker traffic of the benchmark must take the text
+path: no stage field call and no Objective.__call__.
 
 The call path's generated sources are pinned as well: a system without
 text must get the same loop source as before the text path existed.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,9 +32,12 @@ from qsakit.dynamics import (
     integrate,
     integrate_frozen_fast,
 )
+from qsakit.cli import run
 from qsakit.errors import Inconclusive, NonFinite
+from qsakit.esc import EscConfig, Objective, build_esc_system, quadratic_objective
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import lyapunov_exponent
+from qsakit.meanflow import find_root_g0
 from qsakit.systems import make_decoupled_system, make_linear_system
 
 SUBNORMAL = 5e-324
@@ -43,6 +51,23 @@ SYSTEMS = {
     ),
     "linear non-unit b": lambda: make_linear_system(alpha=3.0, s=(2.0, 0.5), b=(1.5, -2.5)),
     "decoupled": make_decoupled_system,
+    # the seeker writes the built-in quadratic out on floats, calls any
+    # other Objective's function and every other objective's measurement
+    "seeker quadratic d=1": lambda: seeker(
+        quadratic_objective(center=-0.0, weights=2.5), dim=1, sigma=0.3, theta_ctr=[0.25]
+    ),
+    "seeker quadratic d=2": lambda: seeker(
+        quadratic_objective(center=[0.6, -0.0], weights=[0.5, 3.0]),
+        dim=2, sigma=0.2, theta_ctr=[-0.3, 0.4],
+    ),
+    "seeker quadratic d=3": lambda: seeker(
+        quadratic_objective(center=[0.8, -0.0, 0.5], weights=[1.5, 0.25, 4.0]),
+        dim=3, sigma=0.1, theta_ctr=[0.2, -0.1, 0.6],
+    ),
+    "seeker numpy-scalar objective": lambda: seeker(
+        Objective(lambda th: (th[0] - 0.5) ** 2 * 0.5 + th[1] * th[1]), dim=2
+    ),
+    "seeker plain callable": lambda: seeker(lambda th: 0.5 * float(th @ th) - 0.25, dim=2),
 }
 
 #: blows up within about 50 steps: beta*s2*h is far past RK4's stability edge
@@ -50,14 +75,28 @@ BLOW_UP = lambda: make_linear_system(s=(1.0, 1e4))  # noqa: E731
 
 SCHED = GainSchedule(rho=0.7, beta=0.3)
 
-#: each run kind; horizon 40 at beta 0.3 is 1,758 steps, more than one block
+
+def seeker(objective, **kw):
+    """An order-1 seeker with a single a_t at a constant probing gain."""
+    return build_esc_system(EscConfig(objective=objective, epsilon=0.1, single_at=True, **kw))
+
+
+def theta(system, value):
+    """A slow state of the system's dimension: value, value - 0.1, ..."""
+    return [value - 0.1 * i for i in range(system.dim_slow)]
+
+
+#: each run kind; horizon 40 at beta 0.3 is 1,110 to 1,758 steps, more
+#: than one block
 RUNS = {
-    "coupled": lambda s: integrate(s, SCHED, ([0.8], [-0.3]), 40.0),
+    "coupled": lambda s: integrate(s, SCHED, (theta(s, 0.8), [-0.3]), 40.0),
     "filtered": lambda s: integrate(
-        s, SCHED, ([0.8], [-0.3]), 40.0, filt=SecondOrderFilter(0.3, zeta=0.6, eta=1.3)
+        s, SCHED, (theta(s, 0.8), [-0.3]), 40.0, filt=SecondOrderFilter(0.3, zeta=0.6, eta=1.3)
     ),
-    "frozen-fast": lambda s: integrate_frozen_fast(s, [0.3], [0.2], 0.3, 40.0, sample_stride=3),
-    "sensitivity": lambda s: lyapunov_exponent(s, [0.3], 0.3, [0.2], 40.0),
+    "frozen-fast": lambda s: integrate_frozen_fast(
+        s, theta(s, 0.3), [0.2], 0.3, 40.0, sample_stride=3
+    ),
+    "sensitivity": lambda s: lyapunov_exponent(s, theta(s, 0.3), 0.3, [0.2], 40.0),
 }
 
 
@@ -111,6 +150,59 @@ def test_text_run_calls_no_field(kind):
     system.stage = lambda *args: calls.append("stage") or field(*args)
     system.dh_dlambda = lambda *args: calls.append("dh_dlambda") or jac(*args)
     RUNS[kind](system)
+    assert calls == []
+
+
+def _cubic(th):
+    x = th[0] - 1.0
+    return 0.5 * x**2 + x**3
+
+
+def _cli(subcommand, payload):
+    """An operation running the subcommand on the config payload."""
+
+    def op(tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert run(str(config), subcommand, out_dir=tmp_path / "out") == 0
+
+    return op
+
+
+#: the benchmark's seeker operations that integrate: qsakit esc on its
+#: default config, a g0 grid on esc-quadratic and a Newton root on a cubic
+SEEKER_TRAFFIC = {
+    "esc default config": _cli("esc", {}),
+    "g0 grid on esc-quadratic": _cli("meanflow-grid", {
+        "system": {"name": "esc-quadratic"},
+        "gains": {"beta": 1.0},
+        "experiment": {"grid_kind": "g0", "theta_grid": [0.8, 1.2],
+                       "burn_in": 20.0, "window": 400.0},
+    }),
+    "find_root_g0 on a cubic": lambda tmp_path: find_root_g0(
+        seeker(Objective(_cubic), dim=1), [1.25], 1.0, 1e-3, burn_in=20.0, window=400.0
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SEEKER_TRAFFIC))
+def test_seeker_traffic_takes_the_text_path(op, tmp_path, monkeypatch):
+    # Objective.__call__ is wrapped before any seeker is built, as a tracer
+    # wraps it: the route is chosen from the objective's class, so the
+    # wrapper neither changes it nor gets called
+    calls = []
+    init, call = TwoTimescaleSystem.__init__, Objective.__call__
+
+    def traced_init(system, *args, **kwargs):
+        init(system, *args, **kwargs)
+        stage = system.stage
+        system.stage = lambda *a: calls.append("stage") or stage(*a)
+
+    monkeypatch.setattr(TwoTimescaleSystem, "__init__", traced_init)
+    monkeypatch.setattr(
+        Objective, "__call__", lambda obj, th: calls.append("Objective.__call__") or call(obj, th)
+    )
+    SEEKER_TRAFFIC[op](tmp_path)
     assert calls == []
 
 
