@@ -13,8 +13,9 @@ a coupled run observes Lambda: Lambda^F and dLambda^F extend the stack
 and ride along in the same step, but no field reads them, so Theta and
 Lambda are the same with or without it.  Probing phases are recomputed
 from t at every stage, never integrated, so runs are reproducible bit
-for bit.  The kernel's record hook sees each sample's state and probe
-vector, which is how qsakit.meanflow averages the slow field in one pass.
+for bit, and a sample's probe row rebuilt from its time is the row the
+run's stages read there: qsakit.meanflow averages the slow field on a
+frozen-fast run's samples after the run (text_slow).
 
 The kernel holds states, stage derivatives and probe vectors as lists
 of Python floats (one tolist() per block of steps; the block's last row
@@ -38,13 +39,13 @@ the text into the loop, with no call.  The extremum seeker of qsakit.esc
 at order 1 states its measurement y = f(theta + eps xi)/eps as that
 statement: with a single a_t at a constant probing gain the text is its
 field, so its coupled runs measure at every stage inside the loop; every
-order-1 seeker has a frozen form (FrozenForm), the same text at a pinned
-theta, for its frozen-fast and sensitivity runs, where y depends on the
-probe row alone: it is measured once per new probe row, in step order
-(k2's row, then k4's row, whose value the next k1 reuses), and carried
-as the stack's last entry, so qsakit.meanflow evaluates the slow field
-on the samples after the run.  The runs of any other stage field (user
-fields, array callbacks, the seekers without text) call it.
+order-1 seeker has a frozen text, system.frozen(theta), the same text
+at a pinned theta, for its frozen-fast and sensitivity runs, where y
+depends on the probe row alone: it is measured once per new probe row,
+in step order (k2's row, then k4's row, whose value the next k1 reuses),
+and carried as the stack's last entry, so the run samples it with the
+state.  The runs of any other stage field (user fields, array callbacks,
+the seekers without text) call it.
 
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
@@ -65,10 +66,9 @@ built-in system has D <= 5 in coupled and frozen runs.
 """
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +126,10 @@ class StageText(NamedTuple):
     the stage's state locals are bound; jac reads none of its locals.
     With carry, a local of per_stage, per_stage reads no state but the
     pinned theta of a frozen run: it then runs once per new probe row,
-    and carry rides as the stack's last entry, None until bound.  Without
-    its values (None) the text keys the generated loop.
+    and carry rides as the stack's last entry, None until bound.  slow
+    uses +, - and * alone, and with carry reads no other local of
+    per_stage: text_slow evaluates it on arrays.  Without its values
+    (None) the text keys the generated loop.
     """
 
     slow: tuple
@@ -138,18 +140,6 @@ class StageText(NamedTuple):
     carry: str | None
     names: tuple
     values: tuple
-
-
-class FrozenForm(NamedTuple):
-    """A system's field at a pinned theta (qsakit.esc): text(th), a
-    StageText at the pinned theta list th whose per-stage statement
-    measures the probe row alone, carrying the measurement y, and
-    slow(theta, lam, y, xi), the stage field's slow part at a = 1.0 on a
-    run's float64 samples, lam (n, 1), y (n,) and xi (n, m), as (n,
-    dim_slow), rounded as the stage field rounds it."""
-
-    text: Callable
-    slow: Callable
 
 
 def _on_text(text, shape, args, x):
@@ -210,6 +200,24 @@ def text_field(text):
     return namespace["bind"](*text.values)
 
 
+def text_slow(text, theta, lam, xi, carried):
+    """text's slow part at a = 1.0 on a frozen run's n samples, (n,
+    dim_slow): each expression evaluated once on float64 arrays, with the
+    pinned theta's floats th0.., lam's columns la0.., xi's rows xi0.. and
+    the carried local's (n,) values carried.  numpy's elementwise +, - and
+    * round as the stage field's floats do, so each value is the field's."""
+    scope = dict(zip(text.names, text.values))
+    scope.update((f"th{d}", v) for d, v in enumerate(theta))
+    scope.update((f"la{d}", lam[:, d]) for d in range(lam.shape[1]))
+    scope.update((f"xi{i}", row) for i, row in enumerate(xi))
+    if text.carry is not None:
+        scope[text.carry] = carried
+    series = np.empty((lam.shape[0], len(text.slow)))
+    for d, expr in enumerate(text.slow):
+        series[:, d] = eval(expr, {}, scope)  # a constant expression fills its column
+    return series
+
+
 def _lattice(count, dim, lo=-1.0, hi=1.0):
     """Deterministic quasi-uniform points in [lo, hi]^dim (no RNG)."""
     i = np.arange(1, count + 1)[:, None]
@@ -228,8 +236,9 @@ class TwoTimescaleSystem:
     Reassigning a callback after construction does not change a run.
     Given text, a StageText, the stage field, dh_dlambda, g and h are
     compiled from it (text_field, _callbacks_of) in place of those passed.
-    text, and frozen, a FrozenForm of the same field, stand in for the
-    stage field and dh_dlambda in runs (module docstring).  The stage
+    text, and frozen, a map from a pinned theta list to the StageText of
+    the same field there, stand in for the stage field and dh_dlambda in
+    runs (module docstring).  The stage
     field keeps no memo: a list handed to it may change once the call
     returns.  An exact Fourier form of [g; h] is checked against the
     callbacks at construction.  dh_dlambda(theta, lam, xi), called with
@@ -318,9 +327,9 @@ class Trajectory:
 
     phases holds the fractional clock phases (K, N), recomputed analytically
     from the sample times.  a and beta are the gain values at each sample.
-    lam_filtered / dlam_filtered are present only for filtered runs, and
-    measured, the measurement y of a frozen form (FrozenForm) at each
-    sample, only for frozen-fast runs on one.
+    lam_filtered / dlam_filtered are present only for filtered runs.  A
+    frozen-fast run holds in text the StageText it ran on, if any, and in
+    measured its carried local at each sample (the seeker's measurement y).
     """
 
     t: np.ndarray
@@ -332,6 +341,7 @@ class Trajectory:
     lam_filtered: np.ndarray = None
     dlam_filtered: np.ndarray = None
     measured: np.ndarray = None
+    text: StageText = None
 
     @property
     def n_samples(self):
@@ -539,14 +549,12 @@ def _step_loop_source(shape):
         ]
     lines = [
         "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",
-        "              cursor, record, start, h, half, sixth):",
+        "              cursor, start, h, half, sixth):",
         *head,
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
         f"            x = [{seq('x{}', comps)}{carry}]",
         "            samples[cursor] = x",
-        "            if record is not None:",
-        "                record(x, xis[j])",
         "            cursor += 1",
         "        xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]",
         *stage(1, [f"x{d}" for d in comps], "xis[j]", "a_all[j]", "b_all[j]"),
@@ -574,7 +582,7 @@ def _step_loop(shape):
     return loop
 
 
-def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
+def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=0):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
     shape is the run's (dim_slow, dim_fast, kind[, text key]) and x its
@@ -602,12 +610,6 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=
     Returns the sample times (every sample_stride steps from start, plus
     the final time) and the (n, D) buffer of states there.  Raises
     NonFinite at the end of the first step that leaves x non-finite.
-
-    record(x, xi), when given, is called at each sample, in order and
-    before the sampled step (and once at the final sample), with the
-    state x (the kernel's list, to be read, not written) and the very
-    probe list the step's first stage receives, so a caller can fill a
-    buffer with a field along the run.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     samples = np.empty((steps.shape[0], len(x)))
@@ -635,12 +637,10 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=
         first = int(start == chunk == 0)
         if first:
             x, cursor = loop(checked, args, x, xis, a_all, b_all, 0, 0, 2, sample_stride,
-                             samples, cursor, record, start, h, half, sixth)
+                             samples, cursor, start, h, half, sixth)
         x, cursor = loop(field, args, x, xis, a_all, b_all, chunk + first, 2 * first, 2 * m,
-                         sample_stride, samples, cursor, record, start, h, half, sixth)
+                         sample_stride, samples, cursor, start, h, half, sixth)
     samples[cursor] = x
-    if record is not None:
-        record(x, xis[2 * m])
     return (start + steps) * h, samples
 
 
@@ -707,21 +707,23 @@ def integrate(
     )
 
 
-def integrate_frozen_fast(
-    system, theta, lambda0, beta, horizon, *, step=None, sample_stride=1, _record=None
-):
+def _pinned_text(system, th):
+    """The StageText a run at the pinned theta list th writes into the
+    loop: the system's frozen text at th, else its text (None: the run
+    calls the stage field)."""
+    return system.text if system.frozen is None else system.frozen(th)
+
+
+def integrate_frozen_fast(system, theta, lambda0, beta, horizon, *, step=None, sample_stride=1):
     """Integrate the fast variable alone with the slow one pinned:
 
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
-    The RK4 kernel advances Lambda alone on the system's frozen form
-    (FrozenForm; the Trajectory then holds its measurement), else on its
-    text, else on the stage field's fast part (a = None).  Returns a
-    Trajectory whose theta block repeats the frozen value and whose
-    slow-gain column is zero.  _record(theta, x, xi), for qsakit.meanflow,
-    is the kernel's record hook (see _rk4) with the run's own pinned theta
-    list first, the list every stage receives; a run with a hook does not
-    take the frozen form.
+    The RK4 kernel advances Lambda alone on the system's frozen text at
+    theta, else on its text, else on the stage field's fast part (a =
+    None).  Returns a Trajectory whose theta block repeats the frozen
+    value, whose slow-gain column is zero and which holds the text it ran
+    on, with its carried local at each sample.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -733,13 +735,10 @@ def integrate_frozen_fast(
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
-    form = system.frozen if _record is None else None
-    text = system.text if form is None else form.text(th)
+    text = _pinned_text(system, th)
     shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), lam.tolist())
-    record = None if _record is None else functools.partial(_record, th)
     t, samples = _rk4(
-        system.stage, shape, args, x, h, n_steps, sample_stride,
-        system, _pinned_gains(beta), record=record,
+        system.stage, shape, args, x, h, n_steps, sample_stride, system, _pinned_gains(beta)
     )
     n = t.shape[0]
     return Trajectory(
@@ -749,5 +748,6 @@ def integrate_frozen_fast(
         a=np.zeros(n),
         beta=np.full(n, float(beta)),
         phases=clock_phases(system.basis, t),
-        measured=None if form is None else samples[:, df],
+        measured=None if text is None or text.carry is None else samples[:, df],
+        text=text,
     )

@@ -33,15 +33,16 @@ single a_t (qsakit esc and esc-quadratic by default) that text is the
 seeker's field: its stage field, dh_dlambda, g and h are compiled from
 it and its coupled runs write it into the RK4 loop.  Every order-1
 seeker hands the kernel the same text at a pinned theta as its frozen
-form (qsakit.dynamics.FrozenForm): a frozen-fast or sensitivity run
-computes eps(theta) once and measures each new probe row once, in step
-order, and qsakit.meanflow evaluates the slow field on the run's sampled
-state, measurement and probe rows after the run, through the expression
-the stage field uses.  The coupled runs of a seeker with the doubled gain
-or a theta-dependent eps, and every run at order >= 2, call the stage
-field written out below.  Objectives, external commands included, must
-be deterministic: frozen runs measure a probe row fewer times than the
-stage field would.
+text (system.frozen(theta)): a frozen-fast or sensitivity run computes
+eps(theta) once and measures each new probe row once, in step order, and
+qsakit.meanflow evaluates the text's slow part on the run's sampled
+state, measurement and probe rows after the run.  The coupled runs of a
+seeker with the doubled gain or a theta-dependent eps, and every run at
+order >= 2, call the stage field written out below.  Objectives,
+external commands included, must be deterministic: frozen runs measure
+a probe row fewer times than the stage field would, and the averaged
+slow field of a seeker at order >= 2 measures its kept samples again,
+after the run.
 
 The measurement computes on Python floats, since numpy's per-call cost
 dominates on one or two elements.  Each float operation is the one
@@ -80,7 +81,6 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (
-    FrozenForm,
     StageText,
     TwoTimescaleSystem,
     _callbacks_of,
@@ -594,17 +594,15 @@ def _order1_text(config, constants):
     StageText at the probing gain eps.  Its per-stage statement is the
     measurement y (_measurement_text), carried as carry at a pinned theta;
     the fast part is 0.0 + f1*la0 + g1*y and the Jacobian f1; the slow
-    part per coordinate, with a single a_t, -sigma*(th - c) +
-    -xi_check*(0.0 + h1*la0 + J*y), the stage field's with its factor
-    1.0 left out (1.0 * p is p, bit for bit), and none with the doubled
-    gain, which only a frozen run reads this text for.  constants are the
-    values of neg_sigma, c0.., h1, J, f1 and g1."""
+    part per coordinate is -sigma*(th - c) + -xi_check*(0.0 + h1*la0 +
+    J*y), the stage field's with its factor 1.0 left out (1.0 * p is p,
+    bit for bit): with a single a_t, and at a = 1.0 with the doubled gain
+    as well, which only a frozen run reads this text for.  constants are
+    the values of neg_sigma, c0.., h1, J, f1 and g1."""
     d = config.dim
     statement, names, values = _measurement_text(config)
-    slow = ()
-    if config.single_at:
-        hl = "0.0 + h1 * la0 + J * y"
-        slow = tuple(f"neg_sigma * (th{i} - c{i}) + -xi{d + i} * ({hl})" for i in range(d))
+    hl = "0.0 + h1 * la0 + J * y"
+    slow = tuple(f"neg_sigma * (th{i} - c{i}) + -xi{d + i} * ({hl})" for i in range(d))
     names = ("neg_sigma", *(f"c{i}" for i in range(d)), "h1", "J", "f1", "g1", *names, "eps")
 
     def text(eps, carry):
@@ -627,7 +625,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     slow field when config.single_at is set.  The washout state runs at
     the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
     reference runs use 1).  An order-1 washout states its field as text
-    (_order1_text): its frozen form always, and with a single a_t at a
+    (_order1_text): its frozen text always, and with a single a_t at a
     constant probing gain the system's text, from which its stage field,
     dh_dlambda, g and h are compiled (module docstring).  Every other
     seeker has the stage field below, which measures once per call, as
@@ -646,10 +644,9 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     F, G, H, J = washout.F, washout.G, washout.H, washout.J
     d = config.dim
     sigma = config.sigma
-    ctr = config.theta_ctr
 
     measure = _measurement(config)
-    ctr_floats = ctr.tolist()
+    ctr_floats = config.theta_ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
     neg_sigma = float(-sigma)
@@ -658,10 +655,6 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     # at order >= 2 (module docstring)
     order1 = washout.order == 1
     f1, g1, h1 = (F.item(), G.item(), H.item()) if order1 else (None, None, None)
-
-    def slow_part(a, k, t, c, v, hl, y):
-        # per coordinate on floats, elementwise on arrays; hl is H'lam
-        return a * (neg_sigma * (t - c) + k * (-v * (hl + J * y)))
 
     def stage(theta, lam, xi, a, b):
         if len(xi) != 2 * d:
@@ -672,7 +665,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
             hl = 0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))
             k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
             pairs = zip(theta, ctr_floats, xi[d:])
-            slow = [slow_part(a, k, t, c, v, hl, y) for t, c, v in pairs]
+            slow = [a * (neg_sigma * (t - c) + k * (-v * (hl + J * y))) for t, c, v in pairs]
         if b is not None:
             if order1:
                 fast = [b * (0.0 + f1 * lam[0] + g1 * y)]
@@ -684,10 +677,9 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     if order1:
         text_at = _order1_text(config, (neg_sigma, *ctr_floats, h1, J, f1, g1))
 
-        def slow_samples(theta, lam, y, xi):
-            return slow_part(1.0, 1.0, theta, ctr, xi[:, d:], 0.0 + h1 * lam, y[:, None])
+        def frozen(theta):
+            return text_at(probing_gain(config, theta), "y")
 
-        frozen = FrozenForm(lambda theta: text_at(probing_gain(config, theta), "y"), slow_samples)
         if single_at and config.gain_kind == "constant":
             text = text_at(config.epsilon, None)
 

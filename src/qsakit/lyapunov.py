@@ -23,11 +23,11 @@ choosing, which a sum of Python floats does not reproduce (thousands of
 mismatches per 20,000 random 2x2 cases).
 
 A system with expression text (dynamics.StageText: the built-in systems,
-and the frozen form of the extremum seeker at order 1) runs on it: the
-loop writes the fast part and the Jacobian out, with no call.  The frozen
-form's Jacobian is its constant f1, and the stack carries the probe row's
-measurement as its last entry, so a segment starts from the measurement
-the previous one ended with.
+and the frozen text system.frozen(theta) of the extremum seeker at order
+1) runs on it: the loop writes the fast part and the Jacobian out, with
+no call.  The frozen text's Jacobian is its constant f1, and the stack
+carries the probe row's measurement as its last entry, so a segment
+starts from the measurement the previous one ended with.
 
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _on_text, _pinned_gains, _resolve_step, _rk4, write_csv
+from .dynamics import (
+    _float_lists, _on_text, _pinned_gains, _pinned_text, _resolve_step, _rk4, write_csv
+)
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -104,9 +106,10 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     """Estimate the top exponent of the frozen-fast flow at a slow state.
 
     Returns the full-horizon estimate together with the trailing-half
-    estimate; a large gap between the two halves raises Inconclusive,
-    carrying both halves' estimates by their time spans, rather than
-    returning a number the horizon cannot support.
+    estimate; a horizon of fewer than two RK4 steps is a ConfigError, and
+    a large gap between the two halves raises Inconclusive, carrying both
+    halves' estimates by their time spans, rather than returning a number
+    the horizon cannot support.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -117,12 +120,17 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
+    if n_steps < 2:
+        raise ConfigError(
+            f"horizon {horizon:g} spans one RK4 step of {h:.6g}; the exponent "
+            "compares two half-horizons and needs at least two steps"
+        )
 
     d = system.dim_fast
-    th, form = theta.tolist(), system.frozen
+    th = theta.tolist()
     x = lam.tolist() + np.eye(d).ravel().tolist()
     shape = (system.dim_slow, d, "sensitivity")
-    text = system.text if form is None else form.text(th)
+    text = _pinned_text(system, th)
     if text is not None:
         shape, args, x = _on_text(text, shape, (th,), x)
     elif d == 1:

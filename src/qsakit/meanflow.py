@@ -4,21 +4,20 @@ Everything here reduces to time averages along frozen-fast trajectories:
 the fast equilibrium map lambda*(theta) (up to O(beta) ripple), the
 effective slow field gbar0(theta) and its root theta^beta.  Each average
 takes one run: the fast equilibrium averages the sampled Lambda, and
-gbar0 averages the stage field's slow part at the post-burn-in samples.
-A system with a frozen form (the extremum seeker at order 1) samples its
-measurement with the state, and the form's slow part is evaluated on
-the sampled state, measurement and probe rows after the run, as whole
-arrays; any other system's slow part is evaluated during the run by the
-RK4 kernel's record hook, on the lists the run's stages receive (its
-pinned theta, the state and probe row).  Both round as the stage field
-does at each sample.
+gbar0 averages the stage field's slow part at the post-burn-in samples,
+evaluated after the run on the sampled state and the probe rows rebuilt
+at the sample times.  A run on expression text (the built-in systems and
+the extremum seeker at order 1, whose measurement the run samples with
+the state) evaluates the text's slow part as whole arrays; any other
+system's stage field is called once per kept sample.  Both round as the
+stage field does at each sample.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _checked_parts, _resolve_step, integrate_frozen_fast, write_csv
+from .dynamics import _checked_parts, integrate_frozen_fast, text_slow, write_csv
 from .errors import ConfigError, NonConvergent, SingularJacobian
 from .probing import probe_signal
 
@@ -41,13 +40,11 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
 
     Defaults: 20 fast time constants of burn-in, windows of 100 periods of
     the slowest probe tone.  Two windows are integrated so convergence can
-    be judged by comparing their averages.  Returns (traj, m1, m2, series)
-    with the sample masks m1, m2 of the two windows.  With slow_field,
-    series holds the stage field's slow part at a = 1.0 at the samples of
-    both windows (b = None): the frozen form's, from the run's sampled
-    measurement and the probe rows rebuilt at the sample times, or else
-    recorded during the run from the run's own theta list
-    (integrate_frozen_fast's _record); without slow_field, series is None.
+    be judged by comparing their averages; a window without a sample is a
+    ConfigError.  Returns (traj, m1, m2, series) with the sample masks m1,
+    m2 of the two windows.  With slow_field, series holds the stage
+    field's slow part at a = 1.0 at the samples of both windows, evaluated
+    after the run (_slow_series); without slow_field, series is None.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -57,34 +54,35 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
         window = 100.0 / system.basis.min_omega
     if lambda0 is None:
         lambda0 = np.zeros(system.dim_fast)
-    horizon = burn_in + 2.0 * window
-    mid = burn_in + window
-    record = series = None
-    form = system.frozen if slow_field else None
-    if slow_field and form is None:
-        # the run's sample times, as the kernel computes them (stride 1)
-        h, n_steps = _resolve_step(system.basis, beta, horizon, None)
-        m1, m2 = _windows(np.arange(n_steps + 1) * h, burn_in, mid)
-        kept = int(np.count_nonzero(m1 | m2))
-        series = np.empty((kept, system.dim_slow))
-        row = kept - (n_steps + 1)  # negative through the burn-in samples
-        field, ds = system.stage, system.dim_slow
-
-        def record(th, lam, xi):
-            nonlocal row
-            if row > 0:
-                series[row] = field(th, lam, xi, 1.0, None)[0]
-            elif row == 0:  # the first recorded sample checks the part's length
-                series[0] = _checked_parts(field(th, lam, xi, 1.0, None), ds, None)[0]
-            row += 1
-
-    traj = integrate_frozen_fast(system, theta, lambda0, beta, horizon, _record=record)
-    m1, m2 = _windows(traj.t, burn_in, mid)
-    if form is not None:
-        keep = m1 | m2
-        xi = probe_signal(system.probing, system.basis, traj.t[keep]).T
-        series = form.slow(theta, traj.lam[keep], traj.measured[keep], xi)
+    traj = integrate_frozen_fast(system, theta, lambda0, beta, burn_in + 2.0 * window)
+    m1, m2 = _windows(traj.t, burn_in, burn_in + window)
+    if not (m1.any() and m2.any()):
+        raise ConfigError(
+            f"window {window:g} leaves an averaging window without a sample at "
+            f"the RK4 step {traj.t[1]:.6g}; use a window of at least one step"
+        )
+    series = _slow_series(system, theta, traj, m1 | m2) if slow_field else None
     return traj, m1, m2, series
+
+
+def _slow_series(system, theta, traj, keep):
+    """The stage field's slow part at a = 1.0 at the kept samples of the
+    frozen-fast run traj at theta, with the probe rebuilt at their times:
+    text_slow on a text whose per-stage statement is carried or absent,
+    else one stage field call per sample, the first one's part checked."""
+    xi = probe_signal(system.probing, system.basis, traj.t[keep])
+    th, text = theta.tolist(), traj.text
+    if text is not None and (text.carry is not None or not text.per_stage):
+        carried = None if traj.measured is None else traj.measured[keep]
+        return text_slow(text, th, traj.lam[keep], xi, carried)
+    # rows built as used, values stored at once: no list per sample stays alive
+    stage, series = system.stage, np.empty((xi.shape[1], system.dim_slow))
+    rows = zip(map(list, zip(*traj.lam[keep].T.tolist())), map(list, zip(*xi.tolist())))
+    lam, row = next(rows)
+    series[0] = _checked_parts(stage(th, lam, row, 1.0, None), system.dim_slow, None)[0]
+    for k, (lam, row) in enumerate(rows, 1):
+        series[k] = stage(th, lam, row, 1.0, None)[0]
+    return series
 
 
 def _windows(t, burn_in, mid):
@@ -130,14 +128,14 @@ def mean_field_g0(
     This realizes the integral of g against the joint invariant measure of
     (Lambda^theta, xi) by time averaging after burn-in, over one run: the
     stage field's slow part at a = 1.0 (system.analysis_floats) at each
-    post-burn-in sample.  A system with a frozen form, the extremum seeker
-    at order 1, samples each step's first measurement with its state, and
-    the form evaluates the slow part on the kept samples after the run,
-    elementwise on arrays, with the probe rebuilt at the sample times (the
-    same rows the run's stages read); any other system's part is recorded
-    inside the run into a preallocated buffer, from the kernel's theta,
-    state and probe lists.  Either way each value has the bits the stage
-    field gives at that sample.  NonConvergent carries both window averages.
+    post-burn-in sample, evaluated after the run with the probe rebuilt at
+    the sample times (the rows the run's stages read there).  A run on
+    expression text evaluates the text's slow part elementwise on the
+    sampled arrays, the extremum seeker's measurement among them, so the
+    objective is called by the run alone; any other system's stage field
+    is called once per kept sample.  Either way each value has the bits
+    the stage field gives at that sample.  NonConvergent carries both
+    window averages.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     traj, m1, m2, series = _windowed_run(

@@ -469,6 +469,26 @@ def test_pmf_subcommand(tmp_path):
     assert record["threshold"] is None
 
 
+@pytest.mark.parametrize("grid_kind", ["g0", "lambda"])
+def test_meanflow_grid_window_without_a_sample(tmp_path, capsys, grid_kind):
+    cfg = write_config(tmp_path, {"experiment": {
+        "grid_kind": grid_kind, "theta_grid": [0.3], "burn_in": 1.0, "window": 0.001,
+    }})
+    out = tmp_path / "o"
+    assert run(cfg, "meanflow-grid", out_dir=out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: window 0.001 leaves an averaging window without a sample")
+    assert not (out / "grid.csv").exists()
+
+
+def test_lyapunov_one_step_horizon(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": {"horizon": 0.01, "theta_grid": [0.3]}})
+    out = tmp_path / "o"
+    assert run(cfg, "lyapunov", out_dir=out) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: horizon 0.01 spans one RK4 step")
+    assert not (out / "lyapunov.csv").exists()
+
+
 def test_lyapunov_subcommand(tmp_path):
     cfg = write_config(
         tmp_path, {"experiment": {"horizon": 60.0, "theta_grid": [-0.5, 0.5]}}

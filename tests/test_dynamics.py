@@ -535,7 +535,7 @@ class TestCallbackLengths:
 
 class TestStageLengths:
     """A stage field's parts must fill their blocks: each run kind checks
-    them at its first stage (the averaged slow field at its first recorded
+    them at its first stage (the averaged slow field at its first kept
     sample)."""
 
     @staticmethod

@@ -28,12 +28,9 @@ from qsakit.dynamics import (
     GainSchedule,
     Trajectory,
     TwoTimescaleSystem,
-    _pinned_gains,
     _resolve_step,
-    _rk4,
     integrate,
     integrate_frozen_fast,
-    step_bound,
 )
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite
 from qsakit.esc import (
@@ -47,7 +44,7 @@ from qsakit.esc import (
 )
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
 from qsakit.lyapunov import lyapunov_exponent
-from qsakit.meanflow import mean_field_g0
+from qsakit.meanflow import _windowed_run, mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
@@ -855,77 +852,67 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
     assert got_log == want_log
 
 
-# -- the kernel's record hook -------------------------------------------------
+# -- the averaged slow field, evaluated after the run ------------------------
 
 
-def _hooked_run(system, theta, lam0, beta, n_steps, stride, start):
-    """A frozen-fast _rk4 run whose record hook fills a preallocated buffer
-    with analysis_floats; returns (t, samples, rows, calls)."""
-    h = step_bound(system.basis, beta)
-    n_samples = len(range(0, n_steps, stride)) + 1
-    rows = np.empty((n_samples, system.dim_slow))
-    calls = []
+def _row_logging(system, rows):
+    """system on its stage field alone (no text), logging each stage's
+    probe row, the kernel's list, in call order."""
 
-    def record(x, xi):
-        rows[len(calls)] = np.array(system.analysis_floats(theta, x, xi))
-        calls.append(list(x))
+    def stage(theta, lam, xi, a, b):
+        rows.append(xi)
+        return system.stage(theta, lam, xi, a, b)
 
-    t, samples = _rk4(
-        system.stage, (system.dim_slow, system.dim_fast, "frozen-fast"), (theta.tolist(),),
-        list(lam0), h, n_steps, stride, system, _pinned_gains(beta), start=start,
-        record=record,
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, system.g, system.h, system.basis, system.probing,
+        stage=stage,
     )
-    return t, samples, rows, calls
 
 
-HOOK_SYSTEMS = {
-    "linear-3.1": (make_linear_system, [0.3], [-0.2], 1.0),
-    "esc-probe-feedback": (lambda: make_esc_quadratic(single_at=False), [0.7], [0.2], 1.0),
+def _array_callback_system():
+    """A user system of array callbacks with probing feedback."""
+    return TwoTimescaleSystem(
+        1,
+        1,
+        lambda t, l, x: np.array([0.3 * t[0] - l[0] * x[0]]),
+        lambda t, l, x: np.array([-l[0] + x[1] * (t[0] + 0.5)]),
+        make_frequency_basis([(2, 1), (3, 1)]),
+        g_probe=lambda t, l, x: np.array([x[1] * l[0]]),
+    )
+
+
+#: (system, theta) per path of the after-run slow field: text on arrays
+#: (linear-3.1, decoupled-test, the order-1 seeker's frozen text at the
+#: doubled gain) and the stage field per sample (the rest)
+SLOW_SYSTEMS = {
+    "linear-3.1": (make_linear_system, [0.3]),
+    "decoupled-test": (make_decoupled_system, [0.2]),
+    "array-callbacks": (_array_callback_system, [0.4]),
+    "esc-probe-feedback": (lambda: make_esc_quadratic(single_at=False), [0.7]),
+    "esc-planar-washout": (lambda: planar_pair(False)[0], [0.6]),
 }
 
 
-@pytest.mark.parametrize("start", [0, 5000])
-@pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("name", sorted(HOOK_SYSTEMS))
-def test_record_hook_sees_the_samples(name, stride, start):
-    make, theta, lam0, beta = HOOK_SYSTEMS[name]
-    system = make()
-    theta = np.array(theta)
-    n_steps = KERNEL_CHUNK + 477  # crosses a chunk boundary, 1501 % 3 != 0
-    t, samples, rows, calls = _hooked_run(system, theta, lam0, beta, n_steps, stride, start)
-    assert len(calls) == t.shape[0] == samples.shape[0]
-    # the hook saw each stored state, the final one included
-    assert np.array_equal(np.array(calls), samples)
-    assert t[-1] == (start + n_steps) * step_bound(system.basis, beta)
-    xi = system.probing(np.exp(2j * math.pi * clock_phases(system.basis, t)))
-    for k in range(t.shape[0]):
-        want = np.array(system.analysis_floats(theta, samples[k], xi[:, k]))
-        assert rows[k].tobytes() == want.tobytes(), k
-
-
-def test_record_hook_leaves_the_run_unchanged():
-    system = make_esc_quadratic()
-    args = (system, np.array([0.7]), np.array([0.2]), 1.0, 50.0)
-    seen = []
-    hooked = integrate_frozen_fast(*args, _record=lambda th, x, xi: seen.append(x))
-    assert_same(hooked, integrate_frozen_fast(*args))
-    assert len(seen) == hooked.n_samples
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_record_hook_blow_up_time():
-    basis = make_frequency_basis([(2, 1)])
-    system = TwoTimescaleSystem(
-        1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.atleast_1d(1.0 + l[0] ** 2), basis
+@pytest.mark.parametrize("name", sorted(SLOW_SYSTEMS))
+def test_slow_series_is_the_stage_field_at_the_kernel_rows(name):
+    make, theta = SLOW_SYSTEMS[name]
+    system, theta = make(), np.array(theta)
+    lam0, burn_in, window = np.full(system.dim_fast, 0.2), 10.0, 20.0
+    traj, m1, m2, series = _windowed_run(system, theta, 1.0, burn_in, window, lam0, True)
+    rows = []
+    logged = integrate_frozen_fast(
+        _row_logging(system, rows), theta, lam0, 1.0, burn_in + 2.0 * window
     )
-    args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
-    seen = []
-    with pytest.raises(NonFinite) as got:
-        integrate_frozen_fast(*args, _record=lambda th, x, xi: seen.append(x))
-    with pytest.raises(NonFinite) as want:
-        integrate_frozen_fast(*args)
-    assert got.value.time == want.value.time
-    assert seen and all(map(math.isfinite, seen[-1]))
+    assert_same(traj, logged)
+    # each sample's row is its step's first stage's, the last stage's at the end
+    n_steps = traj.n_samples - 1
+    kernel_rows = rows[: 4 * n_steps : 4] + [rows[-1]]
+    kept = np.nonzero(m1 | m2)[0]
+    assert kept[0] < KERNEL_CHUNK < kept[-1] == n_steps
+    assert series.shape == (kept.shape[0], system.dim_slow)
+    for got, k in zip(series, kept):
+        want = system.analysis_floats(theta, traj.lam[k], kernel_rows[k])
+        assert got.tobytes() == np.array(want).tobytes(), k
 
 
 def test_cubic_seeker_g0_objective_calls():
@@ -1284,20 +1271,26 @@ def test_text_run_negative_objective():
 
 def test_cubic_seeker_g0_objective_sequence():
     # the points of test_cubic_seeker_g0_objective_calls, in order: those of
-    # the stage-field run that records the slow field in the run
+    # the stage-field run's kernel, which measures its kept samples after
+    # the run, at the points of the kernel's rows there
     got, want, got_est, want_est = _run_both(
         lambda th: 0.5 * (th[0] - 1.0) ** 2 + (th[0] - 1.0) ** 3,
         lambda s: mean_field_g0(s, np.array([1.2]), 1.0, burn_in=20.0, window=400.0),
     )
-    assert got == _form_calls(want, [1.2])
-    assert len(got) == 45_473
+    _, n_steps = _resolve_step(make_esc_quadratic().basis, 1.0, 820.0, None)
+    kept = len(want) - 4 * n_steps
+    run, samples = want[:-kept], want[-kept:]
+    assert got == _form_calls(run, [1.2])
+    assert len(got) == 45_473 and kept == 22_182
+    # each sample's point is its step's first stage's, the last stage's at the end
+    assert samples == run[4 * (n_steps + 1 - kept) :: 4] + [run[-1]]
     assert got_est.value.tobytes() == want_est.value.tobytes()
     assert got_est.osc_amplitude == want_est.osc_amplitude
 
 
 def test_esc_planar_washout_mean_field_g0():
-    # an order-2 washout has no frozen form: its slow field is recorded
-    # in the run, bit for bit the array callbacks'
+    # an order-2 washout has no frozen form: its stage field is called at
+    # the kept samples after the run, bit for bit the array callbacks'
     system, ref = planar_pair(False)
     assert system.frozen is None
     kw = dict(burn_in=5.0, window=20.0)

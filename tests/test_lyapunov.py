@@ -165,6 +165,12 @@ class TestFailureModes:
         with pytest.raises(ConfigError):
             lyapunov_exponent(scalar_decay_system(), np.zeros(1), 0.0, np.ones(1), 10.0)
 
+    @pytest.mark.parametrize("make", [scalar_decay_system, make_linear_system])
+    def test_one_step_horizon(self, make):
+        # both halves end at the one step: the tail rate divided by zero
+        with pytest.raises(ConfigError, match="^horizon 0.01 spans one RK4 step"):
+            lyapunov_exponent(make(), np.zeros(1), 1.0, np.ones(1), 0.01)
+
     def test_lambda0_shape(self):
         with pytest.raises(ConfigError):
             lyapunov_exponent(scalar_decay_system(), np.zeros(1), 1.0, np.ones(2), 10.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsakit import meanflow
-from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, integrate
+from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, _resolve_step, integrate
 from qsakit.errors import (
     ConfigError,
     NonConvergent,
@@ -26,6 +26,7 @@ from qsakit.meanflow import (
     stationary_grid,
     write_grid_csv,
 )
+from qsakit.esc import EscConfig, Objective, build_esc_system
 from qsakit.probing import make_frequency_basis
 from qsakit.systems import make_esc_quadratic
 
@@ -143,6 +144,32 @@ class TestMeanFieldG0:
         for op in (fast_equilibrium, mean_field_g0):
             with pytest.raises(ConfigError, match="beta must be positive"):
                 op(linear_system(), np.ones(1), beta, **kw)
+
+    @pytest.mark.parametrize("make", [linear_system, make_esc_quadratic])
+    def test_window_without_a_sample_is_a_config_error(self, make):
+        # a window shorter than the step leaves the first one empty: its
+        # mean was NaN, which the drift check let through
+        for op in (fast_equilibrium, mean_field_g0):
+            with pytest.raises(ConfigError, match=(
+                r"^window 0\.001 leaves an averaging window without a sample at the RK4 step"
+            )):
+                op(make(), np.ones(1), 0.1, burn_in=1.0, window=0.001)
+
+    def test_seeker_measures_theta_once(self):
+        # eps(theta) takes f(theta) under objective_scaled: the frozen run
+        # measures it once, and the slow field after the run reads the
+        # text that run made, so g0 adds no objective call to the run's
+        calls = []
+
+        def fn(th):
+            calls.append(1)
+            return 0.5 * float((th[0] - 1.0) ** 2)
+
+        config = EscConfig(objective=Objective(fn), epsilon=0.1, gain_kind="objective_scaled")
+        system = build_esc_system(config)
+        mean_field_g0(system, [1.2], 1.0, tol=1.0, burn_in=5.0, window=20.0)
+        _, n_steps = _resolve_step(system.basis, 1.0, 45.0, None)
+        assert len(calls) == 1 + 2 * n_steps + 1
 
 
 class TestFindRoot:
