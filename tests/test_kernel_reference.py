@@ -19,6 +19,7 @@ external command.
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,9 +29,14 @@ from qsakit.dynamics import (
     GainSchedule,
     Trajectory,
     TwoTimescaleSystem,
+    _on_text,
+    _pinned_gains,
+    _pinned_text,
     _resolve_step,
+    _rk4,
     integrate,
     integrate_frozen_fast,
+    step_bound,
 )
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite
 from qsakit.esc import (
@@ -44,7 +50,7 @@ from qsakit.esc import (
 )
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
 from qsakit.lyapunov import lyapunov_exponent
-from qsakit.meanflow import _windowed_run, mean_field_g0
+from qsakit.meanflow import _slow_series, _windowed_run, mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
@@ -913,6 +919,52 @@ def test_slow_series_is_the_stage_field_at_the_kernel_rows(name):
     for got, k in zip(series, kept):
         want = system.analysis_floats(theta, traj.lam[k], kernel_rows[k])
         assert got.tobytes() == np.array(want).tobytes(), k
+
+
+#: (system, theta, lambda0, beta) of the kernel-level check below
+HOOK_SYSTEMS = {
+    "linear-3.1": (make_linear_system, [0.3], [-0.2], 1.0),
+    "esc-probe-feedback": (lambda: make_esc_quadratic(single_at=False), [0.7], [0.2], 1.0),
+}
+
+
+@pytest.mark.parametrize("start", [0, 5000])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name", sorted(HOOK_SYSTEMS))
+def test_record_hook_sees_the_samples(name, stride, start):
+    # named for the record hook the after-run evaluation replaced: at every
+    # stored sample of a frozen-fast _rk4 run, with any stride and start,
+    # _slow_series on the run's text and on its stage field alone is the
+    # stage field's slow part at the kernel's state and probe row
+    make, theta, lam0, beta = HOOK_SYSTEMS[name]
+    system, theta = make(), np.array(theta)
+    ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
+    h = step_bound(system.basis, beta)
+    n_steps = KERNEL_CHUNK + 477  # crosses a chunk boundary, 1501 % 3 != 0
+    rows = []
+    logging = _row_logging(system, rows)
+    run = (h, n_steps, stride, system, _pinned_gains(beta))
+    t, samples = _rk4(
+        logging.stage, (ds, df, "frozen-fast"), (th,), list(lam0), *run, start=start
+    )
+    text = _pinned_text(system, th)
+    assert text is not None
+    shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), list(lam0))
+    t_text, on_text = _rk4(system.stage, shape, args, x, *run, start=start)
+    assert t_text.tobytes() == t.tobytes()
+    assert on_text[:, :df].tobytes() == samples.tobytes()
+    assert t[-1] == (start + n_steps) * h
+    # each sample's row is its step's first stage's, the last stage's at the end
+    kernel_rows = rows[: 4 * n_steps : 4 * stride] + [rows[-1]]
+    assert len(kernel_rows) == t.shape[0]
+    keep = np.ones(t.shape[0], dtype=bool)
+    measured = None if text.carry is None else on_text[:, df]
+    for run_text in (text, None):
+        traj = SimpleNamespace(t=t, lam=samples, measured=measured, text=run_text)
+        series = _slow_series(system, theta, traj, keep)
+        for k in range(t.shape[0]):
+            want = system.analysis_floats(theta, samples[k], kernel_rows[k])
+            assert series[k].tobytes() == np.array(want).tobytes(), (run_text is None, k)
 
 
 def test_cubic_seeker_g0_objective_calls():
