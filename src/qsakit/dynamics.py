@@ -79,8 +79,42 @@ from .probing import clock_phases, identity_map, probe_signal
 #: holds a Python object per stage, so it is kept short to bound memory
 _CHUNK = 1 << 10
 
-#: rows per formatted block of write_csv
+#: rows per block of write_csv: a block's rows are stacked and formatted
+#: together, so a block bounds the stacked copy of the caller's columns
+#: and the formatter's scratch arrays (about 170 bytes per value)
 _CSV_BLOCK = 1 << 10
+
+
+def _digit_tables():
+    """The ASCII digits of 0000..9999, four bytes per number read as one
+    uint32, and each number's trailing zero digits (4 for 0000)."""
+    ascii_digits, zeros = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), np.zeros((), np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place, shape in enumerate([(10, 1, 1, 1), (10, 1, 1), (10, 1), (10,)]):
+        digits[..., place] = ascii_digits.reshape(shape)
+        zeros = (zeros + 1) * (ascii_digits == ord("0")).reshape(shape)
+    return digits.view(np.uint32).ravel(), zeros.ravel()
+
+
+_DIGITS4, _ZEROS4 = _digit_tables()
+
+#: Veltkamp's splitter: x * s - (x * s - x) is x rounded to 26 bits
+_SPLITTER = 2.0**27 + 1.0
+
+#: 10**k for k = 0..20, each an exact double (k <= 22), split in two halves
+_POW10 = np.array([float(10**k) for k in range(21)])
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+#: bytes kept of a formatted value's 25-byte row, indexed by
+#: (first * 25 + end) * 2 + negative: the sign byte if negative, bytes
+#: first .. end - 1, and the separator, byte 24 (_csv_rows)
+_CSV_KEEP = (
+    (np.arange(25) >= np.arange(6)[:, None, None, None])
+    & (np.arange(25) < np.arange(25)[:, None, None])
+    | (np.arange(25) == 0) & (np.arange(2)[:, None] == 1)
+    | (np.arange(25) == 24)
+).reshape(-1, 25)
 
 #: _rk4's block loop per run shape, generated on first use (_step_loop)
 _STEP_LOOPS = {}
@@ -354,23 +388,121 @@ class Trajectory:
         blocks.append(("phase", self.phases.T))
         names = ["t", "a_t", "beta"]
         names += [f"{k}_{i + 1}" for k, v in blocks for i in range(v.shape[1])]
-        data = np.column_stack([self.t, self.a, self.beta] + [v for _, v in blocks])
-        write_csv(path, names, data)
+        write_csv(path, names, [self.t, self.a, self.beta] + [v for _, v in blocks])
 
 
 def write_csv(path, names, data):
-    """Write the header names and the rows of the 2-D float array data as
-    CSV with 17 significant digits per value to a file name or text stream:
-    np.savetxt's bytes (fmt "%.17g", header without comment prefix),
-    formatted with one % per block of _CSV_BLOCK rows, so one block of
-    Python floats is held at a time."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    """Write the header names and the rows of data as CSV with 17
+    significant digits per value to a file name or text stream:
+    np.savetxt's bytes (fmt "%.17g", header without comment prefix).
+    data is a 2-D float array or a sequence of arrays with one row per
+    CSV row (1-D columns or 2-D blocks of columns), stacked side by side
+    one block of _CSV_BLOCK rows at a time (_csv_rows formats a block)."""
+    columns = [data] if isinstance(data, np.ndarray) else list(data)
     with contextlib.ExitStack() as stack:
         fh = path if hasattr(path, "write") else stack.enter_context(open(path, "w"))
         fh.write(",".join(names) + "\n")
-        for lo in range(0, data.shape[0], _CSV_BLOCK):
-            block = data[lo : lo + _CSV_BLOCK]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        for lo in range(0, columns[0].shape[0], _CSV_BLOCK):
+            block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in columns])
+            fh.write(_csv_rows(block).decode("ascii"))
+
+
+def _scaled17(a, e10):
+    """round(a * 10**(16 - e10)) as int64, half to even, exactly, for
+    positive a and 0 <= 16 - e10 <= 20.  p + e is the product exactly
+    (Dekker's two-product); where the result has 17 digits p is an even
+    integer above 2**53, so rounding e alone rounds p + e."""
+    k = 16 - e10
+    p = a * np.take(_POW10, k)
+    t = a * _SPLITTER
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    c_hi, c_lo = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    e = ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digit_planes(a):
+    """The decimal exponent E of each positive a (1e-4 <= a < 1e17) after
+    rounding to 17 significant digits, its digit string "00000" + the 17
+    digits (the first of weight 10**E at index 5) as 23 uint8 planes of
+    one byte per value (index 22 unused), and the count of trailing zero
+    digits.  E is estimated by log10 and corrected until the 17 digits,
+    N = round(a * 10**(16 - E)) (_scaled17), are 10**16 <= N < 10**17."""
+    e10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    n17 = _scaled17(a, e10)
+    off = np.flatnonzero((n17 < 10**16) | (n17 >= 10**17))
+    while off.size:
+        e10[off] += np.where(n17[off] < 10**16, -1, 1)
+        n17[off] = _scaled17(a[off], e10[off])
+        off = off[(n17[off] < 10**16) | (n17[off] >= 10**17)]
+    lead, tail = np.divmod(n17, 10**16)
+    quads = np.empty((4, a.size), np.int64)
+    hi8, lo8 = np.divmod(tail, 10**8)
+    np.divmod(hi8, 10**4, out=(quads[0], quads[1]))
+    np.divmod(lo8, 10**4, out=(quads[2], quads[3]))
+    d = np.full((23, a.size), ord("0"), np.uint8)
+    d[5] += lead.astype(np.uint8)
+    d[6:22].reshape(4, 4, -1)[...] = (
+        np.take(_DIGITS4, quads).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
+    )
+    zeros = np.take(_ZEROS4, quads[3])
+    for k in (2, 1, 0):
+        zeros = np.where(zeros == 12 - 4 * k, zeros + np.take(_ZEROS4, quads[k]), zeros)
+    return e10, d, zeros
+
+
+def _csv_rows(block):
+    """The rows of the 2-D array block as ASCII CSV lines, each value
+    formatted exactly as '%.17g' formats it.
+
+    '%.17g' writes x in fixed notation when its decimal exponent E (of x
+    rounded to 17 digits) is in [-4, 16], which holds for 1e-4 <= |x| <
+    1e17.  Those values are formatted here on arrays (_digit_planes).
+    Each value gets a row of 25 bytes, [sign, 22 digit/point slots,
+    spare, separator], built one byte position at a time across the
+    block (planes), and a mask (_CSV_KEEP) keeps the sign if negative,
+    the slots from the first digit printed to the last nonzero one (the
+    point too if a fraction digit is kept) and the separator; one
+    compaction joins the block.  Every other value (0, -0.0, nan, +-inf,
+    |x| < 1e-4, |x| >= 1e17) is formatted by '%.17g' itself, one string
+    for all of them, and its bytes are placed in its row."""
+    rows, cols = block.shape
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    n = x.size
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    e10, d, zeros = _digit_planes(np.where(fixed, a, 1.0))
+
+    # slots: the digit string with the point after its digit of weight
+    # 10**0 (index 5 + E), the digits after it one slot on; a blend, not
+    # a masked copy, because the mask changes from value to value
+    planes = np.empty((25, n), np.uint8)
+    point = (5 + e10).astype(np.uint8)
+    before = np.arange(22, dtype=np.uint8)[:, None] < point
+    np.multiply(d[1:] - d[:22], before.view(np.uint8), out=planes[1:23])
+    planes[1:23] += d[:22]
+    planes.reshape(-1)[(1 + point.astype(np.intp)) * n + np.arange(n)] = ord(".")
+    planes[0] = ord("-")
+    sep = np.full((rows, cols), ord(","), np.uint8)
+    sep[:, -1] = ord("\n")
+    planes[24] = sep.ravel()
+    # kept slots: from the first digit printed ("0" of 0.xxx if E < 0) to
+    # the last nonzero digit; without the point if no fraction digit is left
+    first = 5 + np.minimum(e10, 0)
+    end = np.where(zeros <= 15 - e10, 23 - zeros, 6 + e10)
+    negative = x < 0
+
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        text = ("%-24.17g" * other.size % tuple(x[other].tolist())).encode("ascii")
+        chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        planes[:24, other] = chars.T
+        first[other] = 0
+        end[other] = np.count_nonzero(chars != ord(" "), axis=1)
+        negative[other] = False
+    keep = np.take(_CSV_KEEP, (first * 25 + end) * 2 + negative, axis=0)
+    return planes.T[keep].tobytes()
 
 
 def step_bound(basis, beta):
