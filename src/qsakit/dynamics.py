@@ -474,9 +474,9 @@ def _csv_rows(block):
     fixed = (a >= 1e-4) & (a < 1e17)
     e10, d, zeros = _digit_planes(np.where(fixed, a, 1.0))
 
-    # slots: the digit string with the point after its digit of weight
-    # 10**0 (index 5 + E), the digits after it one slot on; a blend, not
-    # a masked copy, because the mask changes from value to value
+    # slots: d[1:22] with the point after the digit of weight 10**0 (d
+    # index 5 + E, slot 4 + E) and the digits after it one slot on; a
+    # blend, not a masked copy, because the mask changes from value to value
     planes = np.empty((25, n), np.uint8)
     point = (5 + e10).astype(np.uint8)
     before = np.arange(22, dtype=np.uint8)[:, None] < point
