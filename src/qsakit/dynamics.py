@@ -24,28 +24,29 @@ reads the system's one stage field, stage(theta, lam, xi, a, b) ->
 (slow, fast), the stage derivative at gains (a, b) on such lists: slow =
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  Array callbacks g, h and g_probe
-are wrapped once, when the system is built, by one adapter, which hands
-them float64 arrays and reads each output back as a list of its block's
-length (a scalar fills a 1-element block, any other length is a
-ConfigError).  A system's field is fixed at construction.
+None, the averaged slow field b = None.  A system given as array
+callbacks g, h and g_probe gets its stage field once, when it is built,
+from one adapter, which hands them float64 arrays and reads each output
+back as a list of its block's length (a scalar fills a 1-element block,
+any other length is a ConfigError).  A system's field is fixed at
+construction.
 
 The built-in systems state their field once, as expression text
 (StageText) over the stage's theta, Lambda and probe row (locals th0..,
 la0.., xi0..), their constants, which runs receive as values, not
-literals, and the locals of a statement run at every stage.  Their stage
-field and dh_dlambda are compiled from the text, and their runs write
-the text into the loop, with no call.  The extremum seeker of qsakit.esc
-at order 1 states its measurement y = f(theta + eps xi)/eps as that
-statement: with a single a_t at a constant probing gain the text is its
-field, so its coupled runs measure at every stage inside the loop; every
-order-1 seeker has a frozen text, system.frozen(theta), the same text
-at a pinned theta, for its frozen-fast and sensitivity runs, where y
-depends on the probe row alone: it is measured once per new probe row,
-in step order (k2's row, then k4's row, whose value the next k1 reuses),
-and carried as the stack's last entry, so the run samples it with the
-state.  The runs of any other stage field (user fields, array callbacks,
-the seekers without text) call it.
+literals, the locals of a statement run at every stage, and the stage's
+slow gain a.  Their stage field and dh_dlambda are compiled from the
+text, and their runs write the text into the loop, with no call.  The
+extremum seeker of qsakit.esc at order 1 states its measurement y =
+f(theta + eps xi)/eps as that statement, eps(theta) included, so its
+coupled runs measure at every stage inside the loop.  Its frozen text,
+system.frozen(theta), is the same text at a pinned theta, for its
+frozen-fast and sensitivity runs, where y depends on the probe row
+alone: it is measured once per new probe row, in step order (k2's row,
+then k4's row, whose value the next k1 reuses), and carried as the
+stack's last entry, so the run samples it with the state.  The runs of
+any other stage field (user fields, array callbacks, the seekers at
+order >= 2) call it.
 
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
@@ -155,8 +156,10 @@ class StageText(NamedTuple):
     a*(slow[i]) and b*(fast[i]), the sensitivity derivative b*(0.0 +
     (jac)*s).  The text reads th0.., la0.., the row entries xi0.. of a
     probe row, the constants names, bound to values per run, and the
-    locals that the statement per_stage ('' for none) binds; no name may
-    be a local of the generated loop.  per_stage runs at every stage once
+    locals that the statement per_stage ('' for none) binds; slow may
+    also read the stage's slow gain a.  No name may be a local of the
+    generated loop, which binds a only for a text that reads it
+    (_reads_gain).  per_stage runs at every stage once
     the stage's state locals are bound; jac reads none of its locals.
     With carry, a local of per_stage, per_stage reads no state but the
     pinned theta of a frozen run: it then runs once per new probe row,
@@ -184,6 +187,11 @@ def _on_text(text, shape, args, x):
         return shape, args, x
     key = text._replace(values=None)
     return shape + (key,), args + text.values, x + [None] * (text.carry is not None)
+
+
+def _reads_gain(text):
+    """Whether text's slow part reads the stage's slow gain a."""
+    return any("a" in compile(e, "<slow>", "eval").co_names for e in text.slow)
 
 
 def _row_locals(text):
@@ -237,10 +245,11 @@ def text_field(text):
 def text_slow(text, theta, lam, xi, carried):
     """text's slow part at a = 1.0 on a frozen run's n samples, (n,
     dim_slow): each expression evaluated once on float64 arrays, with the
-    pinned theta's floats th0.., lam's columns la0.., xi's rows xi0.. and
-    the carried local's (n,) values carried.  numpy's elementwise +, - and
-    * round as the stage field's floats do, so each value is the field's."""
-    scope = dict(zip(text.names, text.values))
+    pinned theta's floats th0.., lam's columns la0.., xi's rows xi0.., the
+    carried local's (n,) values carried and the slow gain a = 1.0.
+    numpy's elementwise +, - and * round as the stage field's floats do,
+    so each value is the field's."""
+    scope = dict(zip(text.names, text.values), a=1.0)
     scope.update((f"th{d}", v) for d, v in enumerate(theta))
     scope.update((f"la{d}", lam[:, d]) for d in range(lam.shape[1]))
     scope.update((f"xi{i}", row) for i, row in enumerate(xi))
@@ -263,22 +272,22 @@ def _lattice(count, dim, lo=-1.0, hi=1.0):
 class TwoTimescaleSystem:
     """Coupled slow/fast vector fields with their probing clock.
 
-    g and h are array callbacks (theta, lam, xi) -> array; g_probe adds
-    a_t-weighted probing feedback (slow rate a_t * (g + a_t * g_probe)).
     Runs read the stage field self.stage (module docstring), bound once
-    here: the stage given, else the adapter of g, h and g_probe.
-    Reassigning a callback after construction does not change a run.
-    Given text, a StageText, the stage field, dh_dlambda, g and h are
-    compiled from it (text_field, _callbacks_of) in place of those passed.
-    text, and frozen, a map from a pinned theta list to the StageText of
-    the same field there, stand in for the stage field and dh_dlambda in
-    runs (module docstring).  The stage
-    field keeps no memo: a list handed to it may change once the call
-    returns.  An exact Fourier form of [g; h] is checked against the
-    callbacks at construction.  dh_dlambda(theta, lam, xi), called with
-    the stage's lists, is an analytic fast Jacobian for sensitivity runs
-    (shapes: see qsakit.lyapunov); lambda_star / theta_star record known
-    equilibria.
+    here: the field compiled from text, a StageText, else the stage given,
+    else the adapter of the array callbacks g, h and g_probe, (theta,
+    lam, xi) -> array, where g_probe adds a_t-weighted probing feedback
+    (slow rate a_t * (g + a_t * g_probe)).  g, h and g_probe are kept as
+    passed, None on a system given its field; reassigning one after
+    construction does not change a run.  Given text, dh_dlambda is
+    compiled from it too.  text, and frozen, a map from a pinned theta
+    list to the StageText of the same field there, stand in for the stage
+    field and dh_dlambda in runs (module docstring).  The stage field
+    keeps no memo: a list handed to it may change once the call returns.
+    An exact Fourier form of [g + g_probe; h] is checked against the stage
+    field at unit gains at construction.  dh_dlambda(theta, lam, xi),
+    called with the stage's lists, is an analytic fast Jacobian for
+    sensitivity runs (shapes: see qsakit.lyapunov); lambda_star /
+    theta_star record known equilibria.
     """
 
     def __init__(
@@ -306,7 +315,6 @@ class TwoTimescaleSystem:
         self.dim_fast = int(dim_fast)
         if text is not None:
             stage, dh_dlambda = text_field(text)
-            g, h = _callbacks_of(stage)
         self.g = g
         self.h = h
         self.basis = basis
@@ -342,16 +350,13 @@ class TwoTimescaleSystem:
         clocks = np.exp(2j * math.pi * clock_phases(self.basis, ts)).T
         ds = self.dim_slow
         direct = [
-            np.concatenate(
-                [np.atleast_1d(np.asarray(cb(x[:ds], x[ds:], xi), dtype=float))
-                 for cb in (self.g, self.h)]
-            )
+            np.concatenate(self.stage(*_float_lists(x[:ds], x[ds:], xi), 1.0, 1.0))
             for x, xi in zip(pts, probe_signal(self.probing, self.basis, ts).T)
         ]
         worst = float(np.max(np.abs(self.fourier.eval(pts, clocks) - direct)))
         if worst > tol:
             raise ConfigError(
-                f"fourier form disagrees with callbacks (max defect {worst:.3e})"
+                f"fourier form disagrees with the stage field (max defect {worst:.3e})"
             )
 
 
@@ -558,19 +563,6 @@ def _checked_parts(parts, slow, fast):
     return parts
 
 
-def _callbacks_of(stage):
-    """Array callbacks (g, h) of a stage field without probing feedback:
-    its parts at unit gains, as float64 arrays."""
-
-    def g(theta, lam, xi):
-        return np.array(stage(*_float_lists(theta, lam, xi), 1.0, None)[0])
-
-    def h(theta, lam, xi):
-        return np.array(stage(*_float_lists(theta, lam, xi), None, 1.0)[1])
-
-    return g, h
-
-
 def _array_stage(g, h, g_probe, dim_slow, dim_fast):
     """The stage field of array callbacks: they get float64 arrays, in the
     order g, g_probe, h (each only when its gain is given), and _floats
@@ -642,6 +634,9 @@ def _step_loop_source(shape):
             if text.per_stage and not carry:
                 out.append(text.per_stage)
             if not frozen:
+                if _reads_gain(text):  # bound only where read: other loops keep their source
+                    out.append(f"a = {a}")
+                    a = "a"
                 out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(text.slow)]
             out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, text.fast)]
         elif frozen:

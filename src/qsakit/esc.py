@@ -27,22 +27,20 @@ each RK4 stage's slow and fast parts come from one measurement
 f(theta + eps xi) / eps, with eps = eps(theta).  At order 1 the seeker
 states its field once, as expression text (qsakit.dynamics.StageText,
 built by _order1_text): the measurement as a statement run at every
-stage, the washout step 0.0 + f1*la0 + g1*y and its Jacobian f1, and,
-with a single a_t, the slow part.  At a constant probing gain with a
-single a_t (qsakit esc and esc-quadratic by default) that text is the
-seeker's field: its stage field, dh_dlambda, g and h are compiled from
-it and its coupled runs write it into the RK4 loop.  Every order-1
-seeker hands the kernel the same text at a pinned theta as its frozen
+stage, eps(theta) first where it depends on theta, the washout step 0.0
++ f1*la0 + g1*y and its Jacobian f1, and the slow part, which reads the
+stage's slow gain at the doubled gain.  Its stage field and dh_dlambda
+are compiled from that text, and its coupled runs write it into the RK4
+loop.  At a pinned theta it hands the kernel the same text as its frozen
 text (system.frozen(theta)): a frozen-fast or sensitivity run computes
 eps(theta) once and measures each new probe row once, in step order, and
 qsakit.meanflow evaluates the text's slow part on the run's sampled
-state, measurement and probe rows after the run.  The coupled runs of a
-seeker with the doubled gain or a theta-dependent eps, and every run at
-order >= 2, call the stage field written out below.  Objectives,
-external commands included, must be deterministic: frozen runs measure
-a probe row fewer times than the stage field would, and the averaged
-slow field of a seeker at order >= 2 measures its kept samples again,
-after the run.
+state, measurement and probe rows after the run.  Every run at order >=
+2 calls the stage field written out below.  Objectives, external
+commands included, must be deterministic: frozen runs measure a probe
+row fewer times than the stage field would, and the averaged slow field
+of a seeker at order >= 2 measures its kept samples again, after the
+run.
 
 The measurement computes on Python floats, since numpy's per-call cost
 dominates on one or two elements.  Each float operation is the one
@@ -61,16 +59,17 @@ as a list (the built-in quadratic sums it as it is) and any other
 callable one float64 array.
 
 The washout products F lambda and H'lambda are floats only at order 1,
-where numpy's 1x1 matvec and one-element dot compute 0.0 + m*l: the 0.0
-turns a -0.0 product into +0.0.  At order >= 2 numpy computes them,
-since a sequential float sum does not follow its summation order (BLAS,
-FMA): on random order-2 inputs it differs from numpy's dot in about a
-quarter of cases and from its matvec in nearly half.  Every washout a
-config builds is order 1.
+where the text writes numpy's 1x1 matvec and one-element dot as 0.0 +
+m*l: the 0.0 turns a -0.0 product into +0.0.  At order >= 2 numpy
+computes them, since a sequential float sum does not follow its
+summation order (BLAS, FMA): on random order-2 inputs it differs from
+numpy's dot in about a quarter of cases and from its matvec in nearly
+half.  Every washout a config builds is order 1.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import shlex
@@ -80,13 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    StageText,
-    TwoTimescaleSystem,
-    _callbacks_of,
-    _float_lists,
-    _row_error,
-)
+from .dynamics import StageText, TwoTimescaleSystem, _float_lists, _row_error
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -591,24 +584,34 @@ def esc_meanflow_approx(config, theta, sigma_check, m0) -> np.ndarray:
 
 def _order1_text(config, constants):
     """The order-1 seeker's field as text: text(eps, carry) is its
-    StageText at the probing gain eps.  Its per-stage statement is the
-    measurement y (_measurement_text), carried as carry at a pinned theta;
-    the fast part is 0.0 + f1*la0 + g1*y and the Jacobian f1; the slow
-    part per coordinate is -sigma*(th - c) + -xi_check*(0.0 + h1*la0 +
-    J*y), the stage field's with its factor 1.0 left out (1.0 * p is p,
-    bit for bit): with a single a_t, and at a = 1.0 with the doubled gain
-    as well, which only a frozen run reads this text for.  constants are
-    the values of neg_sigma, c0.., h1, J, f1 and g1."""
+    StageText at the probing gain eps, or at eps(theta) when eps is None,
+    which a statement eps = eps_at((th0, ..)) (probing_gain: the objective
+    at theta, sign guard included) computes per stage before the
+    measurement.  The per-stage statement ends with the measurement y
+    (_measurement_text), carried as carry at a pinned theta; the fast part
+    is 0.0 + f1*la0 + g1*y and the Jacobian f1; the slow part per
+    coordinate is -sigma*(th - c) + -xi_check*(0.0 + h1*la0 + J*y), with
+    the correlation term times the stage's slow gain a at the doubled gain
+    and, with a single a_t, the factor 1.0 left out (1.0 * p is p, bit for
+    bit).  constants are the values of neg_sigma, c0.., h1, J, f1 and g1."""
     d = config.dim
     statement, names, values = _measurement_text(config)
-    hl = "0.0 + h1 * la0 + J * y"
-    slow = tuple(f"neg_sigma * (th{i} - c{i}) + -xi{d + i} * ({hl})" for i in range(d))
-    names = ("neg_sigma", *(f"c{i}" for i in range(d)), "h1", "J", "f1", "g1", *names, "eps")
+    probe = [f"-xi{d + i} * (0.0 + h1 * la0 + J * y)" for i in range(d)]
+    if not config.single_at:
+        probe = [f"a * ({p})" for p in probe]
+    slow = tuple(f"neg_sigma * (th{i} - c{i}) + {p}" for i, p in enumerate(probe))
+    names = ("neg_sigma", *(f"c{i}" for i in range(d)), "h1", "J", "f1", "g1", *names)
+    th = "".join(f"th{i}, " for i in range(d))
+    eps_at = functools.partial(probing_gain, config)
 
     def text(eps, carry):
+        if eps is None:
+            per_stage, name, eps = f"eps = eps_at(({th})); {statement}", "eps_at", eps_at
+        else:
+            per_stage, name = statement, "eps"
         return StageText(
-            slow, ("0.0 + f1 * la0 + g1 * y",), "f1", 2 * d, statement, carry, names,
-            (*constants, *values, eps),
+            slow, ("0.0 + f1 * la0 + g1 * y",), "f1", 2 * d, per_stage, carry,
+            (*names, name), (*constants, *values, eps),
         )
 
     return text
@@ -621,18 +624,15 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     (affine in the state, so its top Lyapunov exponent is the filter's
     dominant eigenvalue).  Slow field: -sigma (theta - ctr) plus the probe
     correlation term; the correlation term is integrated with an extra
-    factor a_t by default (g_probe mechanism), or folded into the plain
-    slow field when config.single_at is set.  The washout state runs at
-    the schedule's fast gain b_t (qsakit esc: gains.beta, default 0.1; the
-    reference runs use 1).  An order-1 washout states its field as text
-    (_order1_text): its frozen text always, and with a single a_t at a
-    constant probing gain the system's text, from which its stage field,
-    dh_dlambda, g and h are compiled (module docstring).  Every other
-    seeker has the stage field below, which measures once per call, as
-    normalized_observation does, and checks the probe row's length 2*dim
-    (ConfigError); its array callbacks g, g_probe and h convert any
-    array-like input to float64 lists first and return its values as
-    float64 arrays.
+    factor a_t by default (the doubled gain), or once when
+    config.single_at is set.  The washout state runs at the schedule's
+    fast gain b_t (qsakit esc: gains.beta, default 0.1; the reference runs
+    use 1).  An order-1 washout states its field as text (_order1_text),
+    at every gain kind and either single_at: the system's text, from which
+    its stage field and dh_dlambda are compiled, and its frozen text
+    (module docstring).  A washout of order >= 2 has the stage field
+    below, which measures once per call, as normalized_observation does,
+    and checks the probe row's length 2*dim (ConfigError).
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -643,61 +643,39 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         )
     F, G, H, J = washout.F, washout.G, washout.H, washout.J
     d = config.dim
-    sigma = config.sigma
-
-    measure = _measurement(config)
     ctr_floats = config.theta_ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
-    neg_sigma = float(-sigma)
-    single_at = config.single_at
-    # F lam and H'lam: 0.0 + m*l on floats at order 1, numpy's own product
-    # at order >= 2 (module docstring)
-    order1 = washout.order == 1
-    f1, g1, h1 = (F.item(), G.item(), H.item()) if order1 else (None, None, None)
-
-    def stage(theta, lam, xi, a, b):
-        if len(xi) != 2 * d:
-            raise _row_error(xi, 2 * d)
-        y = measure(theta, xi)
-        slow = fast = None
-        if a is not None:
-            hl = 0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))
-            k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
-            pairs = zip(theta, ctr_floats, xi[d:])
-            slow = [a * (neg_sigma * (t - c) + k * (-v * (hl + J * y))) for t, c, v in pairs]
-        if b is not None:
-            if order1:
-                fast = [b * (0.0 + f1 * lam[0] + g1 * y)]
-            else:
-                fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
-        return slow, fast
-
-    text = frozen = None
-    if order1:
+    neg_sigma = float(-config.sigma)
+    text = frozen = stage = dh_dlambda = None
+    if washout.order == 1:
+        f1, g1, h1 = F.item(), G.item(), H.item()
         text_at = _order1_text(config, (neg_sigma, *ctr_floats, h1, J, f1, g1))
+        text = text_at(config.epsilon if config.gain_kind == "constant" else None, None)
 
         def frozen(theta):
             return text_at(probing_gain(config, theta), "y")
 
-        if single_at and config.gain_kind == "constant":
-            text = text_at(config.epsilon, None)
+    else:
+        measure = _measurement(config)
+        single_at = config.single_at
 
-    g_cb, h_cb = _callbacks_of(stage)
-    g_probe = None
-    if not single_at:
-        def g_cb(theta, lam, xi):
-            (theta,) = _float_lists(theta)
-            return np.array([neg_sigma * (t - c) for t, c in zip(theta, ctr_floats)])
+        def stage(theta, lam, xi, a, b):
+            if len(xi) != 2 * d:
+                raise _row_error(xi, 2 * d)
+            y = measure(theta, xi)
+            slow = fast = None
+            if a is not None:
+                hl = float(H @ np.array(lam))
+                k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
+                pairs = zip(theta, ctr_floats, xi[d:])
+                slow = [a * (neg_sigma * (t - c) + k * (-v * (hl + J * y))) for t, c, v in pairs]
+            if b is not None:
+                fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
+            return slow, fast
 
-        def g_probe(theta, lam, xi):
-            theta, lam, xi = _float_lists(theta, lam, xi)
-            out = 0.0 + h1 * lam[0] if order1 else float(H @ np.array(lam))
-            w = out + J * measure(theta, xi)
-            return np.array([-v * w for v in xi[d:]])
-
-    def dh_dlambda(theta, lam, xi):
-        return [f1] if order1 else F
+        def dh_dlambda(theta, lam, xi):
+            return F
 
     # solved once; the sign convention makes lambda_star = -F^{-1} G * mean input
     neg_finv_g = -np.linalg.solve(F, G)
@@ -709,16 +687,13 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
             _objective_value(config, theta) / probing_gain(config, theta)
         )
 
-    # given text, the system compiles its stage field, dh_dlambda, g and h
-    # from it in place of these
     return TwoTimescaleSystem(
         dim_slow=d,
         dim_fast=washout.order,
-        g=g_cb,
-        h=h_cb,
+        g=None,
+        h=None,
         basis=config.probing,
         probing=extended_probe_map(config),
-        g_probe=g_probe,
         stage=stage,
         text=text,
         frozen=frozen,

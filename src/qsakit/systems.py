@@ -8,9 +8,9 @@ and sweeps address them by name so no field expressions are needed.
 
 The linear pair and the decoupled integrator state their field once, as
 expression text (dynamics.StageText) that their runs write into the RK4
-loop; their stage field, dh_dlambda, g and h are compiled from it.  So
-does the reference seeker at its default single_at (qsakit.esc writes
-its text, the measurement included).
+loop; their stage field and dh_dlambda are compiled from it.  So does
+the reference seeker (qsakit.esc writes its text, the measurement
+included).
 """
 
 from __future__ import annotations

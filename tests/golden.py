@@ -11,19 +11,24 @@ acceptance bands, fails tier-1.
     python tests/golden.py
 
 rewrites golden_digests.json.  A rewrite changes the package's declared
-results and belongs in CHANGES.md with its reason.  The numpy version
-and the CPU features numpy dispatches on are recorded beside the
-digests: the complex exponential behind the probe signal may round
-differently on another CPU, which shows as a mismatch here.
+results and belongs in CHANGES.md with its reason.  What the rounding
+may depend on is recorded beside the digests (platform()): the numpy
+version, the CPU features numpy detects and the dispatch targets it
+uses, the BLAS build, OPENBLAS_CORETYPE and the C library.  The complex
+exponential behind the probe signal may round differently on another
+CPU, and a BLAS dot or matvec on another kernel, which shows as a
+mismatch here.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from platform import libc_ver
 
 import numpy as np
 
@@ -162,14 +167,24 @@ def library_values():
 
 
 def platform():
-    """The numpy version and the CPU features numpy dispatches on."""
+    """The numpy version, the CPU features numpy detects, the dispatch
+    targets it uses (built, supported and not in NPY_DISABLE_CPU_FEATURES),
+    the BLAS build string, OPENBLAS_CORETYPE and the C library."""
     try:
-        from numpy._core._multiarray_umath import __cpu_features__
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+        "cpu_dispatch": [
+            t for t in __cpu_dispatch__ if __cpu_features__.get(t) and t not in disabled
+        ],
+        "blas": blas.get("openblas configuration", f"{blas['name']} {blas.get('version')}"),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+        "libc": " ".join(libc_ver()),
     }
 
 

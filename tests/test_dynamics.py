@@ -122,6 +122,18 @@ class TestSystemConstruction:
         with pytest.raises(ConfigError):
             TwoTimescaleSystem(1, 1, g, h, basis, fourier=_linear_field())
 
+    def test_fourier_form_includes_the_probing_feedback(self):
+        # the form is checked against the stage field at unit gains, the
+        # field analysis_floats averages: [g + g_probe; h], not [g; h]
+        basis = linear_basis()
+        g, h = linear_callbacks()
+        g_probe = lambda t, l, x: np.array([0.25])  # noqa: E731
+        with pytest.raises(ConfigError, match="^fourier form disagrees with the stage field"):
+            TwoTimescaleSystem(1, 1, g, h, basis, g_probe=g_probe, fourier=_linear_field())
+        field = _linear_field(b1=0.25)
+        system = TwoTimescaleSystem(1, 1, g, h, basis, g_probe=g_probe, fourier=field)
+        assert system.fourier is field
+
     def test_fourier_dim_mismatch(self):
         basis = linear_basis()
         g, h = linear_callbacks()

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from qsakit import esc as esc_module
-from qsakit.dynamics import GainSchedule, integrate, integrate_frozen_fast
+from qsakit.dynamics import (
+    GainSchedule,
+    _float_lists,
+    _reads_gain,
+    integrate,
+    integrate_frozen_fast,
+)
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite, NonHurwitz
 from qsakit.esc import (
     EscConfig,
@@ -442,6 +448,11 @@ class TestMeanflowApprox:
         assert out[0] == pytest.approx(-sigma[0, 0], abs=1e-6)
 
 
+def fast_part(system, theta, lam, xi):
+    """The stage field's fast part at b = 1.0 at array-likes."""
+    return system.stage(*_float_lists(theta, lam, xi), None, 1.0)[1]
+
+
 class TestBuildSystem:
     def test_dimensions_and_affine_fast_field(self):
         planar = StateSpaceFilter(
@@ -456,7 +467,9 @@ class TestBuildSystem:
         xi = rng.normal(size=2)
         for _ in range(4):
             lam1, lam2 = rng.normal(size=2), rng.normal(size=2)
-            lhs = system.h(theta, lam1 + lam2, xi) - system.h(theta, lam1, xi)
+            lhs = np.subtract(
+                fast_part(system, theta, lam1 + lam2, xi), fast_part(system, theta, lam1, xi)
+            )
             assert np.allclose(lhs, planar.F @ lam2, atol=1e-12)
         assert np.allclose(system.dh_dlambda(theta, lam1, xi), planar.F)
 
@@ -473,19 +486,22 @@ class TestBuildSystem:
         meas = normalized_observation(config, theta, xi[:1])
         filtered = float(config.washout.H @ lam) + config.washout.J * meas
         expected = -0.2 * 1.7 - 0.6 * filtered
-        assert np.allclose(system.g(theta, lam, xi), [expected])
-        assert system.g_probe is None
+        assert np.allclose(system.analysis_floats(theta, lam, xi), [expected])
+        assert not _reads_gain(system.text)
 
     def test_slow_field_split(self):
         config = quad_config(sigma=0.2, single_at=False)
         system = build_esc_system(config)
+        assert _reads_gain(system.text)
         theta, lam = np.array([1.7]), np.array([0.4])
         xi = np.array([0.3, 0.6])
-        assert np.allclose(system.g(theta, lam, xi), [-0.2 * 1.7])
+        meas = normalized_observation(config, theta, xi[:1])
+        probe = -0.6 * (float(config.washout.H @ lam) + config.washout.J * meas)
+        # the doubled gain weighs the probe term by the slow gain once more
+        slow, _ = system.stage([1.7], [0.4], [0.3, 0.6], 0.5, None)
+        assert np.allclose(slow, [0.5 * (-0.2 * 1.7 + 0.5 * probe)])
         single = build_esc_system(quad_config(sigma=0.2, single_at=True))
-        assert np.allclose(
-            np.array(system.analysis_floats(theta, lam, xi)), single.g(theta, lam, xi)
-        )
+        assert system.analysis_floats(theta, lam, xi) == single.analysis_floats(theta, lam, xi)
 
     def test_lambda_star_leading_order(self):
         system = build_esc_system(quad_config())
@@ -509,7 +525,7 @@ class TestBuildSystem:
             system, GainSchedule(rho=0.7, beta=1.0), (np.array([0.3, -0.2]), np.zeros(1)), 2.0
         )
         integrate_frozen_fast(system, np.array([0.3, -0.2]), np.zeros(1), 1.0, 2.0)
-        system.h([1, 2], np.zeros(1), np.array([1, 0, 0, 0]))
+        system.analysis_floats([1, 2], np.zeros(1), np.array([1, 0, 0, 0]))
         assert seen == {(np.ndarray, np.dtype(np.float64), (2,))}
 
     def test_memo_keys_on_float64_bits(self):
@@ -528,8 +544,8 @@ class TestBuildSystem:
         ):
             system = build_esc_system(EscConfig(objective=Objective(fn), epsilon=0.1, dim=1))
             calls.clear()
-            a = system.h(first[0], np.zeros(1), first[1])
-            b = system.h(second[0], np.zeros(1), second[1])
+            a = fast_part(system, first[0], np.zeros(1), first[1])
+            b = fast_part(system, second[0], np.zeros(1), second[1])
             assert len(calls) == 2
             assert a != b
 
@@ -545,13 +561,10 @@ class TestBuildSystem:
         for theta, lam, xi in [tuple(np.array(v, dtype=float) for v in forms[0])] + forms:
             system = build_esc_system(config)  # fresh memos: every value computed
             got = [
-                system.g(theta, lam, xi),
-                system.h(theta, lam, xi),
+                fast_part(system, theta, lam, xi),
                 system.analysis_floats(theta, lam, xi),
                 normalized_observation(config, theta, xi[:1]),
             ]
-            if system.g_probe is not None:
-                got.append(system.g_probe(theta, lam, xi))
             if want is None:
                 want = got
             assert got == want
@@ -560,11 +573,11 @@ class TestBuildSystem:
     @pytest.mark.parametrize("single_at", [True, False])
     def test_short_probe_row(self, single_at, dim):
         # a row of the raw probes alone left the slow part empty; the field
-        # compiled from the text (single_at) and the stage field written
-        # out (the doubled gain) both reject it, naming the length 2 * dim
+        # compiled from the text, which every order-1 seeker has, rejects
+        # it, naming the length 2 * dim
         config = EscConfig(quadratic_objective(center=1.0), 0.1, dim=dim, single_at=single_at)
         system = build_esc_system(config)
-        assert (system.text is not None) == single_at
+        assert system.text is not None
         theta, xi = [1.2] * dim, [0.3] * dim
         message = rf"probe row of {dim} value\(s\), expected {2 * dim}$"
         with pytest.raises(ConfigError, match=message):
@@ -586,7 +599,7 @@ class TestBuildSystem:
         tail = "; the objective-scaled probing gain needs a nonnegative objective"
         # eps(theta) = 0.1 sqrt(1.05) passes; the probed point 0.05 - eps does not
         with pytest.raises(NegativeObjective) as err:
-            system.h(np.array([0.05]), np.zeros(1), np.array([-1.0, 0.0]))
+            fast_part(system, np.array([0.05]), np.zeros(1), np.array([-1.0, 0.0]))
         assert str(err.value) == "objective value -0.0524695 at [-0.05247]" + tail
         with pytest.raises(NegativeObjective) as err:
             integrate(

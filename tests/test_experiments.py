@@ -445,7 +445,7 @@ def test_bias_sweep_validation():
     with pytest.raises(ConfigError):
         bias_sweep(system, [])
     no_star = TwoTimescaleSystem(
-        1, 1, system.g, system.h, system.basis, probing=system.probing
+        1, 1, None, None, system.basis, probing=system.probing, stage=system.stage
     )
     with pytest.raises(ConfigError):
         bias_sweep(no_star, [0.1, 0.2, 0.4])

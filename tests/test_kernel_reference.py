@@ -29,9 +29,11 @@ from qsakit.dynamics import (
     GainSchedule,
     Trajectory,
     TwoTimescaleSystem,
+    _float_lists,
     _on_text,
     _pinned_gains,
     _pinned_text,
+    _reads_gain,
     _resolve_step,
     _rk4,
     integrate,
@@ -412,13 +414,16 @@ def test_linear_filtered(filter_init):
 
 
 def test_esc_probe_feedback_path():
+    # make_esc_quadratic(single_at=False) is esc_pair's constant case at
+    # the doubled gain, whose text reads the stage's slow gain
     system = make_esc_quadratic(single_at=False)
-    assert system.g_probe is not None
+    assert system.text is not None and _reads_gain(system.text)
+    _, ref = esc_pair(single_at=False)
     sched = GainSchedule(rho=0.7, beta=1.0)
     x0 = (np.array([0.4]), np.array([0.1]))
     assert_same(
         integrate(system, sched, x0, 40.0),
-        reference_integrate(system, sched, x0, 40.0),
+        reference_integrate(ref, sched, x0, 40.0),
     )
 
 
@@ -445,11 +450,10 @@ def test_stride_with_partial_final_stride():
 
 @pytest.mark.parametrize("stride", [1, 7])
 def test_frozen_fast_on_esc(stride):
-    system = make_esc_quadratic()
-    args = (system, np.array([0.7]), np.array([0.2]), 1.0, 50.0)
+    args = (np.array([0.7]), np.array([0.2]), 1.0, 50.0)
     assert_same(
-        integrate_frozen_fast(*args, sample_stride=stride),
-        reference_integrate_frozen_fast(*args, sample_stride=stride),
+        integrate_frozen_fast(make_esc_quadratic(), *args, sample_stride=stride),
+        reference_integrate_frozen_fast(esc_pair()[1], *args, sample_stride=stride),
     )
 
 
@@ -674,25 +678,28 @@ def test_esc_quartic_dim_4_frozen_fast(stride):
     )
 
 
+def _fast(system, theta, lam, xi):
+    """The stage field's fast part at b = 1.0 at array-likes, as an array."""
+    return np.array(system.stage(*_float_lists(theta, lam, xi), None, 1.0)[1])
+
+
 def test_esc_memo_sees_theta_changed_in_place():
     system, ref = esc_pair()
     theta, lam, xi = np.array([0.5]), np.array([0.2]), np.array([0.3, 0.6])
-    first = system.h(theta, lam, xi)
+    first = _fast(system, theta, lam, xi)
     assert np.array_equal(first, ref.h(theta, lam, xi))
     theta[0] = 1.5
-    second = system.h(theta, lam, xi)
+    second = _fast(system, theta, lam, xi)
     assert np.array_equal(second, ref.h(theta, lam, xi))
     assert not np.array_equal(first, second)
 
 
-def test_esc_callbacks_take_lists_and_integer_arrays():
+def test_esc_analysis_floats_take_lists_and_integer_arrays():
     system, ref = esc_pair()
     lam, xi = np.array([0.2]), np.array([0.3, 0.6])
-    want_h = ref.h(np.array([2.0]), lam, xi)
     want_g = ref.g(np.array([2.0]), lam, xi)
     for theta in ([2], [2.0], np.array([2]), np.array([2.0])):
-        assert np.array_equal(system.h(theta, lam, xi), want_h)
-        assert np.array_equal(system.g(theta, lam, xi), want_g)
+        assert np.array_equal(system.analysis_floats(theta, lam, xi), want_g)
 
 
 def test_esc_memo_shared_between_threads():
@@ -708,7 +715,7 @@ def test_esc_memo_shared_between_threads():
         for i in range(4000):
             k = (offset + i // 2) % len(points)  # each point twice: hits and misses
             theta, xi = points[k]
-            if not np.array_equal(system.h(theta, lam, xi), want[k]):
+            if not np.array_equal(_fast(system, theta, lam, xi), want[k]):
                 wrong.append(k)
 
     threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
@@ -738,7 +745,7 @@ def test_esc_eps_memo_shared_between_threads():
         for i in range(4000):
             k = (offset + i) % len(points)
             theta, xi = points[k]
-            if not np.array_equal(system.h(theta, lam, xi), want[k]):
+            if not np.array_equal(_fast(system, theta, lam, xi), want[k]):
                 wrong.append(k)
 
     threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
@@ -811,10 +818,25 @@ def zero_pair(single_at):
 
 def _recorded(system, log):
     """A new system running system's g, h and g_probe wrapped to log the
-    bits of each output, so that a -0.0 where the reference has +0.0 shows."""
+    bits of each output."""
     cbs = {name: getattr(system, name) for name in ("g", "h", "g_probe")}
     logged = {name: cb and _logged(cb, name, log) for name, cb in cbs.items()}
     return _with_callbacks(system, **logged)
+
+
+def _stage_recorded(system, log):
+    """A new system running system's stage field alone, logging the bits of
+    each part it returns, so that a -0.0 where the reference has +0.0 shows."""
+
+    def stage(theta, lam, xi, a, b):
+        parts = system.stage(theta, lam, xi, a, b)
+        log.append(tuple(None if p is None else np.array(p).tobytes() for p in parts))
+        return parts
+
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        stage=stage, dh_dlambda=system.dh_dlambda,
+    )
 
 
 def _logged(cb, name, log):
@@ -832,14 +854,15 @@ def test_esc_fast_state_at_signed_zero_coupled(single_at):
     sched = GainSchedule(rho=0.7, beta=1.0)
     x0 = (np.array([0.4]), np.array([0.0]))
     got_log, want_log = [], []
-    got = integrate(_recorded(system, got_log), sched, x0, 20.0)
-    want = reference_integrate(_recorded(ref, want_log), sched, x0, 20.0)
+    got = integrate(_stage_recorded(system, got_log), sched, x0, 20.0)
+    want = reference_integrate(ref, sched, x0, 20.0)
+    assert_same(integrate(_stage_recorded(ref, want_log), sched, x0, 20.0), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any() and got.theta[-1, 0] < 0.3
     assert len(got_log) == len(want_log) > 0
     assert got_log == want_log
-    # the run itself, on the text at single_at, has the same signed zeros
+    # the run itself, on the text, has the same signed zeros
     text_run = integrate(system, sched, x0, 20.0)
     assert_same(text_run, want)
     assert text_run.lam.tobytes() == want.lam.tobytes()
@@ -849,8 +872,9 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
     system, ref = zero_pair(True)
     args = (np.array([0.4]), np.array([0.0]), 1.0, 20.0)
     got_log, want_log = [], []
-    got = integrate_frozen_fast(_recorded(system, got_log), *args)
-    want = reference_integrate_frozen_fast(_recorded(ref, want_log), *args)
+    got = integrate_frozen_fast(_stage_recorded(system, got_log), *args)
+    want = reference_integrate_frozen_fast(ref, *args)
+    assert_same(integrate_frozen_fast(_stage_recorded(ref, want_log), *args), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any()
@@ -870,8 +894,7 @@ def _row_logging(system, rows):
         return system.stage(theta, lam, xi, a, b)
 
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.g, system.h, system.basis, system.probing,
-        stage=stage,
+        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing, stage=stage
     )
 
 
@@ -1118,8 +1141,8 @@ def test_esc_process_objective():
 def _stage_field_only(system):
     """system without its frozen form: every run calls its stage field."""
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.g, system.h, system.basis, system.probing,
-        g_probe=system.g_probe, stage=system.stage, dh_dlambda=system.dh_dlambda,
+        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        stage=system.stage, dh_dlambda=system.dh_dlambda,
     )
 
 
@@ -1272,6 +1295,22 @@ def test_text_run_points_and_order():
     assert_same(got_run, clean_run)
 
 
+@pytest.mark.parametrize("gain_kind", ["constant", "objective_scaled", "prior_scaled"])
+@pytest.mark.parametrize("single_at", [True, False])
+def test_coupled_objective_calls_on_text_and_stage_field(single_at, gain_kind):
+    # every order-1 seeker's coupled run evaluates the objective at the
+    # points of its stage field alone, bit for bit and in the same order:
+    # 4 per step, and one more at theta per stage when eps depends on f(theta)
+    fn = lambda th: 0.5 * (th[0] - 1.0) ** 2  # noqa: E731
+    got, want, got_run, want_run = _run_both(
+        fn, _coupled(0.3), single_at=single_at, gain_kind=gain_kind
+    )
+    assert got == want
+    assert_same(got_run, want_run)
+    per_stage = 2 if gain_kind == "objective_scaled" else 1
+    assert len(got) == 4 * per_stage * (got_run.n_samples - 1)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_text_run_escape_time():
     # the constant-gain seeker escapes from theta0 = -0.5 at beta = 1
@@ -1314,11 +1353,15 @@ def test_text_run_negative_objective():
     got, want, got_run, want_run = _run_both(lambda th: float(th[0]) - 5.0, _coupled(0.3))
     assert got == want
     assert_same(got_run, want_run)
-    # the objective-scaled gain keeps its guard, on the stage field
-    system = _logging_seeker(lambda th: float(th[0]) - 0.2, [], gain_kind="objective_scaled")
-    assert system.text is None
-    with pytest.raises(NegativeObjective, match="^objective value -"):
-        _coupled(0.3)(system)
+    # the objective-scaled gain keeps its guard, on the text as on the
+    # stage field
+    got, want, got_err, want_err = _run_both(
+        lambda th: float(th[0]) - 0.2, _coupled(0.3), NegativeObjective,
+        gain_kind="objective_scaled",
+    )
+    assert got == want
+    assert str(got_err) == str(want_err)
+    assert str(got_err).startswith("objective value -")
 
 
 def test_cubic_seeker_g0_objective_sequence():

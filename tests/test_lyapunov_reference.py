@@ -23,6 +23,7 @@ from qsakit.filters import StateSpaceFilter
 from qsakit.lyapunov import ExponentEstimate, _jacobian_evaluator, lyapunov_exponent
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_linear_system
+from test_kernel_reference import reference_esc, reference_linear, reference_quadratic
 
 #: steps per precomputed probe block of the reference loop
 _CHUNK = 1 << 14
@@ -164,25 +165,35 @@ def linear_model_system():
     )
 
 
-def esc_system(washout=None):
-    config = EscConfig(
-        objective=quadratic_objective(center=1.0),
+def esc_config(washout=None, objective=None):
+    return EscConfig(
+        objective=quadratic_objective(center=1.0) if objective is None else objective,
         epsilon=0.1,
         dim=1,
         single_at=True,
         washout=washout,
     )
-    return build_esc_system(config)
+
+
+def esc_system(washout=None):
+    return build_esc_system(esc_config(washout))
+
+
+def esc_reference(washout=None):
+    """esc_system's seeker on the reference callbacks of test_kernel_reference."""
+    return reference_esc(esc_config(washout, reference_quadratic(center=1.0)))
 
 
 COMPANION = [[0.0, 1.0], [-2.0, -2.0]]
 PLANAR = StateSpaceFilter(F=COMPANION, G=[0.0, 1.0], H=[1.0, 0.0], J=0.0)
 
 
-def assert_same(system, theta, beta, lambda0, horizon, step=None):
-    args = (system, np.atleast_1d(theta), beta, np.atleast_1d(lambda0), horizon)
-    got = lyapunov_exponent(*args, step=step)
-    want = reference_lyapunov_exponent(*args, step=step)
+def assert_same(system, theta, beta, lambda0, horizon, step=None, ref=None):
+    """The estimate on system against the reference's on ref (default
+    system): a system on expression text has no callbacks to read."""
+    args = (np.atleast_1d(theta), beta, np.atleast_1d(lambda0), horizon)
+    got = lyapunov_exponent(system, *args, step=step)
+    want = reference_lyapunov_exponent(system if ref is None else ref, *args, step=step)
     assert got == want
 
 
@@ -221,13 +232,13 @@ def test_linear_3_1_across_a_chunk_boundary():
     system = make_linear_system()
     _, n_steps = _resolve_step(system.basis, 0.1, 400.0, None)
     assert n_steps > _CHUNK
-    assert_same(system, 0.3, 0.1, -0.2, 400.0)
+    assert_same(system, 0.3, 0.1, -0.2, 400.0, ref=reference_linear())
 
 
 @pytest.mark.parametrize("washout", [None, PLANAR], ids=["scalar", "planar"])
 def test_esc_seeker(washout):
     system = esc_system(washout)
-    assert_same(system, 0.5, 1.0, np.zeros(system.dim_fast), 60.0)
+    assert_same(system, 0.5, 1.0, np.zeros(system.dim_fast), 60.0, ref=esc_reference(washout))
 
 
 def test_step_override():
@@ -316,4 +327,4 @@ def test_esc_first_order_step_override_across_a_kernel_chunk():
     assert system.dim_fast == 1
     _, n_steps = _resolve_step(system.basis, 1.0, 60.0, 0.031)
     assert n_steps > dynamics._CHUNK and n_steps % dynamics._CHUNK != 0
-    assert_same(system, 0.7, 1.0, 0.1, 60.0, step=0.031)
+    assert_same(system, 0.7, 1.0, 0.1, 60.0, step=0.031, ref=esc_reference())

@@ -354,7 +354,7 @@ def counted_linear(calls, part=None):
         return slow, fast
 
     return TwoTimescaleSystem(
-        1, 1, system.g, system.h, system.basis, system.probing, stage=stage,
+        1, 1, None, None, system.basis, system.probing, stage=stage,
         dh_dlambda=system.dh_dlambda,
     )
 

@@ -1,7 +1,7 @@
 """The expression-text path of the RK4 kernel against the stage-field call.
 
-linear-3.1, decoupled-test and the order-1 extremum seeker with a single
-a_t at a constant probing gain state their field once, as a StageText;
+linear-3.1, decoupled-test and the order-1 extremum seeker, at every
+probing gain and either single_at, state their field once, as a StageText;
 their callable stage and dh_dlambda are compiled from it, and their runs
 write the text into the generated loop (the seeker's frozen runs through
 its frozen form, which carries the measurement).  Rebuilt with that
@@ -68,6 +68,18 @@ SYSTEMS = {
         Objective(lambda th: (th[0] - 0.5) ** 2 * 0.5 + th[1] * th[1]), dim=2
     ),
     "seeker plain callable": lambda: seeker(lambda th: 0.5 * float(th @ th) - 0.25, dim=2),
+    # the doubled gain's slow part reads the stage's slow gain; a
+    # theta-dependent eps is computed per stage before the measurement
+    "seeker doubled gain": lambda: seeker(
+        quadratic_objective(center=0.5), dim=1, sigma=0.2, single_at=False
+    ),
+    "seeker objective-scaled": lambda: seeker(
+        quadratic_objective(center=0.5), dim=1, gain_kind="objective_scaled"
+    ),
+    "seeker prior-scaled, doubled gain": lambda: seeker(
+        quadratic_objective(center=[0.6, -0.2]), dim=2, gain_kind="prior_scaled",
+        theta_ctr=[0.5, 0.1], sigma_p=0.3, single_at=False,
+    ),
 }
 
 #: blows up within about 50 steps: beta*s2*h is far past RK4's stability edge
@@ -76,9 +88,12 @@ BLOW_UP = lambda: make_linear_system(s=(1.0, 1e4))  # noqa: E731
 SCHED = GainSchedule(rho=0.7, beta=0.3)
 
 
-def seeker(objective, **kw):
-    """An order-1 seeker with a single a_t at a constant probing gain."""
-    return build_esc_system(EscConfig(objective=objective, epsilon=0.1, single_at=True, **kw))
+def seeker(objective, single_at=True, **kw):
+    """An order-1 seeker, by default with a single a_t at a constant
+    probing gain."""
+    return build_esc_system(
+        EscConfig(objective=objective, epsilon=0.1, single_at=single_at, **kw)
+    )
 
 
 def theta(system, value):
@@ -104,7 +119,7 @@ def call_path(system):
     """The system with its compiled stage and dh_dlambda and no text."""
     assert system.text is not None
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.g, system.h, system.basis, system.probing,
+        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
         stage=system.stage, dh_dlambda=system.dh_dlambda,
     )
 

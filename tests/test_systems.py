@@ -4,7 +4,7 @@ Oracles: hand-evaluated field values, the trig identity cos(x + 3pi/2) =
 sin(x) for the quarter-turn phase lag, closed-form equilibria of the
 planar linear pair (lambda* = -2 theta + b_2, theta* = b_2 + b_1/alpha),
 and adaptive quadrature of a_t cos(2 pi omega t) for the decoupled
-integrator.  Fourier forms are validated against the callbacks by the
+integrator.  Fourier forms are validated against the stage field by the
 system constructor itself.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qsakit.dynamics import GainSchedule, integrate
+from qsakit.dynamics import GainSchedule, _float_lists, integrate
 from qsakit.errors import ConfigError
 from qsakit.probing import probe_signal
 from qsakit.systems import (
@@ -43,6 +43,12 @@ class TestRegistry:
             make_linear_system(alpha=0.0)
 
 
+def unit_parts(system, theta, lam, xi):
+    """The stage field's slow and fast part at unit gains, one list."""
+    slow, fast = system.stage(*_float_lists(theta, lam, xi), 1.0, 1.0)
+    return slow + fast
+
+
 class TestLinearPair:
     def test_probes_are_sines(self):
         system = make_linear_system()
@@ -55,8 +61,7 @@ class TestLinearPair:
         system = make_linear_system()
         theta, lam = np.array([0.3]), np.array([-0.1])
         xi = np.array([0.2, -0.4])
-        assert system.g(theta, lam, xi)[0] == pytest.approx(0.66)
-        assert system.h(theta, lam, xi)[0] == pytest.approx(-0.86)
+        assert unit_parts(system, theta, lam, xi) == pytest.approx([0.66, -0.86])
 
     def test_closed_forms(self):
         system = make_linear_system()
@@ -82,7 +87,8 @@ class TestLinearPair:
             theta, lam = rng.normal(size=1), rng.normal(size=1)
             xi = rng.normal(size=2)
             fd = (
-                system.h(theta, lam + 1e-6, xi)[0] - system.h(theta, lam - 1e-6, xi)[0]
+                unit_parts(system, theta, lam + 1e-6, xi)[1]
+                - unit_parts(system, theta, lam - 1e-6, xi)[1]
             ) / 2e-6
             assert system.dh_dlambda(theta, lam, xi) == [pytest.approx(fd, abs=1e-8)]
 
@@ -90,8 +96,7 @@ class TestLinearPair:
         system = make_linear_system(s=(0.0, 0.0))
         theta, lam = np.array([0.3]), np.array([-0.1])
         for xi in (np.array([0.2, -0.4]), np.array([-0.9, 0.5])):
-            assert system.g(theta, lam, xi)[0] == pytest.approx(0.4)
-            assert system.h(theta, lam, xi)[0] == pytest.approx(-0.5)
+            assert unit_parts(system, theta, lam, xi) == pytest.approx([0.4, -0.5])
 
 
 class TestEscQuadratic:
@@ -99,15 +104,15 @@ class TestEscQuadratic:
         system = make_esc_quadratic()
         assert (system.dim_slow, system.dim_fast) == (1, 1)
         assert system.probing.m == 2
-        assert system.g_probe is None
+        assert system.text is not None
         assert np.allclose(system.theta_star, [1.0])
 
     def test_correlation_plumbing(self):
         system = make_esc_quadratic()
         # at theta=2 the normalized measurement is 0.5/0.1 = 5; with zero
         # washout state the slow field is -xi_check * J * 5
-        got = system.g(np.array([2.0]), np.zeros(1), np.array([0.0, 0.6]))
-        assert got[0] == pytest.approx(-3.0)
+        got = system.analysis_floats(np.array([2.0]), np.zeros(1), np.array([0.0, 0.6]))
+        assert got == pytest.approx([-3.0])
 
     def test_center_parameter(self):
         system = make_esc_quadratic(center=-0.5)
