@@ -7,7 +7,7 @@ The integrator advances the slow/fast pair
 
 One RK4 kernel, _rk4, is the package's only RK4 loop.  It advances one
 stacked state: [Theta; Lambda] in coupled runs, Lambda alone in
-frozen-fast runs, and [Lambda; vec S] (S row-major) in the segmented
+frozen-fast runs, and [Lambda; vec S] (S row-major) in the
 sensitivity runs of qsakit.lyapunov.  A second-order filter attached to
 a coupled run observes Lambda: Lambda^F and dLambda^F extend the stack
 and ride along in the same step, but no field reads them, so Theta and
@@ -56,11 +56,14 @@ sensitivity (Lambda with vec S).  The loop holds the state in locals x0
 .. x{D-1}, calls the stage field with the stage's theta and Lambda as
 list displays and unpacks its parts (or writes the text out), and writes
 out per component the filter's derivative, the scalar sensitivity
-derivative, the update and the finiteness test, so a stage builds no
-stacked list and no comprehension frame.  A run's first step checks the
-parts' lengths (ConfigError naming stage and the part).  Binary64 +, -
-and * on Python floats round exactly as numpy's elementwise float64
-operations, performed here in the order of the array expressions, so
+derivative and the update, so a stage builds no stacked list and no
+comprehension frame.  The fast gain b is a local, a sample appends its
+floats to the block's list, and one test per step, (x0 - x0) + (x1 -
+x1) + ... != 0.0, finds a non-finite x (x - x is +0.0 at every finite
+x, nan at inf and nan).  A run's first step checks the parts' lengths
+(ConfigError naming stage and the part).  Binary64 +, - and * on
+Python floats round exactly as numpy's elementwise float64 operations,
+performed here in the order of the array expressions, so
 trajectories are bit for bit those of the step written on arrays.  This
 pays off for small stacks only (the source grows with D); every
 built-in system has D <= 5 in coupled and frozen runs.
@@ -584,17 +587,6 @@ def _array_stage(g, h, g_probe, dim_slow, dim_fast):
     return stage
 
 
-def _pinned_gains(beta):
-    """_rk4's gains callback for a frozen slow state: b = beta at every
-    stage (a, the same list, goes unread: frozen runs pass a = None)."""
-
-    def gains(ts):
-        fixed = [float(beta)] * len(ts)
-        return fixed, fixed
-
-    return gains
-
-
 def _step_loop_source(shape):
     """Python source of the RK4 loop over one block of steps for one run
     shape (dim_slow, dim_fast, kind), or (dim_slow, dim_fast, kind, key)
@@ -675,24 +667,22 @@ def _step_loop_source(shape):
             *([f"    if {text.carry} is None:", f"        {text.per_stage}"] if carry else []),
         ]
     lines = [
-        "def rk4_block(field, args, x, xis, a_all, b_all, gi, j_lo, j_hi, stride, samples,",
-        "              cursor, start, h, half, sixth):",
+        "def rk4_block(field, args, x, xis, a_all, b, gi, j_lo, j_hi, stride, rows,",
+        "              h, half, sixth):",
         *head,
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
-        f"            x = [{seq('x{}', comps)}{carry}]",
-        "            samples[cursor] = x",
-        "            cursor += 1",
-        "        xim, am, bm = xis[j + 1], a_all[j + 1], b_all[j + 1]",
-        *stage(1, [f"x{d}" for d in comps], "xis[j]", "a_all[j]", "b_all[j]"),
-        *stage(2, state("half", 1), "xim", "am", "bm"),
-        *stage(3, state("half", 2), "xim", "am", "bm"),
-        *stage(4, state("h", 3), "xis[j + 2]", "a_all[j + 2]", "b_all[j + 2]"),
+        f"            rows += ({seq('x{}', comps)}{carry})",
+        "        xim = xis[j + 1]" if frozen else "        xim, am = xis[j + 1], a_all[j + 1]",
+        *stage(1, [f"x{d}" for d in comps], "xis[j]", "a_all[j]", "b"),
+        *stage(2, state("half", 1), "xim", "am", "b"),
+        *stage(3, state("half", 2), "xim", "am", "b"),
+        *stage(4, state("h", 3), "xis[j + 2]", "a_all[j + 2]", "b"),
         *(f"        x{d} = x{d} + sixth * (k1_{d} + 2.0 * (k2_{d} + k3_{d}) + k4_{d})" for d in comps),
         "        gi += 1",
-        "        if not (" + " and ".join(f"isfinite(x{d})" for d in comps) + "):",
-        "            raise NonFinite((start + gi) * h)",
-        f"    return [{seq('x{}', comps)}{carry}], cursor",
+        "        if " + " + ".join(f"(x{d} - x{d})" for d in comps) + " != 0.0:  # inf or nan",
+        "            raise NonFinite(gi * h)",
+        f"    return [{seq('x{}', comps)}{carry}]",
     ]
     return "\n".join(lines) + "\n"
 
@@ -702,73 +692,84 @@ def _step_loop(shape):
     use and kept in _STEP_LOOPS."""
     loop = _STEP_LOOPS.get(shape)
     if loop is None:
-        namespace = {"isfinite": math.isfinite, "NonFinite": NonFinite, "floats": _floats}
+        namespace = {"NonFinite": NonFinite, "floats": _floats}
         name = "<qsakit.dynamics rk4 {} {}+{}>".format(shape[2], *shape[:2])
         exec(compile(_step_loop_source(shape), name, "exec"), namespace)
         loop = _STEP_LOOPS[shape] = namespace["rk4_block"]
     return loop
 
 
-def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, start=0):
+def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
+         stops=(), at_stop=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
     shape is the run's (dim_slow, dim_fast, kind[, text key]) and x its
-    stacked state (module docstring) at step index start, an integer:
-    stage times are (start + i + 0.5*k)*h for step i and k in {0, 1, 2},
-    and the sample and NonFinite times count from it too.  The multiplier
-    of h is an exact half-integer, so a run split into segments at any
-    step indices sees the stage times of the run made in one call.
+    stacked state (module docstring) at step 0: stage times are (i +
+    0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
+    ascending stops, x is replaced by at_stop(s, x).
 
     x and every stage state are lists of Python floats.  Each stage calls
     field(theta, lam, xi, a, b), the stage field, with the probe vector xi
-    (a list) and the gains at the stage time; gains(ts) returns both gains
-    at the stage times ts as two lists.  args are the run's constants by
-    kind: (gamma2, two_zg) of the filter; the pinned theta list of a
-    frozen-fast run; the pinned theta and, at dim_fast 1, the fast
-    Jacobian (read through _floats), else a callback (theta, lam, xi, b, S)
-    returning b*(J @ S) as a list, of a sensitivity run; () when coupled.
-    A run on text calls no field or Jacobian (_on_text sets it up).  The
-    steps of each block of _CHUNK run in the loop generated for shape
-    (_step_loop), which writes every component's arithmetic out in numpy's
-    elementwise order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 +
-    k3) + k4)), so it rounds as float64 arrays would.  At start 0 the
-    first step runs alone with the field's parts checked (_checked_parts);
-    a part of another length later on is a ValueError from the unpacking.
-    Returns the sample times (every sample_stride steps from start, plus
-    the final time) and the (n, D) buffer of states there.  Raises
-    NonFinite at the end of the first step that leaves x non-finite.
+    (a list), the slow gain a, listed by gains(ts) at the stage times ts
+    (gains is None in runs that read no a), and the constant fast gain b.
+    args are the run's constants by kind: (gamma2, two_zg) of the filter;
+    the pinned theta list of a frozen-fast run; the pinned theta and, at
+    dim_fast 1, the fast Jacobian (read through _floats), else a callback
+    (theta, lam, xi, b, S) returning b*(J @ S) as a list, of a sensitivity
+    run; () when coupled.  A run on text calls no field or Jacobian
+    (_on_text sets it up).  The steps of each block of _CHUNK run in the
+    loop generated for shape (_step_loop), which writes every component's
+    arithmetic out in numpy's elementwise order (x + half*k, x + h*k, then
+    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as float64 arrays
+    would; the block's samples are stored at once.  The first step runs
+    alone with the field's parts checked (_checked_parts); a part of
+    another length later on is a ValueError from the unpacking.  Returns
+    the sample times (every sample_stride steps, plus the final time) and
+    the (n, D) buffer of states there.  Raises NonFinite at the end of the
+    first step that leaves x non-finite.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
-    samples = np.empty((steps.shape[0], len(x)))
+    size = len(x)
+    samples = np.empty((steps.shape[0], size))
     loop = _step_loop(shape)
     slow = shape[0] if shape[2] in ("coupled", "filtered") else None
 
-    def checked(*stage_args):  # the field of the run's first step (at start 0)
+    def checked(*stage_args):  # the field of the run's first step
         return _checked_parts(field(*stage_args), slow, shape[1])
 
     pmap, basis = system.probing, system.basis
     cursor = 0
-    h = float(h)  # a numpy scalar step would make every stage product a numpy op
+    h, b = float(h), float(b)  # a numpy scalar would make every stage product a numpy op
     sixth = h / 6.0
     half = h * 0.5
-    xis = None
+    stops = iter(stops)
+    stop = next(stops, None)
+    xis = a_all = None
     for chunk in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - chunk)
-        # stage times for steps chunk..chunk+m-1: half-grid from (start+chunk)*h
-        ts = (start + chunk + 0.5 * np.arange(2 * m + 1)) * h
+        end = min(chunk + _CHUNK, n_steps)
+        # stage times for steps chunk..end-1: half-grid from chunk*h
+        ts = (chunk + 0.5 * np.arange(2 * (end - chunk) + 1)) * h
         carried = xis[-1] if xis is not None else None
         xis = probe_signal(pmap, basis, ts).T.tolist()
         if carried is not None:
             xis[0] = carried  # the same time, so every stage there sees one list
-        a_all, b_all = gains(ts)
-        first = int(start == chunk == 0)
-        if first:
-            x, cursor = loop(checked, args, x, xis, a_all, b_all, 0, 0, 2, sample_stride,
-                             samples, cursor, start, h, half, sixth)
-        x, cursor = loop(field, args, x, xis, a_all, b_all, chunk + first, 2 * first, 2 * m,
-                         sample_stride, samples, cursor, start, h, half, sixth)
+        if gains is not None:
+            a_all = gains(ts)
+        rows, gi = [], chunk
+        while gi < end:
+            hi, f = (1, checked) if gi == 0 else (end if stop is None else min(end, stop), field)
+            x = loop(f, args, x, xis, a_all, b, gi, 2 * (gi - chunk), 2 * (hi - chunk),
+                     sample_stride, rows, h, half, sixth)
+            if hi == stop:
+                x = at_stop(stop, x)
+                stop = next(stops, None)
+            gi = hi
+        if rows:
+            n = len(rows) // size
+            samples[cursor : cursor + n] = np.array(rows).reshape(n, size)
+            cursor += n
     samples[cursor] = x
-    return (start + steps) * h, samples
+    return steps * h, samples
 
 
 def integrate(
@@ -819,9 +820,11 @@ def integrate(
     dx = ds + df
 
     def gains(ts):
-        return schedule.slow_gain_array(ts).tolist(), schedule.fast_gain_array(ts).tolist()
+        return schedule.slow_gain_array(ts).tolist()
 
-    t, samples = _rk4(system.stage, shape, args, x, h, n_steps, sample_stride, system, gains)
+    t, samples = _rk4(
+        system.stage, shape, args, x, h, n_steps, sample_stride, system, gains, schedule.beta
+    )
     return Trajectory(
         t=t,
         theta=samples[:, :ds],
@@ -864,9 +867,7 @@ def integrate_frozen_fast(system, theta, lambda0, beta, horizon, *, step=None, s
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
     text = _pinned_text(system, th)
     shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), lam.tolist())
-    t, samples = _rk4(
-        system.stage, shape, args, x, h, n_steps, sample_stride, system, _pinned_gains(beta)
-    )
+    t, samples = _rk4(system.stage, shape, args, x, h, n_steps, sample_stride, system, None, beta)
     n = t.shape[0]
     return Trajectory(
         t=t,

@@ -8,11 +8,10 @@ time rescaling so the matrix never overflows on long horizons.
 S rides the shared RK4 kernel (dynamics._rk4) in the stack [Lambda; vec S],
 row-major, as a sensitivity run: its generated block loop calls the
 system's stage field for the fast part b*h (a = None) and forms the
-sensitivity derivative itself.  The kernel runs in segments that end at
-every multiple of the rescale interval and at the half-horizon step;
-between segments S is divided by its Frobenius norm, whose log is
-accumulated, and the half-horizon magnitude is recorded.  Only the first
-segment checks the field's parts (the kernel does at step 0).
+sensitivity derivative itself.  One kernel run covers the horizon; it
+stops at every multiple of the rescale interval and at the half-horizon
+step, where S is divided by its Frobenius norm, whose log is
+accumulated, and the half-horizon magnitude is recorded.
 
 At fast dimension d = 1 the loop writes the sensitivity derivative out
 as b * (0.0 + j * s) on Python floats, which is how numpy's 1x1 matmul
@@ -26,8 +25,7 @@ A system with expression text (dynamics.StageText: the built-in systems,
 and the frozen text system.frozen(theta) of the extremum seeker at order
 1) runs on it: the loop writes the fast part and the Jacobian out, with
 no call.  The frozen text's Jacobian is its constant f1, and the stack
-carries the probe row's measurement as its last entry, so a segment
-starts from the measurement the previous one ended with.
+carries the probe row's measurement as its last entry.
 
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
@@ -40,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _float_lists, _on_text, _pinned_gains, _pinned_text, _resolve_step, _rk4, write_csv
-)
+from .dynamics import _float_lists, _on_text, _pinned_text, _resolve_step, _rk4, write_csv
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -106,10 +102,10 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     """Estimate the top exponent of the frozen-fast flow at a slow state.
 
     Returns the full-horizon estimate together with the trailing-half
-    estimate; a horizon of fewer than two RK4 steps is a ConfigError, and
-    a large gap between the two halves raises Inconclusive, carrying both
-    halves' estimates by their time spans, rather than returning a number
-    the horizon cannot support.
+    estimate, from one kernel run (module docstring); a horizon of fewer
+    than two RK4 steps is a ConfigError, and a large gap between the two
+    halves raises Inconclusive, carrying both halves' estimates by their
+    time spans, rather than returning a number the horizon cannot support.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     lam = np.atleast_1d(np.asarray(lambda0, dtype=float))
@@ -151,14 +147,10 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
 
     rescale_every = max(1, round(1.0 / h))
     n_half = max(1, n_steps // 2)
-    ends = sorted({*range(rescale_every, n_steps, rescale_every), n_half, n_steps})
-    gains = _pinned_gains(beta)
-    log_accum = 0.0
-    begin = 0
-    for end in ends:
-        m = end - begin
-        _, samples = _rk4(system.stage, shape, args, x, h, m, m, system, gains, start=begin)
-        x = samples[-1].tolist()
+    log_accum = log_half = 0.0
+
+    def at_stop(end, x):  # S rescaled at every multiple of rescale_every
+        nonlocal log_accum, log_half
         if end % rescale_every == 0:
             nrm = s_norm(x)
             if not math.isfinite(nrm) or nrm == 0.0:
@@ -167,10 +159,13 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             log_accum += math.log(nrm)
         if end == n_half:
             log_half = log_accum + math.log(s_norm(x))
-            t_half = end * h
-        begin = end
+        return x
 
-    total = log_accum + math.log(s_norm(x))
+    stops = sorted({*range(rescale_every, n_steps + 1, rescale_every), n_half})
+    _, samples = _rk4(system.stage, shape, args, x, h, n_steps, n_steps, system, None, beta,
+                      stops, at_stop)
+    total = log_accum + math.log(s_norm(samples[-1]))
+    t_half = n_half * h
     exponent = total / horizon
     tail = (total - log_half) / (horizon - t_half)
     first = log_half / t_half

@@ -31,7 +31,6 @@ from qsakit.dynamics import (
     TwoTimescaleSystem,
     _float_lists,
     _on_text,
-    _pinned_gains,
     _pinned_text,
     _reads_gain,
     _resolve_step,
@@ -956,38 +955,36 @@ HOOK_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(HOOK_SYSTEMS))
 def test_record_hook_sees_the_samples(name, stride, start):
     # named for the record hook the after-run evaluation replaced: at every
-    # stored sample of a frozen-fast _rk4 run, with any stride and start,
-    # _slow_series on the run's text and on its stage field alone is the
-    # stage field's slow part at the kernel's state and probe row
+    # stored sample of a frozen-fast _rk4 run from step start on, with any
+    # stride, _slow_series on the run's text and on its stage field alone
+    # is the stage field's slow part at the kernel's state and probe row
     make, theta, lam0, beta = HOOK_SYSTEMS[name]
     system, theta = make(), np.array(theta)
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
     h = step_bound(system.basis, beta)
-    n_steps = KERNEL_CHUNK + 477  # crosses a chunk boundary, 1501 % 3 != 0
+    n_steps = start + KERNEL_CHUNK + 477  # crosses a chunk boundary after start
     rows = []
     logging = _row_logging(system, rows)
-    run = (h, n_steps, stride, system, _pinned_gains(beta))
-    t, samples = _rk4(
-        logging.stage, (ds, df, "frozen-fast"), (th,), list(lam0), *run, start=start
-    )
+    run = (h, n_steps, stride, system, None, beta)
+    t, samples = _rk4(logging.stage, (ds, df, "frozen-fast"), (th,), list(lam0), *run)
     text = _pinned_text(system, th)
     assert text is not None
     shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), list(lam0))
-    t_text, on_text = _rk4(system.stage, shape, args, x, *run, start=start)
+    t_text, on_text = _rk4(system.stage, shape, args, x, *run)
     assert t_text.tobytes() == t.tobytes()
     assert on_text[:, :df].tobytes() == samples.tobytes()
-    assert t[-1] == (start + n_steps) * h
+    assert t[-1] == n_steps * h
     # each sample's row is its step's first stage's, the last stage's at the end
     kernel_rows = rows[: 4 * n_steps : 4 * stride] + [rows[-1]]
     assert len(kernel_rows) == t.shape[0]
-    keep = np.ones(t.shape[0], dtype=bool)
+    keep = np.arange(t.shape[0]) >= -(-start // stride)  # the samples from step start on
     measured = None if text.carry is None else on_text[:, df]
     for run_text in (text, None):
         traj = SimpleNamespace(t=t, lam=samples, measured=measured, text=run_text)
         series = _slow_series(system, theta, traj, keep)
-        for k in range(t.shape[0]):
+        for got, k in zip(series, np.flatnonzero(keep), strict=True):
             want = system.analysis_floats(theta, samples[k], kernel_rows[k])
-            assert series[k].tobytes() == np.array(want).tobytes(), (run_text is None, k)
+            assert got.tobytes() == np.array(want).tobytes(), (run_text is None, k)
 
 
 def test_cubic_seeker_g0_objective_calls():

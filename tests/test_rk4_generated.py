@@ -11,7 +11,10 @@ Both must give the same trajectories and exponents bit for bit, for
 coupled, filtered, frozen-fast and sensitivity runs at fast dimension 1,
 2 and 3 and at shapes no built-in system reaches, through array callbacks
 (the adapter) and through a stage field on floats, and the same
-NonFinite time when only the last component blows up.  On linear-3.1
+NonFinite time when one component overflows or turns nan, while finite
+extremes run to the end.  Sampling at strides beyond a block and the
+segments of lyapunov_exponent's one kernel run, whose reference is one
+call per segment, are checked the same way.  On linear-3.1
 the field is called 4 times per step, and a part of the wrong length is
 a ConfigError at the first stage of every run kind.
 """
@@ -36,7 +39,7 @@ from qsakit.errors import ConfigError, NonFinite
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import _jacobian_evaluator, lyapunov_exponent
 from qsakit.probing import make_frequency_basis, probe_signal
-from qsakit.systems import make_linear_system
+from qsakit.systems import make_esc_quadratic, make_linear_system
 
 
 def comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
@@ -151,12 +154,29 @@ RHS = {
 }
 
 
-def reference_rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains,
-                  start=0, record=None):
+def reference_rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
+                  stops=(), at_stop=None):
     """_rk4 as it stood before: the run's rhs closure over the stage field,
-    stepped by comprehension_rk4."""
+    stepped by comprehension_rk4 with both gains as lists; a run with stops
+    (lyapunov_exponent's, at stride n_steps) is one call per segment up to
+    each stop, as lyapunov_exponent made them before it passed stops."""
     rhs = RHS[shape[2]](field, shape, args, system)
-    return comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start, record)
+
+    def both(ts):
+        fast = [float(b)] * len(ts)
+        return (fast if gains is None else gains(ts)), fast
+
+    if not stops:
+        return comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, both)
+    assert sample_stride == n_steps
+    first, begin = x, 0
+    for end in sorted({*stops, n_steps}):
+        _, samples = comprehension_rk4(rhs, x, h, end - begin, end - begin, system, both, begin)
+        x = samples[-1].tolist()
+        if end in stops:
+            x = at_stop(end, x)
+        begin = end
+    return np.array([0, n_steps]) * float(h), np.array([first, x])
 
 
 def basis():
@@ -180,11 +200,12 @@ def array_system(ds, df):
     return TwoTimescaleSystem(ds, df, g, h, basis(), g_probe=g_probe)
 
 
-def stage_system(ds, df, blow_up=False):
+def stage_system(ds, df, blow_up=None, nan_at=None):
     """The same pair as a stage field on floats, with its analytic fast
-    Jacobian; with blow_up the last fast component follows dl/dt =
-    b*(1 + l*l), which leaves the reals in finite time while every other
-    component stays bounded."""
+    Jacobian; fast component blow_up (an index) follows dl/dt = b*(1 +
+    l*l), which leaves the reals in finite time while every other
+    component stays bounded; fast component nan_at follows dl/dt = b
+    until it exceeds 0.5, where its field turns nan, never inf."""
 
     def stage(theta, lam, xi, a, b):
         x0, x1 = xi
@@ -199,8 +220,10 @@ def stage_system(ds, df, blow_up=False):
                 b * (-v + 0.5 * theta[i % ds] * (1.0 + x1) - 0.2 * v * v)
                 for i, v in enumerate(lam)
             ]
-            if blow_up:
-                fast[-1] = b * (1.0 + lam[-1] * lam[-1])
+            if blow_up is not None:
+                fast[blow_up] = b * (1.0 + lam[blow_up] * lam[blow_up])
+            if nan_at is not None:
+                fast[nan_at] = b if lam[nan_at] <= 0.5 else math.nan
         return slow, fast
 
     def dh_dlambda(theta, lam, xi):
@@ -298,7 +321,7 @@ def test_each_kind_is_the_reference_run(monkeypatch, form, kind, d):
 
 @pytest.mark.parametrize("size", [7, 17])
 def test_blow_up_in_the_last_component(monkeypatch, size):
-    system = stage_system(2, size, blow_up=True)
+    system = stage_system(2, size, blow_up=-1)
     lam0 = np.zeros(size)
 
     def run():
@@ -309,6 +332,171 @@ def test_blow_up_in_the_last_component(monkeypatch, size):
     got, want = both_kernels(monkeypatch, run)
     assert got == want
     assert 0.7 < got < 1.0  # tan(2t) leaves the reals at t = pi/4
+
+
+#: stage_system's keywords for a run whose x leaves the reals through one
+#: fast component: overflow to inf, or a nan field without overflow
+NON_FINITE = {"inf first": {"blow_up": 0}, "nan first": {"nan_at": 0},
+              "nan last": {"nan_at": -1}}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("size", [7, 17])
+def test_non_finite_in_one_component(monkeypatch, case, size):
+    system = stage_system(2, size, **NON_FINITE[case])
+    lam0 = np.full(size, 0.45)
+
+    def run():
+        with pytest.raises(NonFinite) as err:
+            integrate_frozen_fast(system, [0.3, -0.2], lam0, 2.0, 5.0)
+        return err.value.time
+
+    got, want = both_kernels(monkeypatch, run)
+    assert got == want
+    assert got < 1.0  # tan(2t + atan(0.45)) leaves the reals at t = 0.574
+
+
+def zero_field_system(ds, df):
+    """A pair whose field and fast Jacobian are zero: every state stays."""
+
+    def stage(theta, lam, xi, a, b):
+        return (None if a is None else [0.0] * ds), (None if b is None else [0.0] * df)
+
+    return TwoTimescaleSystem(
+        ds, df, None, None, basis(), stage=stage, dh_dlambda=lambda t, l, x: np.zeros((df, df))
+    )
+
+
+#: the largest finite doubles, the least subnormal and the least normal
+EDGE_VALUES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+               2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+def test_finite_extremes_run_to_the_end(kind):
+    # x - x is +0.0 at every finite x, so no step of these runs is NonFinite
+    ds, d = KIND_RUNS[kind][0], len(EDGE_VALUES)
+    system, sched = zero_field_system(ds, d), GainSchedule(rho=0.7, beta=0.3)
+    lam0, theta = np.array(EDGE_VALUES), EDGE_VALUES[:ds]
+    if kind == "sensitivity":  # dim_fast 1, so S stays [1.0] and the exponents 0.0
+        for v in EDGE_VALUES:
+            est = lyapunov_exponent(zero_field_system(ds, 1), theta, 0.3, [v], 30.0)
+            assert (est.exponent, est.tail_exponent) == (0.0, 0.0)
+        return
+    if kind == "frozen-fast":
+        traj = integrate_frozen_fast(system, theta, lam0, 0.3, 30.0)
+    else:
+        filt = SecondOrderFilter(0.3) if kind == "filtered" else None
+        traj = integrate(system, sched, (theta, lam0), 30.0, filt=filt)
+        assert np.array_equal(traj.theta, np.tile(theta, (traj.n_samples, 1)))
+    assert traj.n_samples - 1 > _CHUNK
+    assert np.array_equal(traj.lam, np.tile(lam0, (traj.n_samples, 1)))
+
+
+# -- sampling edges of the kernel against comprehension_rk4 -------------------
+
+
+def kernel_case(kind):
+    """(system, shape, args, x, gains) of one _rk4 run of each kind on a
+    stage field; the sensitivity run is at dim_fast 1 with its Jacobian."""
+    system = stage_system(2, 1 if kind == "sensitivity" else 2)
+    sched = GainSchedule(rho=0.7, beta=0.3)
+    theta, lam = [0.3, -0.2], [0.4, -0.3][: system.dim_fast]
+    gains, args, x = None, (theta,), lam
+    if kind in ("coupled", "filtered"):
+        gains, args, x = (lambda ts: sched.slow_gain_array(ts).tolist()), (), theta + lam
+    if kind == "filtered":
+        filt = SecondOrderFilter(0.3, zeta=0.6, eta=1.3)
+        args, x = (filt.gamma**2, 2.0 * filt.zeta * filt.gamma), x + lam + [0.0, 0.0]
+    if kind == "sensitivity":
+        args, x = (theta, system.dh_dlambda), lam + [1.0]
+    return system, (2, system.dim_fast, kind), args, x, gains
+
+
+#: (n_steps, sample_stride): exact multiples of _CHUNK, a block with no
+#: sample (the stride exceeds two blocks), and a stride of n_steps
+SAMPLING = [
+    (2 * _CHUNK, 1), (2 * _CHUNK, _CHUNK), (2 * _CHUNK, 2 * _CHUNK),
+    (3 * _CHUNK + 5, 2 * _CHUNK + 7), (1500, 1500), (1500, 7),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+@pytest.mark.parametrize("n_steps, stride", SAMPLING)
+def test_sampling_edges_are_the_comprehension_run(kind, n_steps, stride):
+    system, shape, args, x, gains = kernel_case(kind)
+    run = (shape, args, x, 0.015625, n_steps, stride, system, gains, 0.3)
+    t, samples = dynamics._rk4(system.stage, *run)
+    t_ref, samples_ref = reference_rk4(system.stage, *run)
+    assert t.tobytes() == t_ref.tobytes()
+    assert samples.tobytes() == samples_ref.tobytes()
+    assert t.shape[0] == len(range(0, n_steps, stride)) + 1
+
+
+# -- lyapunov_exponent: one kernel run, the segmented run's exponents ---------
+
+
+def counted_rk4(monkeypatch, calls):
+    kernel = lyapunov._rk4
+    monkeypatch.setattr(lyapunov, "_rk4", lambda *a, **k: calls.append(a[5]) or kernel(*a, **k))
+
+
+#: system, theta and lambda0 of exponents at h = 1/64: every rescale
+#: interval of 64 steps ends on a _CHUNK boundary, 1,024 = 16 * 64
+EXPONENT_SYSTEMS = {
+    "stage field d=1": (lambda: stage_system(2, 1), [0.3, -0.2], [0.1]),
+    "stage field d=2": (lambda: stage_system(2, 2), [0.3, -0.2], [0.1, -0.2]),
+    "array callbacks d=3": (lambda: array_system(2, 3), [0.3, -0.2], [0.1, -0.2, 0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_SYSTEMS))
+@pytest.mark.parametrize("n_steps", [2 * _CHUNK, 2 * _CHUNK + 75])
+def test_exponent_is_one_kernel_run(monkeypatch, name, n_steps):
+    # n_steps 2,048: n_half 1,024 and the last step are rescale steps on
+    # block ends; 2,123: n_half 1,061 lies between rescales (61 % 64 != 0)
+    make, theta, lam0 = EXPONENT_SYSTEMS[name]
+    h = 0.015625
+    assert round(1.0 / h) * 16 == _CHUNK
+    calls = []
+    counted_rk4(monkeypatch, calls)
+
+    def run():
+        est = lyapunov_exponent(make(), theta, 0.3, lam0, n_steps * h, step=h)
+        return est.exponent.hex(), est.tail_exponent.hex()
+
+    got = run()
+    assert calls == [n_steps]
+    monkeypatch.setattr(lyapunov, "_rk4", reference_rk4)
+    assert run() == got
+
+
+@pytest.mark.parametrize("system", [make_linear_system, make_esc_quadratic])
+def test_text_exponent_is_one_kernel_run(monkeypatch, system):
+    calls = []
+    counted_rk4(monkeypatch, calls)
+    lyapunov_exponent(system(), [0.3], 0.5, [0.0], 40.0)
+    assert calls == [_resolve_step(system().basis, 0.5, 40.0, None)[1]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_degenerate_norm_on_a_block_end(monkeypatch):
+    # dl/dt = 1 with S constant until l passes 15, then J = 787: S grows
+    # about 1,350-fold per step of 1/64 and is finite, near 1e197, at the
+    # rescale of step 1,024 = _CHUNK, while ||S||^2 overflows
+    def stage(theta, lam, xi, a, b):
+        return None, [b * 1.0]
+
+    system = TwoTimescaleSystem(1, 1, None, None, basis(), stage=stage,
+                                dh_dlambda=lambda t, l, x: 787.0 if l[0] > 15.0 else 0.0)
+
+    def run():
+        with pytest.raises(NonFinite, match="sensitivity norm degenerate") as err:
+            lyapunov_exponent(system, [0.0], 1.0, [0.0], 40.0, step=0.015625)
+        return err.value.time
+
+    got, want = both_kernels(monkeypatch, run)
+    assert got == want == _CHUNK * 0.015625
 
 
 def test_one_generated_loop_per_run_shape(monkeypatch):

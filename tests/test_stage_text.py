@@ -247,9 +247,10 @@ def test_compiled_field_is_the_text():
 
 #: sha256 of the concatenated _step_loop_source((ds, df, kind)) for ds 1-4,
 #: df 1-3 and the kinds below, in that nesting, as generated before the
-#: text path was added, less the kernel's record hook: its two lines per
-#: sample and its argument to rk4_block
-CALL_PATH_SOURCES = "c13e455350f5cc19749c42038ca1a52582440123df04cdf1b08256f390ec1052"
+#: text path was added, less the kernel's record hook, and with the fast
+#: gain b a constant, samples appended to a list and one finiteness test
+#: per step
+CALL_PATH_SOURCES = "0d7114c0742c555cbfc687a51d86e8ed3877b8a3c381833d1595a98de1315011"
 
 
 def test_call_path_sources_unchanged():
