@@ -426,18 +426,12 @@ def build_parser():
     }
     for name, desc in descriptions.items():
         p = sub.add_parser(name, parents=[common], help=desc)
-        if name == "sweep-fast":
+        if name in FILTER_READERS:
             p.add_argument(
                 "--filtered",
                 action="store_true",
-                help="carry the filtered fast variable alongside the raw one "
-                "and measure it (natural frequency eta*beta)",
-            )
-        if name == "simulate":
-            p.add_argument(
-                "--filtered",
-                action="store_true",
-                help="carry the filtered fast variable alongside the raw one",
+                help="carry the filtered fast variable (natural frequency eta*beta) "
+                "alongside the raw one; sweep-fast measures it",
             )
     return parser
 

@@ -55,9 +55,10 @@ filtered (the coupled pair with the filter states), frozen-fast and
 sensitivity (Lambda with vec S).  The loop holds the state in locals x0
 .. x{D-1}, calls the stage field with the stage's theta and Lambda as
 list displays and unpacks its parts (or writes the text out), and writes
-out per component the filter's derivative, the scalar sensitivity
+out per component the filter's derivative, the text's sensitivity
 derivative and the update, so a stage builds no stacked list and no
-comprehension frame.  The fast gain b is a local, a sample appends its
+comprehension frame; a sensitivity run without text calls one callback
+for b*(J @ S).  The fast gain b is a local, a sample appends its
 floats to the block's list, and one test per step, (x0 - x0) + (x1 -
 x1) + ... != 0.0, finds a non-finite x (x - x is +0.0 at every finite
 x, nan at inf and nan).  A run's first step checks the parts' lengths
@@ -144,8 +145,7 @@ class GainSchedule:
 
     def gains_at(self, t):
         """(a_t, r_t) with da/dt = -r_t a_t."""
-        u = 1.0 + t
-        return u**-self.rho, self.rho / u
+        return self.slow_gain_array(t), self.rho / (1.0 + t)
 
     def slow_gain_array(self, ts):
         return (1.0 + ts) ** -self.rho
@@ -644,9 +644,6 @@ def _step_loop_source(shape):
                 out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
         elif kind == "sensitivity" and text is not None:
             out.append(f"k{k}_1 = {b} * (0.0 + ({text.jac}) * ({state[1]}))")
-        elif kind == "sensitivity" and df == 1:
-            out.append(f"(jv,) = floats(jac(th, la, {xi}), 1, 'dh_dlambda')")
-            out.append(f"k{k}_1 = {b} * (0.0 + jv * ({state[1]}))")
         elif kind == "sensitivity":
             out.append(f"{part(rest)} = jac(th, la, {xi}, {b}, {vals(rest)})")
         return ["        " + line for line in out]
@@ -692,7 +689,7 @@ def _step_loop(shape):
     use and kept in _STEP_LOOPS."""
     loop = _STEP_LOOPS.get(shape)
     if loop is None:
-        namespace = {"NonFinite": NonFinite, "floats": _floats}
+        namespace = {"NonFinite": NonFinite}
         name = "<qsakit.dynamics rk4 {} {}+{}>".format(shape[2], *shape[:2])
         exec(compile(_step_loop_source(shape), name, "exec"), namespace)
         loop = _STEP_LOOPS[shape] = namespace["rk4_block"]
@@ -713,11 +710,11 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     (a list), the slow gain a, listed by gains(ts) at the stage times ts
     (gains is None in runs that read no a), and the constant fast gain b.
     args are the run's constants by kind: (gamma2, two_zg) of the filter;
-    the pinned theta list of a frozen-fast run; the pinned theta and, at
-    dim_fast 1, the fast Jacobian (read through _floats), else a callback
-    (theta, lam, xi, b, S) returning b*(J @ S) as a list, of a sensitivity
-    run; () when coupled.  A run on text calls no field or Jacobian
-    (_on_text sets it up).  The steps of each block of _CHUNK run in the
+    the pinned theta list of a frozen-fast run; the pinned theta and a
+    callback (theta, lam, xi, b, S) returning b*(J @ S) as a list, of a
+    sensitivity run; () when coupled.  A run on text calls no field or
+    Jacobian, and its sensitivity args are the pinned theta alone
+    (_on_text sets it up, and adds the text's values).  The steps of each block of _CHUNK run in the
     loop generated for shape (_step_loop), which writes every component's
     arithmetic out in numpy's elementwise order (x + half*k, x + h*k, then
     x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as float64 arrays

@@ -102,7 +102,7 @@ class AllBelowFloor:
 
 @dataclass(frozen=True)
 class SymmetricNoBias:
-    """Bias sweep outcome when every bias is below 10x the averaging tol.
+    """Bias sweep outcome when every bias is below 10 * tol.
 
     At that resolution the averaged root is indistinguishable from the
     exact target, which is the honest report for symmetric probing: the
@@ -305,31 +305,28 @@ def bias_sweep(
     beta_list,
     *,
     tol=1e-3,
-    avg_tol=None,
     burn_in=None,
     window=None,
-    theta_init=None,
     out_dir=None,
 ):
     """Bias ||theta^beta - theta*|| of the averaged root, per beta.
 
-    theta* must be recorded on the system in closed form.  Returns the
-    log-log RateFit of bias against beta, or SymmetricNoBias when every
-    bias sits below 10x the averaging tolerance (the resolution of the
-    root finder).  NonConvergent from the root finder propagates with
-    the offending beta named.
+    theta* must be recorded on the system in closed form, and Newton
+    starts there.  Returns the log-log RateFit of bias against beta, or
+    SymmetricNoBias when every bias sits below 10 * tol (the resolution
+    of the root finder, which averages to tol).  NonConvergent from the
+    root finder propagates with the offending beta named.
     """
     betas = _checked_betas(beta_list)
     if system.theta_star is None:
         raise ConfigError("bias_sweep needs the exact root theta_star on the system")
     theta_star = np.atleast_1d(np.asarray(system.theta_star, dtype=float))
-    init = theta_star if theta_init is None else np.atleast_1d(theta_init)
-    resolution = 10.0 * (tol if avg_tol is None else avg_tol)
+    resolution = 10.0 * tol
 
     def run_one(beta):
         try:
             theta_beta = find_root_g0(
-                system, init, beta, tol, avg_tol=avg_tol, burn_in=burn_in, window=window
+                system, theta_star, beta, tol, burn_in=burn_in, window=window
             )
         except NonConvergent as exc:
             raise NonConvergent(f"bias run at beta = {beta:g}: {exc}", exc.estimates) from exc

@@ -6,26 +6,25 @@ exponent is the growth rate of ||S||, accumulated in log space with unit-
 time rescaling so the matrix never overflows on long horizons.
 
 S rides the shared RK4 kernel (dynamics._rk4) in the stack [Lambda; vec S],
-row-major, as a sensitivity run: its generated block loop calls the
-system's stage field for the fast part b*h (a = None) and forms the
-sensitivity derivative itself.  One kernel run covers the horizon; it
+row-major, as a sensitivity run.  One kernel run covers the horizon; it
 stops at every multiple of the rescale interval and at the half-horizon
 step, where S is divided by its Frobenius norm, whose log is
 accumulated, and the half-horizon magnitude is recorded.
 
-At fast dimension d = 1 the loop writes the sensitivity derivative out
-as b * (0.0 + j * s) on Python floats, which is how numpy's 1x1 matmul
-rounds (its accumulator starts at +0.0, so a -0.0 product comes out
-+0.0).  At d >= 2 it calls one helper that keeps J @ S a numpy matmul:
-BLAS sums each row with fused multiply-adds in an order of its own
-choosing, which a sum of Python floats does not reproduce (thousands of
-mismatches per 20,000 random 2x2 cases).
-
-A system with expression text (dynamics.StageText: the built-in systems,
-and the frozen text system.frozen(theta) of the extremum seeker at order
-1) runs on it: the loop writes the fast part and the Jacobian out, with
-no call.  The frozen text's Jacobian is its constant f1, and the stack
-carries the probe row's measurement as its last entry.
+The run takes one of two forms.  A system with expression text
+(dynamics.StageText: the built-in systems, and the frozen text
+system.frozen(theta) of the extremum seeker at order 1) runs on it: the
+loop writes the fast part and the Jacobian out, with no call, and the
+sensitivity derivative as b * (0.0 + j * s) on Python floats, which is
+how numpy's 1x1 matmul rounds (its accumulator starts at +0.0, so a
+-0.0 product comes out +0.0).  The frozen text's Jacobian is its
+constant f1, and the stack carries the probe row's measurement as its
+last entry.  Any other system runs on its stage field, called for the
+fast part b*h (a = None), and on one callback that returns b*(J @ S) as
+a list, at every fast dimension.  J @ S stays a numpy matmul: BLAS sums
+each row with fused multiply-adds in an order of its own choosing, which
+a sum of Python floats does not reproduce (thousands of mismatches per
+20,000 random 2x2 cases).
 
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
@@ -129,9 +128,6 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     text = _pinned_text(system, th)
     if text is not None:
         shape, args, x = _on_text(text, shape, (th,), x)
-    elif d == 1:
-        jac = system.dh_dlambda
-        args = (th, _jacobian_evaluator(system) if jac is None else jac)
     else:
         jac_of = _jacobian_evaluator(system)
 

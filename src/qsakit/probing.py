@@ -228,11 +228,9 @@ class ErgodicAverage(NamedTuple):
     horizon: float
 
 
-def _simpson_nodes(horizon: float, max_omega: float, min_step: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _simpson_nodes(horizon: float, max_omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Node times and Simpson weights over [0, horizon]."""
     step_cap = 1.0 / (40.0 * max_omega)
-    if min_step is not None:
-        step_cap = min(step_cap, min_step)
     n = int(math.ceil(horizon / step_cap))
     if n % 2 == 1:
         n += 1
@@ -254,7 +252,6 @@ def ergodic_average(
     *,
     t_start: float = 64.0,
     t_cap: float = float(2**20),
-    step: float | None = None,
 ) -> ErgodicAverage:
     """Long-run time average of u(x, xi_t) by doubling-horizon quadrature.
 
@@ -274,7 +271,7 @@ def ergodic_average(
     x = np.asarray(x, dtype=float)
 
     def estimate(horizon: float) -> np.ndarray:
-        t, w = _simpson_nodes(horizon, basis.max_omega, step)
+        t, w = _simpson_nodes(horizon, basis.max_omega)
         total = None
         chunk = 1 << 17
         for lo in range(0, t.size, chunk):

@@ -296,7 +296,7 @@ def test_inconclusive_message():
     assert_same_failure(Inconclusive, system, np.zeros(1), 1.0, np.array([0.01]), 40.0)
 
 
-# -- the scalar (d = 1) stage on Python floats ---------------------------------
+# -- d = 1 on the call path: the b*(J @ S) callback ----------------------------
 
 
 def linear_model_variant(dh_dlambda):
@@ -305,7 +305,7 @@ def linear_model_variant(dh_dlambda):
 
 
 def test_linear_model_fd_jacobian():
-    # no dh_dlambda: the float stage reads the central-difference evaluator
+    # no dh_dlambda: the b*(J @ S) callback reads the central-difference evaluator
     assert_same(linear_model_variant(None), 1.0, 0.5, 0.3, 100.0)
 
 

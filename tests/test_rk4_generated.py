@@ -123,10 +123,14 @@ def frozen_rhs(stage, shape, args, system):
 
 
 def sensitivity_rhs(stage, shape, args, system):
-    """lyapunov_exponent's rhs at d = 1 and at d >= 2, verbatim."""
+    """lyapunov_exponent's rhs at d = 1 and at d >= 2, verbatim but for
+    where the d = 1 form reads its Jacobian: system.dh_dlambda, else the
+    central-difference evaluator, not args, which hold the kernel's
+    b*(J @ S) callback at every d.  Its b * (0.0 + j * s) is the d = 1
+    oracle of the callback's 1x1 matmul."""
     d, th = shape[1], args[0]
     if d == 1:
-        jac_cb = args[1]
+        jac_cb = system.dh_dlambda or _jacobian_evaluator(system)
 
         def rhs(x, xi, a, b):
             la = x[:1]
@@ -398,7 +402,8 @@ def test_finite_extremes_run_to_the_end(kind):
 
 def kernel_case(kind):
     """(system, shape, args, x, gains) of one _rk4 run of each kind on a
-    stage field; the sensitivity run is at dim_fast 1 with its Jacobian."""
+    stage field; the sensitivity run is at dim_fast 1 with the b*(J @ S)
+    callback."""
     system = stage_system(2, 1 if kind == "sensitivity" else 2)
     sched = GainSchedule(rho=0.7, beta=0.3)
     theta, lam = [0.3, -0.2], [0.4, -0.3][: system.dim_fast]
@@ -409,8 +414,20 @@ def kernel_case(kind):
         filt = SecondOrderFilter(0.3, zeta=0.6, eta=1.3)
         args, x = (filt.gamma**2, 2.0 * filt.zeta * filt.gamma), x + lam + [0.0, 0.0]
     if kind == "sensitivity":
-        args, x = (theta, system.dh_dlambda), lam + [1.0]
+        args, x = (theta, jac_times_s(system)), lam + [1.0]
     return system, (2, system.dim_fast, kind), args, x, gains
+
+
+def jac_times_s(system):
+    """lyapunov_exponent's sensitivity callback: b*(J @ S), row-major, as a
+    list, with J from _jacobian_evaluator."""
+    jac_of, d = _jacobian_evaluator(system), system.dim_fast
+
+    def jac(th, la, xi, b, s):
+        js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
+        return [b * v for v in js.ravel().tolist()]
+
+    return jac
 
 
 #: (n_steps, sample_stride): exact multiples of _CHUNK, a block with no

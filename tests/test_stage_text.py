@@ -10,8 +10,10 @@ path.  Both must give the same trajectories, exponents and NonFinite
 times bit for bit, for all four run kinds, across a block boundary and at
 parameters that a literal would not survive (-0.0, a subnormal).  The
 text is bound to its values at run time, so one loop serves every
-parameter value.  The seeker traffic of the benchmark must take the text
-path: no stage field call and no Objective.__call__.
+parameter value.  Every run kind of every named system
+(qsakit.systems.SYSTEMS) and the seeker traffic of the benchmark must
+take the text path: no stage field or Jacobian call, and no
+Objective.__call__.
 
 The call path's generated sources are pinned as well: a system without
 text must get the same loop source as before the text path existed.
@@ -38,6 +40,7 @@ from qsakit.esc import EscConfig, Objective, build_esc_system, quadratic_objecti
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import find_root_g0
+from qsakit.systems import SYSTEMS as NAMED_SYSTEMS
 from qsakit.systems import make_decoupled_system, make_linear_system
 
 SUBNORMAL = 5e-324
@@ -158,8 +161,11 @@ def test_blow_up_time(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
-def test_text_run_calls_no_field(kind):
-    system = make_linear_system()
+@pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
+def test_text_run_calls_no_field(name, kind):
+    # every named system runs on its text: none reaches the stage field or
+    # the Jacobian callback of the call path
+    system = NAMED_SYSTEMS[name]()
     calls = []
     field, jac = system.stage, system.dh_dlambda
     system.stage = lambda *args: calls.append("stage") or field(*args)
@@ -249,8 +255,10 @@ def test_compiled_field_is_the_text():
 #: df 1-3 and the kinds below, in that nesting, as generated before the
 #: text path was added, less the kernel's record hook, and with the fast
 #: gain b a constant, samples appended to a list and one finiteness test
-#: per step
-CALL_PATH_SOURCES = "0d7114c0742c555cbfc687a51d86e8ed3877b8a3c381833d1595a98de1315011"
+#: per step; the four sensitivity shapes at df 1, (1..4, 1, "sensitivity"),
+#: call the b*(J @ S) callback as every other df does, in place of the
+#: scalar Jacobian read through _floats
+CALL_PATH_SOURCES = "7785b36dc9ab4df83433ed77c1b28083238b431748ab4da582cd5a7c9e867c0d"
 
 
 def test_call_path_sources_unchanged():
