@@ -17,11 +17,14 @@ for bit, and a sample's probe row rebuilt from its time is the row the
 run's stages read there: qsakit.meanflow averages the slow field on a
 frozen-fast run's samples after the run (text_slow).
 
-The kernel holds states, stage derivatives and probe vectors as lists
-of Python floats (one tolist() per block of steps; the block's last row
-is carried into the next, so stages at one time share one list).  A run
-reads the system's one stage field, stage(theta, lam, xi, a, b) ->
-(slow, fast), the stage derivative at gains (a, b) on such lists: slow =
+The kernel holds states and stage derivatives as lists of Python
+floats, and a block's probe table as one list of floats per probe
+component (one tolist() per block of steps).  A loop on text reads from
+it only the row entries its stage reads; a loop that calls a field
+builds the probe row, the list of all components at a stage time, once
+per new time (k2 and k4; the next k1 reuses k4's list).  A run reads the
+system's one stage field, stage(theta, lam, xi, a, b) -> (slow, fast),
+the stage derivative at gains (a, b) on such lists: slow =
 a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
 None, the averaged slow field b = None.  A system given as array
@@ -70,8 +73,11 @@ pays off for small stacks only (the source grows with D); every
 built-in system has D <= 5 in coupled and frozen runs.
 """
 
+import ast
 import contextlib
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,7 +87,8 @@ from .errors import ConfigError, NonFinite
 from .probing import clock_phases, identity_map, probe_signal
 
 #: steps per precomputed probe/gain block inside the integrator; a block
-#: holds a Python object per stage, so it is kept short to bound memory
+#: holds a Python float per stage time and probe component, so it is kept
+#: short to bound memory
 _CHUNK = 1 << 10
 
 #: rows per block of write_csv: a block's rows are stacked and formatted
@@ -160,9 +167,13 @@ class StageText(NamedTuple):
     (jac)*s).  The text reads th0.., la0.., the row entries xi0.. of a
     probe row, the constants names, bound to values per run, and the
     locals that the statement per_stage ('' for none) binds; slow may
-    also read the stage's slow gain a.  No name may be a local of the
-    generated loop, which binds a only for a text that reads it
-    (_reads_gain).  per_stage runs at every stage once
+    also read the stage's slow gain a.  No name, and no local that
+    per_stage binds, may be one the generated loop binds or reads for
+    itself (_LOOP_NAMES: its state, stage and probe locals x0.., k1_0..,
+    p0.. among them); TwoTimescaleSystem rejects such a text.  The loop
+    binds a only for a text that reads it (_reads_gain), and xi{i}, read
+    from the probe component list p{i}, only for the entries its run
+    reads (_row_reads).  per_stage runs at every stage once
     the stage's state locals are bound; jac reads none of its locals.
     With carry, a local of per_stage, per_stage reads no state but the
     pinned theta of a frozen run: it then runs once per new probe row,
@@ -192,9 +203,28 @@ def _on_text(text, shape, args, x):
     return shape + (key,), args + text.values, x + [None] * (text.carry is not None)
 
 
+def _names(*parts):
+    """The names that the source parts (expressions or statements) read or
+    bind (co_names)."""
+    return {name for part in parts for name in compile(part, "<text>", "exec").co_names}
+
+
 def _reads_gain(text):
     """Whether text's slow part reads the stage's slow gain a."""
-    return any("a" in compile(e, "<slow>", "eval").co_names for e in text.slow)
+    return "a" in _names(*text.slow)
+
+
+def _row_reads(text, kind):
+    """The indices i of the row entries xi{i} that text reads in a run of
+    kind: in its slow part (coupled and filtered runs), fast part,
+    per_stage and, in sensitivity runs, jac."""
+    parts = [*text.fast, text.per_stage]
+    if kind in ("coupled", "filtered"):
+        parts += text.slow
+    elif kind == "sensitivity":
+        parts.append(text.jac)
+    names = _names(*parts)
+    return [i for i in range(text.row) if f"xi{i}" in names]
 
 
 def _row_locals(text):
@@ -202,9 +232,32 @@ def _row_locals(text):
     return ", ".join(f"xi{i}" for i in range(text.row)) + "," * (text.row == 1)
 
 
-def _row_error(xi, size):
-    """ConfigError for a stage field's probe row of another length than size."""
-    return ConfigError(f"stage got a probe row of {len(xi)} value(s), expected {size}")
+def _row_error(count, size):
+    """ConfigError for a probe row of count values where size are expected."""
+    return ConfigError(f"stage got a probe row of {count} value(s), expected {size}")
+
+
+#: what a generated loop on text binds or reads for itself
+#: (_step_loop_source): its parameters, the step index j, the slow gains
+#: am and a, the filter's gamma2 and two_zg, the pinned theta th, the
+#: locals x.., k1_.. to k4_.., th.., la.., fl.., xi.. and p.., and the
+#: globals range and NonFinite
+_LOOP_NAMES = re.compile(
+    r"(x|k[1-4]_|th|la|fl|xi|p)\d+|field|args|x|ps|a_all|b|gi|j_lo|j_hi|stride|rows|h|half"
+    r"|sixth|j|am|a|gamma2|two_zg|th|range|NonFinite"
+)
+
+
+def _check_loop_names(text):
+    """ConfigError naming text's names, and the locals that its per_stage
+    binds, which the generated loop binds or reads for itself (_LOOP_NAMES)."""
+    bound = {
+        node.id for node in ast.walk(ast.parse(text.per_stage))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    clashes = sorted(n for n in {*text.names, *bound} if _LOOP_NAMES.fullmatch(n))
+    if clashes:
+        raise ConfigError(f"stage text name(s) {', '.join(clashes)} are locals of the generated RK4 loop")
 
 
 #: source of text_field's compiled pair, for str.format with the text's parts
@@ -214,7 +267,7 @@ _FIELD_SOURCE = """def bind({names}):
         try:
             {row} = xi
         except ValueError:
-            raise row_error(xi, {size}) from None
+            raise row_error(len(xi), {size}) from None
         {per_stage}
         return None if a is None else [{slow}], None if b is None else [{fast}]
     def dh_dlambda(theta, lam, xi):
@@ -222,7 +275,7 @@ _FIELD_SOURCE = """def bind({names}):
         try:
             {row} = xi
         except ValueError:
-            raise row_error(xi, {size}) from None
+            raise row_error(len(xi), {size}) from None
         return [{jac}]
     return stage, dh_dlambda
 """
@@ -317,6 +370,7 @@ class TwoTimescaleSystem:
         self.dim_slow = int(dim_slow)
         self.dim_fast = int(dim_fast)
         if text is not None:
+            _check_loop_names(text)
             stage, dh_dlambda = text_field(text)
         self.g = g
         self.h = h
@@ -599,21 +653,23 @@ def _step_loop_source(shape):
     lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
     comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
     carry = "" if text is None or text.carry is None else f"{text.carry}, "
+    reads = () if text is None else _row_reads(text, kind)
 
     def seq(fmt, idx):
         return "".join(fmt.format(d) + ", " for d in idx)  # a 1-tuple too
 
-    def stage(k, state, xi, a, b):
-        """Lines setting k{k}_d from the stage state's component expressions."""
+    def stage(k, state, j, a, b):
+        """Lines setting k{k}_d from the stage state's component expressions;
+        the stage reads the probe table at index j."""
         out = []
         if kind == "filtered" and k > 1 and text is None:  # components read twice get locals
             out += [f"s{d} = {state[d]}" for d in comps]
             state = [f"s{d}" for d in comps]
         part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
         vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
-        if text is not None:  # a new probe row at k2 and k4, read once each
+        if text is not None:  # a new probe row at k2 and k4, the components read once each
             if k in (2, 4):
-                out.append(f"{_row_locals(text)} = {xi}")
+                out += [f"xi{i} = p{i}[{j}]" for i in reads]
                 if carry:
                     out.append(text.per_stage)
             local = {d: f"la{i}" for i, d in enumerate(lam)}
@@ -631,12 +687,15 @@ def _step_loop_source(shape):
                     a = "a"
                 out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(text.slow)]
             out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, text.fast)]
-        elif frozen:
-            out.append(f"la = {vals(lam)}")
-            out.append(f"_, {part(lam)} = field(th, la, {xi}, None, {b})")
         else:
-            theta = vals(range(ds))
-            out.append(f"{part(range(ds))}, {part(lam)} = field({theta}, {vals(lam)}, {xi}, {a}, {b})")
+            if k in (2, 4):  # the row at a new time
+                out.append("xi = next(xis)")
+            if frozen:
+                out.append(f"la = {vals(lam)}")
+                out.append(f"_, {part(lam)} = field(th, la, xi, None, {b})")
+            else:
+                theta = vals(range(ds))
+                out.append(f"{part(range(ds))}, {part(lam)} = field({theta}, {vals(lam)}, xi, {a}, {b})")
         if kind == "filtered":
             for d in lam:
                 f, v = d + df, d + 2 * df
@@ -645,7 +704,7 @@ def _step_loop_source(shape):
         elif kind == "sensitivity" and text is not None:
             out.append(f"k{k}_1 = {b} * (0.0 + ({text.jac}) * ({state[1]}))")
         elif kind == "sensitivity":
-            out.append(f"{part(rest)} = jac(th, la, {xi}, {b}, {vals(rest)})")
+            out.append(f"{part(rest)} = jac(th, la, xi, {b}, {vals(rest)})")
         return ["        " + line for line in out]
 
     def state(c, k):
@@ -653,28 +712,34 @@ def _step_loop_source(shape):
 
     if text is None:
         unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac"}
-        head = [f"    {unpack.get(kind, '()')} = args", f"    {seq('x{}', comps)}= x"]
+        head = [
+            f"    {unpack.get(kind, '()')} = args",
+            f"    {seq('x{}', comps)}= x",
+            "    xis = map(list, zip(*map(itemgetter(slice(j_lo, j_hi + 1)), ps)))  # rows j_lo..j_hi",
+            "    xi = next(xis)",
+        ]
     else:
         unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
         head = [
             f"    {unpack.get(kind, '') + seq('{}', text.names) or '() '}= args",
             *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
             f"    {seq('x{}', comps)}{carry}= x",
-            f"    {_row_locals(text)} = xis[j_lo]",
+            *(f"    p{i} = ps[{i}]" for i in reads),
+            *(f"    xi{i} = p{i}[j_lo]" for i in reads),
             *([f"    if {text.carry} is None:", f"        {text.per_stage}"] if carry else []),
         ]
     lines = [
-        "def rk4_block(field, args, x, xis, a_all, b, gi, j_lo, j_hi, stride, rows,",
+        "def rk4_block(field, args, x, ps, a_all, b, gi, j_lo, j_hi, stride, rows,",
         "              h, half, sixth):",
         *head,
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
         f"            rows += ({seq('x{}', comps)}{carry})",
-        "        xim = xis[j + 1]" if frozen else "        xim, am = xis[j + 1], a_all[j + 1]",
-        *stage(1, [f"x{d}" for d in comps], "xis[j]", "a_all[j]", "b"),
-        *stage(2, state("half", 1), "xim", "am", "b"),
-        *stage(3, state("half", 2), "xim", "am", "b"),
-        *stage(4, state("h", 3), "xis[j + 2]", "a_all[j + 2]", "b"),
+        *([] if frozen else ["        am = a_all[j + 1]"]),
+        *stage(1, [f"x{d}" for d in comps], "j", "a_all[j]", "b"),
+        *stage(2, state("half", 1), "j + 1", "am", "b"),
+        *stage(3, state("half", 2), "j + 1", "am", "b"),
+        *stage(4, state("h", 3), "j + 2", "a_all[j + 2]", "b"),
         *(f"        x{d} = x{d} + sixth * (k1_{d} + 2.0 * (k2_{d} + k3_{d}) + k4_{d})" for d in comps),
         "        gi += 1",
         "        if " + " + ".join(f"(x{d} - x{d})" for d in comps) + " != 0.0:  # inf or nan",
@@ -689,7 +754,7 @@ def _step_loop(shape):
     use and kept in _STEP_LOOPS."""
     loop = _STEP_LOOPS.get(shape)
     if loop is None:
-        namespace = {"NonFinite": NonFinite}
+        namespace = {"NonFinite": NonFinite, "itemgetter": operator.itemgetter}
         name = "<qsakit.dynamics rk4 {} {}+{}>".format(shape[2], *shape[:2])
         exec(compile(_step_loop_source(shape), name, "exec"), namespace)
         loop = _STEP_LOOPS[shape] = namespace["rk4_block"]
@@ -705,20 +770,25 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
     ascending stops, x is replaced by at_stop(s, x).
 
-    x and every stage state are lists of Python floats.  Each stage calls
-    field(theta, lam, xi, a, b), the stage field, with the probe vector xi
-    (a list), the slow gain a, listed by gains(ts) at the stage times ts
-    (gains is None in runs that read no a), and the constant fast gain b.
-    args are the run's constants by kind: (gamma2, two_zg) of the filter;
-    the pinned theta list of a frozen-fast run; the pinned theta and a
-    callback (theta, lam, xi, b, S) returning b*(J @ S) as a list, of a
-    sensitivity run; () when coupled.  A run on text calls no field or
-    Jacobian, and its sensitivity args are the pinned theta alone
-    (_on_text sets it up, and adds the text's values).  The steps of each block of _CHUNK run in the
-    loop generated for shape (_step_loop), which writes every component's
-    arithmetic out in numpy's elementwise order (x + half*k, x + h*k, then
-    x + sixth*(k1 + 2*(k2 + k3) + k4)), so it rounds as float64 arrays
-    would; the block's samples are stored at once.  The first step runs
+    x and every stage state are lists of Python floats.  The probe values
+    of a block's stage times ts are one list per probe component.  Each
+    stage calls field(theta, lam, xi, a, b), the stage field, with the
+    probe row xi (a list of the m components, built once per new stage
+    time), the slow gain a, listed by gains(ts) (gains is None in runs
+    that read no a), and the constant fast gain b.  args are the run's
+    constants by kind: (gamma2, two_zg) of the filter; the pinned theta
+    list of a frozen-fast run; the pinned theta and a callback (theta,
+    lam, xi, b, S) returning b*(J @ S) as a list, of a sensitivity run; ()
+    when coupled.  A run on text calls no field or Jacobian and reads
+    only the components its stage reads; its sensitivity args are the
+    pinned theta alone, and the text's values end its args (_on_text).  A
+    probe table of another length than the text's row is a ConfigError
+    (_row_error), as in the text's compiled field.  The steps of each
+    block of _CHUNK run in the loop generated for shape (_step_loop),
+    which writes every component's arithmetic out in numpy's elementwise
+    order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)),
+    so it rounds as float64 arrays would; the block's samples are stored
+    at once.  The first step runs
     alone with the field's parts checked (_checked_parts); a part of
     another length later on is a ValueError from the unpacking.  Returns
     the sample times (every sample_stride steps, plus the final time) and
@@ -735,27 +805,27 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
         return _checked_parts(field(*stage_args), slow, shape[1])
 
     pmap, basis = system.probing, system.basis
+    row = shape[3].row if len(shape) > 3 else None
     cursor = 0
     h, b = float(h), float(b)  # a numpy scalar would make every stage product a numpy op
     sixth = h / 6.0
     half = h * 0.5
     stops = iter(stops)
     stop = next(stops, None)
-    xis = a_all = None
+    a_all = None
     for chunk in range(0, n_steps, _CHUNK):
         end = min(chunk + _CHUNK, n_steps)
         # stage times for steps chunk..end-1: half-grid from chunk*h
         ts = (chunk + 0.5 * np.arange(2 * (end - chunk) + 1)) * h
-        carried = xis[-1] if xis is not None else None
-        xis = probe_signal(pmap, basis, ts).T.tolist()
-        if carried is not None:
-            xis[0] = carried  # the same time, so every stage there sees one list
+        ps = probe_signal(pmap, basis, ts).tolist()
+        if row is not None and len(ps) != row:  # the loop reads only some of them
+            raise _row_error(len(ps), row)
         if gains is not None:
             a_all = gains(ts)
         rows, gi = [], chunk
         while gi < end:
             hi, f = (1, checked) if gi == 0 else (end if stop is None else min(end, stop), field)
-            x = loop(f, args, x, xis, a_all, b, gi, 2 * (gi - chunk), 2 * (hi - chunk),
+            x = loop(f, args, x, ps, a_all, b, gi, 2 * (gi - chunk), 2 * (hi - chunk),
                      sample_stride, rows, h, half, sixth)
             if hi == stop:
                 x = at_stop(stop, x)

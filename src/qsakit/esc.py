@@ -662,7 +662,7 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
 
         def stage(theta, lam, xi, a, b):
             if len(xi) != 2 * d:
-                raise _row_error(xi, 2 * d)
+                raise _row_error(len(xi), 2 * d)
             y = measure(theta, xi)
             slow = fast = None
             if a is not None:

@@ -17,6 +17,15 @@ Objective.__call__.
 
 The call path's generated sources are pinned as well: a system without
 text must get the same loop source as before the text path existed.
+
+The loop reads the probe table as one list per probe component: a text
+loop binds xi{i} only for the components its run reads, a call-path loop
+hands the field a list of all m of them.  A text that reads components
+apart (row 3, xi0 in the slow part, xi2 in the fast part) is checked
+against its call path like the built-in systems; a probe table of
+another length than the text's row is the compiled field's ConfigError
+in every kind of run, and a text whose names would overwrite the loop's
+own locals is rejected when the system is built.
 """
 
 import hashlib
@@ -28,6 +37,7 @@ import pytest
 from qsakit import dynamics
 from qsakit.dynamics import (
     _CHUNK,
+    _LOOP_NAMES,
     GainSchedule,
     TwoTimescaleSystem,
     _resolve_step,
@@ -35,17 +45,29 @@ from qsakit.dynamics import (
     integrate_frozen_fast,
 )
 from qsakit.cli import run
-from qsakit.errors import Inconclusive, NonFinite
+from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.esc import EscConfig, Objective, build_esc_system, quadratic_objective
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import find_root_g0
+from qsakit.probing import default_basis
 from qsakit.systems import SYSTEMS as NAMED_SYSTEMS
 from qsakit.systems import make_decoupled_system, make_linear_system
 
 SUBNORMAL = 5e-324
 
-#: built-in systems with text, by label
+def split_row_system():
+    """linear-3.1's field on a probe row of 3, its slow part reading xi0 and
+    its fast part and Jacobian xi2, on default_basis(3)."""
+    text = make_linear_system().text
+    text = text._replace(
+        fast=(text.fast[0].replace("xi1", "xi2"),), jac=text.jac.replace("xi1", "xi2"), row=3
+    )
+    return TwoTimescaleSystem(1, 1, None, None, default_basis(3), text=text)
+
+
+#: built-in systems with text, and a text that reads probe components
+#: apart, by label
 SYSTEMS = {
     "linear default": make_linear_system,
     "linear negative": lambda: make_linear_system(alpha=0.75, s=(-0.7, -1.3), b=(-0.4, -0.25)),
@@ -54,6 +76,7 @@ SYSTEMS = {
     ),
     "linear non-unit b": lambda: make_linear_system(alpha=3.0, s=(2.0, 0.5), b=(1.5, -2.5)),
     "decoupled": make_decoupled_system,
+    "linear row of 3, reading xi0 and xi2": split_row_system,
     # the seeker writes the built-in quadratic out on floats, calls any
     # other Objective's function and every other objective's measurement
     "seeker quadratic d=1": lambda: seeker(
@@ -257,8 +280,11 @@ def test_compiled_field_is_the_text():
 #: gain b a constant, samples appended to a list and one finiteness test
 #: per step; the four sensitivity shapes at df 1, (1..4, 1, "sensitivity"),
 #: call the b*(J @ S) callback as every other df does, in place of the
-#: scalar Jacobian read through _floats
-CALL_PATH_SOURCES = "7785b36dc9ab4df83433ed77c1b28083238b431748ab4da582cd5a7c9e867c0d"
+#: scalar Jacobian read through _floats; the probe table is one list per
+#: probe component, and each row handed to the field or the callback is
+#: built from those component lists, once per new row time (loop entry, k2
+#: and k4)
+CALL_PATH_SOURCES = "7b0cc246a01cc53f4cedab958ab587689efb002603f8de08b32f3ed2dd3471c2"
 
 
 def test_call_path_sources_unchanged():
@@ -268,3 +294,86 @@ def test_call_path_sources_unchanged():
         for ds in range(1, 5) for df in range(1, 4) for kind in kinds
     )
     assert hashlib.sha256(source.encode()).hexdigest() == CALL_PATH_SOURCES
+
+
+# -- the probe table as component lists ----------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_split_row_reads(kind):
+    # test_text_run_is_the_call_run runs this text; its Lyapunov rescales
+    # fall inside blocks
+    system = split_row_system()
+    h = _resolve_step(system.basis, 0.3, 40.0, None)[0]
+    assert _CHUNK % round(1.0 / h) != 0
+    assert dynamics._row_reads(system.text, kind) == ([0, 2] if kind in ("coupled", "filtered") else [2])
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+@pytest.mark.parametrize("m", [1, 3])
+def test_probe_table_of_another_length(m, kind):
+    # linear-3.1's text reads xi1 alone in frozen runs: with three
+    # components the run would not notice, so the kernel checks the table
+    system = TwoTimescaleSystem(1, 1, None, None, default_basis(m), text=make_linear_system().text)
+    message = rf"^stage got a probe row of {m} value\(s\), expected 2$"
+    with pytest.raises(ConfigError, match=message):
+        RUNS[kind](system)
+    with pytest.raises(ConfigError, match=message):
+        RUNS[kind](call_path(system))
+
+
+@pytest.mark.parametrize("names, per_stage", [(("p0",), ""), ((), "am = xi0 * xi1")])
+def test_text_names_are_not_loop_locals(names, per_stage):
+    text = make_linear_system().text
+    text = text._replace(
+        names=text.names + names, values=text.values + (1.0,) * len(names), per_stage=per_stage
+    )
+    with pytest.raises(ConfigError, match=rf"^stage text name\(s\) {(names or ('am',))[0]} "):
+        TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+
+
+def loop_source(system, kind):
+    """The generated loop source of a run of kind on the system's text,
+    its frozen text at a pinned theta for frozen kinds."""
+    text = system.text
+    if kind in ("frozen-fast", "sensitivity") and system.frozen is not None:
+        text = system.frozen(theta(system, 0.3))
+    shape = (system.dim_slow, system.dim_fast, kind, text._replace(values=None))
+    return dynamics._step_loop_source(shape), text
+
+
+@pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
+def test_frozen_loops_index_only_the_components_read(kind):
+    source, _ = loop_source(make_linear_system(), kind)
+    assert "p1[" in source and "p0" not in source
+    seeker_source, text = loop_source(NAMED_SYSTEMS["esc-quadratic"](), kind)
+    assert text.carry is not None
+    assert "p0[" in seeker_source and "p1" not in seeker_source
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+@pytest.mark.parametrize("m", [2, 3])
+def test_call_path_hands_the_field_a_list_of_m_floats(m, kind):
+    system = call_path(split_row_system() if m == 3 else make_linear_system())
+    rows = []
+    field, jac = system.stage, system.dh_dlambda
+    system.stage = lambda th, la, xi, a, b: rows.append(xi) or field(th, la, xi, a, b)
+    system.dh_dlambda = lambda th, la, xi: rows.append(xi) or jac(th, la, xi)
+    RUNS[kind](system)
+    assert len(rows) > 4 * _CHUNK
+    assert {(type(xi), len(xi)) for xi in rows} == {(list, m)}
+    assert all(type(v) is float for xi in rows for v in xi)
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+@pytest.mark.parametrize("label", sorted(SYSTEMS))
+def test_loop_names_cover_the_loop(label, kind):
+    # every name a text loop binds or reads for itself, apart from the
+    # text's own names and locals and what the text reads, is reserved
+    system = SYSTEMS[label]()
+    source, text = loop_source(system, kind)
+    code = compile(source, "<loop>", "exec").co_consts[0]
+    own = set(code.co_varnames) | set(code.co_names)
+    own -= dynamics._names(*text.slow, *text.fast, text.jac, text.per_stage) - {"a"}
+    own -= set(text.names)
+    assert own and all(_LOOP_NAMES.fullmatch(n) for n in own), sorted(own)
