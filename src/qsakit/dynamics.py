@@ -15,7 +15,7 @@ Lambda are the same with or without it.  Probing phases are recomputed
 from t at every stage, never integrated, so runs are reproducible bit
 for bit, and a sample's probe row rebuilt from its time is the row the
 run's stages read there: qsakit.meanflow averages the slow field on a
-frozen-fast run's samples after the run (text_slow).
+frozen-fast run's samples after the run (text_arrays).
 
 The kernel holds states and stage derivatives as lists of Python
 floats, and a block's probe table as one list of floats per probe
@@ -51,6 +51,22 @@ stack's last entry, so the run samples it with the state.  The runs of
 any other stage field (user fields, array callbacks, the seekers at
 order >= 2) call it.
 
+A text's arithmetic that its run's inputs fix before the loop is not
+computed in it (_lift): a maximal sub-expression built by +, -, *,
+unary - and / by a run constant from float literals, the text's
+constants, the pinned theta of a frozen-fast or sensitivity run and the
+probe row entries xi{i}.  One that reads no xi{i} is computed once per
+run on Python floats; any other once per block of steps, on the block's
+probe table with numpy's elementwise operations (text_arrays, warnings
+off), as a column of the table that the loop reads as it reads xi{i}.
+A per-stage assignment of such arithmetic becomes a run value or a
+column too: at a pinned theta the built-in quadratic's measurement is
+lifted whole, and so is g1*y, so its frozen loops measure nothing.
+Calls, **, comparisons and / by anything else stay in the loop, so
+every objective call happens at the same stage as before.  numpy's
+elementwise +, -, * and / on float64 round as Python's float operations
+do, so the lifted values are the loop's own.
+
 The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
 use, as dataclasses and namedtuple generate code.  The kinds are coupled,
@@ -75,6 +91,7 @@ built-in system has D <= 5 in coupled and frozen runs.
 
 import ast
 import contextlib
+import functools
 import math
 import operator
 import re
@@ -173,13 +190,16 @@ class StageText(NamedTuple):
     p0.. among them); TwoTimescaleSystem rejects such a text.  The loop
     binds a only for a text that reads it (_reads_gain), and xi{i}, read
     from the probe component list p{i}, only for the entries its run
-    reads (_row_reads).  per_stage runs at every stage once
-    the stage's state locals are bound; jac reads none of its locals.
-    With carry, a local of per_stage, per_stage reads no state but the
-    pinned theta of a frozen run: it then runs once per new probe row,
-    and carry rides as the stack's last entry, None until bound.  slow
-    uses +, - and * alone, and with carry reads no other local of
-    per_stage: text_slow evaluates it on arrays.  Without its values
+    reads once its row-only arithmetic is lifted out (_lift), whose
+    values take the names xi{i} and p{i} from i = row on: the text reads
+    no such name.  per_stage runs at every stage once the stage's state
+    locals are bound, less the statements lifted out; jac reads none of
+    its locals.  With carry, a local of per_stage, per_stage reads no
+    state but the pinned theta of a frozen run: it then runs once per new
+    probe row, and carry rides as the stack's last entry, None until
+    bound.  slow uses +, - and * alone, and with carry reads no other
+    local of per_stage: text_arrays evaluates it on arrays.  Constants
+    that lifted arithmetic reads are real numbers.  Without its values
     (None) the text keys the generated loop.
     """
 
@@ -214,19 +234,6 @@ def _reads_gain(text):
     return "a" in _names(*text.slow)
 
 
-def _row_reads(text, kind):
-    """The indices i of the row entries xi{i} that text reads in a run of
-    kind: in its slow part (coupled and filtered runs), fast part,
-    per_stage and, in sensitivity runs, jac."""
-    parts = [*text.fast, text.per_stage]
-    if kind in ("coupled", "filtered"):
-        parts += text.slow
-    elif kind == "sensitivity":
-        parts.append(text.jac)
-    names = _names(*parts)
-    return [i for i in range(text.row) if f"xi{i}" in names]
-
-
 def _row_locals(text):
     """The target list that binds a probe row to text's locals xi0..."""
     return ", ".join(f"xi{i}" for i in range(text.row)) + "," * (text.row == 1)
@@ -250,12 +257,17 @@ _LOOP_NAMES = re.compile(
 
 def _check_loop_names(text):
     """ConfigError naming text's names, and the locals that its per_stage
-    binds, which the generated loop binds or reads for itself (_LOOP_NAMES)."""
+    binds, which the generated loop binds or reads for itself (_LOOP_NAMES),
+    and the entries xi{i} (i >= text.row) and lists p{i} it reads, which
+    name the loop's lifted values (_lift)."""
     bound = {
         node.id for node in ast.walk(ast.parse(text.per_stage))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
-    clashes = sorted(n for n in {*text.names, *bound} if _LOOP_NAMES.fullmatch(n))
+    row = {f"xi{i}" for i in range(text.row)}
+    lifted = {n for n in _names(*text.slow, *text.fast, text.jac, text.per_stage)
+              if re.fullmatch(r"(xi|p)\d+", n) and n not in row}
+    clashes = sorted({n for n in {*text.names, *bound} if _LOOP_NAMES.fullmatch(n)} | lifted)
     if clashes:
         raise ConfigError(f"stage text name(s) {', '.join(clashes)} are locals of the generated RK4 loop")
 
@@ -298,23 +310,205 @@ def text_field(text):
     return namespace["bind"](*text.values)
 
 
-def text_slow(text, theta, lam, xi, carried):
-    """text's slow part at a = 1.0 on a frozen run's n samples, (n,
-    dim_slow): each expression evaluated once on float64 arrays, with the
-    pinned theta's floats th0.., lam's columns la0.., xi's rows xi0.., the
-    carried local's (n,) values carried and the slow gain a = 1.0.
-    numpy's elementwise +, - and * round as the stage field's floats do,
-    so each value is the field's."""
+@functools.cache
+def _compiled(expression):
+    """expression compiled for eval, and the divisor of each of its / compiled apart."""
+    tree = ast.parse(expression, mode="eval")
+    divisors = tuple(
+        compile(ast.Expression(node.right), "<text>", "eval") for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+    )
+    return compile(tree, "<text>", "eval"), divisors
+
+
+def text_arrays(text, parts, theta, xi, lam=(), local=()):
+    """The values of parts, (name, expression) pairs of text's arithmetic,
+    on n samples at once: each expression evaluated once, in order, with
+    numpy's elementwise float64 operations and its warnings off, and its
+    value bound to name (None: not bound) for the parts after it.  The
+    scope holds text's constants, the entries th0.. of theta, la0.. of lam
+    and xi0.. of xi (floats, or (n,) arrays: a pinned theta's floats, the
+    columns of sampled states, the rows of probe rows), the slow gain a =
+    1.0 and the pairs local.  A part that reads no array is a float.
+    numpy's elementwise +, -, * and / round as Python's float operations
+    do, and a / whose divisor has a zero raises ZeroDivisionError as the
+    float division does, so each value is the compiled field's at each
+    sample."""
     scope = dict(zip(text.names, text.values), a=1.0)
-    scope.update((f"th{d}", v) for d, v in enumerate(theta))
-    scope.update((f"la{d}", lam[:, d]) for d in range(lam.shape[1]))
-    scope.update((f"xi{i}", row) for i, row in enumerate(xi))
-    if text.carry is not None:
-        scope[text.carry] = carried
-    series = np.empty((lam.shape[0], len(text.slow)))
-    for d, expr in enumerate(text.slow):
-        series[:, d] = eval(expr, {}, scope)  # a constant expression fills its column
-    return series
+    for prefix, entries in (("th", theta), ("la", lam), ("xi", xi)):
+        scope.update((f"{prefix}{i}", v) for i, v in enumerate(entries))
+    scope.update(local)
+    values = []
+    with np.errstate(all="ignore"):
+        for name, expression in parts:
+            code, divisors = _compiled(expression)
+            if any(np.any(np.equal(eval(d, {}, scope), 0.0)) for d in divisors):
+                raise ZeroDivisionError("float division by zero")
+            values.append(eval(code, {}, scope))
+            if name is not None:
+                scope[name] = values[-1]
+    return values
+
+
+#: the operations of lifted arithmetic (_row_kind), / by a run constant only
+_LIFTED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+
+
+def _row_kind(node, run, row):
+    """The kind of an expression node built by +, -, *, unary - and / by a
+    run constant from float literals and the names in run (constants of
+    the run) and in row (values of the probe row): "row" if it reads a
+    name in row, else "run".  None for any other node."""
+    if isinstance(node, ast.Constant):
+        return "run" if type(node.value) is float else None
+    if isinstance(node, ast.Name):
+        return "run" if node.id in run else "row" if node.id in row else None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _row_kind(node.operand, run, row)
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, _LIFTED_OPS)):
+        return None
+    left, right = _row_kind(node.left, run, row), _row_kind(node.right, run, row)
+    if left is None or right is None or isinstance(node.op, ast.Div) and right != "run":
+        return None
+    return "row" if "row" in (left, right) else "run"
+
+
+def _array_exact(text, parts):
+    """Whether text_arrays evaluates text's expressions parts, for text
+    without a per-stage statement, at sampled theta, Lambda and probe rows
+    as the compiled field does: each is lifted arithmetic (_row_kind) over
+    text's constants, th0.., la0.. and xi0.."""
+    row = {f"{v}{i}" for v, n in (("th", len(text.slow)), ("la", len(text.fast)), ("xi", text.row))
+           for i in range(n)}
+    return not text.per_stage and all(
+        _row_kind(ast.parse(e, mode="eval").body, set(text.names), row) for e in parts
+    )
+
+
+class _Lift(NamedTuple):
+    """A text's parts as a run of one kind writes them into its loop, with
+    their row-only arithmetic lifted out (_lift).  slow, fast, jac and
+    per_stage (the statements left) read the lifted values as locals.
+    runs and columns are (name, expression) pairs of text_arrays, computed
+    once per run on floats and once per block on the probe table; the loop
+    reads the run values args at the end of its args, holds the table
+    entries (n, name) of table as lists p{n} and binds (n, local) from
+    p{n} at each new probe row.  carried is the table entry of the carried
+    local if it is a column, which the loop samples, else None."""
+
+    slow: tuple
+    fast: tuple
+    jac: str
+    per_stage: str
+    runs: tuple
+    columns: tuple
+    args: tuple
+    table: tuple
+    binds: tuple
+    carried: int | None
+
+
+@functools.cache
+def _lift(text, kind):
+    """The _Lift of text (its key: values None) in runs of kind.
+
+    A maximal sub-expression of lifted arithmetic (_row_kind) over float
+    literals, text's constants, the pinned theta th0.. of a frozen-fast
+    or sensitivity run and the row entries xi0.. is computed before the
+    loop: once per run if it reads no row entry, else once per block as a
+    column named xi{n} (table entry p{n}, n >= text.row).  Sub-expressions
+    are sought through arithmetic, call arguments and tuple or list
+    displays, not inside conditional or comparison nodes, so each one is
+    one the loop evaluates at every stage.  Where per_stage holds only
+    assignments and expression statements, one that assigns lifted
+    arithmetic to a local, which per_stage binds nowhere else nor reads
+    before, is dropped from the loop and its local becomes a run value or
+    a column under its own name, which later text reads as such; the
+    loop binds a column only where what stays in it reads the column, and
+    samples a carried one from its list.  Only the parts that the kind
+    evaluates are rewritten: fast, per_stage, slow in coupled and filtered
+    runs, jac in sensitivity runs."""
+    frozen = kind in ("frozen-fast", "sensitivity")
+    module = ast.parse(text.per_stage)
+    stored = [n.id for n in ast.walk(module) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    run = set(text.names) - set(stored) | {f"th{d}" for d in range(len(text.slow)) if frozen}
+    row = {f"xi{i}" for i in range(text.row)}
+    index, runs, columns = {}, [], []
+
+    def bind(name, node, level):
+        index[name] = text.row + len(index)
+        (run if level == "run" else row).add(name)
+        (runs if level == "run" else columns).append((name, ast.unparse(node)))
+
+    def rewrite(node):
+        level = _row_kind(node, run, row)
+        if level is not None:
+            if isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant):
+                return node  # a signed literal, folded when compiled
+            if isinstance(node, (ast.Name, ast.Constant)):
+                return node
+            name = f"xi{text.row + len(index)}"
+            bind(name, node, level)
+            return ast.Name(name, ast.Load())
+        if isinstance(node, ast.BinOp):
+            node.left, node.right = rewrite(node.left), rewrite(node.right)
+        elif isinstance(node, ast.UnaryOp):
+            node.operand = rewrite(node.operand)
+        elif isinstance(node, ast.Call):
+            node.args = [rewrite(v) for v in node.args]
+            for keyword in node.keywords:
+                keyword.value = rewrite(keyword.value)
+        elif isinstance(node, (ast.Tuple, ast.List)):
+            node.elts = [rewrite(v) for v in node.elts]
+        return node
+
+    per_stage, read = text.per_stage, set()
+    if all(isinstance(s, (ast.Assign, ast.Expr)) for s in module.body):
+        kept = []
+        for stmt in module.body:
+            target = stmt.targets[0].id if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                and isinstance(stmt.targets[0], ast.Name) else None
+            level = None
+            if target is not None and stored.count(target) == 1 and target not in read:
+                level = _row_kind(stmt.value, run, row)
+            read |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if level is None:
+                stmt.value = rewrite(stmt.value)
+                kept.append(ast.unparse(stmt))
+            else:
+                bind(target, stmt.value, level)
+        per_stage = "; ".join(kept)
+
+    def parts(expressions):
+        return tuple(ast.unparse(rewrite(ast.parse(e, mode="eval").body)) for e in expressions)
+
+    slow = parts(text.slow) if not frozen else text.slow
+    fast = parts(text.fast)
+    jac = parts([text.jac])[0] if kind == "sensitivity" else text.jac
+    used = _names(*(() if frozen else slow), *fast, *([jac] if kind == "sensitivity" else []), per_stage)
+    binds = [(i, f"xi{i}") for i in range(text.row) if f"xi{i}" in used]
+    binds += [(index[name], name) for name, _ in columns if name in used]
+    carried = index[text.carry] if text.carry in dict(columns) else None
+    table = dict(binds)
+    if carried is not None:
+        table[carried] = text.carry
+    return _Lift(
+        slow, fast, jac, per_stage, tuple(runs), tuple(columns),
+        tuple(name for name, _ in runs if name in used or name == text.carry),
+        tuple(sorted(table.items())), tuple(binds), carried,
+    )
+
+
+def _lifted_table(lift, text, theta, table, scope):
+    """The probe table ps of a block for a loop on lift: the lists p{n} of
+    lift.table, the rows of the probe table table for n < text.row, the
+    columns (text_arrays, with the run values scope) above; None elsewhere."""
+    values = dict(zip((name for name, _ in lift.columns),
+                      text_arrays(text, lift.columns, theta, table, local=scope)))
+    ps = [None] * (lift.table[-1][0] + 1 if lift.table else 0)
+    for n, name in lift.table:
+        ps[n] = (table[n] if n < text.row else values[name]).tolist()
+    return ps
 
 
 def _lattice(count, dim, lo=-1.0, hi=1.0):
@@ -652,8 +846,15 @@ def _step_loop_source(shape):
             "sensitivity": df + df * df}[kind]
     lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
     comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
-    carry = "" if text is None or text.carry is None else f"{text.carry}, "
-    reads = () if text is None else _row_reads(text, kind)
+    carry = text is not None and text.carry is not None
+    lift = None if text is None else _lift(text, kind)
+    # the stack's carried entry unpacks to the carried local, or, where
+    # that is lifted out, to a marker; None until bound.  A carried column
+    # is sampled from its list
+    lifted = carry and (lift.carried is not None or text.carry in lift.args)
+    marker = f"x{size}, " if lifted else f"{text.carry}, " if carry else ""
+    sample = f"p{lift.carried}[{{}}], " if lifted and lift.carried is not None else (
+        f"{text.carry}, " if carry else "")
 
     def seq(fmt, idx):
         return "".join(fmt.format(d) + ", " for d in idx)  # a 1-tuple too
@@ -667,11 +868,11 @@ def _step_loop_source(shape):
             state = [f"s{d}" for d in comps]
         part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
         vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
-        if text is not None:  # a new probe row at k2 and k4, the components read once each
+        if text is not None:  # a new probe row at k2 and k4, the entries read once each
             if k in (2, 4):
-                out += [f"xi{i} = p{i}[{j}]" for i in reads]
-                if carry:
-                    out.append(text.per_stage)
+                out += [f"{local} = p{n}[{j}]" for n, local in lift.binds]
+                if carry and lift.per_stage:
+                    out.append(lift.per_stage)
             local = {d: f"la{i}" for i, d in enumerate(lam)}
             if not frozen:
                 local.update({d: f"th{d}" for d in range(ds)})
@@ -679,14 +880,14 @@ def _step_loop_source(shape):
                 local.update({d: f"fl{d}" for d in rest})
             out += [f"{v} = {state[d]}" for d, v in sorted(local.items())]
             state = [local.get(d, state[d]) for d in comps]
-            if text.per_stage and not carry:
-                out.append(text.per_stage)
+            if lift.per_stage and not carry:
+                out.append(lift.per_stage)
             if not frozen:
                 if _reads_gain(text):  # bound only where read: other loops keep their source
                     out.append(f"a = {a}")
                     a = "a"
-                out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(text.slow)]
-            out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, text.fast)]
+                out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(lift.slow)]
+            out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, lift.fast)]
         else:
             if k in (2, 4):  # the row at a new time
                 out.append("xi = next(xis)")
@@ -702,7 +903,7 @@ def _step_loop_source(shape):
                 out.append(f"k{k}_{f} = {state[v]}")
                 out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
         elif kind == "sensitivity" and text is not None:
-            out.append(f"k{k}_1 = {b} * (0.0 + ({text.jac}) * ({state[1]}))")
+            out.append(f"k{k}_1 = {b} * (0.0 + ({lift.jac}) * ({state[1]}))")
         elif kind == "sensitivity":
             out.append(f"{part(rest)} = jac(th, la, xi, {b}, {vals(rest)})")
         return ["        " + line for line in out]
@@ -721,12 +922,12 @@ def _step_loop_source(shape):
     else:
         unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
         head = [
-            f"    {unpack.get(kind, '') + seq('{}', text.names) or '() '}= args",
+            f"    {unpack.get(kind, '') + seq('{}', (*text.names, *lift.args)) or '() '}= args",
             *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
-            f"    {seq('x{}', comps)}{carry}= x",
-            *(f"    p{i} = ps[{i}]" for i in reads),
-            *(f"    xi{i} = p{i}[j_lo]" for i in reads),
-            *([f"    if {text.carry} is None:", f"        {text.per_stage}"] if carry else []),
+            f"    {seq('x{}', comps)}{marker}= x",
+            *(f"    p{n} = ps[{n}]" for n, _ in lift.table),
+            *(f"    {local} = p{n}[j_lo]" for n, local in lift.binds),
+            *([f"    if {marker[:-2]} is None:", f"        {lift.per_stage}"] if carry and lift.per_stage else []),
         ]
     lines = [
         "def rk4_block(field, args, x, ps, a_all, b, gi, j_lo, j_hi, stride, rows,",
@@ -734,7 +935,7 @@ def _step_loop_source(shape):
         *head,
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
-        f"            rows += ({seq('x{}', comps)}{carry})",
+        f"            rows += ({seq('x{}', comps)}{sample.format('j')})",
         *([] if frozen else ["        am = a_all[j + 1]"]),
         *stage(1, [f"x{d}" for d in comps], "j", "a_all[j]", "b"),
         *stage(2, state("half", 1), "j + 1", "am", "b"),
@@ -744,7 +945,7 @@ def _step_loop_source(shape):
         "        gi += 1",
         "        if " + " + ".join(f"(x{d} - x{d})" for d in comps) + " != 0.0:  # inf or nan",
         "            raise NonFinite(gi * h)",
-        f"    return [{seq('x{}', comps)}{carry}]",
+        f"    return [{seq('x{}', comps)}{sample.format('j_hi')}]",
     ]
     return "\n".join(lines) + "\n"
 
@@ -779,10 +980,14 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     constants by kind: (gamma2, two_zg) of the filter; the pinned theta
     list of a frozen-fast run; the pinned theta and a callback (theta,
     lam, xi, b, S) returning b*(J @ S) as a list, of a sensitivity run; ()
-    when coupled.  A run on text calls no field or Jacobian and reads
-    only the components its stage reads; its sensitivity args are the
-    pinned theta alone, and the text's values end its args (_on_text).  A
-    probe table of another length than the text's row is a ConfigError
+    when coupled.  A run on text calls no field or Jacobian; its
+    sensitivity args are the pinned theta alone, and the text's values
+    end its args (_on_text).  Its row-only arithmetic is lifted out of
+    the loop (_lift): the run values, computed once on floats, end the
+    args the loop gets, and each block's table holds, as float lists,
+    the probe components and the columns (text_arrays on the block's
+    probe array) that the loop reads, None for the others.  A probe
+    table of another length than the text's row is a ConfigError
     (_row_error), as in the text's compiled field.  The steps of each
     block of _CHUNK run in the loop generated for shape (_step_loop),
     which writes every component's arithmetic out in numpy's elementwise
@@ -805,7 +1010,11 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
         return _checked_parts(field(*stage_args), slow, shape[1])
 
     pmap, basis = system.probing, system.basis
-    row = shape[3].row if len(shape) > 3 else None
+    text = shape[3] if len(shape) > 3 else None
+    if text is not None:
+        lift, scope = _lift(text, shape[2]), None
+        text = text._replace(values=args[len(args) - len(text.names):])
+        theta = args[0] if shape[2] in ("frozen-fast", "sensitivity") else ()
     cursor = 0
     h, b = float(h), float(b)  # a numpy scalar would make every stage product a numpy op
     sixth = h / 6.0
@@ -817,9 +1026,16 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
         end = min(chunk + _CHUNK, n_steps)
         # stage times for steps chunk..end-1: half-grid from chunk*h
         ts = (chunk + 0.5 * np.arange(2 * (end - chunk) + 1)) * h
-        ps = probe_signal(pmap, basis, ts).tolist()
-        if row is not None and len(ps) != row:  # the loop reads only some of them
-            raise _row_error(len(ps), row)
+        table = probe_signal(pmap, basis, ts)
+        if text is None:
+            ps = table.tolist()
+        else:
+            if table.shape[0] != text.row:  # the loop reads only some of them
+                raise _row_error(table.shape[0], text.row)
+            if scope is None:  # the run values, once the table is known good
+                scope = dict(zip((name for name, _ in lift.runs), text_arrays(text, lift.runs, theta, ())))
+                args += tuple(scope[name] for name in lift.args)
+            ps = _lifted_table(lift, text, theta, table, scope)
         if gains is not None:
             a_all = gains(ts)
         rows, gi = [], chunk

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GainSchedule, integrate, write_csv
+from .dynamics import GainSchedule, _array_exact, integrate, text_arrays, write_csv
 from .errors import (
     ConfigError,
     DegenerateFit,
@@ -31,7 +31,7 @@ from .errors import (
     NonConvergent,
     NonFinite,
 )
-from .meanflow import fast_equilibrium, find_root_g0
+from .meanflow import _newton_root, fast_equilibrium, find_root_g0
 from .poisson import (
     GainField,
     directional_derivative,
@@ -312,10 +312,12 @@ def bias_sweep(
     """Bias ||theta^beta - theta*|| of the averaged root, per beta.
 
     theta* must be recorded on the system in closed form, and Newton
-    starts there.  Returns the log-log RateFit of bias against beta, or
-    SymmetricNoBias when every bias sits below 10 * tol (the resolution
-    of the root finder, which averages to tol).  NonConvergent from the
-    root finder propagates with the offending beta named.
+    starts there and takes at least one step, so a bias below tol is
+    measured, not read as zero.  Returns the log-log RateFit of bias
+    against beta, or SymmetricNoBias when every bias sits below 10 * tol
+    (the resolution of the root finder, which averages to tol).
+    NonConvergent from the root finder propagates with the offending beta
+    named.
     """
     betas = _checked_betas(beta_list)
     if system.theta_star is None:
@@ -325,9 +327,7 @@ def bias_sweep(
 
     def run_one(beta):
         try:
-            theta_beta = find_root_g0(
-                system, theta_star, beta, tol, burn_in=burn_in, window=window
-            )
+            theta_beta = _newton_root(system, theta_star, beta, tol, None, burn_in, window, 1)
         except NonConvergent as exc:
             raise NonConvergent(f"bias run at beta = {beta:g}: {exc}", exc.estimates) from exc
         return float(np.linalg.norm(theta_beta - theta_star))
@@ -429,6 +429,24 @@ class PmfIdentityReport:
     n_samples: int
 
 
+def _exact_fast(system, traj, beta):
+    """The stage field's fast part at the fast gain beta at each sample of
+    the coupled run traj, (n, dim_fast): its text's fast part on the
+    sampled arrays (text_arrays) where that is exact (_array_exact), else
+    one stage field call per sample."""
+    text, xis = system.text, probe_signal(system.probing, system.basis, traj.t)
+    exact = np.zeros((traj.n_samples, system.dim_fast))
+    if text is not None and _array_exact(text, text.fast):
+        fast = text_arrays(text, [(None, e) for e in text.fast], traj.theta.T, xis, traj.lam.T)
+        for d, value in enumerate(fast):
+            exact[:, d] = beta * value
+        return exact
+    for i, xi in enumerate(xis.T):
+        th, la = traj.theta[i].tolist(), traj.lam[i].tolist()
+        exact[i] = system.stage(th, la, xi.tolist(), None, beta)[1]
+    return exact
+
+
 def pmf_identity_suite(
     system,
     *,
@@ -444,8 +462,10 @@ def pmf_identity_suite(
     Simulates the system (default gains rho=0.7, beta=0.1) and checks the
     three lift identities plus the assembled representation along the
     run.  Each lifted field is evaluated once over the whole sample axis
-    of the trajectory; only the exact fast right-hand side, the stage
-    field's fast part, is evaluated sample by sample.
+    of the trajectory, and so is the exact fast right-hand side, the
+    stage field's fast part, on a system whose text states it as
+    arithmetic (_exact_fast); any other system's stage field is called
+    sample by sample.
     derivative="analytic" forms all time derivatives in the
     frequency domain and the residuals are exact to roundoff;
     derivative="fd" replaces every time derivative with sampled 3-point
@@ -563,12 +583,7 @@ def pmf_identity_suite(
     )
 
     # assembled: exact fast right-hand side against the model form.
-    stage, xis = system.stage, probe_signal(system.probing, basis, t).T
-    exact = np.zeros((n, d_fast))
-    for i in range(n):
-        th, la, xi = (v[i].tolist() for v in (traj.theta, traj.lam, xis))
-        exact[i] = stage(th, la, xi, None, beta)[1]
-    lhs4 = exact[interior]
+    lhs4 = _exact_fast(system, traj, beta)[interior]
     if derivative == "analytic":
         rhs4 = terms.fast_rhs_model(states, clocks, t)
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _checked_parts, integrate_frozen_fast, text_slow, write_csv
+from .dynamics import _checked_parts, integrate_frozen_fast, text_arrays, write_csv
 from .errors import ConfigError, NonConvergent, SingularJacobian
 from .probing import probe_signal
 
@@ -68,13 +68,18 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
 def _slow_series(system, theta, traj, keep):
     """The stage field's slow part at a = 1.0 at the kept samples of the
     frozen-fast run traj at theta, with the probe rebuilt at their times:
-    text_slow on a text whose per-stage statement is carried or absent,
-    else one stage field call per sample, the first one's part checked."""
+    text_arrays on text's slow part at a = 1.0 for a text whose per-stage
+    statement is carried or absent, else one stage field call per sample,
+    the first one's part checked."""
     xi = probe_signal(system.probing, system.basis, traj.t[keep])
     th, text = theta.tolist(), traj.text
     if text is not None and (text.carry is not None or not text.per_stage):
-        carried = None if traj.measured is None else traj.measured[keep]
-        return text_slow(text, th, traj.lam[keep], xi, carried)
+        carried = {} if traj.measured is None else {text.carry: traj.measured[keep]}
+        slow = [(None, e) for e in text.slow]
+        series = np.empty((xi.shape[1], system.dim_slow))
+        for d, value in enumerate(text_arrays(text, slow, th, xi, traj.lam[keep].T, carried)):
+            series[:, d] = value  # a constant expression fills its column
+        return series
     # rows built as used, values stored at once: no list per sample stays alive
     stage, series = system.stage, np.empty((xi.shape[1], system.dim_slow))
     rows = zip(map(list, zip(*traj.lam[keep].T.tolist())), map(list, zip(*xi.tolist())))
@@ -158,6 +163,15 @@ def find_root_g0(
     NonConvergent carries the last theta and its averaged field, the
     residual.
     """
+    return _newton_root(system, theta_init, beta, tol, avg_tol, burn_in, window, 0)
+
+
+def _newton_root(system, theta_init, beta, tol, avg_tol, burn_in, window, min_steps):
+    """find_root_g0, stopping at a field norm below tol only after
+    min_steps Newton steps, or at once where the field vanishes.  A norm
+    below tol at theta_init bounds the root's distance only by
+    tol / |slope|, and the bias of an averaged root can be far smaller
+    (experiments.bias_sweep starts at theta*)."""
     avg_tol = tol if avg_tol is None else avg_tol
     fd_step = max(1e-4, 10.0 * avg_tol)
 
@@ -170,8 +184,8 @@ def find_root_g0(
     d = theta.shape[0]
     fval = field(theta)
     fnorm = float(np.linalg.norm(fval))
-    for _ in range(MAX_NEWTON_ITERATIONS):
-        if fnorm < tol:
+    for iteration in range(MAX_NEWTON_ITERATIONS):
+        if fnorm < tol and iteration >= min_steps or fnorm == 0.0:
             return theta
         jac = np.zeros((d, d))
         for j in range(d):

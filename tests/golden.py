@@ -38,6 +38,8 @@ DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 #: config exits 4 (the gain envelope is violated), and the exit code is digested
 CASES = {
     "check-slow": ("check-slow", {}, []),
+    # Newton steps off theta* at least once, so the biases below tol show
+    "bias": ("bias", {"experiment": {"beta_list": [0.05, 0.1]}}, []),
     "simulate": ("simulate", {"experiment": {"horizon": 40.0}}, []),
     "simulate-filtered": (
         "simulate",

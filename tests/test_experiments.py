@@ -415,6 +415,17 @@ def test_bias_sweep_linear_symmetric(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_bias_sweep_steps_off_theta_star():
+    # |g0(theta*)| is below tol at both gains, yet Newton steps once: the
+    # biases are the roots' distances from theta*, not zero
+    system = make_linear_system()
+    out = bias_sweep(system, [0.05, 0.1])
+    assert isinstance(out, SymmetricNoBias)
+    for beta, bias in out.points:
+        far = abs(find_root_g0(system, [0.8], beta)[0] - system.theta_star[0])
+        assert 0.0 < bias == pytest.approx(far, rel=1e-6)
+
+
 def test_bias_sweep_quadrature_slope_one():
     system = quadrature_system()
     terms = pmeanflow_terms(system, GainSchedule(0.7, 0.1))

@@ -7,6 +7,10 @@ FourierField, GainPoly, GainField and PMeanFlowTerms with ``**`` powers.
 It is kept verbatim, so the batched suite is held to the same report:
 exactly on the acceptance gate's call, and within roundoff of the
 residuals' own ulp-level noise elsewhere.
+
+The suite's exact fast right-hand side, evaluated on arrays from a
+system's text, is held bit for bit to the per-sample stage-field loop it
+replaced, kept below as per_sample_exact.
 """
 
 import math
@@ -14,13 +18,14 @@ import math
 import numpy as np
 import pytest
 
-from qsakit.dynamics import GainSchedule, _float_lists, integrate
+from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, _float_lists, integrate
 from qsakit.errors import ConfigError, InsufficientSamples
 from qsakit.experiments import (
     MAX_FD_STEP,
     PmfIdentityReport,
     _d1_3pt,
     _d2_3pt,
+    _exact_fast,
     pmf_identity_suite,
 )
 from qsakit.fourier import _zero_exp
@@ -31,7 +36,8 @@ from qsakit.poisson import (
     solve_poisson,
     zero_mean_part,
 )
-from qsakit.systems import make_linear_system
+from qsakit.probing import probe_signal
+from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 from test_experiments import xi_free_system
 
 # -- reference: the single-sample evaluators, verbatim -----------------------
@@ -319,3 +325,78 @@ def test_probe_free_system_stays_exactly_zero(derivative):
     want = reference_suite(xi_free_system(), derivative=derivative)
     assert got == want
     assert all(getattr(got, name) == 0.0 for name in RESIDUALS)
+
+
+# -- the exact fast right-hand side on arrays ---------------------------------
+
+
+def per_sample_exact(system, traj, beta):
+    """The suite's exact fast right-hand side as it stood before it was
+    evaluated on arrays: one stage field call per sample, verbatim."""
+    n, d_fast = traj.n_samples, system.dim_fast
+    stage, xis = system.stage, probe_signal(system.probing, system.basis, traj.t).T
+    exact = np.zeros((n, d_fast))
+    for i in range(n):
+        th, la, xi = (v[i].tolist() for v in (traj.theta, traj.lam, xis))
+        exact[i] = stage(th, la, xi, None, beta)[1]
+    return exact
+
+
+#: the suite's runs: the analytic route's default horizon and step, and the
+#: fd route's default horizon at each step the benchmark and the gate use
+SUITE_RUNS = {"analytic": (6.0, None), "fd 1e-3": (2.0, 1e-3), "fd 5e-4": (2.0, 5e-4)}
+
+
+def without_text(system):
+    """The system with its Fourier form and compiled stage field, no text."""
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        fourier=system.fourier, stage=system.stage,
+    )
+
+
+@pytest.mark.parametrize("route", sorted(SUITE_RUNS))
+@pytest.mark.parametrize("make", [make_linear_system, make_decoupled_system])
+def test_exact_fast_on_arrays_is_the_per_sample_loop(make, route):
+    system, beta = make(), 0.1
+    horizon, step = SUITE_RUNS[route]
+    traj = integrate(system, GainSchedule(0.7, beta), (np.full(1, 0.3), np.full(1, -0.2)), horizon, step=step)
+    calls = []
+    field = system.stage
+    system.stage = lambda *args: calls.append(1) or field(*args)
+    got = _exact_fast(system, traj, beta)
+    assert calls == []  # evaluated on the text
+    assert got.tobytes() == per_sample_exact(system, traj, beta).tobytes()
+    # a system with the Fourier form but no text takes the per-sample path,
+    # and so does the suite on it
+    bare = without_text(system)
+    bare.stage, calls[:] = system.stage, []
+    assert _exact_fast(bare, traj, beta).tobytes() == got.tobytes()
+    assert len(calls) == traj.n_samples
+    kw = {"derivative": "analytic"} if step is None else {"derivative": "fd", "fd_step": step}
+    assert pmf_identity_suite(without_text(system), **kw) == pmf_identity_suite(system, **kw)
+
+
+def fabs_text_system():
+    """linear-3.1's text with a call in its fast part, without Fourier form."""
+    text = make_linear_system().text
+    text = text._replace(
+        fast=(text.fast[0] + " + 0.01 * fn(la0)",), names=text.names + ("fn",),
+        values=text.values + (math.fabs,),
+    )
+    return TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+
+
+@pytest.mark.parametrize("make", [fabs_text_system, make_esc_quadratic])
+def test_exact_fast_calls_the_field_beyond_arithmetic(make):
+    # a fast part with a call, or a text with a per-stage statement (the
+    # seeker's measurement), is evaluated by the stage field, sample by sample
+    system, beta = make(), 0.5
+    traj = integrate(system, GainSchedule(0.7, beta), ([0.3], [-0.2]), 2.0)
+    calls = []
+    field = system.stage
+    system.stage = lambda *args: calls.append(1) or field(*args)
+    want = per_sample_exact(system, traj, beta)
+    calls.clear()
+    assert _exact_fast(system, traj, beta).tobytes() == want.tobytes()
+    assert len(calls) == traj.n_samples

@@ -26,10 +26,21 @@ against its call path like the built-in systems; a probe table of
 another length than the text's row is the compiled field's ConfigError
 in every kind of run, and a text whose names would overwrite the loop's
 own locals is rejected when the system is built.
+
+A text's row-only arithmetic is lifted out of the loop: computed once per
+run, or once per block as a column of the probe table that the loop reads
+like a probe entry.  Calls, ** and / by a probe entry or a state stay in
+the loop; an overflowing column warns not and stops the run at the stage
+field's NonFinite time; a zero run-constant divisor raises the compiled
+field's ZeroDivisionError; and the seeker's measurement, lifted whole at a
+pinned theta, is sampled bit for bit as the stage field measures it.
 """
 
 import hashlib
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -46,11 +57,17 @@ from qsakit.dynamics import (
 )
 from qsakit.cli import run
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
-from qsakit.esc import EscConfig, Objective, build_esc_system, quadratic_objective
+from qsakit.esc import (
+    EscConfig,
+    Objective,
+    build_esc_system,
+    normalized_observation,
+    quadratic_objective,
+)
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import find_root_g0
-from qsakit.probing import default_basis
+from qsakit.probing import default_basis, probe_signal
 from qsakit.systems import SYSTEMS as NAMED_SYSTEMS
 from qsakit.systems import make_decoupled_system, make_linear_system
 
@@ -306,7 +323,11 @@ def test_split_row_reads(kind):
     system = split_row_system()
     h = _resolve_step(system.basis, 0.3, 40.0, None)[0]
     assert _CHUNK % round(1.0 / h) != 0
-    assert dynamics._row_reads(system.text, kind) == ([0, 2] if kind in ("coupled", "filtered") else [2])
+    # the slow part's xi0 in coupled runs, the fast part's xi2 in all four,
+    # each read through a lifted column
+    lift = dynamics._lift(system.text._replace(values=None), kind)
+    reads = dynamics._names(*(e for _, e in lift.columns), *(local for _, local in lift.binds))
+    assert [i for i in range(3) if f"xi{i}" in reads] == ([0, 2] if kind in ("coupled", "filtered") else [2])
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
@@ -342,13 +363,36 @@ def loop_source(system, kind):
     return dynamics._step_loop_source(shape), text
 
 
+def indexed(source):
+    """{n: the local bound from p{n}} over the table lists the loop indexes,
+    with None for a list only sampled."""
+    lists = set(re.findall(r"\bp(\d+)\[", source))
+    binds = dict(re.findall(r"(\w+) = p(\d+)\[", source))
+    return {int(n): next((v for v, m in binds.items() if m == n), None) for n in lists}
+
+
 @pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
 def test_frozen_loops_index_only_the_components_read(kind):
-    source, _ = loop_source(make_linear_system(), kind)
-    assert "p1[" in source and "p0" not in source
+    # at a pinned theta, linear-3.1 reads its probe row only through s2 *
+    # xi1 (and -1.0 + s2 * xi1 in jac), which are block columns above the
+    # row: the loop indexes those columns alone, and every local it binds
+    # from them is read by a stage
+    source, text = loop_source(make_linear_system(), kind)
+    stages = "\n".join(line for line in source.splitlines() if " k1_" in line)
+    lists = indexed(source)
+    assert lists and min(lists) >= text.row
+    assert all(re.search(rf"\b{local}\b", stages) for local in lists.values())
+    assert len(lists) == (1 if kind == "frozen-fast" else 2)
+    # the seeker's measurement is lifted whole: its frozen loop runs no
+    # statement of it, reads g1 * y from a column and samples the carried y
+    # from another
     seeker_source, text = loop_source(NAMED_SYSTEMS["esc-quadratic"](), kind)
-    assert text.carry is not None
-    assert "p0[" in seeker_source and "p1" not in seeker_source
+    assert text.carry is not None and "q0" in text.per_stage
+    assert not re.search(r"\b(q0|y|eps)\b", seeker_source.split("    for j in")[1])
+    lists = indexed(seeker_source)
+    (sampled,) = [n for n, local in lists.items() if local is None]
+    assert min(lists) >= text.row and len(lists) == 2
+    assert re.search(rf"rows \+= \(x0, (x1, )?p{sampled}\[j\], \)", seeker_source)
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
@@ -377,3 +421,112 @@ def test_loop_names_cover_the_loop(label, kind):
     own -= dynamics._names(*text.slow, *text.fast, text.jac, text.per_stage) - {"a"}
     own -= set(text.names)
     assert own and all(_LOOP_NAMES.fullmatch(n) for n in own), sorted(own)
+
+
+# -- row-only arithmetic lifted out of the loop -------------------------------
+
+
+def text_system(fast, jac="-1.0 + s2 * xi1", s2=1.0, names=(), values=()):
+    """linear-3.1's slow part beside the fast part and Jacobian given, with
+    the constants names bound to values besides linear-3.1's."""
+    text = make_linear_system().text
+    assert text.names[2] == "s2"
+    text = text._replace(
+        fast=(fast,), jac=jac, names=text.names + names,
+        values=text.values[:2] + (s2,) + text.values[3:] + values,
+    )
+    return TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+
+
+#: a fast part that reads a call, ** and / by a probe entry and by a state
+#: beside lifted arithmetic, and the operations that stay in the loop
+KEPT = text_system(
+    "-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + b2 + 0.01 * fn(s2 * xi1)"
+    " + 0.01 * (s1 * xi0) ** 2.0 + 0.01 * (s1 * xi0) / (2.0 + xi1) + 0.001 * xi1 / (la0 * la0 + 1.0)",
+    jac="-1.0 + s2 * xi1 + 0.01 * (s2 * xi1) ** 2.0 / (2.0 + la0 * la0)",
+    names=("fn",), values=(math.fabs,),
+)
+KEPT_IN_LOOP = [
+    r"fn\(xi\d+\)", r"xi\d+ \*\* 2\.0", r"xi\d+ / xi\d+", r"xi\d+ / \(la0 \* la0 \+ 1\.0\)",
+]
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_calls_powers_and_row_divisors_stay_in_the_loop(kind):
+    source, _ = loop_source(KEPT, kind)
+    body = source.split("    for j in")[1]
+    for pattern in KEPT_IN_LOOP + ([r"xi\d+ \*\* 2\.0 / \(2\.0 \+ la0 \* la0\)"] if kind == "sensitivity" else []):
+        assert re.search(pattern, body), pattern
+    assert "s2 * xi1" not in body and "s1 * xi0" not in body  # lifted
+    assert outcome(RUNS[kind], KEPT) == outcome(RUNS[kind], call_path(KEPT))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")  # the call path's Jacobian product
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_overflowing_column_warns_not_and_blows_up_on_time(kind):
+    # s2 * xi1 * s2 overflows to inf as a block column, with numpy's
+    # warnings off, and the run stops at the stage field's NonFinite time
+    system = text_system("-2.0 * th0 - la0 + s2 * xi1 * s2 * (la0 + 1.0) + b2", s2=1e300)
+    assert re.search(r"\bp[2-9]\[", loop_source(system, kind)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(RUNS[kind], system)
+    assert got[0] == "NonFinite" and float.fromhex(got[2]) < 1.0
+    assert got == outcome(RUNS[kind], call_path(system))
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+@pytest.mark.parametrize("term", ["xi1 / k", "th0 / k", "xi1 * (s2 / k)"])
+def test_zero_run_constant_divisor_raises(term, kind):
+    system = text_system(f"-2.0 * th0 - la0 + {term}", names=("k",), values=(0.0,))
+    for path in (system, call_path(system)):
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            RUNS[kind](path)
+
+
+def test_seeker_measurement_is_the_field_measurement_across_a_block():
+    # the frozen seeker samples its measurement y from a block column: at
+    # every sample y is f(theta + eps xi) / eps at the sample's probe row,
+    # as the stage field's measurement rounds it, with a block boundary
+    # inside the run and at each stride
+    config = EscConfig(
+        objective=quadratic_objective(center=[0.6, -0.0], weights=[0.5, 3.0]),
+        epsilon=0.1, dim=2, sigma=0.2, theta_ctr=[-0.3, 0.4], single_at=True,
+    )
+    system, th = build_esc_system(config), [0.4, -0.3]
+    for stride in (1, 3):
+        traj = integrate_frozen_fast(system, th, [0.2], 0.3, 40.0, sample_stride=stride)
+        assert traj.t[-1] / (traj.t[1] - traj.t[0]) * stride > _CHUNK
+        xis = probe_signal(system.probing, system.basis, traj.t).T
+        want = [normalized_observation(config, th, xi) for xi in xis]
+        assert traj.measured.tobytes() == np.array(want).tobytes()
+
+
+#: carried texts at a pinned theta whose statements are lifted in part: a
+#: carried local that reads no probe entry, a kept call reading a column,
+#: and a kept call before the carried column
+CARRIED = {
+    "carried run value": ("y = th0 * 2.0", "-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + y"),
+    "call of a column": ("z = s2 * xi1; y = fn(z) + th0", "-la0 + y * (la0 + 1.0)"),
+    "column after a call": ("w = fn(xi0); y = s2 * xi1", "-la0 + y * (la0 + 1.0)"),
+}
+
+
+@pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
+@pytest.mark.parametrize("label", sorted(CARRIED))
+def test_partly_lifted_carried_statement(label, kind):
+    per_stage, fast = CARRIED[label]
+    text = make_linear_system().text._replace(
+        fast=(fast,), per_stage=per_stage, carry="y", names=make_linear_system().text.names + ("fn",),
+        values=make_linear_system().text.values + (math.fabs,),
+    )
+    system = TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+    assert outcome(RUNS[kind], system) == outcome(RUNS[kind], call_path(system))
+    traj = integrate_frozen_fast(system, [0.3], [0.2], 0.3, 40.0)
+    xis = probe_signal(system.probing, system.basis, traj.t)
+    want = {
+        "carried run value": np.full(traj.n_samples, 0.3 * 2.0),
+        "call of a column": np.abs(1.0 * xis[1]) + 0.3,
+        "column after a call": 1.0 * xis[1],
+    }[label]
+    assert traj.measured.tobytes() == want.tobytes()
