@@ -24,14 +24,10 @@ it only the row entries its stage reads; a loop that calls a field
 builds the probe row, the list of all components at a stage time, once
 per new time (k2 and k4; the next k1 reuses k4's list).  A run reads the
 system's one stage field, stage(theta, lam, xi, a, b) -> (slow, fast),
-the stage derivative at gains (a, b) on such lists: slow =
-a*(g + a*g_probe), or a*g without probing feedback, and fast = b*h.  A
+the stage derivative at gains (a, b) on such lists: slow = a*g, where g
+may hold probing feedback weighted by a once more, and fast = b*h.  A
 gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  A system given as array
-callbacks g, h and g_probe gets its stage field once, when it is built,
-from one adapter, which hands them float64 arrays and reads each output
-back as a list of its block's length (a scalar fills a 1-element block,
-any other length is a ConfigError).  A system's field is fixed at
+None, the averaged slow field b = None.  A system's field is fixed at
 construction.
 
 The built-in systems state their field once, as expression text
@@ -48,8 +44,7 @@ frozen-fast and sensitivity runs, where y depends on the probe row
 alone: it is measured once per new probe row, in step order (k2's row,
 then k4's row, whose value the next k1 reuses), and carried as the
 stack's last entry, so the run samples it with the state.  The runs of
-any other stage field (user fields, array callbacks, the seekers at
-order >= 2) call it.
+any other stage field (user fields, the seekers at order >= 2) call it.
 
 A text's arithmetic that its run's inputs fix before the loop is not
 computed in it (_lift): a maximal sub-expression built by +, -, *,
@@ -197,10 +192,12 @@ class StageText(NamedTuple):
     its locals.  With carry, a local of per_stage, per_stage reads no
     state but the pinned theta of a frozen run: it then runs once per new
     probe row, and carry rides as the stack's last entry, None until
-    bound.  slow uses +, - and * alone, and with carry reads no other
-    local of per_stage: text_arrays evaluates it on arrays.  Constants
-    that lifted arithmetic reads are real numbers.  Without its values
-    (None) the text keys the generated loop.
+    bound; slow, fast and jac then read no other local of per_stage, which
+    no stage state carries from one block of steps to the next (_lift
+    rejects such a text).  slow uses +, - and * alone: text_arrays
+    evaluates it on arrays.  Constants that lifted arithmetic reads are
+    real numbers.  Without its values (None) the text keys the generated
+    loop.
     """
 
     slow: tuple
@@ -255,15 +252,34 @@ _LOOP_NAMES = re.compile(
 )
 
 
+def _stored(statement):
+    """The names that statement binds, in order, once per binding."""
+    return [
+        node.id for node in ast.walk(ast.parse(statement))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def _check_carried(text):
+    """ConfigError naming the locals of a carried text's per_stage, other
+    than carry, that its slow, fast or jac part reads."""
+    if text.carry is None:
+        return
+    read = sorted((set(_stored(text.per_stage)) - {text.carry})
+                  & _names(*text.slow, *text.fast, text.jac))
+    if read:
+        raise ConfigError(
+            f"stage text with carry {text.carry} reads the per-stage local(s) "
+            f"{', '.join(read)}: a carried text's parts read no local but carry"
+        )
+
+
 def _check_loop_names(text):
     """ConfigError naming text's names, and the locals that its per_stage
     binds, which the generated loop binds or reads for itself (_LOOP_NAMES),
     and the entries xi{i} (i >= text.row) and lists p{i} it reads, which
     name the loop's lifted values (_lift)."""
-    bound = {
-        node.id for node in ast.walk(ast.parse(text.per_stage))
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-    }
+    bound = set(_stored(text.per_stage))
     row = {f"xi{i}" for i in range(text.row)}
     lifted = {n for n in _names(*text.slow, *text.fast, text.jac, text.per_stage)
               if re.fullmatch(r"(xi|p)\d+", n) and n not in row}
@@ -427,10 +443,12 @@ def _lift(text, kind):
     loop binds a column only where what stays in it reads the column, and
     samples a carried one from its list.  Only the parts that the kind
     evaluates are rewritten: fast, per_stage, slow in coupled and filtered
-    runs, jac in sensitivity runs."""
+    runs, jac in sensitivity runs.  A carried text whose parts read
+    another local of per_stage is a ConfigError (_check_carried)."""
+    _check_carried(text)
     frozen = kind in ("frozen-fast", "sensitivity")
     module = ast.parse(text.per_stage)
-    stored = [n.id for n in ast.walk(module) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    stored = _stored(text.per_stage)
     run = set(text.names) - set(stored) | {f"th{d}" for d in range(len(text.slow)) if frozen}
     row = {f"xi{i}" for i in range(text.row)}
     index, runs, columns = {}, [], []
@@ -522,35 +540,32 @@ def _lattice(count, dim, lo=-1.0, hi=1.0):
 class TwoTimescaleSystem:
     """Coupled slow/fast vector fields with their probing clock.
 
-    Runs read the stage field self.stage (module docstring), bound once
-    here: the field compiled from text, a StageText, else the stage given,
-    else the adapter of the array callbacks g, h and g_probe, (theta,
-    lam, xi) -> array, where g_probe adds a_t-weighted probing feedback
-    (slow rate a_t * (g + a_t * g_probe)).  g, h and g_probe are kept as
-    passed, None on a system given its field; reassigning one after
-    construction does not change a run.  Given text, dh_dlambda is
-    compiled from it too.  text, and frozen, a map from a pinned theta
-    list to the StageText of the same field there, stand in for the stage
-    field and dh_dlambda in runs (module docstring).  The stage field
-    keeps no memo: a list handed to it may change once the call returns.
-    An exact Fourier form of [g + g_probe; h] is checked against the stage
-    field at unit gains at construction.  dh_dlambda(theta, lam, xi),
-    called with the stage's lists, is an analytic fast Jacobian for
-    sensitivity runs (shapes: see qsakit.lyapunov); lambda_star /
-    theta_star record known equilibria.
+    The field is given in exactly one form, else ConfigError: text, a
+    StageText, from which the stage field and dh_dlambda are compiled,
+    or a stage field, stage.  Runs read the stage field self.stage
+    (module docstring), bound once here.  text, and frozen, a map from a
+    pinned theta list to the StageText of the same field there, stand in
+    for the stage field and dh_dlambda in runs (module docstring).  The
+    stage field keeps no memo: a list handed to it may change once the
+    call returns.  An exact Fourier form of the stacked slow and fast
+    parts at unit gains is checked against the stage field at
+    construction.  dh_dlambda(theta, lam, xi), called with the stage's
+    lists, is an analytic fast Jacobian for sensitivity runs (shapes:
+    see qsakit.lyapunov); lambda_star / theta_star record known
+    equilibria.
     """
+
+    # read by the benchmark tracer (bench/spans.py) alone; ROADMAP item 1 removes them
+    g = h = g_probe = None
 
     def __init__(
         self,
         dim_slow,
         dim_fast,
-        g,
-        h,
         basis,
         probing=None,
         *,
         fourier=None,
-        g_probe=None,
         stage=None,
         text=None,
         frozen=None,
@@ -561,19 +576,16 @@ class TwoTimescaleSystem:
     ):
         if dim_slow < 1 or dim_fast < 1:
             raise ConfigError("state dimensions must be positive")
+        if (text is None) == (stage is None):
+            raise ConfigError("give the field as exactly one of text and stage")
         self.dim_slow = int(dim_slow)
         self.dim_fast = int(dim_fast)
         if text is not None:
             _check_loop_names(text)
             stage, dh_dlambda = text_field(text)
-        self.g = g
-        self.h = h
         self.basis = basis
         self.probing = probing if probing is not None else identity_map(basis.size)
         self.fourier = fourier
-        self.g_probe = g_probe
-        if stage is None:
-            stage = _array_stage(g, h, g_probe, self.dim_slow, self.dim_fast)
         self.stage = stage
         self.text = text
         self.frozen = frozen
@@ -584,15 +596,14 @@ class TwoTimescaleSystem:
         if fourier is not None:
             if fourier.dim_out != self.dim_slow + self.dim_fast:
                 raise ConfigError(
-                    "fourier form must stack [g; h]: expected dim_out "
+                    "fourier form must stack the slow and fast parts: expected dim_out "
                     f"{self.dim_slow + self.dim_fast}, got {fourier.dim_out}"
                 )
             self._check_fourier_agreement()
 
     def analysis_floats(self, theta, lam, xi):
-        """The averaged slow field g + g_probe at array-likes theta, lam, xi
-        as a list of floats: the stage field's slow part at a = 1.0, which
-        is exact."""
+        """The averaged slow field at array-likes theta, lam, xi as a list
+        of floats: the stage field's slow part at a = 1.0, which is exact."""
         return self.stage(*_float_lists(theta, lam, xi), 1.0, None)[0]
 
     def _check_fourier_agreement(self, count=24, tol=1e-10):
@@ -785,19 +796,6 @@ def _resolve_step(basis, beta, horizon, step):
     return horizon / n_steps, n_steps
 
 
-def _floats(value, size, name):
-    """A callback's block as a list of size Python floats; a scalar fills a
-    1-element block, any other length mismatch is a ConfigError naming the
-    callback."""
-    out = np.asarray(value, dtype=float)
-    if out.ndim != 1:
-        out = out.ravel()
-    out = out.tolist()
-    if len(out) != size:
-        raise ConfigError(f"{name} returned {len(out)} value(s), expected {size}")
-    return out
-
-
 def _float_lists(*arrays):
     """Each array-like as a flat list of Python floats, via float64."""
     return [np.asarray(v, dtype=float).ravel().tolist() for v in arrays]
@@ -812,27 +810,6 @@ def _checked_parts(parts, slow, fast):
             got = "no" if part is None else len(part)
             raise ConfigError(f"stage returned {got} {name} value(s), expected {size}")
     return parts
-
-
-def _array_stage(g, h, g_probe, dim_slow, dim_fast):
-    """The stage field of array callbacks: they get float64 arrays, in the
-    order g, g_probe, h (each only when its gain is given), and _floats
-    reads each output."""
-
-    def stage(theta, lam, xi, a, b):
-        th, la, xv, slow, fast = np.array(theta), np.array(lam), np.array(xi), None, None
-        if a is not None:
-            gv = _floats(g(th, la, xv), dim_slow, "g")
-            if g_probe is None:
-                slow = [a * v for v in gv]
-            else:
-                gp = _floats(g_probe(th, la, xv), dim_slow, "g_probe")
-                slow = [a * (v + a * p) for v, p in zip(gv, gp)]
-        if b is not None:
-            fast = [b * v for v in _floats(h(th, la, xv), dim_fast, "h")]
-        return slow, fast
-
-    return stage
 
 
 def _step_loop_source(shape):
@@ -998,7 +975,9 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     another length later on is a ValueError from the unpacking.  Returns
     the sample times (every sample_stride steps, plus the final time) and
     the (n, D) buffer of states there.  Raises NonFinite at the end of the
-    first step that leaves x non-finite.
+    first step that leaves x non-finite, and ConfigError where a block's
+    samples or the final x are complex (_real): x - x is 0j at a finite
+    complex x, so the loop runs on.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     size = len(x)
@@ -1049,10 +1028,23 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
             gi = hi
         if rows:
             n = len(rows) // size
-            samples[cursor : cursor + n] = np.array(rows).reshape(n, size)
+            samples[cursor : cursor + n] = _real(rows, chunk, end, h).reshape(n, size)
             cursor += n
-    samples[cursor] = x
+    samples[cursor] = _real(x, chunk, end, h)
     return steps * h, samples
+
+
+def _real(values, lo, hi, h):
+    """values, states of the steps lo..hi of step h, as a float array; a
+    complex one (a stage value off the reals, such as a negative number's
+    fractional power) is a ConfigError naming their time span."""
+    block = np.array(values)
+    if block.dtype.kind == "c":
+        raise ConfigError(
+            f"stage values are not real: the state is complex in the steps "
+            f"from t = {lo * h:.6g} to t = {hi * h:.6g}"
+        )
+    return block
 
 
 def integrate(

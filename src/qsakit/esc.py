@@ -690,8 +690,6 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     return TwoTimescaleSystem(
         dim_slow=d,
         dim_fast=washout.order,
-        g=None,
-        h=None,
         basis=config.probing,
         probing=extended_probe_map(config),
         stage=stage,

@@ -83,8 +83,6 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     return TwoTimescaleSystem(
         1,
         1,
-        None,
-        None,
         basis,
         fourier=field,
         text=text,
@@ -140,8 +138,6 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     return TwoTimescaleSystem(
         1,
         1,
-        None,
-        None,
         basis,
         fourier=field,
         text=text,

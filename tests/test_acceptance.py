@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, integrate
+from qsakit.dynamics import GainSchedule, StageText, TwoTimescaleSystem, integrate
 from qsakit.errors import ZeroDivisor
 from qsakit.esc import (
     EscConfig,
@@ -76,13 +76,7 @@ def dependent_content_system():
     inner frequency 2 ln 2 - ln 4 vanishes on a genuine nonzero mode."""
     basis = make_frequency_basis([(2, 1), (4, 1)])
     pmap = ProbingMap(1, g_state=lambda phi: (phi[0:1] ** 2 * np.conj(phi[1:2])).real)
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(-theta[0])
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(-lam[0] + 0.5 * xi[0])
-
+    text = StageText(("-th0",), ("-la0 + 0.5 * xi0",), "-1.0", 1, "", None, (), ())
     mode = PolyCoeff(2, 2, {(0, 0): [0.0, 0.25]})
     fourier = FourierField(
         1,
@@ -95,7 +89,7 @@ def dependent_content_system():
             (-2, 1): mode.conj(),
         },
     )
-    return TwoTimescaleSystem(1, 1, g, h, basis, probing=pmap, fourier=fourier)
+    return TwoTimescaleSystem(1, 1, basis, probing=pmap, fourier=fourier, text=text)
 
 
 def unfiltered_linear_sweep():
@@ -283,11 +277,7 @@ def test_criterion_6_lyapunov_exponents():
 
     scalar = lyapunov_exponent(
         TwoTimescaleSystem(
-            1,
-            1,
-            lambda t, l, x: np.zeros(1),
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            basis1,
+            1, 1, basis1, text=StageText(("0.0",), ("-la0",), "-1.0", 1, "", None, (), ())
         ),
         np.zeros(1),
         1.0,
@@ -297,14 +287,14 @@ def test_criterion_6_lyapunov_exponents():
     scalar_ok = abs(scalar.exponent + 1.0) < 1e-3
 
     companion = np.array([[0.0, 1.0], [-2.0, -2.0]])  # eigenvalues -1 +/- j
+
+    def planar_stage(theta, lam, xi, a, b):
+        fast = None if b is None else (b * (companion @ np.array(lam))).tolist()
+        return (None if a is None else [0.0]), fast
+
     planar = lyapunov_exponent(
         TwoTimescaleSystem(
-            1,
-            2,
-            lambda t, l, x: np.zeros(1),
-            lambda t, l, x: companion @ l,
-            basis1,
-            dh_dlambda=lambda t, l, x: companion,
+            1, 2, basis1, stage=planar_stage, dh_dlambda=lambda t, l, x: companion
         ),
         np.zeros(1),
         1.0,
@@ -324,16 +314,14 @@ def test_criterion_6_lyapunov_exponents():
     ]
     esc_ok = all(abs(e + 1.0) < 1e-2 for e in esc_exponents)
 
-    def multiplicative(theta, lam, xi):
-        return np.atleast_1d(-2.0 * theta[0] - lam[0] + xi[1] * (lam[0] + 1.0))
-
+    multiplicative = StageText(
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
+    )
     linear_fast = TwoTimescaleSystem(
         1,
         1,
-        lambda t, l, x: np.zeros(1),
-        multiplicative,
         make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]),
-        dh_dlambda=lambda t, l, x: np.array([[-1.0 + x[1]]]),
+        text=multiplicative,
     )
     low = lyapunov_exponent(linear_fast, np.ones(1), 0.25, np.zeros(1), 400.0)
     high = lyapunov_exponent(linear_fast, np.ones(1), 0.5, np.zeros(1), 400.0)

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from qsakit.dynamics import (
     GainSchedule,
+    StageText,
     TwoTimescaleSystem,
     integrate,
     integrate_frozen_fast,
@@ -28,6 +29,7 @@ from qsakit.fourier import FourierField, PolyCoeff
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import mean_field_g0
 from qsakit.probing import clock_phases, make_frequency_basis
+from qsakit.systems import make_linear_system
 
 
 def one_pair_basis(phase=0.0):
@@ -38,19 +40,22 @@ def linear_basis():
     return make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
 
-def linear_callbacks(alpha=2.0, s1=1.0, s2=1.0, b1=0.0, b2=0.0):
-    def g(theta, lam, xi):
-        return np.atleast_1d(alpha * theta[0] + alpha * lam[0] + s1 * xi[0] * (theta[0] + 1.0) + b1)
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(-2.0 * theta[0] - lam[0] + s2 * xi[1] * (lam[0] + 1.0) + b2)
-
-    return g, h
+def linear_text(alpha=2.0, s1=1.0, s2=1.0, b1=0.0, b2=0.0):
+    """linear-3.1's text at these constants: slow alpha*theta +
+    alpha*lambda + s1*xi0*(theta + 1) + b1, fast -2*theta - lambda +
+    s2*xi1*(lambda + 1) + b2."""
+    return make_linear_system(alpha, (s1, s2), (b1, b2)).text
 
 
 def linear_system():
-    g, h = linear_callbacks()
-    return TwoTimescaleSystem(1, 1, g, h, linear_basis())
+    return TwoTimescaleSystem(1, 1, linear_basis(), text=linear_text())
+
+
+def text_system(slow, fast, basis=None):
+    """The 1+1 pair d/dt theta = a*(slow), d/dt lambda = b*(fast) as text
+    over the probe row of one tone (default one_pair_basis())."""
+    text = StageText((slow,), (fast,), "0.0", 1, "", None, (), ())
+    return TwoTimescaleSystem(1, 1, basis or one_pair_basis(), text=text)
 
 
 class TestGainSchedule:
@@ -105,41 +110,44 @@ class TestGainSchedule:
 
 class TestSystemConstruction:
     def test_dimension_validation(self):
-        g, h = linear_callbacks()
         with pytest.raises(ConfigError):
-            TwoTimescaleSystem(0, 1, g, h, linear_basis())
+            TwoTimescaleSystem(0, 1, linear_basis(), text=linear_text())
+
+    def test_text_and_stage_both_rejected(self):
+        system = linear_system()
+        with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
+            TwoTimescaleSystem(1, 1, linear_basis(), text=system.text, stage=system.stage)
+
+    def test_no_field_rejected(self):
+        with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
+            TwoTimescaleSystem(1, 1, linear_basis())
 
     def test_fourier_agreement_accepted(self):
-        basis = linear_basis()
-        g, h = linear_callbacks()
         field = _linear_field()
-        sys_ok = TwoTimescaleSystem(1, 1, g, h, basis, fourier=field)
+        sys_ok = TwoTimescaleSystem(1, 1, linear_basis(), text=linear_text(), fourier=field)
         assert sys_ok.fourier is field
 
     def test_fourier_disagreement_rejected(self):
-        basis = linear_basis()
-        g, h = linear_callbacks(alpha=2.5)  # field says alpha = 2
+        text = linear_text(alpha=2.5)  # field says alpha = 2
         with pytest.raises(ConfigError):
-            TwoTimescaleSystem(1, 1, g, h, basis, fourier=_linear_field())
+            TwoTimescaleSystem(1, 1, linear_basis(), text=text, fourier=_linear_field())
 
     def test_fourier_form_includes_the_probing_feedback(self):
         # the form is checked against the stage field at unit gains, the
-        # field analysis_floats averages: [g + g_probe; h], not [g; h]
-        basis = linear_basis()
-        g, h = linear_callbacks()
-        g_probe = lambda t, l, x: np.array([0.25])  # noqa: E731
+        # field analysis_floats averages: the slow part with its probing
+        # feedback a * 0.25 at a = 1
+        text = linear_text()
+        text = text._replace(slow=(text.slow[0] + " + a * 0.25",))
         with pytest.raises(ConfigError, match="^fourier form disagrees with the stage field"):
-            TwoTimescaleSystem(1, 1, g, h, basis, g_probe=g_probe, fourier=_linear_field())
+            TwoTimescaleSystem(1, 1, linear_basis(), text=text, fourier=_linear_field())
         field = _linear_field(b1=0.25)
-        system = TwoTimescaleSystem(1, 1, g, h, basis, g_probe=g_probe, fourier=field)
+        system = TwoTimescaleSystem(1, 1, linear_basis(), text=text, fourier=field)
         assert system.fourier is field
 
     def test_fourier_dim_mismatch(self):
-        basis = linear_basis()
-        g, h = linear_callbacks()
         field = _linear_field().output_slice(0, 1)
-        with pytest.raises(ConfigError):
-            TwoTimescaleSystem(1, 1, g, h, basis, fourier=field)
+        with pytest.raises(ConfigError, match="^fourier form must stack the slow and fast parts"):
+            TwoTimescaleSystem(1, 1, linear_basis(), text=linear_text(), fourier=field)
 
 
 def _linear_field(alpha=2.0, s1=1.0, s2=1.0, b1=0.0, b2=0.0):
@@ -197,10 +205,7 @@ class TestStepPolicy:
 
 class TestIntegrateBasics:
     def test_zero_fields_hold_state(self):
-        basis = one_pair_basis()
-        sys_ = TwoTimescaleSystem(
-            1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.zeros(1), basis
-        )
+        sys_ = text_system("0.0", "0.0")
         sched = GainSchedule(rho=0.7, beta=0.5)
         traj = integrate(sys_, sched, (np.array([1.5]), np.array([-0.5])), 5.0)
         assert np.all(traj.theta == 1.5)
@@ -239,10 +244,7 @@ class TestIntegrateBasics:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_escape_raises(self):
-        basis = one_pair_basis()
-        sys_ = TwoTimescaleSystem(
-            1, 1, lambda t, l, x: np.atleast_1d(t[0] ** 2), lambda t, l, x: np.zeros(1), basis
-        )
+        sys_ = text_system("th0 * th0", "0.0")
         sched = GainSchedule(rho=0.7, beta=0.1)
         with pytest.raises(NonFinite) as err:
             integrate(sys_, sched, (np.array([2.0]), np.zeros(1)), 10.0)
@@ -262,14 +264,7 @@ class TestDecoupledQuadratureOracle:
     """Slow variable driven only by the probe: dTheta = a_t xi_t."""
 
     def _system(self):
-        basis = one_pair_basis(phase=0.0)
-        return TwoTimescaleSystem(
-            1,
-            1,
-            lambda t, l, x: np.atleast_1d(x[0]),
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            basis,
-        )
+        return text_system("xi0", "-la0", one_pair_basis(phase=0.0))
 
     def _oracle(self, rho, horizon):
         w = math.log(2.0)
@@ -340,10 +335,7 @@ def _step_response(filt, t):
 
 class TestFilteredIntegration:
     def _held_input_system(self):
-        basis = one_pair_basis()
-        return TwoTimescaleSystem(
-            1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.zeros(1), basis
-        )
+        return text_system("0.0", "0.0")
 
     def test_step_response_matches_closed_form(self):
         sys_ = self._held_input_system()
@@ -386,10 +378,7 @@ class TestFilteredIntegration:
         assert np.max(np.abs(traj.lam_filtered - 1.0)) < 1e-12
 
     def test_slow_field_consumes_filtered_value(self):
-        basis = one_pair_basis()
-        sys_ = TwoTimescaleSystem(
-            1, 1, lambda t, l, x: np.atleast_1d(l[0]), lambda t, l, x: np.zeros(1), basis
-        )
+        sys_ = text_system("la0", "0.0")
         sched = GainSchedule(rho=0.7, beta=1.0)
         filt = SecondOrderFilter(beta=sched.beta)
         filtered = integrate(
@@ -415,10 +404,7 @@ class TestFilteredIntegration:
 
 class TestFrozenFast:
     def test_scalar_decay_oracle(self):
-        basis = one_pair_basis()
-        sys_ = TwoTimescaleSystem(
-            1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.atleast_1d(-l[0]), basis
-        )
+        sys_ = text_system("0.0", "-la0")
         traj = integrate_frozen_fast(sys_, np.zeros(1), np.ones(1), 1.0, 10.0)
         expected = np.exp(-traj.t)
         assert np.max(np.abs(traj.lam[:, 0] - expected)) < 1e-8
@@ -426,21 +412,13 @@ class TestFrozenFast:
         assert np.all(traj.a == 0.0)
 
     def test_first_order_lag_reaches_dc(self):
-        basis = one_pair_basis()
         c = 0.7
-        sys_ = TwoTimescaleSystem(
-            1,
-            1,
-            lambda t, l, x: np.zeros(1),
-            lambda t, l, x: np.atleast_1d(c - l[0]),
-            basis,
-        )
+        sys_ = text_system("0.0", f"{c!r} - la0")
         traj = integrate_frozen_fast(sys_, np.zeros(1), np.zeros(1), 0.5, 80.0)
         assert abs(traj.lam[-1, 0] - c) < 1e-6
 
     def test_linear_model_tracks_fast_equilibrium(self):
-        g, h = linear_callbacks()
-        sys_ = TwoTimescaleSystem(1, 1, g, h, linear_basis())
+        sys_ = linear_system()
         beta = 0.1
         traj = integrate_frozen_fast(sys_, np.ones(1), np.zeros(1), beta, 300.0)
         tail = traj.lam[traj.t > 150.0, 0]
@@ -460,91 +438,6 @@ class TestFrozenFast:
             integrate_frozen_fast(sys_, np.zeros(1), np.zeros(1), -1.0, 5.0)
 
 
-class TestCallbackLengths:
-    """Each callback's output must fill its block of the stacked state."""
-
-    def _run(self, kernel, dims, g=None, h=None, g_probe=None):
-        ds, df = dims
-        zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
-        sys_ = TwoTimescaleSystem(
-            ds, df, g or zeros(ds), h or zeros(df), one_pair_basis(), g_probe=g_probe
-        )
-        theta, lam = np.full(ds, 0.1), np.full(df, 0.2)
-        if kernel == "coupled":
-            sched = GainSchedule(rho=0.7, beta=0.5)
-            return integrate(sys_, sched, (theta, lam), 1.0)
-        return integrate_frozen_fast(sys_, theta, lam, 0.5, 1.0)
-
-    @pytest.mark.parametrize(
-        "dims, kw, name, want, got",
-        [
-            ((2, 1), dict(g=lambda t, l, x: np.ones(1)), "g", 2, 1),
-            ((1, 1), dict(g=lambda t, l, x: np.ones(2)), "g", 1, 2),
-            ((1, 1), dict(g_probe=lambda t, l, x: np.ones(3)), "g_probe", 1, 3),
-            ((1, 1), dict(h=lambda t, l, x: np.ones(2)), "h", 1, 2),
-            ((1, 2), dict(h=lambda t, l, x: np.ones(1)), "h", 2, 1),
-        ],
-        ids=["g-short", "g-long", "g_probe", "h-long", "h-short"],
-    )
-    def test_wrong_length_coupled(self, dims, kw, name, want, got):
-        with pytest.raises(ConfigError, match=rf"^{name} returned {got} value\(s\), expected {want}$"):
-            self._run("coupled", dims, **kw)
-
-    @pytest.mark.parametrize(
-        "dims, want, got",
-        [((1, 1), 1, 2), ((1, 2), 2, 1), ((2, 3), 3, 0)],
-        ids=["long", "short", "empty"],
-    )
-    def test_wrong_length_frozen_fast(self, dims, want, got):
-        h = lambda t, l, x: np.ones(got)  # noqa: E731
-        with pytest.raises(ConfigError, match=rf"^h returned {got} value\(s\), expected {want}$"):
-            self._run("frozen", dims, h=h)
-
-    @pytest.mark.parametrize("kernel", ["coupled", "frozen"])
-    def test_scalar_fills_a_one_element_block(self, kernel):
-        def as_array(t, l, x):
-            return np.atleast_1d(0.3 - l[0] + x[0] * t[0])
-
-        def as_float(t, l, x):
-            return float(0.3 - l[0] + x[0] * t[0])
-
-        def as_numpy_scalar(t, l, x):
-            return 0.3 - l[0] + x[0] * t[0]
-
-        want = self._run(kernel, (1, 1), g=as_array, h=as_array)
-        for cb in (as_float, as_numpy_scalar):
-            got = self._run(kernel, (1, 1), g=cb, h=cb)
-            assert np.array_equal(got.theta, want.theta)
-            assert np.array_equal(got.lam, want.lam)
-
-    @pytest.mark.parametrize("kernel", ["coupled", "frozen"])
-    def test_lists_fill_a_block(self, kernel):
-        # lists of Python floats skip the array round trip; lists holding
-        # other numbers take it and must give the same run
-        def as_array(t, l, x):
-            return np.array([0.3 - l[1] + x[0] * t[0], -0.5 * l[0]])
-
-        def as_floats(t, l, x):
-            return as_array(t, l, x).tolist()
-
-        def as_mixed(t, l, x):
-            return [np.float64(v) for v in as_floats(t, l, x)]
-
-        def ints_in_h(t, l, x):
-            return [1, -2]
-
-        want = self._run(kernel, (1, 2), h=as_array)
-        for cb in (as_floats, as_mixed):
-            got = self._run(kernel, (1, 2), h=cb)
-            assert np.array_equal(got.lam, want.lam)
-        assert np.array_equal(
-            self._run(kernel, (1, 2), h=ints_in_h).lam,
-            self._run(kernel, (1, 2), h=lambda t, l, x: np.array([1.0, -2.0])).lam,
-        )
-        with pytest.raises(ConfigError, match=r"^h returned 1 value\(s\), expected 2$"):
-            self._run(kernel, (1, 2), h=lambda t, l, x: [0.5])
-
-
 class TestStageLengths:
     """A stage field's parts must fill their blocks: each run kind checks
     them at its first stage (the averaged slow field at its first kept
@@ -558,8 +451,7 @@ class TestStageLengths:
                 None if b is None else [b * (xi[0] - lam[0])] * fast,
             )
 
-        zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
-        return TwoTimescaleSystem(1, 1, zeros(1), zeros(1), one_pair_basis(), stage=stage)
+        return TwoTimescaleSystem(1, 1, one_pair_basis(), stage=stage)
 
     RUNS = {
         "coupled": lambda s: integrate(s, GainSchedule(rho=0.7, beta=0.5), ([0.1], [0.2]), 1.0),
@@ -588,94 +480,6 @@ class TestStageLengths:
     @pytest.mark.parametrize("kind", sorted(RUNS))
     def test_right_lengths_run(self, kind):
         self.RUNS[kind](self.system())
-
-
-class TestArrayAdapter:
-    """Array callbacks reach the kernel through the one adapter of the
-    stage field: they see float64 arrays, and the runs are those of the
-    same system written as a stage field on Python floats."""
-
-    @staticmethod
-    def callbacks(seen=None):
-        def watched(name, fn):
-            def cb(theta, lam, xi):
-                if seen is not None:
-                    seen.add((name, *((type(v), v.dtype, v.shape) for v in (theta, lam, xi))))
-                return fn(theta, lam, xi)
-
-            return cb
-
-        g = watched("g", lambda t, l, x: np.array([0.3 - l[1] + x[0] * t[0]]))
-        g_probe = watched("g_probe", lambda t, l, x: np.array([0.5 * x[0] * l[0]]))
-        h = watched(
-            "h", lambda t, l, x: np.array([-l[0] + x[0] * t[0], -0.5 * l[1] + 0.2 * l[0]])
-        )
-        return g, h, g_probe
-
-    @staticmethod
-    def stage(theta, lam, xi, a, b):
-        (t0,), (l0, l1), x0 = theta, lam, xi[0]
-        slow = None if a is None else [a * ((0.3 - l1 + x0 * t0) + a * (0.5 * x0 * l0))]
-        return slow, None if b is None else [b * (-l0 + x0 * t0), b * (-0.5 * l1 + 0.2 * l0)]
-
-    def system(self, seen=None, fused=False):
-        g, h, g_probe = self.callbacks(seen)
-        stage = self.stage if fused else None
-        return TwoTimescaleSystem(1, 2, g, h, one_pair_basis(), g_probe=g_probe, stage=stage)
-
-    @staticmethod
-    def runs(sys_):
-        theta, lam = np.array([0.4]), np.array([0.2, -0.1])
-        sched = GainSchedule(rho=0.7, beta=0.5)
-        coupled = integrate(sys_, sched, (theta, lam), 5.0, filt=SecondOrderFilter(0.5))
-        frozen = integrate_frozen_fast(sys_, theta, lam, 0.5, 5.0)
-        g0 = mean_field_g0(sys_, theta, 0.5, tol=1.0, burn_in=2.0, window=4.0)
-        lyap = lyapunov_exponent(sys_, theta, 0.5, lam, 40.0)
-        return {
-            "coupled": [getattr(coupled, f).tobytes() for f in ("theta", "lam", "lam_filtered")],
-            "frozen": frozen.lam.tobytes(),
-            "g0": (g0.value.tobytes(), g0.osc_amplitude),
-            "lyapunov": (lyap.exponent, lyap.tail_exponent),
-        }
-
-    def test_callbacks_receive_float64_arrays(self):
-        seen = set()
-        self.runs(self.system(seen))
-        f8 = np.dtype(np.float64)
-        want = {
-            (name, (np.ndarray, f8, (1,)), (np.ndarray, f8, (2,)), (np.ndarray, f8, (1,)))
-            for name in ("g", "g_probe", "h")
-        }
-        assert seen == want
-
-    def test_same_runs_as_the_stage_field(self):
-        assert self.runs(self.system()) == self.runs(self.system(fused=True))
-        assert self.system(fused=True).analysis_floats([0.4], [0.2, -0.1], [0.3]) == (
-            self.system().analysis_floats([0.4], [0.2, -0.1], [0.3])
-        )
-
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_reassigned_callback_leaves_the_runs_unchanged(self, fused):
-        sys_ = self.system(fused=fused)
-        want = self.runs(sys_)
-        calls = []
-        sys_.h = lambda t, l, x: calls.append(1) or np.zeros(2)
-        assert self.runs(sys_) == want
-        assert calls == []
-
-    @pytest.mark.parametrize(
-        "kw, name, got",
-        [
-            (dict(g=lambda t, l, x: np.ones(2)), "g", 2),
-            (dict(g_probe=lambda t, l, x: np.ones(3)), "g_probe", 3),
-        ],
-    )
-    def test_wrong_length_in_the_averaged_slow_field(self, kw, name, got):
-        g, h, g_probe = self.callbacks()
-        cbs = dict(dict(g=g, g_probe=g_probe), **kw)
-        sys_ = TwoTimescaleSystem(1, 2, cbs["g"], h, one_pair_basis(), g_probe=cbs["g_probe"])
-        with pytest.raises(ConfigError, match=rf"^{name} returned {got} value\(s\), expected 1$"):
-            mean_field_g0(sys_, np.array([0.4]), 0.5, tol=1.0, burn_in=0.5, window=1.0)
 
 
 class TestTrajectoryCsv:

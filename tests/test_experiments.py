@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsakit.dynamics import GainSchedule, Trajectory, TwoTimescaleSystem, integrate
+from qsakit.dynamics import GainSchedule, StageText, Trajectory, TwoTimescaleSystem, integrate
 from qsakit.errors import (
     ConfigError,
     DegenerateFit,
@@ -66,18 +66,16 @@ def quadrature_system(alpha=2.0, s2=1.0, s4=1.5, b=(1.0, 0.5)):
     basis = make_frequency_basis([(2, 1), (3, 1)])
     b1, b2 = b
     pmap = ProbingMap(4, g_state=lambda phi: np.concatenate([phi.real, phi.imag]))
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(alpha * (theta[0] + lam[0]) + b1)
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(
-            -2.0 * theta[0]
-            - lam[0]
-            + s2 * xi[1] * (lam[0] + 1.0)
-            + s4 * xi[3] * theta[0]
-            + b2
-        )
+    text = StageText(
+        ("alpha * (th0 + la0) + b1",),
+        ("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + s4 * xi3 * th0 + b2",),
+        "-1.0 + s2 * xi1",
+        4,
+        "",
+        None,
+        ("alpha", "s2", "s4", "b1", "b2"),
+        (alpha, s2, s4, b1, b2),
+    )
 
     mean = PolyCoeff(2, 2, {(1, 0): [alpha, -2.0], (0, 1): [alpha, -1.0], (0, 0): [b1, b2]})
     cos2 = PolyCoeff(2, 2, {(0, 0): [0.0, s2 / 2.0], (0, 1): [0.0, s2 / 2.0]})
@@ -87,29 +85,28 @@ def quadrature_system(alpha=2.0, s2=1.0, s4=1.5, b=(1.0, 0.5)):
     return TwoTimescaleSystem(
         1,
         1,
-        g,
-        h,
         basis,
         probing=pmap,
         fourier=fourier,
+        text=text,
         theta_star=np.array([b2 + b1 / alpha]),
     )
+
+
+def one_tone_text(slow, fast, jac):
+    """A 1+1 pair as text over the probe row of one tone: d/dt theta =
+    a*(slow), d/dt lambda = b*(fast)."""
+    return StageText((slow,), (fast,), jac, 1, "", None, (), ())
 
 
 def xi_free_system():
     """Fully probe-independent linear pair; every identity is 0 = 0."""
     basis = make_frequency_basis([(2, 1)])
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(-theta[0] + 0.5 * lam[0])
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(theta[0] - lam[0])
-
+    text = one_tone_text("-th0 + 0.5 * la0", "th0 - la0", "-1.0")
     field = FourierField(
         1, 1, 2, 1, {(0,): PolyCoeff(2, 2, {(1, 0): [-1.0, 1.0], (0, 1): [0.5, -1.0]})}
     )
-    return TwoTimescaleSystem(1, 1, g, h, basis, fourier=field)
+    return TwoTimescaleSystem(1, 1, basis, fourier=field, text=text)
 
 
 def dependent_content_system():
@@ -122,12 +119,7 @@ def dependent_content_system():
     pmap = ProbingMap(
         1, g_state=lambda phi: (phi[0:1] ** 2 * np.conj(phi[1:2])).real
     )
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(-theta[0])
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(-lam[0] + 0.5 * xi[0])
+    text = one_tone_text("-th0", "-la0 + 0.5 * xi0", "-1.0")
 
     mode = PolyCoeff(2, 2, {(0, 0): [0.0, 0.25]})
     fourier = FourierField(
@@ -141,7 +133,7 @@ def dependent_content_system():
             (-2, 1): mode.conj(),
         },
     )
-    return TwoTimescaleSystem(1, 1, g, h, basis, probing=pmap, fourier=fourier)
+    return TwoTimescaleSystem(1, 1, basis, probing=pmap, fourier=fourier, text=text)
 
 
 def synthetic_trajectory(schedule, t, theta):
@@ -308,15 +300,8 @@ def test_fast_sweep_filter_factory_called_per_beta():
 
 def test_fast_sweep_nonfinite_names_beta():
     basis = make_frequency_basis([(2, 1)])
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(-theta[0])
-
-    def h(theta, lam, xi):
-        with np.errstate(over="ignore"):
-            return np.atleast_1d(1.0 + lam[0] ** 2)
-
-    escaping = TwoTimescaleSystem(1, 1, g, h, basis)
+    text = one_tone_text("-th0", "1.0 + la0 * la0", "2.0 * la0")
+    escaping = TwoTimescaleSystem(1, 1, basis, text=text)
     with pytest.raises(NonFinite) as err:
         fast_error_sweep(escaping, [2.0])
     assert "beta = 2" in str(err.value)
@@ -390,14 +375,11 @@ def test_slow_error_check_linear_bounded_under_doubling():
 
 def test_bias_sweep_g_independent_symmetric():
     basis = make_frequency_basis([(2, 1), (3, 1)])
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(1.0 - theta[0])
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(theta[0] - lam[0] + 0.3 * xi[1] * (lam[0] + 1.0))
-
-    system = TwoTimescaleSystem(1, 1, g, h, basis, theta_star=np.array([1.0]))
+    text = StageText(
+        ("1.0 - th0",), ("th0 - la0 + 0.3 * xi1 * (la0 + 1.0)",), "-1.0 + 0.3 * xi1", 2, "",
+        None, (), (),
+    )
+    system = TwoTimescaleSystem(1, 1, basis, text=text, theta_star=np.array([1.0]))
     out = bias_sweep(system, [0.2, 0.4])
     assert isinstance(out, SymmetricNoBias)
     assert out.threshold == pytest.approx(0.01)
@@ -455,9 +437,7 @@ def test_bias_sweep_validation():
     system = make_linear_system()
     with pytest.raises(ConfigError):
         bias_sweep(system, [])
-    no_star = TwoTimescaleSystem(
-        1, 1, None, None, system.basis, probing=system.probing, stage=system.stage
-    )
+    no_star = TwoTimescaleSystem(1, 1, system.basis, probing=system.probing, stage=system.stage)
     with pytest.raises(ConfigError):
         bias_sweep(no_star, [0.1, 0.2, 0.4])
 
@@ -525,14 +505,7 @@ def test_pmf_suite_zero_divisor():
 
 def test_pmf_suite_validation():
     basis = make_frequency_basis([(2, 1)])
-
-    def g(theta, lam, xi):
-        return np.atleast_1d(-theta[0])
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(-lam[0])
-
-    bare = TwoTimescaleSystem(1, 1, g, h, basis)
+    bare = TwoTimescaleSystem(1, 1, basis, text=one_tone_text("-th0", "-la0", "-1.0"))
     with pytest.raises(ConfigError):
         pmf_identity_suite(bare)
     with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ import pytest
 from qsakit.dynamics import _CHUNK as KERNEL_CHUNK
 from qsakit.dynamics import (
     GainSchedule,
+    StageText,
     Trajectory,
     TwoTimescaleSystem,
     _float_lists,
@@ -355,11 +356,41 @@ def reference_esc(config):
 
 
 def _with_callbacks(system, g, h, g_probe=None):
-    """A new system like system that runs the callbacks g, h and g_probe
-    (through the array adapter), not system's own stage field."""
+    """What the reference loops read of system, with the callbacks g, h
+    and g_probe (theta, lam, xi) -> array in place of its field: its
+    dimensions, basis, probe map and dh_dlambda.  callback_system runs
+    the callbacks in the package."""
+    return SimpleNamespace(
+        dim_slow=system.dim_slow, dim_fast=system.dim_fast, basis=system.basis,
+        probing=system.probing, dh_dlambda=system.dh_dlambda, g=g, h=h, g_probe=g_probe,
+    )
+
+
+def callback_stage(g, h, g_probe=None):
+    """The stage field of the array callbacks g, h and g_probe: they get
+    float64 arrays, in the order g, g_probe, h (each only when its gain is
+    given), and slow = a*(g + a*g_probe), or a*g, and fast = b*h are read
+    back as lists, as the reference loops compute them."""
+
+    def stage(theta, lam, xi, a, b):
+        th, la, xv, slow, fast = np.array(theta), np.array(lam), np.array(xi), None, None
+        if a is not None:
+            gv = np.asarray(g(th, la, xv), dtype=float)
+            if g_probe is not None:
+                gv = gv + a * np.asarray(g_probe(th, la, xv), dtype=float)
+            slow = (a * gv).tolist()
+        if b is not None:
+            fast = (b * np.asarray(h(th, la, xv), dtype=float)).tolist()
+        return slow, fast
+
+    return stage
+
+
+def callback_system(ref):
+    """A system whose stage field runs ref's callbacks (callback_stage)."""
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, g, h, system.basis, system.probing,
-        g_probe=g_probe, dh_dlambda=system.dh_dlambda,
+        ref.dim_slow, ref.dim_fast, ref.basis, ref.probing,
+        stage=callback_stage(ref.g, ref.h, ref.g_probe), dh_dlambda=ref.dh_dlambda,
     )
 
 
@@ -456,32 +487,39 @@ def test_frozen_fast_on_esc(stride):
     )
 
 
+def one_tone_pair(slow, fast, g, h):
+    """(system on the text a*(slow), b*(fast) over one tone's probe row,
+    the reference's view of it with the same field as callbacks g, h)."""
+    text = StageText((slow,), (fast,), "0.0", 1, "", None, (), ())
+    system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
+    return system, _with_callbacks(system, g, h)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blow_up_time():
-    basis = make_frequency_basis([(2, 1)])
-    system = TwoTimescaleSystem(
-        1, 1, lambda t, l, x: np.atleast_1d(t[0] ** 2), lambda t, l, x: np.zeros(1), basis
+    system, ref = one_tone_pair(
+        "th0 * th0", "0.0", lambda t, l, x: np.atleast_1d(t[0] ** 2), lambda t, l, x: np.zeros(1)
     )
     sched = GainSchedule(rho=0.7, beta=0.1)
     x0 = (np.array([2.0]), np.zeros(1))
     with pytest.raises(NonFinite) as got:
         integrate(system, sched, x0, 10.0)
     with pytest.raises(NonFinite) as want:
-        reference_integrate(system, sched, x0, 10.0)
+        reference_integrate(ref, sched, x0, 10.0)
     assert got.value.time == want.value.time
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_frozen_fast_blow_up_time():
-    basis = make_frequency_basis([(2, 1)])
-    system = TwoTimescaleSystem(
-        1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: np.atleast_1d(1.0 + l[0] ** 2), basis
+    system, ref = one_tone_pair(
+        "0.0", "1.0 + la0 * la0",
+        lambda t, l, x: np.zeros(1), lambda t, l, x: np.atleast_1d(1.0 + l[0] ** 2),
     )
-    args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
+    args = (np.zeros(1), np.zeros(1), 2.0, 5.0)
     with pytest.raises(NonFinite) as got:
-        integrate_frozen_fast(*args)
+        integrate_frozen_fast(system, *args)
     with pytest.raises(NonFinite) as want:
-        reference_integrate_frozen_fast(*args)
+        reference_integrate_frozen_fast(ref, *args)
     assert got.value.time == want.value.time
 
 
@@ -494,29 +532,29 @@ def test_nan_blow_up_time():
     # NaN rather than an overflow to inf: theta grows with integral(a) and
     # the slow field goes NaN at theta = 2.5, well inside the horizon
     field = _nan_past(2.5)
-    system = TwoTimescaleSystem(
-        1, 1, lambda t, l, x: field(t), lambda t, l, x: np.zeros(1), make_frequency_basis([(2, 1)])
+    ref = _with_callbacks(
+        make_decoupled_system(), lambda t, l, x: field(t), lambda t, l, x: np.zeros(1)
     )
     sched = GainSchedule(rho=0.7, beta=0.1)
     x0 = (np.zeros(1), np.zeros(1))
     with pytest.raises(NonFinite) as got:
-        integrate(system, sched, x0, 10.0)
+        integrate(callback_system(ref), sched, x0, 10.0)
     with pytest.raises(NonFinite) as want:
-        reference_integrate(system, sched, x0, 10.0)
+        reference_integrate(ref, sched, x0, 10.0)
     assert got.value.time == want.value.time
     assert 0.0 < got.value.time < 10.0
 
 
 def test_frozen_fast_nan_blow_up_time():
     field = _nan_past(1.5)
-    system = TwoTimescaleSystem(
-        1, 1, lambda t, l, x: np.zeros(1), lambda t, l, x: field(l), make_frequency_basis([(2, 1)])
+    ref = _with_callbacks(
+        make_decoupled_system(), lambda t, l, x: np.zeros(1), lambda t, l, x: field(l)
     )
-    args = (system, np.zeros(1), np.zeros(1), 2.0, 5.0)
+    args = (np.zeros(1), np.zeros(1), 2.0, 5.0)
     with pytest.raises(NonFinite) as got:
-        integrate_frozen_fast(*args)
+        integrate_frozen_fast(callback_system(ref), *args)
     with pytest.raises(NonFinite) as want:
-        reference_integrate_frozen_fast(*args)
+        reference_integrate_frozen_fast(ref, *args)
     assert got.value.time == want.value.time
     assert 0.0 < got.value.time < 5.0
 
@@ -592,7 +630,7 @@ def test_esc_sensitivity_across_a_chunk_boundary(case):
     _, n_steps = _resolve_step(system.basis, 1.0, 50.0, None)
     assert n_steps > KERNEL_CHUNK
     args = (np.linspace(0.7, 0.2, system.dim_slow), 1.0, np.array([0.2]), 50.0)
-    assert lyapunov_exponent(system, *args) == lyapunov_exponent(ref, *args)
+    assert lyapunov_exponent(system, *args) == lyapunov_exponent(callback_system(ref), *args)
 
 
 @pytest.mark.parametrize("single_at", [True, False])
@@ -601,7 +639,7 @@ def test_esc_mean_field_g0_against_unmemoized_callbacks(single_at):
     kw = dict(burn_in=5.0, window=20.0)
     log = []
     got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
-    want = mean_field_g0(_recorded(ref, log), np.array([0.6]), 1.0, tol=1.0, **kw)
+    want = mean_field_g0(callback_system(_recorded(ref, log)), np.array([0.6]), 1.0, tol=1.0, **kw)
     assert np.array_equal(got.value, want.value)
     assert got.osc_amplitude == want.osc_amplitude
     # the reference ran its own callbacks, not the seeker's stage field
@@ -816,8 +854,8 @@ def zero_pair(single_at):
 
 
 def _recorded(system, log):
-    """A new system running system's g, h and g_probe wrapped to log the
-    bits of each output."""
+    """The reference's view of system with its g, h and g_probe wrapped to
+    log the bits of each output."""
     cbs = {name: getattr(system, name) for name in ("g", "h", "g_probe")}
     logged = {name: cb and _logged(cb, name, log) for name, cb in cbs.items()}
     return _with_callbacks(system, **logged)
@@ -833,7 +871,7 @@ def _stage_recorded(system, log):
         return parts
 
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        system.dim_slow, system.dim_fast, system.basis, system.probing,
         stage=stage, dh_dlambda=system.dh_dlambda,
     )
 
@@ -855,7 +893,7 @@ def test_esc_fast_state_at_signed_zero_coupled(single_at):
     got_log, want_log = [], []
     got = integrate(_stage_recorded(system, got_log), sched, x0, 20.0)
     want = reference_integrate(ref, sched, x0, 20.0)
-    assert_same(integrate(_stage_recorded(ref, want_log), sched, x0, 20.0), want)
+    assert_same(integrate(_stage_recorded(callback_system(ref), want_log), sched, x0, 20.0), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any() and got.theta[-1, 0] < 0.3
@@ -873,7 +911,7 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
     got_log, want_log = [], []
     got = integrate_frozen_fast(_stage_recorded(system, got_log), *args)
     want = reference_integrate_frozen_fast(ref, *args)
-    assert_same(integrate_frozen_fast(_stage_recorded(ref, want_log), *args), want)
+    assert_same(integrate_frozen_fast(_stage_recorded(callback_system(ref), want_log), *args), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any()
@@ -893,20 +931,19 @@ def _row_logging(system, rows):
         return system.stage(theta, lam, xi, a, b)
 
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing, stage=stage
+        system.dim_slow, system.dim_fast, system.basis, system.probing, stage=stage
     )
 
 
 def _array_callback_system():
-    """A user system of array callbacks with probing feedback."""
-    return TwoTimescaleSystem(
-        1,
-        1,
+    """A user system whose stage field calls array callbacks, with probing
+    feedback."""
+    stage = callback_stage(
         lambda t, l, x: np.array([0.3 * t[0] - l[0] * x[0]]),
         lambda t, l, x: np.array([-l[0] + x[1] * (t[0] + 0.5)]),
-        make_frequency_basis([(2, 1), (3, 1)]),
-        g_probe=lambda t, l, x: np.array([x[1] * l[0]]),
+        lambda t, l, x: np.array([x[1] * l[0]]),
     )
+    return TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1), (3, 1)]), stage=stage)
 
 
 #: (system, theta) per path of the after-run slow field: text on arrays
@@ -1138,7 +1175,7 @@ def test_esc_process_objective():
 def _stage_field_only(system):
     """system without its frozen form: every run calls its stage field."""
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        system.dim_slow, system.dim_fast, system.basis, system.probing,
         stage=system.stage, dh_dlambda=system.dh_dlambda,
     )
 
@@ -1387,6 +1424,6 @@ def test_esc_planar_washout_mean_field_g0():
     assert system.frozen is None
     kw = dict(burn_in=5.0, window=20.0)
     got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
-    want = mean_field_g0(ref, np.array([0.6]), 1.0, tol=1.0, **kw)
+    want = mean_field_g0(callback_system(ref), np.array([0.6]), 1.0, tol=1.0, **kw)
     assert got.value.tobytes() == want.value.tobytes()
     assert got.osc_amplitude == want.osc_amplitude

@@ -8,50 +8,50 @@ and exact beta-linearity of the scaling for fields linear in lambda.
 import numpy as np
 import pytest
 
-from qsakit.dynamics import TwoTimescaleSystem
+from qsakit.dynamics import StageText, TwoTimescaleSystem
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.lyapunov import ExponentEstimate, lyapunov_exponent, write_exponent_csv
 from qsakit.probing import make_frequency_basis
 from qsakit.systems import make_linear_system
 
 
+def one_tone_system(fast, jac):
+    """A fast field as text over one tone's probe row, slow field 0."""
+    text = StageText(("0.0",), (fast,), jac, 1, "", None, (), ())
+    return TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
+
+
 def scalar_decay_system():
-    return TwoTimescaleSystem(
-        1,
-        1,
-        lambda t, l, x: np.zeros(1),
-        lambda t, l, x: np.atleast_1d(-l[0]),
-        make_frequency_basis([(2, 1)]),
-    )
+    return one_tone_system("-la0", "-1.0")
+
+
+def matrix_stage(F):
+    """The stage field of the fast field F @ lambda, slow field 0."""
+
+    def stage(theta, lam, xi, a, b):
+        fast = None if b is None else (b * (F @ np.array(lam))).tolist()
+        return (None if a is None else [0.0]), fast
+
+    return stage
 
 
 def matrix_system(F, analytic=True):
     F = np.asarray(F, dtype=float)
-    d = F.shape[0]
-    kwargs = {}
-    if analytic:
-        kwargs["dh_dlambda"] = lambda t, l, x: F
     return TwoTimescaleSystem(
         1,
-        d,
-        lambda t, l, x: np.zeros(1),
-        lambda t, l, x: F @ l,
+        F.shape[0],
         make_frequency_basis([(2, 1)]),
-        **kwargs,
+        stage=matrix_stage(F),
+        dh_dlambda=(lambda t, l, x: F) if analytic else None,
     )
 
 
 def linear_model_system():
-    def h(theta, lam, xi):
-        return np.atleast_1d(-2.0 * theta[0] - lam[0] + xi[1] * (lam[0] + 1.0))
-
+    text = StageText(
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
+    )
     return TwoTimescaleSystem(
-        1,
-        1,
-        lambda t, l, x: np.zeros(1),
-        h,
-        make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]),
-        dh_dlambda=lambda t, l, x: np.array([[-1.0 + x[1]]]),
+        1, 1, make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]), text=text
     )
 
 
@@ -117,17 +117,7 @@ class TestFailureModes:
     def test_inconclusive_on_transient(self):
         # fast field whose Jacobian flips sign at lambda = 2: the first half
         # sees growth toward the attractor, the tail sees contraction
-        def h(theta, lam, xi):
-            return np.atleast_1d(lam[0] * (2.0 - lam[0]))
-
-        sys_ = TwoTimescaleSystem(
-            1,
-            1,
-            lambda t, l, x: np.zeros(1),
-            h,
-            make_frequency_basis([(2, 1)]),
-            dh_dlambda=lambda t, l, x: np.array([[2.0 - 2.0 * l[0]]]),
-        )
+        sys_ = one_tone_system("la0 * (2.0 - la0)", "2.0 - 2.0 * la0")
         with pytest.raises(Inconclusive) as err:
             lyapunov_exponent(sys_, np.zeros(1), 1.0, np.array([0.01]), 40.0)
         # both halves' estimates, named by their spans, in the message too
@@ -193,13 +183,11 @@ class TestFailureModes:
         ids=["d2-vector", "d2-flat", "d2-row", "d1-eye2", "d1-vector"],
     )
     def test_malformed_analytic_jacobian(self, jacobian, d):
-        F = -np.eye(d)
         system = TwoTimescaleSystem(
             1,
             d,
-            lambda t, l, x: np.zeros(1),
-            lambda t, l, x: F @ l,
             make_frequency_basis([(2, 1)]),
+            stage=matrix_stage(-np.eye(d)),
             dh_dlambda=lambda t, l, x: jacobian,
         )
         with pytest.raises(ConfigError, match="dh_dlambda returned"):

@@ -16,14 +16,20 @@ import numpy as np
 import pytest
 
 from qsakit import dynamics
-from qsakit.dynamics import TwoTimescaleSystem, _resolve_step
+from qsakit.dynamics import StageText, TwoTimescaleSystem, _resolve_step
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.esc import EscConfig, build_esc_system, quadratic_objective
 from qsakit.filters import StateSpaceFilter
 from qsakit.lyapunov import ExponentEstimate, _jacobian_evaluator, lyapunov_exponent
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_linear_system
-from test_kernel_reference import reference_esc, reference_linear, reference_quadratic
+from test_kernel_reference import (
+    _with_callbacks,
+    reference_esc,
+    reference_linear,
+    reference_quadratic,
+)
+from test_lyapunov import matrix_stage
 
 #: steps per precomputed probe block of the reference loop
 _CHUNK = 1 << 14
@@ -128,41 +134,46 @@ def reference_lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=N
 # -- systems -------------------------------------------------------------------
 
 
+def with_reference(system, h):
+    """(system, the reference's view of it): its fast field as the array
+    callback h, its dh_dlambda, and its stage field, whose central
+    differences are the Jacobian without dh_dlambda."""
+    ref = _with_callbacks(system, None, h)
+    ref.stage = system.stage
+    return system, ref
+
+
+def one_tone_text(fast, jac):
+    """A fast field and its Jacobian as text over one tone's probe row,
+    slow field 0."""
+    return StageText(("0.0",), (fast,), jac, 1, "", None, (), ())
+
+
 def scalar_decay_system():
-    return TwoTimescaleSystem(
-        1,
-        1,
-        lambda t, l, x: np.zeros(1),
-        lambda t, l, x: np.atleast_1d(-l[0]),
-        make_frequency_basis([(2, 1)]),
-    )
+    text = one_tone_text("-la0", "-1.0")
+    system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
+    return with_reference(system, lambda t, l, x: np.atleast_1d(-l[0]))
 
 
 def matrix_system(F, analytic=True):
     F = np.asarray(F, dtype=float)
-    kwargs = {"dh_dlambda": lambda t, l, x: F} if analytic else {}
-    return TwoTimescaleSystem(
-        1,
-        F.shape[0],
-        lambda t, l, x: np.zeros(1),
-        lambda t, l, x: F @ l,
-        make_frequency_basis([(2, 1)]),
-        **kwargs,
+    system = TwoTimescaleSystem(
+        1, F.shape[0], make_frequency_basis([(2, 1)]), stage=matrix_stage(F),
+        dh_dlambda=(lambda t, l, x: F) if analytic else None,
     )
+    return with_reference(system, lambda t, l, x: F @ l)
+
+
+def linear_model_h(theta, lam, xi):
+    return np.atleast_1d(-2.0 * theta[0] - lam[0] + xi[1] * (lam[0] + 1.0))
 
 
 def linear_model_system():
-    def h(theta, lam, xi):
-        return np.atleast_1d(-2.0 * theta[0] - lam[0] + xi[1] * (lam[0] + 1.0))
-
-    return TwoTimescaleSystem(
-        1,
-        1,
-        lambda t, l, x: np.zeros(1),
-        h,
-        make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]),
-        dh_dlambda=lambda t, l, x: np.array([[-1.0 + x[1]]]),
+    text = StageText(
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
     )
+    basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
+    return with_reference(TwoTimescaleSystem(1, 1, basis, text=text), linear_model_h)
 
 
 def esc_config(washout=None, objective=None):
@@ -188,12 +199,13 @@ COMPANION = [[0.0, 1.0], [-2.0, -2.0]]
 PLANAR = StateSpaceFilter(F=COMPANION, G=[0.0, 1.0], H=[1.0, 0.0], J=0.0)
 
 
-def assert_same(system, theta, beta, lambda0, horizon, step=None, ref=None):
-    """The estimate on system against the reference's on ref (default
-    system): a system on expression text has no callbacks to read."""
+def assert_same(pair, theta, beta, lambda0, horizon, step=None):
+    """The estimate on pair's system against the reference's on its
+    callbacks."""
+    system, ref = pair
     args = (np.atleast_1d(theta), beta, np.atleast_1d(lambda0), horizon)
     got = lyapunov_exponent(system, *args, step=step)
-    want = reference_lyapunov_exponent(system if ref is None else ref, *args, step=step)
+    want = reference_lyapunov_exponent(ref, *args, step=step)
     assert got == want
 
 
@@ -203,9 +215,9 @@ def raised(exc_type, fn, *args, **kwargs):
     return info.value
 
 
-def assert_same_failure(exc_type, *args, **kwargs):
-    got = raised(exc_type, lyapunov_exponent, *args, **kwargs)
-    want = raised(exc_type, reference_lyapunov_exponent, *args, **kwargs)
+def assert_same_failure(exc_type, pair, *args, **kwargs):
+    got = raised(exc_type, lyapunov_exponent, pair[0], *args, **kwargs)
+    want = raised(exc_type, reference_lyapunov_exponent, pair[1], *args, **kwargs)
     assert str(got) == str(want)
     return got, want
 
@@ -232,13 +244,13 @@ def test_linear_3_1_across_a_chunk_boundary():
     system = make_linear_system()
     _, n_steps = _resolve_step(system.basis, 0.1, 400.0, None)
     assert n_steps > _CHUNK
-    assert_same(system, 0.3, 0.1, -0.2, 400.0, ref=reference_linear())
+    assert_same((system, reference_linear()), 0.3, 0.1, -0.2, 400.0)
 
 
 @pytest.mark.parametrize("washout", [None, PLANAR], ids=["scalar", "planar"])
 def test_esc_seeker(washout):
     system = esc_system(washout)
-    assert_same(system, 0.5, 1.0, np.zeros(system.dim_fast), 60.0, ref=esc_reference(washout))
+    assert_same((system, esc_reference(washout)), 0.5, 1.0, np.zeros(system.dim_fast), 60.0)
 
 
 def test_step_override():
@@ -246,19 +258,19 @@ def test_step_override():
 
 
 def test_horizon_shorter_than_a_rescale():
-    system = scalar_decay_system()
-    h, n_steps = _resolve_step(system.basis, 1.0, 0.5, None)
+    pair = scalar_decay_system()
+    h, n_steps = _resolve_step(pair[0].basis, 1.0, 0.5, None)
     assert n_steps < round(1.0 / h)
-    assert_same(system, 0.0, 1.0, 1.0, 0.5)
+    assert_same(pair, 0.0, 1.0, 1.0, 0.5)
 
 
 def test_half_horizon_between_rescales():
-    system = matrix_system([[-0.7]])
-    h, n_steps = _resolve_step(system.basis, 1.0, 61.0, 0.03)
+    pair = matrix_system([[-0.7]])
+    h, n_steps = _resolve_step(pair[0].basis, 1.0, 61.0, 0.03)
     rescale_every = round(1.0 / h)
     assert (n_steps // 2) % rescale_every != 0
     assert n_steps % rescale_every != 0
-    assert_same(system, 0.0, 1.0, 1.0, 61.0, step=0.03)
+    assert_same(pair, 0.0, 1.0, 1.0, 61.0, step=0.03)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -282,26 +294,22 @@ def test_degenerate_norm_time():
 
 
 def test_inconclusive_message():
-    def h(theta, lam, xi):
-        return np.atleast_1d(lam[0] * (2.0 - lam[0]))
-
-    system = TwoTimescaleSystem(
-        1,
-        1,
-        lambda t, l, x: np.zeros(1),
-        h,
-        make_frequency_basis([(2, 1)]),
-        dh_dlambda=lambda t, l, x: np.array([[2.0 - 2.0 * l[0]]]),
+    text = one_tone_text("la0 * (2.0 - la0)", "2.0 - 2.0 * la0")
+    pair = with_reference(
+        TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text),
+        lambda t, l, x: np.atleast_1d(l[0] * (2.0 - l[0])),
     )
-    assert_same_failure(Inconclusive, system, np.zeros(1), 1.0, np.array([0.01]), 40.0)
+    assert_same_failure(Inconclusive, pair, np.zeros(1), 1.0, np.array([0.01]), 40.0)
 
 
 # -- d = 1 on the call path: the b*(J @ S) callback ----------------------------
 
 
 def linear_model_variant(dh_dlambda):
-    base = linear_model_system()
-    return TwoTimescaleSystem(1, 1, base.g, base.h, base.basis, dh_dlambda=dh_dlambda)
+    """linear_model_system on its compiled stage field, with dh_dlambda."""
+    base, _ = linear_model_system()
+    variant = TwoTimescaleSystem(1, 1, base.basis, stage=base.stage, dh_dlambda=dh_dlambda)
+    return with_reference(variant, linear_model_h)
 
 
 def test_linear_model_fd_jacobian():
@@ -327,4 +335,4 @@ def test_esc_first_order_step_override_across_a_kernel_chunk():
     assert system.dim_fast == 1
     _, n_steps = _resolve_step(system.basis, 1.0, 60.0, 0.031)
     assert n_steps > dynamics._CHUNK and n_steps % dynamics._CHUNK != 0
-    assert_same(system, 0.7, 1.0, 0.1, 60.0, step=0.031, ref=esc_reference())
+    assert_same((system, esc_reference()), 0.7, 1.0, 0.1, 60.0, step=0.031)

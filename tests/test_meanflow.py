@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsakit import meanflow
-from qsakit.dynamics import GainSchedule, TwoTimescaleSystem, _resolve_step, integrate
+from qsakit.dynamics import GainSchedule, StageText, TwoTimescaleSystem, _resolve_step, integrate
 from qsakit.errors import (
     ConfigError,
     NonConvergent,
@@ -35,32 +35,30 @@ def linear_basis():
     return make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
 
 
-def linear_callbacks(alpha=2.0, s1=1.0, s2=1.0):
-    def g(theta, lam, xi):
-        return np.atleast_1d(
-            alpha * theta[0] + alpha * lam[0] + s1 * xi[0] * (theta[0] + 1.0)
-        )
+def linear_system():
+    text = StageText(
+        ("alpha * th0 + alpha * la0 + s1 * xi0 * (th0 + 1.0)",),
+        ("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0)",),
+        "-1.0 + s2 * xi1",
+        2,
+        "",
+        None,
+        ("alpha", "s1", "s2"),
+        (2.0, 1.0, 1.0),
+    )
+    return TwoTimescaleSystem(1, 1, linear_basis(), text=text)
 
-    def h(theta, lam, xi):
-        return np.atleast_1d(-2.0 * theta[0] - lam[0] + s2 * xi[1] * (lam[0] + 1.0))
 
-    return g, h
-
-
-def linear_system(**extras):
-    g, h = linear_callbacks()
-    return TwoTimescaleSystem(1, 1, g, h, linear_basis(), **extras)
+def one_tone_system(slow, fast, names=(), values=()):
+    """The pair d/dt theta = a*(slow), d/dt lambda = b*(fast) as text over
+    one tone's probe row; slow holds one expression per slow coordinate."""
+    text = StageText(slow, (fast,), "-1.0", 1, "", None, names, values)
+    return TwoTimescaleSystem(len(slow), 1, make_frequency_basis([(2, 1)]), text=text)
 
 
 def plain_relax_system(target_gain=2.0):
     """Probe-free fast relaxation h = -(lam - target_gain*theta)."""
-
-    def h(theta, lam, xi):
-        return np.atleast_1d(target_gain * theta[0] - lam[0])
-
-    return TwoTimescaleSystem(
-        1, 1, lambda t, l, x: np.zeros(1), h, make_frequency_basis([(2, 1)])
-    )
+    return one_tone_system(("0.0",), "target_gain * th0 - la0", ("target_gain",), (target_gain,))
 
 
 class TestFastEquilibrium:
@@ -111,17 +109,7 @@ class TestFastEquilibrium:
 class TestMeanFieldG0:
     def test_state_independent_field_exact(self):
         c = 0.4
-
-        def g(theta, lam, xi):
-            return np.atleast_1d(-(theta[0] - c))
-
-        sys_ = TwoTimescaleSystem(
-            1,
-            1,
-            g,
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            make_frequency_basis([(2, 1)]),
-        )
+        sys_ = one_tone_system(("-(th0 - c)",), "-la0", ("c",), (c,))
         est = mean_field_g0(sys_, np.array([1.5]), 0.5, tol=1e-9)
         assert est.value[0] == pytest.approx(-(1.5 - c), abs=1e-12)
 
@@ -175,17 +163,7 @@ class TestMeanFieldG0:
 class TestFindRoot:
     def test_state_independent_field(self):
         c = 0.4
-
-        def g(theta, lam, xi):
-            return np.atleast_1d(-(theta[0] - c))
-
-        sys_ = TwoTimescaleSystem(
-            1,
-            1,
-            g,
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            make_frequency_basis([(2, 1)]),
-        )
+        sys_ = one_tone_system(("-(th0 - c)",), "-la0", ("c",), (c,))
         root = find_root_g0(
             sys_, np.zeros(1), 0.5, tol=1e-6, burn_in=2.0, window=5.0
         )
@@ -208,33 +186,14 @@ class TestFindRoot:
         assert abs(tail - root[0]) < 0.05
 
     def test_singular_jacobian(self):
-        def g(theta, lam, xi):
-            v = theta[0] - theta[1]
-            return np.array([v, v])
-
-        sys_ = TwoTimescaleSystem(
-            2,
-            1,
-            g,
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            make_frequency_basis([(2, 1)]),
-        )
+        sys_ = one_tone_system(("th0 - th1", "th0 - th1"), "-la0")
         with pytest.raises(SingularJacobian):
             find_root_g0(
                 sys_, np.array([1.0, 0.0]), 0.5, burn_in=1.0, window=2.0
             )
 
     def test_nonconvergent_rootless_field(self):
-        def g(theta, lam, xi):
-            return np.atleast_1d(1.0 + 0.1 * math.tanh(theta[0]))
-
-        sys_ = TwoTimescaleSystem(
-            1,
-            1,
-            g,
-            lambda t, l, x: np.atleast_1d(-l[0]),
-            make_frequency_basis([(2, 1)]),
-        )
+        sys_ = one_tone_system(("1.0 + 0.1 * tanh(th0)",), "-la0", ("tanh",), (math.tanh,))
         with pytest.raises((NonConvergent, SingularJacobian)):
             find_root_g0(sys_, np.zeros(1), 0.5, burn_in=1.0, window=2.0)
 
@@ -263,12 +222,7 @@ class TestNonConvergentEstimates:
         assert err.value.estimates["second window average"] == want.value.tolist()
 
     def test_root_names_last_theta_and_residual(self, monkeypatch):
-        def g(theta, lam, xi):
-            return np.atleast_1d(1.0 + 0.1 * math.tanh(theta[0]))
-
-        sys_ = TwoTimescaleSystem(
-            1, 1, g, lambda t, l, x: np.atleast_1d(-l[0]), make_frequency_basis([(2, 1)])
-        )
+        sys_ = one_tone_system(("1.0 + 0.1 * tanh(th0)",), "-la0", ("tanh",), (math.tanh,))
         monkeypatch.setattr(meanflow, "MAX_NEWTON_ITERATIONS", 2)
         kw = dict(burn_in=1.0, window=2.0)
         with pytest.raises(NonConvergent) as err:

@@ -350,7 +350,7 @@ SUITE_RUNS = {"analytic": (6.0, None), "fd 1e-3": (2.0, 1e-3), "fd 5e-4": (2.0, 
 def without_text(system):
     """The system with its Fourier form and compiled stage field, no text."""
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        system.dim_slow, system.dim_fast, system.basis, system.probing,
         fourier=system.fourier, stage=system.stage,
     )
 
@@ -384,7 +384,7 @@ def fabs_text_system():
         fast=(text.fast[0] + " + 0.01 * fn(la0)",), names=text.names + ("fn",),
         values=text.values + (math.fabs,),
     )
-    return TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+    return TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
 
 
 @pytest.mark.parametrize("make", [fabs_text_system, make_esc_quadratic])

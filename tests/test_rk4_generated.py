@@ -9,8 +9,8 @@ integrate_frozen_fast or lyapunov_exponent built around the stage field
 (reference_rk4); the kernel and the closure bodies are kept verbatim.
 Both must give the same trajectories and exponents bit for bit, for
 coupled, filtered, frozen-fast and sensitivity runs at fast dimension 1,
-2 and 3 and at shapes no built-in system reaches, through array callbacks
-(the adapter) and through a stage field on floats, and the same
+2 and 3 and at shapes no built-in system reaches, through a stage field
+that calls array callbacks and through one on floats, and the same
 NonFinite time when one component overflows or turns nan, while finite
 extremes run to the end.  Sampling at strides beyond a block and the
 segments of lyapunov_exponent's one kernel run, whose reference is one
@@ -30,7 +30,6 @@ from qsakit.dynamics import (
     _CHUNK,
     GainSchedule,
     TwoTimescaleSystem,
-    _floats,
     _resolve_step,
     integrate,
     integrate_frozen_fast,
@@ -40,6 +39,7 @@ from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import _jacobian_evaluator, lyapunov_exponent
 from qsakit.probing import make_frequency_basis, probe_signal
 from qsakit.systems import make_esc_quadratic, make_linear_system
+from test_kernel_reference import callback_stage
 
 
 def comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
@@ -135,7 +135,7 @@ def sensitivity_rhs(stage, shape, args, system):
         def rhs(x, xi, a, b):
             la = x[:1]
             (v,) = stage(th, la, xi, None, b)[1]
-            (j,) = _floats(jac_cb(th, la, xi), 1, "dh_dlambda")
+            (j,) = np.asarray(jac_cb(th, la, xi), dtype=float).ravel().tolist()
             return [v, b * (0.0 + j * x[1])]
 
     else:
@@ -188,8 +188,9 @@ def basis():
 
 
 def array_system(ds, df):
-    """A nonlinear pair on array callbacks, every component coupled; its
-    sensitivity runs take central differences of the adapter."""
+    """A nonlinear pair on array callbacks, every component coupled, run
+    through a stage field that calls them (callback_stage); its
+    sensitivity runs take central differences of that field."""
     si, fi = np.arange(ds) % df, np.arange(df) % ds
 
     def g(theta, lam, xi):
@@ -201,7 +202,7 @@ def array_system(ds, df):
     def h(theta, lam, xi):
         return -lam + 0.5 * theta[fi] * (1.0 + xi[1]) - 0.2 * lam * lam
 
-    return TwoTimescaleSystem(ds, df, g, h, basis(), g_probe=g_probe)
+    return TwoTimescaleSystem(ds, df, basis(), stage=callback_stage(g, h, g_probe))
 
 
 def stage_system(ds, df, blow_up=None, nan_at=None):
@@ -233,10 +234,7 @@ def stage_system(ds, df, blow_up=None, nan_at=None):
     def dh_dlambda(theta, lam, xi):
         return np.diag([-1.0 - 0.4 * v for v in lam])
 
-    zeros = lambda n: (lambda t, l, x: np.zeros(n))  # noqa: E731
-    return TwoTimescaleSystem(
-        ds, df, zeros(ds), zeros(df), basis(), stage=stage, dh_dlambda=dh_dlambda
-    )
+    return TwoTimescaleSystem(ds, df, basis(), stage=stage, dh_dlambda=dh_dlambda)
 
 
 SYSTEMS = {"array callbacks": array_system, "stage field": stage_system}
@@ -367,7 +365,7 @@ def zero_field_system(ds, df):
         return (None if a is None else [0.0] * ds), (None if b is None else [0.0] * df)
 
     return TwoTimescaleSystem(
-        ds, df, None, None, basis(), stage=stage, dh_dlambda=lambda t, l, x: np.zeros((df, df))
+        ds, df, basis(), stage=stage, dh_dlambda=lambda t, l, x: np.zeros((df, df))
     )
 
 
@@ -504,7 +502,7 @@ def test_degenerate_norm_on_a_block_end(monkeypatch):
     def stage(theta, lam, xi, a, b):
         return None, [b * 1.0]
 
-    system = TwoTimescaleSystem(1, 1, None, None, basis(), stage=stage,
+    system = TwoTimescaleSystem(1, 1, basis(), stage=stage,
                                 dh_dlambda=lambda t, l, x: 787.0 if l[0] > 15.0 else 0.0)
 
     def run():
@@ -559,7 +557,7 @@ def counted_linear(calls, part=None):
         return slow, fast
 
     return TwoTimescaleSystem(
-        1, 1, None, None, system.basis, system.probing, stage=stage,
+        1, 1, system.basis, system.probing, stage=stage,
         dh_dlambda=system.dh_dlambda,
     )
 

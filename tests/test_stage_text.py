@@ -80,7 +80,7 @@ def split_row_system():
     text = text._replace(
         fast=(text.fast[0].replace("xi1", "xi2"),), jac=text.jac.replace("xi1", "xi2"), row=3
     )
-    return TwoTimescaleSystem(1, 1, None, None, default_basis(3), text=text)
+    return TwoTimescaleSystem(1, 1, default_basis(3), text=text)
 
 
 #: built-in systems with text, and a text that reads probe components
@@ -162,7 +162,7 @@ def call_path(system):
     """The system with its compiled stage and dh_dlambda and no text."""
     assert system.text is not None
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, None, None, system.basis, system.probing,
+        system.dim_slow, system.dim_fast, system.basis, system.probing,
         stage=system.stage, dh_dlambda=system.dh_dlambda,
     )
 
@@ -335,7 +335,7 @@ def test_split_row_reads(kind):
 def test_probe_table_of_another_length(m, kind):
     # linear-3.1's text reads xi1 alone in frozen runs: with three
     # components the run would not notice, so the kernel checks the table
-    system = TwoTimescaleSystem(1, 1, None, None, default_basis(m), text=make_linear_system().text)
+    system = TwoTimescaleSystem(1, 1, default_basis(m), text=make_linear_system().text)
     message = rf"^stage got a probe row of {m} value\(s\), expected 2$"
     with pytest.raises(ConfigError, match=message):
         RUNS[kind](system)
@@ -350,7 +350,7 @@ def test_text_names_are_not_loop_locals(names, per_stage):
         names=text.names + names, values=text.values + (1.0,) * len(names), per_stage=per_stage
     )
     with pytest.raises(ConfigError, match=rf"^stage text name\(s\) {(names or ('am',))[0]} "):
-        TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+        TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
 
 
 def loop_source(system, kind):
@@ -435,7 +435,7 @@ def text_system(fast, jac="-1.0 + s2 * xi1", s2=1.0, names=(), values=()):
         fast=(fast,), jac=jac, names=text.names + names,
         values=text.values[:2] + (s2,) + text.values[3:] + values,
     )
-    return TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+    return TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
 
 
 #: a fast part that reads a call, ** and / by a probe entry and by a state
@@ -520,7 +520,7 @@ def test_partly_lifted_carried_statement(label, kind):
         fast=(fast,), per_stage=per_stage, carry="y", names=make_linear_system().text.names + ("fn",),
         values=make_linear_system().text.values + (math.fabs,),
     )
-    system = TwoTimescaleSystem(1, 1, None, None, make_linear_system().basis, text=text)
+    system = TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
     assert outcome(RUNS[kind], system) == outcome(RUNS[kind], call_path(system))
     traj = integrate_frozen_fast(system, [0.3], [0.2], 0.3, 40.0)
     xis = probe_signal(system.probing, system.basis, traj.t)
@@ -530,3 +530,56 @@ def test_partly_lifted_carried_statement(label, kind):
         "column after a call": 1.0 * xis[1],
     }[label]
     assert traj.measured.tobytes() == want.tobytes()
+
+
+#: a part of linear-3.1's text that reads z, a second local of the carried
+#: statement, per part
+SECOND_LOCAL = {"slow": ("alpha * th0 + z",), "fast": ("-la0 + z * xi1",), "jac": "-1.0 + z"}
+
+
+@pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
+@pytest.mark.parametrize("part", sorted(SECOND_LOCAL))
+def test_carried_text_reading_a_second_local_is_rejected(part, kind):
+    # the loop carries y alone from one block of steps to the next, so z
+    # would be unbound at the next block's first stage
+    base = make_linear_system().text
+    text = base._replace(
+        per_stage="y = fn(xi0); z = y * s2", carry="y", names=base.names + ("fn",),
+        values=base.values + (math.fabs,), **{part: SECOND_LOCAL[part]},
+    )
+    system = TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
+    message = r"^stage text with carry y reads the per-stage local\(s\) z: "
+    for _ in range(2):  # no loop is kept for a rejected text
+        with pytest.raises(ConfigError, match=message):
+            RUNS[kind](system)
+
+
+@pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
+@pytest.mark.parametrize("gain_kind", ["constant", "objective_scaled", "prior_scaled"])
+def test_seeker_carried_texts_are_accepted(gain_kind, kind):
+    kw = dict(sigma_p=0.5) if gain_kind == "prior_scaled" else {}
+    system = seeker(quadratic_objective(center=1.0), dim=1, gain_kind=gain_kind, **kw)
+    frozen = system.frozen([0.3])
+    assert frozen.carry == "y" and frozen.fast == ("0.0 + f1 * la0 + g1 * y",)
+    RUNS[kind](system)
+
+
+#: a fast part whose ** leaves the reals once lambda turns negative
+COMPLEX_FAST = "-la0 - 1.0 + 0.1 * la0 ** 0.5"
+
+
+@pytest.mark.parametrize("path", ["text", "stage field"])
+def test_non_real_stage_value_is_a_config_error(path):
+    text = make_linear_system().text._replace(fast=(COMPLEX_FAST,))
+    system = TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
+    system = system if path == "text" else call_path(system)
+    message = r"^stage values are not real: the state is complex in the steps from t = 0 to t = 10$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning among them
+        with pytest.raises(ConfigError, match=message):
+            integrate_frozen_fast(system, [0.3], [0.5], 0.5, 10.0)
+        # across blocks: the first block with a complex sample is named
+        h, n_steps = _resolve_step(system.basis, 0.5, 60.0, None)
+        assert n_steps > _CHUNK
+        with pytest.raises(ConfigError, match=rf"from t = 0 to t = {_CHUNK * h:.6g}$"):
+            integrate_frozen_fast(system, [0.3], [0.5], 0.5, 60.0)
