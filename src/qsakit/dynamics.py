@@ -8,10 +8,12 @@ The integrator advances the slow/fast pair
 One RK4 kernel, _rk4, is the package's only RK4 loop.  It advances one
 stacked state: [Theta; Lambda] in coupled runs, Lambda alone in
 frozen-fast runs, and [Lambda; vec S] (S row-major) in the
-sensitivity runs of qsakit.lyapunov.  A second-order filter attached to
-a coupled run observes Lambda: Lambda^F and dLambda^F extend the stack
-and ride along in the same step, but no field reads them, so Theta and
-Lambda are the same with or without it.  Probing phases are recomputed
+sensitivity runs of qsakit.lyapunov, or vec S alone in a sensitivity
+run on text whose S reads no Lambda and whose Lambda could raise
+nothing (_s_alone): there the run's lambda0 decides nothing.  A
+second-order filter attached to a coupled run observes Lambda: Lambda^F
+and dLambda^F extend the stack and ride along in the same step, but no
+field reads them, so Theta and Lambda are the same with or without it.  Probing phases are recomputed
 from t at every stage, never integrated, so runs are reproducible bit
 for bit, and a sample's probe row rebuilt from its time is the row the
 run's stages read there: qsakit.meanflow averages the slow field on a
@@ -66,13 +68,13 @@ The steps of a block run in a loop generated as straight-line source once
 per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
 use, as dataclasses and namedtuple generate code.  The kinds are coupled,
 filtered (the coupled pair with the filter states), frozen-fast and
-sensitivity (Lambda with vec S).  The loop holds the state in locals x0
-.. x{D-1}, calls the stage field with the stage's theta and Lambda as
-list displays and unpacks its parts (or writes the text out), and writes
-out per component the filter's derivative, the text's sensitivity
-derivative and the update, so a stage builds no stacked list and no
-comprehension frame; a sensitivity run without text calls one callback
-for b*(J @ S).  The fast gain b is a local, a sample appends its
+sensitivity (Lambda with vec S, or vec S alone).  The loop holds the
+state in locals x0 .. x{D-1}, calls the stage field with the stage's
+theta and Lambda as list displays and unpacks its parts (or writes the
+text out), and writes out per component the filter's derivative, the
+text's sensitivity derivative and the update, so a stage builds no
+stacked list and no comprehension frame; a sensitivity run without text
+calls one callback for b*(J @ S).  The fast gain b is a local, a sample appends its
 floats to the block's list, and one test per step, (x0 - x0) + (x1 -
 x1) + ... != 0.0, finds a non-finite x (x - x is +0.0 at every finite
 x, nan at inf and nan).  A run's first step checks the parts' lengths
@@ -389,6 +391,33 @@ def _row_kind(node, run, row):
     return "row" if "row" in (left, right) else "run"
 
 
+#: the nodes of an expression whose evaluation raises nothing (_s_alone):
+#: +, -, * and unary - over float literals and names the loop binds
+_PLAIN_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
+
+
+@functools.cache
+def _s_alone(text):
+    """Whether a sensitivity run on text (its key: values None) advances S
+    alone: jac reads no la{i}, so no bit of S depends on Lambda; there is
+    no per-stage statement; and each fast part is built by +, -, * and
+    unary - from float literals and the names the loop binds (text's
+    constants, th0.., la0.., xi0..), so evaluating it could raise nothing
+    (no call, no **, no /)."""
+    bound = {*text.names, *(f"th{d}" for d in range(len(text.slow))),
+             *(f"la{i}" for i in range(len(text.fast))), *(f"xi{i}" for i in range(text.row))}
+    return (
+        not text.per_stage
+        and not any(re.fullmatch(r"la\d+", n) for n in _names(text.jac))
+        and all(
+            isinstance(node, _PLAIN_NODES)
+            or isinstance(node, ast.Constant) and type(node.value) is float
+            or isinstance(node, ast.Name) and node.id in bound
+            for e in text.fast for node in ast.walk(ast.parse(e, mode="eval"))
+        )
+    )
+
+
 def _array_exact(text, parts):
     """Whether text_arrays evaluates text's expressions parts, for text
     without a per-stage statement, at sampled theta, Lambda and probe rows
@@ -442,7 +471,8 @@ def _lift(text, kind):
     a column under its own name, which later text reads as such; the
     loop binds a column only where what stays in it reads the column, and
     samples a carried one from its list.  Only the parts that the kind
-    evaluates are rewritten: fast, per_stage, slow in coupled and filtered
+    evaluates are rewritten: fast (none in a sensitivity run that
+    advances S alone, _s_alone), per_stage, slow in coupled and filtered
     runs, jac in sensitivity runs.  A carried text whose parts read
     another local of per_stage is a ConfigError (_check_carried)."""
     _check_carried(text)
@@ -501,7 +531,7 @@ def _lift(text, kind):
         return tuple(ast.unparse(rewrite(ast.parse(e, mode="eval").body)) for e in expressions)
 
     slow = parts(text.slow) if not frozen else text.slow
-    fast = parts(text.fast)
+    fast = () if kind == "sensitivity" and _s_alone(text) else parts(text.fast)
     jac = parts([text.jac])[0] if kind == "sensitivity" else text.jac
     used = _names(*(() if frozen else slow), *fast, *([jac] if kind == "sensitivity" else []), per_stage)
     binds = [(i, f"xi{i}") for i in range(text.row) if f"xi{i}" in used]
@@ -542,7 +572,8 @@ class TwoTimescaleSystem:
 
     The field is given in exactly one form, else ConfigError: text, a
     StageText, from which the stage field and dh_dlambda are compiled,
-    or a stage field, stage.  Runs read the stage field self.stage
+    or a stage field, stage, with dh_dlambda optional (with text it is a
+    ConfigError).  Runs read the stage field self.stage
     (module docstring), bound once here.  text, and frozen, a map from a
     pinned theta list to the StageText of the same field there, stand in
     for the stage field and dh_dlambda in runs (module docstring).  The
@@ -578,6 +609,8 @@ class TwoTimescaleSystem:
             raise ConfigError("state dimensions must be positive")
         if (text is None) == (stage is None):
             raise ConfigError("give the field as exactly one of text and stage")
+        if text is not None and dh_dlambda is not None:
+            raise ConfigError("give dh_dlambda with stage, not with text: text's jac is its Jacobian")
         self.dim_slow = int(dim_slow)
         self.dim_fast = int(dim_fast)
         if text is not None:
@@ -815,14 +848,18 @@ def _checked_parts(parts, slow, fast):
 def _step_loop_source(shape):
     """Python source of the RK4 loop over one block of steps for one run
     shape (dim_slow, dim_fast, kind), or (dim_slow, dim_fast, kind, key)
-    on the StageText key, written out per component (see _rk4)."""
+    on the StageText key, written out per component (see _rk4).  A
+    sensitivity loop on a key for which _s_alone holds holds, updates and
+    tests vec S alone, and writes out jac and the S derivative only."""
     ds, df, kind = shape[:3]
     text = shape[3] if len(shape) > 3 else None
     frozen = kind in ("frozen-fast", "sensitivity")
+    # Lambda's place in the stack (none where S rides alone), then filter or vec S
+    lo = 0 if frozen else ds
+    lam = range(lo, lo if kind == "sensitivity" and text is not None and _s_alone(text) else lo + df)
     size = {"coupled": ds + df, "filtered": ds + 3 * df, "frozen-fast": df,
-            "sensitivity": df + df * df}[kind]
-    lo = 0 if frozen else ds  # Lambda's place in the stack, then filter or vec S
-    comps, lam, rest = range(size), range(lo, lo + df), range(lo + df, size)
+            "sensitivity": len(lam) + df * df}[kind]
+    comps, rest = range(size), range(lam.stop, size)
     carry = text is not None and text.carry is not None
     lift = None if text is None else _lift(text, kind)
     # the stack's carried entry unpacks to the carried local, or, where
@@ -880,7 +917,7 @@ def _step_loop_source(shape):
                 out.append(f"k{k}_{f} = {state[v]}")
                 out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
         elif kind == "sensitivity" and text is not None:
-            out.append(f"k{k}_1 = {b} * (0.0 + ({lift.jac}) * ({state[1]}))")
+            out.append(f"k{k}_{rest[0]} = {b} * (0.0 + ({lift.jac}) * ({state[rest[0]]}))")
         elif kind == "sensitivity":
             out.append(f"{part(rest)} = jac(th, la, xi, {b}, {vals(rest)})")
         return ["        " + line for line in out]
@@ -944,8 +981,9 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
     shape is the run's (dim_slow, dim_fast, kind[, text key]) and x its
-    stacked state (module docstring) at step 0: stage times are (i +
-    0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
+    stacked state (module docstring) at step 0, vec S alone in a
+    sensitivity run on a key for which _s_alone holds: stage times are
+    (i + 0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
     ascending stops, x is replaced by at_stop(s, x).
 
     x and every stage state are lists of Python floats.  The probe values

@@ -5,8 +5,14 @@ xi_t) S from S0 = I alongside the frozen-fast trajectory itself.  The top
 exponent is the growth rate of ||S||, accumulated in log space with unit-
 time rescaling so the matrix never overflows on long horizons.
 
-S rides the shared RK4 kernel (dynamics._rk4) in the stack [Lambda; vec S],
-row-major, as a sensitivity run.  One kernel run covers the horizon; it
+S rides the shared RK4 kernel (dynamics._rk4) as a sensitivity run, in
+the stack [Lambda; vec S], row-major, or alone where no bit of S depends
+on Lambda: on expression text whose Jacobian reads no Lambda, with no
+per-stage statement and a fast part of +, -, * over names and float
+literals, which could raise nothing (dynamics._s_alone; linear-3.1 and
+decoupled-test).  There lambda0 is shape-checked but decides nothing,
+and a Lambda that would overflow or turn nan raises no NonFinite, where
+the other runs raise it.  One kernel run covers the horizon; it
 stops at every multiple of the rescale interval and at the half-horizon
 step, where S is divided by its Frobenius norm, whose log is
 accumulated, and the half-horizon magnitude is recorded.
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _on_text, _pinned_text, _resolve_step, _rk4, write_csv
+from .dynamics import _float_lists, _on_text, _pinned_text, _resolve_step, _rk4, _s_alone, write_csv
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -123,9 +129,12 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
 
     d = system.dim_fast
     th = theta.tolist()
-    x = lam.tolist() + np.eye(d).ravel().tolist()
     shape = (system.dim_slow, d, "sensitivity")
     text = _pinned_text(system, th)
+    # Lambda rides in the stack only where S may read it
+    lam = [] if text is not None and _s_alone(text._replace(values=None)) else lam.tolist()
+    x = lam + np.eye(d).ravel().tolist()
+    vec_s = slice(len(lam), len(lam) + d * d)
     if text is not None:
         shape, args, x = _on_text(text, shape, (th,), x)
     else:
@@ -136,7 +145,6 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             return [b * v for v in js.ravel().tolist()]
 
         args = (th, jac)
-    vec_s = slice(d, d + d * d)
 
     def s_norm(x):
         return float(np.linalg.norm(np.array(x[vec_s])))

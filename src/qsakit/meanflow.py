@@ -70,7 +70,8 @@ def _slow_series(system, theta, traj, keep):
     frozen-fast run traj at theta, with the probe rebuilt at their times:
     text_arrays on text's slow part at a = 1.0 for a text whose per-stage
     statement is carried or absent, else one stage field call per sample,
-    the first one's part checked."""
+    the first one's part checked.  Complex values are a ConfigError
+    (_real_series)."""
     xi = probe_signal(system.probing, system.basis, traj.t[keep])
     th, text = theta.tolist(), traj.text
     if text is not None and (text.carry is not None or not text.per_stage):
@@ -78,15 +79,24 @@ def _slow_series(system, theta, traj, keep):
         slow = [(None, e) for e in text.slow]
         series = np.empty((xi.shape[1], system.dim_slow))
         for d, value in enumerate(text_arrays(text, slow, th, xi, traj.lam[keep].T, carried)):
-            series[:, d] = value  # a constant expression fills its column
+            series[:, d] = _real_series(value, th)  # a constant expression fills its column
         return series
-    # rows built as used, values stored at once: no list per sample stays alive
-    stage, series = system.stage, np.empty((xi.shape[1], system.dim_slow))
+    # rows built as used, the values checked at once
+    stage = system.stage
     rows = zip(map(list, zip(*traj.lam[keep].T.tolist())), map(list, zip(*xi.tolist())))
     lam, row = next(rows)
-    series[0] = _checked_parts(stage(th, lam, row, 1.0, None), system.dim_slow, None)[0]
-    for k, (lam, row) in enumerate(rows, 1):
-        series[k] = stage(th, lam, row, 1.0, None)[0]
+    first = _checked_parts(stage(th, lam, row, 1.0, None), system.dim_slow, None)[0]
+    values = [first, *(stage(th, lam, row, 1.0, None)[0] for lam, row in rows)]
+    return _real_series(values, th).astype(float, copy=False)
+
+
+def _real_series(values, theta):
+    """values, the slow field's at the samples of a run at theta, as an
+    array; a complex one (a slow value off the reals, such as a negative
+    number's fractional power) is a ConfigError naming theta."""
+    series = np.asarray(values)
+    if series.dtype.kind == "c":
+        raise ConfigError(f"slow field values are not real at theta = {theta}")
     return series
 
 

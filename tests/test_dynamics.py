@@ -118,6 +118,13 @@ class TestSystemConstruction:
         with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
             TwoTimescaleSystem(1, 1, linear_basis(), text=system.text, stage=system.stage)
 
+    def test_text_and_dh_dlambda_both_rejected(self):
+        # text's jac is the Jacobian: a dh_dlambda beside it is not dropped silently
+        with pytest.raises(ConfigError, match="^give dh_dlambda with stage, not with text: "):
+            TwoTimescaleSystem(
+                1, 1, linear_basis(), text=linear_system().text, dh_dlambda=lambda t, l, x: [[5.0]]
+            )
+
     def test_no_field_rejected(self):
         with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
             TwoTimescaleSystem(1, 1, linear_basis())

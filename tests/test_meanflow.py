@@ -8,6 +8,7 @@ estimate of the root theta^beta.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from qsakit.meanflow import (
 )
 from qsakit.esc import EscConfig, Objective, build_esc_system
 from qsakit.probing import make_frequency_basis
-from qsakit.systems import make_esc_quadratic
+from qsakit.systems import make_esc_quadratic, make_linear_system
 
 
 def linear_basis():
@@ -142,6 +143,21 @@ class TestMeanFieldG0:
                 r"^window 0\.001 leaves an averaging window without a sample at the RK4 step"
             )):
                 op(make(), np.ones(1), 0.1, burn_in=1.0, window=0.001)
+
+    @pytest.mark.parametrize("path", ["text", "stage field"])
+    def test_non_real_slow_value_is_a_config_error(self, path):
+        # th0 ** 0.5 leaves the reals at theta = -0.3: the text path used to
+        # drop the imaginary part with a ComplexWarning, the stage field
+        # path to raise a bare TypeError
+        base = make_linear_system()
+        text = base.text._replace(slow=("th0 ** 0.5 + alpha * la0",))
+        system = TwoTimescaleSystem(1, 1, base.basis, text=text)
+        if path == "stage field":
+            system = TwoTimescaleSystem(1, 1, base.basis, stage=system.stage)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning among them
+            with pytest.raises(ConfigError, match=r"^slow field values are not real at theta = \[-0\.3\]$"):
+                mean_field_g0(system, [-0.3], 0.5, tol=1.0, burn_in=5.0, window=20.0)
 
     def test_seeker_measures_theta_once(self):
         # eps(theta) takes f(theta) under objective_scaled: the frozen run

@@ -34,6 +34,14 @@ the loop; an overflowing column warns not and stops the run at the stage
 field's NonFinite time; a zero run-constant divisor raises the compiled
 field's ZeroDivisionError; and the seeker's measurement, lifted whole at a
 pinned theta, is sampled bit for bit as the stage field measures it.
+
+A sensitivity run on a text whose Jacobian reads no Lambda, with no
+per-stage statement and a fast part of +, -, * over names and float
+literals, advances S alone; every other run keeps its loop source byte
+for byte.  This is the one declared exception to "the same outcome as
+the call path": in such a run a Lambda that overflows or turns nan
+raises no NonFinite, since it never fed S, where the call path raises;
+the exponent's bits are the same wherever both return.
 """
 
 import hashlib
@@ -67,7 +75,7 @@ from qsakit.esc import (
 from qsakit.filters import SecondOrderFilter
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import find_root_g0
-from qsakit.probing import default_basis, probe_signal
+from qsakit.probing import default_basis, make_frequency_basis, probe_signal
 from qsakit.systems import SYSTEMS as NAMED_SYSTEMS
 from qsakit.systems import make_decoupled_system, make_linear_system
 
@@ -374,15 +382,16 @@ def indexed(source):
 @pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
 def test_frozen_loops_index_only_the_components_read(kind):
     # at a pinned theta, linear-3.1 reads its probe row only through s2 *
-    # xi1 (and -1.0 + s2 * xi1 in jac), which are block columns above the
-    # row: the loop indexes those columns alone, and every local it binds
-    # from them is read by a stage
+    # xi1 in its frozen-fast run and -1.0 + s2 * xi1 (jac) in its
+    # sensitivity run, which advances S alone: each a block column above
+    # the row; the loop indexes that column alone, and every local it binds
+    # from it is read by a stage
     source, text = loop_source(make_linear_system(), kind)
     stages = "\n".join(line for line in source.splitlines() if " k1_" in line)
     lists = indexed(source)
     assert lists and min(lists) >= text.row
     assert all(re.search(rf"\b{local}\b", stages) for local in lists.values())
-    assert len(lists) == (1 if kind == "frozen-fast" else 2)
+    assert len(lists) == 1
     # the seeker's measurement is lifted whole: its frozen loop runs no
     # statement of it, reads g1 * y from a column and samples the carried y
     # from another
@@ -482,6 +491,83 @@ def test_zero_run_constant_divisor_raises(term, kind):
     for path in (system, call_path(system)):
         with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
             RUNS[kind](path)
+
+
+# -- sensitivity runs that advance S alone -------------------------------------
+
+
+#: sensitivity runs whose S may read Lambda, or whose fast part could raise:
+#: they advance [Lambda; vec S] with the loop source they had before
+#: S-alone runs existed
+LAMBDA_CARRIERS = {
+    "esc-quadratic frozen text": NAMED_SYSTEMS["esc-quadratic"],
+    "jac reading la0": lambda: text_system(
+        "-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + b2", jac="-1.0 + s2 * xi1 + 0.5 * la0"
+    ),
+    "fast dividing by k": lambda: text_system(
+        "-2.0 * th0 - la0 + xi1 / k", names=("k",), values=(2.0,)
+    ),
+    "fast with **": lambda: text_system("-2.0 * th0 - la0 + 0.1 * xi1 ** 2.0"),
+    "fast with a call": lambda: text_system(
+        "-2.0 * th0 - la0 + 0.1 * fn(xi1)", names=("fn",), values=(math.fabs,)
+    ),
+}
+
+#: sha256 of the concatenated sensitivity loop sources of LAMBDA_CARRIERS,
+#: in sorted label order, as generated before S-alone runs existed
+LAMBDA_CARRIER_SOURCES = "3ba5a5a8179151fd89e92825a0724cc81b637630f93c2fdb24e31ad21730a48d"
+
+
+def test_lambda_carrying_sensitivity_sources_unchanged():
+    sources = [loop_source(LAMBDA_CARRIERS[label](), "sensitivity")[0] for label in sorted(LAMBDA_CARRIERS)]
+    assert all("    x0, x1, " in source and "la0 = x0" in source for source in sources)
+    digest = hashlib.sha256("".join(sources).encode()).hexdigest()
+    assert digest == LAMBDA_CARRIER_SOURCES
+
+
+@pytest.mark.parametrize("name", ["linear-3.1", "decoupled-test"])
+def test_lambda_free_sensitivity_loop_advances_s_alone(name):
+    # jac reads no la0 and the fast part only +, -, * of names and floats:
+    # the loop holds S alone, reads no Lambda and tests S alone for
+    # finiteness; the exponent is the call path's, bit for bit
+    system = NAMED_SYSTEMS[name]()
+    source, _ = loop_source(system, "sensitivity")
+    assert "la0" not in source
+    assert "    x0, = x\n" in source and "        if (x0 - x0) != 0.0:" in source
+    assert re.findall(r"k1_\d+ = .*", source) == [
+        f"k1_0 = b * (0.0 + ({dynamics._lift(system.text._replace(values=None), 'sensitivity').jac}) * (x0))"
+    ]
+    assert outcome(RUNS["sensitivity"], system) == outcome(RUNS["sensitivity"], call_path(system))
+
+
+@pytest.mark.parametrize("fast, jac, alone", [
+    ("-la0 + 2.0 * xi0", "-1.0", True),
+    ("-la0 + k * th0 * xi0", "-1.0 + xi0", True),
+    ("-la0", "-1.0 + 0.5 * la0", False),  # S reads Lambda
+    ("-la0 + xi0 / k", "-1.0", False),  # / may divide by zero
+    ("-la0 + 2 * xi0", "-1.0", False),  # an int literal
+    ("-la0 + a * xi0", "-1.0", False),  # a is no local of a frozen loop
+    ("+la0", "-1.0", False),  # unary + is no lifted arithmetic
+])
+def test_s_alone_predicate(fast, jac, alone):
+    text = dynamics.StageText(("0.0",), (fast,), jac, 1, "", None, ("k",), None)
+    assert dynamics._s_alone(text) is alone
+
+
+@pytest.mark.filterwarnings("ignore:overflow")  # the call path's Jacobian product
+def test_lambda_overflow_in_an_s_alone_run():
+    # the one declared difference from the call path: Lambda overflows
+    # (growth e^{5t} from 1e300) but never feeds S, so the S-alone run
+    # returns the exponent 5 where the call path raises NonFinite, as
+    # test_lyapunov's test_nonfinite_propagates does on a stage field
+    text = dynamics.StageText(("0.0",), ("5.0 * la0",), "5.0", 1, "", None, (), ())
+    system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
+    run = lambda s: lyapunov_exponent(s, [0.0], 1.0, [1e300], 400.0, step=0.03)  # noqa: E731
+    assert run(system).exponent == pytest.approx(5.0, abs=1e-4)
+    with pytest.raises(NonFinite):
+        run(call_path(system))
+    with pytest.raises(ConfigError, match="^lambda0 shape does not match the fast dimension$"):
+        lyapunov_exponent(system, [0.0], 1.0, [1.0, 2.0], 400.0, step=0.03)
 
 
 def test_seeker_measurement_is_the_field_measurement_across_a_block():
