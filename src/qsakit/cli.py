@@ -34,7 +34,7 @@ from .experiments import (
     pmf_identity_suite,
     slow_error_check,
 )
-from .lyapunov import lyapunov_exponent, write_exponent_csv
+from .lyapunov import exponent_grid, write_exponent_csv
 from .meanflow import find_root_g0, stationary_grid, write_grid_csv
 
 EXIT_OK = 0
@@ -276,9 +276,7 @@ def _cmd_lyapunov(resolved, out):
     exp = resolved["experiment"]
     beta = resolved["gains"]["beta"]
     thetas = cfg.theta_grid_points(resolved, system.dim_slow)
-    estimates = [
-        lyapunov_exponent(system, th, beta, x0[1], exp["horizon"]) for th in thetas
-    ]
+    estimates = exponent_grid(system, thetas, beta, x0[1], exp["horizon"])
     write_exponent_csv(
         out / "lyapunov.csv", thetas, [beta] * len(thetas), estimates
     )

@@ -83,11 +83,13 @@ Python floats round exactly as numpy's elementwise float64 operations,
 performed here in the order of the array expressions, so
 trajectories are bit for bit those of the step written on arrays.  This
 pays off for small stacks only (the source grows with D); every
-built-in system has D <= 5 in coupled and frozen runs.
+built-in system has D <= 5 in coupled and frozen runs.  The points of
+one grid call share their probe tables (_grid_store).
 """
 
 import ast
 import contextlib
+import contextvars
 import functools
 import math
 import operator
@@ -144,6 +146,41 @@ _CSV_KEEP = (
 
 #: _rk4's block loop per run shape, generated on first use (_step_loop)
 _STEP_LOOPS = {}
+
+#: the store of the grid call in progress (_grid_store), None outside one
+_STORE = contextvars.ContextVar("qsakit grid store", default=None)
+
+
+@contextlib.contextmanager
+def _grid_store():
+    """Open a store for the work that the points of one grid call share
+    (_shared), dropped when the call returns or raises.  The grid calls
+    (meanflow.stationary_grid, meanflow's Newton root,
+    lyapunov.exponent_grid) open it and call their per-point function once
+    per point, in grid order, so nothing is shared across grid calls, CLI
+    runs or threads (a thread starts outside it)."""
+    token = _STORE.set({})
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def _shared(key, build, *args):
+    """build(*args), computed once per key in the open store and kept
+    there until it closes (_grid_store); without a store, or for a key
+    that does not hash, computed at every call.  A build that raises
+    stores nothing."""
+    store = _STORE.get()
+    if store is None:
+        return build(*args)
+    try:
+        return store[key]
+    except KeyError:
+        value = store[key] = build(*args)
+        return value
+    except TypeError:  # an unhashable key, such as an array constant of a text
+        return build(*args)
 
 
 @dataclass(frozen=True)
@@ -557,6 +594,24 @@ def _lifted_table(lift, text, theta, table, scope):
     for n, name in lift.table:
         ps[n] = (table[n] if n < text.row else values[name]).tolist()
     return ps
+
+
+@functools.cache
+def _theta_free(text):
+    """Whether a sensitivity run on text (its key: values None) reads
+    neither Lambda nor theta: it advances S alone (_s_alone), and its loop
+    reads no th{i}, in jac or through a lifted run value or column that
+    jac reads.  Such a run's result depends on text's values, the probe
+    table, the fast gain and the step grid alone."""
+    if not _s_alone(text):
+        return False
+    lift = _lift(text, "sensitivity")
+    lifted = dict(lift.runs + lift.columns)
+    read, new = set(), _names(lift.jac)
+    while new:
+        read |= new
+        new = set().union(*(_names(lifted[n]) for n in new & lifted.keys())) - read
+    return not any(re.fullmatch(r"th\d+", n) for n in read)
 
 
 def _lattice(count, dim, lo=-1.0, hi=1.0):
@@ -986,6 +1041,14 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     (i + 0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
     ascending stops, x is replaced by at_stop(s, x).
 
+    Each block's probe table (_probe_table) is built once per (probing
+    map, basis, h, block bounds) in an open grid store and kept there,
+    read-only, until the grid call ends (_grid_store): the points of a
+    grid, which share step and horizon, share it, and the store holds
+    one table per block of the horizon (0.69 MB for a 5-point lambda
+    grid of linear-3.1 at beta = 0.1, 0.75 MB for the benchmark seeker's
+    Newton root).  Outside a store it is built for the run alone.
+
     x and every stage state are lists of Python floats.  The probe values
     of a block's stage times ts are one list per probe component.  Each
     stage calls field(theta, lam, xi, a, b), the stage field, with the
@@ -1043,7 +1106,7 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
         end = min(chunk + _CHUNK, n_steps)
         # stage times for steps chunk..end-1: half-grid from chunk*h
         ts = (chunk + 0.5 * np.arange(2 * (end - chunk) + 1)) * h
-        table = probe_signal(pmap, basis, ts)
+        table = _shared(("probe", pmap, basis, h, chunk, end), _probe_table, pmap, basis, ts)
         if text is None:
             ps = table.tolist()
         else:
@@ -1070,6 +1133,15 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
             cursor += n
     samples[cursor] = _real(x, chunk, end, h)
     return steps * h, samples
+
+
+def _probe_table(pmap, basis, ts):
+    """The probe values at the times ts (probe_signal) as a read-only
+    float64 array of its own, which a store may hold without the complex
+    clock array a map's view would keep alive."""
+    table = np.array(probe_signal(pmap, basis, ts), dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def _real(values, lo, hi, h):

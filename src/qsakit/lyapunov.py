@@ -32,6 +32,20 @@ each row with fused multiply-adds in an order of its own choosing, which
 a sum of Python floats does not reproduce (thousands of mismatches per
 20,000 random 2x2 cases).
 
+A grid of slow states (exponent_grid, the CLI's lyapunov subcommand)
+calls lyapunov_exponent at each point, in order, inside one store of the
+work its points share (dynamics._grid_store), dropped when the grid
+returns or raises: the probe table of each block of steps, and the run
+itself where it is theta-free, that is where the system has no frozen
+text, S rides alone and its loop reads no th{i}, in the Jacobian or
+through a value lifted out of the loop (dynamics._theta_free).  Such a
+run is made once per (text with its values, probe, beta, step, step
+count, horizon), and each later point returns its estimate after its
+own input checks.  linear-3.1 and decoupled-test are theta-free; the
+seeker's frozen text, and a Jacobian such as -1.0 + th0 * xi1, run once
+per point.  The store holds one probe table per block of the horizon
+(0.56 MB for a 5-point grid of linear-3.1 at beta = 0.1 and horizon 400).
+
 An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
 and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
 1x1 array, at d >= 2 a (d, d) array, else ConfigError naming dh_dlambda.
@@ -43,7 +57,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _float_lists, _on_text, _pinned_text, _resolve_step, _rk4, _s_alone, write_csv
+from .dynamics import (
+    _float_lists,
+    _grid_store,
+    _on_text,
+    _pinned_text,
+    _resolve_step,
+    _rk4,
+    _s_alone,
+    _shared,
+    _theta_free,
+    write_csv,
+)
 from .errors import ConfigError, Inconclusive, NonFinite
 
 # Central-difference step for synthesized Jacobians, per coordinate.
@@ -131,8 +156,9 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     th = theta.tolist()
     shape = (system.dim_slow, d, "sensitivity")
     text = _pinned_text(system, th)
+    key = None if text is None else text._replace(values=None)
     # Lambda rides in the stack only where S may read it
-    lam = [] if text is not None and _s_alone(text._replace(values=None)) else lam.tolist()
+    lam = [] if key is not None and _s_alone(key) else lam.tolist()
     x = lam + np.eye(d).ravel().tolist()
     vec_s = slice(len(lam), len(lam) + d * d)
     if text is not None:
@@ -165,10 +191,18 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
             log_half = log_accum + math.log(s_norm(x))
         return x
 
-    stops = sorted({*range(rescale_every, n_steps + 1, rescale_every), n_half})
-    _, samples = _rk4(system.stage, shape, args, x, h, n_steps, n_steps, system, None, beta,
-                      stops, at_stop)
-    total = log_accum + math.log(s_norm(samples[-1]))
+    def run():  # the log of S's final norm and of its norm at n_half
+        stops = sorted({*range(rescale_every, n_steps + 1, rescale_every), n_half})
+        _, samples = _rk4(system.stage, shape, args, x, h, n_steps, n_steps, system, None, beta,
+                          stops, at_stop)
+        return log_accum + math.log(s_norm(samples[-1])), log_half
+
+    if key is not None and system.frozen is None and _theta_free(key):
+        # neither theta nor lambda0 enters: one run per grid store
+        total, log_half = _shared(
+            ("exponent", system.probing, system.basis, text, beta, h, n_steps, horizon), run)
+    else:
+        total, log_half = run()
     t_half = n_half * h
     exponent = total / horizon
     tail = (total - log_half) / (horizon - t_half)
@@ -182,6 +216,16 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
              f"exponent over [{t_half:g}, {horizon:g}]": tail},
         )
     return ExponentEstimate(exponent=exponent, tail_exponent=tail, horizon=horizon)
+
+
+@_grid_store()
+def exponent_grid(system, thetas, beta, lambda0, horizon):
+    """lyapunov_exponent at each slow state of thetas, in grid order, in
+    one grid store that goes when the grid returns or raises (module
+    docstring): the points share their probe tables, and a theta-free
+    run is made once, so each point returns the bits of its own run and
+    raises the error it raises alone."""
+    return [lyapunov_exponent(system, th, beta, lambda0, horizon) for th in thetas]
 
 
 def write_exponent_csv(path, thetas, betas, estimates):

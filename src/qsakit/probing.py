@@ -228,18 +228,26 @@ class ErgodicAverage(NamedTuple):
     horizon: float
 
 
-def _simpson_nodes(horizon: float, max_omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node times and Simpson weights over [0, horizon]."""
-    step_cap = 1.0 / (40.0 * max_omega)
-    n = int(math.ceil(horizon / step_cap))
-    if n % 2 == 1:
-        n += 1
-    n = max(n, 2)
-    t = np.linspace(0.0, horizon, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (horizon / n) / 3.0
+def _simpson_count(horizon: float, max_omega: float) -> int:
+    """Even count n of Simpson intervals over [0, horizon], of width at
+    most 1/(40 * max_omega)."""
+    n = int(math.ceil(horizon / (1.0 / (40.0 * max_omega))))
+    return max(n + n % 2, 2)
+
+
+def _simpson_chunk(horizon: float, n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node times and Simpson weights of the nodes lo..hi-1 of the n + 1
+    over [0, horizon], as np.linspace(0.0, horizon, n + 1) places them:
+    node k at k * (horizon / n) + 0.0, node n at horizon itself; the
+    weights are 1, 4, 2, 4, ..., 2, 4, 1 times (horizon / n) / 3."""
+    step = horizon / n
+    k = np.arange(lo, hi)
+    t = k * step + 0.0
+    if hi == n + 1:
+        t[-1] = horizon
+    w = np.where(k % 2 == 1, 4.0, 2.0)
+    w[(k == 0) | (k == n)] = 1.0
+    w *= step / 3.0
     return t, w
 
 
@@ -271,16 +279,16 @@ def ergodic_average(
     x = np.asarray(x, dtype=float)
 
     def estimate(horizon: float) -> np.ndarray:
-        t, w = _simpson_nodes(horizon, basis.max_omega)
+        n = _simpson_count(horizon, basis.max_omega)
         total = None
         chunk = 1 << 17
-        for lo in range(0, t.size, chunk):
-            hi = min(lo + chunk, t.size)
-            xi = probe_signal(pmap, basis, t[lo:hi])
+        for lo in range(0, n + 1, chunk):  # nodes built per chunk, to bound memory
+            t, w = _simpson_chunk(horizon, n, lo, min(lo + chunk, n + 1))
+            xi = probe_signal(pmap, basis, t)
             vals = np.asarray(u(x, xi), dtype=float)
             if vals.ndim == 1:
                 vals = vals[None, :]
-            part = vals @ w[lo:hi]
+            part = vals @ w
             total = part if total is None else total + part
         return total / horizon
 

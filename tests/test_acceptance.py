@@ -12,14 +12,31 @@ linear benchmark (criteria 3-5), hand-computed spectra of constant
 linear fast fields (criterion 6), the gradient-form approximation of
 the averaged seeker field (criterion 7), and exact integer arithmetic
 (criterion 8).
+
+Each test also hands its measured values to record(), which compares
+them exactly with tests/criteria_values.json (floats as float.hex,
+integers, booleans and verdict strings; runtimes are left out), so a
+change in rounding that stays inside every band still fails here.
+
+    PYTHONPATH=src python tests/test_acceptance.py
+
+reruns the nine criteria and rewrites that file, beside the platform
+record of tests/golden.py.  A rewrite changes the gate's declared
+results and belongs in CHANGES.md with its reason.
 """
 
 import itertools
+import json
 import math
+import sys
+import tempfile
 import time
+from pathlib import Path
 
+import golden
 import numpy as np
 import pytest
+import scipy
 from scipy.integrate import quad
 
 from qsakit.dynamics import GainSchedule, StageText, TwoTimescaleSystem, integrate
@@ -57,6 +74,45 @@ from qsakit.systems import (
 )
 
 _CACHE = {}
+
+VALUES_FILE = Path(__file__).with_name("criteria_values.json")
+
+#: criterion number -> its recorded values while the file is rewritten (__main__)
+_REWRITE = None
+
+
+def _platform():
+    return {**golden.platform(), "scipy": scipy.__version__}
+
+
+def _exact(value):
+    """value with each float as float.hex, numpy scalars as Python ones and
+    tuples and arrays as lists."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _exact(v) for k, v in value.items()}
+    return [_exact(v) for v in value]
+
+
+def record(number, **values):
+    """Compare criterion number's measured values with VALUES_FILE, exactly."""
+    got = _exact(values)
+    if _REWRITE is not None:
+        _REWRITE[str(number)] = got
+        return
+    stored = json.loads(VALUES_FILE.read_text())
+    assert got == stored["criteria"][str(number)], (
+        f"criterion {number}'s measured values differ from {VALUES_FILE.name}, "
+        f"taken with {stored['platform']}, running on {_platform()}; rewrite it "
+        "(python tests/test_acceptance.py) only for a declared result change"
+    )
 
 
 def verdict(number, ok, detail, t0, budget):
@@ -167,6 +223,7 @@ def test_criterion_1_poisson_exactness():
         t0,
         10.0,
     )
+    record(1, derivative_residual=worst, telescoping_gap=tele)
 
 
 def test_criterion_2_perturbative_identities():
@@ -185,9 +242,10 @@ def test_criterion_2_perturbative_identities():
 
     try:
         pmf_identity_suite(dependent_content_system())
-        divisor_ok, divisor_note = False, "ZeroDivisor not raised"
+        divisor_ok, divisor_note, divisor_message = False, "ZeroDivisor not raised", ""
     except ZeroDivisor as exc:
-        divisor_ok = "(2, -1)" in str(exc)
+        divisor_message = str(exc)
+        divisor_ok = "(2, -1)" in divisor_message
         divisor_note = f"ZeroDivisor names the mode: {divisor_ok}"
 
     verdict(
@@ -198,6 +256,7 @@ def test_criterion_2_perturbative_identities():
         t0,
         60.0,
     )
+    record(2, residuals=residuals, grid_worst=grid_worst, divisor=divisor_message)
 
 
 def test_criterion_3_fast_error_scaling():
@@ -216,6 +275,7 @@ def test_criterion_3_fast_error_scaling():
         t0,
         300.0,
     )
+    record(3, points=fit.points, slope=fit.slope, r_squared=fit.r_squared)
 
 
 def test_criterion_4_filtered_error_scaling():
@@ -247,6 +307,8 @@ def test_criterion_4_filtered_error_scaling():
         t0,
         300.0,
     )
+    record(4, points=filtered.points, slope=filtered.slope, r_squared=filtered.r_squared,
+           below=below)
 
 
 def test_criterion_5_slow_error_envelope():
@@ -269,6 +331,7 @@ def test_criterion_5_slow_error_envelope():
         t0,
         120.0,
     )
+    record(5, theta_beta=theta_beta, sup_ratios=list(sups.values()), change=change)
 
 
 def test_criterion_6_lyapunov_exponents():
@@ -337,6 +400,9 @@ def test_criterion_6_lyapunov_exponents():
         t0,
         60.0,
     )
+    estimates = (scalar, planar, low, high)
+    record(6, exponents=[[e.exponent, e.tail_exponent] for e in estimates],
+           seeker=esc_exponents, ratio=ratio)
 
 
 def test_criterion_7_seeker_meanflow():
@@ -395,6 +461,7 @@ def test_criterion_7_seeker_meanflow():
         t0,
         600.0,
     )
+    record(7, points=points, slope=slope, passivity=passivity, final_gap=final_gap)
 
 
 def test_criterion_8_probing_number_theory():
@@ -416,6 +483,7 @@ def test_criterion_8_probing_number_theory():
         t0,
         5.0,
     )
+    record(8, dependent=len(dependent), only_zero=only_zero, planted=planted)
 
 
 def test_criterion_9_determinism_and_order(tmp_path):
@@ -465,3 +533,20 @@ def test_criterion_9_determinism_and_order(tmp_path):
         t0,
         30.0,
     )
+    record(9, identical=identical, target=target, endpoint_errors=errs, ratio=ratio)
+
+
+if __name__ == "__main__":
+    _REWRITE = {}
+    for test in (
+        test_criterion_1_poisson_exactness, test_criterion_2_perturbative_identities,
+        test_criterion_3_fast_error_scaling, test_criterion_4_filtered_error_scaling,
+        test_criterion_5_slow_error_envelope, test_criterion_6_lyapunov_exponents,
+        test_criterion_7_seeker_meanflow, test_criterion_8_probing_number_theory,
+    ):
+        test()
+    with tempfile.TemporaryDirectory() as tmp:
+        test_criterion_9_determinism_and_order(Path(tmp))
+    payload = {"platform": _platform(), "criteria": _REWRITE}
+    VALUES_FILE.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {VALUES_FILE}", file=sys.stderr)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from qsakit.errors import DuplicateFrequency, InvalidPair, NonConvergent
 from qsakit.probing import (
     DEFAULT_PAIRS,
+    _simpson_chunk,
+    _simpson_count,
     clock_phases,
     clock_state,
     default_basis,
@@ -265,3 +267,51 @@ class TestErgodicAverage:
                 tol=1e-15, t_cap=100.0,
             )
         assert list(err.value.estimates) == ["estimate at horizon 64"]
+
+
+def _simpson_nodes(horizon, max_omega):
+    """ergodic_average's nodes and weights as once built for the whole
+    horizon at once: np.linspace nodes, Simpson weights."""
+    n = int(math.ceil(horizon / (1.0 / (40.0 * max_omega))))
+    if n % 2 == 1:
+        n += 1
+    n = max(n, 2)
+    t = np.linspace(0.0, horizon, n + 1)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (horizon / n) / 3.0
+    return t, w
+
+
+class TestSimpsonChunks:
+    @pytest.mark.parametrize("horizon", [0.01, 64.0, 100.0, 3000.0, 6000.0])
+    @pytest.mark.parametrize("chunk", [7, 1000, 1 << 17])
+    def test_chunks_are_the_whole_horizon_nodes(self, horizon, chunk):
+        """Bit for bit, across chunk boundaries and a short last chunk, with
+        n rounded up to even (from 1, 2813, 4395 and 263,667)."""
+        max_omega = math.log(3.0)
+        t, w = _simpson_nodes(horizon, max_omega)
+        n = _simpson_count(horizon, max_omega)
+        assert n == t.size - 1
+        parts = [_simpson_chunk(horizon, n, lo, min(lo + chunk, n + 1))
+                 for lo in range(0, n + 1, chunk)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == t.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == w.tobytes()
+
+    def test_average_over_several_chunks_is_the_whole_horizon_sum(self):
+        """At horizon 6000 the 263,668 nodes take three chunks; the estimate
+        equals the chunked sum over the whole-horizon nodes in float.hex."""
+        basis, pmap = default_basis(2), identity_map(2)
+
+        def u(x, xi):
+            return np.vstack([xi[0] * xi[1], xi[0] ** 2])
+
+        t, w = _simpson_nodes(6000.0, basis.max_omega)
+        total = None
+        for lo in range(0, t.size, 1 << 17):
+            part = u(None, probe_signal(pmap, basis, t[lo:lo + (1 << 17)])) @ w[lo:lo + (1 << 17)]
+            total = part if total is None else total + part
+        got = ergodic_average(u, np.zeros(1), basis, pmap, tol=1.0, t_start=3000.0)
+        assert got.horizon == 6000.0
+        assert [v.hex() for v in got.value.tolist()] == [v.hex() for v in (total / 6000.0).tolist()]
