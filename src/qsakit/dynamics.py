@@ -19,34 +19,25 @@ for bit, and a sample's probe row rebuilt from its time is the row the
 run's stages read there: qsakit.meanflow averages the slow field on a
 frozen-fast run's samples after the run (text_arrays).
 
-The kernel holds states and stage derivatives as lists of Python
-floats, and a block's probe table as one list of floats per probe
-component (one tolist() per block of steps).  A loop on text reads from
-it only the row entries its stage reads; a loop that calls a field
-builds the probe row, the list of all components at a stage time, once
-per new time (k2 and k4; the next k1 reuses k4's list).  A run reads the
-system's one stage field, stage(theta, lam, xi, a, b) -> (slow, fast),
-the stage derivative at gains (a, b) on such lists: slow = a*g, where g
-may hold probing feedback weighted by a once more, and fast = b*h.  A
-gain of None skips its part (None in its place): frozen runs pass a =
-None, the averaged slow field b = None.  A system's field is fixed at
-construction.
-
-The built-in systems state their field once, as expression text
-(StageText) over the stage's theta, Lambda and probe row (locals th0..,
-la0.., xi0..), their constants, which runs receive as values, not
-literals, the locals of a statement run at every stage, and the stage's
-slow gain a.  Their stage field and dh_dlambda are compiled from the
-text, and their runs write the text into the loop, with no call.  The
-extremum seeker of qsakit.esc at order 1 states its measurement y =
-f(theta + eps xi)/eps as that statement, eps(theta) included, so its
-coupled runs measure at every stage inside the loop.  Its frozen text,
-system.frozen(theta), is the same text at a pinned theta, for its
-frozen-fast and sensitivity runs, where y depends on the probe row
-alone: it is measured once per new probe row, in step order (k2's row,
-then k4's row, whose value the next k1 reuses), and carried as the
-stack's last entry, so the run samples it with the state.  The runs of
-any other stage field (user fields, the seekers at order >= 2) call it.
+Every system states its field once, as expression text (StageText) over
+the stage's theta, Lambda and probe row (locals th0.., la0.., xi0..),
+its constants, which runs receive as values, not literals, the locals of
+a statement run at every stage, and the stage's slow gain a: the slow
+part is a*g, where g may hold probing feedback weighted by a once more,
+and the fast part is b*h.  Runs write the text into the loop, with no
+call; a Python function enters a text as a constant that it calls.  The
+stage field stage(theta, lam, xi, a, b) -> (slow, fast), on lists of
+floats, with a gain of None skipping its part, is compiled from the text
+(text_field) for the code that evaluates the field at given points.  A
+system's field is fixed at construction.  The extremum seeker of
+qsakit.esc states its measurement y = f(theta + eps xi)/eps as that
+statement, eps(theta) included, so its coupled runs measure at every
+stage inside the loop.  Its frozen text, system.frozen(theta), is the
+same text at a pinned theta, for its frozen-fast and sensitivity runs,
+where y depends on the probe row alone: it is measured once per new
+probe row, in step order (k2's row, then k4's row, whose value the next
+k1 reuses), and carried as the stack's last entry, so the run samples it
+with the state.
 
 A text's arithmetic that its run's inputs fix before the loop is not
 computed in it (_lift): a maximal sub-expression built by +, -, *,
@@ -65,26 +56,24 @@ elementwise +, -, * and / on float64 round as Python's float operations
 do, so the lifted values are the loop's own.
 
 The steps of a block run in a loop generated as straight-line source once
-per run shape (dim_slow, dim_fast, kind[, text key]) and compiled on first
+per run shape (dim_slow, dim_fast, kind, text key) and compiled on first
 use, as dataclasses and namedtuple generate code.  The kinds are coupled,
 filtered (the coupled pair with the filter states), frozen-fast and
 sensitivity (Lambda with vec S, or vec S alone).  The loop holds the
-state in locals x0 .. x{D-1}, calls the stage field with the stage's
-theta and Lambda as list displays and unpacks its parts (or writes the
-text out), and writes out per component the filter's derivative, the
-text's sensitivity derivative and the update, so a stage builds no
-stacked list and no comprehension frame; a sensitivity run without text
-calls one callback for b*(J @ S).  The fast gain b is a local, a sample appends its
-floats to the block's list, and one test per step, (x0 - x0) + (x1 -
-x1) + ... != 0.0, finds a non-finite x (x - x is +0.0 at every finite
-x, nan at inf and nan).  A run's first step checks the parts' lengths
-(ConfigError naming stage and the part).  Binary64 +, - and * on
-Python floats round exactly as numpy's elementwise float64 operations,
-performed here in the order of the array expressions, so
-trajectories are bit for bit those of the step written on arrays.  This
-pays off for small stacks only (the source grows with D); every
-built-in system has D <= 5 in coupled and frozen runs.  The points of
-one grid call share their probe tables (_grid_store).
+state in locals x0 .. x{D-1}, reads from the block's probe table, one
+list of floats per component, only the entries its stage reads, and
+writes out the text's parts, the filter's derivative, each entry of the
+sensitivity derivative b*(J S) as a sum in index order, and the update,
+so a stage calls only what the text calls and builds no stacked list
+and no comprehension frame.  The fast gain b is a local, a sample
+appends its floats to the block's list, and one test per step, (x0 -
+x0) + (x1 - x1) + ... != 0.0, finds a non-finite x (x - x is +0.0 at
+every finite x, nan at inf and nan).  Binary64 +, - and * on Python floats round exactly as numpy's
+elementwise float64 operations, performed here in the order of the array
+expressions, so trajectories are bit for bit those of the step written
+on arrays.  This pays off for small stacks only (the source grows with
+D); every built-in system has D <= 5 in coupled and frozen runs.  The
+points of one grid call share their probe tables (_grid_store).
 """
 
 import ast
@@ -92,7 +81,6 @@ import contextlib
 import contextvars
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,35 +201,42 @@ class GainSchedule:
 
 
 class StageText(NamedTuple):
-    """A stage field as expression text (dim_fast 1): the field is
-    a*(slow[i]) and b*(fast[i]), the sensitivity derivative b*(0.0 +
-    (jac)*s).  The text reads th0.., la0.., the row entries xi0.. of a
-    probe row, the constants names, bound to values per run, and the
-    locals that the statement per_stage ('' for none) binds; slow may
-    also read the stage's slow gain a.  No name, and no local that
-    per_stage binds, may be one the generated loop binds or reads for
-    itself (_LOOP_NAMES: its state, stage and probe locals x0.., k1_0..,
-    p0.. among them); TwoTimescaleSystem rejects such a text.  The loop
-    binds a only for a text that reads it (_reads_gain), and xi{i}, read
-    from the probe component list p{i}, only for the entries its run
-    reads once its row-only arithmetic is lifted out (_lift), whose
-    values take the names xi{i} and p{i} from i = row on: the text reads
-    no such name.  per_stage runs at every stage once the stage's state
-    locals are bound, less the statements lifted out; jac reads none of
-    its locals.  With carry, a local of per_stage, per_stage reads no
-    state but the pinned theta of a frozen run: it then runs once per new
-    probe row, and carry rides as the stack's last entry, None until
-    bound; slow, fast and jac then read no other local of per_stage, which
-    no stage state carries from one block of steps to the next (_lift
-    rejects such a text).  slow uses +, - and * alone: text_arrays
-    evaluates it on arrays.  Constants that lifted arithmetic reads are
-    real numbers.  Without its values (None) the text keys the generated
-    loop.
+    """A stage field as expression text: the field is a*(slow[i]) and
+    b*(fast[i]), and jac holds the fast Jacobian, d fast[i] / d la{k} at
+    index i*dim_fast + k (row-major, dim_fast**2 entries, as vec S), from
+    which a sensitivity run writes each entry of b*(J S) out as b * (0.0 +
+    (J_i0) * (S_0j) + (J_i1) * (S_1j) + ...), in index order.  The text
+    reads th0.., la0.., the row entries xi0.. of a probe row, the
+    constants names, bound to values per run, and the locals that the
+    statement per_stage ('' for none) binds; slow may also read the
+    stage's slow gain a.  A Python function is a constant that the text
+    calls: per_stage = "g0, h0 = gh(th0, la0, xi0)", slow = ("g0",),
+    fast = ("h0",).  No name, and no local that per_stage binds, may be
+    one the generated loop binds or reads for itself (_LOOP_NAMES: its
+    state, stage and probe locals x0.., k1_0.., p0.. among them);
+    TwoTimescaleSystem rejects such a text.  The loop binds a only for a
+    text that reads it (_reads_gain), and xi{i}, read from the probe
+    component list p{i}, only for the entries its run reads once its
+    row-only arithmetic is lifted out (_lift), whose values take the
+    names xi{i} and p{i} from i = row on: the text reads no such name.
+    per_stage runs at every stage once the stage's state locals are
+    bound, less the statements lifted out; jac reads none of its locals.
+    With carry, a local of per_stage, per_stage reads no state but the
+    pinned theta of a frozen run: it then runs once per new probe row, and
+    carry rides as the stack's last entry, None until bound; slow, fast
+    and jac then read no other local of per_stage, which no stage state
+    carries from one block of steps to the next (_lift rejects such a
+    text).  qsakit.meanflow evaluates slow on arrays (text_arrays) where
+    each slow part is lifted arithmetic (_row_kind) over th0.., la0..,
+    xi0.., the constants, the carried local and a, and calls the compiled
+    field per sample elsewhere (_array_exact).  Constants that lifted
+    arithmetic reads are real numbers.  Without its values (None) the
+    text keys the generated loop.
     """
 
     slow: tuple
     fast: tuple
-    jac: str
+    jac: tuple
     row: int
     per_stage: str
     carry: str | None
@@ -250,11 +245,9 @@ class StageText(NamedTuple):
 
 
 def _on_text(text, shape, args, x):
-    """A run's (shape, args, x) on text, or as given when text is None:
-    the key ends the shape, the values end args (after the filter's
-    constants or the pinned theta), and a carried local, None, ends x."""
-    if text is None:
-        return shape, args, x
+    """A run's (shape, args, x) on text: the key ends the shape, the values
+    end args (after the filter's constants or the pinned theta), and a
+    carried local, None, ends x."""
     key = text._replace(values=None)
     return shape + (key,), args + text.values, x + [None] * (text.carry is not None)
 
@@ -305,7 +298,7 @@ def _check_carried(text):
     if text.carry is None:
         return
     read = sorted((set(_stored(text.per_stage)) - {text.carry})
-                  & _names(*text.slow, *text.fast, text.jac))
+                  & _names(*text.slow, *text.fast, *text.jac))
     if read:
         raise ConfigError(
             f"stage text with carry {text.carry} reads the per-stage local(s) "
@@ -320,7 +313,7 @@ def _check_loop_names(text):
     name the loop's lifted values (_lift)."""
     bound = set(_stored(text.per_stage))
     row = {f"xi{i}" for i in range(text.row)}
-    lifted = {n for n in _names(*text.slow, *text.fast, text.jac, text.per_stage)
+    lifted = {n for n in _names(*text.slow, *text.fast, *text.jac, text.per_stage)
               if re.fullmatch(r"(xi|p)\d+", n) and n not in row}
     clashes = sorted({n for n in {*text.names, *bound} if _LOOP_NAMES.fullmatch(n)} | lifted)
     if clashes:
@@ -349,12 +342,13 @@ _FIELD_SOURCE = """def bind({names}):
 
 
 def text_field(text):
-    """The stage field and dh_dlambda(theta, lam, xi) -> [jac] written by
-    text, compiled with its values bound; a probe row of another length
-    than text.row is a ConfigError."""
+    """The stage field and dh_dlambda(theta, lam, xi) -> the list of
+    text's Jacobian entries, row-major, written by text, compiled with its
+    values bound; a probe row of another length than text.row is a
+    ConfigError."""
     source = _FIELD_SOURCE.format(
         names=", ".join(text.names), row=_row_locals(text), size=text.row,
-        per_stage=text.per_stage, jac=text.jac,
+        per_stage=text.per_stage, jac="".join(f"{e}, " for e in text.jac),
         th="".join(f"th{d}, " for d in range(len(text.slow))),
         la="".join(f"la{d}, " for d in range(len(text.fast))),
         slow="".join(f"a * ({e}), " for e in text.slow),
@@ -445,7 +439,7 @@ def _s_alone(text):
              *(f"la{i}" for i in range(len(text.fast))), *(f"xi{i}" for i in range(text.row))}
     return (
         not text.per_stage
-        and not any(re.fullmatch(r"la\d+", n) for n in _names(text.jac))
+        and not any(re.fullmatch(r"la\d+", n) for n in _names(*text.jac))
         and all(
             isinstance(node, _PLAIN_NODES)
             or isinstance(node, ast.Constant) and type(node.value) is float
@@ -455,15 +449,22 @@ def _s_alone(text):
     )
 
 
-def _array_exact(text, parts):
-    """Whether text_arrays evaluates text's expressions parts, for text
-    without a per-stage statement, at sampled theta, Lambda and probe rows
-    as the compiled field does: each is lifted arithmetic (_row_kind) over
-    text's constants, th0.., la0.. and xi0.."""
+def _array_exact(text, parts, slow=False):
+    """Whether text_arrays evaluates text's expressions parts at sampled
+    theta, Lambda and probe rows as the compiled field does at each
+    sample: text has no per-stage statement, and each part is lifted
+    arithmetic (_row_kind) over text's constants, th0.., la0.. and xi0...
+    Slow parts at a = 1.0 (slow) may also read a and, where per_stage is
+    carried, the carried local, which the run samples."""
     row = {f"{v}{i}" for v, n in (("th", len(text.slow)), ("la", len(text.fast)), ("xi", text.row))
            for i in range(n)}
-    return not text.per_stage and all(
-        _row_kind(ast.parse(e, mode="eval").body, set(text.names), row) for e in parts
+    run = set(text.names) - set(_stored(text.per_stage))
+    carried = slow and text.carry is not None
+    if slow:
+        run.add("a")
+        row |= {text.carry} if carried else set()
+    return (carried or not text.per_stage) and all(
+        _row_kind(ast.parse(e, mode="eval").body, run, row) for e in parts
     )
 
 
@@ -480,7 +481,7 @@ class _Lift(NamedTuple):
 
     slow: tuple
     fast: tuple
-    jac: str
+    jac: tuple
     per_stage: str
     runs: tuple
     columns: tuple
@@ -569,8 +570,8 @@ def _lift(text, kind):
 
     slow = parts(text.slow) if not frozen else text.slow
     fast = () if kind == "sensitivity" and _s_alone(text) else parts(text.fast)
-    jac = parts([text.jac])[0] if kind == "sensitivity" else text.jac
-    used = _names(*(() if frozen else slow), *fast, *([jac] if kind == "sensitivity" else []), per_stage)
+    jac = parts(text.jac) if kind == "sensitivity" else text.jac
+    used = _names(*(() if frozen else slow), *fast, *(jac if kind == "sensitivity" else ()), per_stage)
     binds = [(i, f"xi{i}") for i in range(text.row) if f"xi{i}" in used]
     binds += [(index[name], name) for name, _ in columns if name in used]
     carried = index[text.carry] if text.carry in dict(columns) else None
@@ -607,7 +608,7 @@ def _theta_free(text):
         return False
     lift = _lift(text, "sensitivity")
     lifted = dict(lift.runs + lift.columns)
-    read, new = set(), _names(lift.jac)
+    read, new = set(), _names(*lift.jac)
     while new:
         read |= new
         new = set().union(*(_names(lifted[n]) for n in new & lifted.keys())) - read
@@ -625,20 +626,17 @@ def _lattice(count, dim, lo=-1.0, hi=1.0):
 class TwoTimescaleSystem:
     """Coupled slow/fast vector fields with their probing clock.
 
-    The field is given in exactly one form, else ConfigError: text, a
-    StageText, from which the stage field and dh_dlambda are compiled,
-    or a stage field, stage, with dh_dlambda optional (with text it is a
-    ConfigError).  Runs read the stage field self.stage
-    (module docstring), bound once here.  text, and frozen, a map from a
-    pinned theta list to the StageText of the same field there, stand in
-    for the stage field and dh_dlambda in runs (module docstring).  The
-    stage field keeps no memo: a list handed to it may change once the
-    call returns.  An exact Fourier form of the stacked slow and fast
-    parts at unit gains is checked against the stage field at
-    construction.  dh_dlambda(theta, lam, xi), called with the stage's
-    lists, is an analytic fast Jacobian for sensitivity runs (shapes:
-    see qsakit.lyapunov); lambda_star / theta_star record known
-    equilibria.
+    The field is text, a StageText whose slow, fast and jac are tuples of
+    dim_slow, dim_fast and dim_fast**2 expression strings (else
+    ConfigError naming the part), which runs write into their loop
+    (module docstring).  frozen, a map from a pinned theta list to the
+    StageText of the same field there, stands in for text in frozen-fast
+    and sensitivity runs.  The
+    stage field compiled from text (text_field), self.stage, keeps no
+    memo: a list handed to it may change once the call returns.  An exact
+    Fourier form of the stacked slow and fast parts at unit gains is
+    checked against the stage field at construction.  lambda_star /
+    theta_star record known equilibria.
     """
 
     # read by the benchmark tracer (bench/spans.py) alone; ROADMAP item 1 removes them
@@ -651,33 +649,34 @@ class TwoTimescaleSystem:
         basis,
         probing=None,
         *,
+        text,
         fourier=None,
-        stage=None,
-        text=None,
         frozen=None,
-        dh_dlambda=None,
         lambda_star=None,
         theta_star=None,
         name=None,
     ):
         if dim_slow < 1 or dim_fast < 1:
             raise ConfigError("state dimensions must be positive")
-        if (text is None) == (stage is None):
-            raise ConfigError("give the field as exactly one of text and stage")
-        if text is not None and dh_dlambda is not None:
-            raise ConfigError("give dh_dlambda with stage, not with text: text's jac is its Jacobian")
         self.dim_slow = int(dim_slow)
         self.dim_fast = int(dim_fast)
-        if text is not None:
-            _check_loop_names(text)
-            stage, dh_dlambda = text_field(text)
+        for part, size in (("slow", self.dim_slow), ("fast", self.dim_fast), ("jac", self.dim_fast**2)):
+            exprs = getattr(text, part)
+            if type(exprs) is not tuple:
+                kind = type(exprs).__name__
+                raise ConfigError(f"stage text {part} is a {kind}, not a tuple of expressions")
+            odd = next((type(e).__name__ for e in exprs if type(e) is not str), None)
+            if odd is not None:
+                raise ConfigError(f"stage text {part} holds a {odd}, not an expression")
+            if len(exprs) != size:
+                raise ConfigError(f"stage text has {len(exprs)} {part} part(s), expected {size}")
+        _check_loop_names(text)
         self.basis = basis
         self.probing = probing if probing is not None else identity_map(basis.size)
         self.fourier = fourier
-        self.stage = stage
+        self.stage = text_field(text)[0]
         self.text = text
         self.frozen = frozen
-        self.dh_dlambda = dh_dlambda
         self.lambda_star = lambda_star
         self.theta_star = theta_star
         self.name = name
@@ -717,8 +716,8 @@ class Trajectory:
     phases holds the fractional clock phases (K, N), recomputed analytically
     from the sample times.  a and beta are the gain values at each sample.
     lam_filtered / dlam_filtered are present only for filtered runs.  A
-    frozen-fast run holds in text the StageText it ran on, if any, and in
-    measured its carried local at each sample (the seeker's measurement y).
+    frozen-fast run holds in text the StageText it ran on, and in measured
+    its carried local at each sample (the seeker's measurement y).
     """
 
     t: np.ndarray
@@ -889,34 +888,24 @@ def _float_lists(*arrays):
     return [np.asarray(v, dtype=float).ravel().tolist() for v in arrays]
 
 
-def _checked_parts(parts, slow, fast):
-    """The stage field's output (slow, fast), checked to hold slow and fast
-    values (None: a part that is not asked for, and not checked); any
-    other length is a ConfigError naming the part."""
-    for part, size, name in zip(parts, (slow, fast), ("slow", "fast")):
-        if size is not None and (part is None or len(part) != size):
-            got = "no" if part is None else len(part)
-            raise ConfigError(f"stage returned {got} {name} value(s), expected {size}")
-    return parts
-
-
 def _step_loop_source(shape):
     """Python source of the RK4 loop over one block of steps for one run
-    shape (dim_slow, dim_fast, kind), or (dim_slow, dim_fast, kind, key)
-    on the StageText key, written out per component (see _rk4).  A
-    sensitivity loop on a key for which _s_alone holds holds, updates and
-    tests vec S alone, and writes out jac and the S derivative only."""
-    ds, df, kind = shape[:3]
-    text = shape[3] if len(shape) > 3 else None
+    shape (dim_slow, dim_fast, kind, key) on the StageText key, written
+    out per component (see _rk4).  A sensitivity loop on a key for which
+    _s_alone holds holds, updates and tests vec S alone, and writes out
+    jac and the S derivative only.  The loop's first parameter, field, is
+    read by no loop; it stays so that the sources keep their pinned sha256
+    (tests/test_stage_text.py)."""
+    ds, df, kind, text = shape
     frozen = kind in ("frozen-fast", "sensitivity")
     # Lambda's place in the stack (none where S rides alone), then filter or vec S
     lo = 0 if frozen else ds
-    lam = range(lo, lo if kind == "sensitivity" and text is not None and _s_alone(text) else lo + df)
+    lam = range(lo, lo if kind == "sensitivity" and _s_alone(text) else lo + df)
     size = {"coupled": ds + df, "filtered": ds + 3 * df, "frozen-fast": df,
             "sensitivity": len(lam) + df * df}[kind]
     comps, rest = range(size), range(lam.stop, size)
-    carry = text is not None and text.carry is not None
-    lift = None if text is None else _lift(text, kind)
+    carry = text.carry is not None
+    lift = _lift(text, kind)
     # the stack's carried entry unpacks to the carried local, or, where
     # that is lifted out, to a marker; None until bound.  A carried column
     # is sampled from its list
@@ -932,76 +921,52 @@ def _step_loop_source(shape):
         """Lines setting k{k}_d from the stage state's component expressions;
         the stage reads the probe table at index j."""
         out = []
-        if kind == "filtered" and k > 1 and text is None:  # components read twice get locals
-            out += [f"s{d} = {state[d]}" for d in comps]
-            state = [f"s{d}" for d in comps]
-        part = lambda idx: "(" + seq(f"k{k}_{{}}", idx) + ")"  # noqa: E731
-        vals = lambda idx: "[" + seq("{}", (state[d] for d in idx)) + "]"  # noqa: E731
-        if text is not None:  # a new probe row at k2 and k4, the entries read once each
-            if k in (2, 4):
-                out += [f"{local} = p{n}[{j}]" for n, local in lift.binds]
-                if carry and lift.per_stage:
-                    out.append(lift.per_stage)
-            local = {d: f"la{i}" for i, d in enumerate(lam)}
-            if not frozen:
-                local.update({d: f"th{d}" for d in range(ds)})
-            if kind == "filtered" and k > 1:
-                local.update({d: f"fl{d}" for d in rest})
-            out += [f"{v} = {state[d]}" for d, v in sorted(local.items())]
-            state = [local.get(d, state[d]) for d in comps]
-            if lift.per_stage and not carry:
+        if k in (2, 4):  # a new probe row, the entries read once each
+            out += [f"{local} = p{n}[{j}]" for n, local in lift.binds]
+            if carry and lift.per_stage:
                 out.append(lift.per_stage)
-            if not frozen:
-                if _reads_gain(text):  # bound only where read: other loops keep their source
-                    out.append(f"a = {a}")
-                    a = "a"
-                out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(lift.slow)]
-            out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, lift.fast)]
-        else:
-            if k in (2, 4):  # the row at a new time
-                out.append("xi = next(xis)")
-            if frozen:
-                out.append(f"la = {vals(lam)}")
-                out.append(f"_, {part(lam)} = field(th, la, xi, None, {b})")
-            else:
-                theta = vals(range(ds))
-                out.append(f"{part(range(ds))}, {part(lam)} = field({theta}, {vals(lam)}, xi, {a}, {b})")
+        local = {d: f"la{i}" for i, d in enumerate(lam)}
+        if not frozen:
+            local.update({d: f"th{d}" for d in range(ds)})
+        if kind == "filtered" and k > 1:
+            local.update({d: f"fl{d}" for d in rest})
+        out += [f"{v} = {state[d]}" for d, v in sorted(local.items())]
+        state = [local.get(d, state[d]) for d in comps]
+        if lift.per_stage and not carry:
+            out.append(lift.per_stage)
+        if not frozen:
+            if _reads_gain(text):  # bound only where read: other loops keep their source
+                out.append(f"a = {a}")
+                a = "a"
+            out += [f"k{k}_{d} = {a} * ({e})" for d, e in enumerate(lift.slow)]
+        out += [f"k{k}_{d} = {b} * ({e})" for d, e in zip(lam, lift.fast)]
         if kind == "filtered":
             for d in lam:
                 f, v = d + df, d + 2 * df
                 out.append(f"k{k}_{f} = {state[v]}")
                 out.append(f"k{k}_{v} = gamma2 * ({state[d]} - {state[f]}) - two_zg * {state[v]}")
-        elif kind == "sensitivity" and text is not None:
-            out.append(f"k{k}_{rest[0]} = {b} * (0.0 + ({lift.jac}) * ({state[rest[0]]}))")
-        elif kind == "sensitivity":
-            out.append(f"{part(rest)} = jac(th, la, xi, {b}, {vals(rest)})")
+        elif kind == "sensitivity":  # S_ij' = b * (0.0 + J_i0 * S_0j + J_i1 * S_1j + ...)
+            for i in range(df):
+                for c in range(df):
+                    terms = "".join(
+                        f" + ({lift.jac[i * df + m]}) * ({state[rest[m * df + c]]})" for m in range(df)
+                    )
+                    out.append(f"k{k}_{rest[i * df + c]} = {b} * (0.0{terms})")
         return ["        " + line for line in out]
 
     def state(c, k):
         return [f"x{d} + {c} * k{k}_{d}" for d in comps]
 
-    if text is None:
-        unpack = {"filtered": "gamma2, two_zg", "frozen-fast": "th,", "sensitivity": "th, jac"}
-        head = [
-            f"    {unpack.get(kind, '()')} = args",
-            f"    {seq('x{}', comps)}= x",
-            "    xis = map(list, zip(*map(itemgetter(slice(j_lo, j_hi + 1)), ps)))  # rows j_lo..j_hi",
-            "    xi = next(xis)",
-        ]
-    else:
-        unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
-        head = [
-            f"    {unpack.get(kind, '') + seq('{}', (*text.names, *lift.args)) or '() '}= args",
-            *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
-            f"    {seq('x{}', comps)}{marker}= x",
-            *(f"    p{n} = ps[{n}]" for n, _ in lift.table),
-            *(f"    {local} = p{n}[j_lo]" for n, local in lift.binds),
-            *([f"    if {marker[:-2]} is None:", f"        {lift.per_stage}"] if carry and lift.per_stage else []),
-        ]
+    unpack = {"filtered": "gamma2, two_zg, ", "frozen-fast": "th, ", "sensitivity": "th, "}
     lines = [
         "def rk4_block(field, args, x, ps, a_all, b, gi, j_lo, j_hi, stride, rows,",
         "              h, half, sixth):",
-        *head,
+        f"    {unpack.get(kind, '') + seq('{}', (*text.names, *lift.args)) or '() '}= args",
+        *([f"    {seq('th{}', range(ds))}= th"] if frozen else []),
+        f"    {seq('x{}', comps)}{marker}= x",
+        *(f"    p{n} = ps[{n}]" for n, _ in lift.table),
+        *(f"    {local} = p{n}[j_lo]" for n, local in lift.binds),
+        *([f"    if {marker[:-2]} is None:", f"        {lift.per_stage}"] if carry and lift.per_stage else []),
         "    for j in range(j_lo, j_hi, 2):",
         "        if gi % stride == 0:",
         f"            rows += ({seq('x{}', comps)}{sample.format('j')})",
@@ -1024,18 +989,17 @@ def _step_loop(shape):
     use and kept in _STEP_LOOPS."""
     loop = _STEP_LOOPS.get(shape)
     if loop is None:
-        namespace = {"NonFinite": NonFinite, "itemgetter": operator.itemgetter}
+        namespace = {"NonFinite": NonFinite}
         name = "<qsakit.dynamics rk4 {} {}+{}>".format(shape[2], *shape[:2])
         exec(compile(_step_loop_source(shape), name, "exec"), namespace)
         loop = _STEP_LOOPS[shape] = namespace["rk4_block"]
     return loop
 
 
-def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
-         stops=(), at_stop=None):
+def _rk4(shape, args, x, h, n_steps, sample_stride, system, gains, b, stops=(), at_stop=None):
     """Advance the stacked state x by n_steps RK4 steps of size h.
 
-    shape is the run's (dim_slow, dim_fast, kind[, text key]) and x its
+    shape is the run's (dim_slow, dim_fast, kind, text key) and x its
     stacked state (module docstring) at step 0, vec S alone in a
     sensitivity run on a key for which _s_alone holds: stage times are
     (i + 0.5*k)*h for step i and k in {0, 1, 2}.  After each step s of the
@@ -1049,52 +1013,37 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
     grid of linear-3.1 at beta = 0.1, 0.75 MB for the benchmark seeker's
     Newton root).  Outside a store it is built for the run alone.
 
-    x and every stage state are lists of Python floats.  The probe values
-    of a block's stage times ts are one list per probe component.  Each
-    stage calls field(theta, lam, xi, a, b), the stage field, with the
-    probe row xi (a list of the m components, built once per new stage
-    time), the slow gain a, listed by gains(ts) (gains is None in runs
-    that read no a), and the constant fast gain b.  args are the run's
-    constants by kind: (gamma2, two_zg) of the filter; the pinned theta
-    list of a frozen-fast run; the pinned theta and a callback (theta,
-    lam, xi, b, S) returning b*(J @ S) as a list, of a sensitivity run; ()
-    when coupled.  A run on text calls no field or Jacobian; its
-    sensitivity args are the pinned theta alone, and the text's values
-    end its args (_on_text).  Its row-only arithmetic is lifted out of
-    the loop (_lift): the run values, computed once on floats, end the
-    args the loop gets, and each block's table holds, as float lists,
-    the probe components and the columns (text_arrays on the block's
-    probe array) that the loop reads, None for the others.  A probe
-    table of another length than the text's row is a ConfigError
-    (_row_error), as in the text's compiled field.  The steps of each
-    block of _CHUNK run in the loop generated for shape (_step_loop),
-    which writes every component's arithmetic out in numpy's elementwise
-    order (x + half*k, x + h*k, then x + sixth*(k1 + 2*(k2 + k3) + k4)),
-    so it rounds as float64 arrays would; the block's samples are stored
-    at once.  The first step runs
-    alone with the field's parts checked (_checked_parts); a part of
-    another length later on is a ValueError from the unpacking.  Returns
-    the sample times (every sample_stride steps, plus the final time) and
-    the (n, D) buffer of states there.  Raises NonFinite at the end of the
-    first step that leaves x non-finite, and ConfigError where a block's
-    samples or the final x are complex (_real): x - x is 0j at a finite
-    complex x, so the loop runs on.
+    x and every stage state are lists of Python floats.  Each stage reads
+    the slow gain a, listed by gains(ts) for the block's stage times ts
+    (gains is None in runs that read no a), and the constant fast gain b.
+    args are the run's constants by kind: (gamma2, two_zg) of the filter,
+    the pinned theta list of a frozen-fast or sensitivity run, () when
+    coupled; the text's values end them (_on_text).  Its row-only
+    arithmetic is lifted out of the loop (_lift): the run values, computed
+    once on floats, end the args the loop gets, and each block's table
+    holds, as float lists, the probe components and the columns
+    (text_arrays on the block's probe array) that the loop reads, None for
+    the others.  A probe table of another length than the text's row is a
+    ConfigError (_row_error), as in the text's compiled field.  The steps
+    of each block of _CHUNK run in the loop generated for shape
+    (_step_loop), which writes every component's arithmetic out in
+    numpy's elementwise order (x + half*k, x + h*k, then x + sixth*(k1 +
+    2*(k2 + k3) + k4)), so it rounds as float64 arrays would; the block's
+    samples are stored at once.  Returns the sample times (every
+    sample_stride steps, plus the final time) and the (n, D) buffer of
+    states there.  Raises NonFinite at the end of the first step that
+    leaves x non-finite, and ConfigError where a block's samples or the
+    final x are complex (_real): x - x is 0j at a finite complex x, so the
+    loop runs on.
     """
     steps = np.append(np.arange(0, n_steps, sample_stride), n_steps)
     size = len(x)
     samples = np.empty((steps.shape[0], size))
     loop = _step_loop(shape)
-    slow = shape[0] if shape[2] in ("coupled", "filtered") else None
-
-    def checked(*stage_args):  # the field of the run's first step
-        return _checked_parts(field(*stage_args), slow, shape[1])
-
-    pmap, basis = system.probing, system.basis
-    text = shape[3] if len(shape) > 3 else None
-    if text is not None:
-        lift, scope = _lift(text, shape[2]), None
-        text = text._replace(values=args[len(args) - len(text.names):])
-        theta = args[0] if shape[2] in ("frozen-fast", "sensitivity") else ()
+    pmap, basis, (kind, key) = system.probing, system.basis, shape[2:]
+    lift, scope = _lift(key, kind), None
+    text = key._replace(values=args[len(args) - len(key.names):])
+    theta = args[0] if kind in ("frozen-fast", "sensitivity") else ()
     cursor = 0
     h, b = float(h), float(b)  # a numpy scalar would make every stage product a numpy op
     sixth = h / 6.0
@@ -1107,21 +1056,18 @@ def _rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
         # stage times for steps chunk..end-1: half-grid from chunk*h
         ts = (chunk + 0.5 * np.arange(2 * (end - chunk) + 1)) * h
         table = _shared(("probe", pmap, basis, h, chunk, end), _probe_table, pmap, basis, ts)
-        if text is None:
-            ps = table.tolist()
-        else:
-            if table.shape[0] != text.row:  # the loop reads only some of them
-                raise _row_error(table.shape[0], text.row)
-            if scope is None:  # the run values, once the table is known good
-                scope = dict(zip((name for name, _ in lift.runs), text_arrays(text, lift.runs, theta, ())))
-                args += tuple(scope[name] for name in lift.args)
-            ps = _lifted_table(lift, text, theta, table, scope)
+        if table.shape[0] != text.row:  # the loop reads only some of them
+            raise _row_error(table.shape[0], text.row)
+        if scope is None:  # the run values, once the table is known good
+            scope = dict(zip((name for name, _ in lift.runs), text_arrays(text, lift.runs, theta, ())))
+            args += tuple(scope[name] for name in lift.args)
+        ps = _lifted_table(lift, text, theta, table, scope)
         if gains is not None:
             a_all = gains(ts)
         rows, gi = [], chunk
         while gi < end:
-            hi, f = (1, checked) if gi == 0 else (end if stop is None else min(end, stop), field)
-            x = loop(f, args, x, ps, a_all, b, gi, 2 * (gi - chunk), 2 * (hi - chunk),
+            hi = end if stop is None else min(end, stop)
+            x = loop(None, args, x, ps, a_all, b, gi, 2 * (gi - chunk), 2 * (hi - chunk),
                      sample_stride, rows, h, half, sixth)
             if hi == stop:
                 x = at_stop(stop, x)
@@ -1207,9 +1153,7 @@ def integrate(
     def gains(ts):
         return schedule.slow_gain_array(ts).tolist()
 
-    t, samples = _rk4(
-        system.stage, shape, args, x, h, n_steps, sample_stride, system, gains, schedule.beta
-    )
+    t, samples = _rk4(shape, args, x, h, n_steps, sample_stride, system, gains, schedule.beta)
     return Trajectory(
         t=t,
         theta=samples[:, :ds],
@@ -1224,8 +1168,7 @@ def integrate(
 
 def _pinned_text(system, th):
     """The StageText a run at the pinned theta list th writes into the
-    loop: the system's frozen text at th, else its text (None: the run
-    calls the stage field)."""
+    loop: the system's frozen text at th, else its text."""
     return system.text if system.frozen is None else system.frozen(th)
 
 
@@ -1235,10 +1178,9 @@ def integrate_frozen_fast(system, theta, lambda0, beta, horizon, *, step=None, s
         d/dt Lambda = beta * h(theta, Lambda, xi_t).
 
     The RK4 kernel advances Lambda alone on the system's frozen text at
-    theta, else on its text, else on the stage field's fast part (a =
-    None).  Returns a Trajectory whose theta block repeats the frozen
-    value, whose slow-gain column is zero and which holds the text it ran
-    on, with its carried local at each sample.
+    theta, else on its text.  Returns a Trajectory whose theta block
+    repeats the frozen value, whose slow-gain column is zero and which
+    holds the text it ran on, with its carried local at each sample.
     """
     if sample_stride < 1:
         raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
@@ -1252,7 +1194,7 @@ def integrate_frozen_fast(system, theta, lambda0, beta, horizon, *, step=None, s
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
     text = _pinned_text(system, th)
     shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), lam.tolist())
-    t, samples = _rk4(system.stage, shape, args, x, h, n_steps, sample_stride, system, None, beta)
+    t, samples = _rk4(shape, args, x, h, n_steps, sample_stride, system, None, beta)
     n = t.shape[0]
     return Trajectory(
         t=t,
@@ -1261,6 +1203,6 @@ def integrate_frozen_fast(system, theta, lambda0, beta, horizon, *, step=None, s
         a=np.zeros(n),
         beta=np.full(n, float(beta)),
         phases=clock_phases(system.basis, t),
-        measured=None if text is None or text.carry is None else samples[:, df],
+        measured=None if text.carry is None else samples[:, df],
         text=text,
     )

@@ -24,23 +24,20 @@ the clock phasors via the transfer function at each probe frequency.
 
 The objective is evaluated once per stage point the kernel hands over:
 each RK4 stage's slow and fast parts come from one measurement
-f(theta + eps xi) / eps, with eps = eps(theta).  At order 1 the seeker
-states its field once, as expression text (qsakit.dynamics.StageText,
-built by _order1_text): the measurement as a statement run at every
-stage, eps(theta) first where it depends on theta, the washout step 0.0
-+ f1*la0 + g1*y and its Jacobian f1, and the slow part, which reads the
-stage's slow gain at the doubled gain.  Its stage field and dh_dlambda
-are compiled from that text, and its coupled runs write it into the RK4
-loop.  At a pinned theta it hands the kernel the same text as its frozen
-text (system.frozen(theta)): a frozen-fast or sensitivity run computes
-eps(theta) once and measures each new probe row once, in step order, and
-qsakit.meanflow evaluates the text's slow part on the run's sampled
-state, measurement and probe rows after the run.  Every run at order >=
-2 calls the stage field written out below.  Objectives, external
-commands included, must be deterministic: frozen runs measure a probe
-row fewer times than the stage field would, and the averaged slow field
-of a seeker at order >= 2 measures its kept samples again, after the
-run.
+f(theta + eps xi) / eps, with eps = eps(theta).  The seeker states its
+field once, as expression text (qsakit.dynamics.StageText, built by
+_washout_text), at every washout order: the measurement as a statement
+run at every stage, eps(theta) first where it depends on theta, the
+washout step 0.0 + F lambda + G y per component and its Jacobian F, and
+the slow part, which reads the stage's slow gain at the doubled gain.
+Its stage field is compiled from that text, and its coupled runs write
+it into the RK4 loop.  At a pinned theta it hands the kernel the same
+text as its frozen text (system.frozen(theta)): a frozen-fast or
+sensitivity run computes eps(theta) once and measures each new probe
+row once, in step order, and qsakit.meanflow evaluates the text's slow
+part on the run's sampled state, measurement and probe rows after the
+run.  Objectives, external commands included, must be deterministic:
+frozen runs measure a probe row fewer times than the stage field would.
 
 The measurement computes on Python floats, since numpy's per-call cost
 dominates on one or two elements.  Each float operation is the one
@@ -58,13 +55,12 @@ is called through _measurement, which hands Objective.__call__ the point
 as a list (the built-in quadratic sums it as it is) and any other
 callable one float64 array.
 
-The washout products F lambda and H'lambda are floats only at order 1,
-where the text writes numpy's 1x1 matvec and one-element dot as 0.0 +
-m*l: the 0.0 turns a -0.0 product into +0.0.  At order >= 2 numpy
-computes them, since a sequential float sum does not follow its
-summation order (BLAS, FMA): on random order-2 inputs it differs from
-numpy's dot in about a quarter of cases and from its matvec in nearly
-half.  Every washout a config builds is order 1.
+The washout products F lambda and H'lambda are sums of Python floats,
+each from 0.0 in index order: 0.0 + m1*l1 + m2*l2 + ...  At order 1 that
+is how numpy rounds its 1x1 matvec and one-element dot (the 0.0 turns a
+-0.0 product into +0.0); at order >= 2 numpy's BLAS sums in an order, or
+with fused multiply-adds, of its own, so the text does not reproduce a
+numpy product there.  Every washout a config builds is order 1.
 """
 
 from __future__ import annotations
@@ -79,7 +75,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import StageText, TwoTimescaleSystem, _float_lists, _row_error
+from .dynamics import StageText, TwoTimescaleSystem, _float_lists
 from .errors import ConfigError, NegativeObjective, NonHurwitz
 from .filters import StateSpaceFilter, transfer, washout_filter
 from .probing import DEFAULT_PAIRS, FrequencyBasis, ProbingMap, default_basis, ergodic_average
@@ -108,9 +104,9 @@ class Objective:
     """Callable objective with an optional analytic gradient attached.
 
     Called with a (d,) point, an array-like or a list of real numbers (the
-    extremum seeker's probed points on its stage field).  The function
-    receives it as one float64 array and must return a scalar; only the
-    built-in quadratic's takes a list as it is (_quadratic_value).  An
+    extremum seeker's probed points where its measurement calls it).  The
+    function receives it as one float64 array and must return a scalar;
+    only the built-in quadratic's takes a list as it is (_quadratic_value).  An
     extremum seeker on an Objective whose class keeps this __call__ does
     not call it on its text: it writes the built-in quadratic out and
     calls any other function directly, on a fresh float64 array of the
@@ -582,25 +578,35 @@ def esc_meanflow_approx(config, theta, sigma_check, m0) -> np.ndarray:
     return -(config.sigma * (theta - config.theta_ctr) + sigma_check @ grad)
 
 
-def _order1_text(config, constants):
-    """The order-1 seeker's field as text: text(eps, carry) is its
-    StageText at the probing gain eps, or at eps(theta) when eps is None,
-    which a statement eps = eps_at((th0, ..)) (probing_gain: the objective
-    at theta, sign guard included) computes per stage before the
-    measurement.  The per-stage statement ends with the measurement y
-    (_measurement_text), carried as carry at a pinned theta; the fast part
-    is 0.0 + f1*la0 + g1*y and the Jacobian f1; the slow part per
-    coordinate is -sigma*(th - c) + -xi_check*(0.0 + h1*la0 + J*y), with
-    the correlation term times the stage's slow gain a at the doubled gain
+def _washout_text(config, constants):
+    """The seeker's field as text at a washout of order n: text(eps,
+    carry) is its StageText at the probing gain eps, or at eps(theta) when
+    eps is None, which a statement eps = eps_at((th0, ..)) (probing_gain:
+    the objective at theta, sign guard included) computes per stage before
+    the measurement.  The per-stage statement ends with the measurement y
+    (_measurement_text), carried as carry at a pinned theta.  Fast part i
+    is 0.0 + f{n*i + 1}*la0 + ... + f{n*i + n}*la{n-1} + g{i+1}*y, and the
+    Jacobian is F's entries f1 .. f{n*n}, row-major (at order 1: 0.0 +
+    f1*la0 + g1*y and f1).  The slow part per coordinate is -sigma*(th -
+    c) + -xi_check*(0.0 + h1*la0 + ... + hn*la{n-1} + J*y), with the
+    correlation term times the stage's slow gain a at the doubled gain
     and, with a single a_t, the factor 1.0 left out (1.0 * p is p, bit for
-    bit).  constants are the values of neg_sigma, c0.., h1, J, f1 and g1."""
-    d = config.dim
+    bit).  constants are the values of neg_sigma, c0.., h1.., J, f1.. and
+    g1.., in that order."""
+    d, n = config.dim, config.washout.order
     statement, names, values = _measurement_text(config)
-    probe = [f"-xi{d + i} * (0.0 + h1 * la0 + J * y)" for i in range(d)]
+    hl = "".join(f" + h{k + 1} * la{k}" for k in range(n))
+    probe = [f"-xi{d + i} * (0.0{hl} + J * y)" for i in range(d)]
     if not config.single_at:
         probe = [f"a * ({p})" for p in probe]
     slow = tuple(f"neg_sigma * (th{i} - c{i}) + {p}" for i, p in enumerate(probe))
-    names = ("neg_sigma", *(f"c{i}" for i in range(d)), "h1", "J", "f1", "g1", *names)
+    fast = tuple(
+        "0.0" + "".join(f" + f{n * i + k + 1} * la{k}" for k in range(n)) + f" + g{i + 1} * y"
+        for i in range(n)
+    )
+    jac = tuple(f"f{k + 1}" for k in range(n * n))
+    names = ("neg_sigma", *(f"c{i}" for i in range(d)), *(f"h{k + 1}" for k in range(n)), "J",
+             *jac, *(f"g{i + 1}" for i in range(n)), *names)
     th = "".join(f"th{i}, " for i in range(d))
     eps_at = functools.partial(probing_gain, config)
 
@@ -610,7 +616,7 @@ def _order1_text(config, constants):
         else:
             per_stage, name = statement, "eps"
         return StageText(
-            slow, ("0.0 + f1 * la0 + g1 * y",), "f1", 2 * d, per_stage, carry,
+            slow, fast, jac, 2 * d, per_stage, carry,
             (*names, name), (*constants, *values, eps),
         )
 
@@ -627,12 +633,9 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
     factor a_t by default (the doubled gain), or once when
     config.single_at is set.  The washout state runs at the schedule's
     fast gain b_t (qsakit esc: gains.beta, default 0.1; the reference runs
-    use 1).  An order-1 washout states its field as text (_order1_text),
-    at every gain kind and either single_at: the system's text, from which
-    its stage field and dh_dlambda are compiled, and its frozen text
-    (module docstring).  A washout of order >= 2 has the stage field
-    below, which measures once per call, as normalized_observation does,
-    and checks the probe row's length 2*dim (ConfigError).
+    use 1).  Its field is text at every washout order and gain kind and
+    either single_at (_washout_text): the system's text, from which its
+    stage field is compiled, and its frozen text (module docstring).
     """
     washout = config.washout
     eigs = np.linalg.eigvals(washout.F)
@@ -642,40 +645,17 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
             "with nonnegative real part"
         )
     F, G, H, J = washout.F, washout.G, washout.H, washout.J
-    d = config.dim
-    ctr_floats = config.theta_ctr.tolist()
     # negated before the conversion, as numpy negates it: an integer sigma
     # of 0 gives +0.0, not -0.0
     neg_sigma = float(-config.sigma)
-    text = frozen = stage = dh_dlambda = None
-    if washout.order == 1:
-        f1, g1, h1 = F.item(), G.item(), H.item()
-        text_at = _order1_text(config, (neg_sigma, *ctr_floats, h1, J, f1, g1))
-        text = text_at(config.epsilon if config.gain_kind == "constant" else None, None)
+    text_at = _washout_text(
+        config,
+        (neg_sigma, *config.theta_ctr.tolist(), *H.tolist(), J, *F.ravel().tolist(), *G.tolist()),
+    )
+    text = text_at(config.epsilon if config.gain_kind == "constant" else None, None)
 
-        def frozen(theta):
-            return text_at(probing_gain(config, theta), "y")
-
-    else:
-        measure = _measurement(config)
-        single_at = config.single_at
-
-        def stage(theta, lam, xi, a, b):
-            if len(xi) != 2 * d:
-                raise _row_error(len(xi), 2 * d)
-            y = measure(theta, xi)
-            slow = fast = None
-            if a is not None:
-                hl = float(H @ np.array(lam))
-                k = 1.0 if single_at else a  # 1.0 * p is p, bit for bit
-                pairs = zip(theta, ctr_floats, xi[d:])
-                slow = [a * (neg_sigma * (t - c) + k * (-v * (hl + J * y))) for t, c, v in pairs]
-            if b is not None:
-                fast = [b * v for v in (F @ np.array(lam) + G * y).tolist()]
-            return slow, fast
-
-        def dh_dlambda(theta, lam, xi):
-            return F
+    def frozen(theta):
+        return text_at(probing_gain(config, theta), "y")
 
     # solved once; the sign convention makes lambda_star = -F^{-1} G * mean input
     neg_finv_g = -np.linalg.solve(F, G)
@@ -688,14 +668,12 @@ def build_esc_system(config, *, theta_star=None) -> TwoTimescaleSystem:
         )
 
     return TwoTimescaleSystem(
-        dim_slow=d,
+        dim_slow=config.dim,
         dim_fast=washout.order,
         basis=config.probing,
         probing=extended_probe_map(config),
-        stage=stage,
         text=text,
         frozen=frozen,
-        dh_dlambda=dh_dlambda,
         lambda_star=lambda_star,
         theta_star=theta_star,
         name=config.name,

@@ -436,7 +436,7 @@ def _exact_fast(system, traj, beta):
     one stage field call per sample."""
     text, xis = system.text, probe_signal(system.probing, system.basis, traj.t)
     exact = np.zeros((traj.n_samples, system.dim_fast))
-    if text is not None and _array_exact(text, text.fast):
+    if _array_exact(text, text.fast):
         fast = text_arrays(text, [(None, e) for e in text.fast], traj.theta.T, xis, traj.lam.T)
         for d, value in enumerate(fast):
             exact[:, d] = beta * value

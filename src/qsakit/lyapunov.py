@@ -17,20 +17,17 @@ stops at every multiple of the rescale interval and at the half-horizon
 step, where S is divided by its Frobenius norm, whose log is
 accumulated, and the half-horizon magnitude is recorded.
 
-The run takes one of two forms.  A system with expression text
-(dynamics.StageText: the built-in systems, and the frozen text
-system.frozen(theta) of the extremum seeker at order 1) runs on it: the
-loop writes the fast part and the Jacobian out, with no call, and the
-sensitivity derivative as b * (0.0 + j * s) on Python floats, which is
-how numpy's 1x1 matmul rounds (its accumulator starts at +0.0, so a
--0.0 product comes out +0.0).  The frozen text's Jacobian is its
-constant f1, and the stack carries the probe row's measurement as its
-last entry.  Any other system runs on its stage field, called for the
-fast part b*h (a = None), and on one callback that returns b*(J @ S) as
-a list, at every fast dimension.  J @ S stays a numpy matmul: BLAS sums
-each row with fused multiply-adds in an order of its own choosing, which
-a sum of Python floats does not reproduce (thousands of mismatches per
-20,000 random 2x2 cases).
+The run writes the system's text into the loop (dynamics.StageText:
+the built-in systems, and the frozen text system.frozen(theta) of the
+extremum seeker), with no call: the fast part, the Jacobian's entries,
+and each entry of the sensitivity derivative b*(J S) as b * (0.0 +
+J_i0 * S_0j + J_i1 * S_1j + ...) on Python floats, in index order.  At
+d = 1 that is how numpy's 1x1 matmul rounds (its accumulator starts at
++0.0, so a -0.0 product comes out +0.0); at d >= 2 it is how the text
+sums, which numpy's BLAS matmul, with its own order and fused
+multiply-adds, need not match.  The seeker's frozen Jacobian is its
+washout matrix F, and the stack carries the probe row's measurement as
+its last entry.
 
 A grid of slow states (exponent_grid, the CLI's lyapunov subcommand)
 calls lyapunov_exponent at each point, in order, inside one store of the
@@ -45,11 +42,6 @@ own input checks.  linear-3.1 and decoupled-test are theta-free; the
 seeker's frozen text, and a Jacobian such as -1.0 + th0 * xi1, run once
 per point.  The store holds one probe table per block of the horizon
 (0.56 MB for a 5-point grid of linear-3.1 at beta = 0.1 and horizon 400).
-
-An analytic dh_dlambda is called with the stage's lists (theta, lam, xi)
-and must return d*d values: at d = 1 a scalar, a 1-element sequence or a
-1x1 array, at d >= 2 a (d, d) array, else ConfigError naming dh_dlambda.
-Without one, the Jacobian is a central difference of the stage field.
 """
 
 import math
@@ -58,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _float_lists,
     _grid_store,
     _on_text,
     _pinned_text,
@@ -71,13 +62,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, Inconclusive, NonFinite
 
-# Central-difference step for synthesized Jacobians, per coordinate.
-FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
-
-
-def fd_step(xj):
-    return FD_STEP_SCALE * max(1.0, abs(xj))
-
 
 @dataclass(frozen=True)
 class ExponentEstimate:
@@ -86,46 +70,6 @@ class ExponentEstimate:
     exponent: float
     tail_exponent: float
     horizon: float
-
-
-def _jacobian_evaluator(system):
-    """The fast Jacobian as a (d, d) array at (theta, lam, xi), the stage's
-    lists or arrays: system.dh_dlambda checked for shape (a single value
-    stands for the 1x1 Jacobian), or central differences of the stage
-    field's fast part when no analytic form is given."""
-    d = system.dim_fast
-    if system.dh_dlambda is not None:
-        jac_cb = system.dh_dlambda
-
-        def analytic(theta, lam, xi):
-            jac = np.asarray(jac_cb(theta, lam, xi), dtype=float)
-            if jac.shape == (d, d):
-                return jac
-            if d == 1 and jac.size == 1:
-                return jac.reshape(1, 1)
-            raise ConfigError(
-                f"dh_dlambda returned shape {jac.shape}, expected ({d}, {d})"
-            )
-
-        return analytic
-
-    stage = system.stage
-
-    def by_difference(theta, lam, xi):
-        theta, lam, xi = _float_lists(theta, lam, xi)
-        jac = np.zeros((d, d))
-        for j in range(d):
-            delta = fd_step(lam[j])
-            up = list(lam)
-            up[j] += delta
-            dn = list(lam)
-            dn[j] -= delta
-            hi = np.array(stage(theta, up, xi, None, 1.0)[1])
-            lo = np.array(stage(theta, dn, xi, None, 1.0)[1])
-            jac[:, j] = (hi - lo) / (2.0 * delta)
-        return jac
-
-    return by_difference
 
 
 def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
@@ -156,21 +100,11 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
     th = theta.tolist()
     shape = (system.dim_slow, d, "sensitivity")
     text = _pinned_text(system, th)
-    key = None if text is None else text._replace(values=None)
+    key = text._replace(values=None)
     # Lambda rides in the stack only where S may read it
-    lam = [] if key is not None and _s_alone(key) else lam.tolist()
-    x = lam + np.eye(d).ravel().tolist()
+    lam = [] if _s_alone(key) else lam.tolist()
     vec_s = slice(len(lam), len(lam) + d * d)
-    if text is not None:
-        shape, args, x = _on_text(text, shape, (th,), x)
-    else:
-        jac_of = _jacobian_evaluator(system)
-
-        def jac(th, la, xi, b, s):  # b * (J @ S), row-major, as a list
-            js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
-            return [b * v for v in js.ravel().tolist()]
-
-        args = (th, jac)
+    shape, args, x = _on_text(text, shape, (th,), lam + np.eye(d).ravel().tolist())
 
     def s_norm(x):
         return float(np.linalg.norm(np.array(x[vec_s])))
@@ -193,11 +127,10 @@ def lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=None):
 
     def run():  # the log of S's final norm and of its norm at n_half
         stops = sorted({*range(rescale_every, n_steps + 1, rescale_every), n_half})
-        _, samples = _rk4(system.stage, shape, args, x, h, n_steps, n_steps, system, None, beta,
-                          stops, at_stop)
+        _, samples = _rk4(shape, args, x, h, n_steps, n_steps, system, None, beta, stops, at_stop)
         return log_accum + math.log(s_norm(samples[-1])), log_half
 
-    if key is not None and system.frozen is None and _theta_free(key):
+    if system.frozen is None and _theta_free(key):
         # neither theta nor lambda0 enters: one run per grid store
         total, log_half = _shared(
             ("exponent", system.probing, system.basis, text, beta, h, n_steps, horizon), run)

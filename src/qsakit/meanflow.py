@@ -6,11 +6,11 @@ effective slow field gbar0(theta) and its root theta^beta.  Each average
 takes one run: the fast equilibrium averages the sampled Lambda, and
 gbar0 averages the stage field's slow part at the post-burn-in samples,
 evaluated after the run on the sampled state and the probe rows rebuilt
-at the sample times.  A run on expression text (the built-in systems and
-the extremum seeker at order 1, whose measurement the run samples with
-the state) evaluates the text's slow part as whole arrays; any other
-system's stage field is called once per kept sample.  Both round as the
-stage field does at each sample.
+at the sample times.  A text whose slow part is lifted arithmetic (the
+built-in systems and the extremum seeker, whose measurement the run
+samples with the state) has it evaluated as whole arrays; any other
+text's compiled stage field is called once per kept sample.  Both round
+as the stage field does at each sample.
 
 A grid (stationary_grid) and a Newton root (find_root_g0) run each point
 by its public function, fast_equilibrium or mean_field_g0, in order,
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _checked_parts,
+    _array_exact,
     _grid_store,
     _probe_table,
     _shared,
@@ -88,15 +88,16 @@ def _windowed_run(system, theta, beta, burn_in, window, lambda0, slow_field=Fals
 def _slow_series(system, theta, traj, keep):
     """The stage field's slow part at a = 1.0 at the kept samples of the
     frozen-fast run traj at theta, with the probe rebuilt at their times:
-    text_arrays on text's slow part at a = 1.0 for a text whose per-stage
-    statement is carried or absent, else one stage field call per sample,
-    the first one's part checked.  Complex values are a ConfigError
+    text_arrays on the slow part of the text the run ran on where that is
+    exact (_array_exact: lifted arithmetic, with no per-stage statement
+    but a carried one, whose local the run sampled), else one call of the
+    system's stage field per sample.  Complex values are a ConfigError
     (_real_series).  The probe table at the kept times is built once per
     times in an open grid store (dynamics._shared)."""
     pmap, basis, times = system.probing, system.basis, traj.t[keep]
     xi = _shared(("samples", pmap, basis, times.tobytes()), _probe_table, pmap, basis, times)
     th, text = theta.tolist(), traj.text
-    if text is not None and (text.carry is not None or not text.per_stage):
+    if _array_exact(text, text.slow, slow=True):
         carried = {} if traj.measured is None else {text.carry: traj.measured[keep]}
         slow = [(None, e) for e in text.slow]
         series = np.empty((xi.shape[1], system.dim_slow))
@@ -106,9 +107,7 @@ def _slow_series(system, theta, traj, keep):
     # rows built as used, the values checked at once
     stage = system.stage
     rows = zip(map(list, zip(*traj.lam[keep].T.tolist())), map(list, zip(*xi.tolist())))
-    lam, row = next(rows)
-    first = _checked_parts(stage(th, lam, row, 1.0, None), system.dim_slow, None)[0]
-    values = [first, *(stage(th, lam, row, 1.0, None)[0] for lam, row in rows)]
+    values = [stage(th, lam, row, 1.0, None)[0] for lam, row in rows]
     return _real_series(values, th).astype(float, copy=False)
 
 
@@ -166,12 +165,12 @@ def mean_field_g0(
     (Lambda^theta, xi) by time averaging after burn-in, over one run: the
     stage field's slow part at a = 1.0 (system.analysis_floats) at each
     post-burn-in sample, evaluated after the run with the probe rebuilt at
-    the sample times (the rows the run's stages read there).  A run on
-    expression text evaluates the text's slow part elementwise on the
-    sampled arrays, the extremum seeker's measurement among them, so the
-    objective is called by the run alone; any other system's stage field
-    is called once per kept sample.  Either way each value has the bits
-    the stage field gives at that sample.  NonConvergent carries both
+    the sample times (the rows the run's stages read there).  A slow part
+    of lifted arithmetic is evaluated elementwise on the sampled arrays,
+    the extremum seeker's measurement among them, so the objective is
+    called by the run alone; any other is evaluated by the stage field
+    once per kept sample.  Either way each value has the bits the stage
+    field gives at that sample.  NonConvergent carries both
     window averages.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

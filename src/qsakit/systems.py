@@ -6,11 +6,11 @@ extremum seeker on a scalar quadratic, and a decoupled integrator whose
 exact solution is a quadrature, used for integrator-order checks.  Runs
 and sweeps address them by name so no field expressions are needed.
 
-The linear pair and the decoupled integrator state their field once, as
-expression text (dynamics.StageText) that their runs write into the RK4
-loop; their stage field and dh_dlambda are compiled from it.  So does
-the reference seeker (qsakit.esc writes its text, the measurement
-included).
+Each states its field once, as expression text (dynamics.StageText)
+that its runs write into the RK4 loop and from which its stage field is
+compiled: the linear pair and the decoupled integrator here, the
+reference seeker in qsakit.esc, which writes its text, the measurement
+included.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def make_linear_system(alpha=2.0, s=(1.0, 1.0), b=(0.0, 0.0)) -> TwoTimescaleSys
     text = StageText(
         slow=("alpha * th0 + alpha * la0 + s1 * xi0 * (th0 + 1.0) + b1",),
         fast=("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + b2",),
-        jac="-1.0 + s2 * xi1",
+        jac=("-1.0 + s2 * xi1",),
         row=2,
         per_stage="",
         carry=None,
@@ -120,7 +120,7 @@ def make_decoupled_system() -> TwoTimescaleSystem:
     """
     basis = make_frequency_basis([(2, 1)])
 
-    text = StageText(("xi0",), ("-la0",), "-1.0", 1, "", None, (), ())
+    text = StageText(("xi0",), ("-la0",), ("-1.0",), 1, "", None, (), ())
 
     n, p = 2, 2
     tone = PolyCoeff(n, p, {(0, 0): np.array([0.5, 0.0])})

@@ -132,7 +132,7 @@ def dependent_content_system():
     inner frequency 2 ln 2 - ln 4 vanishes on a genuine nonzero mode."""
     basis = make_frequency_basis([(2, 1), (4, 1)])
     pmap = ProbingMap(1, g_state=lambda phi: (phi[0:1] ** 2 * np.conj(phi[1:2])).real)
-    text = StageText(("-th0",), ("-la0 + 0.5 * xi0",), "-1.0", 1, "", None, (), ())
+    text = StageText(("-th0",), ("-la0 + 0.5 * xi0",), ("-1.0",), 1, "", None, (), ())
     mode = PolyCoeff(2, 2, {(0, 0): [0.0, 0.25]})
     fourier = FourierField(
         1,
@@ -340,7 +340,7 @@ def test_criterion_6_lyapunov_exponents():
 
     scalar = lyapunov_exponent(
         TwoTimescaleSystem(
-            1, 1, basis1, text=StageText(("0.0",), ("-la0",), "-1.0", 1, "", None, (), ())
+            1, 1, basis1, text=StageText(("0.0",), ("-la0",), ("-1.0",), 1, "", None, (), ())
         ),
         np.zeros(1),
         1.0,
@@ -349,16 +349,14 @@ def test_criterion_6_lyapunov_exponents():
     )
     scalar_ok = abs(scalar.exponent + 1.0) < 1e-3
 
-    companion = np.array([[0.0, 1.0], [-2.0, -2.0]])  # eigenvalues -1 +/- j
-
-    def planar_stage(theta, lam, xi, a, b):
-        fast = None if b is None else (b * (companion @ np.array(lam))).tolist()
-        return (None if a is None else [0.0]), fast
-
+    # the companion matrix [[0, 1], [-2, -2]], eigenvalues -1 +/- j, each
+    # row summed from 0.0 in index order
+    companion = StageText(
+        ("0.0",), ("0.0 + 0.0 * la0 + 1.0 * la1", "0.0 + -2.0 * la0 + -2.0 * la1"),
+        ("0.0", "1.0", "-2.0", "-2.0"), 1, "", None, (), (),
+    )
     planar = lyapunov_exponent(
-        TwoTimescaleSystem(
-            1, 2, basis1, stage=planar_stage, dh_dlambda=lambda t, l, x: companion
-        ),
+        TwoTimescaleSystem(1, 2, basis1, text=companion),
         np.zeros(1),
         1.0,
         np.array([1.0, 0.0]),
@@ -378,7 +376,7 @@ def test_criterion_6_lyapunov_exponents():
     esc_ok = all(abs(e + 1.0) < 1e-2 for e in esc_exponents)
 
     multiplicative = StageText(
-        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), ("-1.0 + xi1",), 2, "", None, (), ()
     )
     linear_fast = TwoTimescaleSystem(
         1,

@@ -54,7 +54,7 @@ def linear_system():
 def text_system(slow, fast, basis=None):
     """The 1+1 pair d/dt theta = a*(slow), d/dt lambda = b*(fast) as text
     over the probe row of one tone (default one_pair_basis())."""
-    text = StageText((slow,), (fast,), "0.0", 1, "", None, (), ())
+    text = StageText((slow,), (fast,), ("0.0",), 1, "", None, (), ())
     return TwoTimescaleSystem(1, 1, basis or one_pair_basis(), text=text)
 
 
@@ -114,20 +114,35 @@ class TestSystemConstruction:
             TwoTimescaleSystem(0, 1, linear_basis(), text=linear_text())
 
     def test_text_and_stage_both_rejected(self):
+        # text is the one form of a field: there is no stage keyword
         system = linear_system()
-        with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'stage'"):
             TwoTimescaleSystem(1, 1, linear_basis(), text=system.text, stage=system.stage)
 
     def test_text_and_dh_dlambda_both_rejected(self):
-        # text's jac is the Jacobian: a dh_dlambda beside it is not dropped silently
-        with pytest.raises(ConfigError, match="^give dh_dlambda with stage, not with text: "):
+        # text's jac is the Jacobian: there is no dh_dlambda keyword
+        with pytest.raises(TypeError, match="unexpected keyword argument 'dh_dlambda'"):
             TwoTimescaleSystem(
                 1, 1, linear_basis(), text=linear_system().text, dh_dlambda=lambda t, l, x: [[5.0]]
             )
 
     def test_no_field_rejected(self):
-        with pytest.raises(ConfigError, match="^give the field as exactly one of text and stage$"):
+        with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'text'"):
             TwoTimescaleSystem(1, 1, linear_basis())
+
+    @pytest.mark.parametrize("dims, part, got, want", [
+        ((1, 2), "fast", 1, 2),  # unchecked, its runs die on a bare NameError for k1_2
+        ((2, 1), "slow", 1, 2),  # unchecked, its frozen-fast run runs on one slow part
+        ((1, 2), "jac", 1, 4),
+    ])
+    def test_part_counts_match_the_dimensions(self, dims, part, got, want):
+        text = StageText(("-th0",), ("-la0",), ("-1.0",), 1, "", None, (), ())
+        if part == "jac":
+            text = text._replace(fast=("-la0", "-la1"))
+        elif part == "slow":
+            text = text._replace(jac=("-1.0",))
+        with pytest.raises(ConfigError, match=rf"^stage text has {got} {part} part\(s\), expected {want}$"):
+            TwoTimescaleSystem(*dims, one_pair_basis(), text=text)
 
     def test_fourier_agreement_accepted(self):
         field = _linear_field()
@@ -446,19 +461,16 @@ class TestFrozenFast:
 
 
 class TestStageLengths:
-    """A stage field's parts must fill their blocks: each run kind checks
-    them at its first stage (the averaged slow field at its first kept
-    sample)."""
+    """A text's parts must fill their blocks: the system refuses a text
+    with another count of slow or fast parts when it is built, before any
+    run kind's first stage."""
 
     @staticmethod
     def system(slow=1, fast=1):
-        def stage(theta, lam, xi, a, b):
-            return (
-                None if a is None else [a * (0.1 - theta[0])] * slow,
-                None if b is None else [b * (xi[0] - lam[0])] * fast,
-            )
-
-        return TwoTimescaleSystem(1, 1, one_pair_basis(), stage=stage)
+        text = StageText(
+            ("0.1 - th0",) * slow, ("xi0 - la0",) * fast, ("-1.0",), 1, "", None, (), ()
+        )
+        return TwoTimescaleSystem(1, 1, one_pair_basis(), text=text)
 
     RUNS = {
         "coupled": lambda s: integrate(s, GainSchedule(rho=0.7, beta=0.5), ([0.1], [0.2]), 1.0),
@@ -470,7 +482,7 @@ class TestStageLengths:
     @pytest.mark.parametrize(
         "kind, lengths, part, got",
         [
-            # the padded slow part keeps the stacked length at D = 2
+            # slow is checked first, then fast
             ("coupled", dict(slow=2, fast=0), "slow", 2),
             ("coupled", dict(fast=0), "fast", 0),
             ("coupled", dict(slow=0), "slow", 0),
@@ -481,7 +493,7 @@ class TestStageLengths:
         ],
     )
     def test_wrong_length_is_a_config_error(self, kind, lengths, part, got):
-        with pytest.raises(ConfigError, match=rf"^stage returned {got} {part} value\(s\), expected 1$"):
+        with pytest.raises(ConfigError, match=rf"^stage text has {got} {part} part\(s\), expected 1$"):
             self.RUNS[kind](self.system(**lengths))
 
     @pytest.mark.parametrize("kind", sorted(RUNS))

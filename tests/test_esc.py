@@ -19,10 +19,12 @@ import pytest
 from qsakit import esc as esc_module
 from qsakit.dynamics import (
     GainSchedule,
+    StageText,
     _float_lists,
     _reads_gain,
     integrate,
     integrate_frozen_fast,
+    text_field,
 )
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite, NonHurwitz
 from qsakit.esc import (
@@ -471,7 +473,50 @@ class TestBuildSystem:
                 fast_part(system, theta, lam1 + lam2, xi), fast_part(system, theta, lam1, xi)
             )
             assert np.allclose(lhs, planar.F @ lam2, atol=1e-12)
-        assert np.allclose(system.dh_dlambda(theta, lam1, xi), planar.F)
+        jac = text_field(system.text)[1](*_float_lists(theta, lam1, xi))
+        assert np.array_equal(np.reshape(jac, (2, 2)), planar.F)
+
+    def test_order_1_text(self):
+        # the seeker's text, at order 1 as it has been written since the
+        # order-1 seeker ran on text, with its Jacobian one entry
+        config = quad_config(
+            objective=quadratic_objective(center=[0.6, -0.0], weights=[0.5, 3.0]), dim=2,
+            sigma=0.2, theta_ctr=[-0.3, 0.4], single_at=False,
+        )
+        system = build_esc_system(config)
+        slow = tuple(
+            f"neg_sigma * (th{i} - c{i}) + a * (-xi{2 + i} * (0.0 + h1 * la0 + J * y))"
+            for i in range(2)
+        )
+        statement = (
+            "q0 = th0 + eps * xi0 - qc0; q1 = th1 + eps * xi1 - qc1; "
+            "y = 0.5 * (0.0 + qw0 * (q0 * q0) + qw1 * (q1 * q1)) / eps"
+        )
+        names = ("neg_sigma", "c0", "c1", "h1", "J", "f1", "g1", "qc0", "qw0", "qc1", "qw1", "eps")
+        values = (-0.2, -0.3, 0.4, -1.0, 1.0, -1.0, 1.0, 0.6, 0.5, -0.0, 3.0, 0.1)
+        want = StageText(
+            slow, ("0.0 + f1 * la0 + g1 * y",), ("f1",), 4, statement, None, names, values
+        )
+        assert system.text == want
+        assert repr(system.text.values) == repr(values)  # -0.0 among them
+        assert system.frozen([0.3, 0.1]) == want._replace(carry="y")
+
+    def test_order_2_text(self):
+        # F lambda, H'lambda and the Jacobian F written out per entry, each
+        # sum from 0.0 in index order
+        planar = StateSpaceFilter(
+            F=[[0.0, 1.0], [-1.0, -1.4]], G=[0.0, 1.0], H=[-1.0, -1.4], J=1.0
+        )
+        text = build_esc_system(quad_config(washout=planar, single_at=True)).text
+        assert text.slow == ("neg_sigma * (th0 - c0) + -xi1 * (0.0 + h1 * la0 + h2 * la1 + J * y)",)
+        assert text.fast == (
+            "0.0 + f1 * la0 + f2 * la1 + g1 * y", "0.0 + f3 * la0 + f4 * la1 + g2 * y"
+        )
+        assert text.jac == ("f1", "f2", "f3", "f4")
+        named = dict(zip(text.names, text.values))
+        assert [named[n] for n in ("h1", "h2", "J", "f1", "f2", "f3", "f4", "g1", "g2")] == [
+            -1.0, -1.4, 1.0, 0.0, 1.0, -1.0, -1.4, 0.0, 1.0
+        ]
 
     def test_rejects_unstable_filter(self):
         filt = StateSpaceFilter(F=[[0.5]], G=[1.0], H=[1.0], J=0.0)

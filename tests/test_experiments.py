@@ -69,7 +69,7 @@ def quadrature_system(alpha=2.0, s2=1.0, s4=1.5, b=(1.0, 0.5)):
     text = StageText(
         ("alpha * (th0 + la0) + b1",),
         ("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0) + s4 * xi3 * th0 + b2",),
-        "-1.0 + s2 * xi1",
+        ("-1.0 + s2 * xi1",),
         4,
         "",
         None,
@@ -96,7 +96,7 @@ def quadrature_system(alpha=2.0, s2=1.0, s4=1.5, b=(1.0, 0.5)):
 def one_tone_text(slow, fast, jac):
     """A 1+1 pair as text over the probe row of one tone: d/dt theta =
     a*(slow), d/dt lambda = b*(fast)."""
-    return StageText((slow,), (fast,), jac, 1, "", None, (), ())
+    return StageText((slow,), (fast,), (jac,), 1, "", None, (), ())
 
 
 def xi_free_system():
@@ -376,7 +376,7 @@ def test_slow_error_check_linear_bounded_under_doubling():
 def test_bias_sweep_g_independent_symmetric():
     basis = make_frequency_basis([(2, 1), (3, 1)])
     text = StageText(
-        ("1.0 - th0",), ("th0 - la0 + 0.3 * xi1 * (la0 + 1.0)",), "-1.0 + 0.3 * xi1", 2, "",
+        ("1.0 - th0",), ("th0 - la0 + 0.3 * xi1 * (la0 + 1.0)",), ("-1.0 + 0.3 * xi1",), 2, "",
         None, (), (),
     )
     system = TwoTimescaleSystem(1, 1, basis, text=text, theta_star=np.array([1.0]))
@@ -437,7 +437,7 @@ def test_bias_sweep_validation():
     system = make_linear_system()
     with pytest.raises(ConfigError):
         bias_sweep(system, [])
-    no_star = TwoTimescaleSystem(1, 1, system.basis, probing=system.probing, stage=system.stage)
+    no_star = TwoTimescaleSystem(1, 1, system.basis, probing=system.probing, text=system.text)
     with pytest.raises(ConfigError):
         bias_sweep(no_star, [0.1, 0.2, 0.4])
 

@@ -35,7 +35,7 @@ def cubic_seeker():
 def text_system(fast, jac="-1.0", names=(), values=(), basis=None):
     """A 1+1 text system on one tone (or basis), whose probe row is its clock's cosines."""
     basis = basis or make_frequency_basis([(2, 1)])
-    text = StageText(("0.0",), (fast,), jac, basis.size, "", None, names, values)
+    text = StageText(("0.0",), (fast,), (jac,), basis.size, "", None, names, values)
     return TwoTimescaleSystem(1, 1, basis, text=text)
 
 

@@ -9,12 +9,20 @@ bit-identical trajectories, not merely close ones.
 
 The extremum seeker's callbacks are kept the same way, as they stood before
 the measurement was memoized: one objective evaluation per callback, no
-memo.  A memo that returned a stale value would show up as a trajectory
+memo, with the washout products F lambda and H'lambda summed from 0.0 in
+index order, as the seeker's text writes them at every washout order.  A memo that returned a stale value would show up as a trajectory
 that differs from the reference.  Each form of objective is held to that
 reference: the built-in quadratic on both sides of its float/numpy split,
 a plain function, an Objective subclass with its own __call__ and an
 external command.
+
+The seeker's points and failures are also held to its stage field, the
+one compiled from its text, stepped by the reference loop of
+test_rk4_generated at every stage (on_stage_field), as runs stepped it
+before they wrote the text into the loop.
 """
+
+import contextlib
 
 import math
 import sys
@@ -24,6 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qsakit import dynamics, lyapunov, meanflow
 from qsakit.dynamics import _CHUNK as KERNEL_CHUNK
 from qsakit.dynamics import (
     GainSchedule,
@@ -39,6 +48,7 @@ from qsakit.dynamics import (
     integrate,
     integrate_frozen_fast,
     step_bound,
+    text_field,
 )
 from qsakit.errors import ConfigError, NegativeObjective, NonFinite
 from qsakit.esc import (
@@ -53,8 +63,9 @@ from qsakit.esc import (
 from qsakit.filters import SecondOrderFilter, StateSpaceFilter
 from qsakit.lyapunov import lyapunov_exponent
 from qsakit.meanflow import _slow_series, _windowed_run, mean_field_g0
-from qsakit.probing import clock_phases, make_frequency_basis
+from qsakit.probing import clock_phases, make_frequency_basis, probe_signal
 from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
+from test_rk4_generated import reference_rk4
 
 #: steps per precomputed probe/gain block of the reference loops
 _CHUNK = 1 << 14
@@ -324,6 +335,15 @@ def reference_quadratic(center=0.0, weights=1.0):
     return Objective(fn=lambda th: 0.5 * float(np.sum(w * (th - c) ** 2)))
 
 
+def index_order_dot(row, v):
+    """sum(row[m] * v[m]) from 0.0 in index order: at one element how
+    numpy's 1x1 matvec and one-element dot round (0.0 + m*l)."""
+    acc = 0.0
+    for m, x in zip(row, v):
+        acc = acc + m * x
+    return acc
+
+
 def reference_esc(config):
     F, G, H, J = config.washout.F, config.washout.G, config.washout.H, config.washout.J
     d = config.dim
@@ -335,10 +355,10 @@ def reference_esc(config):
         return _objective_value(config, theta + eps * xi_raw) / eps
 
     def h_cb(theta, lam, xi):
-        return F @ lam + G * observe(theta, xi[:d])
+        return np.array([index_order_dot(f, lam) for f in F]) + G * observe(theta, xi[:d])
 
     def probe_term(theta, lam, xi):
-        filtered = float(H @ lam) + J * observe(theta, xi[:d])
+        filtered = index_order_dot(H, lam) + J * observe(theta, xi[:d])
         return -xi[d:] * filtered
 
     if config.single_at:
@@ -358,11 +378,14 @@ def reference_esc(config):
 def _with_callbacks(system, g, h, g_probe=None):
     """What the reference loops read of system, with the callbacks g, h
     and g_probe (theta, lam, xi) -> array in place of its field: its
-    dimensions, basis, probe map and dh_dlambda.  callback_system runs
-    the callbacks in the package."""
+    dimensions, basis, probe map and probe row length, and its fast
+    Jacobian dh_dlambda (theta, lam, xi) -> its entries, row-major,
+    compiled from its text.  callback_system runs the callbacks in the
+    package."""
     return SimpleNamespace(
         dim_slow=system.dim_slow, dim_fast=system.dim_fast, basis=system.basis,
-        probing=system.probing, dh_dlambda=system.dh_dlambda, g=g, h=h, g_probe=g_probe,
+        probing=system.probing, row=system.text.row, dh_dlambda=text_field(system.text)[1],
+        g=g, h=h, g_probe=g_probe,
     )
 
 
@@ -386,12 +409,55 @@ def callback_stage(g, h, g_probe=None):
     return stage
 
 
-def callback_system(ref):
-    """A system whose stage field runs ref's callbacks (callback_stage)."""
-    return TwoTimescaleSystem(
-        ref.dim_slow, ref.dim_fast, ref.basis, ref.probing,
-        stage=callback_stage(ref.g, ref.h, ref.g_probe), dh_dlambda=ref.dh_dlambda,
+def callback_text(ds, df, row, g, h, g_probe=None, jac=None):
+    """A text that calls the array callbacks g, h and g_probe on float64
+    arrays of the stage's theta, Lambda and probe row, rounding as
+    callback_stage does: each slow part calls slow_at, g + a*g_probe (or
+    g) at the stage's slow gain a, and the per-stage statement calls h.
+    Its Jacobian's entries are jac's (theta, lam, xi) -> d*d values, or
+    zeros without jac."""
+
+    def slow_at(theta, lam, xi, a):
+        th, la, xv = np.array(theta), np.array(lam), np.array(xi)
+        gv = np.asarray(g(th, la, xv), dtype=float)
+        if g_probe is not None:
+            gv = gv + a * np.asarray(g_probe(th, la, xv), dtype=float)
+        return gv.tolist()
+
+    def fast_at(theta, lam, xi):
+        return np.asarray(h(np.array(theta), np.array(lam), np.array(xi)), dtype=float).tolist()
+
+    th, la, xi = ("".join(f"{v}{i}, " for i in range(n)) for v, n in (("th", ds), ("la", df), ("xi", row)))
+    point = f"({th}), ({la}), ({xi})"
+    return StageText(
+        slow=tuple(f"slow_at({point}, a)[{i}]" for i in range(ds)),
+        fast=tuple(f"hv[{i}]" for i in range(df)),
+        jac=tuple(f"jac_at({point})[{k}]" if jac else "0.0" for k in range(df * df)),
+        row=row, per_stage=f"hv = fast_at({point})", carry=None,
+        names=("slow_at", "fast_at", "jac_at"), values=(slow_at, fast_at, jac),
     )
+
+
+def callback_system(ref):
+    """A system whose text runs ref's callbacks (callback_text), with ref's
+    fast Jacobian."""
+    text = callback_text(
+        ref.dim_slow, ref.dim_fast, ref.row, ref.g, ref.h, ref.g_probe, ref.dh_dlambda
+    )
+    return TwoTimescaleSystem(ref.dim_slow, ref.dim_fast, ref.basis, ref.probing, text=text)
+
+
+@contextlib.contextmanager
+def on_stage_field():
+    """Inside, every run steps its system's stage field, compiled from its
+    text, with the reference loop (test_rk4_generated.reference_rk4) at
+    every stage, and the averaged slow field calls it once per kept
+    sample, as runs did before they wrote the text into the loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_rk4", reference_rk4)
+        patch.setattr(lyapunov, "_rk4", reference_rk4)
+        patch.setattr(meanflow, "_array_exact", lambda *args, **kwargs: False)
+        yield
 
 
 def assert_same(traj, ref):
@@ -490,7 +556,7 @@ def test_frozen_fast_on_esc(stride):
 def one_tone_pair(slow, fast, g, h):
     """(system on the text a*(slow), b*(fast) over one tone's probe row,
     the reference's view of it with the same field as callbacks g, h)."""
-    text = StageText((slow,), (fast,), "0.0", 1, "", None, (), ())
+    text = StageText((slow,), (fast,), ("0.0",), 1, "", None, (), ())
     system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
     return system, _with_callbacks(system, g, h)
 
@@ -802,17 +868,24 @@ def test_esc_eps_memo_shared_between_threads():
 # -- extremum seeker: the float callbacks at the edges of their rounding rule --
 
 #: a two-pole washout s^2 / (s^2 + 1.4 s + 1): F, G and H all have two
-#: nonzero entries, so h runs numpy's order-2 matvec and dot
+#: nonzero entries, so F lambda and H'lambda are sums of two products
 PLANAR_WASHOUT = StateSpaceFilter(
     F=[[0.0, 1.0], [-1.0, -1.4]], G=[0.0, 1.0], H=[-1.0, -1.4], J=1.0
 )
 
+#: a three-pole washout s^3 / (s^3 + 1.7 s^2 + 2.1 s + 1) in companion form:
+#: F's last row and H hold three inexact products, so each sum's order shows
+CUBIC_WASHOUT = StateSpaceFilter(
+    F=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -2.1, -1.7]], G=[0.0, 0.0, 1.0],
+    H=[-1.0, -2.1, -1.7], J=1.0,
+)
 
-def planar_pair(single_at):
-    kw = dict(dim=1, epsilon=0.1, sigma=0.1, washout=PLANAR_WASHOUT, single_at=single_at)
+
+def planar_pair(single_at, washout=PLANAR_WASHOUT):
+    kw = dict(dim=1, epsilon=0.1, sigma=0.1, washout=washout, single_at=single_at)
     system = build_esc_system(EscConfig(objective=quadratic_objective(center=1.0), **kw))
     ref = reference_esc(EscConfig(objective=reference_quadratic(center=1.0), **kw))
-    assert system.dim_fast == 2
+    assert system.dim_fast == washout.order
     return system, ref
 
 
@@ -831,6 +904,29 @@ def test_esc_planar_washout_coupled(single_at):
 def test_esc_planar_washout_frozen_fast(stride):
     system, ref = planar_pair(False)
     args = (np.array([0.7]), np.array([0.2, -0.1]), 1.0, 50.0)
+    assert_same(
+        integrate_frozen_fast(system, *args, sample_stride=stride),
+        reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
+    )
+
+
+@pytest.mark.parametrize("single_at", [True, False])
+def test_esc_order_3_washout_coupled(single_at):
+    system, ref = planar_pair(single_at, CUBIC_WASHOUT)
+    sched = GainSchedule(rho=0.7, beta=1.0)
+    x0 = (np.array([0.3]), np.array([0.1, -0.2, 0.05]))
+    assert_same(
+        integrate(system, sched, x0, 40.0),
+        reference_integrate(ref, sched, x0, 40.0),
+    )
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_esc_order_3_washout_frozen_fast(stride):
+    system, ref = planar_pair(False, CUBIC_WASHOUT)
+    args = (np.array([0.7]), np.array([0.2, -0.1, 0.3]), 1.0, 50.0)
+    _, n_steps = _resolve_step(system.basis, 1.0, 50.0, None)
+    assert n_steps > KERNEL_CHUNK
     assert_same(
         integrate_frozen_fast(system, *args, sample_stride=stride),
         reference_integrate_frozen_fast(ref, *args, sample_stride=stride),
@@ -858,22 +954,20 @@ def _recorded(system, log):
     log the bits of each output."""
     cbs = {name: getattr(system, name) for name in ("g", "h", "g_probe")}
     logged = {name: cb and _logged(cb, name, log) for name, cb in cbs.items()}
-    return _with_callbacks(system, **logged)
+    return SimpleNamespace(**{**vars(system), **logged})
 
 
-def _stage_recorded(system, log):
-    """A new system running system's stage field alone, logging the bits of
-    each part it returns, so that a -0.0 where the reference has +0.0 shows."""
-
-    def stage(theta, lam, xi, a, b):
-        parts = system.stage(theta, lam, xi, a, b)
-        log.append(tuple(None if p is None else np.array(p).tobytes() for p in parts))
-        return parts
-
-    return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.basis, system.probing,
-        stage=stage, dh_dlambda=system.dh_dlambda,
-    )
+def _stage_bits(stage, system, traj, beta):
+    """The bits of each part that the stage field returns at each sample
+    of system's run traj, at the sample's gains, so that a -0.0 where the
+    reference has +0.0 shows."""
+    xis = probe_signal(system.probing, system.basis, traj.t).T.tolist()
+    out = []
+    for i, xi in enumerate(xis):
+        a = None if not traj.a[i] else float(traj.a[i])
+        parts = stage(traj.theta[i].tolist(), traj.lam[i].tolist(), xi, a, beta)
+        out.append(tuple(None if p is None else np.array(p).tobytes() for p in parts))
+    return out
 
 
 def _logged(cb, name, log):
@@ -890,31 +984,30 @@ def test_esc_fast_state_at_signed_zero_coupled(single_at):
     system, ref = zero_pair(single_at)
     sched = GainSchedule(rho=0.7, beta=1.0)
     x0 = (np.array([0.4]), np.array([0.0]))
-    got_log, want_log = [], []
-    got = integrate(_stage_recorded(system, got_log), sched, x0, 20.0)
+    got = integrate(system, sched, x0, 20.0)
     want = reference_integrate(ref, sched, x0, 20.0)
-    assert_same(integrate(_stage_recorded(callback_system(ref), want_log), sched, x0, 20.0), want)
+    assert_same(integrate(callback_system(ref), sched, x0, 20.0), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any() and got.theta[-1, 0] < 0.3
+    # the compiled stage field has the callbacks' signed zeros at every sample
+    got_log = _stage_bits(system.stage, system, got, 1.0)
+    want_log = _stage_bits(callback_stage(ref.g, ref.h, ref.g_probe), system, got, 1.0)
     assert len(got_log) == len(want_log) > 0
     assert got_log == want_log
-    # the run itself, on the text, has the same signed zeros
-    text_run = integrate(system, sched, x0, 20.0)
-    assert_same(text_run, want)
-    assert text_run.lam.tobytes() == want.lam.tobytes()
 
 
 def test_esc_fast_state_at_signed_zero_frozen_fast():
     system, ref = zero_pair(True)
     args = (np.array([0.4]), np.array([0.0]), 1.0, 20.0)
-    got_log, want_log = [], []
-    got = integrate_frozen_fast(_stage_recorded(system, got_log), *args)
+    got = integrate_frozen_fast(system, *args)
     want = reference_integrate_frozen_fast(ref, *args)
-    assert_same(integrate_frozen_fast(_stage_recorded(callback_system(ref), want_log), *args), want)
+    assert_same(integrate_frozen_fast(callback_system(ref), *args), want)
     assert_same(got, want)
     assert got.lam.tobytes() == want.lam.tobytes()
     assert not got.lam.any()
+    got_log = _stage_bits(system.stage, system, got, 1.0)
+    want_log = _stage_bits(callback_stage(ref.g, ref.h, ref.g_probe), system, got, 1.0)
     assert len(got_log) == len(want_log) > 0
     assert got_log == want_log
 
@@ -923,32 +1016,35 @@ def test_esc_fast_state_at_signed_zero_frozen_fast():
 
 
 def _row_logging(system, rows):
-    """system on its stage field alone (no text), logging each stage's
-    probe row, the kernel's list, in call order."""
-
-    def stage(theta, lam, xi, a, b):
-        rows.append(xi)
-        return system.stage(theta, lam, xi, a, b)
-
+    """system without its frozen text, on its text with a statement that
+    logs each stage's probe row, the list of the loop's floats, in call
+    order."""
+    text = system.text
+    statement = "log_row([" + "".join(f"xi{i}, " for i in range(text.row)) + "])"
+    text = text._replace(
+        per_stage="; ".join(p for p in (statement, text.per_stage) if p),
+        names=text.names + ("log_row",), values=text.values + (rows.append,),
+    )
     return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.basis, system.probing, stage=stage
+        system.dim_slow, system.dim_fast, system.basis, system.probing, text=text
     )
 
 
 def _array_callback_system():
-    """A user system whose stage field calls array callbacks, with probing
+    """A user system whose text calls array callbacks, with probing
     feedback."""
-    stage = callback_stage(
+    text = callback_text(
+        1, 1, 2,
         lambda t, l, x: np.array([0.3 * t[0] - l[0] * x[0]]),
         lambda t, l, x: np.array([-l[0] + x[1] * (t[0] + 0.5)]),
         lambda t, l, x: np.array([x[1] * l[0]]),
     )
-    return TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1), (3, 1)]), stage=stage)
+    return TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1), (3, 1)]), text=text)
 
 
 #: (system, theta) per path of the after-run slow field: text on arrays
-#: (linear-3.1, decoupled-test, the order-1 seeker's frozen text at the
-#: doubled gain) and the stage field per sample (the rest)
+#: (linear-3.1, decoupled-test, the seekers' frozen texts) and the stage
+#: field per sample (the text that calls array callbacks)
 SLOW_SYSTEMS = {
     "linear-3.1": (make_linear_system, [0.3]),
     "decoupled-test": (make_decoupled_system, [0.2]),
@@ -993,8 +1089,9 @@ HOOK_SYSTEMS = {
 def test_record_hook_sees_the_samples(name, stride, start):
     # named for the record hook the after-run evaluation replaced: at every
     # stored sample of a frozen-fast _rk4 run from step start on, with any
-    # stride, _slow_series on the run's text and on its stage field alone
-    # is the stage field's slow part at the kernel's state and probe row
+    # stride, _slow_series on the run's text (on arrays) and on a text
+    # with a per-stage statement (per sample) is the stage field's slow
+    # part at the kernel's state and probe row
     make, theta, lam0, beta = HOOK_SYSTEMS[name]
     system, theta = make(), np.array(theta)
     ds, df, th = system.dim_slow, system.dim_fast, theta.tolist()
@@ -1003,11 +1100,10 @@ def test_record_hook_sees_the_samples(name, stride, start):
     rows = []
     logging = _row_logging(system, rows)
     run = (h, n_steps, stride, system, None, beta)
-    t, samples = _rk4(logging.stage, (ds, df, "frozen-fast"), (th,), list(lam0), *run)
+    t, samples = _rk4(*_on_text(logging.text, (ds, df, "frozen-fast"), (th,), list(lam0)), *run)
     text = _pinned_text(system, th)
-    assert text is not None
     shape, args, x = _on_text(text, (ds, df, "frozen-fast"), (th,), list(lam0))
-    t_text, on_text = _rk4(system.stage, shape, args, x, *run)
+    t_text, on_text = _rk4(shape, args, x, *run)
     assert t_text.tobytes() == t.tobytes()
     assert on_text[:, :df].tobytes() == samples.tobytes()
     assert t[-1] == n_steps * h
@@ -1016,12 +1112,12 @@ def test_record_hook_sees_the_samples(name, stride, start):
     assert len(kernel_rows) == t.shape[0]
     keep = np.arange(t.shape[0]) >= -(-start // stride)  # the samples from step start on
     measured = None if text.carry is None else on_text[:, df]
-    for run_text in (text, None):
+    for run_text in (text, logging.text):
         traj = SimpleNamespace(t=t, lam=samples, measured=measured, text=run_text)
         series = _slow_series(system, theta, traj, keep)
         for got, k in zip(series, np.flatnonzero(keep), strict=True):
             want = system.analysis_floats(theta, samples[k], kernel_rows[k])
-            assert got.tobytes() == np.array(want).tobytes(), (run_text is None, k)
+            assert got.tobytes() == np.array(want).tobytes(), (run_text is text, k)
 
 
 def test_cubic_seeker_g0_objective_calls():
@@ -1152,32 +1248,24 @@ def test_esc_process_objective():
     assert process.evaluations == len(calls) == 4 * 6 + 2 * 6 + 1
     # a coupled run on the text and on the stage field: one evaluation per
     # stage either way
-    assert system.text is not None
     _, n_steps = _resolve_step(system.basis, 1.0, 0.05, None)
-    for run_on in (system, _stage_field_only(system)):
+    for stepped in (contextlib.nullcontext(), on_stage_field()):
         before = process.evaluations
-        integrate(run_on, sched, x0, 0.05)
+        with stepped:
+            integrate(system, sched, x0, 0.05)
         assert process.evaluations - before == 4 * n_steps == 8
 
 
 # -- frozen seeker runs: the frozen form against the stage field --------------
 #
-# An order-1 seeker runs its frozen-fast and sensitivity runs on its frozen
-# form, which measures each new probe row once, in step order.  The stage
-# field, run without the form, measures at every stage: eps(theta) and the
-# probe row each time.  So the form's objective calls are the stage
-# field's with the calls at theta itself dropped and each repeat of the
-# point just before collapsed, after one call at theta when eps depends on
-# it: the same points in the same order, and a run that fails does so at
-# the same point, with the same error.
-
-
-def _stage_field_only(system):
-    """system without its frozen form: every run calls its stage field."""
-    return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.basis, system.probing,
-        stage=system.stage, dh_dlambda=system.dh_dlambda,
-    )
+# A seeker runs its frozen-fast and sensitivity runs on its frozen form,
+# which measures each new probe row once, in step order.  Its stage field,
+# stepped at every stage (on_stage_field), measures at every stage:
+# eps(theta) and the probe row each time.  So the form's objective calls
+# are the stage field's with the calls at theta itself dropped and each
+# repeat of the point just before collapsed, after one call at theta when
+# eps depends on it: the same points in the same order, and a run that
+# fails does so at the same point, with the same error.
 
 
 def _logging_seeker(fn, points, **kw):
@@ -1202,20 +1290,21 @@ def _form_calls(points, theta):
 
 
 def _run_both(fn, run, exc=None, **kw):
-    """run(system) on the seeker with and without its frozen form, as
-    (form points, stage-field points, form result, stage-field result);
-    with exc, each run must raise it and its result is the exception."""
+    """run(system) on the seeker's text and frozen form, and on its stage
+    field at every stage (on_stage_field), as (form points, stage-field
+    points, form result, stage-field result); with exc, each run must
+    raise it and its result is the exception."""
     logs, results = ([], []), []
-    for log, strip in zip(logs, (False, True)):
+    for log, stepped in zip(logs, (contextlib.nullcontext(), on_stage_field())):
         system = _logging_seeker(fn, log, **kw)
         assert system.frozen is not None
-        system = _stage_field_only(system) if strip else system
-        if exc is None:
-            results.append(run(system))
-        else:
-            with pytest.raises(exc) as err:
-                run(system)
-            results.append(err.value)
+        with stepped:
+            if exc is None:
+                results.append(run(system))
+            else:
+                with pytest.raises(exc) as err:
+                    run(system)
+                results.append(err.value)
     return (*logs, *results)
 
 
@@ -1354,9 +1443,9 @@ def test_text_run_escape_time():
     assert got_err.time == want_err.time and 0.0 < got_err.time < 0.4
     # the built-in quadratic, written out on floats, escapes at that step too
     system = make_esc_quadratic()
-    for run_on in (system, _stage_field_only(system)):
-        with pytest.raises(NonFinite) as err:
-            _coupled(-0.5)(run_on)
+    for stepped in (contextlib.nullcontext(), on_stage_field()):
+        with stepped, pytest.raises(NonFinite) as err:
+            _coupled(-0.5)(system)
         assert err.value.time == got_err.time
 
 
@@ -1374,9 +1463,8 @@ def test_text_run_objective_raising_on_its_nth_call():
             return 0.5 * (th[0] - 1.0) ** 2
 
         system = _logging_seeker(fn, points)
-        assert system.text is not None
-        with pytest.raises(Stop):
-            _coupled(0.3)(_stage_field_only(system) if strip else system)
+        with on_stage_field() if strip else contextlib.nullcontext(), pytest.raises(Stop):
+            _coupled(0.3)(system)
         logs.append(points)
     assert logs[0] == logs[1] and len(logs[0]) == 777
 
@@ -1418,10 +1506,11 @@ def test_cubic_seeker_g0_objective_sequence():
 
 
 def test_esc_planar_washout_mean_field_g0():
-    # an order-2 washout has no frozen form: its stage field is called at
-    # the kept samples after the run, bit for bit the array callbacks'
+    # an order-2 washout's frozen text: its slow part on the run's sampled
+    # arrays, the measurement among them, is bit for bit the array
+    # callbacks' at the kept samples after the run
     system, ref = planar_pair(False)
-    assert system.frozen is None
+    assert system.frozen is not None
     kw = dict(burn_in=5.0, window=20.0)
     got = mean_field_g0(system, np.array([0.6]), 1.0, tol=1.0, **kw)
     want = mean_field_g0(callback_system(ref), np.array([0.6]), 1.0, tol=1.0, **kw)

@@ -5,6 +5,8 @@ decay -1; the 2x2 companion matrix of s^2+2s+2 with eigenvalues -1 +/- j),
 and exact beta-linearity of the scaling for fields linear in lambda.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qsakit.systems import make_linear_system
 
 def one_tone_system(fast, jac):
     """A fast field as text over one tone's probe row, slow field 0."""
-    text = StageText(("0.0",), (fast,), jac, 1, "", None, (), ())
+    text = StageText(("0.0",), (fast,), (jac,), 1, "", None, (), ())
     return TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
 
 
@@ -25,30 +27,24 @@ def scalar_decay_system():
     return one_tone_system("-la0", "-1.0")
 
 
-def matrix_stage(F):
-    """The stage field of the fast field F @ lambda, slow field 0."""
-
-    def stage(theta, lam, xi, a, b):
-        fast = None if b is None else (b * (F @ np.array(lam))).tolist()
-        return (None if a is None else [0.0]), fast
-
-    return stage
-
-
-def matrix_system(F, analytic=True):
+def matrix_text(F):
+    """The fast field F lambda as text over one tone's probe row, each row
+    summed from 0.0 in index order, with its Jacobian F, slow field 0."""
     F = np.asarray(F, dtype=float)
-    return TwoTimescaleSystem(
-        1,
-        F.shape[0],
-        make_frequency_basis([(2, 1)]),
-        stage=matrix_stage(F),
-        dh_dlambda=(lambda t, l, x: F) if analytic else None,
-    )
+    d = F.shape[0]
+    names = tuple(f"f{k}" for k in range(d * d))
+    fast = tuple("0.0" + "".join(f" + f{i * d + k} * la{k}" for k in range(d)) for i in range(d))
+    return StageText(("0.0",), fast, names, 1, "", None, names, tuple(F.ravel().tolist()))
+
+
+def matrix_system(F):
+    F = np.asarray(F, dtype=float)
+    return TwoTimescaleSystem(1, F.shape[0], make_frequency_basis([(2, 1)]), text=matrix_text(F))
 
 
 def linear_model_system():
     text = StageText(
-        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), ("-1.0 + xi1",), 2, "", None, (), ()
     )
     return TwoTimescaleSystem(
         1, 1, make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75]), text=text
@@ -73,13 +69,6 @@ class TestKnownSpectra:
             200.0,
         )
         assert est.exponent == pytest.approx(-1.0, abs=1e-2)
-
-    def test_fd_jacobian_matches_analytic(self):
-        F = [[0.0, 1.0], [-2.0, -2.0]]
-        kwargs = dict(beta=1.0, lambda0=np.array([1.0, 0.0]), horizon=80.0)
-        with_jac = lyapunov_exponent(matrix_system(F, True), np.zeros(1), **kwargs)
-        without = lyapunov_exponent(matrix_system(F, False), np.zeros(1), **kwargs)
-        assert with_jac.exponent == pytest.approx(without.exponent, abs=1e-6)
 
     def test_positive_exponent_detected(self):
         est = lyapunov_exponent(
@@ -134,9 +123,12 @@ class TestFailureModes:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_propagates(self):
-        est_sys = matrix_system([[5.0]])
+        # dl/dt = l^2 from 1e300 overflows within the first step; its
+        # Jacobian 2 l reads Lambda, so Lambda rides in the stack (on a
+        # Jacobian that reads no Lambda, S rides alone and Lambda never
+        # enters: tests/test_stage_text.py)
+        est_sys = one_tone_system("la0 * la0", "2.0 * la0")
         with pytest.raises(NonFinite):
-            # growth e^{5t} overflows well before t = 400
             lyapunov_exponent(
                 est_sys, np.zeros(1), 1.0, np.full(1, 1e300), 400.0, step=0.03
             )
@@ -172,26 +164,21 @@ class TestFailureModes:
             )
 
     @pytest.mark.parametrize(
-        "jacobian, d",
+        "jac, d, message",
         [
-            (np.zeros(2), 2),
-            (np.zeros(4), 2),
-            (np.zeros((1, 4)), 2),
-            (np.eye(2), 1),
-            (np.zeros(3), 1),
+            (("0.0",) * 2, 2, "has 2 jac part(s), expected 4"),
+            ("0.0, 0.0, 0.0, 0.0", 2, "jac is a str, not a tuple of expressions"),
+            ((("0.0",) * 4,), 2, "jac holds a tuple, not an expression"),
+            (("0.0",) * 4, 1, "has 4 jac part(s), expected 1"),
+            (("0.0",) * 3, 1, "has 3 jac part(s), expected 1"),
         ],
         ids=["d2-vector", "d2-flat", "d2-row", "d1-eye2", "d1-vector"],
     )
-    def test_malformed_analytic_jacobian(self, jacobian, d):
-        system = TwoTimescaleSystem(
-            1,
-            d,
-            make_frequency_basis([(2, 1)]),
-            stage=matrix_stage(-np.eye(d)),
-            dh_dlambda=lambda t, l, x: jacobian,
-        )
-        with pytest.raises(ConfigError, match="dh_dlambda returned"):
-            lyapunov_exponent(system, np.zeros(1), 1.0, np.ones(d), 10.0)
+    def test_malformed_analytic_jacobian(self, jac, d, message):
+        # the system refuses the Jacobian text when it is built
+        text = matrix_text(-np.eye(d))._replace(jac=jac)
+        with pytest.raises(ConfigError, match=f"^stage text {re.escape(message)}$"):
+            TwoTimescaleSystem(1, d, make_frequency_basis([(2, 1)]), text=text)
 
 
 class TestGridAndCsv:

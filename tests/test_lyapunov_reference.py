@@ -4,9 +4,11 @@ The reference below is lyapunov_exponent as it stood before the
 sensitivity process rode dynamics._rk4: its own RK4 loop over a fast-state
 array and a sensitivity matrix, probe blocks of 2^14 steps, and the
 rescale and half-horizon record done step by step through
-SensitivityState.  It is kept verbatim, so that the segmented run on the
-shared kernel is held to equal estimates, equal NonFinite times and equal
-messages, not merely close ones.
+SensitivityState.  It is kept verbatim but for J S, summed from 0.0 in
+index order as the systems' texts write it (the 2x2 companion matrix's
+products are exact, so numpy's matmul gave the same bits there), so that
+the segmented run on the shared kernel is held to equal estimates, equal
+NonFinite times and equal messages, not merely close ones.
 """
 
 import math
@@ -20,16 +22,19 @@ from qsakit.dynamics import StageText, TwoTimescaleSystem, _resolve_step
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.esc import EscConfig, build_esc_system, quadratic_objective
 from qsakit.filters import StateSpaceFilter
-from qsakit.lyapunov import ExponentEstimate, _jacobian_evaluator, lyapunov_exponent
+from qsakit.lyapunov import ExponentEstimate, lyapunov_exponent
 from qsakit.probing import clock_phases, make_frequency_basis
 from qsakit.systems import make_linear_system
 from test_kernel_reference import (
+    CUBIC_WASHOUT,
     _with_callbacks,
+    index_order_dot,
     reference_esc,
     reference_linear,
     reference_quadratic,
 )
-from test_lyapunov import matrix_stage
+from test_lyapunov import matrix_text
+from test_rk4_generated import index_order_product
 
 #: steps per precomputed probe block of the reference loop
 _CHUNK = 1 << 14
@@ -74,7 +79,7 @@ def reference_lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=N
     h, n_steps = _resolve_step(system.basis, beta, horizon, step)
 
     h_cb = system.h
-    jac_of = _jacobian_evaluator(system)
+    jac_of = system.dh_dlambda
     pmap = system.probing
     basis = system.basis
     d = system.dim_fast
@@ -87,7 +92,8 @@ def reference_lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=N
 
     def deriv(la, s_mat, xi):
         dla = beta * np.asarray(h_cb(theta, la, xi), dtype=float)
-        ds = beta * (jac_of(theta, la, xi) @ s_mat)
+        js = index_order_product(jac_of(theta, la, xi), s_mat.ravel().tolist(), d)
+        ds = beta * np.array(js).reshape(d, d)
         return dla, ds
 
     sixth = h / 6.0
@@ -136,17 +142,14 @@ def reference_lyapunov_exponent(system, theta, beta, lambda0, horizon, *, step=N
 
 def with_reference(system, h):
     """(system, the reference's view of it): its fast field as the array
-    callback h, its dh_dlambda, and its stage field, whose central
-    differences are the Jacobian without dh_dlambda."""
-    ref = _with_callbacks(system, None, h)
-    ref.stage = system.stage
-    return system, ref
+    callback h, and the Jacobian compiled from its text."""
+    return system, _with_callbacks(system, None, h)
 
 
 def one_tone_text(fast, jac):
     """A fast field and its Jacobian as text over one tone's probe row,
     slow field 0."""
-    return StageText(("0.0",), (fast,), jac, 1, "", None, (), ())
+    return StageText(("0.0",), (fast,), (jac,), 1, "", None, (), ())
 
 
 def scalar_decay_system():
@@ -155,13 +158,10 @@ def scalar_decay_system():
     return with_reference(system, lambda t, l, x: np.atleast_1d(-l[0]))
 
 
-def matrix_system(F, analytic=True):
+def matrix_system(F):
     F = np.asarray(F, dtype=float)
-    system = TwoTimescaleSystem(
-        1, F.shape[0], make_frequency_basis([(2, 1)]), stage=matrix_stage(F),
-        dh_dlambda=(lambda t, l, x: F) if analytic else None,
-    )
-    return with_reference(system, lambda t, l, x: F @ l)
+    system = TwoTimescaleSystem(1, F.shape[0], make_frequency_basis([(2, 1)]), text=matrix_text(F))
+    return with_reference(system, lambda t, l, x: np.array([index_order_dot(f, l) for f in F]))
 
 
 def linear_model_h(theta, lam, xi):
@@ -170,7 +170,7 @@ def linear_model_h(theta, lam, xi):
 
 def linear_model_system():
     text = StageText(
-        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), "-1.0 + xi1", 2, "", None, (), ()
+        ("0.0",), ("-2.0 * th0 - la0 + xi1 * (la0 + 1.0)",), ("-1.0 + xi1",), 2, "", None, (), ()
     )
     basis = make_frequency_basis([(2, 1), (3, 1)], phases=[0.75, 0.75])
     return with_reference(TwoTimescaleSystem(1, 1, basis, text=text), linear_model_h)
@@ -229,9 +229,8 @@ def test_scalar_decay():
     assert_same(scalar_decay_system(), 0.0, 1.0, 1.0, 60.0)
 
 
-@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
-def test_companion_matrix(analytic):
-    assert_same(matrix_system(COMPANION, analytic), 0.0, 1.0, [1.0, 0.0], 80.0)
+def test_companion_matrix():
+    assert_same(matrix_system(COMPANION), 0.0, 1.0, [1.0, 0.0], 80.0)
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5])
@@ -247,7 +246,9 @@ def test_linear_3_1_across_a_chunk_boundary():
     assert_same((system, reference_linear()), 0.3, 0.1, -0.2, 400.0)
 
 
-@pytest.mark.parametrize("washout", [None, PLANAR], ids=["scalar", "planar"])
+@pytest.mark.parametrize(
+    "washout", [None, PLANAR, CUBIC_WASHOUT], ids=["scalar", "planar", "order-3"]
+)
 def test_esc_seeker(washout):
     system = esc_system(washout)
     assert_same((system, esc_reference(washout)), 0.5, 1.0, np.zeros(system.dim_fast), 60.0)
@@ -275,10 +276,15 @@ def test_half_horizon_between_rescales():
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_step_blow_up_time():
-    # e^{5t} growth from 1e300 leaves the finite range within one step
+    # dl/dt = l^2 from 1e300 leaves the finite range within one step; the
+    # Jacobian 2 l reads Lambda, which so rides in the kernel's stack
+    pair = with_reference(
+        TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]),
+                           text=one_tone_text("la0 * la0", "2.0 * la0")),
+        lambda t, l, x: np.atleast_1d(l[0] * l[0]),
+    )
     got, want = assert_same_failure(
-        NonFinite, matrix_system([[5.0]]), np.zeros(1), 1.0, np.full(1, 1e300), 400.0,
-        step=0.03,
+        NonFinite, pair, np.zeros(1), 1.0, np.full(1, 1e300), 400.0, step=0.03
     )
     assert got.time == want.time
 
@@ -300,34 +306,6 @@ def test_inconclusive_message():
         lambda t, l, x: np.atleast_1d(l[0] * (2.0 - l[0])),
     )
     assert_same_failure(Inconclusive, pair, np.zeros(1), 1.0, np.array([0.01]), 40.0)
-
-
-# -- d = 1 on the call path: the b*(J @ S) callback ----------------------------
-
-
-def linear_model_variant(dh_dlambda):
-    """linear_model_system on its compiled stage field, with dh_dlambda."""
-    base, _ = linear_model_system()
-    variant = TwoTimescaleSystem(1, 1, base.basis, stage=base.stage, dh_dlambda=dh_dlambda)
-    return with_reference(variant, linear_model_h)
-
-
-def test_linear_model_fd_jacobian():
-    # no dh_dlambda: the b*(J @ S) callback reads the central-difference evaluator
-    assert_same(linear_model_variant(None), 1.0, 0.5, 0.3, 100.0)
-
-
-@pytest.mark.parametrize(
-    "jacobian",
-    [
-        lambda t, l, x: -1.0 + float(x[1]),
-        lambda t, l, x: [-1.0 + float(x[1])],
-        lambda t, l, x: np.array([-1.0 + x[1]]),
-    ],
-    ids=["float", "list", "vector"],
-)
-def test_linear_model_scalar_jacobian_forms(jacobian):
-    assert_same(linear_model_variant(jacobian), 1.0, 0.5, 0.0, 100.0)
 
 
 def test_esc_first_order_step_override_across_a_kernel_chunk():

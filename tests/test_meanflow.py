@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from qsakit import meanflow
-from qsakit.dynamics import GainSchedule, StageText, TwoTimescaleSystem, _resolve_step, integrate
+from qsakit.dynamics import (
+    GainSchedule,
+    StageText,
+    TwoTimescaleSystem,
+    _array_exact,
+    _resolve_step,
+    integrate,
+)
 from qsakit.errors import (
     ConfigError,
     NonConvergent,
@@ -28,8 +35,9 @@ from qsakit.meanflow import (
     write_grid_csv,
 )
 from qsakit.esc import EscConfig, Objective, build_esc_system
-from qsakit.probing import make_frequency_basis
-from qsakit.systems import make_esc_quadratic, make_linear_system
+from qsakit.filters import StateSpaceFilter
+from qsakit.probing import make_frequency_basis, probe_signal
+from qsakit.systems import make_decoupled_system, make_esc_quadratic, make_linear_system
 
 
 def linear_basis():
@@ -40,7 +48,7 @@ def linear_system():
     text = StageText(
         ("alpha * th0 + alpha * la0 + s1 * xi0 * (th0 + 1.0)",),
         ("-2.0 * th0 - la0 + s2 * xi1 * (la0 + 1.0)",),
-        "-1.0 + s2 * xi1",
+        ("-1.0 + s2 * xi1",),
         2,
         "",
         None,
@@ -53,7 +61,7 @@ def linear_system():
 def one_tone_system(slow, fast, names=(), values=()):
     """The pair d/dt theta = a*(slow), d/dt lambda = b*(fast) as text over
     one tone's probe row; slow holds one expression per slow coordinate."""
-    text = StageText(slow, (fast,), "-1.0", 1, "", None, names, values)
+    text = StageText(slow, (fast,), ("-1.0",), 1, "", None, names, values)
     return TwoTimescaleSystem(len(slow), 1, make_frequency_basis([(2, 1)]), text=text)
 
 
@@ -146,14 +154,16 @@ class TestMeanFieldG0:
 
     @pytest.mark.parametrize("path", ["text", "stage field"])
     def test_non_real_slow_value_is_a_config_error(self, path):
-        # th0 ** 0.5 leaves the reals at theta = -0.3: the text path used to
-        # drop the imaginary part with a ComplexWarning, the stage field
-        # path to raise a bare TypeError
+        # th0 ** 0.5 leaves the reals at theta = -0.3: on arrays it used to
+        # lose the imaginary part with a ComplexWarning, per sample to raise
+        # a bare TypeError.  A slow part with ** is no lifted arithmetic, so
+        # it is evaluated per sample, and so is one that a per-stage
+        # statement computes
         base = make_linear_system()
         text = base.text._replace(slow=("th0 ** 0.5 + alpha * la0",))
-        system = TwoTimescaleSystem(1, 1, base.basis, text=text)
         if path == "stage field":
-            system = TwoTimescaleSystem(1, 1, base.basis, stage=system.stage)
+            text = text._replace(slow=("g0",), per_stage="g0 = th0 ** 0.5 + alpha * la0")
+        system = TwoTimescaleSystem(1, 1, base.basis, text=text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning among them
             with pytest.raises(ConfigError, match=r"^slow field values are not real at theta = \[-0\.3\]$"):
@@ -174,6 +184,44 @@ class TestMeanFieldG0:
         mean_field_g0(system, [1.2], 1.0, tol=1.0, burn_in=5.0, window=20.0)
         _, n_steps = _resolve_step(system.basis, 1.0, 45.0, None)
         assert len(calls) == 1 + 2 * n_steps + 1
+
+
+#: slow parts that are no lifted arithmetic: a call and a power
+NON_ARRAY_SLOW = {"call": "sin(la0) + th0", "power": "0.5 * la0 ** 2.0 + th0"}
+
+
+@pytest.mark.parametrize("label", sorted(NON_ARRAY_SLOW))
+def test_slow_series_calls_the_field_beyond_lifted_arithmetic(label):
+    # a slow part with a call (sin, a constant) or ** is averaged from the
+    # compiled stage field, one call per kept sample, as Python's float
+    # operations round it: on arrays, math.sin raises a bare TypeError
+    text = StageText((NON_ARRAY_SLOW[label],), ("-la0 + xi0",), ("-1.0",), 1, "", None,
+                     ("sin",), (math.sin,))
+    system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
+    theta, kw = np.array([0.3]), dict(burn_in=5.0, window=20.0)
+    traj, m1, m2, series = meanflow._windowed_run(system, theta, 0.5, 5.0, 20.0, None, True)
+    kept = np.flatnonzero(m1 | m2)
+    xis = probe_signal(system.probing, system.basis, traj.t).T
+    want = [system.stage([0.3], traj.lam[k].tolist(), xis[k].tolist(), 1.0, None)[0][0] for k in kept]
+    assert [v.hex() for v in series[:, 0]] == [v.hex() for v in want]
+    est = mean_field_g0(system, theta, 0.5, tol=1.0, **kw)
+    assert est.value.tobytes() == series[m2[kept], :].mean(axis=0).tobytes()
+
+
+def test_built_in_slow_parts_are_averaged_on_arrays():
+    # linear-3.1, decoupled-test and the seekers' frozen texts, the doubled
+    # gain's a and an order-2 washout among them, take the array route
+    planar = StateSpaceFilter(F=[[0.0, 1.0], [-1.0, -1.4]], G=[0.0, 1.0], H=[-1.0, -1.4], J=1.0)
+    texts = [make_linear_system().text, make_decoupled_system().text]
+    for kw in (dict(single_at=True), dict(single_at=False, gain_kind="objective_scaled"),
+               dict(washout=planar)):
+        seeker = build_esc_system(EscConfig(objective=Objective(lambda th: th[0] ** 2), epsilon=0.1,
+                                            dim=1, **kw))
+        texts.append(seeker.frozen([0.3]))
+    assert all(_array_exact(text, text.slow, slow=True) for text in texts)
+    # the seekers' own texts measure in a per-stage statement that is not
+    # carried: averaged per sample
+    assert not _array_exact(seeker.text, seeker.text.slow, slow=True)
 
 
 class TestFindRoot:

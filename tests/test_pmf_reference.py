@@ -347,11 +347,14 @@ def per_sample_exact(system, traj, beta):
 SUITE_RUNS = {"analytic": (6.0, None), "fd 1e-3": (2.0, 1e-3), "fd 5e-4": (2.0, 5e-4)}
 
 
-def without_text(system):
-    """The system with its Fourier form and compiled stage field, no text."""
+def fast_by_statement(system):
+    """The system with its Fourier form, its fast part computed by a
+    per-stage statement, which no array evaluates."""
+    text = system.text
     return TwoTimescaleSystem(
         system.dim_slow, system.dim_fast, system.basis, system.probing,
-        fourier=system.fourier, stage=system.stage,
+        fourier=system.fourier,
+        text=text._replace(fast=("h0",), per_stage=f"h0 = {text.fast[0]}"),
     )
 
 
@@ -367,14 +370,14 @@ def test_exact_fast_on_arrays_is_the_per_sample_loop(make, route):
     got = _exact_fast(system, traj, beta)
     assert calls == []  # evaluated on the text
     assert got.tobytes() == per_sample_exact(system, traj, beta).tobytes()
-    # a system with the Fourier form but no text takes the per-sample path,
-    # and so does the suite on it
-    bare = without_text(system)
+    # a text with a per-stage statement takes the per-sample path, and so
+    # does the suite on it
+    bare = fast_by_statement(system)
     bare.stage, calls[:] = system.stage, []
     assert _exact_fast(bare, traj, beta).tobytes() == got.tobytes()
     assert len(calls) == traj.n_samples
     kw = {"derivative": "analytic"} if step is None else {"derivative": "fd", "fd_step": step}
-    assert pmf_identity_suite(without_text(system), **kw) == pmf_identity_suite(system, **kw)
+    assert pmf_identity_suite(fast_by_statement(system), **kw) == pmf_identity_suite(system, **kw)
 
 
 def fabs_text_system():

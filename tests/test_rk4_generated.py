@@ -1,22 +1,25 @@
 """The generated RK4 block loops against the kernel and closures they replaced.
 
 dynamics._rk4 runs each block of steps in straight-line code generated
-once per run shape (dim_slow, dim_fast, kind), and that code calls the
-stage field itself.  The reference below is the kernel as it stood
-before: one list comprehension per stage state and one for the update
+once per run shape (dim_slow, dim_fast, kind, text key), with the text
+written out.  The reference below is the kernel as it stood before: one
+list comprehension per stage state and one for the update
 (comprehension_rk4), driven by the rhs closure that integrate,
 integrate_frozen_fast or lyapunov_exponent built around the stage field
-(reference_rk4); the kernel and the closure bodies are kept verbatim.
-Both must give the same trajectories and exponents bit for bit, for
-coupled, filtered, frozen-fast and sensitivity runs at fast dimension 1,
-2 and 3 and at shapes no built-in system reaches, through a stage field
-that calls array callbacks and through one on floats, and the same
-NonFinite time when one component overflows or turns nan, while finite
-extremes run to the end.  Sampling at strides beyond a block and the
-segments of lyapunov_exponent's one kernel run, whose reference is one
-call per segment, are checked the same way.  On linear-3.1
-the field is called 4 times per step, and a part of the wrong length is
-a ConfigError at the first stage of every run kind.
+(reference_rk4), here the field compiled from the system's text
+(text_field); the kernel and the closure bodies are kept verbatim but
+for the sensitivity derivative, b*(J S) summed in index order as the
+text writes it.  Both must give the same trajectories and exponents bit
+for bit, for coupled, filtered, frozen-fast and sensitivity runs at
+every shape of dim_slow 1-4 and dim_fast 1-3 and at shapes no built-in
+system reaches, on text written out and on text that calls array
+callbacks, and the same NonFinite time when one component overflows or
+turns nan, while finite extremes run to the end.  Sampling at strides
+beyond a block and the segments of lyapunov_exponent's one kernel run,
+whose reference is one call per segment, are checked the same way.  On
+linear-3.1 a per-stage statement runs 4 times per step, and a text part
+of the wrong length is a ConfigError before the first stage of every run
+kind.
 """
 
 import math
@@ -29,17 +32,19 @@ from qsakit import dynamics, lyapunov
 from qsakit.dynamics import (
     _CHUNK,
     GainSchedule,
+    StageText,
     TwoTimescaleSystem,
+    _on_text,
     _resolve_step,
     integrate,
     integrate_frozen_fast,
+    text_field,
 )
-from qsakit.errors import ConfigError, NonFinite
+from qsakit.errors import ConfigError, Inconclusive, NonFinite
 from qsakit.filters import SecondOrderFilter
-from qsakit.lyapunov import _jacobian_evaluator, lyapunov_exponent
+from qsakit.lyapunov import lyapunov_exponent
 from qsakit.probing import make_frequency_basis, probe_signal
 from qsakit.systems import make_esc_quadratic, make_linear_system
-from test_kernel_reference import callback_stage
 
 
 def comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, gains, start=0, record=None):
@@ -122,30 +127,35 @@ def frozen_rhs(stage, shape, args, system):
     return rhs
 
 
+def index_order_product(jac, s, d):
+    """J S, row-major, for J and S the row-major lists of d*d floats, each
+    entry summed from 0.0 in index order: 0.0 + J_i0*S_0j + J_i1*S_1j + ...
+    (at d = 1, 0.0 + j*s, how numpy's 1x1 matmul rounds)."""
+    out = []
+    for i in range(d):
+        for c in range(d):
+            acc = 0.0
+            for m in range(d):
+                acc = acc + jac[i * d + m] * s[m * d + c]
+            out.append(acc)
+    return out
+
+
 def sensitivity_rhs(stage, shape, args, system):
-    """lyapunov_exponent's rhs at d = 1 and at d >= 2, verbatim but for
-    where the d = 1 form reads its Jacobian: system.dh_dlambda, else the
-    central-difference evaluator, not args, which hold the kernel's
-    b*(J @ S) callback at every d.  Its b * (0.0 + j * s) is the d = 1
-    oracle of the callback's 1x1 matmul."""
+    """lyapunov_exponent's rhs, verbatim but for its Jacobian, the system's
+    text's compiled dh_dlambda, and b*(J S) summed in index order
+    (index_order_product), as the text writes it.  Where the kernel
+    advances S alone (its stack holds d*d entries) the rhs does too, at a
+    Lambda of zeros, which that Jacobian does not read."""
     d, th = shape[1], args[0]
-    if d == 1:
-        jac_cb = system.dh_dlambda or _jacobian_evaluator(system)
+    jac_of = text_field(system.text)[1]
 
-        def rhs(x, xi, a, b):
-            la = x[:1]
-            (v,) = stage(th, la, xi, None, b)[1]
-            (j,) = np.asarray(jac_cb(th, la, xi), dtype=float).ravel().tolist()
-            return [v, b * (0.0 + j * x[1])]
-
-    else:
-        jac_of = _jacobian_evaluator(system)
-
-        def rhs(x, xi, a, b):
-            la = x[:d]
-            fast = stage(th, la, xi, None, b)[1]
-            ds = jac_of(th, la, xi) @ np.array(x[d:]).reshape(d, d)
-            return fast + [b * v for v in ds.ravel().tolist()]
+    def rhs(x, xi, a, b):
+        if len(x) == d * d:
+            return [b * v for v in index_order_product(jac_of(th, [0.0] * d, xi), x, d)]
+        la = x[:d]
+        fast = stage(th, la, xi, None, b)[1]
+        return fast + [b * v for v in index_order_product(jac_of(th, la, xi), x[d:], d)]
 
     return rhs
 
@@ -158,20 +168,32 @@ RHS = {
 }
 
 
-def reference_rk4(field, shape, args, x, h, n_steps, sample_stride, system, gains, b,
+def reference_rk4(shape, args, x, h, n_steps, sample_stride, system, gains, b,
                   stops=(), at_stop=None):
-    """_rk4 as it stood before: the run's rhs closure over the stage field,
-    stepped by comprehension_rk4 with both gains as lists; a run with stops
-    (lyapunov_exponent's, at stride n_steps) is one call per segment up to
-    each stop, as lyapunov_exponent made them before it passed stops."""
-    rhs = RHS[shape[2]](field, shape, args, system)
+    """_rk4 as it stood before: the run's rhs closure over the system's
+    stage field, stepped by comprehension_rk4 with both gains as lists; a
+    run with stops (lyapunov_exponent's, at stride n_steps) is one call per
+    segment up to each stop, as lyapunov_exponent made them before it
+    passed stops.  The text's values end args, and a carried local ends x
+    (dynamics._on_text): neither enters the reference, and the samples'
+    carried column is nan."""
+    ds, df, kind, key = shape
+    args = args[: len(args) - len(key.names)]
+    carried = key.carry is not None
+    x = x[:-1] if carried else x
+    rhs = RHS[kind](system.stage, (ds, df, kind), args, system)
 
     def both(ts):
         fast = [float(b)] * len(ts)
         return (fast if gains is None else gains(ts)), fast
 
+    def with_carry(t, samples):
+        if carried:
+            samples = np.column_stack([samples, np.full(samples.shape[0], np.nan)])
+        return t, samples
+
     if not stops:
-        return comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, both)
+        return with_carry(*comprehension_rk4(rhs, x, h, n_steps, sample_stride, system, both))
     assert sample_stride == n_steps
     first, begin = x, 0
     for end in sorted({*stops, n_steps}):
@@ -180,17 +202,24 @@ def reference_rk4(field, shape, args, x, h, n_steps, sample_stride, system, gain
         if end in stops:
             x = at_stop(end, x)
         begin = end
-    return np.array([0, n_steps]) * float(h), np.array([first, x])
+    return with_carry(np.array([0, n_steps]) * float(h), np.array([first, x]))
 
 
 def basis():
     return make_frequency_basis([(2, 1), (3, 1)], phases=[0.25, 0.5])
 
 
+def diagonal_jac(df, entry):
+    """The Jacobian text of df fast parts whose part i reads la{i} alone,
+    with d part_i / d la{i} = entry(i)."""
+    return tuple(entry(i) if i == k else "0.0" for i in range(df) for k in range(df))
+
+
 def array_system(ds, df):
-    """A nonlinear pair on array callbacks, every component coupled, run
-    through a stage field that calls them (callback_stage); its
-    sensitivity runs take central differences of that field."""
+    """A nonlinear pair, every component coupled, whose text calls array
+    callbacks: its slow part calls slow_at (g plus a times the probing
+    feedback g_probe) per component, and its per-stage statement calls
+    h, each on float64 arrays of the stage's lists."""
     si, fi = np.arange(ds) % df, np.arange(df) % ds
 
     def g(theta, lam, xi):
@@ -202,39 +231,53 @@ def array_system(ds, df):
     def h(theta, lam, xi):
         return -lam + 0.5 * theta[fi] * (1.0 + xi[1]) - 0.2 * lam * lam
 
-    return TwoTimescaleSystem(ds, df, basis(), stage=callback_stage(g, h, g_probe))
+    def slow_at(theta, lam, xi, a):
+        th, la, xv = np.array(theta), np.array(lam), np.array(xi)
+        return (g(th, la, xv) + a * g_probe(th, la, xv)).tolist()
+
+    def fast_at(theta, lam, xi):
+        return h(np.array(theta), np.array(lam), np.array(xi)).tolist()
+
+    th, la = "".join(f"th{i}, " for i in range(ds)), "".join(f"la{i}, " for i in range(df))
+    text = StageText(
+        slow=tuple(f"slow_at(({th}), ({la}), (xi0, xi1), a)[{i}]" for i in range(ds)),
+        fast=tuple(f"hv[{i}]" for i in range(df)),
+        jac=diagonal_jac(df, lambda i: f"-1.0 - 0.4 * la{i}"),
+        row=2, per_stage=f"hv = fast_at(({th}), ({la}), (xi0, xi1))", carry=None,
+        names=("slow_at", "fast_at"), values=(slow_at, fast_at),
+    )
+    return TwoTimescaleSystem(ds, df, basis(), text=text)
 
 
 def stage_system(ds, df, blow_up=None, nan_at=None):
-    """The same pair as a stage field on floats, with its analytic fast
-    Jacobian; fast component blow_up (an index) follows dl/dt = b*(1 +
-    l*l), which leaves the reals in finite time while every other
-    component stays bounded; fast component nan_at follows dl/dt = b
-    until it exceeds 0.5, where its field turns nan, never inf."""
-
-    def stage(theta, lam, xi, a, b):
-        x0, x1 = xi
-        slow = fast = None
-        if a is not None:
-            slow = [
-                a * ((-t + 0.3 * x0 * lam[i % df] + 0.1) + a * (0.05 * x1 * t))
-                for i, t in enumerate(theta)
-            ]
-        if b is not None:
-            fast = [
-                b * (-v + 0.5 * theta[i % ds] * (1.0 + x1) - 0.2 * v * v)
-                for i, v in enumerate(lam)
-            ]
-            if blow_up is not None:
-                fast[blow_up] = b * (1.0 + lam[blow_up] * lam[blow_up])
-            if nan_at is not None:
-                fast[nan_at] = b if lam[nan_at] <= 0.5 else math.nan
-        return slow, fast
-
-    def dh_dlambda(theta, lam, xi):
-        return np.diag([-1.0 - 0.4 * v for v in lam])
-
-    return TwoTimescaleSystem(ds, df, basis(), stage=stage, dh_dlambda=dh_dlambda)
+    """The same pair written out as text, its fast parts also coupled
+    through 0.1 * xi0 * (la0 + la1 + ...), with its analytic fast
+    Jacobian, dense and inexact, so that the order of each sum of b*(J S)
+    shows; fast component blow_up (an index) follows dl/dt = b*(1 + l*l),
+    which leaves the reals in finite time while every other component
+    stays bounded; fast component nan_at follows dl/dt = b until it
+    exceeds 0.5, where its field turns nan, never inf."""
+    total = " + ".join(f"la{k}" for k in range(df))
+    fast = [
+        f"-la{i} + 0.5 * th{i % ds} * (1.0 + xi1) - 0.2 * la{i} * la{i} + 0.1 * xi0 * ({total})"
+        for i in range(df)
+    ]
+    if blow_up is not None:
+        blow_up %= df
+        fast[blow_up] = f"1.0 + la{blow_up} * la{blow_up}"
+    if nan_at is not None:
+        nan_at %= df
+        fast[nan_at] = f"1.0 if la{nan_at} <= 0.5 else nan"
+    text = StageText(
+        slow=tuple(
+            f"-th{i} + 0.3 * xi0 * la{i % df} + 0.1 + a * (0.05 * xi1 * th{i})" for i in range(ds)
+        ),
+        fast=tuple(fast),
+        jac=tuple(f"-1.0 - 0.4 * la{i} + 0.1 * xi0" if i == k else "0.1 * xi0"
+                  for i in range(df) for k in range(df)),
+        row=2, per_stage="", carry=None, names=("nan",), values=(math.nan,),
+    )
+    return TwoTimescaleSystem(ds, df, basis(), text=text)
 
 
 SYSTEMS = {"array callbacks": array_system, "stage field": stage_system}
@@ -321,6 +364,44 @@ def test_each_kind_is_the_reference_run(monkeypatch, form, kind, d):
     assert got == want
 
 
+#: each run kind, short, on SYSTEMS["stage field"](ds, df)
+SHAPE_RUNS = {
+    "coupled": lambda s: as_bytes(integrate(
+        s, SCHED, (np.linspace(-0.5, 0.5, s.dim_slow), np.linspace(0.4, -0.3, s.dim_fast)), 2.0
+    )),
+    "filtered": lambda s: as_bytes(integrate(
+        s, SCHED, (np.linspace(-0.5, 0.5, s.dim_slow), np.linspace(0.4, -0.3, s.dim_fast)), 2.0,
+        filt=SecondOrderFilter(0.3, zeta=0.6, eta=1.3),
+    )),
+    "frozen-fast": lambda s: as_bytes(integrate_frozen_fast(
+        s, np.linspace(0.3, -0.2, s.dim_slow), np.linspace(-0.6, 0.6, s.dim_fast), 0.3, 2.0
+    )),
+    "sensitivity": lambda s: exponent_bits(
+        s, np.linspace(0.3, -0.2, s.dim_slow), 0.6, np.linspace(-0.2, 0.3, s.dim_fast), 2.0
+    ),
+}
+
+
+def exponent_bits(*args):
+    """lyapunov_exponent(*args) as float.hex, or the half-horizon estimates
+    of the Inconclusive it raises at so short a horizon."""
+    try:
+        return [v.hex() for v in vars(lyapunov_exponent(*args)).values()]
+    except Inconclusive as exc:
+        return [v.hex() for v in exc.estimates.values()]
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPE_RUNS))
+@pytest.mark.parametrize("df", [1, 2, 3])
+@pytest.mark.parametrize("ds", [1, 2, 3, 4])
+def test_text_shapes_are_the_comprehension_run(monkeypatch, ds, df, kind):
+    # every shape of dim_slow 1-4 and dim_fast 1-3, each run kind: the
+    # generated loop, its sensitivity sums among them, against the reference
+    system = stage_system(ds, df)
+    got, want = both_kernels(monkeypatch, lambda: SHAPE_RUNS[kind](system))
+    assert got == want
+
+
 @pytest.mark.parametrize("size", [7, 17])
 def test_blow_up_in_the_last_component(monkeypatch, size):
     system = stage_system(2, size, blow_up=-1)
@@ -360,13 +441,8 @@ def test_non_finite_in_one_component(monkeypatch, case, size):
 
 def zero_field_system(ds, df):
     """A pair whose field and fast Jacobian are zero: every state stays."""
-
-    def stage(theta, lam, xi, a, b):
-        return (None if a is None else [0.0] * ds), (None if b is None else [0.0] * df)
-
-    return TwoTimescaleSystem(
-        ds, df, basis(), stage=stage, dh_dlambda=lambda t, l, x: np.zeros((df, df))
-    )
+    text = StageText(("0.0",) * ds, ("0.0",) * df, ("0.0",) * (df * df), 2, "", None, (), ())
+    return TwoTimescaleSystem(ds, df, basis(), text=text)
 
 
 #: the largest finite doubles, the least subnormal and the least normal
@@ -399,9 +475,9 @@ def test_finite_extremes_run_to_the_end(kind):
 
 
 def kernel_case(kind):
-    """(system, shape, args, x, gains) of one _rk4 run of each kind on a
-    stage field; the sensitivity run is at dim_fast 1 with the b*(J @ S)
-    callback."""
+    """(system, shape, args, x, gains) of one _rk4 run of each kind on
+    text (dynamics._on_text); the sensitivity run is at dim_fast 1, with
+    Lambda in the stack, since the Jacobian reads it."""
     system = stage_system(2, 1 if kind == "sensitivity" else 2)
     sched = GainSchedule(rho=0.7, beta=0.3)
     theta, lam = [0.3, -0.2], [0.4, -0.3][: system.dim_fast]
@@ -412,20 +488,9 @@ def kernel_case(kind):
         filt = SecondOrderFilter(0.3, zeta=0.6, eta=1.3)
         args, x = (filt.gamma**2, 2.0 * filt.zeta * filt.gamma), x + lam + [0.0, 0.0]
     if kind == "sensitivity":
-        args, x = (theta, jac_times_s(system)), lam + [1.0]
-    return system, (2, system.dim_fast, kind), args, x, gains
-
-
-def jac_times_s(system):
-    """lyapunov_exponent's sensitivity callback: b*(J @ S), row-major, as a
-    list, with J from _jacobian_evaluator."""
-    jac_of, d = _jacobian_evaluator(system), system.dim_fast
-
-    def jac(th, la, xi, b, s):
-        js = jac_of(th, la, xi) @ np.array(s).reshape(d, d)
-        return [b * v for v in js.ravel().tolist()]
-
-    return jac
+        x = lam + [1.0]
+    shape, args, x = _on_text(system.text, (2, system.dim_fast, kind), args, x)
+    return system, shape, args, x, gains
 
 
 #: (n_steps, sample_stride): exact multiples of _CHUNK, a block with no
@@ -441,8 +506,8 @@ SAMPLING = [
 def test_sampling_edges_are_the_comprehension_run(kind, n_steps, stride):
     system, shape, args, x, gains = kernel_case(kind)
     run = (shape, args, x, 0.015625, n_steps, stride, system, gains, 0.3)
-    t, samples = dynamics._rk4(system.stage, *run)
-    t_ref, samples_ref = reference_rk4(system.stage, *run)
+    t, samples = dynamics._rk4(*run)
+    t_ref, samples_ref = reference_rk4(*run)
     assert t.tobytes() == t_ref.tobytes()
     assert samples.tobytes() == samples_ref.tobytes()
     assert t.shape[0] == len(range(0, n_steps, stride)) + 1
@@ -499,11 +564,8 @@ def test_degenerate_norm_on_a_block_end(monkeypatch):
     # dl/dt = 1 with S constant until l passes 15, then J = 787: S grows
     # about 1,350-fold per step of 1/64 and is finite, near 1e197, at the
     # rescale of step 1,024 = _CHUNK, while ||S||^2 overflows
-    def stage(theta, lam, xi, a, b):
-        return None, [b * 1.0]
-
-    system = TwoTimescaleSystem(1, 1, basis(), stage=stage,
-                                dh_dlambda=lambda t, l, x: 787.0 if l[0] > 15.0 else 0.0)
+    text = StageText(("0.0",), ("1.0",), ("787.0 if la0 > 15.0 else 0.0",), 2, "", None, (), ())
+    system = TwoTimescaleSystem(1, 1, basis(), text=text)
 
     def run():
         with pytest.raises(NonFinite, match="sensitivity norm degenerate") as err:
@@ -523,43 +585,35 @@ def test_one_generated_loop_per_run_shape(monkeypatch):
     loops = []
     for _ in range(3):
         integrate_frozen_fast(system, [0.3, -0.2], np.zeros(7), 0.5, 2.0)
-        loops.append(dynamics._STEP_LOOPS[2, 7, "frozen-fast"])
+        loops.append(dynamics._STEP_LOOPS[2, 7, "frozen-fast", system.text._replace(values=None)])
     sched = GainSchedule(rho=0.7, beta=0.5)
     for filt in (None, SecondOrderFilter(0.5), None):
         integrate(system, sched, ([0.1, 0.2], np.zeros(7)), 2.0, filt=filt)
     for _ in range(2):  # segment after segment, one loop
         lyapunov_exponent(stage_system(2, 2), [0.3, -0.2], 0.5, [0.1, 0.2], 30.0)
-    assert built == [
+    assert [shape[:3] for shape in built] == [
         (2, 7, "frozen-fast"), (2, 7, "coupled"), (2, 7, "filtered"), (2, 2, "sensitivity")
     ]
-    assert loops[0] is loops[1] is loops[2] is dynamics._STEP_LOOPS[2, 7, "frozen-fast"]
+    assert loops[0] is loops[1] is loops[2] is dynamics._STEP_LOOPS[built[0]]
     # straight-line: the loop makes no comprehension or other nested frame
     for loop in dynamics._STEP_LOOPS.values():
         assert not any(isinstance(c, types.CodeType) for c in loop.__code__.co_consts)
 
 
-# -- the stage field on linear-3.1: calls per step, first-stage length check --
+# -- a per-stage statement on linear-3.1: runs per step, part lengths --------
 
 
 def counted_linear(calls, part=None):
-    """linear-3.1 whose stage field appends to calls at each call; with part
-    ("slow" or "fast") that part comes back one value too long."""
-    system = make_linear_system()
-    field = system.stage
-
-    def stage(theta, lam, xi, a, b):
-        calls.append(len(calls))
-        slow, fast = field(theta, lam, xi, a, b)
-        if part == "slow" and slow is not None:
-            slow = slow + slow
-        if part == "fast":
-            fast = fast + fast
-        return slow, fast
-
-    return TwoTimescaleSystem(
-        1, 1, system.basis, system.probing, stage=stage,
-        dh_dlambda=system.dh_dlambda,
+    """linear-3.1 whose text calls count() at every stage, appending to
+    calls; with part ("slow" or "fast") that part is listed twice."""
+    text = make_linear_system().text
+    text = text._replace(
+        per_stage="n = count()", names=text.names + ("count",),
+        values=text.values + (lambda: calls.append(len(calls)),),
     )
+    if part is not None:
+        text = text._replace(**{part: getattr(text, part) * 2})
+    return TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
 
 
 #: horizon 40 at beta 0.5: 1,758 steps on linear-3.1, more than one block
@@ -587,7 +641,8 @@ def test_linear_stage_calls_per_step(kind):
     [(kind, "fast") for kind in sorted(LINEAR_RUNS)] + [("coupled", "slow"), ("filtered", "slow")],
 )
 def test_linear_wrong_length_at_the_first_stage(kind, part):
+    # the system refuses the text when it is built, before any stage runs
     calls = []
-    with pytest.raises(ConfigError, match=rf"^stage returned 2 {part} value\(s\), expected 1$"):
+    with pytest.raises(ConfigError, match=rf"^stage text has 2 {part} part\(s\), expected 1$"):
         LINEAR_RUNS[kind](counted_linear(calls, part))
-    assert calls == [0]
+    assert calls == []

@@ -1,31 +1,33 @@
-"""The expression-text path of the RK4 kernel against the stage-field call.
+"""The RK4 kernel's loops on expression text against the stage field.
 
-linear-3.1, decoupled-test and the order-1 extremum seeker, at every
-probing gain and either single_at, state their field once, as a StageText;
-their callable stage and dh_dlambda are compiled from it, and their runs
-write the text into the generated loop (the seeker's frozen runs through
-its frozen form, which carries the measurement).  Rebuilt with that
-compiled stage and dh_dlambda but no text, the same system takes the call
-path.  Both must give the same trajectories, exponents and NonFinite
-times bit for bit, for all four run kinds, across a block boundary and at
-parameters that a literal would not survive (-0.0, a subnormal).  The
-text is bound to its values at run time, so one loop serves every
-parameter value.  Every run kind of every named system
-(qsakit.systems.SYSTEMS) and the seeker traffic of the benchmark must
-take the text path: no stage field or Jacobian call, and no
+Every system states its field once, as a StageText: linear-3.1,
+decoupled-test and the extremum seeker, at every probing gain, washout
+order and either single_at, among them.  Its stage field and Jacobian
+are compiled from the text (text_field), and its runs write the text
+into the generated loop (the seeker's frozen runs through its frozen
+form, which carries the measurement).  The oracle is that compiled stage
+field stepped at every stage by the reference loop of
+test_rk4_generated (test_kernel_reference.on_stage_field): both must
+give the same trajectories, exponents and NonFinite times bit for bit,
+for all four run kinds, across a block boundary and at parameters that a
+literal would not survive (-0.0, a subnormal).  The text is bound to its
+values at run time, so one loop serves every parameter value.  No run
+of a named system (qsakit.systems.SYSTEMS), and none of the seeker
+traffic of the benchmark, calls the compiled stage field or
 Objective.__call__.
 
-The call path's generated sources are pinned as well: a system without
-text must get the same loop source as before the text path existed.
+The generated loop sources of the benchmark's systems are pinned: the
+benchmark runs the code it ran before every system was text.  A Python
+field wrapped as text, a per-stage statement that calls it, gets the
+stage's probe row as a list of floats.
 
-The loop reads the probe table as one list per probe component: a text
-loop binds xi{i} only for the components its run reads, a call-path loop
-hands the field a list of all m of them.  A text that reads components
-apart (row 3, xi0 in the slow part, xi2 in the fast part) is checked
-against its call path like the built-in systems; a probe table of
-another length than the text's row is the compiled field's ConfigError
-in every kind of run, and a text whose names would overwrite the loop's
-own locals is rejected when the system is built.
+The loop reads the probe table as one list per probe component, and
+binds xi{i} only for the components its run reads.  A text that reads
+components apart (row 3, xi0 in the slow part, xi2 in the fast part) is
+checked against the stage field like the built-in systems; a probe table
+of another length than the text's row is the compiled field's
+ConfigError in every kind of run, and a text whose names would overwrite
+the loop's own locals is rejected when the system is built.
 
 A text's row-only arithmetic is lifted out of the loop: computed once per
 run, or once per block as a column of the probe table that the loop reads
@@ -38,12 +40,13 @@ pinned theta, is sampled bit for bit as the stage field measures it.
 A sensitivity run on a text whose Jacobian reads no Lambda, with no
 per-stage statement and a fast part of +, -, * over names and float
 literals, advances S alone; every other run keeps its loop source byte
-for byte.  This is the one declared exception to "the same outcome as
-the call path": in such a run a Lambda that overflows or turns nan
-raises no NonFinite, since it never fed S, where the call path raises;
-the exponent's bits are the same wherever both return.
+for byte.  In such a run a Lambda that overflows or turns nan raises no
+NonFinite, since it never fed S, where a run that advances Lambda
+raises; the exponent's bits are those of the stage field's run wherever
+both return.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -62,6 +65,7 @@ from qsakit.dynamics import (
     _resolve_step,
     integrate,
     integrate_frozen_fast,
+    text_field,
 )
 from qsakit.cli import run
 from qsakit.errors import ConfigError, Inconclusive, NonFinite
@@ -78,6 +82,7 @@ from qsakit.meanflow import find_root_g0
 from qsakit.probing import default_basis, make_frequency_basis, probe_signal
 from qsakit.systems import SYSTEMS as NAMED_SYSTEMS
 from qsakit.systems import make_decoupled_system, make_linear_system
+from test_kernel_reference import on_stage_field
 
 SUBNORMAL = 5e-324
 
@@ -86,7 +91,7 @@ def split_row_system():
     its fast part and Jacobian xi2, on default_basis(3)."""
     text = make_linear_system().text
     text = text._replace(
-        fast=(text.fast[0].replace("xi1", "xi2"),), jac=text.jac.replace("xi1", "xi2"), row=3
+        fast=(text.fast[0].replace("xi1", "xi2"),), jac=(text.jac[0].replace("xi1", "xi2"),), row=3
     )
     return TwoTimescaleSystem(1, 1, default_basis(3), text=text)
 
@@ -166,15 +171,6 @@ RUNS = {
 }
 
 
-def call_path(system):
-    """The system with its compiled stage and dh_dlambda and no text."""
-    assert system.text is not None
-    return TwoTimescaleSystem(
-        system.dim_slow, system.dim_fast, system.basis, system.probing,
-        stage=system.stage, dh_dlambda=system.dh_dlambda,
-    )
-
-
 def outcome(run, system):
     """run(system) as bits: a trajectory's arrays, an estimate's float.hex,
     or the type, message and estimates (or time) of what it raised."""
@@ -189,13 +185,41 @@ def outcome(run, system):
     return [v.hex() for v in vars(got).values()]
 
 
+def field_outcome(run, system):
+    """outcome(run, system) with the system's stage field stepped at every
+    stage by the reference loop (test_kernel_reference.on_stage_field)."""
+    with on_stage_field():
+        return outcome(run, system)
+
+
+def wrapped(system, field=None):
+    """system's field as a text that calls a Python field, by default the
+    stage field compiled from system's text, once per stage at unit gains
+    (1.0 * p is p, bit for bit), with system's Jacobian text: the form of
+    any user field (README).  For a text whose slow part reads no a."""
+    text = system.text
+    th, la, xi = ("".join(f"{v}{i}, " for i in range(n)) for v, n in (
+        ("th", system.dim_slow), ("la", system.dim_fast), ("xi", text.row)))
+    return TwoTimescaleSystem(
+        system.dim_slow, system.dim_fast, system.basis, system.probing,
+        text=text._replace(
+            slow=tuple(f"gs[{i}]" for i in range(system.dim_slow)),
+            fast=tuple(f"hs[{i}]" for i in range(system.dim_fast)),
+            per_stage=f"gs, hs = user_field([{th}], [{la}], [{xi}], 1.0, 1.0)",
+            names=text.names + ("user_field",), values=text.values + (field or system.stage,),
+        ),
+    )
+
+
 @pytest.mark.parametrize("kind", sorted(RUNS))
 @pytest.mark.parametrize("label", sorted(SYSTEMS))
 def test_text_run_is_the_call_run(label, kind):
+    # named for the call path that runs once took: the oracle is now the
+    # stage field, called by the reference loop at every stage
     system = SYSTEMS[label]()
     assert _resolve_step(system.basis, 0.3, 40.0, None)[1] > _CHUNK
     got = outcome(RUNS[kind], system)
-    assert got == outcome(RUNS[kind], call_path(system))
+    assert got == field_outcome(RUNS[kind], system)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -204,20 +228,19 @@ def test_blow_up_time(kind):
     system = BLOW_UP()
     got = outcome(RUNS[kind], system)
     assert got[0] == "NonFinite"
-    assert got == outcome(RUNS[kind], call_path(system))
+    assert got == field_outcome(RUNS[kind], system)
     assert 0.0 < float.fromhex(got[2]) < 2.0
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
 @pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
 def test_text_run_calls_no_field(name, kind):
-    # every named system runs on its text: none reaches the stage field or
-    # the Jacobian callback of the call path
+    # every named system runs on its text: no run calls the stage field
+    # compiled from it
     system = NAMED_SYSTEMS[name]()
     calls = []
-    field, jac = system.stage, system.dh_dlambda
+    field = system.stage
     system.stage = lambda *args: calls.append("stage") or field(*args)
-    system.dh_dlambda = lambda *args: calls.append("dh_dlambda") or jac(*args)
     RUNS[kind](system)
     assert calls == []
 
@@ -296,29 +319,37 @@ def test_compiled_field_is_the_text():
     assert slow == [0.9 * (3.0 * th + 3.0 * la + 2.0 * xi[0] * (th + 1.0) + 1.5)]
     assert fast == [0.4 * (-2.0 * th - la + 0.5 * xi[1] * (la + 1.0) + -2.5)]
     assert system.stage([th], [la], xi, None, None) == (None, None)
-    assert system.dh_dlambda([th], [la], xi) == [-1.0 + 0.5 * xi[1]]
+    assert text_field(system.text)[1]([th], [la], xi) == [-1.0 + 0.5 * xi[1]]
 
 
-#: sha256 of the concatenated _step_loop_source((ds, df, kind)) for ds 1-4,
-#: df 1-3 and the kinds below, in that nesting, as generated before the
-#: text path was added, less the kernel's record hook, and with the fast
-#: gain b a constant, samples appended to a list and one finiteness test
-#: per step; the four sensitivity shapes at df 1, (1..4, 1, "sensitivity"),
-#: call the b*(J @ S) callback as every other df does, in place of the
-#: scalar Jacobian read through _floats; the probe table is one list per
-#: probe component, and each row handed to the field or the callback is
-#: built from those component lists, once per new row time (loop entry, k2
-#: and k4)
-CALL_PATH_SOURCES = "7b0cc246a01cc53f4cedab958ab587689efb002603f8de08b32f3ed2dd3471c2"
+#: the benchmark's systems (bench/workloads.py), by label
+BENCHMARK_SYSTEMS = {
+    "linear-3.1": NAMED_SYSTEMS["linear-3.1"],
+    "decoupled-test": NAMED_SYSTEMS["decoupled-test"],
+    "esc-quadratic": NAMED_SYSTEMS["esc-quadratic"],
+    "user-Objective seeker": lambda: build_esc_system(
+        EscConfig(objective=Objective(_cubic), epsilon=0.1, dim=1, single_at=True)
+    ),
+}
+
+#: sha256 of the concatenated coupled, filtered, frozen-fast and
+#: sensitivity loop sources of each benchmark system, its frozen text at a
+#: pinned theta for the frozen kinds, as generated when StageText's jac was
+#: one expression and runs could call a stage field
+BENCHMARK_LOOP_SOURCES = {
+    "linear-3.1": "b0efee90af193ead65d53bde9127e86736da576d3d2034426ec6dadf12a844c5",
+    "decoupled-test": "c9945036fee40793cdf600ec805b74b7e146b721f8fdfa336f47e06a0f350af7",
+    "esc-quadratic": "23c716c0fcd864e1aabf3e09251e52e6a72a64f667bc98b0d2cbc56586d593e6",
+    "user-Objective seeker": "b3506b625238138be9836f7a52d572bfca27a7e8d62f77649ecc6e2a618376c5",
+}
 
 
-def test_call_path_sources_unchanged():
+@pytest.mark.parametrize("label", sorted(BENCHMARK_LOOP_SOURCES))
+def test_benchmark_loop_sources_unchanged(label):
+    system = BENCHMARK_SYSTEMS[label]()
     kinds = ("coupled", "filtered", "frozen-fast", "sensitivity")
-    source = "".join(
-        dynamics._step_loop_source((ds, df, kind))
-        for ds in range(1, 5) for df in range(1, 4) for kind in kinds
-    )
-    assert hashlib.sha256(source.encode()).hexdigest() == CALL_PATH_SOURCES
+    source = "".join(loop_source(system, kind)[0] for kind in kinds)
+    assert hashlib.sha256(source.encode()).hexdigest() == BENCHMARK_LOOP_SOURCES[label]
 
 
 # -- the probe table as component lists ----------------------------------------
@@ -347,8 +378,8 @@ def test_probe_table_of_another_length(m, kind):
     message = rf"^stage got a probe row of {m} value\(s\), expected 2$"
     with pytest.raises(ConfigError, match=message):
         RUNS[kind](system)
-    with pytest.raises(ConfigError, match=message):
-        RUNS[kind](call_path(system))
+    with on_stage_field(), pytest.raises(ConfigError, match=message):
+        RUNS[kind](system)
 
 
 @pytest.mark.parametrize("names, per_stage", [(("p0",), ""), ((), "am = xi0 * xi1")])
@@ -407,15 +438,18 @@ def test_frozen_loops_index_only_the_components_read(kind):
 @pytest.mark.parametrize("kind", sorted(RUNS))
 @pytest.mark.parametrize("m", [2, 3])
 def test_call_path_hands_the_field_a_list_of_m_floats(m, kind):
-    system = call_path(split_row_system() if m == 3 else make_linear_system())
+    # a Python field wrapped as text (wrapped) is called once per stage with
+    # the probe row as a list of m Python floats, and its run is the
+    # text's own, bit for bit
+    base = split_row_system() if m == 3 else make_linear_system()
     rows = []
-    field, jac = system.stage, system.dh_dlambda
-    system.stage = lambda th, la, xi, a, b: rows.append(xi) or field(th, la, xi, a, b)
-    system.dh_dlambda = lambda th, la, xi: rows.append(xi) or jac(th, la, xi)
-    RUNS[kind](system)
+    field = base.stage
+    system = wrapped(base, lambda th, la, xi, a, b: rows.append(xi) or field(th, la, xi, a, b))
+    got = outcome(RUNS[kind], system)
     assert len(rows) > 4 * _CHUNK
     assert {(type(xi), len(xi)) for xi in rows} == {(list, m)}
     assert all(type(v) is float for xi in rows for v in xi)
+    assert got == outcome(RUNS[kind], base)
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
@@ -427,7 +461,7 @@ def test_loop_names_cover_the_loop(label, kind):
     source, text = loop_source(system, kind)
     code = compile(source, "<loop>", "exec").co_consts[0]
     own = set(code.co_varnames) | set(code.co_names)
-    own -= dynamics._names(*text.slow, *text.fast, text.jac, text.per_stage) - {"a"}
+    own -= dynamics._names(*text.slow, *text.fast, *text.jac, text.per_stage) - {"a"}
     own -= set(text.names)
     assert own and all(_LOOP_NAMES.fullmatch(n) for n in own), sorted(own)
 
@@ -441,7 +475,7 @@ def text_system(fast, jac="-1.0 + s2 * xi1", s2=1.0, names=(), values=()):
     text = make_linear_system().text
     assert text.names[2] == "s2"
     text = text._replace(
-        fast=(fast,), jac=jac, names=text.names + names,
+        fast=(fast,), jac=(jac,), names=text.names + names,
         values=text.values[:2] + (s2,) + text.values[3:] + values,
     )
     return TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
@@ -467,10 +501,10 @@ def test_calls_powers_and_row_divisors_stay_in_the_loop(kind):
     for pattern in KEPT_IN_LOOP + ([r"xi\d+ \*\* 2\.0 / \(2\.0 \+ la0 \* la0\)"] if kind == "sensitivity" else []):
         assert re.search(pattern, body), pattern
     assert "s2 * xi1" not in body and "s1 * xi0" not in body  # lifted
-    assert outcome(RUNS[kind], KEPT) == outcome(RUNS[kind], call_path(KEPT))
+    assert outcome(RUNS[kind], KEPT) == field_outcome(RUNS[kind], KEPT)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")  # the call path's Jacobian product
+@pytest.mark.filterwarnings("ignore:overflow")  # the reference's Jacobian product
 @pytest.mark.parametrize("kind", sorted(RUNS))
 def test_overflowing_column_warns_not_and_blows_up_on_time(kind):
     # s2 * xi1 * s2 overflows to inf as a block column, with numpy's
@@ -481,16 +515,16 @@ def test_overflowing_column_warns_not_and_blows_up_on_time(kind):
         warnings.simplefilter("error")
         got = outcome(RUNS[kind], system)
     assert got[0] == "NonFinite" and float.fromhex(got[2]) < 1.0
-    assert got == outcome(RUNS[kind], call_path(system))
+    assert got == field_outcome(RUNS[kind], system)
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
 @pytest.mark.parametrize("term", ["xi1 / k", "th0 / k", "xi1 * (s2 / k)"])
 def test_zero_run_constant_divisor_raises(term, kind):
     system = text_system(f"-2.0 * th0 - la0 + {term}", names=("k",), values=(0.0,))
-    for path in (system, call_path(system)):
-        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
-            RUNS[kind](path)
+    for stepped in (contextlib.nullcontext(), on_stage_field()):
+        with stepped, pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            RUNS[kind](system)
 
 
 # -- sensitivity runs that advance S alone -------------------------------------
@@ -529,15 +563,15 @@ def test_lambda_carrying_sensitivity_sources_unchanged():
 def test_lambda_free_sensitivity_loop_advances_s_alone(name):
     # jac reads no la0 and the fast part only +, -, * of names and floats:
     # the loop holds S alone, reads no Lambda and tests S alone for
-    # finiteness; the exponent is the call path's, bit for bit
+    # finiteness; the exponent is the stage field's, bit for bit
     system = NAMED_SYSTEMS[name]()
     source, _ = loop_source(system, "sensitivity")
     assert "la0" not in source
     assert "    x0, = x\n" in source and "        if (x0 - x0) != 0.0:" in source
     assert re.findall(r"k1_\d+ = .*", source) == [
-        f"k1_0 = b * (0.0 + ({dynamics._lift(system.text._replace(values=None), 'sensitivity').jac}) * (x0))"
+        f"k1_0 = b * (0.0 + ({dynamics._lift(system.text._replace(values=None), 'sensitivity').jac[0]}) * (x0))"
     ]
-    assert outcome(RUNS["sensitivity"], system) == outcome(RUNS["sensitivity"], call_path(system))
+    assert outcome(RUNS["sensitivity"], system) == field_outcome(RUNS["sensitivity"], system)
 
 
 @pytest.mark.parametrize("fast, jac, alone", [
@@ -550,22 +584,21 @@ def test_lambda_free_sensitivity_loop_advances_s_alone(name):
     ("+la0", "-1.0", False),  # unary + is no lifted arithmetic
 ])
 def test_s_alone_predicate(fast, jac, alone):
-    text = dynamics.StageText(("0.0",), (fast,), jac, 1, "", None, ("k",), None)
+    text = dynamics.StageText(("0.0",), (fast,), (jac,), 1, "", None, ("k",), None)
     assert dynamics._s_alone(text) is alone
 
 
-@pytest.mark.filterwarnings("ignore:overflow")  # the call path's Jacobian product
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_lambda_overflow_in_an_s_alone_run():
-    # the one declared difference from the call path: Lambda overflows
-    # (growth e^{5t} from 1e300) but never feeds S, so the S-alone run
-    # returns the exponent 5 where the call path raises NonFinite, as
-    # test_lyapunov's test_nonfinite_propagates does on a stage field
-    text = dynamics.StageText(("0.0",), ("5.0 * la0",), "5.0", 1, "", None, (), ())
+    # Lambda overflows (growth e^{5t} from 1e300) but never feeds S, so the
+    # S-alone run returns the exponent 5, where a run that advances Lambda,
+    # the frozen-fast run of the same text, raises NonFinite
+    text = dynamics.StageText(("0.0",), ("5.0 * la0",), ("5.0",), 1, "", None, (), ())
     system = TwoTimescaleSystem(1, 1, make_frequency_basis([(2, 1)]), text=text)
     run = lambda s: lyapunov_exponent(s, [0.0], 1.0, [1e300], 400.0, step=0.03)  # noqa: E731
     assert run(system).exponent == pytest.approx(5.0, abs=1e-4)
     with pytest.raises(NonFinite):
-        run(call_path(system))
+        integrate_frozen_fast(system, [0.0], [1e300], 1.0, 400.0, step=0.03)
     with pytest.raises(ConfigError, match="^lambda0 shape does not match the fast dimension$"):
         lyapunov_exponent(system, [0.0], 1.0, [1.0, 2.0], 400.0, step=0.03)
 
@@ -607,7 +640,7 @@ def test_partly_lifted_carried_statement(label, kind):
         values=make_linear_system().text.values + (math.fabs,),
     )
     system = TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
-    assert outcome(RUNS[kind], system) == outcome(RUNS[kind], call_path(system))
+    assert outcome(RUNS[kind], system) == field_outcome(RUNS[kind], system)
     traj = integrate_frozen_fast(system, [0.3], [0.2], 0.3, 40.0)
     xis = probe_signal(system.probing, system.basis, traj.t)
     want = {
@@ -620,7 +653,7 @@ def test_partly_lifted_carried_statement(label, kind):
 
 #: a part of linear-3.1's text that reads z, a second local of the carried
 #: statement, per part
-SECOND_LOCAL = {"slow": ("alpha * th0 + z",), "fast": ("-la0 + z * xi1",), "jac": "-1.0 + z"}
+SECOND_LOCAL = {"slow": ("alpha * th0 + z",), "fast": ("-la0 + z * xi1",), "jac": ("-1.0 + z",)}
 
 
 @pytest.mark.parametrize("kind", ["frozen-fast", "sensitivity"])
@@ -656,9 +689,11 @@ COMPLEX_FAST = "-la0 - 1.0 + 0.1 * la0 ** 0.5"
 
 @pytest.mark.parametrize("path", ["text", "stage field"])
 def test_non_real_stage_value_is_a_config_error(path):
+    # on the text, and on a text that calls the compiled stage field, a
+    # Python field (wrapped)
     text = make_linear_system().text._replace(fast=(COMPLEX_FAST,))
     system = TwoTimescaleSystem(1, 1, make_linear_system().basis, text=text)
-    system = system if path == "text" else call_path(system)
+    system = system if path == "text" else wrapped(system)
     message = r"^stage values are not real: the state is complex in the steps from t = 0 to t = 10$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's ComplexWarning among them

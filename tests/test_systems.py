@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qsakit.dynamics import GainSchedule, _float_lists, integrate
+from qsakit.dynamics import GainSchedule, _float_lists, integrate, text_field
 from qsakit.errors import ConfigError
 from qsakit.probing import probe_signal
 from qsakit.systems import (
@@ -90,7 +90,7 @@ class TestLinearPair:
                 unit_parts(system, theta, lam + 1e-6, xi)[1]
                 - unit_parts(system, theta, lam - 1e-6, xi)[1]
             ) / 2e-6
-            assert system.dh_dlambda(theta, lam, xi) == [pytest.approx(fd, abs=1e-8)]
+            assert text_field(system.text)[1](theta, lam, xi) == [pytest.approx(fd, abs=1e-8)]
 
     def test_noise_scales(self):
         system = make_linear_system(s=(0.0, 0.0))
